@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: all build test race vet fmt-check ci bench-json trace-smoke \
 	profile bench-hotpath hotpath-smoke scenario-smoke pdes-smoke bench-pdes \
 	chaos-smoke anatomy-smoke bench-check workload-smoke bench-workload \
-	shard-smoke
+	shard-smoke benchmark benchmark-test
 
 all: build
 
@@ -30,7 +30,19 @@ fmt-check:
 	fi
 
 ci: fmt-check vet build race trace-smoke hotpath-smoke scenario-smoke pdes-smoke chaos-smoke \
-	anatomy-smoke workload-smoke shard-smoke bench-check
+	anatomy-smoke workload-smoke shard-smoke benchmark-test bench-check
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) is a Go
+# module of its own, so `go build ./... && go test ./...` never sees it.
+# `benchmark-test` runs its unit tests and a 1/20-size smoke over all seven
+# workloads (~7 s); `benchmark` prints the full report (~4 min) and leaves
+# the results where `bash benchmark/run.sh -compare old.json new.json` can
+# read them.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
+benchmark:
+	bash benchmark/run.sh -seed 7 -out /tmp/bidl-benchmark.json
 
 # One-transaction smoke run of the end-to-end pipeline benchmark so the
 # hot-path suite can never bitrot (it also asserts the txn commits).

@@ -12,17 +12,23 @@ import (
 func BenchmarkPipelineHotPath(b *testing.B) { PipelineHotPath(b) }
 
 // TestPipelineHotPathAllocs pins the profile-guided allocation budget: one
-// transaction end-to-end currently costs ~310 allocations (down from 1828
-// before the persist-path memoization — content-key/vector-digest caching,
-// bitmask persist votes, pooled HMAC states). The ceiling leaves headroom
-// for noise but fails loudly if a hot-path regression reintroduces per-echo
-// hashing or per-vote map churn.
+// transaction end-to-end currently costs ~222 allocations (1828 before the
+// persist-path memoization — content keys, bitmask persist votes, pooled
+// HMAC states — and 310 before the computed-once rule of DESIGN.md §7.1
+// reached signing bytes, signature verdicts and the whole PERSIST echo). The
+// ceiling is measured + 10 %: it fails loudly if a regression reintroduces
+// per-receiver serialisation, verification or hashing.
 func TestPipelineHotPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark run")
 	}
+	if raceBuild {
+		// sync.Pool drops a random share of Puts under -race, so the pooled
+		// HMAC states re-allocate and the count wanders (249–262 measured).
+		t.Skip("allocation pin holds for the plain build only")
+	}
 	r := testing.Benchmark(BenchmarkPipelineHotPath)
-	if a := r.AllocsPerOp(); a > 400 {
-		t.Fatalf("pipeline hot path allocates %d/op; ceiling 400", a)
+	if a := r.AllocsPerOp(); a > 245 {
+		t.Fatalf("pipeline hot path allocates %d/op; ceiling 245", a)
 	}
 }

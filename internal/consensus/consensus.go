@@ -11,6 +11,7 @@ package consensus
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -109,19 +110,33 @@ func (r RoundRobin) Leader(view uint64) int { return int(view % uint64(r.N)) }
 type RandomEpoch struct {
 	N    int
 	Seed crypto.Digest
+
+	// perms memoises each epoch's schedule, so Leader is a lookup. One policy
+	// instance serves every replica of a cluster, and normal nodes in other
+	// PDES partitions consult it too, hence the lock.
+	mu    sync.Mutex
+	perms map[uint64][]int
 }
 
 // Leader implements LeaderPolicy.
-func (r RandomEpoch) Leader(view uint64) int {
+func (r *RandomEpoch) Leader(view uint64) int {
 	epoch := view / uint64(r.N)
-	idx := int(view % uint64(r.N))
-	perm := r.permutation(epoch)
-	return perm[idx]
+	r.mu.Lock()
+	perm, ok := r.perms[epoch]
+	if !ok {
+		if r.perms == nil {
+			r.perms = make(map[uint64][]int)
+		}
+		perm = r.permutation(epoch)
+		r.perms[epoch] = perm
+	}
+	r.mu.Unlock()
+	return perm[view%uint64(r.N)]
 }
 
 // permutation returns the epoch's leader order via a seeded Fisher-Yates
 // shuffle driven by successive hashes.
-func (r RandomEpoch) permutation(epoch uint64) []int {
+func (r *RandomEpoch) permutation(epoch uint64) []int {
 	perm := make([]int, r.N)
 	for i := range perm {
 		perm[i] = i

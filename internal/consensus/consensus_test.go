@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -60,6 +61,53 @@ func TestRandomEpochUnpredictableAcrossEpochs(t *testing.T) {
 	if same {
 		t.Fatal("epoch 0 and 1 have identical leader orders")
 	}
+}
+
+// TestRandomEpochMemoMatchesSchedule: the memoised Leader equals a fresh,
+// unmemoised derivation for every view of 10 epochs, with epochs visited
+// out of order and repeatedly, and derives each epoch's schedule once.
+func TestRandomEpochMemoMatchesSchedule(t *testing.T) {
+	const epochs = 10
+	for _, seed := range []string{"seed-a", "seed-b"} {
+		for _, n := range []int{4, 31, 97} {
+			p := &RandomEpoch{N: n, Seed: crypto.Hash([]byte(seed))}
+			for pass := 0; pass < 2; pass++ {
+				for e := uint64(0); e < epochs; e++ {
+					epoch := (e * 7) % epochs // 7 is coprime to 10: a scrambled order
+					want := (&RandomEpoch{N: n, Seed: p.Seed}).permutation(epoch)
+					for i := n - 1; i >= 0; i-- {
+						if got := p.Leader(epoch*uint64(n) + uint64(i)); got != want[i] {
+							t.Fatalf("seed=%s n=%d epoch=%d slot=%d: leader %d, want %d", seed, n, epoch, i, got, want[i])
+						}
+					}
+				}
+			}
+			if len(p.perms) != epochs {
+				t.Fatalf("seed=%s n=%d: %d schedules derived for %d epochs", seed, n, len(p.perms), epochs)
+			}
+		}
+	}
+}
+
+// TestRandomEpochConcurrent: one policy instance serves nodes in concurrent
+// PDES partitions; run under -race.
+func TestRandomEpochConcurrent(t *testing.T) {
+	p := &RandomEpoch{N: 31, Seed: crypto.Hash([]byte("x"))}
+	want := (&RandomEpoch{N: 31, Seed: p.Seed}).Leader(40)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := uint64(0); v < 31*4; v++ {
+				p.Leader(v)
+			}
+			if got := p.Leader(40); got != want {
+				t.Errorf("leader(40) = %d, want %d", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestQuorums(t *testing.T) {

@@ -42,6 +42,10 @@ type Msg struct {
 	// have been decided anywhere).
 	Prepared    []PreparedEntry
 	PrePrepared []PreparedEntry
+
+	// sigOK memoises the commit signature check per signer: a commit is one
+	// object broadcast to every replica, and its fields are final once sent.
+	sigOK crypto.Verdict
 }
 
 // PreparedEntry summarizes an instance that reached prepared state.
@@ -252,7 +256,9 @@ func (r *Replica) onCommit(from int, m *Msg) {
 	if m.View != r.view || !r.inView || m.Seq < r.minSeq {
 		return
 	}
-	if !r.host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
+	if !m.sigOK.Check(uint32(from), func() bool {
+		return r.host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig)
+	}) {
 		return
 	}
 	in := r.inst(m.Seq)

@@ -6,6 +6,8 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/consensus/constest"
+	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/types"
 )
 
 func factory(cfg consensus.Config, host consensus.Host) consensus.Replica {
@@ -118,5 +120,71 @@ func TestMessageSizes(t *testing.T) {
 	withPrepared := &Msg{Kind: kindViewChange, Prepared: []PreparedEntry{{Data: make([]byte, 50)}}}
 	if withPrepared.Size() <= (&Msg{Kind: kindViewChange}).Size() {
 		t.Fatal("prepared entries must contribute to size")
+	}
+}
+
+// countingScheme counts the real verifications a run performs.
+type countingScheme struct {
+	crypto.Scheme
+	verifies int
+}
+
+func (s *countingScheme) Verify(id crypto.Identity, msg []byte, sig crypto.Signature) bool {
+	s.verifies++
+	return s.Scheme.Verify(id, msg, sig)
+}
+
+// TestCommitVerdictSharedButExact: a broadcast commit is one object, so its
+// signature is really verified once however many replicas receive it — but
+// the verdict is exact. A copy with the same content and a junk signature is
+// rejected by every receiver even after another accepted the authentic one,
+// and the authentic object relayed by another node (checked against that
+// node's key) is rejected without spoiling it for its true sender.
+func TestCommitVerdictSharedButExact(t *testing.T) {
+	c := constest.NewCluster(4, 1, factory, constest.Options{ViewTimeout: time.Hour})
+	counter := &countingScheme{Scheme: c.Scheme}
+	c.Scheme = counter
+	d := crypto.Hash([]byte("block"))
+	sig, err := counter.Sign(c.Identity(0), types.CertSigningBytes(0, 0, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	authentic := &Msg{Kind: kindCommit, View: 0, Seq: 0, Node: 0, Digest: d, Sig: sig}
+	junk := &Msg{Kind: kindCommit, View: 0, Seq: 0, Node: 0, Digest: d, Sig: crypto.Signature("junk")}
+	step := func(to, from int, m *Msg) {
+		c.Nodes[to].WithCtx(func() { c.Nodes[to].Replica().Step(from, m) })
+	}
+	counted := func(at, from int) bool {
+		_, ok := c.Nodes[at].Replica().(*Replica).inst(0).commits[from]
+		return ok
+	}
+
+	step(1, 0, authentic)
+	if !counted(1, 0) {
+		t.Fatal("authentic commit rejected")
+	}
+	for _, to := range []int{2, 3} {
+		step(to, 0, junk)
+		if counted(to, 0) {
+			t.Fatalf("replica %d counted a junk-signed commit", to)
+		}
+		step(to, 1, authentic) // node 1 passing off node 0's commit as its own
+		if counted(to, 1) {
+			t.Fatalf("replica %d counted node 0's commit for node 1", to)
+		}
+		step(to, 0, authentic)
+		if !counted(to, 0) {
+			t.Fatalf("replica %d rejected the authentic commit after a relay attempt", to)
+		}
+	}
+
+	counter.verifies = 0
+	shared := &Msg{Kind: kindCommit, View: 0, Seq: 1, Node: 0, Digest: d}
+	shared.Sig, _ = counter.Sign(c.Identity(0), types.CertSigningBytes(0, 1, d))
+	for to := 1; to < 4; to++ {
+		step(to, 0, shared)
+	}
+	if counter.verifies != 1 {
+		t.Fatalf("%d real verifications of one broadcast commit, want 1", counter.verifies)
 	}
 }

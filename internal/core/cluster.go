@@ -120,7 +120,7 @@ func NewCluster(cfg Config) *Cluster {
 		cnIndex:   make(map[simnet.NodeID]int),
 		clientEps: make(map[crypto.Identity]simnet.NodeID),
 		// BIDL's unpredictable epoch rotation (§4.6).
-		policy:       consensus.RandomEpoch{N: cfg.NumConsensus, Seed: seed},
+		policy:       &consensus.RandomEpoch{N: cfg.NumConsensus, Seed: seed},
 		keyOwner:     cfg.KeyOwner,
 		tracer:       cfg.Tracer,
 		groupTxns:    cfg.Label + groupTxns,
@@ -290,18 +290,17 @@ func (c *Cluster) InFlight() int {
 // Run advances the simulation to absolute virtual time t.
 func (c *Cluster) Run(t time.Duration) { c.Sim.RunUntil(t) }
 
-// leaderIdx returns the consensus cluster's current leader: the leader of
-// the highest view any consensus node occupies.
+// leaderIdx returns the consensus cluster's current leader: the policy's
+// leader for the highest view any consensus node occupies (every hosted
+// protocol derives its Leader() from the policy and its view).
 func (c *Cluster) leaderIdx() int {
 	var hi uint64
-	leader := 0
 	for _, cn := range c.ConsNodes {
-		if v := cn.replica.View(); v >= hi {
+		if v := cn.replica.View(); v > hi {
 			hi = v
-			leader = cn.replica.Leader()
 		}
 	}
-	return leader
+	return c.policy.Leader(hi)
 }
 
 // LeaderIndex exposes the current leader for tests and attacks.

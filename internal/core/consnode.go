@@ -21,15 +21,6 @@ const (
 	groupPersist = "bidl/persist" // PERSIST echoes: all NNs
 )
 
-// storedResult is a consensus node's localStore() record: at most one
-// result vector per sequence number (§4.4, Lemma 5.2).
-type storedResult struct {
-	entry      ResultEntry
-	vecDigest  crypto.Digest
-	consistent bool
-	resultDig  crypto.Digest
-}
-
 // deliveredBlock is an agreed-but-not-yet-processed consensus decision.
 type deliveredBlock struct {
 	seqs   []uint64
@@ -90,7 +81,9 @@ type ConsNode struct {
 
 	// persist protocol state.
 	resultsBuf map[uint64][]ResultEntry
-	persisted  map[uint64]*storedResult
+	// persisted is localStore(): the PERSIST echo of the one result vector
+	// this node accepted per sequence number (§4.4, Lemma 5.2).
+	persisted  map[uint64]*PersistEntry
 	persistOut []PersistEntry
 	persistArm bool
 
@@ -159,7 +152,7 @@ func newConsNode(c *Cluster, idx, org int) *ConsNode {
 		agreedHash:   make(map[types.TxID]bool),
 		proposeTime:  make(map[crypto.Digest]time.Duration),
 		resultsBuf:   make(map[uint64][]ResultEntry),
-		persisted:    make(map[uint64]*storedResult),
+		persisted:    make(map[uint64]*PersistEntry),
 		suspects:     make(map[crypto.Identity]map[int]bool),
 		maliceVotes:  make(map[crypto.Identity]bool),
 		denylist:     make(map[crypto.Identity]bool),
@@ -471,7 +464,7 @@ func (n *ConsNode) Proposed(seq uint64, v consensus.Value) {
 		if buf, ok := n.resultsBuf[s]; ok {
 			delete(n.resultsBuf, s)
 			for i := range buf {
-				n.evaluateResult(buf[i])
+				n.evaluateResult(&buf[i])
 			}
 		}
 	}
@@ -599,7 +592,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		if buf, ok := n.resultsBuf[s]; ok {
 			delete(n.resultsBuf, s)
 			for i := range buf {
-				n.evaluateResult(buf[i])
+				n.evaluateResult(&buf[i])
 			}
 		}
 	}
@@ -637,7 +630,8 @@ func (n *ConsNode) requestViewChangeOnce() {
 // --- persist protocol (Phase 4-2, Algo 1 lines 16-18) ----------------------
 
 func (n *ConsNode) onResults(m *ResultMsg) {
-	for _, e := range m.Entries {
+	for i := range m.Entries {
+		e := &m.Entries[i]
 		if h, ok := n.agreed[e.Seq]; ok {
 			if h == e.TxID {
 				n.evaluateResult(e)
@@ -649,7 +643,7 @@ func (n *ConsNode) onResults(m *ResultMsg) {
 				n.viewMis++
 			}
 		} else {
-			n.resultsBuf[e.Seq] = append(n.resultsBuf[e.Seq], e)
+			n.resultsBuf[e.Seq] = append(n.resultsBuf[e.Seq], *e)
 		}
 	}
 }
@@ -657,7 +651,7 @@ func (n *ConsNode) onResults(m *ResultMsg) {
 // evaluateResult implements approved(R) ∧ match(H,R) ∧ localStore(R): the
 // vector must match the hash the leader proposed (or that agreement fixed)
 // for its sequence number.
-func (n *ConsNode) evaluateResult(e ResultEntry) {
+func (n *ConsNode) evaluateResult(e *ResultEntry) {
 	h, ok := n.agreed[e.Seq]
 	if !ok {
 		h, ok = n.proposedHash[e.Seq]
@@ -669,22 +663,19 @@ func (n *ConsNode) evaluateResult(e ResultEntry) {
 		// localStore: only one result vector per sequence (§4.4).
 		return
 	}
+	m := e.memo
+	if m == nil {
+		// Built without warm (tests, crafted vectors): nothing is shared, so
+		// this node derives everything itself.
+		m = e.derive()
+	}
 	// Verify each org's batch-signed partition (MAC-rate, §4.4) and that
-	// the carried writes hash to the signed partition digest.
-	for _, r := range e.Vector {
+	// the carried writes hash to the signed partition digest. Every node
+	// charges the virtual cost; the real check runs once per shared vector.
+	for i := range e.Vector {
+		r := &e.Vector[i]
 		n.ctx.Elapse(n.c.Cfg.Costs.MACVerify + n.c.Cfg.Costs.Hash(writesSize(r.Writes)))
-		// wdOK partitions were digested from these very writes at the
-		// construction site; the defensive re-hash only runs for
-		// partitions built elsewhere. Virtual cost is charged above
-		// either way.
-		if !r.wdOK {
-			prw := ledger.RWSet{Writes: r.Writes, Aborted: r.Aborted}
-			if prw.Digest() != r.Digest {
-				return
-			}
-		}
-		if !n.c.Scheme.Verify(crypto.Identity(r.Org),
-			orgResultBytes(e.Seq, e.TxID, r.Org, r.Digest, r.Aborted, r.Inconsistent), r.Sig) {
+		if !m.parts[i].Check(0, func() bool { return n.partitionAuthentic(e, r) }) {
 			return
 		}
 	}
@@ -695,19 +686,8 @@ func (n *ConsNode) evaluateResult(e ResultEntry) {
 			return
 		}
 	}
-	union := e.Union()
-	consistent := e.Consistent()
-	aborted := e.Aborted()
-	resultDig := (&ledger.RWSet{Writes: union, Aborted: aborted}).Digest()
-	sr := &storedResult{entry: e, vecDigest: e.VectorDigest(), consistent: consistent, resultDig: resultDig}
-	n.persisted[e.Seq] = sr
-	pe := PersistEntry{
-		Seq: e.Seq, TxID: e.TxID, VecDigest: sr.vecDigest,
-		Consistent: consistent, ResultDigest: resultDig,
-		Writes: union, Aborted: aborted,
-	}
-	pe.warmContentKey()
-	n.persistOut = append(n.persistOut, pe)
+	n.persisted[e.Seq] = &m.persist
+	n.persistOut = append(n.persistOut, m.persist)
 	if !n.persistArm {
 		n.persistArm = true
 		n.host().After(n.c.Cfg.ResultFlushInterval, func() {
@@ -715,6 +695,22 @@ func (n *ConsNode) evaluateResult(e ResultEntry) {
 			n.flushPersist()
 		})
 	}
+}
+
+// partitionAuthentic checks one partition of e's vector: the writes hash to
+// the signed digest, and the organization signed it for this transaction.
+func (n *ConsNode) partitionAuthentic(e *ResultEntry, r *OrgResult) bool {
+	// wdOK partitions were digested from these very writes at the
+	// construction site; the defensive re-hash only runs for partitions
+	// built elsewhere.
+	if !r.wdOK {
+		prw := ledger.RWSet{Writes: r.Writes, Aborted: r.Aborted}
+		if prw.Digest() != r.Digest {
+			return false
+		}
+	}
+	return n.c.Scheme.Verify(crypto.Identity(r.Org),
+		orgResultBytes(e.Seq, e.TxID, r.Org, r.Digest, r.Aborted, r.Inconsistent), r.Sig)
 }
 
 // vectorApproved checks the vector covers exactly the related organizations.
@@ -744,7 +740,7 @@ func (n *ConsNode) flushPersist() {
 	n.persistOut = nil
 	n.ctx.Elapse(n.c.Cfg.Costs.MACCompute)
 	msg := &PersistMsg{Node: n.idx, Entries: entries}
-	msg.Sig = n.Sign(persistSigningBytes(n.idx, entries))
+	msg.sign(n.Sign)
 	if n.c.Cfg.DisableMulticast {
 		n.ctx.MulticastUnicast(n.c.groupPersist, msg)
 	} else {
@@ -862,24 +858,16 @@ func (n *ConsNode) onBlockFetch(from simnet.NodeID, m *BlockFetchReq) {
 func (n *ConsNode) onPersistFetch(from simnet.NodeID, m *PersistFetchReq) {
 	var entries []PersistEntry
 	for _, seq := range m.Seqs {
-		sr, ok := n.persisted[seq]
-		if !ok {
-			continue
+		if pe, ok := n.persisted[seq]; ok {
+			entries = append(entries, *pe)
 		}
-		pe := PersistEntry{
-			Seq: seq, TxID: sr.entry.TxID, VecDigest: sr.vecDigest,
-			Consistent: sr.consistent, ResultDigest: sr.resultDig,
-			Writes: sr.entry.Union(), Aborted: sr.entry.Aborted(),
-		}
-		pe.warmContentKey()
-		entries = append(entries, pe)
 	}
 	if len(entries) == 0 {
 		return
 	}
 	n.ctx.Elapse(n.c.Cfg.Costs.SigSign)
 	msg := &PersistMsg{Node: n.idx, Entries: entries}
-	msg.Sig = n.Sign(persistSigningBytes(n.idx, entries))
+	msg.sign(n.Sign)
 	n.ctx.Send(from, msg)
 }
 

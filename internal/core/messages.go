@@ -144,7 +144,7 @@ type OrgResult struct {
 // orgResultBytes is what the delegate signs; the digest covers the writes
 // and the aborted flag, so signing digest+flags covers everything.
 func orgResultBytes(seq uint64, id types.TxID, org string, digest crypto.Digest, aborted, inconsistent bool) []byte {
-	buf := make([]byte, 0, 84)
+	buf := make([]byte, 0, 8+len(id)+len(org)+len(digest)+1)
 	for i := 0; i < 8; i++ {
 		buf = append(buf, byte(seq>>(8*(7-i))))
 	}
@@ -187,6 +187,8 @@ func (m *OrgResultMsg) Size() int {
 // delegate to all consensus nodes (Phase 4-2 step 2: the multi-write).
 type ResultMsg struct {
 	Entries []ResultEntry
+
+	size int // lazy Size cache; one object is sent to every consensus node
 }
 
 // ResultEntry is one transaction's approved result vector r̄: one
@@ -198,11 +200,19 @@ type ResultEntry struct {
 	TxID   types.TxID
 	Vector []OrgResult
 
-	// vd caches VectorDigest, warmed by the delegate that assembles the
-	// vector (never lazily by receivers: a ResultMsg's entries slice is
-	// shared across consensus nodes, possibly in different PDES partitions).
-	vd   crypto.Digest
-	vdOK bool
+	// memo holds what every consensus node derives from the vector. The
+	// delegate that assembles the vector attaches it (warm) before the entry
+	// is shared; copies of the entry share it. Entries built any other way
+	// carry none and are derived afresh by each receiver.
+	memo *resultMemo
+}
+
+// resultMemo is the part of evaluateResult that is a pure function of the
+// vector: the PERSIST echo a consensus node sends for it, and whether each
+// partition's write digest and signature check out (DESIGN.md §7.1).
+type resultMemo struct {
+	persist PersistEntry
+	parts   []crypto.Verdict // parallel with Vector
 }
 
 // Consistent reports whether no organization flagged non-determinism.
@@ -239,9 +249,6 @@ func (e *ResultEntry) Union() []ledger.Write {
 
 // VectorDigest canonically hashes the vector for persist matching.
 func (e *ResultEntry) VectorDigest() crypto.Digest {
-	if e.vdOK {
-		return e.vd
-	}
 	parts := make([][]byte, 0, len(e.Vector)*3+1)
 	parts = append(parts, e.TxID[:])
 	for _, r := range e.Vector {
@@ -257,22 +264,36 @@ func (e *ResultEntry) VectorDigest() crypto.Digest {
 	return crypto.HashAll(parts...)
 }
 
-// warmVectorDigest fills the VectorDigest cache; the assembling delegate
-// calls it once so every consensus node skips the re-hash.
-func (e *ResultEntry) warmVectorDigest() {
-	e.vd, e.vdOK = e.VectorDigest(), true
+// derive computes the memo: the vector's digest, the union of the
+// partitions, the common verdict flags and the result digest, as the PERSIST
+// echo carries them, and one unknown verdict per partition.
+func (e *ResultEntry) derive() *resultMemo {
+	pe := PersistEntry{
+		Seq: e.Seq, TxID: e.TxID, VecDigest: e.VectorDigest(),
+		Consistent: e.Consistent(), Writes: e.Union(), Aborted: e.Aborted(),
+	}
+	pe.ResultDigest = (&ledger.RWSet{Writes: pe.Writes, Aborted: pe.Aborted}).Digest()
+	pe.warmContentKey()
+	return &resultMemo{persist: pe, parts: make([]crypto.Verdict, len(e.Vector))}
 }
 
-// Size implements simnet.Message.
+// warm attaches the memo; the assembling delegate calls it once so the
+// consensus nodes neither re-derive the echo nor re-verify the partitions.
+func (e *ResultEntry) warm() { e.memo = e.derive() }
+
+// Size implements simnet.Message. Cached on the sender's first send.
 func (m *ResultMsg) Size() int {
-	n := 16
-	for _, e := range m.Entries {
-		n += 8 + 32
-		for _, r := range e.Vector {
-			n += 16 + 32 + 64 + 2 + writesSize(r.Writes)
+	if m.size == 0 {
+		n := 16
+		for _, e := range m.Entries {
+			n += 8 + 32
+			for _, r := range e.Vector {
+				n += 16 + 32 + 64 + 2 + writesSize(r.Writes)
+			}
 		}
+		m.size = n
 	}
-	return n
+	return m.size
 }
 
 func writesSize(ws []ledger.Write) int {
@@ -291,6 +312,31 @@ type PersistMsg struct {
 	Sig     crypto.Signature
 
 	size int // lazy Size cache; persist echoes are immutable once multicast
+	// signing is persistSigningBytes(Node, Entries), built once by sign, and
+	// sigOK the outcome of checking Sig over it as Node: one serialisation
+	// and one real verification per message, however many nodes receive it.
+	signing []byte
+	sigOK   crypto.Verdict
+}
+
+// sign serialises the batch once, signs it with the sending consensus node's
+// signer and forgets any verdict on an earlier signature.
+func (m *PersistMsg) sign(signer func([]byte) crypto.Signature) {
+	m.signing = persistSigningBytes(m.Node, m.Entries)
+	m.Sig = signer(m.signing)
+	m.sigOK.Reset()
+}
+
+// authentic reports whether Sig is m.Node's signature over the batch.
+func (m *PersistMsg) authentic(scheme crypto.Scheme) bool {
+	return m.sigOK.Check(uint32(m.Node), func() bool {
+		signing := m.signing
+		if signing == nil {
+			// Built without sign: nothing to share, serialise locally.
+			signing = persistSigningBytes(m.Node, m.Entries)
+		}
+		return scheme.Verify(cnIdentity(m.Node), signing, m.Sig)
+	})
 }
 
 // PersistEntry acknowledges one persisted result vector and carries the
@@ -337,13 +383,26 @@ func (e *PersistEntry) warmContentKey() {
 	e.ck, e.ckOK = e.contentKey(), true
 }
 
-// persistSigningBytes covers the batch content.
+// persistSigningBytes covers the batch content. The buffer is sized exactly,
+// so the build is one allocation.
 func persistSigningBytes(node int, entries []PersistEntry) []byte {
-	buf := make([]byte, 0, 32+len(entries)*105)
+	size := 1
+	for i := range entries {
+		e := &entries[i]
+		size += 8 + len(e.TxID) + len(e.VecDigest) + len(e.ResultDigest) + writesSize(e.Writes) - 2*len(e.Writes)
+		if e.Consistent {
+			size++
+		}
+		if e.Aborted {
+			size++
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, byte(node))
-	for _, e := range entries {
-		for i := 0; i < 8; i++ {
-			buf = append(buf, byte(e.Seq>>(8*(7-i))))
+	for i := range entries {
+		e := &entries[i]
+		for b := 0; b < 8; b++ {
+			buf = append(buf, byte(e.Seq>>(8*(7-b))))
 		}
 		buf = append(buf, e.TxID[:]...)
 		buf = append(buf, e.VecDigest[:]...)

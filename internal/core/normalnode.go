@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -38,12 +37,13 @@ type vectorBuild struct {
 
 // persistStatus tracks PERSIST quorum formation for one sequence number.
 // Honest runs see exactly one content key per sequence, so votes for the
-// first-seen key are a bitmask of consensus-node indices; a diverging key
-// (byzantine sender) or a node index ≥ 64 spills to the generic map.
+// first-seen key are a bitmask with one bit per configured consensus node;
+// only a diverging key (byzantine sender) spills to the generic map.
 type persistStatus struct {
 	key0       crypto.Digest
 	haveKey0   bool
-	votes0     uint64
+	votes0     []uint64
+	inline     [2]uint64 // backs votes0 for up to 128 consensus nodes
 	spill      map[crypto.Digest]map[int]bool
 	persisted  bool
 	consistent bool
@@ -52,15 +52,28 @@ type persistStatus struct {
 	aborted    bool
 }
 
+// newPersistStatus sizes the bitmask for numConsensus voters; clusters of up
+// to 128 consensus nodes cost the one allocation of the status itself.
+func newPersistStatus(numConsensus int) *persistStatus {
+	ps := &persistStatus{}
+	if words := (numConsensus + 63) / 64; words <= len(ps.inline) {
+		ps.votes0 = ps.inline[:words]
+	} else {
+		ps.votes0 = make([]uint64, words)
+	}
+	return ps
+}
+
 // vote records node's vote for key and returns how many distinct nodes have
-// voted for that key so far. Nodes in [0,64) voting for the first-seen key
-// never allocate; everything else lands in the spill map.
+// voted for that key so far. Votes for the first-seen key never allocate;
+// other keys (and node indices outside the configured cluster) land in the
+// spill map.
 func (ps *persistStatus) vote(key crypto.Digest, node int) int {
 	if !ps.haveKey0 {
 		ps.key0, ps.haveKey0 = key, true
 	}
-	if key == ps.key0 && 0 <= node && node < 64 {
-		ps.votes0 |= 1 << uint(node)
+	if key == ps.key0 && 0 <= node && node < 64*len(ps.votes0) {
+		ps.votes0[node/64] |= 1 << uint(node%64)
 	} else {
 		if ps.spill == nil {
 			ps.spill = make(map[crypto.Digest]map[int]bool)
@@ -74,25 +87,11 @@ func (ps *persistStatus) vote(key crypto.Digest, node int) int {
 	}
 	n := len(ps.spill[key])
 	if key == ps.key0 {
-		n += bits.OnesCount64(ps.votes0)
+		for _, w := range ps.votes0 {
+			n += bits.OnesCount64(w)
+		}
 	}
 	return n
-}
-
-// voteCounts returns the per-key vote tallies (diagnostics only; spill-map
-// order is unspecified).
-func (ps *persistStatus) voteCounts() []int {
-	var out []int
-	if ps.haveKey0 {
-		out = append(out, bits.OnesCount64(ps.votes0)+len(ps.spill[ps.key0]))
-	}
-	for k, set := range ps.spill {
-		if ps.haveKey0 && k == ps.key0 {
-			continue
-		}
-		out = append(out, len(set))
-	}
-	return out
 }
 
 // pendingBlock is an agreed block a normal node is working through.
@@ -168,96 +167,6 @@ func (n *NormalNode) Blocks() *ledger.BlockStore { return n.blocks }
 
 // CommitHeight returns the number of fully committed blocks.
 func (n *NormalNode) CommitHeight() uint64 { return n.commitHeight }
-
-// DebugHead describes the head pending block (diagnostics).
-func (n *NormalNode) DebugHead() string {
-	pb, ok := n.blockBuf[n.commitHeight]
-	if !ok {
-		return fmt.Sprintf("none (commitH=%d buf=%d)", n.commitHeight, len(n.blockBuf))
-	}
-	missPayload, missPersist := 0, 0
-	for i, h := range pb.hashes {
-		if n.pool.isCommitted(h) {
-			continue
-		}
-		if _, ok := n.pool.byID(h); !ok {
-			missPayload++
-			continue
-		}
-		if n.invalid[h] {
-			continue
-		}
-		if ps := n.persist[pb.seqs[i]]; ps == nil || !ps.persisted {
-			missPersist++
-		}
-	}
-	return fmt.Sprintf("commitH=%d buf=%d head{num=%d len=%d missPay=%d missPer=%d exec=%v fetch=%v retry=%v}",
-		n.commitHeight, len(n.blockBuf), pb.number, len(pb.hashes), missPayload, missPersist, pb.executed, pb.fetching, n.persistRetryArm)
-}
-
-// DebugStalledSeq reports details for the first stalled entry of the head
-// block (diagnostics).
-func (n *NormalNode) DebugStalledSeq() string {
-	pb, ok := n.blockBuf[n.commitHeight]
-	if !ok {
-		return "none"
-	}
-	for i, h := range pb.hashes {
-		if n.pool.isCommitted(h) || n.invalid[h] {
-			continue
-		}
-		if ps := n.persist[pb.seqs[i]]; ps == nil || !ps.persisted {
-			tx, pooled := n.pool.byID(h)
-			out := fmt.Sprintf("seq=%d pooled=%v", pb.seqs[i], pooled)
-			if pooled {
-				out += fmt.Sprintf(" client=%s orgs=%v poolSeq=?", tx.Client, tx.Orgs)
-				if sq, ok := n.pool.seqOf(h); ok {
-					out += fmt.Sprintf(" poolSeq=%d", sq)
-				}
-				sr, hasSpec := n.spec[pb.seqs[i]]
-				out += fmt.Sprintf(" spec@agreed=%v", hasSpec && sr.txID == h)
-				if vb, ok := n.vectors[h]; ok {
-					out += fmt.Sprintf(" vb{seq=%d sent=%v got=%d need=%d}", vb.seq, vb.sent, len(vb.got), len(vb.needed))
-				} else {
-					out += " vb=nil"
-				}
-			}
-			return out
-		}
-	}
-	return "none-stalled"
-}
-
-// DebugStalledSeqNum returns the first stalled seq of the head block (0 if none).
-func (n *NormalNode) DebugStalledSeqNum() uint64 {
-	pb, ok := n.blockBuf[n.commitHeight]
-	if !ok {
-		return 0
-	}
-	for i, h := range pb.hashes {
-		if n.pool.isCommitted(h) || n.invalid[h] {
-			continue
-		}
-		if ps := n.persist[pb.seqs[i]]; ps == nil || !ps.persisted {
-			return pb.seqs[i]
-		}
-	}
-	return 0
-}
-
-// DebugVotes summarizes persist votes for a seq.
-func (n *NormalNode) DebugVotes(seq uint64) string {
-	ps := n.persist[seq]
-	if ps == nil {
-		return "no status"
-	}
-	counts := ps.voteCounts()
-	out := fmt.Sprintf("persisted=%v keys=%d:", ps.persisted, len(counts))
-	for _, c := range counts {
-		out += fmt.Sprintf(" %d", c)
-	}
-	return out
-}
 
 // Denied reports whether the node currently denies a client.
 func (n *NormalNode) Denied(c crypto.Identity) bool { return n.deny[c] }
@@ -680,7 +589,7 @@ func (n *NormalNode) tryFinishVector(tx *types.Transaction, vb *vectorBuild) {
 	for _, o := range orgs {
 		entry.Vector = append(entry.Vector, vb.got[o])
 	}
-	entry.warmVectorDigest()
+	entry.warm()
 	n.resultOut = append(n.resultOut, entry)
 	n.armFlush()
 }
@@ -745,11 +654,11 @@ func (n *NormalNode) flushResults() {
 		}
 	}
 	if len(n.resultOut) > 0 {
-		entries := n.resultOut
+		msg := &ResultMsg{Entries: n.resultOut}
 		n.resultOut = nil
 		n.ctx.Elapse(n.c.Cfg.Costs.SigSign)
 		for _, cn := range n.c.ConsNodes {
-			n.ctx.Send(cn.ep.ID(), &ResultMsg{Entries: entries})
+			n.ctx.Send(cn.ep.ID(), msg)
 		}
 	}
 }
@@ -767,7 +676,7 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 	// verification is MAC-rate, so large consensus clusters do not choke
 	// normal nodes on persist-echo verification.
 	n.ctx.Elapse(n.c.Cfg.Costs.MACVerify)
-	if !n.c.Scheme.Verify(cnIdentity(m.Node), persistSigningBytes(m.Node, m.Entries), m.Sig) {
+	if !m.authentic(n.c.Scheme) {
 		n.c.Collector.Reg.Inc("nn.persist_badsig", 1)
 		return
 	}
@@ -778,7 +687,7 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 		}
 		ps := n.persist[e.Seq]
 		if ps == nil {
-			ps = &persistStatus{}
+			ps = newPersistStatus(len(n.c.ConsNodes))
 			n.persist[e.Seq] = ps
 		}
 		if ps.persisted {

@@ -55,13 +55,13 @@ func TestLemma52LocalStoreUniqueness(t *testing.T) {
 		cn.Proposed(0, valueFor(seq, tx))
 		a := mkVector(t, c, seq, tx, "A")
 		b := mkVector(t, c, seq, tx, "B")
-		cn.evaluateResult(a)
-		cn.evaluateResult(b) // must be ignored: one vector per seq
+		cn.evaluateResult(&a)
+		cn.evaluateResult(&b) // must be ignored: one vector per seq
 		sr, ok := cn.persisted[seq]
 		if !ok {
 			t.Fatal("first vector not stored")
 		}
-		if sr.vecDigest != a.VectorDigest() {
+		if sr.VecDigest != a.VectorDigest() {
 			t.Fatal("second vector displaced the first")
 		}
 		if len(cn.persistOut) != 1 {
@@ -172,5 +172,210 @@ func TestPersistRejectsForgedCN(t *testing.T) {
 	nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].ep.ID(), msg) })
 	if nn.persist[9001] != nil {
 		t.Fatal("forged persist batch processed")
+	}
+}
+
+// TestPersistVoteBitmask: at every cluster size — including consensus-node
+// indices past the first 64-bit word — vote counts equal a plain
+// set-per-key tally, duplicates count once, a diverging key is tallied apart,
+// and the honest single-key path allocates nothing.
+func TestPersistVoteBitmask(t *testing.T) {
+	key, other := crypto.Hash([]byte("honest")), crypto.Hash([]byte("diverging"))
+	for _, n := range []int{4, 64, 65, 97} {
+		ps := newPersistStatus(n)
+		ref := map[crypto.Digest]map[int]bool{key: {}, other: {}}
+		vote := func(k crypto.Digest, node int) {
+			t.Helper()
+			ref[k][node] = true
+			if got, want := ps.vote(k, node), len(ref[k]); got != want {
+				t.Fatalf("n=%d: vote(%v, %d) = %d, want %d", n, k, node, got, want)
+			}
+		}
+		for i := 0; i < n; i++ {
+			node := (i*7 + 3) % n // 7 is coprime to every n here: each node once, scrambled
+			vote(key, node)
+			vote(key, node) // a repeated vote counts once
+			if i%5 == 0 {
+				vote(other, node)
+			}
+		}
+		if len(ps.spill) != 1 || ps.spill[other] == nil {
+			t.Fatalf("n=%d: spill map holds %d keys, want only the diverging one", n, len(ps.spill))
+		}
+
+		honest := newPersistStatus(n)
+		allocs := testing.AllocsPerRun(10, func() {
+			for node := 0; node < n; node++ {
+				honest.vote(key, node)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: honest votes cost %v allocs, want 0", n, allocs)
+		}
+	}
+}
+
+// countingScheme counts the real verifications a run performs.
+type countingScheme struct {
+	crypto.Scheme
+	verifies int
+}
+
+func (s *countingScheme) Verify(id crypto.Identity, msg []byte, sig crypto.Signature) bool {
+	s.verifies++
+	return s.Scheme.Verify(id, msg, sig)
+}
+
+// persistBatch builds an unsigned PERSIST batch from consensus node 0.
+func persistBatch(txns []*types.Transaction) *PersistMsg {
+	msg := &PersistMsg{Node: 0}
+	for i, tx := range txns {
+		pe := PersistEntry{Seq: 9001 + uint64(i), TxID: tx.ID(), Consistent: true,
+			Writes: []ledger.Write{{Key: "k", Val: []byte("v")}}}
+		pe.warmContentKey()
+		msg.Entries = append(msg.Entries, pe)
+	}
+	return msg
+}
+
+// TestPersistFanoutVerifiesOnce pins the computed-once rule for the PERSIST
+// multicast: delivering one signed batch to every normal node performs one
+// real verification over bytes serialised once by the sender, and a receiver
+// that reads the shared verdict allocates nothing.
+func TestPersistFanoutVerifiesOnce(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	counter := &countingScheme{Scheme: c.Scheme}
+	c.Scheme = counter
+	msg := persistBatch(gen.Batch(8))
+	msg.Entries[3].Aborted, msg.Entries[5].Consistent = true, false
+	msg.Entries[3].warmContentKey()
+	msg.Entries[5].warmContentKey()
+	msg.sign(c.ConsNodes[0].Sign)
+	if len(msg.signing) != cap(msg.signing) {
+		t.Fatalf("signing bytes: len %d, cap %d; the buffer must be sized exactly", len(msg.signing), cap(msg.signing))
+	}
+	signing := &msg.signing[0]
+	from := c.ConsNodes[0].ep.ID()
+
+	for _, org := range c.Orgs {
+		for _, nn := range org {
+			nnWithCtx(c, nn, func() { nn.onPersist(from, msg) })
+			if ps := nn.persist[9001]; ps == nil || ps.vote(msg.Entries[0].contentKey(), 0) != 1 {
+				t.Fatalf("org %d did not count the authentic vote", nn.org)
+			}
+		}
+	}
+	if counter.verifies != 1 {
+		t.Fatalf("%d real verifications for one shared batch, want 1", counter.verifies)
+	}
+	if &msg.signing[0] != signing {
+		t.Fatal("signing bytes rebuilt after sign")
+	}
+
+	nn := c.Orgs[1][0]
+	ctx := simnet.NewInjectedContext(c.Net, nn.ep)
+	deliver := func() { nn.onPersist(from, msg) }
+	if allocs := testing.AllocsPerRun(100, func() { nn.bind(ctx, deliver) }); allocs != 0 {
+		t.Fatalf("receiving an already-verified batch = %v allocs, want 0 (re-serialised or re-verified?)", allocs)
+	}
+}
+
+// TestPersistForgeryRejectedByEveryReceiver: the shared verdict belongs to
+// one message object. A batch with the same content as an authentic,
+// already-accepted one but a junk signature, or a signature by another
+// consensus node's key, is rejected by every receiver; re-signing a message
+// resets its verdict both ways.
+func TestPersistForgeryRejectedByEveryReceiver(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	txns := gen.Batch(2)
+	from := c.ConsNodes[0].ep.ID()
+	deliver := func(nn *NormalNode, m *PersistMsg) {
+		nnWithCtx(c, nn, func() { nn.onPersist(from, m) })
+	}
+	badsigs := func() uint64 { return c.Collector.Reg.Counter("nn.persist_badsig") }
+
+	authentic := persistBatch(txns)
+	authentic.sign(c.ConsNodes[0].Sign)
+	first := c.Orgs[0][0]
+	deliver(first, authentic)
+	if first.persist[9001] == nil {
+		t.Fatal("authentic batch rejected")
+	}
+
+	junk := persistBatch(txns)
+	junk.Sig = crypto.Signature("junk")
+	wrongKey := persistBatch(txns)
+	wrongKey.sign(c.ConsNodes[1].Sign) // cn1's key over a batch claiming cn0
+	for _, org := range c.Orgs {
+		for _, nn := range org {
+			before := badsigs()
+			deliver(nn, junk)
+			deliver(nn, wrongKey)
+			if got := badsigs() - before; got != 2 {
+				t.Fatalf("org %d rejected %d of 2 forged batches", nn.org, got)
+			}
+			if nn != first && nn.persist[9001] != nil {
+				t.Fatalf("org %d counted a forged vote", nn.org)
+			}
+		}
+	}
+
+	// Re-signing resets the verdict: the rejected object becomes acceptable
+	// once cn0 really signs it, and the accepted one stops being so.
+	second := c.Orgs[1][0]
+	wrongKey.sign(c.ConsNodes[0].Sign)
+	deliver(second, wrongKey)
+	if second.persist[9001] == nil {
+		t.Fatal("re-signed batch still rejected: stale invalid verdict")
+	}
+	authentic.sign(c.ConsNodes[1].Sign)
+	before := badsigs()
+	deliver(c.Orgs[2][0], authentic)
+	if badsigs() != before+1 || c.Orgs[2][0].persist[9001] != nil {
+		t.Fatal("batch re-signed with the wrong key still accepted: stale valid verdict")
+	}
+}
+
+// TestResultVectorVerifiedOnce: a warmed result vector is one shared object,
+// so its partitions are really verified once across all consensus nodes and
+// every node stores the same echo a cold derivation gives; a warmed vector
+// with a junk partition signature is rejected by every consensus node.
+func TestResultVectorVerifiedOnce(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	counter := &countingScheme{Scheme: c.Scheme}
+	c.Scheme = counter
+	tx := gen.Next()
+	tx.Orgs = tx.Orgs[:1]
+	if err := tx.Sign(c.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	const seq = uint64(9001)
+	cold := mkVector(t, c, seq, tx, "A")
+	good := cold
+	good.warm()
+	forged := mkVector(t, c, seq+1, tx, "A")
+	forged.Vector[0].Sig = crypto.Signature("junk")
+	forged.warm()
+
+	counter.verifies = 0
+	for _, cn := range c.ConsNodes {
+		cnWithCtx(c, cn, func() {
+			cn.agreed[seq], cn.agreed[seq+1] = tx.ID(), tx.ID()
+			cn.evaluateResult(&good)
+			cn.evaluateResult(&forged)
+		})
+		if cn.persisted[seq+1] != nil {
+			t.Fatalf("consensus node %d stored a vector with a junk partition signature", cn.idx)
+		}
+		pe := cn.persisted[seq]
+		if pe == nil {
+			t.Fatalf("consensus node %d rejected the authentic vector", cn.idx)
+		}
+		if want := cold.derive().persist; pe.contentKey() != want.contentKey() || pe.VecDigest != want.VecDigest {
+			t.Fatalf("consensus node %d stored an echo that differs from the cold derivation", cn.idx)
+		}
+	}
+	if counter.verifies != 2 {
+		t.Fatalf("%d real partition verifications for two shared one-org vectors, want 2", counter.verifies)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash"
 	"sync"
+	"sync/atomic"
 )
 
 // Digest is a SHA-256 hash value.
@@ -220,3 +221,43 @@ func MAC(key, msg []byte) Signature {
 func VerifyMAC(key, msg []byte, tag Signature) bool {
 	return hmac.Equal(MAC(key, msg), tag)
 }
+
+// Verdict memoises one signature check on a message object that many
+// replicas receive by pointer. The simulator charges each receiver's virtual
+// verification cost separately, so re-running the real check per receiver
+// buys nothing: the first receiver runs it and the rest read the outcome.
+//
+// The outcome is remembered together with the key it was computed for (the
+// signer's index, or whatever else selects the check), so a receiver asking
+// about a different key never reads another's answer. That is sound because
+// the check is a pure function of the key and of message fields nobody
+// mutates once the message is shared; code that does change the signed
+// fields or the signature must call Reset. The state is one atomic word:
+// receivers in concurrent PDES partitions may race to fill it, and since they
+// compute the same value either write is correct. The zero value is unknown.
+type Verdict struct{ state atomic.Uint64 }
+
+const (
+	verdictValid   = 1
+	verdictInvalid = 2
+	verdictMask    = 3
+)
+
+// Check returns the memoised outcome for key, running verify to fill it when
+// unknown or when the memo holds another key's outcome.
+func (v *Verdict) Check(key uint32, verify func() bool) bool {
+	tag := uint64(key) << 2
+	if s := v.state.Load(); s&verdictMask != 0 && s&^verdictMask == tag {
+		return s&verdictMask == verdictValid
+	}
+	ok := verify()
+	if ok {
+		v.state.Store(tag | verdictValid)
+	} else {
+		v.state.Store(tag | verdictInvalid)
+	}
+	return ok
+}
+
+// Reset forgets the outcome.
+func (v *Verdict) Reset() { v.state.Store(0) }

@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +173,55 @@ func TestPropertyHashCollisionFree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerdictMemoisesPerKey: the check runs once per key, the outcome
+// (either way) is what later callers read, another key never reads it, and
+// Reset forgets it.
+func TestVerdictMemoisesPerKey(t *testing.T) {
+	for _, outcome := range []bool{true, false} {
+		var v Verdict
+		runs := 0
+		check := func() bool { runs++; return outcome }
+		for i := 0; i < 3; i++ {
+			if got := v.Check(7, check); got != outcome {
+				t.Fatalf("Check = %v, want %v", got, outcome)
+			}
+		}
+		if runs != 1 {
+			t.Fatalf("check ran %d times for one key, want 1", runs)
+		}
+		// A different key must not inherit key 7's outcome.
+		if got := v.Check(8, func() bool { runs++; return !outcome }); got == outcome || runs != 2 {
+			t.Fatalf("key 8 read key 7's verdict (got %v after %d runs)", got, runs)
+		}
+		v.Reset()
+		if v.Check(8, check); runs != 3 {
+			t.Fatalf("Reset did not forget the verdict (%d runs)", runs)
+		}
+	}
+}
+
+// TestVerdictConcurrent fills one verdict from many goroutines, as receivers
+// in concurrent PDES partitions do; run under -race.
+func TestVerdictConcurrent(t *testing.T) {
+	var v Verdict
+	var runs atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if !v.Check(3, func() bool { runs.Add(1); return true }) {
+					t.Error("valid verdict read as invalid")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := runs.Load(); n < 1 || n > 8 {
+		t.Fatalf("check ran %d times, want between 1 and one per goroutine", n)
 	}
 }

@@ -18,6 +18,11 @@ type Certificate struct {
 	Number uint64
 	Digest crypto.Digest
 	Sigs   []NodeSig
+
+	// verified memoises Verify per quorum size: a disseminated block's
+	// certificate is one object read by every node of the deployment, all
+	// under the same membership, and its fields are final once built.
+	verified crypto.Verdict
 }
 
 // SigningBytes returns the bytes each consensus node signs: the tuple
@@ -42,6 +47,10 @@ func (c *Certificate) Size() int {
 // Verify checks that the certificate carries at least quorum valid
 // signatures from distinct nodes over the expected tuple.
 func (c *Certificate) Verify(scheme crypto.Scheme, nodeIdentity func(int) crypto.Identity, quorum int) bool {
+	return c.verified.Check(uint32(quorum), func() bool { return c.verify(scheme, nodeIdentity, quorum) })
+}
+
+func (c *Certificate) verify(scheme crypto.Scheme, nodeIdentity func(int) crypto.Identity, quorum int) bool {
 	msg := CertSigningBytes(c.View, c.Number, c.Digest)
 	seen := make(map[int]bool, len(c.Sigs))
 	valid := 0

@@ -236,6 +236,62 @@ func TestCertificateVerify(t *testing.T) {
 	}
 }
 
+// countingScheme counts the real verifications a run performs.
+type countingScheme struct {
+	crypto.Scheme
+	verifies int
+}
+
+func (s *countingScheme) Verify(id crypto.Identity, msg []byte, sig crypto.Signature) bool {
+	s.verifies++
+	return s.Scheme.Verify(id, msg, sig)
+}
+
+// TestCertificateVerifyMemo: one certificate object is really verified once
+// per quorum size however many nodes check it; another object with the same
+// content but a junk share, or a share made with another node's key, is
+// rejected on every check even after its authentic twin was accepted.
+func TestCertificateVerifyMemo(t *testing.T) {
+	scheme := &countingScheme{Scheme: crypto.NewHMACScheme([]byte("s"))}
+	ident := func(i int) crypto.Identity { return crypto.Identity("node-" + string(rune('0'+i))) }
+	for i := 0; i < 4; i++ {
+		scheme.Register(ident(i))
+	}
+	digest := crypto.Hash([]byte("block"))
+	msg := CertSigningBytes(1, 5, digest)
+	sigs := make([]NodeSig, 3)
+	for i := range sigs {
+		sig, _ := scheme.Sign(ident(i), msg)
+		sigs[i] = NodeSig{Node: i, Sig: sig}
+	}
+	cert := &Certificate{View: 1, Number: 5, Digest: digest, Sigs: sigs}
+	for node := 0; node < 50; node++ {
+		if !cert.Verify(scheme, ident, 3) {
+			t.Fatal("authentic certificate rejected")
+		}
+	}
+	if scheme.verifies != len(sigs) {
+		t.Fatalf("%d share verifications over 50 checks of one certificate, want %d", scheme.verifies, len(sigs))
+	}
+
+	junk := &Certificate{View: 1, Number: 5, Digest: digest,
+		Sigs: []NodeSig{{Node: 0, Sig: crypto.Signature("junk")}, sigs[1], sigs[2]}}
+	wrongKey := &Certificate{View: 1, Number: 5, Digest: digest,
+		Sigs: []NodeSig{{Node: 3, Sig: sigs[0].Sig}, sigs[1], sigs[2]}} // node 0's share claimed by node 3
+	for node := 0; node < 50; node++ {
+		if junk.Verify(scheme, ident, 3) {
+			t.Fatal("junk share counted toward quorum")
+		}
+		if wrongKey.Verify(scheme, ident, 3) {
+			t.Fatal("share under the wrong identity counted toward quorum")
+		}
+	}
+	// The quorum size is part of the question asked.
+	if cert.Verify(scheme, ident, 4) || !cert.Verify(scheme, ident, 2) {
+		t.Fatal("verdict for quorum 3 answered another quorum size")
+	}
+}
+
 func TestSequencedTxSize(t *testing.T) {
 	tx := sampleTx()
 	s := &SequencedTx{Seq: 9, Tx: tx}
