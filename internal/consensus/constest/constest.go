@@ -40,6 +40,7 @@ type Node struct {
 	Delivered []Delivery
 	bySeq     map[uint64]int // delivery count per seq, to catch duplicates
 	Views     []uint64
+	Leaders   []int // the leader announced with each entry of Views
 	Metas     [][][]byte
 
 	// Meta is returned from ViewChangeMeta.
@@ -138,6 +139,7 @@ func (n *Node) Deliver(seq uint64, v consensus.Value, cert *types.Certificate) {
 // ViewChanged implements consensus.Host.
 func (n *Node) ViewChanged(view uint64, leader int, metas [][]byte) {
 	n.Views = append(n.Views, view)
+	n.Leaders = append(n.Leaders, leader)
 	n.Metas = append(n.Metas, metas)
 }
 
