@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: all build test race vet fmt-check ci bench-json trace-smoke \
 	profile bench-hotpath hotpath-smoke scenario-smoke pdes-smoke bench-pdes \
 	chaos-smoke anatomy-smoke bench-check workload-smoke bench-workload \
-	shard-smoke benchmark benchmark-test
+	shard-smoke benchmark benchmark-test loc
 
 all: build
 
@@ -31,6 +31,18 @@ fmt-check:
 
 ci: fmt-check vet build race trace-smoke hotpath-smoke scenario-smoke pdes-smoke chaos-smoke \
 	anatomy-smoke workload-smoke shard-smoke benchmark-test bench-check
+
+# Non-test Go lines per package directory and in total; benchmark/, a module
+# of its own, is not counted. These are the numbers ROADMAP item 3 ("less
+# code") is judged by; constest is a test harness, so the consensus protocols
+# are also summed without it.
+loc:
+	@for d in $$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -printf '%h\n' | sort -u); do \
+		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
+	done
+	@printf '%6d internal/consensus without constest\n' \
+		"$$(find internal/consensus -path '*/constest' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf '%6d total\n' "$$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) is a Go
 # module of its own, so `go build ./... && go test ./...` never sees it.

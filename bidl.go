@@ -327,7 +327,7 @@ func (s *BaselineSystem) Submit(at time.Duration, txns ...*Transaction) {
 // SubmitRate schedules an offered load of rate txns/s over [0, window).
 // The total scheduled is exactly round(rate * window_seconds).
 func (s *BaselineSystem) SubmitRate(rate float64, window time.Duration) int {
-	return bench.ScheduleTicks(rate, window, func(at time.Duration, n int) {
+	return scenario.ScheduleTicks(rate, window, func(at time.Duration, n int) {
 		s.Cluster.SubmitAt(at, s.Gen.Batch(n)...)
 	})
 }
@@ -385,7 +385,7 @@ func (s *System) Submit(at time.Duration, txns ...*Transaction) {
 // returning the number of transactions scheduled — exactly
 // round(rate * window_seconds), free of float-accumulator drift.
 func (s *System) SubmitRate(rate float64, window time.Duration) int {
-	return bench.ScheduleTicks(rate, window, func(at time.Duration, n int) {
+	return scenario.ScheduleTicks(rate, window, func(at time.Duration, n int) {
 		s.Cluster.SubmitAt(at, s.Gen.Batch(n)...)
 	})
 }

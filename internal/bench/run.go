@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"time"
-
 	"github.com/bidl-framework/bidl/internal/scenario"
 	"github.com/bidl-framework/bidl/internal/trace"
 )
@@ -10,12 +8,6 @@ import (
 // Result summarizes one framework run (the scenario driver's result type;
 // re-exported so tables and callers keep their historical name).
 type Result = scenario.Result
-
-// ScheduleTicks drives fn once per millisecond with the txn count owed at
-// that tick, returning the total scheduled (see scenario.ScheduleTicks).
-func ScheduleTicks(rate float64, window time.Duration, fn func(time.Duration, int)) int {
-	return scenario.ScheduleTicks(rate, window, fn)
-}
 
 // runScenario executes one sweep point through the shared scenario driver,
 // wiring the harness-level accounting (virtual-event counter, trace sink)

@@ -10,6 +10,7 @@
 package consensus
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync"
 	"time"
@@ -141,29 +142,13 @@ func (r *RandomEpoch) permutation(epoch uint64) []int {
 	for i := range perm {
 		perm[i] = i
 	}
-	var ctr [8]byte
-	state := crypto.HashAll(r.Seed[:], []byte("epoch"), putU64(ctr[:], epoch))
+	state := crypto.HashAll(r.Seed[:], []byte("epoch"), binary.BigEndian.AppendUint64(nil, epoch))
 	for i := r.N - 1; i > 0; i-- {
 		state = crypto.Hash(state[:])
-		j := int(uint64FromDigest(state) % uint64(i+1))
+		j := int(binary.BigEndian.Uint64(state[:8]) % uint64(i+1))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	return perm
-}
-
-func putU64(buf []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * (7 - i)))
-	}
-	return buf
-}
-
-func uint64FromDigest(d crypto.Digest) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(d[i])
-	}
-	return v
 }
 
 // Replica is one consensus node's protocol instance.
@@ -210,6 +195,15 @@ func (c Config) Quorum() int { return 2*c.F + 1 }
 
 // FastQuorum returns the 3f+1 (all-replica) fast-path size.
 func (c Config) FastQuorum() int { return 3*c.F + 1 }
+
+// FastPathWait is how long a collector (SBFT, Zyzzyva) that holds 2f+1
+// responses waits for the 3f+1 fast quorum before taking the slow path.
+func (c Config) FastPathWait() time.Duration {
+	if d := c.ViewTimeout / 4; d > 0 {
+		return d
+	}
+	return 5 * time.Millisecond
+}
 
 // SortedNodes returns m's replica indices in ascending order. Protocols
 // assemble certificates and merge view-change sets from maps keyed by node;

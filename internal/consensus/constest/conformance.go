@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"github.com/bidl-framework/bidl/internal/consensus"
 )
 
 // ConformanceOptions selects which parts of the shared suite apply to a
@@ -195,6 +193,4 @@ func RunConformance(t *testing.T, factory Factory, opts ConformanceOptions) {
 			}
 		}
 	})
-
-	_ = consensus.Value{}
 }

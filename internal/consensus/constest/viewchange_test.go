@@ -72,34 +72,28 @@ func inflight(c *constest.Cluster, node int, t time.Duration) {
 	}
 }
 
+// crashSchedule: three values decide in view 0 and five more are in flight
+// when the first len(dead) leaders die at once; the first live leader
+// re-proposes them and takes three more. With two dead, nobody installs view
+// 1 and the escalation timer carries the cluster to view 2.
+func crashSchedule(name string, minN int, dead ...int) schedule {
+	return schedule{
+		name: name,
+		minN: minN,
+		opts: constest.Options{ViewTimeout: 20 * time.Millisecond},
+		run: func(c *constest.Cluster) {
+			proposeN(c, 0, time.Millisecond, "before", 3)
+			inflight(c, 0, 10*time.Millisecond)
+			crash(c, 10*time.Millisecond, dead...)
+			proposeN(c, len(dead), 100*time.Millisecond, "after", 3)
+			c.Run(time.Second)
+		},
+	}
+}
+
 var schedules = []schedule{
-	{
-		// Three values decide in view 0 and five more are in flight when the
-		// leader dies; view 1's leader re-proposes them and takes three more.
-		name: "leader-crash",
-		opts: constest.Options{ViewTimeout: 20 * time.Millisecond},
-		run: func(c *constest.Cluster) {
-			proposeN(c, 0, time.Millisecond, "before", 3)
-			inflight(c, 0, 10*time.Millisecond)
-			crash(c, 10*time.Millisecond, 0)
-			proposeN(c, 1, 100*time.Millisecond, "after", 3)
-			c.Run(time.Second)
-		},
-	},
-	{
-		// The leader of view 1 is dead too: nobody installs view 1, and the
-		// escalation timer carries the cluster to view 2.
-		name: "two-leaders-crash",
-		minN: 7,
-		opts: constest.Options{ViewTimeout: 20 * time.Millisecond},
-		run: func(c *constest.Cluster) {
-			proposeN(c, 0, time.Millisecond, "before", 3)
-			inflight(c, 0, 10*time.Millisecond)
-			crash(c, 10*time.Millisecond, 0, 1)
-			proposeN(c, 2, 100*time.Millisecond, "after", 3)
-			c.Run(time.Second)
-		},
-	},
+	crashSchedule("leader-crash", 4, 0),
+	crashSchedule("two-leaders-crash", 7, 0, 1),
 	{
 		// 8 % loss: progress timers fire, view changes overlap with decisions,
 		// proposals reach replicas that no longer (or do not yet) lead.
@@ -151,7 +145,6 @@ func transcript(factory constest.Factory, n, f int, s schedule) []byte {
 // so a changed wire size shows up in the delivery times and the byte total.
 func TestViewChangeTranscripts(t *testing.T) {
 	for _, p := range protocols {
-		p := p
 		t.Run(p.name, func(t *testing.T) {
 			var got bytes.Buffer
 			for _, size := range [][2]int{{4, 1}, {7, 2}} {

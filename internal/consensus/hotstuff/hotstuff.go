@@ -8,6 +8,8 @@
 package hotstuff
 
 import (
+	"encoding/binary"
+
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -15,18 +17,17 @@ import (
 
 // Message kinds.
 const (
-	kindPrepare      = iota // leader → all: proposal
-	kindVotePrep            // replica → leader
-	kindPreCommit           // leader → all: prepareQC
-	kindVotePre             // replica → leader
-	kindCommit              // leader → all: precommitQC (lock)
-	kindVoteCommit          // replica → leader
-	kindDecide              // leader → all: commitQC
-	kindNewView             // replica → next leader (pacemaker)
-	kindNewViewStart        // new leader → all
+	kindPrepare    = iota // leader → all: proposal
+	kindVotePrep          // replica → leader
+	kindPreCommit         // leader → all: prepareQC
+	kindVotePre           // replica → leader
+	kindCommit            // leader → all: precommitQC (lock)
+	kindVoteCommit        // replica → leader
+	kindDecide            // leader → all: commitQC
 )
 
-// Msg is the single wire type for all HotStuff messages.
+// Msg is the wire type of the four normal-case rounds; the pacemaker's
+// messages travel as consensus.ViewMsg.
 type Msg struct {
 	Kind   int
 	View   uint64
@@ -40,178 +41,127 @@ type Msg struct {
 	// CertSigs carries the individual commit votes inside DECIDE so
 	// downstream consumers get a standard 2f+1 certificate.
 	CertSigs []types.NodeSig
-	Meta     []byte
-	// Entries carries in-flight proposals on pacemaker messages.
-	Entries []Entry
-}
-
-// Entry is an in-flight instance summary for view changes.
-type Entry struct {
-	Seq    uint64
-	Digest crypto.Digest
-	Data   []byte
-	Locked bool
 }
 
 // Size implements consensus.Msg.
 func (m *Msg) Size() int {
-	n := 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.QC) + len(m.Meta)
-	n += len(m.CertSigs) * (4 + 64)
-	for _, e := range m.Entries {
-		n += 8 + 32 + len(e.Data) + 1
-	}
-	return n
+	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.QC) + len(m.CertSigs)*(4+64)
 }
-
-type phase int
-
-const (
-	phasePrepare phase = iota
-	phasePreCommit
-	phaseCommit
-	phaseDecided
-)
 
 type instance struct {
-	digest crypto.Digest
-	data   []byte
-	have   bool
+	consensus.Slot
 	locked bool
-	phase  phase
 	// leader-side vote tallies per phase
-	votes   [3]map[int]crypto.Signature
-	decided bool
+	votes [3]map[int]crypto.Signature
 }
 
-// Replica is one HotStuff consensus node.
-type Replica struct {
-	cfg  consensus.Config
-	host consensus.Host
+// lockedRank is the rank of a locked proposal (precommitQC seen) in a
+// pacemaker message: it may have been decided somewhere, so it wins over an
+// unlocked one (consensus.RankUndecided's 1) for its sequence.
+const lockedRank = 2
 
-	view       uint64
-	inView     bool
-	nextSeq    uint64
-	instances  map[uint64]*instance
-	pending    []consensus.Value
-	nvs        map[uint64]map[int]*Msg
-	timerArmed bool
-	timerEpoch uint64
-	decidedCnt uint64
+// Replica is one HotStuff consensus node: the four-round normal case and the
+// linear pacemaker on the shared replica core.
+type Replica struct {
+	consensus.Core[*instance]
 }
 
 // New creates a HotStuff replica.
 func New(cfg consensus.Config, host consensus.Host) *Replica {
-	return &Replica{
-		cfg:       cfg,
-		host:      host,
-		inView:    true,
-		instances: make(map[uint64]*instance),
-		nvs:       make(map[uint64]map[int]*Msg),
-	}
-}
-
-// Name returns the protocol name.
-func (r *Replica) Name() string { return "hotstuff" }
-
-// View implements consensus.Replica.
-func (r *Replica) View() uint64 { return r.view }
-
-// Leader implements consensus.Replica.
-func (r *Replica) Leader() int { return r.cfg.Policy.Leader(r.view) }
-
-// IsLeader implements consensus.Replica.
-func (r *Replica) IsLeader() bool { return r.Leader() == r.cfg.Self }
-
-// Start implements consensus.Replica.
-func (r *Replica) Start() {}
-
-func (r *Replica) inst(seq uint64) *instance {
-	in, ok := r.instances[seq]
-	if !ok {
-		in = &instance{}
-		for i := range in.votes {
-			in.votes[i] = make(map[int]crypto.Signature)
-		}
-		r.instances[seq] = in
-	}
-	return in
+	r := &Replica{}
+	r.Init(cfg, host, consensus.Protocol[*instance]{
+		NewInstance: func() *instance {
+			in := &instance{}
+			for i := range in.votes {
+				in.votes[i] = make(map[int]crypto.Signature)
+			}
+			return in
+		},
+		ProposeAt: r.proposeAt,
+		Rank: func(in *instance) int {
+			rank := consensus.RankUndecided(in)
+			if rank > 0 && in.locked {
+				rank = lockedRank
+			}
+			return rank
+		},
+		Supersedes: consensus.HigherRank,
+		Announce:   r.sendToNextLeader,
+		Wire:       consensus.Wire{Entry: 1}, // the lock flag
+	})
+	return r
 }
 
 func voteBytes(phase int, view, seq uint64, d crypto.Digest) []byte {
 	buf := make([]byte, 0, 49)
 	buf = append(buf, byte(phase))
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(view>>(8*(7-i))), byte(seq>>(8*(7-i))))
-	}
+	buf = binary.BigEndian.AppendUint64(buf, view)
+	buf = binary.BigEndian.AppendUint64(buf, seq)
 	return append(buf, d[:]...)
 }
 
-// Propose implements consensus.Replica.
-func (r *Replica) Propose(v consensus.Value) {
-	if !r.IsLeader() || !r.inView {
-		r.pending = append(r.pending, v)
-		return
-	}
-	r.proposeAt(r.nextSeq, v)
-	r.nextSeq++
-}
-
 func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.inst(seq)
-	in.digest, in.data, in.have = v.Digest, v.Data, true
-	r.host.Proposed(seq, v)
-	r.host.BroadcastCN(&Msg{Kind: kindPrepare, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: v.Digest, Data: v.Data})
+	in := r.Inst(seq)
+	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
+	r.Host.Proposed(seq, v)
+	r.Host.BroadcastCN(&Msg{Kind: kindPrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
 	// Leader votes for itself in the prepare phase.
-	r.host.Elapse(r.cfg.SigSign)
-	in.votes[0][r.cfg.Self] = r.host.Sign(signBytes(0, r.view, seq, v.Digest))
-	r.armTimer()
+	r.ownVote(0, seq, in)
+	r.ArmTimer()
 }
 
 // Step implements consensus.Replica.
 func (r *Replica) Step(from int, m consensus.Msg) {
-	msg, ok := m.(*Msg)
-	if !ok {
-		return
-	}
-	switch msg.Kind {
-	case kindPrepare:
-		r.onProposal(from, msg)
-	case kindVotePrep, kindVotePre, kindVoteCommit:
-		r.onVote(from, msg)
-	case kindPreCommit, kindCommit:
-		r.onQC(from, msg)
-	case kindDecide:
-		r.onDecide(from, msg)
-	case kindNewView:
-		r.onNewView(from, msg)
-	case kindNewViewStart:
-		r.onNewViewStart(from, msg)
+	switch msg := m.(type) {
+	case *consensus.ViewMsg:
+		if msg.NewView {
+			r.onNewViewStart(from, msg)
+		} else {
+			r.onNewView(from, msg)
+		}
+	case *Msg:
+		switch msg.Kind {
+		case kindPrepare:
+			r.onProposal(from, msg)
+		case kindVotePrep, kindVotePre, kindVoteCommit:
+			r.onVote(from, msg)
+		case kindPreCommit, kindCommit:
+			r.onQC(from, msg)
+		case kindDecide:
+			r.onDecide(from, msg)
+		}
 	}
 }
 
 func (r *Replica) onProposal(from int, m *Msg) {
-	if m.View != r.view || !r.inView || from != r.Leader() {
+	if m.View != r.View() || !r.InView() || from != r.Leader() {
 		return
 	}
-	in := r.inst(m.Seq)
-	if in.decided {
+	in := r.Inst(m.Seq)
+	if in.Decided {
 		return
 	}
-	if in.have && in.digest != m.Digest {
+	if in.Have && in.Digest != m.Digest {
 		// Equivocation: force a pacemaker round.
 		r.RequestViewChange()
 		return
 	}
-	in.digest, in.data, in.have = m.Digest, m.Data, true
-	r.host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
+	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
+	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
 	r.vote(kindVotePrep, 0, m.Seq, in)
-	r.armTimer()
+	r.ArmTimer()
 }
 
 func (r *Replica) vote(kind, phaseIdx int, seq uint64, in *instance) {
-	r.host.Elapse(r.cfg.SigSign)
-	sig := r.host.Sign(signBytes(phaseIdx, r.view, seq, in.digest))
-	r.host.Send(r.Leader(), &Msg{Kind: kind, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Sig: sig})
+	r.Host.Elapse(r.Cfg.SigSign)
+	sig := r.Host.Sign(signBytes(phaseIdx, r.View(), seq, in.Digest))
+	r.Host.Send(r.Leader(), &Msg{Kind: kind, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Sig: sig})
+}
+
+// ownVote tallies the leader's own vote for a phase it just opened.
+func (r *Replica) ownVote(phaseIdx int, seq uint64, in *instance) {
+	r.Host.Elapse(r.Cfg.SigSign)
+	in.votes[phaseIdx][r.Cfg.Self] = r.Host.Sign(signBytes(phaseIdx, r.View(), seq, in.Digest))
 }
 
 // signBytes selects the byte string a phase vote covers: commit-phase votes
@@ -236,11 +186,11 @@ func phaseOfVote(kind int) int {
 }
 
 func (r *Replica) onVote(from int, m *Msg) {
-	if m.View != r.view || !r.inView || !r.IsLeader() {
+	if m.View != r.View() || !r.InView() || !r.IsLeader() {
 		return
 	}
-	in := r.inst(m.Seq)
-	if !in.have || in.digest != m.Digest || in.decided {
+	in := r.Inst(m.Seq)
+	if !in.Have || in.Digest != m.Digest || in.Decided {
 		return
 	}
 	p := phaseOfVote(m.Kind)
@@ -248,279 +198,111 @@ func (r *Replica) onVote(from int, m *Msg) {
 	// MAC rate and the expensive work is the combine step below (same
 	// treatment as SBFT's collector), keeping the leader's per-view cost
 	// near-linear in practice.
-	r.host.Elapse(r.cfg.MACVerify)
-	if !r.host.VerifyNode(from, signBytes(p, m.View, m.Seq, m.Digest), m.Sig) {
+	r.Host.Elapse(r.Cfg.MACVerify)
+	if !r.Host.VerifyNode(from, signBytes(p, m.View, m.Seq, m.Digest), m.Sig) {
 		return
 	}
 	in.votes[p][from] = m.Sig
-	if len(in.votes[p]) != r.cfg.Quorum() {
+	if len(in.votes[p]) != r.Cfg.Quorum() {
 		return
 	}
 	// Quorum reached: combine into a QC and advance the phase.
-	r.host.Elapse(r.cfg.ThresholdCombine)
+	r.Host.Elapse(r.Cfg.ThresholdCombine)
 	qcDigest := crypto.Hash(voteBytes(p, m.View, m.Seq, m.Digest))
 	qc := crypto.Signature(qcDigest[:])
 	switch p {
 	case 0:
-		consensus.Phase(r.host, "prepare-qc", r.view, m.Seq)
-		r.host.BroadcastCN(&Msg{Kind: kindPreCommit, View: r.view, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest, QC: qc})
-		r.host.Elapse(r.cfg.SigSign)
-		in.votes[1][r.cfg.Self] = r.host.Sign(signBytes(1, r.view, m.Seq, m.Digest))
-		in.phase = phasePreCommit
+		consensus.Phase(r.Host, "prepare-qc", r.View(), m.Seq)
+		r.Host.BroadcastCN(&Msg{Kind: kindPreCommit, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc})
+		r.ownVote(1, m.Seq, in)
 	case 1:
-		consensus.Phase(r.host, "precommit-qc", r.view, m.Seq)
-		r.host.BroadcastCN(&Msg{Kind: kindCommit, View: r.view, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest, QC: qc})
-		r.host.Elapse(r.cfg.SigSign)
+		consensus.Phase(r.Host, "precommit-qc", r.View(), m.Seq)
+		r.Host.BroadcastCN(&Msg{Kind: kindCommit, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc})
 		in.locked = true
-		in.votes[2][r.cfg.Self] = r.host.Sign(signBytes(2, r.view, m.Seq, m.Digest))
-		in.phase = phaseCommit
+		r.ownVote(2, m.Seq, in)
 	case 2:
-		// Assemble the standard certificate from commit votes. The
-		// commit-phase vote signs voteBytes(2,...); downstream
-		// consumers receive those plus the block digest.
-		cert := r.buildCert(m.Seq, in)
-		r.host.BroadcastCN(&Msg{Kind: kindDecide, View: r.view, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest, QC: qc, CertSigs: cert.Sigs})
-		r.decide(m.Seq, in, cert)
+		// Commit votes sign types.CertSigningBytes, so 2f+1 of them are a
+		// standard certificate that verifies like every other protocol's.
+		cert := consensus.BuildCert(r.View(), m.Seq, in.Digest, in.votes[2], r.Cfg.Quorum())
+		r.Host.BroadcastCN(&Msg{Kind: kindDecide, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc, CertSigs: cert.Sigs})
+		r.Decide(m.Seq, in, "decided", cert)
 	}
-}
-
-// buildCert converts commit-phase votes into a standard 2f+1 certificate:
-// commit votes sign types.CertSigningBytes, so the assembled certificate
-// verifies with types.Certificate.Verify like every other protocol's.
-func (r *Replica) buildCert(seq uint64, in *instance) *types.Certificate {
-	cert := &types.Certificate{View: r.view, Number: seq, Digest: in.digest}
-	for _, node := range consensus.SortedNodes(in.votes[2]) {
-		cert.Sigs = append(cert.Sigs, types.NodeSig{Node: node, Sig: in.votes[2][node]})
-		if len(cert.Sigs) == r.cfg.Quorum() {
-			break
-		}
-	}
-	return cert
 }
 
 func (r *Replica) onQC(from int, m *Msg) {
-	if m.View != r.view || !r.inView || from != r.Leader() {
+	if m.View != r.View() || !r.InView() || from != r.Leader() {
 		return
 	}
 	// One threshold-signature verification regardless of cluster size.
-	r.host.Elapse(r.cfg.SigVerify)
-	in := r.inst(m.Seq)
-	if !in.have {
-		in.digest, in.have = m.Digest, true
+	r.Host.Elapse(r.Cfg.SigVerify)
+	in := r.Inst(m.Seq)
+	if !in.Have {
+		in.Digest, in.Have = m.Digest, true
 	}
-	if in.digest != m.Digest || in.decided {
+	if in.Digest != m.Digest || in.Decided {
 		return
 	}
 	switch m.Kind {
 	case kindPreCommit:
-		in.phase = phasePreCommit
 		r.vote(kindVotePre, 1, m.Seq, in)
 	case kindCommit:
-		in.phase = phaseCommit
 		in.locked = true
 		r.vote(kindVoteCommit, 2, m.Seq, in)
 	}
 }
 
 func (r *Replica) onDecide(from int, m *Msg) {
-	if !r.inView || from != r.cfg.Policy.Leader(m.View) {
+	if !r.InView() || from != r.Cfg.Policy.Leader(m.View) {
 		return
 	}
-	r.host.Elapse(r.cfg.SigVerify)
-	in := r.inst(m.Seq)
-	if in.decided {
+	r.Host.Elapse(r.Cfg.SigVerify)
+	in := r.Inst(m.Seq)
+	if in.Decided {
 		return
 	}
-	if !in.have {
-		in.digest, in.have = m.Digest, true
+	if !in.Have {
+		in.Digest, in.Have = m.Digest, true
 	}
-	if in.digest != m.Digest {
+	if in.Digest != m.Digest {
 		return
 	}
-	cert := &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.CertSigs}
-	r.decide(m.Seq, in, cert)
-}
-
-func (r *Replica) decide(seq uint64, in *instance, cert *types.Certificate) {
-	in.decided = true
-	in.phase = phaseDecided
-	r.decidedCnt++
-	consensus.Phase(r.host, "decided", cert.View, seq)
-	r.host.Deliver(seq, consensus.Value{Digest: in.digest, Data: in.data}, cert)
-	if r.hasUndecided() {
-		r.armTimer()
-	}
+	r.Decide(m.Seq, in, "decided", &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.CertSigs})
 }
 
 // --- pacemaker ----------------------------------------------------------
+//
+// Leaving a view, merging the collected entries, installing and entering the
+// next view are the shared core's. What is HotStuff's own is that the
+// pacemaker is linear, and these three functions are all of it: a replica
+// sends its view-change message to the next leader only, so only that leader
+// collects (and nobody else can count f+1 messages to join on), and a
+// follower checks who announces a view before it pays for the signature.
 
-// RequestViewChange implements consensus.Replica.
-func (r *Replica) RequestViewChange() { r.advanceView(r.view + 1) }
-
-func (r *Replica) advanceView(newView uint64) {
-	if newView <= r.view && !r.inView {
-		return
-	}
-	r.inView = false
-	r.timerEpoch++
-	var entries []Entry
-	for _, seq := range consensus.SortedSeqs(r.instances) {
-		in := r.instances[seq]
-		if in.decided || !in.have {
-			continue
-		}
-		entries = append(entries, Entry{Seq: seq, Digest: in.digest, Data: in.data, Locked: in.locked})
-	}
-	r.host.Elapse(r.cfg.SigSign)
-	nv := &Msg{Kind: kindNewView, View: newView, Node: r.cfg.Self, Meta: r.host.ViewChangeMeta(), Entries: entries}
-	nv.Sig = r.host.Sign(nvBytes(nv))
-	// Linear pacemaker: send only to the next leader...
-	next := r.cfg.Policy.Leader(newView)
-	if next == r.cfg.Self {
-		r.onNewView(r.cfg.Self, nv)
+// sendToNextLeader is the core's Announce.
+func (r *Replica) sendToNextLeader(nv *consensus.ViewMsg) {
+	if next := r.Cfg.Policy.Leader(nv.View); next == r.Cfg.Self {
+		r.onNewView(next, nv)
 	} else {
-		r.host.Send(next, nv)
-	}
-	// ...but also arm an escalation timer.
-	epoch := r.timerEpoch
-	r.host.After(r.cfg.ViewTimeout, func() {
-		if r.timerEpoch == epoch && !r.inView {
-			r.advanceView(newView + 1)
-		}
-	})
-}
-
-func nvBytes(m *Msg) []byte {
-	buf := make([]byte, 0, 64)
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(m.View>>(8*(7-i))))
-	}
-	buf = append(buf, byte(m.Node))
-	buf = append(buf, m.Meta...)
-	for _, e := range m.Entries {
-		buf = append(buf, e.Digest[:]...)
-	}
-	return buf
-}
-
-func (r *Replica) onNewView(from int, m *Msg) {
-	if m.View <= r.view || r.cfg.Policy.Leader(m.View) != r.cfg.Self {
-		return
-	}
-	if from != r.cfg.Self {
-		r.host.Elapse(r.cfg.SigVerify)
-		if !r.host.VerifyNode(from, nvBytes(m), m.Sig) {
-			return
-		}
-	}
-	set := r.nvs[m.View]
-	if set == nil {
-		set = make(map[int]*Msg)
-		r.nvs[m.View] = set
-	}
-	set[from] = m
-	if len(set) < r.cfg.Quorum() {
-		return
-	}
-	// Install the view as its leader.
-	reprop := make(map[uint64]Entry)
-	var metas [][]byte
-	for _, id := range consensus.SortedNodes(set) {
-		nv := set[id]
-		metas = append(metas, nv.Meta)
-		for _, e := range nv.Entries {
-			prev, ok := reprop[e.Seq]
-			if !ok || (e.Locked && !prev.Locked) {
-				reprop[e.Seq] = e
-			}
-		}
-	}
-	start := &Msg{Kind: kindNewViewStart, View: m.View, Node: r.cfg.Self}
-	r.host.Elapse(r.cfg.SigSign)
-	start.Sig = r.host.Sign(nvBytes(start))
-	r.host.BroadcastCN(start)
-	r.enterView(m.View, metas)
-	for _, seq := range consensus.SortedSeqs(reprop) {
-		e := reprop[seq]
-		if in, ok := r.instances[seq]; ok && in.decided {
-			continue
-		}
-		delete(r.instances, seq)
-		r.proposeAt(seq, consensus.Value{Digest: e.Digest, Data: e.Data})
-		if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-	pend := r.pending
-	r.pending = nil
-	for _, v := range pend {
-		r.Propose(v)
+		r.Host.Send(next, nv)
 	}
 }
 
-func (r *Replica) onNewViewStart(from int, m *Msg) {
-	if m.View < r.view || (m.View == r.view && r.inView) {
+// onNewView collects view-change messages for a view this replica leads and
+// installs it at 2f+1.
+func (r *Replica) onNewView(from int, m *consensus.ViewMsg) {
+	if m.View <= r.View() || r.Cfg.Policy.Leader(m.View) != r.Cfg.Self {
 		return
 	}
-	if from != r.cfg.Policy.Leader(m.View) {
-		return
-	}
-	r.host.Elapse(r.cfg.SigVerify)
-	if !r.host.VerifyNode(from, nvBytes(m), m.Sig) {
-		return
-	}
-	r.enterView(m.View, nil)
-}
-
-func (r *Replica) enterView(view uint64, metas [][]byte) {
-	r.view = view
-	r.inView = true
-	r.timerEpoch++
-	for seq, in := range r.instances {
-		if !in.decided {
-			delete(r.instances, seq)
-		} else if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-	delete(r.nvs, view)
-	r.host.ViewChanged(view, r.Leader(), metas)
-	if r.IsLeader() {
-		pend := r.pending
-		r.pending = nil
-		for _, v := range pend {
-			r.Propose(v)
-		}
+	if set := r.Collect(from, m); len(set) >= r.Cfg.Quorum() {
+		r.Install(m.View, set)
 	}
 }
 
-// --- progress timer ------------------------------------------------------
-
-func (r *Replica) armTimer() {
-	if r.timerArmed || r.cfg.ViewTimeout <= 0 {
+// onNewViewStart follows the new leader into its view.
+func (r *Replica) onNewViewStart(from int, m *consensus.ViewMsg) {
+	if !r.ExpectsNewView(from, m) {
 		return
 	}
-	r.timerArmed = true
-	epoch := r.timerEpoch
-	decided := r.decidedCnt
-	r.host.After(r.cfg.ViewTimeout, func() {
-		r.timerArmed = false
-		if r.timerEpoch != epoch || !r.inView {
-			return
-		}
-		if r.decidedCnt == decided && r.hasUndecided() {
-			r.RequestViewChange()
-		} else if r.hasUndecided() {
-			r.armTimer()
-		}
-	})
-}
-
-func (r *Replica) hasUndecided() bool {
-	for _, in := range r.instances {
-		if !in.decided && in.have {
-			return true
-		}
-	}
-	return false
+	r.Host.Elapse(r.Cfg.SigVerify)
+	r.AdoptNewView(from, m)
 }

@@ -18,11 +18,10 @@ const (
 	kindPrePrepare = iota
 	kindPrepare
 	kindCommit
-	kindViewChange
-	kindNewView
 )
 
-// Msg is the single wire type for all PBFT messages.
+// Msg is the wire type of the three normal-case phases; view changes travel
+// as consensus.ViewMsg.
 type Msg struct {
 	Kind   int
 	View   uint64
@@ -31,135 +30,85 @@ type Msg struct {
 	Digest crypto.Digest
 	// Data carries the proposal payload on pre-prepares.
 	Data []byte
-	// Sig authenticates commit and view-change messages.
+	// Sig authenticates commit messages.
 	Sig crypto.Signature
-	// Meta is the host's piggybacked view-change payload (denylist votes).
-	Meta []byte
-	// Prepared carries prepared-instance summaries inside view changes so
-	// the new leader can re-propose them; PrePrepared carries instances
-	// that only reached pre-prepare, re-proposed when no prepared entry
-	// exists for the sequence (safe: an undecidable-prepared seq cannot
-	// have been decided anywhere).
-	Prepared    []PreparedEntry
-	PrePrepared []PreparedEntry
 
 	// sigOK memoises the commit signature check per signer: a commit is one
 	// object broadcast to every replica, and its fields are final once sent.
 	sigOK crypto.Verdict
 }
 
-// PreparedEntry summarizes an instance that reached prepared state.
-type PreparedEntry struct {
-	Seq    uint64
-	Digest crypto.Digest
-	Data   []byte
-}
+const macSize = 32
 
 // Size implements consensus.Msg.
 func (m *Msg) Size() int {
-	n := 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Meta) + 32 /* MAC */
-	for _, p := range m.Prepared {
-		n += 8 + 32 + len(p.Data)
-	}
-	for _, p := range m.PrePrepared {
-		n += 8 + 32 + len(p.Data)
-	}
-	return n
+	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + macSize
 }
 
 type instance struct {
-	digest   crypto.Digest
-	data     []byte
-	havePP   bool
+	consensus.Slot
 	prepares map[int]bool
 	commits  map[int]crypto.Signature
 	sentPrep bool
 	sentComm bool
-	decided  bool
 }
 
-// Replica is one PBFT consensus node.
-type Replica struct {
-	cfg  consensus.Config
-	host consensus.Host
+// Ranks of view-change entries. A prepared entry (2f+1 prepares, or decided)
+// may have been decided somewhere, so the new leader must re-propose it; one
+// that only reached pre-prepare cannot have been, and is re-proposed when no
+// prepared entry exists for its sequence so that in-flight proposals are not
+// lost.
+const (
+	prePrepared = 1
+	prepared    = 2
+)
 
-	view       uint64
-	inView     bool // false while a view change is in progress
-	nextSeq    uint64
-	minSeq     uint64 // sequences below this are decided/garbage
-	instances  map[uint64]*instance
-	pending    []consensus.Value // proposals waiting for leadership
-	vcs        map[uint64]map[int]*Msg
-	timerArmed bool
-	timerEpoch uint64 // invalidates stale timers
-	decidedCnt uint64
+// Replica is one PBFT consensus node: the three-phase normal case on the
+// shared replica core.
+type Replica struct {
+	consensus.Core[*instance]
 }
 
 // New creates a PBFT replica.
 func New(cfg consensus.Config, host consensus.Host) *Replica {
-	return &Replica{
-		cfg:       cfg,
-		host:      host,
-		inView:    true,
-		instances: make(map[uint64]*instance),
-		vcs:       make(map[uint64]map[int]*Msg),
-	}
+	r := &Replica{}
+	r.Init(cfg, host, consensus.Protocol[*instance]{
+		NewInstance: func() *instance {
+			return &instance{prepares: make(map[int]bool), commits: make(map[int]crypto.Signature)}
+		},
+		ProposeAt: r.proposeAt,
+		Rank:      r.rank,
+		// Any prepared entry replaces what is held; a pre-prepared one only
+		// fills a sequence nobody reported yet.
+		Supersedes: func(rank, _ int) bool { return rank == prepared },
+		Announce:   r.Broadcast,
+		Wire:       consensus.Wire{Msg: macSize},
+		FillHoles:  r.fillHoles,
+		Stalled:    r.retransmitStalled,
+	})
+	return r
 }
 
-// Name returns the protocol name.
-func (r *Replica) Name() string { return "pbft" }
-
-// View implements consensus.Replica.
-func (r *Replica) View() uint64 { return r.view }
-
-// Leader implements consensus.Replica.
-func (r *Replica) Leader() int { return r.cfg.Policy.Leader(r.view) }
-
-// IsLeader implements consensus.Replica.
-func (r *Replica) IsLeader() bool { return r.Leader() == r.cfg.Self }
-
-// Start implements consensus.Replica.
-func (r *Replica) Start() {}
-
-func (r *Replica) inst(seq uint64) *instance {
-	in, ok := r.instances[seq]
-	if !ok {
-		in = &instance{prepares: make(map[int]bool), commits: make(map[int]crypto.Signature)}
-		r.instances[seq] = in
-	}
-	return in
-}
-
-// Propose implements consensus.Replica. On the leader it assigns the next
-// sequence and broadcasts a pre-prepare; on followers it queues until this
-// replica leads (the host normally routes proposals to the leader anyway).
-func (r *Replica) Propose(v consensus.Value) {
-	if !r.IsLeader() || !r.inView {
-		r.pending = append(r.pending, v)
-		return
-	}
-	r.proposeAt(r.nextSeq, v)
-	r.nextSeq++
-}
-
+// proposeAt broadcasts the pre-prepare for v at seq.
 func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.inst(seq)
-	in.digest, in.data, in.havePP = v.Digest, v.Data, true
-	r.host.Proposed(seq, v)
-	consensus.Phase(r.host, "pre-prepare", r.view, seq)
-	r.host.Elapse(r.cfg.MACCompute) // authenticate the pre-prepare
-	r.host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: v.Digest, Data: v.Data})
+	in := r.Inst(seq)
+	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
+	r.Host.Proposed(seq, v)
+	consensus.Phase(r.Host, "pre-prepare", r.View(), seq)
+	r.Host.Elapse(r.Cfg.MACCompute) // authenticate the pre-prepare
+	r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
 	// The leader's own prepare is implicit in the pre-prepare.
-	in.prepares[r.cfg.Self] = true
+	in.prepares[r.Cfg.Self] = true
 	in.sentPrep = true
 	r.maybePrepared(seq, in)
-	r.armTimer()
+	r.ArmTimer()
 }
 
 // Step implements consensus.Replica.
 func (r *Replica) Step(from int, m consensus.Msg) {
 	msg, ok := m.(*Msg)
 	if !ok {
+		r.StepView(from, m)
 		return
 	}
 	switch msg.Kind {
@@ -169,67 +118,69 @@ func (r *Replica) Step(from int, m consensus.Msg) {
 		r.onPrepare(from, msg)
 	case kindCommit:
 		r.onCommit(from, msg)
-	case kindViewChange:
-		r.onViewChange(from, msg)
-	case kindNewView:
-		r.onNewView(from, msg)
 	}
 }
 
+// sendCommit signs and broadcasts this replica's commit for (seq, digest) in
+// the current view.
+func (r *Replica) sendCommit(seq uint64, d crypto.Digest) crypto.Signature {
+	r.Host.Elapse(r.Cfg.SigSign)
+	sig := r.Host.Sign(types.CertSigningBytes(r.View(), seq, d))
+	r.Host.BroadcastCN(&Msg{Kind: kindCommit, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: d, Sig: sig})
+	return sig
+}
+
+func (r *Replica) sendPrepare(seq uint64, d crypto.Digest) {
+	r.Host.Elapse(r.Cfg.MACCompute)
+	r.Host.BroadcastCN(&Msg{Kind: kindPrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: d})
+}
+
 func (r *Replica) onPrePrepare(from int, m *Msg) {
-	r.host.Elapse(r.cfg.MACVerify)
-	if m.View != r.view || !r.inView || from != r.Leader() || m.Seq < r.minSeq {
+	r.Host.Elapse(r.Cfg.MACVerify)
+	if m.View != r.View() || !r.InView() || from != r.Leader() {
 		return
 	}
-	in := r.inst(m.Seq)
-	if in.decided {
-		if in.digest == m.Digest {
+	in := r.Inst(m.Seq)
+	if in.Decided {
+		if in.Digest == m.Digest {
 			// Help peers that lost this decision across a view change:
 			// re-sign a commit in the current view.
-			r.host.Elapse(r.cfg.SigSign)
-			sig := r.host.Sign(types.CertSigningBytes(r.view, m.Seq, m.Digest))
-			r.host.BroadcastCN(&Msg{Kind: kindCommit, View: r.view, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest, Sig: sig})
+			r.sendCommit(m.Seq, m.Digest)
 		}
 		return
 	}
-	if in.havePP && in.digest != m.Digest {
+	if in.Have && in.Digest != m.Digest {
 		// Equivocating leader: trigger a view change.
 		r.RequestViewChange()
 		return
 	}
-	in.digest, in.data, in.havePP = m.Digest, m.Data, true
-	r.host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
+	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
+	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
 	// The leader's pre-prepare doubles as its prepare.
 	in.prepares[from] = true
 	if !in.sentPrep {
 		in.sentPrep = true
-		r.host.Elapse(r.cfg.MACCompute)
-		r.host.BroadcastCN(&Msg{Kind: kindPrepare, View: r.view, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest})
-		in.prepares[r.cfg.Self] = true
-	} else if !in.decided {
+		r.sendPrepare(m.Seq, m.Digest)
+		in.prepares[r.Cfg.Self] = true
+	} else if in.sentComm {
 		// A duplicate pre-prepare is the leader re-driving a stalled
 		// instance (retransmit path): our earlier prepare or commit may
 		// have been lost, so re-send the latest phase message we hold.
-		if in.sentComm {
-			r.host.Elapse(r.cfg.SigSign)
-			sig := r.host.Sign(types.CertSigningBytes(r.view, m.Seq, m.Digest))
-			r.host.BroadcastCN(&Msg{Kind: kindCommit, View: r.view, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest, Sig: sig})
-		} else {
-			r.host.Elapse(r.cfg.MACCompute)
-			r.host.BroadcastCN(&Msg{Kind: kindPrepare, View: r.view, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest})
-		}
+		r.sendCommit(m.Seq, m.Digest)
+	} else {
+		r.sendPrepare(m.Seq, m.Digest)
 	}
 	r.maybePrepared(m.Seq, in)
-	r.armTimer()
+	r.ArmTimer()
 }
 
 func (r *Replica) onPrepare(from int, m *Msg) {
-	r.host.Elapse(r.cfg.MACVerify)
-	if m.View != r.view || !r.inView || m.Seq < r.minSeq {
+	r.Host.Elapse(r.Cfg.MACVerify)
+	if m.View != r.View() || !r.InView() {
 		return
 	}
-	in := r.inst(m.Seq)
-	if in.havePP && in.digest != m.Digest {
+	in := r.Inst(m.Seq)
+	if in.Have && in.Digest != m.Digest {
 		return
 	}
 	in.prepares[from] = true
@@ -239,30 +190,27 @@ func (r *Replica) onPrepare(from int, m *Msg) {
 // maybePrepared sends a commit once the instance has a pre-prepare and a
 // 2f+1 prepare quorum.
 func (r *Replica) maybePrepared(seq uint64, in *instance) {
-	if !in.havePP || in.sentComm || len(in.prepares) < r.cfg.Quorum() {
+	if !in.Have || in.sentComm || len(in.prepares) < r.Cfg.Quorum() {
 		return
 	}
 	in.sentComm = true
-	consensus.Phase(r.host, "prepared", r.view, seq)
-	r.host.Elapse(r.cfg.SigSign)
-	sig := r.host.Sign(types.CertSigningBytes(r.view, seq, in.digest))
-	in.commits[r.cfg.Self] = sig
-	r.host.BroadcastCN(&Msg{Kind: kindCommit, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Sig: sig})
+	consensus.Phase(r.Host, "prepared", r.View(), seq)
+	in.commits[r.Cfg.Self] = r.sendCommit(seq, in.Digest)
 	r.maybeDecide(seq, in)
 }
 
 func (r *Replica) onCommit(from int, m *Msg) {
-	r.host.Elapse(r.cfg.SigVerify)
-	if m.View != r.view || !r.inView || m.Seq < r.minSeq {
+	r.Host.Elapse(r.Cfg.SigVerify)
+	if m.View != r.View() || !r.InView() {
 		return
 	}
 	if !m.sigOK.Check(uint32(from), func() bool {
-		return r.host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig)
+		return r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig)
 	}) {
 		return
 	}
-	in := r.inst(m.Seq)
-	if in.havePP && in.digest != m.Digest {
+	in := r.Inst(m.Seq)
+	if in.Have && in.Digest != m.Digest {
 		return
 	}
 	in.commits[from] = m.Sig
@@ -270,155 +218,38 @@ func (r *Replica) onCommit(from int, m *Msg) {
 }
 
 func (r *Replica) maybeDecide(seq uint64, in *instance) {
-	if in.decided || !in.havePP || !in.sentComm || len(in.commits) < r.cfg.Quorum() {
+	if in.Decided || !in.Have || !in.sentComm || len(in.commits) < r.Cfg.Quorum() {
 		return
 	}
-	in.decided = true
-	r.decidedCnt++
-	consensus.Phase(r.host, "committed", r.view, seq)
-	cert := &types.Certificate{View: r.view, Number: seq, Digest: in.digest}
-	for _, node := range consensus.SortedNodes(in.commits) {
-		cert.Sigs = append(cert.Sigs, types.NodeSig{Node: node, Sig: in.commits[node]})
-		if len(cert.Sigs) == r.cfg.Quorum() {
-			break
-		}
-	}
-	r.host.Deliver(seq, consensus.Value{Digest: in.digest, Data: in.data}, cert)
-	r.resetTimerIfProgress()
+	r.Decide(seq, in, "committed", consensus.BuildCert(r.View(), seq, in.Digest, in.commits, r.Cfg.Quorum()))
 }
 
-// --- view changes -----------------------------------------------------
+// --- what pbft adds to the shared view change --------------------------------
 
-// RequestViewChange implements consensus.Replica: abandon the current view.
-func (r *Replica) RequestViewChange() {
-	r.startViewChange(r.view + 1)
-}
-
-func (r *Replica) startViewChange(newView uint64) {
-	if newView <= r.view && !r.inView {
-		return
-	}
-	r.inView = false
-	r.timerEpoch++
-	var prepared, preprepared []PreparedEntry
-	for _, seq := range consensus.SortedSeqs(r.instances) {
-		in := r.instances[seq]
-		if !in.havePP {
-			continue
-		}
-		entry := PreparedEntry{Seq: seq, Digest: in.digest, Data: in.data}
-		// A decided instance was necessarily prepared, so it belongs in
-		// the P-set (PBFT §4.4): any sequence committed at a correct node
-		// then appears in at least one of the 2f+1 view-change messages
-		// (quorum intersection), which is what makes the new leader's
-		// null-filling of absent sequences safe.
-		if in.decided || len(in.prepares) >= r.cfg.Quorum() {
-			prepared = append(prepared, entry)
-		} else {
-			preprepared = append(preprepared, entry)
-		}
-	}
-	r.host.Elapse(r.cfg.SigSign)
-	vc := &Msg{
-		Kind: kindViewChange, View: newView, Node: r.cfg.Self,
-		Meta: r.host.ViewChangeMeta(), Prepared: prepared, PrePrepared: preprepared,
-	}
-	vc.Sig = r.host.Sign(vcSigningBytes(vc))
-	r.host.BroadcastCN(vc)
-	r.onViewChange(r.cfg.Self, vc)
-	// If the new view also stalls, escalate further.
-	epoch := r.timerEpoch
-	r.host.After(r.cfg.ViewTimeout, func() {
-		if r.timerEpoch == epoch && !r.inView {
-			r.startViewChange(newView + 1)
-		}
-	})
-}
-
-func vcSigningBytes(m *Msg) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(m.Kind))
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(m.View>>(8*(7-i))))
-	}
-	buf = append(buf, byte(m.Node))
-	buf = append(buf, m.Meta...)
-	for _, p := range m.Prepared {
-		buf = append(buf, p.Digest[:]...)
-	}
-	for _, p := range m.PrePrepared {
-		buf = append(buf, p.Digest[:]...)
-	}
-	return buf
-}
-
-func (r *Replica) onViewChange(from int, m *Msg) {
-	if m.View <= r.view {
-		return
-	}
-	if from != r.cfg.Self {
-		r.host.Elapse(r.cfg.SigVerify)
-		if !r.host.VerifyNode(from, vcSigningBytes(m), m.Sig) {
-			return
-		}
-	}
-	set, ok := r.vcs[m.View]
-	if !ok {
-		set = make(map[int]*Msg)
-		r.vcs[m.View] = set
-	}
-	set[from] = m
-
-	// f+1 view changes for a higher view: join even without a local
-	// trigger (PBFT's liveness rule).
-	if len(set) == r.cfg.F+1 && r.inView {
-		if _, mine := set[r.cfg.Self]; !mine {
-			r.startViewChange(m.View)
-		}
-	}
-	// 2f+1: the new leader installs the view.
-	if len(set) >= r.cfg.Quorum() && r.cfg.Policy.Leader(m.View) == r.cfg.Self {
-		r.installNewView(m.View, set)
+func (r *Replica) rank(in *instance) int {
+	switch {
+	case !in.Have:
+		return 0
+	// A decided instance was necessarily prepared, so it belongs in the
+	// P-set (PBFT §4.4): any sequence committed at a correct node then
+	// appears in at least one of the 2f+1 view-change messages (quorum
+	// intersection), which is what makes fillHoles safe.
+	case in.Decided || len(in.prepares) >= r.Cfg.Quorum():
+		return prepared
+	default:
+		return prePrepared
 	}
 }
 
-func (r *Replica) installNewView(view uint64, set map[int]*Msg) {
-	if r.view >= view && r.inView {
-		return
-	}
-	// Collect instances to re-propose: prepared entries take precedence
-	// (a decided seq is prepared at every quorum intersection); merely
-	// pre-prepared values fill remaining sequences so in-flight proposals
-	// are not lost.
-	reprop := make(map[uint64]PreparedEntry)
-	var metas [][]byte
-	nodes := consensus.SortedNodes(set)
-	for _, id := range nodes {
-		vc := set[id]
-		metas = append(metas, vc.Meta)
-		for _, p := range vc.Prepared {
-			reprop[p.Seq] = p
-		}
-	}
-	for _, id := range nodes {
-		for _, p := range set[id].PrePrepared {
-			if _, ok := reprop[p.Seq]; !ok {
-				reprop[p.Seq] = p
-			}
-		}
-	}
-	// Null-fill sequence holes (PBFT's new-view rule): a sequence absent
-	// from every collected P-set was never committed anywhere, but hosts
-	// deliver blocks strictly in sequence order, so an unfilled hole
-	// wedges the chain forever. A zero-digest, nil-data entry is the
-	// no-op request hosts skip over on delivery.
-	base := r.minSeq
-	for {
-		if in, ok := r.instances[base]; ok && in.decided {
-			base++
-			continue
-		}
-		break
+// fillHoles null-fills sequence holes (PBFT's new-view rule): a sequence
+// absent from every collected P-set was never committed anywhere, but hosts
+// deliver blocks strictly in sequence order, so an unfilled hole wedges the
+// chain forever. A zero-digest, nil-data entry is the no-op request hosts
+// skip over on delivery.
+func (r *Replica) fillHoles(reprop map[uint64]consensus.Entry) {
+	var base uint64
+	for r.Decided(base) {
+		base++
 	}
 	top := base
 	for seq := range reprop {
@@ -426,108 +257,16 @@ func (r *Replica) installNewView(view uint64, set map[int]*Msg) {
 			top = seq + 1
 		}
 	}
-	for seq, in := range r.instances {
-		if in.decided && seq >= top {
+	for seq, in := range r.Instances {
+		if in.Decided && seq >= top {
 			top = seq + 1
 		}
 	}
 	for seq := base; seq < top; seq++ {
-		if _, ok := reprop[seq]; ok {
-			continue
-		}
-		if in, ok := r.instances[seq]; ok && in.decided {
-			continue
-		}
-		reprop[seq] = PreparedEntry{Seq: seq}
-	}
-	r.host.Elapse(r.cfg.SigSign)
-	nv := &Msg{Kind: kindNewView, View: view, Node: r.cfg.Self}
-	nv.Sig = r.host.Sign(vcSigningBytes(nv))
-	r.host.BroadcastCN(nv)
-	r.enterView(view, metas)
-	// Re-propose prepared-but-undecided instances in the new view.
-	for _, seq := range consensus.SortedSeqs(reprop) {
-		p := reprop[seq]
-		if in, ok := r.instances[seq]; ok && in.decided {
-			continue
-		}
-		r.instances[seq] = &instance{prepares: make(map[int]bool), commits: make(map[int]crypto.Signature)}
-		r.proposeAt(seq, consensus.Value{Digest: p.Digest, Data: p.Data})
-		if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
+		if _, ok := reprop[seq]; !ok && !r.Decided(seq) {
+			reprop[seq] = consensus.Entry{Seq: seq}
 		}
 	}
-	// Flush host proposals queued during the change.
-	pend := r.pending
-	r.pending = nil
-	for _, v := range pend {
-		r.Propose(v)
-	}
-}
-
-func (r *Replica) onNewView(from int, m *Msg) {
-	r.host.Elapse(r.cfg.SigVerify)
-	if m.View < r.view || (m.View == r.view && r.inView) {
-		return
-	}
-	if from != r.cfg.Policy.Leader(m.View) {
-		return
-	}
-	if !r.host.VerifyNode(from, vcSigningBytes(m), m.Sig) {
-		return
-	}
-	var metas [][]byte
-	for _, id := range consensus.SortedNodes(r.vcs[m.View]) {
-		metas = append(metas, r.vcs[m.View][id].Meta)
-	}
-	r.enterView(m.View, metas)
-}
-
-func (r *Replica) enterView(view uint64, metas [][]byte) {
-	r.view = view
-	r.inView = true
-	r.timerEpoch++
-	// Undecided instances are abandoned; the host (BIDL / baseline
-	// ordering service) re-submits unordered payloads in the new view.
-	for seq, in := range r.instances {
-		if !in.decided {
-			delete(r.instances, seq)
-		} else if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-	delete(r.vcs, view)
-	r.host.ViewChanged(view, r.Leader(), metas)
-	if r.IsLeader() {
-		pend := r.pending
-		r.pending = nil
-		for _, v := range pend {
-			r.Propose(v)
-		}
-	}
-}
-
-// --- progress timer ----------------------------------------------------
-
-func (r *Replica) armTimer() {
-	if r.timerArmed || r.cfg.ViewTimeout <= 0 {
-		return
-	}
-	r.timerArmed = true
-	epoch := r.timerEpoch
-	decided := r.decidedCnt
-	r.host.After(r.cfg.ViewTimeout, func() {
-		r.timerArmed = false
-		if r.timerEpoch != epoch || !r.inView {
-			return
-		}
-		if r.decidedCnt == decided && r.hasUndecided() {
-			r.RequestViewChange()
-		} else if r.hasUndecided() {
-			r.retransmitStalled()
-			r.armTimer()
-		}
-	})
 }
 
 // retransmitStalled re-drives the oldest undecided instances on the leader:
@@ -540,30 +279,15 @@ func (r *Replica) retransmitStalled() {
 	}
 	const maxResend = 8
 	sent := 0
-	for _, seq := range consensus.SortedSeqs(r.instances) {
-		in := r.instances[seq]
-		if in.decided || !in.havePP {
+	for _, seq := range consensus.SortedSeqs(r.Instances) {
+		in := r.Instances[seq]
+		if !in.InFlight() {
 			continue
 		}
-		r.host.Elapse(r.cfg.MACCompute)
-		r.host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Data: in.data})
+		r.Host.Elapse(r.Cfg.MACCompute)
+		r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data})
 		if sent++; sent >= maxResend {
 			break
 		}
 	}
-}
-
-func (r *Replica) resetTimerIfProgress() {
-	if r.hasUndecided() {
-		r.armTimer()
-	}
-}
-
-func (r *Replica) hasUndecided() bool {
-	for _, in := range r.instances {
-		if !in.decided && in.havePP {
-			return true
-		}
-	}
-	return false
 }

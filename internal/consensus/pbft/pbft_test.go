@@ -117,10 +117,6 @@ func TestMessageSizes(t *testing.T) {
 	if m.Size() <= 100 {
 		t.Fatal("size must include headers")
 	}
-	withPrepared := &Msg{Kind: kindViewChange, Prepared: []PreparedEntry{{Data: make([]byte, 50)}}}
-	if withPrepared.Size() <= (&Msg{Kind: kindViewChange}).Size() {
-		t.Fatal("prepared entries must contribute to size")
-	}
 }
 
 // countingScheme counts the real verifications a run performs.
@@ -155,7 +151,7 @@ func TestCommitVerdictSharedButExact(t *testing.T) {
 		c.Nodes[to].WithCtx(func() { c.Nodes[to].Replica().Step(from, m) })
 	}
 	counted := func(at, from int) bool {
-		_, ok := c.Nodes[at].Replica().(*Replica).inst(0).commits[from]
+		_, ok := c.Nodes[at].Replica().(*Replica).Inst(0).commits[from]
 		return ok
 	}
 

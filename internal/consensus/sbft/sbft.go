@@ -10,8 +10,6 @@
 package sbft
 
 import (
-	"time"
-
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -22,11 +20,10 @@ const (
 	kindPrePrepare  = iota // leader → all
 	kindShare              // replica → collectors
 	kindCommitProof        // collector → all
-	kindViewChange
-	kindNewView
 )
 
-// Msg is the single wire type for all SBFT messages.
+// Msg is the wire type of the normal case; view changes travel as
+// consensus.ViewMsg.
 type Msg struct {
 	Kind   int
 	View   uint64
@@ -36,51 +33,24 @@ type Msg struct {
 	Data   []byte
 	Sig    crypto.Signature
 	Certs  []types.NodeSig
-	Meta   []byte
-	Seen   []Entry
-}
-
-// Entry summarizes an in-flight instance for view changes.
-type Entry struct {
-	Seq    uint64
-	Digest crypto.Digest
-	Data   []byte
 }
 
 // Size implements consensus.Msg.
 func (m *Msg) Size() int {
-	n := 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Meta)
-	n += len(m.Certs) * (4 + 64)
-	for _, e := range m.Seen {
-		n += 8 + 32 + len(e.Data)
-	}
-	return n
+	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Certs)*(4+64)
 }
 
 type instance struct {
-	digest   crypto.Digest
-	data     []byte
-	have     bool
+	consensus.Slot
 	shares   map[int]crypto.Signature
 	fallback bool
-	decided  bool
 }
 
-// Replica is one SBFT consensus node.
+// Replica is one SBFT consensus node: the collector-based normal case on the
+// shared replica core.
 type Replica struct {
-	cfg        consensus.Config
-	host       consensus.Host
+	consensus.Core[*instance]
 	collectors int // c+1
-
-	view       uint64
-	inView     bool
-	nextSeq    uint64
-	instances  map[uint64]*instance
-	pending    []consensus.Value
-	vcs        map[uint64]map[int]*Msg
-	timerArmed bool
-	timerEpoch uint64
-	decidedCnt uint64
 }
 
 // New creates an SBFT replica with the paper's default c=1 (two collectors).
@@ -96,82 +66,48 @@ func NewWithCollectors(cfg consensus.Config, host consensus.Host, collectors int
 	if collectors > cfg.N {
 		collectors = cfg.N
 	}
-	return &Replica{
-		cfg:        cfg,
-		host:       host,
-		collectors: collectors,
-		inView:     true,
-		instances:  make(map[uint64]*instance),
-		vcs:        make(map[uint64]map[int]*Msg),
-	}
+	r := &Replica{collectors: collectors}
+	r.Init(cfg, host, consensus.Protocol[*instance]{
+		NewInstance: func() *instance { return &instance{shares: make(map[int]crypto.Signature)} },
+		ProposeAt:   r.proposeAt,
+		Rank:        consensus.RankUndecided[*instance],
+		Supersedes:  consensus.HigherRank,
+		Announce:    r.Broadcast,
+	})
+	return r
 }
-
-// Name returns the protocol name.
-func (r *Replica) Name() string { return "sbft" }
-
-// View implements consensus.Replica.
-func (r *Replica) View() uint64 { return r.view }
-
-// Leader implements consensus.Replica.
-func (r *Replica) Leader() int { return r.cfg.Policy.Leader(r.view) }
-
-// IsLeader implements consensus.Replica.
-func (r *Replica) IsLeader() bool { return r.Leader() == r.cfg.Self }
-
-// Start implements consensus.Replica.
-func (r *Replica) Start() {}
 
 // isCollector reports whether node idx collects shares in the current view.
 func (r *Replica) isCollector(idx int) bool {
 	leader := r.Leader()
 	for i := 0; i < r.collectors; i++ {
-		if (leader+i)%r.cfg.N == idx {
+		if (leader+i)%r.Cfg.N == idx {
 			return true
 		}
 	}
 	return false
 }
 
-func (r *Replica) inst(seq uint64) *instance {
-	in, ok := r.instances[seq]
-	if !ok {
-		in = &instance{shares: make(map[int]crypto.Signature)}
-		r.instances[seq] = in
-	}
-	return in
-}
-
-// Propose implements consensus.Replica.
-func (r *Replica) Propose(v consensus.Value) {
-	if !r.IsLeader() || !r.inView {
-		r.pending = append(r.pending, v)
-		return
-	}
-	r.proposeAt(r.nextSeq, v)
-	r.nextSeq++
-}
-
 func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.inst(seq)
-	in.digest, in.data, in.have = v.Digest, v.Data, true
-	r.host.Proposed(seq, v)
-	r.host.Elapse(r.cfg.MACCompute)
-	r.host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: v.Digest, Data: v.Data})
+	in := r.Inst(seq)
+	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
+	r.Host.Proposed(seq, v)
+	r.Host.Elapse(r.Cfg.MACCompute)
+	r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
 	r.sendShare(seq, in)
-	r.armTimer()
+	r.ArmTimer()
 }
 
 // sendShare signs a threshold share and routes it to every collector.
 func (r *Replica) sendShare(seq uint64, in *instance) {
-	r.host.Elapse(r.cfg.ThresholdSign)
-	sig := r.host.Sign(types.CertSigningBytes(r.view, seq, in.digest))
+	r.Host.Elapse(r.Cfg.ThresholdSign)
+	sig := r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest))
 	for i := 0; i < r.collectors; i++ {
-		collector := (r.Leader() + i) % r.cfg.N
-		m := &Msg{Kind: kindShare, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Sig: sig}
-		if collector == r.cfg.Self {
-			r.acceptShare(r.cfg.Self, seq, in, sig)
+		collector := (r.Leader() + i) % r.Cfg.N
+		if collector == r.Cfg.Self {
+			r.acceptShare(r.Cfg.Self, seq, in, sig)
 		} else {
-			r.host.Send(collector, m)
+			r.Host.Send(collector, &Msg{Kind: kindShare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Sig: sig})
 		}
 	}
 }
@@ -180,6 +116,7 @@ func (r *Replica) sendShare(seq uint64, in *instance) {
 func (r *Replica) Step(from int, m consensus.Msg) {
 	msg, ok := m.(*Msg)
 	if !ok {
+		r.StepView(from, m)
 		return
 	}
 	switch msg.Kind {
@@ -189,289 +126,85 @@ func (r *Replica) Step(from int, m consensus.Msg) {
 		r.onShare(from, msg)
 	case kindCommitProof:
 		r.onCommitProof(from, msg)
-	case kindViewChange:
-		r.onViewChange(from, msg)
-	case kindNewView:
-		r.onNewView(from, msg)
 	}
 }
 
 func (r *Replica) onPrePrepare(from int, m *Msg) {
-	r.host.Elapse(r.cfg.MACVerify)
-	if m.View != r.view || !r.inView || from != r.Leader() {
+	r.Host.Elapse(r.Cfg.MACVerify)
+	if m.View != r.View() || !r.InView() || from != r.Leader() {
 		return
 	}
-	in := r.inst(m.Seq)
-	if in.decided {
+	in := r.Inst(m.Seq)
+	if in.Decided {
 		return
 	}
-	if in.have && in.digest != m.Digest {
+	if in.Have && in.Digest != m.Digest {
 		r.RequestViewChange()
 		return
 	}
-	in.digest, in.data, in.have = m.Digest, m.Data, true
-	r.host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
+	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
+	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
 	r.sendShare(m.Seq, in)
-	r.armTimer()
+	r.ArmTimer()
 }
 
 func (r *Replica) onShare(from int, m *Msg) {
-	if m.View != r.view || !r.inView || !r.isCollector(r.cfg.Self) {
+	if m.View != r.View() || !r.InView() || !r.isCollector(r.Cfg.Self) {
 		return
 	}
 	// Share verification is cheap relative to combination; charge a MAC.
-	r.host.Elapse(r.cfg.MACVerify)
-	if !r.host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
+	r.Host.Elapse(r.Cfg.MACVerify)
+	if !r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
 		return
 	}
-	in := r.inst(m.Seq)
-	if !in.have || in.digest != m.Digest {
+	in := r.Inst(m.Seq)
+	if !in.Have || in.Digest != m.Digest {
 		return
 	}
 	r.acceptShare(from, m.Seq, in, m.Sig)
 }
 
 func (r *Replica) acceptShare(from int, seq uint64, in *instance, sig crypto.Signature) {
-	if in.decided {
+	if in.Decided {
 		return
 	}
 	in.shares[from] = sig
-	if len(in.shares) >= r.cfg.FastQuorum() {
-		r.emitProof(seq, in, r.cfg.FastQuorum())
+	if len(in.shares) >= r.Cfg.FastQuorum() {
+		r.emitProof(seq, in, r.Cfg.FastQuorum())
 		return
 	}
-	if len(in.shares) == r.cfg.Quorum() && !in.fallback {
+	if len(in.shares) == r.Cfg.Quorum() && !in.fallback {
 		in.fallback = true
-		epoch := r.timerEpoch
-		slice := r.cfg.ViewTimeout / 4
-		if slice <= 0 {
-			slice = 5 * time.Millisecond
-		}
-		r.host.After(slice, func() {
-			if r.timerEpoch != epoch || in.decided || len(in.shares) >= r.cfg.FastQuorum() {
-				return
+		r.AfterInEpoch(r.Cfg.FastPathWait(), func() {
+			if !in.Decided && len(in.shares) < r.Cfg.FastQuorum() {
+				r.emitProof(seq, in, r.Cfg.Quorum())
 			}
-			r.emitProof(seq, in, r.cfg.Quorum())
 		})
 	}
 }
 
 // emitProof combines shares into one aggregate proof and broadcasts it.
 func (r *Replica) emitProof(seq uint64, in *instance, limit int) {
-	consensus.Phase(r.host, "proof", r.view, seq)
-	r.host.Elapse(r.cfg.ThresholdCombine)
-	cert := &types.Certificate{View: r.view, Number: seq, Digest: in.digest}
-	for _, node := range consensus.SortedNodes(in.shares) {
-		cert.Sigs = append(cert.Sigs, types.NodeSig{Node: node, Sig: in.shares[node]})
-		if len(cert.Sigs) == limit {
-			break
-		}
-	}
-	r.host.BroadcastCN(&Msg{Kind: kindCommitProof, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Data: in.data, Certs: cert.Sigs})
-	r.decide(seq, in, cert)
+	consensus.Phase(r.Host, "proof", r.View(), seq)
+	r.Host.Elapse(r.Cfg.ThresholdCombine)
+	cert := consensus.BuildCert(r.View(), seq, in.Digest, in.shares, limit)
+	r.Host.BroadcastCN(&Msg{Kind: kindCommitProof, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
+	r.Decide(seq, in, "decided", cert)
 }
 
 func (r *Replica) onCommitProof(from int, m *Msg) {
 	// A single aggregate verification regardless of cluster size: SBFT's
 	// headline property.
-	r.host.Elapse(r.cfg.SigVerify)
-	in := r.inst(m.Seq)
-	if in.decided {
+	r.Host.Elapse(r.Cfg.SigVerify)
+	in := r.Inst(m.Seq)
+	if in.Decided {
 		return
 	}
-	if !in.have {
-		in.digest, in.data, in.have = m.Digest, m.Data, true
+	if !in.Have {
+		in.Digest, in.Data, in.Have = m.Digest, m.Data, true
 	}
-	if in.digest != m.Digest {
+	if in.Digest != m.Digest {
 		return
 	}
-	cert := &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.Certs}
-	r.decide(m.Seq, in, cert)
-}
-
-func (r *Replica) decide(seq uint64, in *instance, cert *types.Certificate) {
-	if in.decided {
-		return
-	}
-	in.decided = true
-	r.decidedCnt++
-	consensus.Phase(r.host, "decided", cert.View, seq)
-	r.host.Deliver(seq, consensus.Value{Digest: in.digest, Data: in.data}, cert)
-	if r.hasUndecided() {
-		r.armTimer()
-	}
-}
-
-// --- view changes (same skeleton as zyzzyva) ------------------------------
-
-// RequestViewChange implements consensus.Replica.
-func (r *Replica) RequestViewChange() { r.startViewChange(r.view + 1) }
-
-func (r *Replica) startViewChange(newView uint64) {
-	if newView <= r.view && !r.inView {
-		return
-	}
-	r.inView = false
-	r.timerEpoch++
-	var seen []Entry
-	for _, seq := range consensus.SortedSeqs(r.instances) {
-		if in := r.instances[seq]; !in.decided && in.have {
-			seen = append(seen, Entry{Seq: seq, Digest: in.digest, Data: in.data})
-		}
-	}
-	r.host.Elapse(r.cfg.SigSign)
-	vc := &Msg{Kind: kindViewChange, View: newView, Node: r.cfg.Self, Meta: r.host.ViewChangeMeta(), Seen: seen}
-	vc.Sig = r.host.Sign(vcBytes(vc))
-	r.host.BroadcastCN(vc)
-	r.onViewChange(r.cfg.Self, vc)
-	epoch := r.timerEpoch
-	r.host.After(r.cfg.ViewTimeout, func() {
-		if r.timerEpoch == epoch && !r.inView {
-			r.startViewChange(newView + 1)
-		}
-	})
-}
-
-func vcBytes(m *Msg) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(m.Kind))
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(m.View>>(8*(7-i))))
-	}
-	buf = append(buf, byte(m.Node))
-	buf = append(buf, m.Meta...)
-	for _, e := range m.Seen {
-		buf = append(buf, e.Digest[:]...)
-	}
-	return buf
-}
-
-func (r *Replica) onViewChange(from int, m *Msg) {
-	if m.View <= r.view {
-		return
-	}
-	if from != r.cfg.Self {
-		r.host.Elapse(r.cfg.SigVerify)
-		if !r.host.VerifyNode(from, vcBytes(m), m.Sig) {
-			return
-		}
-	}
-	set := r.vcs[m.View]
-	if set == nil {
-		set = make(map[int]*Msg)
-		r.vcs[m.View] = set
-	}
-	set[from] = m
-	if len(set) == r.cfg.F+1 && r.inView {
-		if _, mine := set[r.cfg.Self]; !mine {
-			r.startViewChange(m.View)
-		}
-	}
-	if len(set) >= r.cfg.Quorum() && r.cfg.Policy.Leader(m.View) == r.cfg.Self {
-		r.installNewView(m.View, set)
-	}
-}
-
-func (r *Replica) installNewView(view uint64, set map[int]*Msg) {
-	if r.view >= view && r.inView {
-		return
-	}
-	reprop := make(map[uint64]Entry)
-	var metas [][]byte
-	for _, id := range consensus.SortedNodes(set) {
-		vc := set[id]
-		metas = append(metas, vc.Meta)
-		for _, e := range vc.Seen {
-			if _, ok := reprop[e.Seq]; !ok {
-				reprop[e.Seq] = e
-			}
-		}
-	}
-	nv := &Msg{Kind: kindNewView, View: view, Node: r.cfg.Self}
-	r.host.Elapse(r.cfg.SigSign)
-	nv.Sig = r.host.Sign(vcBytes(nv))
-	r.host.BroadcastCN(nv)
-	r.enterView(view, metas)
-	for _, seq := range consensus.SortedSeqs(reprop) {
-		e := reprop[seq]
-		if in, ok := r.instances[seq]; ok && in.decided {
-			continue
-		}
-		delete(r.instances, seq)
-		r.proposeAt(seq, consensus.Value{Digest: e.Digest, Data: e.Data})
-		if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-}
-
-func (r *Replica) onNewView(from int, m *Msg) {
-	r.host.Elapse(r.cfg.SigVerify)
-	if m.View < r.view || (m.View == r.view && r.inView) {
-		return
-	}
-	if from != r.cfg.Policy.Leader(m.View) {
-		return
-	}
-	if !r.host.VerifyNode(from, vcBytes(m), m.Sig) {
-		return
-	}
-	var metas [][]byte
-	for _, id := range consensus.SortedNodes(r.vcs[m.View]) {
-		metas = append(metas, r.vcs[m.View][id].Meta)
-	}
-	r.enterView(m.View, metas)
-}
-
-func (r *Replica) enterView(view uint64, metas [][]byte) {
-	r.view = view
-	r.inView = true
-	r.timerEpoch++
-	for seq, in := range r.instances {
-		if !in.decided {
-			delete(r.instances, seq)
-		} else if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-	delete(r.vcs, view)
-	r.host.ViewChanged(view, r.Leader(), metas)
-	if r.IsLeader() {
-		pend := r.pending
-		r.pending = nil
-		for _, v := range pend {
-			r.Propose(v)
-		}
-	}
-}
-
-// --- progress timer --------------------------------------------------------
-
-func (r *Replica) armTimer() {
-	if r.timerArmed || r.cfg.ViewTimeout <= 0 {
-		return
-	}
-	r.timerArmed = true
-	epoch := r.timerEpoch
-	decided := r.decidedCnt
-	r.host.After(r.cfg.ViewTimeout, func() {
-		r.timerArmed = false
-		if r.timerEpoch != epoch || !r.inView {
-			return
-		}
-		if r.decidedCnt == decided && r.hasUndecided() {
-			r.RequestViewChange()
-		} else if r.hasUndecided() {
-			r.armTimer()
-		}
-	})
-}
-
-func (r *Replica) hasUndecided() bool {
-	for _, in := range r.instances {
-		if !in.decided && in.have {
-			return true
-		}
-	}
-	return false
+	r.Decide(m.Seq, in, "decided", &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.Certs})
 }

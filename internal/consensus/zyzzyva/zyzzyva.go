@@ -11,8 +11,6 @@
 package zyzzyva
 
 import (
-	"time"
-
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -26,11 +24,10 @@ const (
 	kindCommitCert         // collector → all (2f+1 path)
 	kindLocalCommit        // replica → collector
 	kindFullCommit         // collector → all
-	kindViewChange
-	kindNewView
 )
 
-// Msg is the single wire type for all Zyzzyva messages.
+// Msg is the wire type of the normal case; view changes travel as
+// consensus.ViewMsg.
 type Msg struct {
 	Kind   int
 	View   uint64
@@ -40,127 +37,71 @@ type Msg struct {
 	Data   []byte
 	Sig    crypto.Signature
 	Certs  []types.NodeSig
-	Meta   []byte
-	Seen   []Entry
-}
-
-// Entry summarizes an in-flight instance for view changes.
-type Entry struct {
-	Seq    uint64
-	Digest crypto.Digest
-	Data   []byte
 }
 
 // Size implements consensus.Msg.
 func (m *Msg) Size() int {
-	n := 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Meta)
-	n += len(m.Certs) * (4 + 64)
-	for _, e := range m.Seen {
-		n += 8 + 32 + len(e.Data)
-	}
-	return n
+	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Certs)*(4+64)
 }
 
 type instance struct {
-	digest  crypto.Digest
-	data    []byte
-	have    bool
-	specs   map[int]crypto.Signature // collector: spec responses
-	acks    map[int]crypto.Signature // collector: local commits
-	sentCC  bool
-	decided bool
+	consensus.Slot
+	specs  map[int]crypto.Signature // collector: spec responses
+	acks   map[int]crypto.Signature // collector: local commits
+	sentCC bool
 }
 
-// Replica is one Zyzzyva consensus node.
+// Replica is one Zyzzyva consensus node: the speculative normal case on the
+// shared replica core.
 type Replica struct {
-	cfg  consensus.Config
-	host consensus.Host
-
-	view       uint64
-	inView     bool
-	nextSeq    uint64
-	instances  map[uint64]*instance
-	pending    []consensus.Value
-	vcs        map[uint64]map[int]*Msg
-	timerArmed bool
-	timerEpoch uint64
-	decidedCnt uint64
+	consensus.Core[*instance]
 }
 
 // New creates a Zyzzyva replica.
 func New(cfg consensus.Config, host consensus.Host) *Replica {
-	return &Replica{
-		cfg:       cfg,
-		host:      host,
-		inView:    true,
-		instances: make(map[uint64]*instance),
-		vcs:       make(map[uint64]map[int]*Msg),
-	}
+	r := &Replica{}
+	r.Init(cfg, host, consensus.Protocol[*instance]{
+		NewInstance: func() *instance {
+			return &instance{specs: make(map[int]crypto.Signature), acks: make(map[int]crypto.Signature)}
+		},
+		ProposeAt:  r.proposeAt,
+		Rank:       consensus.RankUndecided[*instance],
+		Supersedes: consensus.HigherRank,
+		Announce:   r.Broadcast,
+	})
+	return r
 }
-
-// Name returns the protocol name.
-func (r *Replica) Name() string { return "zyzzyva" }
-
-// View implements consensus.Replica.
-func (r *Replica) View() uint64 { return r.view }
-
-// Leader implements consensus.Replica.
-func (r *Replica) Leader() int { return r.cfg.Policy.Leader(r.view) }
-
-// IsLeader implements consensus.Replica.
-func (r *Replica) IsLeader() bool { return r.Leader() == r.cfg.Self }
 
 // Collector returns the designated response collector for the current view:
 // the non-leader node following the leader.
-func (r *Replica) Collector() int { return (r.Leader() + 1) % r.cfg.N }
-
-// Start implements consensus.Replica.
-func (r *Replica) Start() {}
-
-func (r *Replica) inst(seq uint64) *instance {
-	in, ok := r.instances[seq]
-	if !ok {
-		in = &instance{specs: make(map[int]crypto.Signature), acks: make(map[int]crypto.Signature)}
-		r.instances[seq] = in
-	}
-	return in
-}
-
-// Propose implements consensus.Replica.
-func (r *Replica) Propose(v consensus.Value) {
-	if !r.IsLeader() || !r.inView {
-		r.pending = append(r.pending, v)
-		return
-	}
-	r.proposeAt(r.nextSeq, v)
-	r.nextSeq++
-}
+func (r *Replica) Collector() int { return (r.Leader() + 1) % r.Cfg.N }
 
 func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.inst(seq)
-	in.digest, in.data, in.have = v.Digest, v.Data, true
-	r.host.Proposed(seq, v)
-	r.host.Elapse(r.cfg.MACCompute)
-	r.host.BroadcastCN(&Msg{Kind: kindOrderReq, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: v.Digest, Data: v.Data})
+	in := r.Inst(seq)
+	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
+	r.Host.Proposed(seq, v)
+	r.Host.Elapse(r.Cfg.MACCompute)
+	r.Host.BroadcastCN(&Msg{Kind: kindOrderReq, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
 	// The leader's own speculative response.
 	r.sendSpec(seq, in)
-	r.armTimer()
+	r.ArmTimer()
 }
 
 func (r *Replica) sendSpec(seq uint64, in *instance) {
-	r.host.Elapse(r.cfg.SigSign)
-	sig := r.host.Sign(types.CertSigningBytes(r.view, seq, in.digest))
-	if r.Collector() == r.cfg.Self {
-		r.acceptSpec(r.cfg.Self, seq, in, sig)
+	r.Host.Elapse(r.Cfg.SigSign)
+	sig := r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest))
+	if r.Collector() == r.Cfg.Self {
+		r.acceptSpec(r.Cfg.Self, seq, in, sig)
 		return
 	}
-	r.host.Send(r.Collector(), &Msg{Kind: kindSpecResp, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Sig: sig})
+	r.Host.Send(r.Collector(), &Msg{Kind: kindSpecResp, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Sig: sig})
 }
 
 // Step implements consensus.Replica.
 func (r *Replica) Step(from int, m consensus.Msg) {
 	msg, ok := m.(*Msg)
 	if !ok {
+		r.StepView(from, m)
 		return
 	}
 	switch msg.Kind {
@@ -174,150 +115,134 @@ func (r *Replica) Step(from int, m consensus.Msg) {
 		r.onCommitCert(from, msg)
 	case kindLocalCommit:
 		r.onLocalCommit(from, msg)
-	case kindViewChange:
-		r.onViewChange(from, msg)
-	case kindNewView:
-		r.onNewView(from, msg)
 	}
 }
 
 func (r *Replica) onOrderReq(from int, m *Msg) {
-	r.host.Elapse(r.cfg.MACVerify)
-	if m.View != r.view || !r.inView || from != r.Leader() {
+	r.Host.Elapse(r.Cfg.MACVerify)
+	if m.View != r.View() || !r.InView() || from != r.Leader() {
 		return
 	}
-	in := r.inst(m.Seq)
-	if in.decided {
+	in := r.Inst(m.Seq)
+	if in.Decided {
 		return
 	}
-	if in.have && in.digest != m.Digest {
+	if in.Have && in.Digest != m.Digest {
 		r.RequestViewChange()
 		return
 	}
-	in.digest, in.data, in.have = m.Digest, m.Data, true
-	r.host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
+	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
+	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
 	r.sendSpec(m.Seq, in)
-	r.armTimer()
+	r.ArmTimer()
 }
 
 func (r *Replica) onSpecResp(from int, m *Msg) {
-	if m.View != r.view || !r.inView || r.Collector() != r.cfg.Self {
+	if m.View != r.View() || !r.InView() || r.Collector() != r.Cfg.Self {
 		return
 	}
-	r.host.Elapse(r.cfg.SigVerify)
-	if !r.host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
+	r.Host.Elapse(r.Cfg.SigVerify)
+	if !r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
 		return
 	}
-	in := r.inst(m.Seq)
+	in := r.Inst(m.Seq)
 	// Spec responses follow the leader's order-request (two hops vs one),
 	// so a response for an unknown or mismatched instance is discarded;
 	// the slow path recovers if the fast quorum never forms.
-	if !in.have || in.digest != m.Digest {
+	if !in.Have || in.Digest != m.Digest {
 		return
 	}
 	r.acceptSpec(from, m.Seq, in, m.Sig)
 }
 
 func (r *Replica) acceptSpec(from int, seq uint64, in *instance, sig crypto.Signature) {
-	if in.decided {
+	if in.Decided {
 		return
 	}
 	in.specs[from] = sig
-	if len(in.specs) >= r.cfg.FastQuorum() {
+	if len(in.specs) >= r.Cfg.FastQuorum() {
 		// Fast path: everyone responded consistently.
-		consensus.Phase(r.host, "fast-quorum", r.view, seq)
-		cert := r.buildCert(seq, in, in.specs, r.cfg.FastQuorum())
-		r.host.BroadcastCN(&Msg{Kind: kindCommitFast, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Data: in.data, Certs: cert.Sigs})
-		r.decide(seq, in, cert)
+		consensus.Phase(r.Host, "fast-quorum", r.View(), seq)
+		r.commit(kindCommitFast, seq, in, in.specs, r.Cfg.FastQuorum())
 		return
 	}
-	if len(in.specs) == r.cfg.Quorum() && !in.sentCC {
+	if len(in.specs) == r.Cfg.Quorum() && !in.sentCC {
 		// Arm the slow-path timer: if the fast quorum does not arrive,
 		// fall back to the two-phase commit-certificate path.
-		epoch := r.timerEpoch
-		slice := r.cfg.ViewTimeout / 4
-		if slice <= 0 {
-			slice = 5 * time.Millisecond
-		}
-		r.host.After(slice, func() {
-			if r.timerEpoch != epoch || in.decided || in.sentCC || len(in.specs) >= r.cfg.FastQuorum() {
+		r.AfterInEpoch(r.Cfg.FastPathWait(), func() {
+			if in.Decided || in.sentCC || len(in.specs) >= r.Cfg.FastQuorum() {
 				return
 			}
 			in.sentCC = true
-			consensus.Phase(r.host, "commit-cert", r.view, seq)
-			cert := r.buildCert(seq, in, in.specs, r.cfg.Quorum())
-			r.host.BroadcastCN(&Msg{Kind: kindCommitCert, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Certs: cert.Sigs})
+			consensus.Phase(r.Host, "commit-cert", r.View(), seq)
+			cert := consensus.BuildCert(r.View(), seq, in.Digest, in.specs, r.Cfg.Quorum())
+			r.Host.BroadcastCN(&Msg{Kind: kindCommitCert, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Certs: cert.Sigs})
 			// The collector's own local commit.
-			r.host.Elapse(r.cfg.SigSign)
-			in.acks[r.cfg.Self] = r.host.Sign(types.CertSigningBytes(r.view, seq, in.digest))
+			r.Host.Elapse(r.Cfg.SigSign)
+			in.acks[r.Cfg.Self] = r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest))
 			r.maybeFullCommit(seq, in)
 		})
 	}
 }
 
-func (r *Replica) buildCert(seq uint64, in *instance, sigs map[int]crypto.Signature, limit int) *types.Certificate {
-	cert := &types.Certificate{View: r.view, Number: seq, Digest: in.digest}
-	for _, node := range consensus.SortedNodes(sigs) {
-		cert.Sigs = append(cert.Sigs, types.NodeSig{Node: node, Sig: sigs[node]})
-		if len(cert.Sigs) == limit {
-			break
-		}
-	}
-	return cert
+// commit distributes the certificate over the first limit of sigs and
+// decides locally.
+func (r *Replica) commit(kind int, seq uint64, in *instance, sigs map[int]crypto.Signature, limit int) {
+	cert := consensus.BuildCert(r.View(), seq, in.Digest, sigs, limit)
+	r.Host.BroadcastCN(&Msg{Kind: kind, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
+	r.Decide(seq, in, "decided", cert)
 }
 
 func (r *Replica) onCommit(from int, m *Msg) {
-	if from != (r.cfg.Policy.Leader(m.View)+1)%r.cfg.N {
+	if from != (r.Cfg.Policy.Leader(m.View)+1)%r.Cfg.N {
 		return
 	}
 	// Verify the assembled certificate (modeled as one aggregate check).
-	r.host.Elapse(r.cfg.SigVerify)
-	in := r.inst(m.Seq)
-	if in.decided {
+	r.Host.Elapse(r.Cfg.SigVerify)
+	in := r.Inst(m.Seq)
+	if in.Decided {
 		return
 	}
-	if !in.have {
-		in.digest, in.have = m.Digest, true
-		in.data = m.Data
+	if !in.Have {
+		in.Digest, in.Data, in.Have = m.Digest, m.Data, true
 	}
-	if in.digest != m.Digest {
+	if in.Digest != m.Digest {
 		return
 	}
-	cert := &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.Certs}
-	r.decide(m.Seq, in, cert)
+	r.Decide(m.Seq, in, "decided", &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.Certs})
 }
 
 func (r *Replica) onCommitCert(from int, m *Msg) {
-	if m.View != r.view || !r.inView || from != r.Collector() {
+	if m.View != r.View() || !r.InView() || from != r.Collector() {
 		return
 	}
-	r.host.Elapse(r.cfg.SigVerify)
-	in := r.inst(m.Seq)
-	if in.decided {
+	r.Host.Elapse(r.Cfg.SigVerify)
+	in := r.Inst(m.Seq)
+	if in.Decided {
 		return
 	}
-	if !in.have {
-		in.digest, in.have = m.Digest, true
+	if !in.Have {
+		in.Digest, in.Have = m.Digest, true
 	}
-	if in.digest != m.Digest {
+	if in.Digest != m.Digest {
 		return
 	}
 	// Acknowledge the commit certificate.
-	r.host.Elapse(r.cfg.SigSign)
-	sig := r.host.Sign(types.CertSigningBytes(m.View, m.Seq, m.Digest))
-	r.host.Send(r.Collector(), &Msg{Kind: kindLocalCommit, View: m.View, Seq: m.Seq, Node: r.cfg.Self, Digest: m.Digest, Sig: sig})
+	r.Host.Elapse(r.Cfg.SigSign)
+	sig := r.Host.Sign(types.CertSigningBytes(m.View, m.Seq, m.Digest))
+	r.Host.Send(r.Collector(), &Msg{Kind: kindLocalCommit, View: m.View, Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, Sig: sig})
 }
 
 func (r *Replica) onLocalCommit(from int, m *Msg) {
-	if m.View != r.view || !r.inView || r.Collector() != r.cfg.Self {
+	if m.View != r.View() || !r.InView() || r.Collector() != r.Cfg.Self {
 		return
 	}
-	r.host.Elapse(r.cfg.SigVerify)
-	if !r.host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
+	r.Host.Elapse(r.Cfg.SigVerify)
+	if !r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
 		return
 	}
-	in := r.inst(m.Seq)
-	if in.digest != m.Digest {
+	in := r.Inst(m.Seq)
+	if in.Digest != m.Digest {
 		return
 	}
 	in.acks[from] = m.Sig
@@ -325,197 +250,8 @@ func (r *Replica) onLocalCommit(from int, m *Msg) {
 }
 
 func (r *Replica) maybeFullCommit(seq uint64, in *instance) {
-	if in.decided || len(in.acks) < r.cfg.Quorum() {
+	if in.Decided || len(in.acks) < r.Cfg.Quorum() {
 		return
 	}
-	cert := r.buildCert(seq, in, in.acks, r.cfg.Quorum())
-	r.host.BroadcastCN(&Msg{Kind: kindFullCommit, View: r.view, Seq: seq, Node: r.cfg.Self, Digest: in.digest, Data: in.data, Certs: cert.Sigs})
-	r.decide(seq, in, cert)
-}
-
-func (r *Replica) decide(seq uint64, in *instance, cert *types.Certificate) {
-	if in.decided {
-		return
-	}
-	in.decided = true
-	r.decidedCnt++
-	consensus.Phase(r.host, "decided", cert.View, seq)
-	r.host.Deliver(seq, consensus.Value{Digest: in.digest, Data: in.data}, cert)
-	if r.hasUndecided() {
-		r.armTimer()
-	}
-}
-
-// --- view changes --------------------------------------------------------
-
-// RequestViewChange implements consensus.Replica.
-func (r *Replica) RequestViewChange() { r.startViewChange(r.view + 1) }
-
-func (r *Replica) startViewChange(newView uint64) {
-	if newView <= r.view && !r.inView {
-		return
-	}
-	r.inView = false
-	r.timerEpoch++
-	var seen []Entry
-	for _, seq := range consensus.SortedSeqs(r.instances) {
-		if in := r.instances[seq]; !in.decided && in.have {
-			seen = append(seen, Entry{Seq: seq, Digest: in.digest, Data: in.data})
-		}
-	}
-	r.host.Elapse(r.cfg.SigSign)
-	vc := &Msg{Kind: kindViewChange, View: newView, Node: r.cfg.Self, Meta: r.host.ViewChangeMeta(), Seen: seen}
-	vc.Sig = r.host.Sign(vcBytes(vc))
-	r.host.BroadcastCN(vc)
-	r.onViewChange(r.cfg.Self, vc)
-	epoch := r.timerEpoch
-	r.host.After(r.cfg.ViewTimeout, func() {
-		if r.timerEpoch == epoch && !r.inView {
-			r.startViewChange(newView + 1)
-		}
-	})
-}
-
-func vcBytes(m *Msg) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(m.Kind))
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(m.View>>(8*(7-i))))
-	}
-	buf = append(buf, byte(m.Node))
-	buf = append(buf, m.Meta...)
-	for _, e := range m.Seen {
-		buf = append(buf, e.Digest[:]...)
-	}
-	return buf
-}
-
-func (r *Replica) onViewChange(from int, m *Msg) {
-	if m.View <= r.view {
-		return
-	}
-	if from != r.cfg.Self {
-		r.host.Elapse(r.cfg.SigVerify)
-		if !r.host.VerifyNode(from, vcBytes(m), m.Sig) {
-			return
-		}
-	}
-	set := r.vcs[m.View]
-	if set == nil {
-		set = make(map[int]*Msg)
-		r.vcs[m.View] = set
-	}
-	set[from] = m
-	if len(set) == r.cfg.F+1 && r.inView {
-		if _, mine := set[r.cfg.Self]; !mine {
-			r.startViewChange(m.View)
-		}
-	}
-	if len(set) >= r.cfg.Quorum() && r.cfg.Policy.Leader(m.View) == r.cfg.Self {
-		r.installNewView(m.View, set)
-	}
-}
-
-func (r *Replica) installNewView(view uint64, set map[int]*Msg) {
-	if r.view >= view && r.inView {
-		return
-	}
-	reprop := make(map[uint64]Entry)
-	var metas [][]byte
-	for _, id := range consensus.SortedNodes(set) {
-		vc := set[id]
-		metas = append(metas, vc.Meta)
-		for _, e := range vc.Seen {
-			if _, ok := reprop[e.Seq]; !ok {
-				reprop[e.Seq] = e
-			}
-		}
-	}
-	nv := &Msg{Kind: kindNewView, View: view, Node: r.cfg.Self}
-	r.host.Elapse(r.cfg.SigSign)
-	nv.Sig = r.host.Sign(vcBytes(nv))
-	r.host.BroadcastCN(nv)
-	r.enterView(view, metas)
-	for _, seq := range consensus.SortedSeqs(reprop) {
-		e := reprop[seq]
-		if in, ok := r.instances[seq]; ok && in.decided {
-			continue
-		}
-		delete(r.instances, seq)
-		r.proposeAt(seq, consensus.Value{Digest: e.Digest, Data: e.Data})
-		if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-}
-
-func (r *Replica) onNewView(from int, m *Msg) {
-	r.host.Elapse(r.cfg.SigVerify)
-	if m.View < r.view || (m.View == r.view && r.inView) {
-		return
-	}
-	if from != r.cfg.Policy.Leader(m.View) {
-		return
-	}
-	if !r.host.VerifyNode(from, vcBytes(m), m.Sig) {
-		return
-	}
-	var metas [][]byte
-	for _, id := range consensus.SortedNodes(r.vcs[m.View]) {
-		metas = append(metas, r.vcs[m.View][id].Meta)
-	}
-	r.enterView(m.View, metas)
-}
-
-func (r *Replica) enterView(view uint64, metas [][]byte) {
-	r.view = view
-	r.inView = true
-	r.timerEpoch++
-	for seq, in := range r.instances {
-		if !in.decided {
-			delete(r.instances, seq)
-		} else if seq >= r.nextSeq {
-			r.nextSeq = seq + 1
-		}
-	}
-	delete(r.vcs, view)
-	r.host.ViewChanged(view, r.Leader(), metas)
-	if r.IsLeader() {
-		pend := r.pending
-		r.pending = nil
-		for _, v := range pend {
-			r.Propose(v)
-		}
-	}
-}
-
-// --- progress timer --------------------------------------------------------
-
-func (r *Replica) armTimer() {
-	if r.timerArmed || r.cfg.ViewTimeout <= 0 {
-		return
-	}
-	r.timerArmed = true
-	epoch := r.timerEpoch
-	decided := r.decidedCnt
-	r.host.After(r.cfg.ViewTimeout, func() {
-		r.timerArmed = false
-		if r.timerEpoch != epoch || !r.inView {
-			return
-		}
-		if r.decidedCnt == decided && r.hasUndecided() {
-			r.RequestViewChange()
-		} else if r.hasUndecided() {
-			r.armTimer()
-		}
-	})
-}
-
-func (r *Replica) hasUndecided() bool {
-	for _, in := range r.instances {
-		if !in.decided && in.have {
-			return true
-		}
-	}
-	return false
+	r.commit(kindFullCommit, seq, in, in.acks, r.Cfg.Quorum())
 }

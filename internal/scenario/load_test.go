@@ -254,3 +254,52 @@ func TestShapedRunsSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleTicksExactTotal pins the anti-drift contract: for any rate,
+// the total scheduled over a window equals round(rate * window_seconds)
+// exactly. The seed implementation carried a running float accumulator whose
+// rounding error could compound across thousands of ticks and under-deliver.
+func TestScheduleTicksExactTotal(t *testing.T) {
+	cases := []struct {
+		rate   float64
+		window time.Duration
+	}{
+		{3333.3, 7 * time.Second}, // awkward repeating fraction
+		{999.9, 7 * time.Second},
+		{44000, 1200 * time.Millisecond},
+		{0.1, 30 * time.Second}, // far below one txn per tick
+		{7, 999 * time.Millisecond},
+		{123456.78, 2 * time.Second},
+	}
+	for _, tc := range cases {
+		total := ScheduleTicks(tc.rate, tc.window, func(time.Duration, int) {})
+		want := int(math.Round(tc.rate * tc.window.Seconds()))
+		if total != want {
+			t.Errorf("rate %.2f over %v: scheduled %d, want exactly %d",
+				tc.rate, tc.window, total, want)
+		}
+	}
+}
+
+// TestScheduleTicksMonotonic checks ticks arrive in order, inside the
+// window, with positive counts summing to the returned total.
+func TestScheduleTicksMonotonic(t *testing.T) {
+	last := time.Duration(-1)
+	sum := 0
+	total := ScheduleTicks(3333.3, 2*time.Second, func(at time.Duration, n int) {
+		if at <= last {
+			t.Fatalf("tick at %v not after previous %v", at, last)
+		}
+		if at >= 2*time.Second {
+			t.Fatalf("tick at %v outside window", at)
+		}
+		if n <= 0 {
+			t.Fatalf("non-positive tick count %d", n)
+		}
+		last = at
+		sum += n
+	})
+	if sum != total {
+		t.Fatalf("tick counts sum to %d, returned total %d", sum, total)
+	}
+}
