@@ -5,10 +5,17 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci bench-json trace-smoke \
-	profile bench-hotpath hotpath-smoke scenario-smoke pdes-smoke bench-pdes \
-	chaos-smoke anatomy-smoke bench-check workload-smoke bench-workload \
-	shard-smoke benchmark benchmark-test loc
+# The smoke targets drive the `bidl` command; it is built once per mode per
+# make invocation (FORCE: go's own cache decides whether anything recompiles)
+# and every target reuses the binary.
+BINDIR ?= /tmp/bidl-bin
+BIDL := $(BINDIR)/bidl
+BIDL_RACE := $(BINDIR)/bidl-race
+
+.PHONY: all build test race vet fmt-check ci trace-smoke \
+	profile bench-hotpath hotpath-smoke scenario-smoke pdes-smoke \
+	chaos-smoke anatomy-smoke workload-smoke bench-workload \
+	shard-smoke benchmark benchmark-test loc FORCE
 
 all: build
 
@@ -30,7 +37,13 @@ fmt-check:
 	fi
 
 ci: fmt-check vet build race trace-smoke hotpath-smoke scenario-smoke pdes-smoke chaos-smoke \
-	anatomy-smoke workload-smoke shard-smoke benchmark-test bench-check
+	anatomy-smoke workload-smoke shard-smoke benchmark-test
+
+$(BIDL): FORCE
+	$(GO) build -o $@ ./cmd/bidl
+
+$(BIDL_RACE): FORCE
+	$(GO) build -race -o $@ ./cmd/bidl
 
 # Non-test Go lines per package directory and in total; benchmark/, a module
 # of its own, is not counted. These are the numbers ROADMAP item 3 ("less
@@ -45,16 +58,16 @@ loc:
 	@printf '%6d total\n' "$$(find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) is a Go
-# module of its own, so `go build ./... && go test ./...` never sees it.
-# `benchmark-test` runs its unit tests and a 1/20-size smoke over all seven
-# workloads (~7 s); `benchmark` prints the full report (~4 min) and leaves
-# the results where `bash benchmark/run.sh -compare old.json new.json` can
-# read them.
+# module of its own, so `go build ./... && go test ./...` never sees it. It is
+# the one place simulator speed and memory are measured. `benchmark-test`
+# runs its unit tests and a 1/20-size smoke over all seven workloads (~7 s);
+# `benchmark` prints the full report (~4 min) and leaves the results where
+# `bash benchmark/run.sh -compare old.json new.json` can read them.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 benchmark:
-	bash benchmark/run.sh -seed 7 -out /tmp/bidl-benchmark.json
+	bash benchmark/run.sh -seed 7 -out /tmp/bidl-results.json
 
 # One-transaction smoke run of the end-to-end pipeline benchmark so the
 # hot-path suite can never bitrot (it also asserts the txn commits).
@@ -69,24 +82,23 @@ bench-hotpath:
 
 # Capture CPU + allocation profiles of the fig5 sweep (the profile-guided
 # optimization loop). Inspect with:
-#   go tool pprof /tmp/bidl-bench.bin /tmp/bidl-cpu.pprof
-#   go tool pprof -sample_index=alloc_objects /tmp/bidl-bench.bin /tmp/bidl-mem.pprof
-profile:
-	$(GO) build -o /tmp/bidl-bench.bin ./cmd/bidl-bench
-	/tmp/bidl-bench.bin -run fig5 -scale 0.15 -q \
+#   go tool pprof $(BIDL) /tmp/bidl-cpu.pprof
+#   go tool pprof -sample_index=alloc_objects $(BIDL) /tmp/bidl-mem.pprof
+profile: $(BIDL)
+	$(BIDL) bench -run fig5 -scale 0.15 -q \
 		-cpuprofile /tmp/bidl-cpu.pprof -memprofile /tmp/bidl-mem.pprof > /dev/null
-	@echo "profiles: /tmp/bidl-cpu.pprof /tmp/bidl-mem.pprof (binary /tmp/bidl-bench.bin)"
+	@echo "profiles: /tmp/bidl-cpu.pprof /tmp/bidl-mem.pprof (binary $(BIDL))"
 
 # Declarative-scenario smoke: every checked-in example spec must run
-# end-to-end through `bidl-sim -scenario` and pass its safety check, and
-# `bidl-bench -dump-scenarios` must emit the full registry as JSON.
-scenario-smoke:
+# end-to-end through `bidl run -scenario` and pass its safety check, and
+# `bidl bench -dump-scenarios` must emit the full registry as JSON.
+scenario-smoke: $(BIDL)
 	@for f in examples/scenario-*.json; do \
 		echo "scenario-smoke: $$f"; \
-		$(GO) run ./cmd/bidl-sim -scenario $$f | grep -q "safety check: all correct nodes consistent" \
+		$(BIDL) run -scenario $$f | grep -q "safety check: all correct nodes consistent" \
 			|| { echo "scenario-smoke: $$f failed"; exit 1; }; \
 	done
-	@$(GO) run ./cmd/bidl-bench -dump-scenarios -scale 0.1 | grep -q '"id": "fig5"' \
+	@$(BIDL) bench -dump-scenarios -scale 0.1 | grep -q '"id": "fig5"' \
 		|| { echo "scenario-smoke: -dump-scenarios failed"; exit 1; }
 
 # Chaos gate: the fault-injection catalog under the race detector. Each
@@ -99,43 +111,35 @@ chaos-smoke:
 	$(GO) test -race -count=1 ./internal/chaos \
 		-run 'TestChaosCatalog|TestChaosSameSeedReproducible'
 
-# PDES smoke: one small multi-DC deployment through bidl-sim twice — the
+# PDES smoke: one small multi-DC deployment through `bidl run` twice — the
 # 4-worker conservative PDES engine under the race detector, then the serial
 # reference — and the full reports must be byte-identical. The exhaustive
 # per-experiment determinism gate is TestPDESDeterminismAllExperiments
 # (internal/bench), which `make race` runs for the whole registry.
-pdes-smoke:
-	$(GO) run -race ./cmd/bidl-sim -dcs 2 -rate 4000 -duration 400ms -sim-workers 4 > /tmp/bidl-pdes-par.txt
-	$(GO) run ./cmd/bidl-sim -dcs 2 -rate 4000 -duration 400ms > /tmp/bidl-pdes-ser.txt
+pdes-smoke: $(BIDL) $(BIDL_RACE)
+	$(BIDL_RACE) run -dcs 2 -rate 4000 -duration 400ms -sim-workers 4 > /tmp/bidl-pdes-par.txt
+	$(BIDL) run -dcs 2 -rate 4000 -duration 400ms > /tmp/bidl-pdes-ser.txt
 	@cmp /tmp/bidl-pdes-par.txt /tmp/bidl-pdes-ser.txt \
 		&& echo "pdes-smoke: parallel output byte-identical to serial"
-
-# Regenerate the BENCH_pdes.json trail: the fig5 sweep with the serial
-# engine, then with 4 PDES workers inside every run. Tables must stay
-# byte-identical; only wall-clock and events/sec move.
-bench-pdes:
-	$(GO) run ./cmd/bidl-bench -run fig5 -scale 0.15 -q -bench-json /tmp/bidl-pdes-serial.json
-	$(GO) run ./cmd/bidl-bench -run fig5 -scale 0.15 -q -sim-workers 4 -bench-json /tmp/bidl-pdes-parallel.json
-	@echo "results: /tmp/bidl-pdes-serial.json /tmp/bidl-pdes-parallel.json"
 
 # End-to-end trace smoke: a short traced run must produce a valid,
 # Perfetto-loadable Chrome trace (parses, has spans and counter tracks) AND
 # a schema-valid raw JSONL export (frozen schema, per-tx monotonic stamps).
-trace-smoke:
-	$(GO) run ./cmd/bidl-sim -rate 4000 -duration 300ms -trace /tmp/bidl-trace-smoke.json \
+trace-smoke: $(BIDL)
+	$(BIDL) run -rate 4000 -duration 300ms -trace /tmp/bidl-trace-smoke.json \
 		-trace-jsonl /tmp/bidl-trace-smoke.jsonl > /dev/null
-	$(GO) run ./cmd/bidl-trace-check /tmp/bidl-trace-smoke.json
-	$(GO) run ./cmd/bidl-trace-check -jsonl /tmp/bidl-trace-smoke.jsonl
+	$(BIDL) trace-check /tmp/bidl-trace-smoke.json
+	$(BIDL) trace-check -jsonl /tmp/bidl-trace-smoke.jsonl
 
 # Latency-anatomy smoke: one traced run emits the in-process anatomy report
-# plus the raw JSONL export; bidl-report recomputes the report offline from
+# plus the raw JSONL export; `bidl report` recomputes the report offline from
 # the JSONL and both renderings (text + CSV) must be byte-identical — the
 # frozen-schema guarantee of DESIGN.md §12, checked end to end.
-anatomy-smoke:
-	$(GO) run ./cmd/bidl-sim -rate 4000 -duration 300ms \
+anatomy-smoke: $(BIDL)
+	$(BIDL) run -rate 4000 -duration 300ms \
 		-anatomy /tmp/bidl-anatomy.txt -anatomy-csv /tmp/bidl-anatomy.csv \
 		-trace-jsonl /tmp/bidl-anatomy.jsonl > /dev/null
-	$(GO) run ./cmd/bidl-report -trace-jsonl /tmp/bidl-anatomy.jsonl \
+	$(BIDL) report -trace-jsonl /tmp/bidl-anatomy.jsonl \
 		-out /tmp/bidl-anatomy-offline.txt -csv /tmp/bidl-anatomy-offline.csv
 	@cmp /tmp/bidl-anatomy.txt /tmp/bidl-anatomy-offline.txt
 	@cmp /tmp/bidl-anatomy.csv /tmp/bidl-anatomy-offline.csv
@@ -146,8 +150,8 @@ anatomy-smoke:
 # heap must stay under 192 MiB (-heap-check). Only O(1)-per-node
 # prepopulation passes: materializing 2×10⁶ entries in every node state
 # would need gigabytes.
-workload-smoke:
-	GOMEMLIMIT=256MiB $(GO) run ./cmd/bidl-sim \
+workload-smoke: $(BIDL)
+	GOMEMLIMIT=256MiB $(BIDL) run \
 		-scenario examples/scenario-zipf-million.json -heap-check 201326592
 
 # Full workload microbenchmark suite: per-node prepopulation (O(1) via the
@@ -162,33 +166,14 @@ bench-workload:
 # (TestShardsOneMatchesUnsharded), and a 4-shard spec — cross-shard 2PC
 # traffic included — must be serial-vs-PDES identical under the race
 # detector (TestShardedSpecSerialVsPDES). The same identity is then checked
-# end to end through the bidl-sim CLI: full report output must be
-# byte-identical with and without -sim-workers 4.
-shard-smoke:
+# end to end through `bidl run`: full report output must be byte-identical
+# with and without -sim-workers 4.
+shard-smoke: $(BIDL) $(BIDL_RACE)
 	$(GO) test -race -count=1 ./internal/scenario \
 		-run 'TestShardsOneMatchesUnsharded|TestShardedSpecSerialVsPDES'
-	$(GO) run -race ./cmd/bidl-sim -orgs 8 -rate 4000 -duration 400ms \
+	$(BIDL_RACE) run -orgs 8 -rate 4000 -duration 400ms \
 		-shards 4 -cross-shard 0.1 -sim-workers 4 > /tmp/bidl-shard-par.txt
-	$(GO) run ./cmd/bidl-sim -orgs 8 -rate 4000 -duration 400ms \
+	$(BIDL) run -orgs 8 -rate 4000 -duration 400ms \
 		-shards 4 -cross-shard 0.1 > /tmp/bidl-shard-ser.txt
 	@cmp /tmp/bidl-shard-par.txt /tmp/bidl-shard-ser.txt \
 		&& echo "shard-smoke: 4-shard PDES output byte-identical to serial"
-
-# Perf-regression gate: re-measure the fig5 trail entry, the pipeline
-# hot-path benchmark, the workload microbenchmarks (including the
-# memory-per-account flatness curve), and the multi-channel sharding sweep,
-# compare against the committed BENCH_serial.json / BENCH_hotpath.json /
-# BENCH_workload.json / BENCH_sharding.json baselines with explicit
-# tolerances (virtual-event counts exactly; machine-independent
-# bytes/allocs/flatness tightly; wall-clock — aggregate and per sequenced
-# channel — loosely; see cmd/bidl-perfgate).
-# After a deliberate perf/behavior change: go run ./cmd/bidl-perfgate -update
-bench-check:
-	$(GO) run ./cmd/bidl-perfgate
-
-# Regenerate the BENCH_*.json perf trail (quick scale). Serial first, then
-# the same sweep on 4 workers; tables are byte-identical, only wall-clock
-# and events/sec move.
-bench-json:
-	$(GO) run ./cmd/bidl-bench -run all -scale 0.15 -q -bench-json BENCH_serial.json > /dev/null
-	$(GO) run ./cmd/bidl-bench -run all -scale 0.15 -q -j 4 -bench-json BENCH_parallel.json > /dev/null

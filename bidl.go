@@ -22,7 +22,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/bidl-framework/bidl/internal/attack"
 	"github.com/bidl-framework/bidl/internal/baseline/fabric"
 	"github.com/bidl-framework/bidl/internal/bench"
 	"github.com/bidl-framework/bidl/internal/chaos"
@@ -61,9 +60,6 @@ type (
 	BenchTable = bench.Table
 	// BenchStats records one experiment's wall-clock and virtual-event cost.
 	BenchStats = bench.RunStats
-	// BenchReport aggregates BenchStats for a harness invocation
-	// (the BENCH_*.json perf trail).
-	BenchReport = bench.Report
 	// Experiment regenerates one of the paper's tables or figures.
 	Experiment = bench.Experiment
 	// BaselineVariant selects HLF, FastFabric, or StreamChain.
@@ -72,10 +68,6 @@ type (
 	BaselineConfig = fabric.Config
 	// BaselineCluster is a running baseline deployment.
 	BaselineCluster = fabric.Cluster
-	// BroadcasterConfig tunes the §6.2 malicious broadcaster.
-	BroadcasterConfig = attack.BroadcasterConfig
-	// Broadcaster is the malicious-broadcaster adversary.
-	Broadcaster = attack.Broadcaster
 	// Tracer records per-transaction lifecycle spans and node/link
 	// telemetry; attach one via Config.Tracer / BaselineConfig.Tracer.
 	Tracer = trace.Tracer
@@ -94,6 +86,8 @@ type (
 	// ScenarioDuration is the scenario spec's human-readable duration type
 	// ("150ms"-style JSON), for building Scenario values in Go.
 	ScenarioDuration = scenario.Duration
+	// ScenarioFault is one entry of a Scenario's fault-injection schedule.
+	ScenarioFault = scenario.FaultSpec
 	// ShardedHarness runs N independently sequenced BIDL channels over one
 	// shared simulation with 2PC for cross-shard transactions (DESIGN.md
 	// §14); scenarios with `shards` > 1 compile to it.
@@ -117,19 +111,6 @@ type (
 	AnatomyWindow = anatomy.Window
 	// TraceJSONL is the decoded content of a -trace-jsonl export.
 	TraceJSONL = trace.JSONLData
-	// GateMetric is one baseline-vs-current perf-gate comparison.
-	GateMetric = bench.GateMetric
-	// GateReport is the per-metric delta table of one perf-gate run.
-	GateReport = bench.GateReport
-	// GateTolerances bundles the perf gate's tunable limits.
-	GateTolerances = bench.GateTolerances
-	// HotpathStats is the gated slice of a hot-path microbenchmark entry.
-	HotpathStats = bench.HotpathStats
-	// WorkloadStats is the gated slice of the workload microbenchmark
-	// baseline (BENCH_workload.json).
-	WorkloadStats = bench.WorkloadStats
-	// PrepopPoint is one account count on the memory-per-account curve.
-	PrepopPoint = bench.PrepopPoint
 )
 
 // FaultKinds returns the fault-injection taxonomy accepted by a scenario's
@@ -185,18 +166,6 @@ func NewBaseline(cfg BaselineConfig) *BaselineCluster { return fabric.NewCluster
 // DefaultBaselineConfig returns setting A for the given baseline variant.
 func DefaultBaselineConfig(v fabric.Variant) BaselineConfig { return fabric.DefaultConfig(v) }
 
-// NewBroadcaster attaches the §6.2 malicious broadcaster to a cluster.
-func NewBroadcaster(c *Cluster, gen *Generator, cfg BroadcasterConfig) *Broadcaster {
-	return attack.NewBroadcaster(c, gen, cfg)
-}
-
-// DefaultBroadcasterConfig returns an always-on broadcaster configuration.
-func DefaultBroadcasterConfig() BroadcasterConfig { return attack.DefaultBroadcasterConfig() }
-
-// EnableMaliciousLeader turns consensus node idx's sequencer malicious
-// (Table 4 S2).
-func EnableMaliciousLeader(c *Cluster, idx int) { attack.EnableMaliciousLeader(c, idx) }
-
 // Scenario framework names.
 const (
 	FrameworkBIDL        = scenario.FrameworkBIDL
@@ -232,14 +201,10 @@ func RunExperiment(id string, opts BenchOptions) (*BenchTable, error) {
 }
 
 // MeasureExperiment runs an experiment and also reports its wall-clock
-// seconds and executed virtual events, for the BENCH_*.json perf trail.
+// seconds and executed virtual events.
 func MeasureExperiment(id string, opts BenchOptions) (*BenchTable, BenchStats, error) {
 	return bench.Measure(id, opts)
 }
-
-// NewBenchReport returns an empty report stamped with the options'
-// execution parameters; Add BenchStats to it and WriteJSON the result.
-func NewBenchReport(opts BenchOptions) *BenchReport { return bench.NewReport(opts) }
 
 // ComputeAnatomy decomposes traced transaction lifecycles into a
 // critical-path latency report: per-stage waits in observed pipeline order,
@@ -258,45 +223,6 @@ func ReadTraceJSONL(r io.Reader) (*TraceJSONL, error) { return trace.ReadJSONL(r
 // ValidateTraceJSONL is ReadTraceJSONL plus semantic checks: per-transaction
 // stage timestamps must be non-negative and monotonically non-decreasing.
 func ValidateTraceJSONL(r io.Reader) (*TraceJSONL, error) { return trace.ValidateJSONL(r) }
-
-// DefaultGateTolerances returns the perf gate's portable defaults: tight on
-// machine-independent counters, loose on wall-clock rates.
-func DefaultGateTolerances() GateTolerances { return bench.DefaultGateTolerances() }
-
-// CompareBenchStats gates a fresh experiment measurement against its
-// committed BENCH_*.json trail entry (virtual events exactly,
-// events/wall-second within tolerance).
-func CompareBenchStats(baseline, current BenchStats, tol GateTolerances) *GateReport {
-	return bench.CompareRunStats(baseline, current, tol)
-}
-
-// CompareShardingStats gates a fresh sharding-experiment measurement against
-// its BENCH_sharding.json entry: virtual events exactly, event throughput
-// loosely both in aggregate and per sequenced channel.
-func CompareShardingStats(baseline, current BenchStats, channels int, tol GateTolerances) *GateReport {
-	return bench.CompareShardingStats(baseline, current, channels, tol)
-}
-
-// ShardingChannels returns the total number of independently sequenced
-// channels across the sharding experiment's sweep — the per-channel
-// normalization divisor used by CompareShardingStats.
-func ShardingChannels() int { return bench.ShardingChannels() }
-
-// CompareHotpath gates a fresh hot-path benchmark run against the committed
-// microbenchmark baseline.
-func CompareHotpath(baseline, current HotpathStats, tol GateTolerances) *GateReport {
-	return bench.CompareHotpath(baseline, current, tol)
-}
-
-// CompareWorkload gates fresh workload microbenchmark runs (prepopulation
-// cost, per-transaction generation cost, memory-per-account flatness)
-// against the committed BENCH_workload.json baseline.
-func CompareWorkload(baseline, current WorkloadStats, tol GateTolerances) *GateReport {
-	return bench.CompareWorkload(baseline, current, tol)
-}
-
-// LoadBenchReport parses a committed BENCH_serial.json-style trail file.
-func LoadBenchReport(path string) (*BenchReport, error) { return bench.LoadReport(path) }
 
 // BaselineSystem bundles a baseline (HLF/FastFabric/StreamChain) cluster
 // with a workload generator and registered clients.

@@ -5,10 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -30,9 +28,8 @@ const (
 	jsonl    = "testdata/run-300ms.jsonl" // run -orgs 4 -rate 400 -duration 300ms -trace-jsonl
 )
 
-// cliMatrix is recorded from the five binaries this command replaces
-// (bidl-sim = run, bidl-bench = bench, bidl-report = report,
-// bidl-trace-check = trace-check) and replayed against them byte for byte.
+// cliMatrix was recorded from the separate binaries this command replaced,
+// one per subcommand, and replays byte for byte through run.
 var cliMatrix = []cliRow{
 	{name: "run-default", steps: []string{small}},
 	{name: "run-hotstuff", steps: []string{small + " -protocol hotstuff -orgs 25"}},
@@ -86,38 +83,15 @@ var cliMatrix = []cliRow{
 	}},
 }
 
-// The parent tree's binaries, built once per test process.
-var (
-	buildOnce sync.Once
-	binDir    string
-	buildErr  error
-	binaryOf  = map[string]string{"run": "bidl-sim", "bench": "bidl-bench", "report": "bidl-report", "trace-check": "bidl-trace-check"}
-)
-
-// execStep runs one step and returns its stdout and exit code.
+// execStep runs one step in-process and returns its stdout and exit code.
 func execStep(t *testing.T, args []string) (string, int) {
 	t.Helper()
-	buildOnce.Do(func() {
-		binDir, buildErr = os.MkdirTemp("", "bidl-cli")
-		for _, b := range binaryOf {
-			if buildErr == nil {
-				buildErr = exec.Command("go", "build", "-o", filepath.Join(binDir, b), "../"+b).Run()
-			}
-		}
-	})
-	if buildErr != nil {
-		t.Fatal(buildErr)
+	var out, errOut bytes.Buffer
+	code := run(args, &out, &errOut)
+	if code != 0 {
+		t.Logf("bidl %s: exit %d: %s", strings.Join(args, " "), code, errOut.String())
 	}
-	var out bytes.Buffer
-	cmd := exec.Command(filepath.Join(binDir, binaryOf[args[0]]), args[1:]...)
-	cmd.Stdout = &out
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		return out.String(), ee.ExitCode()
-	} else if err != nil {
-		t.Fatal(err)
-	}
-	return out.String(), 0
+	return out.String(), code
 }
 
 func TestCLIMatrix(t *testing.T) {
@@ -156,5 +130,27 @@ func TestCLIMatrix(t *testing.T) {
 				t.Fatalf("%s diverges from the recorded output:\n--- got ---\n%s\n--- want ---\n%s", row.name, got.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestCLIRejectsIgnoredInput covers command lines the separate binaries
+// accepted while ignoring part of them: each now exits 2 and names the input.
+func TestCLIRejectsIgnoredInput(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"run -scenario " + examples + "chaos-crash.json -orgs 4", "-orgs is superseded by -scenario"},
+		{"run -scenario " + examples + "chaos-crash.json -attack leader", "-attack is superseded by -scenario"},
+		{"run -cross-shard 0.1", "cross_shard_ratio 0.1 requires shards > 1"},
+		{"run -scenario " + examples + "chaos-crash.json -cross-shard 0.1", "requires shards > 1"},
+		{"run -timeline -runs 2", "-timeline"},
+		{"simulate", "usage: bidl run|bench|report|trace-check"},
+		{"", "usage: bidl run|bench|report|trace-check"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(strings.Fields(tc.args), &out, &errOut); code != 2 {
+			t.Errorf("bidl %s: exit %d, want 2", tc.args, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("bidl %s: stdout %q, stderr %q; want only a stderr naming %q", tc.args, out.String(), errOut.String(), tc.want)
+		}
 	}
 }

@@ -111,7 +111,7 @@ type Options struct {
 	// onto every BIDL sweep point that does not set its own. Unlike
 	// Workers/SimWorkers this changes what is simulated — each point becomes
 	// an N-channel deployment — so the golden and perf trails never set it;
-	// it exists for `bidl-bench -shards` exploration.
+	// it exists for `bidl bench -shards` exploration.
 	Shards int
 
 	// TraceSink, when non-nil, turns on per-run tracing: every framework
@@ -156,7 +156,7 @@ func (o Options) rate(r float64) float64 { return r * o.Scale }
 
 // Experiment regenerates one of the paper's artifacts. Experiments are
 // pure data over the scenario layer: Scenarios expands the sweep into
-// declarative specs (what `bidl-bench -dump-scenarios` emits), and Table
+// declarative specs (what `bidl bench -dump-scenarios` emits), and Table
 // assembles the paper's table from the per-spec results. The Run method
 // executes the sweep through the shared scenario driver.
 type Experiment struct {

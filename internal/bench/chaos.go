@@ -23,9 +23,9 @@ func init() {
 }
 
 // chaosSpecs returns the catalog scenarios in catalog order, built
-// programmatically so `bidl-bench -run chaos` works from any working
+// programmatically so `bidl bench -run chaos` works from any working
 // directory. The examples/scenario-chaos-*.json files are the same specs in
-// JSON form (the catalog's runnable-from-JSON surface, fed to `bidl-sim
+// JSON form (the catalog's runnable-from-JSON surface, fed to `bidl run
 // -scenario` and the chaos test gate); TestChaosSpecsMatchCatalogFiles pins
 // the two representations together, so edit both or neither.
 func chaosSpecs() []scenario.Scenario {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestChaosSpecsMatchCatalogFiles pins the chaos experiment's programmatic
-// sweep to the JSON spec files the catalog (and `bidl-sim -scenario`) runs:
+// sweep to the JSON spec files the catalog (and `bidl run -scenario`) runs:
 // the i-th chaosSpecs entry must equal the i-th catalog entry's parsed
 // file, so the two representations cannot drift apart silently.
 func TestChaosSpecsMatchCatalogFiles(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // cluster from the experiment seed via the shared scenario driver), and
 // Table assembles the rows from the gathered results in sweep order.
 // Nothing here touches a cluster directly, so serial and parallel
-// execution produce byte-identical tables, and `bidl-bench
+// execution produce byte-identical tables, and `bidl bench
 // -dump-scenarios` can emit every sweep as JSON.
 
 // Default per-framework saturation offered loads (txns/s) in evaluation

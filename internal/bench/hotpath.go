@@ -16,10 +16,9 @@ import (
 // (`make profile`) optimizes; vevents/op shows how many simulator events one
 // transaction fans out into.
 //
-// It lives outside the test files so cmd/bidl-perfgate can run it directly
-// with testing.Benchmark and compare the result against the committed
-// BENCH_hotpath.json baseline; BenchmarkPipelineHotPath wraps it for the
-// ordinary `go test -bench` path.
+// It lives outside the test files so the repository benchmark's ladder
+// (benchmark/ladder.go) can run it with testing.Benchmark;
+// BenchmarkPipelineHotPath wraps it for the `go test -bench` path.
 func PipelineHotPath(b *testing.B) {
 	cfg := core.DefaultConfig() // the paper's setting A
 	cfg.Seed = 1

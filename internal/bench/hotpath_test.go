@@ -5,10 +5,8 @@ import (
 )
 
 // BenchmarkPipelineHotPath is the `go test -bench` entry point for
-// PipelineHotPath (see hotpath.go — the body is exported so cmd/bidl-perfgate
-// can run the identical benchmark against the committed baseline). `make ci`
-// runs this with -benchtime=1x as a smoke test, which also asserts that
-// every submitted transaction commits.
+// PipelineHotPath (see hotpath.go). `make ci` runs this with -benchtime=1x as
+// a smoke test, which also asserts that every submitted transaction commits.
 func BenchmarkPipelineHotPath(b *testing.B) { PipelineHotPath(b) }
 
 // TestPipelineHotPathAllocs pins the profile-guided allocation budget: one

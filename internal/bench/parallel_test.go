@@ -157,22 +157,3 @@ func TestMeasureCountsEvents(t *testing.T) {
 		t.Fatalf("events/sec inconsistent: %+v", stats)
 	}
 }
-
-// TestReportAccumulates checks report totals and JSON rendering.
-func TestReportAccumulates(t *testing.T) {
-	r := NewReport(Options{Scale: 0.5, Seed: 3, Workers: 2})
-	r.Add(RunStats{ID: "a", WallSeconds: 1.5, VirtualEvents: 100})
-	r.Add(RunStats{ID: "b", WallSeconds: 0.5, VirtualEvents: 50})
-	if r.TotalWallSeconds != 2.0 || r.TotalVirtualEvents != 150 {
-		t.Fatalf("totals wrong: %+v", r)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"total_virtual_events": 150`, `"workers": 2`, `"id": "a"`} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Fatalf("JSON missing %q:\n%s", want, buf.String())
-		}
-	}
-}

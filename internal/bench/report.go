@@ -1,59 +1,20 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
 
-// RunStats records the wall-clock cost of regenerating one experiment —
-// the machine-readable perf trail (BENCH_*.json) that tracks harness speed
-// across PRs. Virtual events count every discrete-event execution across all
-// of the experiment's runs; events-per-wall-second is the harness's true
-// throughput and is what parallelism and event-loop work should move.
+// RunStats records the cost of regenerating one experiment. Virtual events
+// count every discrete-event execution across all of the experiment's runs —
+// deterministic for a scale and seed, so the goldens pin them exactly;
+// events-per-wall-second is the harness's throughput on this machine.
 type RunStats struct {
-	ID            string  `json:"id"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	VirtualEvents uint64  `json:"virtual_events"`
-	EventsPerSec  float64 `json:"events_per_wall_sec"`
-}
-
-// Report aggregates RunStats for a harness invocation.
-type Report struct {
-	Scale              float64    `json:"scale"`
-	Seed               int64      `json:"seed"`
-	Workers            int        `json:"workers"`
-	GoMaxProcs         int        `json:"gomaxprocs"`
-	TotalWallSeconds   float64    `json:"total_wall_seconds"`
-	TotalVirtualEvents uint64     `json:"total_virtual_events"`
-	Experiments        []RunStats `json:"experiments"`
-}
-
-// NewReport returns a report stamped with the options' execution parameters.
-func NewReport(o Options) *Report {
-	return &Report{
-		Scale:      o.Scale,
-		Seed:       o.Seed,
-		Workers:    o.workers(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-}
-
-// Add appends one experiment's stats and folds it into the totals.
-func (r *Report) Add(s RunStats) {
-	r.Experiments = append(r.Experiments, s)
-	r.TotalWallSeconds += s.WallSeconds
-	r.TotalVirtualEvents += s.VirtualEvents
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	ID            string
+	WallSeconds   float64
+	VirtualEvents uint64
+	EventsPerSec  float64
 }
 
 // Measure runs the experiment registered under id and reports both its table

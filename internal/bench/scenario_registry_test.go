@@ -11,8 +11,8 @@ import (
 // of the scenario-layer refactor: every registered experiment is expressible
 // as declarative scenario.Scenario values — each sweep produces at least one
 // spec, every spec passes Validate, and every spec survives a JSON round-trip
-// (so `bidl-bench -dump-scenarios` output can be replayed through
-// `bidl-sim -scenario`).
+// (so `bidl bench -dump-scenarios` output can be replayed through
+// `bidl run -scenario`).
 func TestRegistryScenariosValidAndSerializable(t *testing.T) {
 	o := Options{Scale: 0.1, Seed: 7}
 	for _, e := range All() {

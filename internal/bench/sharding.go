@@ -42,19 +42,6 @@ func init() {
 	})
 }
 
-// ShardingChannels returns the total number of independently sequenced
-// channels simulated across the sharding sweep — every shard of every sweep
-// point. It is the divisor behind the perf gate's per-channel event
-// throughput (cmd/bidl-perfgate -sharding): aggregate events/wall-second
-// over the sweep normalized to one sequencer+consensus channel.
-func ShardingChannels() int {
-	n := 0
-	for _, p := range shardingPoints() {
-		n += p.shards
-	}
-	return n
-}
-
 type shardingPoint struct {
 	framework string
 	shards    int

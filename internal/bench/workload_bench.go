@@ -12,15 +12,12 @@ import (
 // million-user workload layer: prepopulating a node's world state must cost
 // the same at 10⁴ and 10⁷ accounts (the copy-on-write base layer is shared,
 // never materialized), and generating one transaction must stay constant-cost
-// under Zipf skew, contention, and settlement flows. Like PipelineHotPath,
-// the functions live outside the test files so cmd/bidl-perfgate can run
-// them with testing.Benchmark and gate bytes/op + allocs/op against the
-// committed BENCH_workload.json baseline; Benchmark wrappers in
-// workload_bench_test.go keep the ordinary `go test -bench` path.
+// under Zipf skew, contention, and settlement flows. The Benchmark wrappers
+// and the flatness test are in workload_bench_test.go.
 
-// PrepopulateBenchAccounts is the account count the gated PrepopulateBench
-// entry runs at. The curve (PrepopulateCurve) separately proves the cost is
-// flat in this number.
+// PrepopulateBenchAccounts is the account count PrepopulateBench and
+// GeneratorNextBench run at; TestPrepopulateMemoryFlat separately proves the
+// cost is flat in this number.
 const PrepopulateBenchAccounts = 1_000_000
 
 // benchSink keeps benchmark results live so the compiler cannot elide the
@@ -76,35 +73,12 @@ func GeneratorNextBench(b *testing.B) {
 
 // PrepopPoint is one account count on the memory-per-account curve.
 type PrepopPoint struct {
-	Accounts    int     `json:"accounts"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Accounts   int
+	BytesPerOp float64
 }
 
-// prepopCurveCounts spans three decades; the gate's flatness ratio divides
-// the most expensive point by the cheapest, so any O(accounts) regression in
-// prepopulation shows up as a ~1000x ratio against a ~1.0 baseline.
-var prepopCurveCounts = []int{10_000, 100_000, 1_000_000, 10_000_000}
-
-// PrepopulateCurve measures per-node prepopulation cost across account
-// counts. With the copy-on-write base the curve is flat — the O(1)-memory
-// claim, stated as data.
-func PrepopulateCurve() []PrepopPoint {
-	pts := make([]PrepopPoint, 0, len(prepopCurveCounts))
-	for _, n := range prepopCurveCounts {
-		n := n
-		r := testing.Benchmark(func(b *testing.B) { prepopulateBenchAt(b, n) })
-		pts = append(pts, PrepopPoint{
-			Accounts:    n,
-			BytesPerOp:  float64(r.AllocedBytesPerOp()),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-		})
-	}
-	return pts
-}
-
-// Flatness reduces a curve to its gate metric: max bytes/op over min
-// bytes/op. O(1) prepopulation keeps it ≈ 1.
+// Flatness reduces a curve to one number: max bytes/op over min bytes/op.
+// O(1) prepopulation keeps it ≈ 1.
 func Flatness(pts []PrepopPoint) float64 {
 	if len(pts) == 0 {
 		return 0

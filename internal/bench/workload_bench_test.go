@@ -2,17 +2,14 @@ package bench
 
 import "testing"
 
-// Wrappers so the workload microbenchmarks run under the ordinary
-// `go test -bench` path; cmd/bidl-perfgate calls the exported functions
-// directly via testing.Benchmark.
+// Wrappers so the workload microbenchmarks run under `go test -bench`.
 
 func BenchmarkPrepopulate(b *testing.B)   { PrepopulateBench(b) }
 func BenchmarkGeneratorNext(b *testing.B) { GeneratorNextBench(b) }
 
 // TestPrepopulateMemoryFlat is the in-tree form of the O(1)-memory claim:
-// per-node prepopulation cost may not grow with the account count. The
-// perfgate run measures the full three-decade curve; here two endpoints two
-// decades apart keep the test fast.
+// per-node prepopulation cost may not grow with the account count. Two
+// endpoints two decades apart keep the test fast.
 func TestPrepopulateMemoryFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed")

@@ -3,7 +3,7 @@ package chaos
 import "time"
 
 // Entry is one chaos-catalog scenario: a declarative spec file (under
-// examples/, so the same files feed `bidl-sim -scenario` and the smoke
+// examples/, so the same files feed `bidl run -scenario` and the smoke
 // targets) paired with the invariants its fault schedule must preserve.
 type Entry struct {
 	ID string

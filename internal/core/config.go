@@ -46,7 +46,7 @@ type Config struct {
 
 	// BlockSize is the number of transactions per block (paper: 500).
 	BlockSize int
-	// BlockTimeout proposes a partial block when it elapses.
+	// BlockTimeout proposes a partial block when it elapses (must be > 0).
 	BlockTimeout time.Duration
 	// ViewTimeout is the consensus progress timeout.
 	ViewTimeout time.Duration
@@ -198,6 +198,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: SeqBatchMax must be >= 0 (got %d)", c.SeqBatchMax)
 	case c.SimWorkers < 0:
 		return fmt.Errorf("core: SimWorkers must be >= 0 (got %d)", c.SimWorkers)
+	case c.BlockTimeout <= 0:
+		// Persist-vote retries and status ticks re-arm every 2×BlockTimeout:
+		// at zero they spin at one virtual instant and Run never returns.
+		return fmt.Errorf("core: BlockTimeout must be > 0 (got %s)", c.BlockTimeout)
 	}
 	switch c.Protocol {
 	case "", ProtoPBFT, ProtoHotStuff, ProtoZyzzyva, ProtoSBFT:
@@ -208,7 +212,6 @@ func (c Config) Validate() error {
 		name string
 		v    time.Duration
 	}{
-		{"BlockTimeout", c.BlockTimeout},
 		{"ViewTimeout", c.ViewTimeout},
 		{"ClientTimeout", c.ClientTimeout},
 		{"SeqFlushInterval", c.SeqFlushInterval},

@@ -30,6 +30,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-seq-batch", func(c *Config) { c.SeqBatchMax = -1 }, "SeqBatchMax"},
 		{"unknown-protocol", func(c *Config) { c.Protocol = "paxos" }, "unknown protocol"},
 		{"negative-block-timeout", func(c *Config) { c.BlockTimeout = -time.Millisecond }, "BlockTimeout"},
+		// Zero would hang Run: armPersistRetry re-arms itself with After(0)
+		// while the head block waits for persist votes.
+		{"zero-block-timeout", func(c *Config) { c.BlockTimeout = 0 }, "BlockTimeout must be > 0"},
 		{"negative-view-timeout", func(c *Config) { c.ViewTimeout = -1 }, "ViewTimeout"},
 		{"negative-client-timeout", func(c *Config) { c.ClientTimeout = -1 }, "ClientTimeout"},
 		{"negative-seq-flush", func(c *Config) { c.SeqFlushInterval = -1 }, "SeqFlushInterval"},

@@ -182,11 +182,7 @@ func (n *ConsNode) statusTick() {
 		return
 	}
 	n.statusArmed = true
-	interval := 2 * n.c.Cfg.BlockTimeout
-	if interval <= 0 {
-		interval = 20 * time.Millisecond
-	}
-	n.host().After(interval, func() {
+	n.host().After(2*n.c.Cfg.BlockTimeout, func() {
 		n.statusArmed = false
 		if n.replica.IsLeader() && n.chainHeight > 0 {
 			n.ctx.Multicast(n.c.groupBlocks, &ChainStatus{Height: n.chainHeight})
@@ -821,11 +817,7 @@ func (n *ConsNode) onPeerChainStatus(from simnet.NodeID, m *ChainStatus) {
 	}
 	n.blockFetching = true
 	n.ctx.Send(from, &BlockFetchReq{From: n.chainHeight, To: m.Height})
-	cool := 2 * n.c.Cfg.BlockTimeout
-	if cool <= 0 {
-		cool = 20 * time.Millisecond
-	}
-	n.ctx.After(cool, func(c2 *simnet.Context) {
+	n.ctx.After(2*n.c.Cfg.BlockTimeout, func(c2 *simnet.Context) {
 		n.bind(c2, func() { n.blockFetching = false })
 	})
 }

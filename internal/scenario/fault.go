@@ -7,7 +7,7 @@ import (
 )
 
 // FaultSpec is one declarative fault-injection entry — the JSON surface of
-// chaos.Fault (see chaos.Kinds for the taxonomy, or `bidl-sim
+// chaos.Fault (see chaos.Kinds for the taxonomy, or `bidl run
 // -list-faults`). Field meaning varies by kind; unused fields are ignored.
 type FaultSpec struct {
 	// Kind is one of crash, partition, dc_outage, drop_storm, churn,

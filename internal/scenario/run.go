@@ -62,11 +62,12 @@ type RunConfig struct {
 func Run(s Scenario) (Result, error) { return RunWith(s, RunConfig{}) }
 
 // RunWith is Run with runtime knobs. It is the one shared driver behind
-// every registry experiment, `bidl-sim`, and `bidl-sim -scenario`: look up
-// the spec's compile target (see target.go), build that family's harness,
-// register the workload's clients, prepopulate accounts, arm the fault
-// schedule, schedule the offered load, run past the window to drain, then
-// summarize and safety-check.
+// every registry experiment and every `bidl run` (whose deployment flags only
+// build a Scenario, and whose -scenario loads one): look up the spec's
+// compile target (see target.go), build that family's harness, register the
+// workload's clients, prepopulate accounts, arm the fault schedule, schedule
+// the offered load, run past the window to drain, then summarize and
+// safety-check.
 func RunWith(s Scenario, rc RunConfig) (Result, error) {
 	s = s.WithDefaults()
 	if err := s.Validate(); err != nil {
@@ -148,7 +149,7 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 
 // AnatomyWindows compiles the fault schedule into anatomy fault windows,
 // labeled by kind and target. Exposed so the offline report path
-// (cmd/bidl-report) can reproduce the in-process annotation from a spec.
+// (`bidl report`) can reproduce the in-process annotation from a spec.
 func (s Scenario) AnatomyWindows() []anatomy.Window {
 	faults := s.compiledFaults()
 	out := make([]anatomy.Window, 0, len(faults))

@@ -10,7 +10,7 @@
 // setting A); a Scenario{} with only Framework and Load set is a complete,
 // valid experiment. Validate reports configuration errors instead of
 // panicking, and every registry experiment in internal/bench is expressed
-// as a list of Scenario values (see `bidl-bench -dump-scenarios`).
+// as a list of Scenario values (see `bidl bench -dump-scenarios`).
 package scenario
 
 import (
@@ -133,7 +133,7 @@ type Scenario struct {
 	// specs should prefer Faults.
 	Attack AttackSpec `json:"attack,omitempty"`
 	// Faults is the declarative fault-injection schedule (see
-	// chaos.Kinds or `bidl-sim -list-faults` for the taxonomy). Runs
+	// chaos.Kinds or `bidl run -list-faults` for the taxonomy). Runs
 	// with faults always use the serial simulation engine.
 	Faults []FaultSpec `json:"faults"`
 	// Anatomy requests a latency-anatomy breakdown (internal/trace/anatomy)

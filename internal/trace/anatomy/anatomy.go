@@ -17,7 +17,7 @@
 //     an injected fault against those that do not.
 //
 // The same Report is produced by the in-process -anatomy path and by
-// cmd/bidl-report reading a -trace-jsonl file offline; golden tests pin the
+// `bidl report` reading a -trace-jsonl file offline; golden tests pin the
 // two byte-identical, which also freezes the JSONL schema.
 package anatomy
 

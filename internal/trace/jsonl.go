@@ -13,7 +13,7 @@ import (
 
 // This file is the read side of the JSONL export and, together with
 // WriteJSONL, freezes the schema: every field jsonlEvent emits is parsed
-// back here, and the offline anatomy path (cmd/bidl-report) is pinned
+// back here, and the offline anatomy path (`bidl report`) is pinned
 // byte-identical to the in-process path over this round trip.
 
 // JSONLData is the event content recovered from a -trace-jsonl file: the two
