@@ -31,10 +31,6 @@ type Client struct {
 	pending map[types.TxID]*pendingTx
 }
 
-func newClient(c *Cluster, id crypto.Identity) *Client {
-	return &Client{c: c, id: id, pending: make(map[types.TxID]*pendingTx)}
-}
-
 // Endpoint returns the client's simnet endpoint.
 func (cl *Client) Endpoint() *simnet.Endpoint { return cl.ep }
 
@@ -60,8 +56,8 @@ func (cl *Client) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 	}
 }
 
-// submit starts the endorsement round for a batch of transactions.
-func (cl *Client) submit(ctx *simnet.Context, txns []*types.Transaction) {
+// Submit starts the endorsement round for a batch of transactions.
+func (cl *Client) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 	for _, tx := range txns {
 		id := tx.ID()
 		if _, ok := cl.pending[id]; ok {
@@ -73,7 +69,7 @@ func (cl *Client) submit(ctx *simnet.Context, txns []*types.Transaction) {
 			tr.TxStage(id, trace.StageSubmit, int(cl.ep.ID()), ctx.Now())
 		}
 		for _, org := range tx.Orgs {
-			o := orgIdx(org)
+			o := types.OrgIndex(org)
 			if o < 0 || o >= len(cl.c.Peers) || len(cl.c.Peers[o]) == 0 {
 				continue
 			}
@@ -81,20 +77,6 @@ func (cl *Client) submit(ctx *simnet.Context, txns []*types.Transaction) {
 			ctx.Send(cl.c.Peers[o][0].ep.ID(), &EndorseReq{Tx: tx})
 		}
 	}
-}
-
-func orgIdx(name string) int {
-	if len(name) < 4 || name[:3] != "org" {
-		return -1
-	}
-	v := 0
-	for _, ch := range name[3:] {
-		if ch < '0' || ch > '9' {
-			return -1
-		}
-		v = v*10 + int(ch-'0')
-	}
-	return v
 }
 
 // onEndorse collects endorsements; once every related org responded, the
@@ -144,5 +126,5 @@ func (cl *Client) onEndorse(ctx *simnet.Context, m *EndorseResp) {
 	}
 	pt.submitted = true
 	cl.c.Collector.Phase("endorse", ctx.Now()-pt.start)
-	ctx.Send(cl.c.Orderers[cl.c.LeaderIndex()].ep.ID(), &SubmitEnvelopes{Envs: []*Envelope{env}})
+	ctx.Send(cl.c.Orderers[cl.c.LeaderIndex()].Ep.ID(), &SubmitEnvelopes{Envs: []*Envelope{env}})
 }

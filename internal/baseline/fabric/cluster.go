@@ -2,19 +2,14 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"sync"
-	"time"
 
 	"github.com/bidl-framework/bidl/internal/consensus"
-	"github.com/bidl-framework/bidl/internal/consensus/pbft"
-	"github.com/bidl-framework/bidl/internal/consensus/raft"
 	"github.com/bidl-framework/bidl/internal/contract"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
-	"github.com/bidl-framework/bidl/internal/metrics"
-	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/simhost"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -22,28 +17,19 @@ func ordererIdentity(i int) crypto.Identity {
 	return crypto.Identity("orderer" + strconv.Itoa(i))
 }
 
-func orgName(o int) string { return "org" + strconv.Itoa(o) }
-
 // Cluster is a complete simulated baseline deployment (HLF, FastFabric, or
-// StreamChain depending on Config.Variant).
+// StreamChain depending on Config.Variant) on the same deployment substrate
+// as the BIDL cluster: orderers are the consensus group, peers the
+// organizations' nodes.
 type Cluster struct {
-	Cfg       Config
-	Sim       *simnet.Sim
-	Net       *simnet.Network
-	Scheme    crypto.Scheme
-	Registry  *contract.Registry
-	Collector *metrics.Collector
+	*substrate.Deployment
+	Cfg      Config
+	Registry *contract.Registry
 
 	Orderers []*Orderer
 	Peers    [][]*Peer
-	Clients  map[crypto.Identity]*Client
 
-	ordIndex  map[simnet.NodeID]int
-	clientEps map[crypto.Identity]simnet.NodeID
-	policy    consensus.LeaderPolicy
-
-	violationsMu sync.Mutex
-	violations   []string
+	policy consensus.LeaderPolicy
 }
 
 // NewCluster builds a baseline deployment.
@@ -51,75 +37,33 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.NumOrderers == 0 {
 		cfg.NumOrderers = 3*cfg.F + 1
 	}
-	sim := simnet.NewSim(cfg.Seed)
-	// Same partitioning rule as the BIDL cluster: orderers and clients in
-	// the hub partition, peer organizations sharded over the rest.
-	nparts := simnet.PartitionCount(cfg.SimWorkers, cfg.NumOrgs)
-	sim.SetPartitions(nparts)
-	sim.SetWorkers(cfg.SimWorkers)
-	net := simnet.NewNetwork(sim, cfg.Topology)
-	net.SetTracer(cfg.Tracer)
-	scheme := crypto.NewHMACScheme([]byte(fmt.Sprintf("fabric-%d", cfg.Seed)))
+	eng := substrate.NewEngine("fabric", cfg.Seed, cfg.SimWorkers, cfg.NumOrgs, cfg.Topology, cfg.Tracer)
 	reg := contract.NewRegistry()
 	reg.Deploy(contract.SmallBank{})
 	reg.Deploy(contract.Settlement{})
 
 	c := &Cluster{
-		Cfg:       cfg,
-		Sim:       sim,
-		Net:       net,
-		Scheme:    scheme,
-		Registry:  reg,
-		Collector: metrics.NewCollector(),
-		Clients:   make(map[crypto.Identity]*Client),
-		ordIndex:  make(map[simnet.NodeID]int),
-		clientEps: make(map[crypto.Identity]simnet.NodeID),
-		policy:    consensus.RoundRobin{N: cfg.NumOrderers},
+		Deployment: substrate.NewDeployment(eng, "", cfg.NumDCs, 0, ordererIdentity),
+		Cfg:        cfg,
+		Registry:   reg,
+		policy:     consensus.RoundRobin{N: cfg.NumOrderers},
 	}
 
-	dc := func(i int) int {
-		if cfg.NumDCs <= 1 {
-			return 0
-		}
-		return i % cfg.NumDCs
-	}
-
-	consCfg := consensus.Config{
-		N: cfg.NumOrderers, F: cfg.F,
-		Policy:           c.policy,
-		ViewTimeout:      cfg.ViewTimeout,
-		SigVerify:        cfg.Costs.SigVerify,
-		SigSign:          cfg.Costs.SigSign,
-		MACVerify:        cfg.Costs.MACVerify,
-		MACCompute:       cfg.Costs.MACCompute,
-		ThresholdSign:    cfg.Costs.ThresholdSign,
-		ThresholdCombine: cfg.Costs.ThresholdCombine,
-	}
-
-	node := 0
+	consCfg := simhost.Config(cfg.Costs, cfg.NumOrderers, cfg.F, c.policy, cfg.ViewTimeout)
 	for i := 0; i < cfg.NumOrderers; i++ {
-		ord := newOrderer(c, i)
-		ord.ep = net.Register(fmt.Sprintf("orderer%d", i), dc(node), ord)
-		node++
-		c.ordIndex[ord.ep.ID()] = i
-		scheme.Register(ordererIdentity(i))
-		rcfg := consCfg
-		rcfg.Self = i
-		if cfg.Protocol == "raft" {
-			ord.replica = raft.New(rcfg, ord)
-		} else {
-			ord.replica = pbft.New(rcfg, ord)
-		}
+		ord := newOrderer(c)
+		c.AddConsensus(&ord.Host, "orderer"+strconv.Itoa(i), ord)
+		consCfg.Self = i
+		ord.Rep = substrate.NewReplica(cfg.Protocol, consCfg, ord)
 		c.Orderers = append(c.Orderers, ord)
 	}
 
 	for o := 0; o < cfg.NumOrgs; o++ {
-		scheme.Register(crypto.Identity(orgName(o)))
+		c.Scheme.Register(crypto.Identity(types.OrgName(o)))
 		var peers []*Peer
 		for j := 0; j < cfg.PeersPerOrg; j++ {
 			p := newPeer(c, o, j, cfg.Seed*7_000_003+int64(o*64+j))
-			p.ep = net.RegisterPart(fmt.Sprintf("%s-peer%d", orgName(o), j), dc(node), simnet.ShardPartition(o, nparts), p)
-			node++
+			p.ep = c.AddOrgNode(o, fmt.Sprintf("%s-peer%d", types.OrgName(o), j), p)
 			peers = append(peers, p)
 		}
 		c.Peers = append(c.Peers, peers)
@@ -139,13 +83,10 @@ func (c *Cluster) policyLeader(cert *types.Certificate, r consensus.Replica) int
 // RegisterClients creates client endpoints for the given identities.
 func (c *Cluster) RegisterClients(ids []crypto.Identity) {
 	for _, id := range ids {
-		if _, ok := c.Clients[id]; ok {
-			continue
+		if !c.HasClient(id) {
+			cl := &Client{c: c, id: id, pending: make(map[types.TxID]*pendingTx)}
+			cl.ep = c.AddClient(id, cl)
 		}
-		cl := newClient(c, id)
-		cl.ep = c.Net.Register("client-"+string(id), 0, cl)
-		c.Clients[id] = cl
-		c.clientEps[id] = cl.ep.ID()
 	}
 }
 
@@ -158,67 +99,17 @@ func (c *Cluster) Prepopulate(fn func(*ledger.State)) {
 	}
 }
 
-// SubmitAt schedules transactions for submission by their clients at time at.
-func (c *Cluster) SubmitAt(at time.Duration, txns ...*types.Transaction) {
-	byClient := make(map[crypto.Identity][]*types.Transaction)
-	var order []crypto.Identity
-	for _, tx := range txns {
-		// Fill the lazy ID/signing/size caches before the transaction can
-		// cross a partition boundary (see Transaction.Warm).
-		tx.Warm()
-		if _, ok := byClient[tx.Client]; !ok {
-			order = append(order, tx.Client)
-		}
-		byClient[tx.Client] = append(byClient[tx.Client], tx)
-	}
-	c.Sim.At(at, func() {
-		for _, id := range order {
-			cl, ok := c.Clients[id]
-			if !ok {
-				continue
-			}
-			ctx := simnet.NewInjectedContext(c.Net, cl.ep)
-			cl.submit(ctx, byClient[id])
-		}
-	})
-}
-
-// At schedules fn at virtual time t (see core.Cluster.At); serial engine
-// only once the run has started.
-func (c *Cluster) At(t time.Duration, fn func()) { c.Sim.At(t, fn) }
-
-// InFlight returns the cluster-wide count of submitted transactions whose
-// clients have not yet seen a commit.
-func (c *Cluster) InFlight() int {
-	n := 0
-	for _, cl := range c.Clients {
-		n += cl.Pending()
-	}
-	return n
-}
-
-// Run advances the simulation to absolute virtual time t.
-func (c *Cluster) Run(t time.Duration) { c.Sim.RunUntil(t) }
-
 // LeaderIndex returns the current ordering-service leader.
 func (c *Cluster) LeaderIndex() int {
 	var hi uint64
 	leader := 0
 	for _, ord := range c.Orderers {
-		if v := ord.replica.View(); v >= hi {
+		if v := ord.Rep.View(); v >= hi {
 			hi = v
-			leader = ord.replica.Leader()
+			leader = ord.Rep.Leader()
 		}
 	}
 	return leader
-}
-
-// safetyViolation records an invariant breach; peers in concurrent
-// partitions may report simultaneously, hence the lock.
-func (c *Cluster) safetyViolation(msg string) {
-	c.violationsMu.Lock()
-	c.violations = append(c.violations, msg)
-	c.violationsMu.Unlock()
 }
 
 // CheckSafety validates that all peers hold prefix-consistent ledgers and
@@ -237,23 +128,5 @@ func (c *Cluster) CheckSafety() error {
 			})
 		}
 	}
-	violations := c.violations
-	if c.Sim.NumPartitions() > 1 {
-		// Partitioned runs sort for a deterministic report (the multiset is
-		// engine-independent, the arrival order is not); single-partition
-		// runs keep the historical event order.
-		violations = append([]string(nil), violations...)
-		sort.Strings(violations)
-	}
-	return ledger.CheckConsistency("fabric", violations, views, [][]ledger.SafetyView{views})
+	return ledger.CheckConsistency("fabric", c.Violations(), views, [][]ledger.SafetyView{views})
 }
-
-// Metrics returns the cluster's metrics collector (the scenario.Harness
-// accessor; the Collector field keeps its historical name).
-func (c *Cluster) Metrics() *metrics.Collector { return c.Collector }
-
-// IdentityScheme returns the membership crypto scheme clients register with.
-func (c *Cluster) IdentityScheme() crypto.Scheme { return c.Scheme }
-
-// VirtualEvents returns the number of discrete events executed so far.
-func (c *Cluster) VirtualEvents() uint64 { return c.Sim.Events() }

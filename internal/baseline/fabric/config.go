@@ -27,6 +27,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/cost"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 )
 
@@ -104,11 +105,11 @@ func DefaultConfig(v Variant) Config {
 	}
 	switch v {
 	case HLF:
-		cfg.Protocol = "bft-smart"
+		cfg.Protocol = substrate.ProtoPBFT
 	case FastFabric:
-		cfg.Protocol = "raft"
+		cfg.Protocol = substrate.ProtoRaft
 	case StreamChain:
-		cfg.Protocol = "raft"
+		cfg.Protocol = substrate.ProtoRaft
 		cfg.BlockSize = 1
 		cfg.BlockTimeout = 500 * time.Microsecond
 	}
@@ -138,8 +139,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fabric: F must be >= 0 (got %d)", c.F)
 	case c.BlockSize < 1:
 		return fmt.Errorf("fabric: BlockSize must be >= 1 (got %d)", c.BlockSize)
-	case c.BlockTimeout < 0:
-		return fmt.Errorf("fabric: BlockTimeout must be >= 0 (got %s)", c.BlockTimeout)
+	case c.BlockTimeout <= 0:
+		// A deposed leader with envelopes still queued re-arms its batch
+		// timer every BlockTimeout: at zero it spins at one virtual instant
+		// and Run never returns.
+		return fmt.Errorf("fabric: BlockTimeout must be > 0 (got %s)", c.BlockTimeout)
 	case c.ViewTimeout < 0:
 		return fmt.Errorf("fabric: ViewTimeout must be >= 0 (got %s)", c.ViewTimeout)
 	case c.NumDCs < 0:
@@ -148,7 +152,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fabric: SimWorkers must be >= 0 (got %d)", c.SimWorkers)
 	}
 	switch c.Protocol {
-	case "", "bft-smart", "raft":
+	case "", substrate.ProtoPBFT, substrate.ProtoRaft:
 	default:
 		return fmt.Errorf("fabric: unknown protocol %q", c.Protocol)
 	}
@@ -156,7 +160,7 @@ func (c Config) Validate() error {
 	// 3F+1.
 	if c.F > 0 {
 		need := 3*c.F + 1
-		if c.Protocol == "raft" {
+		if c.Protocol == substrate.ProtoRaft {
 			need = 2*c.F + 1
 		}
 		if c.NumOrderers < need {

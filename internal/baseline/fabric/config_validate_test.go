@@ -23,6 +23,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-f", func(c *Config) { c.F = -1 }, "F must be >= 0"},
 		{"zero-block-size", func(c *Config) { c.BlockSize = 0 }, "BlockSize"},
 		{"negative-block-timeout", func(c *Config) { c.BlockTimeout = -time.Millisecond }, "BlockTimeout"},
+		{"zero-block-timeout", func(c *Config) { c.BlockTimeout = 0 }, "BlockTimeout must be > 0"},
 		{"negative-view-timeout", func(c *Config) { c.ViewTimeout = -1 }, "ViewTimeout"},
 		{"negative-dcs", func(c *Config) { c.NumDCs = -1 }, "NumDCs"},
 		{"unknown-protocol", func(c *Config) { c.Protocol = "pbft" }, "unknown protocol"},

@@ -6,6 +6,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -21,12 +22,10 @@ import (
 //   - FastFabric: a single trusted orderer keeps payloads to itself and
 //     sends only hashes through Raft.
 type Orderer struct {
-	c   *Cluster
-	idx int
-	ep  *simnet.Endpoint
-	ctx *simnet.Context
-
-	replica consensus.Replica
+	// Host is the replica transport (Idx, Ep, Ctx, Rep and the transport
+	// half of consensus.Host).
+	simhost.Host
+	c *Cluster
 
 	pendingEnvs []*Envelope
 	byHash      map[types.TxID]*Envelope
@@ -42,38 +41,24 @@ type Orderer struct {
 	vcOnce         bool
 }
 
-// Endpoint returns the orderer's simnet endpoint.
-func (o *Orderer) Endpoint() *simnet.Endpoint { return o.ep }
-
-// Replica exposes the hosted consensus replica.
-func (o *Orderer) Replica() consensus.Replica { return o.replica }
-
-func newOrderer(c *Cluster, idx int) *Orderer {
+func newOrderer(c *Cluster) *Orderer {
 	return &Orderer{
 		c:           c,
-		idx:         idx,
 		byHash:      make(map[types.TxID]*Envelope),
 		delivered:   make(map[uint64]*FabricBlock),
 		proposeTime: make(map[crypto.Digest]time.Duration),
 	}
 }
 
-func (o *Orderer) bind(ctx *simnet.Context, fn func()) {
-	prev := o.ctx
-	o.ctx = ctx
-	defer func() { o.ctx = prev }()
-	fn()
-}
-
 // OnStart implements simnet.Starter.
 func (o *Orderer) OnStart(ctx *simnet.Context) {
-	o.bind(ctx, func() { o.replica.Start() })
+	o.Bind(ctx, func() { o.Rep.Start() })
 }
 
 // OnRestart implements simnet.Restarter: the batch timer died with the
 // crash, so its guard flag must reset (the next submission re-arms it).
 func (o *Orderer) OnRestart(ctx *simnet.Context) {
-	o.bind(ctx, func() {
+	o.Bind(ctx, func() {
 		o.batchArmed = false
 		o.maybeBatch()
 	})
@@ -81,7 +66,7 @@ func (o *Orderer) OnRestart(ctx *simnet.Context) {
 
 // OnMessage implements simnet.Handler.
 func (o *Orderer) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
-	o.bind(ctx, func() {
+	o.Bind(ctx, func() {
 		switch m := msg.(type) {
 		case *SubmitEnvelopes:
 			o.onSubmit(m)
@@ -92,21 +77,19 @@ func (o *Orderer) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 		case *FabricBlockFetch:
 			o.onBlockFetch(from, m)
 		case consensus.Msg:
-			if idx, ok := o.c.ordIndex[from]; ok {
-				o.replica.Step(idx, m)
-			}
+			o.Receive(from, m)
 		}
 	})
 }
 
 func (o *Orderer) onSubmit(m *SubmitEnvelopes) {
-	if !o.replica.IsLeader() {
+	if !o.Rep.IsLeader() {
 		// Forward to the leader.
-		o.ctx.Send(o.c.Orderers[o.leaderIdx()].ep.ID(), m)
+		o.Ctx.Send(o.c.Orderers[o.c.LeaderIndex()].Ep.ID(), m)
 		return
 	}
 	for _, env := range m.Envs {
-		o.ctx.Elapse(o.c.Cfg.Costs.MACVerify)
+		o.Ctx.Elapse(o.c.Cfg.Costs.MACVerify)
 		id := env.Tx.ID()
 		if _, ok := o.byHash[id]; ok {
 			continue
@@ -120,22 +103,10 @@ func (o *Orderer) onSubmit(m *SubmitEnvelopes) {
 		if tr := o.c.Cfg.Tracer; tr != nil {
 			// The leader orderer accepting the envelope into its batch queue
 			// is Fabric's sequencing point.
-			tr.TxStage(id, trace.StageSequenced, int(o.ep.ID()), o.ctx.Now())
+			tr.TxStage(id, trace.StageSequenced, int(o.Ep.ID()), o.Ctx.Now())
 		}
 	}
 	o.maybeBatch()
-}
-
-func (o *Orderer) leaderIdx() int {
-	var hi uint64
-	leader := 0
-	for _, ord := range o.c.Orderers {
-		if v := ord.replica.View(); v >= hi {
-			hi = v
-			leader = ord.replica.Leader()
-		}
-	}
-	return leader
 }
 
 func (o *Orderer) maybeBatch() {
@@ -146,19 +117,17 @@ func (o *Orderer) maybeBatch() {
 	}
 	if len(o.pendingEnvs) > 0 && !o.batchArmed {
 		o.batchArmed = true
-		o.ctx.After(o.c.Cfg.BlockTimeout, func(c2 *simnet.Context) {
-			o.bind(c2, func() {
-				o.batchArmed = false
-				if o.replica.IsLeader() && len(o.pendingEnvs) > 0 {
-					batch := o.pendingEnvs
-					if len(batch) > o.c.Cfg.BlockSize {
-						batch = batch[:o.c.Cfg.BlockSize]
-					}
-					o.pendingEnvs = o.pendingEnvs[len(batch):]
-					o.proposeBatch(batch)
+		o.After(o.c.Cfg.BlockTimeout, func() {
+			o.batchArmed = false
+			if o.Rep.IsLeader() && len(o.pendingEnvs) > 0 {
+				batch := o.pendingEnvs
+				if len(batch) > o.c.Cfg.BlockSize {
+					batch = batch[:o.c.Cfg.BlockSize]
 				}
-				o.maybeBatch()
-			})
+				o.pendingEnvs = o.pendingEnvs[len(batch):]
+				o.proposeBatch(batch)
+			}
+			o.maybeBatch()
 		})
 	}
 }
@@ -174,62 +143,16 @@ func (o *Orderer) proposeBatch(envs []*Envelope) {
 	// HLF: disseminate payloads to the other consensus nodes so they can
 	// verify the proposal contents.
 	if o.c.Cfg.Variant == HLF {
-		share := &PayloadShare{Envs: envs}
-		for i, ord := range o.c.Orderers {
-			if i == o.idx {
-				continue
-			}
-			o.ctx.Send(ord.ep.ID(), share)
-		}
+		o.BroadcastCN(&PayloadShare{Envs: envs})
 	}
 	ordering := types.EncodeOrdering(seqs, hashes)
-	o.ctx.Elapse(o.c.Cfg.Costs.Hash(total) + o.c.Cfg.Costs.BlockOverhead)
+	o.Ctx.Elapse(o.c.Cfg.Costs.Hash(total) + o.c.Cfg.Costs.BlockOverhead)
 	v := consensus.Value{Digest: types.OrderingDigest(ordering), Data: ordering}
-	o.proposeTime[v.Digest] = o.ctx.Now()
-	o.replica.Propose(v)
+	o.proposeTime[v.Digest] = o.Ctx.Now()
+	o.Rep.Propose(v)
 }
 
-// --- consensus.Host ---------------------------------------------------------
-
-// Send implements consensus.Host.
-func (o *Orderer) Send(to int, m consensus.Msg) {
-	if to == o.idx {
-		o.replica.Step(o.idx, m)
-		return
-	}
-	o.ctx.Send(o.c.Orderers[to].ep.ID(), m)
-}
-
-// BroadcastCN implements consensus.Host.
-func (o *Orderer) BroadcastCN(m consensus.Msg) {
-	for i, ord := range o.c.Orderers {
-		if i != o.idx {
-			o.ctx.Send(ord.ep.ID(), m)
-		}
-	}
-}
-
-// After implements consensus.Host.
-func (o *Orderer) After(d time.Duration, fn func()) {
-	o.ctx.After(d, func(c2 *simnet.Context) { o.bind(c2, fn) })
-}
-
-// Elapse implements consensus.Host.
-func (o *Orderer) Elapse(d time.Duration) { o.ctx.Elapse(d) }
-
-// Sign implements consensus.Host.
-func (o *Orderer) Sign(data []byte) crypto.Signature {
-	sig, err := o.c.Scheme.Sign(ordererIdentity(o.idx), data)
-	if err != nil {
-		panic(err)
-	}
-	return sig
-}
-
-// VerifyNode implements consensus.Host.
-func (o *Orderer) VerifyNode(node int, data []byte, sig crypto.Signature) bool {
-	return o.c.Scheme.Verify(ordererIdentity(node), data, sig)
-}
+// --- consensus.Host: what decisions mean to an orderer (transport: simhost.Host) ---
 
 // ViewChangeMeta implements consensus.Host.
 func (o *Orderer) ViewChangeMeta() []byte { return nil }
@@ -237,19 +160,8 @@ func (o *Orderer) ViewChangeMeta() []byte { return nil }
 // ViewChanged implements consensus.Host.
 func (o *Orderer) ViewChanged(view uint64, leader int, metas [][]byte) {
 	o.vcOnce = false
-	if o.idx == 0 {
+	if o.Idx == 0 {
 		atomic.AddUint64(&o.c.Collector.ViewChanges, 1)
-	}
-}
-
-// RandInt implements consensus.Host.
-func (o *Orderer) RandInt(n int) int { return o.c.Sim.Rand().Intn(n) }
-
-// ConsensusPhase implements consensus.PhaseRecorder: ordering-service
-// protocol milestones land on the tracer's consensus track.
-func (o *Orderer) ConsensusPhase(phase string, view, seq uint64) {
-	if tr := o.c.Cfg.Tracer; tr != nil {
-		tr.Phase(phase, int(o.ep.ID()), view, seq, o.ctx.Now())
 	}
 }
 
@@ -267,7 +179,7 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 		hashes = nil
 	}
 	if at, ok := o.proposeTime[v.Digest]; ok {
-		o.c.Collector.Phase("consensus", o.ctx.Now()-at)
+		o.c.Collector.Phase("consensus", o.Ctx.Now()-at)
 		delete(o.proposeTime, v.Digest)
 	}
 	blk := &FabricBlock{Number: seq, Cert: cert}
@@ -284,7 +196,7 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 		// proposal triggers a view change (Table 4 S2).
 		if o.c.Cfg.Variant == HLF && checked < 8 {
 			checked++
-			o.ctx.Elapse(o.c.Cfg.Costs.SigVerify)
+			o.Ctx.Elapse(o.c.Cfg.Costs.SigVerify)
 			if !env.Tx.VerifySig(o.c.Scheme) {
 				invalid++
 			}
@@ -294,7 +206,7 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 	if invalid > 0 && !o.vcOnce {
 		o.vcOnce = true
 		atomic.AddUint64(&o.c.Collector.RejectedTxns, uint64(invalid))
-		o.replica.RequestViewChange()
+		o.Rep.RequestViewChange()
 	}
 	o.delivered[seq] = blk
 	for {
@@ -303,15 +215,15 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 			return
 		}
 		// Only the block's view leader disseminates to peers.
-		if o.c.policyLeader(b.Cert, o.replica) == o.idx {
+		if o.c.policyLeader(b.Cert, o.Rep) == o.Idx {
 			if tr := o.c.Cfg.Tracer; tr != nil {
 				for _, env := range b.Envs {
-					tr.TxStage(env.Tx.ID(), trace.StageAgreed, int(o.ep.ID()), o.ctx.Now())
+					tr.TxStage(env.Tx.ID(), trace.StageAgreed, int(o.Ep.ID()), o.Ctx.Now())
 				}
 			}
 			for _, org := range o.c.Peers {
 				for _, p := range org {
-					o.ctx.Send(p.ep.ID(), b)
+					o.Ctx.Send(p.ep.ID(), b)
 				}
 			}
 		}
@@ -335,7 +247,7 @@ func (o *Orderer) onBlockFetch(from simnet.NodeID, m *FabricBlockFetch) {
 	}
 	for n := m.From; n < to; n++ {
 		if b, ok := o.delivered[n]; ok {
-			o.ctx.Send(from, b)
+			o.Ctx.Send(from, b)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func newPeer(c *Cluster, org, idxInOrg int, seed int64) *Peer {
 	return &Peer{
 		c:         c,
 		org:       org,
-		orgName:   orgName(org),
+		orgName:   types.OrgName(org),
 		idxInOrg:  idxInOrg,
 		state:     ledger.NewState(),
 		blocks:    ledger.NewBlockStore(),
@@ -218,7 +218,7 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 		b.Seqs = append(b.Seqs, 0)
 	}
 	if err := p.blocks.Append(b); err != nil {
-		p.c.safetyViolation("peer block append: " + err.Error())
+		p.c.Violation("peer block append: " + err.Error())
 	}
 	p.c.Collector.Phase("validate", ctx.Now()-start)
 
@@ -228,7 +228,7 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	}
 	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
 	for _, cl := range clients {
-		if ep, ok := p.c.clientEps[cl]; ok {
+		if ep, ok := p.c.ClientEndpoint(cl); ok {
 			ctx.Send(ep, &CommitNote{Entries: notices[cl]})
 		}
 	}

@@ -109,7 +109,7 @@ func RunConformance(t *testing.T, factory Factory, opts ConformanceOptions) {
 				if i == oldLeader {
 					continue
 				}
-				n.withCtx(func() { n.replica.RequestViewChange() })
+				n.WithCtx(func() { n.Rep.RequestViewChange() })
 			}
 		})
 		c.Run(c.Sim.Now() + 500*time.Millisecond)
@@ -117,7 +117,7 @@ func RunConformance(t *testing.T, factory Factory, opts ConformanceOptions) {
 		var newLeader int
 		for i, n := range c.Nodes {
 			if i != oldLeader {
-				newLeader = n.replica.Leader()
+				newLeader = n.Rep.Leader()
 				break
 			}
 		}
@@ -155,7 +155,7 @@ func RunConformance(t *testing.T, factory Factory, opts ConformanceOptions) {
 			var out []string
 			for _, node := range c.Nodes {
 				for _, d := range node.Delivered {
-					out = append(out, fmt.Sprintf("%d:%d:%s:%v", node.idx, d.Seq, d.Val.Digest, d.At))
+					out = append(out, fmt.Sprintf("%d:%d:%s:%v", node.Idx, d.Seq, d.Val.Digest, d.At))
 				}
 			}
 			return out

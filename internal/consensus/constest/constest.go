@@ -14,6 +14,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/cost"
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -29,13 +30,11 @@ type Delivery struct {
 	At   time.Duration
 }
 
-// Node is one consensus node: endpoint handler + consensus.Host adapter.
+// Node is one consensus node: the shared simnet host transport plus a
+// recorder of everything the replica decides and announces.
 type Node struct {
-	cluster *Cluster
-	idx     int
-	ep      *simnet.Endpoint
-	ctx     *simnet.Context
-	replica consensus.Replica
+	simhost.Host
+	net *simnet.Network
 
 	Delivered []Delivery
 	bySeq     map[uint64]int // delivery count per seq, to catch duplicates
@@ -50,81 +49,27 @@ type Node struct {
 	DropOutgoing bool
 }
 
-// Replica returns the node's protocol instance.
-func (n *Node) Replica() consensus.Replica { return n.replica }
-
-// Endpoint returns the node's simnet endpoint.
-func (n *Node) Endpoint() *simnet.Endpoint { return n.ep }
-
 // OnMessage implements simnet.Handler.
 func (n *Node) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
-	prev := n.ctx
-	n.ctx = ctx
-	defer func() { n.ctx = prev }()
-	cm, ok := msg.(consensus.Msg)
-	if !ok {
-		return
+	if cm, ok := msg.(consensus.Msg); ok {
+		n.Bind(ctx, func() { n.Receive(from, cm) })
 	}
-	idx, ok := n.cluster.index[from]
-	if !ok {
-		return
-	}
-	n.replica.Step(idx, cm)
 }
 
-// --- consensus.Host ----------------------------------------------------
+// --- consensus.Host (transport: simhost.Host) ---------------------------
 
-// Send implements consensus.Host.
+// Send implements consensus.Host; a silenced node sends nothing.
 func (n *Node) Send(to int, m consensus.Msg) {
-	if n.DropOutgoing {
-		return
+	if !n.DropOutgoing {
+		n.Host.Send(to, m)
 	}
-	if to == n.idx {
-		// Loopback without the network.
-		n.replica.Step(n.idx, m)
-		return
-	}
-	n.ctx.Send(n.cluster.Nodes[to].ep.ID(), m)
 }
 
-// BroadcastCN implements consensus.Host.
+// BroadcastCN implements consensus.Host; a silenced node sends nothing.
 func (n *Node) BroadcastCN(m consensus.Msg) {
-	if n.DropOutgoing {
-		return
+	if !n.DropOutgoing {
+		n.Host.BroadcastCN(m)
 	}
-	for i, peer := range n.cluster.Nodes {
-		if i == n.idx {
-			continue
-		}
-		n.ctx.Send(peer.ep.ID(), m)
-	}
-}
-
-// After implements consensus.Host.
-func (n *Node) After(d time.Duration, fn func()) {
-	n.ctx.After(d, func(c *simnet.Context) {
-		prev := n.ctx
-		n.ctx = c
-		defer func() { n.ctx = prev }()
-		fn()
-	})
-}
-
-// Elapse implements consensus.Host.
-func (n *Node) Elapse(d time.Duration) { n.ctx.Elapse(d) }
-
-// Sign implements consensus.Host.
-func (n *Node) Sign(data []byte) crypto.Signature {
-	sig, err := n.cluster.Scheme.Sign(n.cluster.Identity(n.idx), data)
-	if err != nil {
-		panic(err)
-	}
-	return sig
-}
-
-// VerifyNode implements consensus.Host.
-func (n *Node) VerifyNode(node int, data []byte, sig crypto.Signature) bool {
-	return n.cluster.Scheme.Verify(n.cluster.Identity(node), data, sig)
 }
 
 // Proposed implements consensus.Host.
@@ -132,7 +77,7 @@ func (n *Node) Proposed(seq uint64, v consensus.Value) {}
 
 // Deliver implements consensus.Host.
 func (n *Node) Deliver(seq uint64, v consensus.Value, cert *types.Certificate) {
-	n.Delivered = append(n.Delivered, Delivery{Seq: seq, Val: v, Cert: cert, At: n.ctx.Now()})
+	n.Delivered = append(n.Delivered, Delivery{Seq: seq, Val: v, Cert: cert, At: n.Ctx.Now()})
 	n.bySeq[seq]++
 }
 
@@ -145,9 +90,6 @@ func (n *Node) ViewChanged(view uint64, leader int, metas [][]byte) {
 
 // ViewChangeMeta implements consensus.Host.
 func (n *Node) ViewChangeMeta() []byte { return n.Meta }
-
-// RandInt implements consensus.Host.
-func (n *Node) RandInt(m int) int { return n.cluster.Sim.Rand().Intn(m) }
 
 // DuplicateDeliveries returns seqs delivered more than once.
 func (n *Node) DuplicateDeliveries() []uint64 {
@@ -178,14 +120,15 @@ func (n *Node) DeliveredDigests() []crypto.Digest {
 	return out
 }
 
-// Cluster is an N-node consensus cluster over simnet.
+// Cluster is an N-node consensus cluster over simnet. The embedded group
+// carries Sim, Scheme and Identity (which names consensus node i in the
+// membership registry); the nodes read them through it, so a test may wrap
+// Scheme after construction.
 type Cluster struct {
-	Sim    *simnet.Sim
-	Net    *simnet.Network
-	Nodes  []*Node
-	Scheme crypto.Scheme
-	Cfg    consensus.Config
-	index  map[simnet.NodeID]int
+	simhost.Group
+	Net   *simnet.Network
+	Nodes []*Node
+	Cfg   consensus.Config
 }
 
 // Options tweak cluster construction.
@@ -214,33 +157,21 @@ func NewCluster(n, f int, factory Factory, opts Options) *Cluster {
 	sim := simnet.NewSim(opts.Seed)
 	net := simnet.NewNetwork(sim, topo)
 	scheme := crypto.NewHMACScheme([]byte("constest"))
-	cm := cost.Default()
-	c := &Cluster{Sim: sim, Net: net, Scheme: scheme, index: make(map[simnet.NodeID]int)}
-	base := consensus.Config{
-		N: n, F: f,
-		Policy:           opts.Policy,
-		ViewTimeout:      opts.ViewTimeout,
-		SigVerify:        cm.SigVerify,
-		SigSign:          cm.SigSign,
-		MACVerify:        cm.MACVerify,
-		MACCompute:       cm.MACCompute,
-		ThresholdSign:    cm.ThresholdSign,
-		ThresholdCombine: cm.ThresholdCombine,
-	}
-	c.Cfg = base
+	c := &Cluster{Net: net, Group: simhost.Group{Sim: sim, Scheme: scheme, Identity: func(i int) crypto.Identity {
+		return crypto.Identity(fmt.Sprintf("cn%d", i))
+	}}}
+	c.Cfg = simhost.Config(cost.Default(), n, f, opts.Policy, opts.ViewTimeout)
 	for i := 0; i < n; i++ {
-		node := &Node{cluster: c, idx: i, bySeq: make(map[uint64]int)}
-		node.ep = net.Register(fmt.Sprintf("cn%d", i), 0, node)
-		c.index[node.ep.ID()] = i
-		scheme.Register(c.Identity(i))
-		cfg := base
+		node := &Node{net: net, bySeq: make(map[uint64]int)}
+		c.Join(&node.Host, net.Register(fmt.Sprintf("cn%d", i), 0, node))
+		cfg := c.Cfg
 		cfg.Self = i
-		node.replica = factory(cfg, node)
+		node.Rep = factory(cfg, node)
 		c.Nodes = append(c.Nodes, node)
 	}
 	sim.At(0, func() {
 		for _, node := range c.Nodes {
-			node.withCtx(func() { node.replica.Start() })
+			node.WithCtx(func() { node.Rep.Start() })
 		}
 	})
 	return c
@@ -248,30 +179,18 @@ func NewCluster(n, f int, factory Factory, opts Options) *Cluster {
 
 // WithCtx gives the node a synthetic activation context for calls injected
 // from outside a handler (Propose, Start, forced view changes).
-func (n *Node) WithCtx(fn func()) { n.withCtx(fn) }
-
-// withCtx gives the node a synthetic activation context for calls injected
-// from the test (Propose, Start).
-func (n *Node) withCtx(fn func()) {
-	prev := n.ctx
-	n.ctx = simnet.NewInjectedContext(n.cluster.Net, n.ep)
-	defer func() { n.ctx = prev }()
-	fn()
-}
-
-// Identity names consensus node i in the membership registry.
-func (c *Cluster) Identity(i int) crypto.Identity {
-	return crypto.Identity(fmt.Sprintf("cn%d", i))
+func (n *Node) WithCtx(fn func()) {
+	n.Bind(simnet.NewInjectedContext(n.net, n.Ep), fn)
 }
 
 // LeaderIdx returns the current leader according to node 0.
-func (c *Cluster) LeaderIdx() int { return c.Nodes[0].replica.Leader() }
+func (c *Cluster) LeaderIdx() int { return c.Nodes[0].Rep.Leader() }
 
 // Propose schedules a proposal at the current leader at time d.
 func (c *Cluster) Propose(d time.Duration, v consensus.Value) {
 	c.Sim.At(d, func() {
 		leader := c.Nodes[c.LeaderIdx()]
-		leader.withCtx(func() { leader.replica.Propose(v) })
+		leader.WithCtx(func() { leader.Rep.Propose(v) })
 	})
 }
 
@@ -279,7 +198,7 @@ func (c *Cluster) Propose(d time.Duration, v consensus.Value) {
 func (c *Cluster) ProposeAt(node int, d time.Duration, v consensus.Value) {
 	c.Sim.At(d, func() {
 		nd := c.Nodes[node]
-		nd.withCtx(func() { nd.replica.Propose(v) })
+		nd.WithCtx(func() { nd.Rep.Propose(v) })
 	})
 }
 
@@ -292,8 +211,8 @@ func (c *Cluster) Run(t time.Duration) { c.Sim.RunUntil(t) }
 func (c *Cluster) SendAs(d time.Duration, from, to int, m consensus.Msg) {
 	c.Sim.At(d, func() {
 		src := c.Nodes[from]
-		ctx := simnet.NewInjectedContext(c.Net, src.ep)
-		ctx.Send(c.Nodes[to].ep.ID(), m)
+		ctx := simnet.NewInjectedContext(c.Net, src.Ep)
+		ctx.Send(c.Nodes[to].Ep.ID(), m)
 	})
 }
 
@@ -305,7 +224,7 @@ func (c *Cluster) RequestViewChangeAll(d time.Duration) {
 			if n.DropOutgoing {
 				continue
 			}
-			n.withCtx(func() { n.replica.RequestViewChange() })
+			n.WithCtx(func() { n.Rep.RequestViewChange() })
 		}
 	})
 }

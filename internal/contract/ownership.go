@@ -26,7 +26,7 @@ func SmallBankKeyOwner(numOrgs int) KeyOwnerFunc {
 		idx := strings.LastIndex(key, "acct-")
 		if idx >= 0 {
 			if i, err := strconv.Atoi(key[idx+len("acct-"):]); err == nil {
-				return "org" + strconv.Itoa(i%numOrgs)
+				return types.OrgName(i % numOrgs)
 			}
 		}
 		return tx.CorrespondingOrg()

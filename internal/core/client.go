@@ -49,7 +49,7 @@ func (cl *ClientNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 			delete(cl.pending, e.TxID)
 			if !cl.quiet {
 				cl.c.Collector.Committed(e.TxID, ctx.Now(), e.Aborted)
-				if tr := cl.c.tracer; tr != nil {
+				if tr := cl.c.Tracer; tr != nil {
 					tr.TxStage(e.TxID, trace.StageNotified, int(cl.ep.ID()), ctx.Now())
 				}
 			}
@@ -58,23 +58,24 @@ func (cl *ClientNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 			}
 		}
 	case *SubmitBatch:
-		// Self-delivered by Cluster.SubmitAt: sign-off and send onward.
-		cl.submit(ctx, m.Txns)
+		// A 2PC decision batch handed over by the sharded harness's
+		// coordinator hook: submit it like any other.
+		cl.Submit(ctx, m.Txns)
 	}
 }
 
-// submit records and forwards a batch to the current leader's sequencer.
-func (cl *ClientNode) submit(ctx *simnet.Context, txns []*types.Transaction) {
+// Submit records and forwards a batch to the current leader's sequencer.
+func (cl *ClientNode) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 	for _, tx := range txns {
 		cl.pending[tx.ID()] = tx
 		if !cl.quiet {
 			cl.c.Collector.Submitted(tx.ID(), ctx.Now())
-			if tr := cl.c.tracer; tr != nil {
+			if tr := cl.c.Tracer; tr != nil {
 				tr.TxStage(tx.ID(), trace.StageSubmit, int(cl.ep.ID()), ctx.Now())
 			}
 		}
 	}
-	leader := cl.c.leaderIdx()
+	leader := cl.c.LeaderIndex()
 	ctx.Send(cl.c.Sequencers[leader].ep.ID(), &SubmitBatch{Txns: txns})
 	cl.armRetry(ctx)
 }
@@ -97,7 +98,7 @@ func (cl *ClientNode) armRetry(ctx *simnet.Context) {
 		}
 		sortTxns(txns)
 		for _, cn := range cl.c.ConsNodes {
-			c2.Send(cn.ep.ID(), &RelayBatch{Txns: txns})
+			c2.Send(cn.Ep.ID(), &RelayBatch{Txns: txns})
 		}
 		cl.armRetry(c2)
 	})

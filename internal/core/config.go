@@ -14,18 +14,18 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/contract"
 	"github.com/bidl-framework/bidl/internal/cost"
-	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 )
 
-// Protocol names accepted by Config.Protocol.
+// Protocol names accepted by Config.Protocol: the BFT subset of what
+// substrate.NewReplica builds.
 const (
-	ProtoPBFT     = "bft-smart" // PBFT three-phase, the paper's default
-	ProtoHotStuff = "hotstuff"
-	ProtoZyzzyva  = "zyzzyva"
-	ProtoSBFT     = "sbft"
+	ProtoPBFT     = substrate.ProtoPBFT // PBFT three-phase, the paper's default
+	ProtoHotStuff = substrate.ProtoHotStuff
+	ProtoZyzzyva  = substrate.ProtoZyzzyva
+	ProtoSBFT     = substrate.ProtoSBFT
 )
 
 // Config parameterizes a BIDL cluster.
@@ -113,22 +113,6 @@ type Config struct {
 	// node/link telemetry for the whole cluster (see internal/trace). Nil
 	// disables tracing at zero cost.
 	Tracer *trace.Tracer
-
-	// Sharded-deployment injection (scenario.ShardedHarness, DESIGN.md §14).
-	// When Sim is non-nil the cluster joins an existing simulation instead
-	// of creating its own: Net, Scheme, and Collector must be set too, and
-	// partition/worker setup is skipped — the owner already configured the
-	// shared engine. Label namespaces this cluster's endpoint names and
-	// multicast groups so co-hosted clusters cannot hear each other, and
-	// OrgPartitionOffset shifts its organizations within the shared
-	// partition space so shards spread over all PDES partitions instead of
-	// piling onto the same ones. All five are zero for a standalone cluster.
-	Sim                *simnet.Sim
-	Net                *simnet.Network
-	Scheme             crypto.Scheme
-	Collector          *metrics.Collector
-	Label              string
-	OrgPartitionOffset int
 }
 
 // DefaultConfig mirrors the paper's evaluation setting A: four consensus

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
+	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -34,13 +34,11 @@ type deliveredBlock struct {
 // and disseminates agreed blocks, echoes PERSIST messages (Phase 4-2), and
 // shepherds the workflow (§4.5–§4.6).
 type ConsNode struct {
+	// Host is the replica transport: Idx, Ep, the current activation Ctx,
+	// the hosted replica Rep, and the transport half of consensus.Host.
+	simhost.Host
 	c   *Cluster
-	idx int
 	org int
-	ep  *simnet.Endpoint
-	ctx *simnet.Context
-
-	replica consensus.Replica
 
 	pool *txPool
 	// auth records the sequence assignments received from this node's own
@@ -101,46 +99,12 @@ type ConsNode struct {
 	watch map[types.TxID]bool
 }
 
-// Endpoint returns the node's simnet endpoint.
-func (n *ConsNode) Endpoint() *simnet.Endpoint { return n.ep }
-
-// Replica exposes the hosted consensus replica (tests and attacks).
-func (n *ConsNode) Replica() consensus.Replica { return n.replica }
-
-// DebugSuspects summarizes the suspect list (diagnostics).
-func (n *ConsNode) DebugSuspects() string {
-	out := ""
-	for c, set := range n.suspects {
-		out += fmt.Sprintf("%s:%d ", c, len(set))
-	}
-	return out
-}
-
-// DebugMalice returns local malice verdicts (diagnostics).
-func (n *ConsNode) DebugMalice() []crypto.Identity {
-	var out []crypto.Identity
-	for c := range n.maliceVotes {
-		out = append(out, c)
-	}
-	return out
-}
-
-// DebugHasPersist reports whether this node stored a persist record for seq.
-func (n *ConsNode) DebugHasPersist(seq uint64) bool {
-	_, ok := n.persisted[seq]
-	return ok
-}
-
-// ChainHeight returns the number of processed agreed blocks.
-func (n *ConsNode) ChainHeight() uint64 { return n.chainHeight }
-
 // Denylist returns the node's current denylist (test inspection).
 func (n *ConsNode) Denylist() map[crypto.Identity]bool { return n.denylist }
 
-func newConsNode(c *Cluster, idx, org int) *ConsNode {
+func newConsNode(c *Cluster, org int) *ConsNode {
 	return &ConsNode{
 		c:            c,
-		idx:          idx,
 		org:          org,
 		pool:         newTxPool(),
 		auth:         make(map[uint64]types.TxID),
@@ -164,9 +128,9 @@ func newConsNode(c *Cluster, idx, org int) *ConsNode {
 // sequencer, and every consensus node arms the chain-status ticker that
 // lets normal nodes recover lost block disseminations.
 func (n *ConsNode) OnStart(ctx *simnet.Context) {
-	n.bind(ctx, func() {
-		n.replica.Start()
-		if n.replica.IsLeader() {
+	n.Bind(ctx, func() {
+		n.Rep.Start()
+		if n.Rep.IsLeader() {
 			n.activateSequencer(0)
 		}
 		n.statusTick()
@@ -182,18 +146,18 @@ func (n *ConsNode) statusTick() {
 		return
 	}
 	n.statusArmed = true
-	n.host().After(2*n.c.Cfg.BlockTimeout, func() {
+	n.After(2*n.c.Cfg.BlockTimeout, func() {
 		n.statusArmed = false
-		if n.replica.IsLeader() && n.chainHeight > 0 {
-			n.ctx.Multicast(n.c.groupBlocks, &ChainStatus{Height: n.chainHeight})
+		if n.Rep.IsLeader() && n.chainHeight > 0 {
+			n.Ctx.Multicast(n.c.groupBlocks, &ChainStatus{Height: n.chainHeight})
 		}
 		// Re-assert the co-located sequencer's desired state: the
 		// activation handoff is just a message, and losing it (e.g. to a
 		// storm targeting the freshly elected leader) would otherwise
 		// leave the term without a working sequencer until the next view
 		// change. The sequencer treats repeats idempotently.
-		n.ctx.Send(n.c.Sequencers[n.idx].ep.ID(), &seqActivate{
-			Active: n.replica.IsLeader(), View: n.seqActView, StartSeq: n.seqActStart,
+		n.Ctx.Send(n.c.Sequencers[n.Idx].ep.ID(), &seqActivate{
+			Active: n.Rep.IsLeader(), View: n.seqActView, StartSeq: n.seqActStart,
 		})
 		n.statusTick()
 	})
@@ -206,7 +170,7 @@ func (n *ConsNode) statusTick() {
 // replica whose progress timer was lost cannot initiate view changes, which
 // is within the f-faulty budget the protocol already tolerates.
 func (n *ConsNode) OnRestart(ctx *simnet.Context) {
-	n.bind(ctx, func() {
+	n.Bind(ctx, func() {
 		n.timerArmed = false
 		n.persistArm = false
 		n.statusArmed = false
@@ -215,23 +179,15 @@ func (n *ConsNode) OnRestart(ctx *simnet.Context) {
 		if len(n.persistOut) > 0 {
 			n.flushPersist()
 		}
-		if n.replica.IsLeader() {
+		if n.Rep.IsLeader() {
 			n.maybePropose()
 		}
 	})
 }
 
-// bind makes ctx current for the duration of fn.
-func (n *ConsNode) bind(ctx *simnet.Context, fn func()) {
-	prev := n.ctx
-	n.ctx = ctx
-	defer func() { n.ctx = prev }()
-	fn()
-}
-
 // OnMessage implements simnet.Handler.
 func (n *ConsNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
-	n.bind(ctx, func() {
+	n.Bind(ctx, func() {
 		// Concrete BIDL messages first: consensus.Msg is satisfied by any
 		// sized message, so it must be the fallback case.
 		switch m := msg.(type) {
@@ -254,9 +210,7 @@ func (n *ConsNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet
 		case *BlockMsg:
 			n.onBlockMsg(m)
 		case consensus.Msg:
-			if idx, ok := n.c.cnIndex[from]; ok {
-				n.replica.Step(idx, m)
-			}
+			n.Receive(from, m)
 		}
 	})
 }
@@ -269,10 +223,10 @@ func (n *ConsNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet
 // so a racing broadcaster cannot poison the proposal itself — only other
 // nodes' speculation.
 func (n *ConsNode) onSeqBatchFrom(from simnet.NodeID, m *SeqBatch) {
-	authoritative := from == n.c.Sequencers[n.idx].ep.ID()
+	authoritative := from == n.c.Sequencers[n.Idx].ep.ID()
 	for _, st := range m.Txns {
 		// Replay check: one SHA-256 over the ~1KB payload.
-		n.ctx.Elapse(n.c.Cfg.Costs.Hash(st.Tx.Size()))
+		n.Ctx.Elapse(n.c.Cfg.Costs.Hash(st.Tx.Size()))
 		if n.denylist[st.Tx.Client] {
 			continue
 		}
@@ -302,7 +256,7 @@ func (n *ConsNode) onSeqBatchFrom(from simnet.NodeID, m *SeqBatch) {
 			continue
 		}
 	}
-	if n.replica.IsLeader() {
+	if n.Rep.IsLeader() {
 		n.maybePropose()
 	}
 }
@@ -335,9 +289,9 @@ func (n *ConsNode) maybePropose() {
 	if len(avail) > 0 && !n.timerArmed {
 		n.timerArmed = true
 		mark := n.watermark
-		n.host().After(n.c.Cfg.BlockTimeout, func() {
+		n.After(n.c.Cfg.BlockTimeout, func() {
 			n.timerArmed = false
-			if !n.replica.IsLeader() {
+			if !n.Rep.IsLeader() {
 				return
 			}
 			if n.watermark == mark {
@@ -378,70 +332,13 @@ func (n *ConsNode) propose(seqs []uint64, hashes []types.TxID) {
 		data = append(append([]byte{}, ordering...), make([]byte, total)...)
 	}
 	// Hash the proposal content.
-	n.ctx.Elapse(n.c.Cfg.Costs.Hash(len(data)) + n.c.Cfg.Costs.BlockOverhead)
+	n.Ctx.Elapse(n.c.Cfg.Costs.Hash(len(data)) + n.c.Cfg.Costs.BlockOverhead)
 	v := consensus.Value{Digest: types.OrderingDigest(ordering), Data: data}
-	n.proposeTime[v.Digest] = n.ctx.Now()
-	n.replica.Propose(v)
+	n.proposeTime[v.Digest] = n.Ctx.Now()
+	n.Rep.Propose(v)
 }
 
-// --- consensus.Host --------------------------------------------------------
-
-func (n *ConsNode) host() *ConsNode { return n }
-
-// Send implements consensus.Host.
-func (n *ConsNode) Send(to int, m consensus.Msg) {
-	if to == n.idx {
-		n.replica.Step(n.idx, m)
-		return
-	}
-	n.ctx.Send(n.c.ConsNodes[to].ep.ID(), m)
-}
-
-// BroadcastCN implements consensus.Host.
-func (n *ConsNode) BroadcastCN(m consensus.Msg) {
-	for i, peer := range n.c.ConsNodes {
-		if i == n.idx {
-			continue
-		}
-		n.ctx.Send(peer.ep.ID(), m)
-	}
-}
-
-// After implements consensus.Host.
-func (n *ConsNode) After(d time.Duration, fn func()) {
-	n.ctx.After(d, func(c2 *simnet.Context) {
-		n.bind(c2, fn)
-	})
-}
-
-// Elapse implements consensus.Host.
-func (n *ConsNode) Elapse(d time.Duration) { n.ctx.Elapse(d) }
-
-// Sign implements consensus.Host.
-func (n *ConsNode) Sign(data []byte) crypto.Signature {
-	sig, err := n.c.Scheme.Sign(cnIdentity(n.idx), data)
-	if err != nil {
-		panic(err)
-	}
-	return sig
-}
-
-// VerifyNode implements consensus.Host.
-func (n *ConsNode) VerifyNode(node int, data []byte, sig crypto.Signature) bool {
-	return n.c.Scheme.Verify(cnIdentity(node), data, sig)
-}
-
-// RandInt implements consensus.Host.
-func (n *ConsNode) RandInt(m int) int { return n.c.Sim.Rand().Intn(m) }
-
-// ConsensusPhase implements consensus.PhaseRecorder: protocol milestones
-// (pre-prepare, prepared, committed, QC formations, ...) land on the tracer's
-// consensus track.
-func (n *ConsNode) ConsensusPhase(phase string, view, seq uint64) {
-	if tr := n.c.tracer; tr != nil {
-		tr.Phase(phase, int(n.ep.ID()), view, seq, n.ctx.Now())
-	}
-}
+// --- consensus.Host: what decisions mean to BIDL (transport: simhost.Host) ---
 
 // Proposed implements consensus.Host: record the leader's proposal so
 // matching result vectors can persist without waiting for agreement.
@@ -455,7 +352,12 @@ func (n *ConsNode) Proposed(seq uint64, v consensus.Value) {
 			n.proposedHash[s] = hashes[i]
 		}
 	}
-	// Evaluate result vectors that were waiting for a proposal.
+	n.evaluateBuffered(seqs)
+}
+
+// evaluateBuffered evaluates the result vectors that were waiting for a
+// proposal or an agreement on one of seqs.
+func (n *ConsNode) evaluateBuffered(seqs []uint64) {
 	for _, s := range seqs {
 		if buf, ok := n.resultsBuf[s]; ok {
 			delete(n.resultsBuf, s)
@@ -477,10 +379,16 @@ func (n *ConsNode) Deliver(seq uint64, v consensus.Value, cert *types.Certificat
 		seqs, hashes = nil, nil
 	}
 	if at, ok := n.proposeTime[v.Digest]; ok {
-		n.c.Collector.Phase("consensus", n.ctx.Now()-at)
+		n.c.Collector.Phase("consensus", n.Ctx.Now()-at)
 		delete(n.proposeTime, v.Digest)
 	}
-	n.delivered[seq] = &deliveredBlock{seqs: seqs, hashes: hashes, cert: cert, at: n.ctx.Now()}
+	n.delivered[seq] = &deliveredBlock{seqs: seqs, hashes: hashes, cert: cert, at: n.Ctx.Now()}
+	n.drainDelivered()
+}
+
+// drainDelivered processes buffered decisions in chain order, as far as they
+// are contiguous.
+func (n *ConsNode) drainDelivered() {
 	for {
 		blk, ok := n.delivered[n.chainHeight]
 		if !ok {
@@ -517,7 +425,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 
 	invalid := 0
 	sampled := 0
-	currentView := blk.cert.View == n.replica.View()
+	currentView := blk.cert.View == n.Rep.View()
 	for i, s := range blk.seqs {
 		h := blk.hashes[i]
 		n.agreed[s] = h
@@ -549,7 +457,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		if cfg.SampleVerify > 0 && sampled < cfg.SampleVerify {
 			if tx, ok := n.pool.byID(h); ok {
 				sampled++
-				n.ctx.Elapse(cfg.Costs.SigVerify)
+				n.Ctx.Elapse(cfg.Costs.SigVerify)
 				if !tx.VerifySig(n.c.Scheme) {
 					invalid++
 				}
@@ -560,38 +468,30 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 	// Local hash-chained ledger copy.
 	b := &types.Block{Number: number, Prev: n.blocks.LastDigest(), Seqs: blk.seqs, Hashes: blk.hashes, Cert: blk.cert}
 	if err := n.blocks.Append(b); err == nil {
-		n.ctx.Elapse(cfg.Costs.BlockOverhead)
+		n.Ctx.Elapse(cfg.Costs.BlockOverhead)
 	}
 
 	// Leader disseminates the agreed hash-only block to all normal nodes
 	// (end of Phase 3: "assembles transactions into a block and delivers
 	// the block to normal nodes").
-	if leaderOfBlock == n.idx {
+	if leaderOfBlock == n.Idx {
 		// A single deterministic authority (the disseminating leader)
 		// records agreement for each ordered transaction.
-		if tr := n.c.tracer; tr != nil {
+		if tr := n.c.Tracer; tr != nil {
 			for _, h := range blk.hashes {
-				tr.TxStage(h, trace.StageAgreed, int(n.ep.ID()), n.ctx.Now())
+				tr.TxStage(h, trace.StageAgreed, int(n.Ep.ID()), n.Ctx.Now())
 			}
 		}
 		bm := &BlockMsg{Number: number, Ordering: types.EncodeOrdering(blk.seqs, blk.hashes), Cert: blk.cert}
 		bm.warmCaches()
 		if cfg.DisableMulticast {
-			n.ctx.MulticastUnicast(n.c.groupBlocks, bm)
+			n.Ctx.MulticastUnicast(n.c.groupBlocks, bm)
 		} else {
-			n.ctx.Multicast(n.c.groupBlocks, bm)
+			n.Ctx.Multicast(n.c.groupBlocks, bm)
 		}
 	}
 
-	// Evaluate any result vectors that arrived before agreement.
-	for _, s := range blk.seqs {
-		if buf, ok := n.resultsBuf[s]; ok {
-			delete(n.resultsBuf, s)
-			for i := range buf {
-				n.evaluateResult(&buf[i])
-			}
-		}
-	}
+	n.evaluateBuffered(blk.seqs)
 
 	// Shepherding (§4.5): invalid payloads from the leader, or a
 	// non-trivial conflict/mismatch rate, trigger a view change.
@@ -600,7 +500,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		n.requestViewChangeOnce()
 	}
 	if !cfg.DisableDenylist {
-		if n.replica.IsLeader() && n.viewConf > 0 {
+		if n.Rep.IsLeader() && n.viewConf > 0 {
 			// A correct leader proactively rotates on observing
 			// conflicts so the adversary cannot confine conflicts to
 			// chosen views (§4.6 mechanism 1).
@@ -620,7 +520,7 @@ func (n *ConsNode) requestViewChangeOnce() {
 		return
 	}
 	n.vcRequested = true
-	n.replica.RequestViewChange()
+	n.Rep.RequestViewChange()
 }
 
 // --- persist protocol (Phase 4-2, Algo 1 lines 16-18) ----------------------
@@ -631,7 +531,7 @@ func (n *ConsNode) onResults(m *ResultMsg) {
 		if h, ok := n.agreed[e.Seq]; ok {
 			if h == e.TxID {
 				n.evaluateResult(e)
-			} else if n.agreedView[e.Seq] == n.replica.View() {
+			} else if n.agreedView[e.Seq] == n.Rep.View() {
 				// Speculation on a conflicting transaction in the
 				// current view: feeds the shepherd's re-execution
 				// monitor. Stale votes from superseded sequencing
@@ -670,7 +570,7 @@ func (n *ConsNode) evaluateResult(e *ResultEntry) {
 	// charges the virtual cost; the real check runs once per shared vector.
 	for i := range e.Vector {
 		r := &e.Vector[i]
-		n.ctx.Elapse(n.c.Cfg.Costs.MACVerify + n.c.Cfg.Costs.Hash(writesSize(r.Writes)))
+		n.Ctx.Elapse(n.c.Cfg.Costs.MACVerify + n.c.Cfg.Costs.Hash(writesSize(r.Writes)))
 		if !m.parts[i].Check(0, func() bool { return n.partitionAuthentic(e, r) }) {
 			return
 		}
@@ -686,7 +586,7 @@ func (n *ConsNode) evaluateResult(e *ResultEntry) {
 	n.persistOut = append(n.persistOut, m.persist)
 	if !n.persistArm {
 		n.persistArm = true
-		n.host().After(n.c.Cfg.ResultFlushInterval, func() {
+		n.After(n.c.Cfg.ResultFlushInterval, func() {
 			n.persistArm = false
 			n.flushPersist()
 		})
@@ -734,13 +634,13 @@ func (n *ConsNode) flushPersist() {
 	}
 	entries := n.persistOut
 	n.persistOut = nil
-	n.ctx.Elapse(n.c.Cfg.Costs.MACCompute)
-	msg := &PersistMsg{Node: n.idx, Entries: entries}
+	n.Ctx.Elapse(n.c.Cfg.Costs.MACCompute)
+	msg := &PersistMsg{Node: n.Idx, Entries: entries}
 	msg.sign(n.Sign)
 	if n.c.Cfg.DisableMulticast {
-		n.ctx.MulticastUnicast(n.c.groupPersist, msg)
+		n.Ctx.MulticastUnicast(n.c.groupPersist, msg)
 	} else {
-		n.ctx.Multicast(n.c.groupPersist, msg)
+		n.Ctx.Multicast(n.c.groupPersist, msg)
 	}
 }
 
@@ -756,7 +656,7 @@ func (n *ConsNode) onFetch(from simnet.NodeID, m *FetchReq) {
 	}
 	atomic.AddUint64(&n.c.Collector.RetransmitReqs, 1)
 	if len(out) > 0 {
-		n.ctx.Send(from, &FetchResp{Txns: out})
+		n.Ctx.Send(from, &FetchResp{Txns: out})
 	}
 }
 
@@ -774,7 +674,7 @@ func (n *ConsNode) onBlockMsg(m *BlockMsg) {
 	if err != nil {
 		return
 	}
-	n.ctx.Elapse(n.c.Cfg.Costs.SigVerify + time.Duration(n.c.Cfg.quorum())*n.c.Cfg.Costs.MACVerify)
+	n.Ctx.Elapse(n.c.Cfg.Costs.SigVerify + time.Duration(n.c.Cfg.quorum())*n.c.Cfg.Costs.MACVerify)
 	// Zero-digest certificate over an empty ordering = null block (a new
 	// leader's sequence-hole filler); the quorum signed the zero digest
 	// directly, so the ordering-digest equation does not apply.
@@ -785,16 +685,8 @@ func (n *ConsNode) onBlockMsg(m *BlockMsg) {
 	if !m.Cert.Verify(n.c.Scheme, cnIdentity, n.c.Cfg.quorum()) {
 		return
 	}
-	n.delivered[m.Number] = &deliveredBlock{seqs: seqs, hashes: hashes, cert: m.Cert, at: n.ctx.Now()}
-	for {
-		blk, ok := n.delivered[n.chainHeight]
-		if !ok {
-			return
-		}
-		n.processBlock(n.chainHeight, blk)
-		delete(n.delivered, n.chainHeight)
-		n.chainHeight++
-	}
+	n.delivered[m.Number] = &deliveredBlock{seqs: seqs, hashes: hashes, cert: m.Cert, at: n.Ctx.Now()}
+	n.drainDelivered()
 }
 
 // onPeerChainStatus fetches agreed blocks this consensus node missed: a
@@ -816,10 +708,8 @@ func (n *ConsNode) onPeerChainStatus(from simnet.NodeID, m *ChainStatus) {
 		return
 	}
 	n.blockFetching = true
-	n.ctx.Send(from, &BlockFetchReq{From: n.chainHeight, To: m.Height})
-	n.ctx.After(2*n.c.Cfg.BlockTimeout, func(c2 *simnet.Context) {
-		n.bind(c2, func() { n.blockFetching = false })
-	})
+	n.Ctx.Send(from, &BlockFetchReq{From: n.chainHeight, To: m.Height})
+	n.After(2*n.c.Cfg.BlockTimeout, func() { n.blockFetching = false })
 }
 
 // onBlockFetch re-sends stored blocks a normal node missed.
@@ -837,7 +727,7 @@ func (n *ConsNode) onBlockFetch(from simnet.NodeID, m *BlockFetchReq) {
 		if b == nil {
 			continue
 		}
-		n.ctx.Send(from, &BlockMsg{
+		n.Ctx.Send(from, &BlockMsg{
 			Number:   num,
 			Ordering: types.EncodeOrdering(b.Seqs, b.Hashes),
 			Cert:     b.Cert,
@@ -857,10 +747,10 @@ func (n *ConsNode) onPersistFetch(from simnet.NodeID, m *PersistFetchReq) {
 	if len(entries) == 0 {
 		return
 	}
-	n.ctx.Elapse(n.c.Cfg.Costs.SigSign)
-	msg := &PersistMsg{Node: n.idx, Entries: entries}
+	n.Ctx.Elapse(n.c.Cfg.Costs.SigSign)
+	msg := &PersistMsg{Node: n.Idx, Entries: entries}
 	msg.sign(n.Sign)
-	n.ctx.Send(from, msg)
+	n.Ctx.Send(from, msg)
 }
 
 func (n *ConsNode) onFetchResp(m *FetchResp) {
@@ -883,15 +773,15 @@ func (n *ConsNode) onClientRelay(m *RelayBatch) {
 	if len(fresh) == 0 {
 		return
 	}
-	leader := n.c.leaderIdx()
-	n.ctx.Send(n.c.Sequencers[leader].ep.ID(), &RelayBatch{Txns: fresh})
+	leader := n.c.LeaderIndex()
+	n.Ctx.Send(n.c.Sequencers[leader].ep.ID(), &RelayBatch{Txns: fresh})
 	ids := make([]types.TxID, 0, len(fresh))
 	for _, tx := range fresh {
 		ids = append(ids, tx.ID())
 	}
-	view := n.replica.View()
-	n.host().After(n.c.Cfg.ClientTimeout, func() {
-		if n.replica.View() != view {
+	view := n.Rep.View()
+	n.After(n.c.Cfg.ClientTimeout, func() {
+		if n.Rep.View() != view {
 			// The watchdog indicts the leader it was armed against; a
 			// successor gets a fresh timeout (the client's retransmission
 			// loop re-arms against it). Without this check, watchdogs
@@ -968,7 +858,7 @@ func decodeMeta(meta []byte) []crypto.Identity {
 func (n *ConsNode) ViewChanged(view uint64, leader int, metas [][]byte) {
 	n.vcRequested = false
 	n.viewConf, n.viewMis, n.viewTotal = 0, 0, 0
-	if n.idx == 0 {
+	if n.Idx == 0 {
 		atomic.AddUint64(&n.c.Collector.ViewChanges, 1)
 	}
 
@@ -990,14 +880,14 @@ func (n *ConsNode) ViewChanged(view uint64, leader int, metas [][]byte) {
 		}
 		if len(newly) > 0 {
 			sort.Slice(newly, func(i, j int) bool { return newly[i] < newly[j] })
-			if n.idx == 0 {
+			if n.Idx == 0 {
 				atomic.AddUint64(&n.c.Collector.DeniedClients, uint64(len(newly)))
 			}
-			upd := &DenyUpdate{Node: n.idx, Clients: newly}
-			upd.Sig = n.Sign(denySigningBytes(n.idx, newly))
-			n.ctx.Multicast(n.c.groupPersist, upd)
+			upd := &DenyUpdate{Node: n.Idx, Clients: newly}
+			upd.Sig = n.Sign(denySigningBytes(n.Idx, newly))
+			n.Ctx.Multicast(n.c.groupPersist, upd)
 			if n.c.Cfg.DenyRejoin > 0 {
-				n.host().After(n.c.Cfg.DenyRejoin, func() {
+				n.After(n.c.Cfg.DenyRejoin, func() {
 					for _, c := range newly {
 						delete(n.denylist, c)
 						delete(n.maliceVotes, c)
@@ -1008,10 +898,10 @@ func (n *ConsNode) ViewChanged(view uint64, leader int, metas [][]byte) {
 		}
 	}
 
-	if leader == n.idx {
+	if leader == n.Idx {
 		n.activateSequencer(view)
 	} else {
-		n.ctx.Send(n.c.Sequencers[n.idx].ep.ID(), &seqActivate{Active: false})
+		n.Ctx.Send(n.c.Sequencers[n.Idx].ep.ID(), &seqActivate{Active: false})
 	}
 }
 
@@ -1026,7 +916,7 @@ func (n *ConsNode) activateSequencer(view uint64) {
 	n.watermark = start - 1
 	n.maxSeen = start - 1
 	n.seqActView, n.seqActStart = view, start
-	n.ctx.Send(n.c.Sequencers[n.idx].ep.ID(), &seqActivate{Active: true, View: view, StartSeq: start})
+	n.Ctx.Send(n.c.Sequencers[n.Idx].ep.ID(), &seqActivate{Active: true, View: view, StartSeq: start})
 	// Transactions stranded by the previous leadership term are NOT
 	// re-sequenced from the pool: the pool may hold crafted transactions,
 	// and re-sequencing them would amplify a broadcaster. Clients

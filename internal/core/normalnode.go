@@ -179,7 +179,7 @@ func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 	return &NormalNode{
 		c:         c,
 		org:       org,
-		orgName:   orgName(org),
+		orgName:   types.OrgName(org),
 		idxInOrg:  idxInOrg,
 		pool:      newTxPool(),
 		arrival:   make(map[uint64]time.Duration),
@@ -275,8 +275,8 @@ func (n *NormalNode) onSeqBatch(m *SeqBatch) {
 			// The corresponding org's delegate is the single deterministic
 			// authority for a transaction's delivered/executed/persisted
 			// stages, so traces stay identical across node counts.
-			if tr := n.c.tracer; tr != nil && n.isDelegate() &&
-				orgIndex(st.Tx.CorrespondingOrg()) == n.org {
+			if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
+				types.OrgIndex(st.Tx.CorrespondingOrg()) == n.org {
 				tr.TxStage(st.Tx.ID(), trace.StageDelivered, int(n.ep.ID()), n.ctx.Now())
 			}
 			if n.specInit && st.Seq < n.specNext {
@@ -377,7 +377,7 @@ func (n *NormalNode) structOK(tx *types.Transaction) bool {
 		return false
 	}
 	for _, o := range tx.Orgs {
-		idx := orgIndex(o)
+		idx := types.OrgIndex(o)
 		if idx < 0 || idx >= len(n.c.Orgs) {
 			return false
 		}
@@ -430,8 +430,8 @@ func (n *NormalNode) armGapTimer() {
 // executeSpec speculatively executes one related transaction and feeds the
 // result into the persist pipeline.
 func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction) {
-	if tr := n.c.tracer; tr != nil && n.isDelegate() &&
-		orgIndex(tx.CorrespondingOrg()) == n.org {
+	if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
+		types.OrgIndex(tx.CorrespondingOrg()) == n.org {
 		tr.TxStage(tx.ID(), trace.StageExecStart, int(n.ep.ID()), n.ctx.Now())
 	}
 	n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
@@ -449,8 +449,8 @@ func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction) {
 	}
 	n.spec[seq] = sr
 	atomic.AddUint64(&n.c.Collector.Speculated, 1)
-	if tr := n.c.tracer; tr != nil && n.isDelegate() &&
-		orgIndex(tx.CorrespondingOrg()) == n.org {
+	if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
+		types.OrgIndex(tx.CorrespondingOrg()) == n.org {
 		tr.TxStage(tx.ID(), trace.StageExecuted, int(n.ep.ID()), n.ctx.Now())
 	}
 	if at, ok := n.arrival[seq]; ok {
@@ -491,7 +491,7 @@ func (n *NormalNode) makeOrgResult(seq uint64, tx *types.Transaction, rw *ledger
 // routeOrgResult sends a signed partition to the corresponding org's
 // delegate (or feeds it locally when this org is o_c).
 func (n *NormalNode) routeOrgResult(seq uint64, tx *types.Transaction, res OrgResult) {
-	ocOrg := orgIndex(tx.CorrespondingOrg())
+	ocOrg := types.OrgIndex(tx.CorrespondingOrg())
 	if ocOrg == n.org {
 		n.feedVector(seq, tx, res)
 	} else {
@@ -658,7 +658,7 @@ func (n *NormalNode) flushResults() {
 		n.resultOut = nil
 		n.ctx.Elapse(n.c.Cfg.Costs.SigSign)
 		for _, cn := range n.c.ConsNodes {
-			n.ctx.Send(cn.ep.ID(), msg)
+			n.ctx.Send(cn.Ep.ID(), msg)
 		}
 	}
 }
@@ -667,7 +667,7 @@ func (n *NormalNode) flushResults() {
 // persisted (Algo 2 lines 15-18).
 func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 	n.c.Collector.Reg.Inc("nn.persist_msgs", 1)
-	cn, ok := n.c.cnIndex[from]
+	cn, ok := n.c.Cons.Index(from)
 	if !ok || cn != m.Node {
 		return
 	}
@@ -704,7 +704,7 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 				if vb, ok := n.vectors[e.TxID]; ok && vb.sent {
 					n.c.Collector.Phase("persist", n.ctx.Now()-vb.start)
 					delete(n.vectors, e.TxID)
-					if tr := n.c.tracer; tr != nil {
+					if tr := n.c.Tracer; tr != nil {
 						tr.TxStage(e.TxID, trace.StagePersisted, int(n.ep.ID()), n.ctx.Now())
 					}
 				}
@@ -786,7 +786,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		if !pb.fetching {
 			pb.fetching = true
 			target := n.c.ConsNodes[n.c.policy.Leader(pb.cert.View)]
-			n.ctx.Send(target.ep.ID(), &FetchReq{Hashes: missing})
+			n.ctx.Send(target.Ep.ID(), &FetchReq{Hashes: missing})
 			// Retry against other consensus nodes if the proposer is
 			// unresponsive.
 			n.ctx.After(4*n.c.Cfg.SeqFlushInterval+2*n.c.Cfg.Topology.IntraLatency, func(c2 *simnet.Context) {
@@ -925,13 +925,13 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		delete(n.arrival, seq)
 		delete(n.persist, seq)
 		// The corresponding org's delegate notifies the client.
-		if n.isDelegate() && tx != nil && orgIndex(tx.CorrespondingOrg()) == n.org {
+		if n.isDelegate() && tx != nil && types.OrgIndex(tx.CorrespondingOrg()) == n.org {
 			notices[tx.Client] = append(notices[tx.Client], CommitEntry{TxID: h, Aborted: aborted})
 		}
 	}
 	blk := &types.Block{Number: pb.number, Prev: n.blocks.LastDigest(), Seqs: pb.seqs, Hashes: pb.hashes, Cert: pb.cert}
 	if err := n.blocks.Append(blk); err != nil {
-		n.c.safetyViolation("block append: " + err.Error())
+		n.c.Violation("block append: " + err.Error())
 	}
 	n.c.Collector.Phase("commit", n.ctx.Now()-pb.arrived)
 
@@ -941,7 +941,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	}
 	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
 	for _, cl := range clients {
-		if ep, ok := n.c.clientEps[cl]; ok {
+		if ep, ok := n.c.ClientEndpoint(cl); ok {
 			n.ctx.Send(ep, &CommitNotice{Entries: notices[cl]})
 		}
 	}
@@ -1036,7 +1036,7 @@ func (n *NormalNode) armPersistRetry() {
 				atomic.AddUint64(&n.c.Collector.RetransmitReqs, 1)
 				n.flushResults()
 				for _, cn := range n.c.ConsNodes {
-					c2.Send(cn.ep.ID(), &PersistFetchReq{Seqs: stalled})
+					c2.Send(cn.Ep.ID(), &PersistFetchReq{Seqs: stalled})
 				}
 			} else {
 				n.processBlocks()

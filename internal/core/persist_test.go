@@ -31,7 +31,7 @@ func mkVector(t *testing.T, c *Cluster, seq uint64, tx *types.Transaction, val s
 
 // withCtx drives a consensus node method with an injected activation.
 func cnWithCtx(c *Cluster, cn *ConsNode, fn func()) {
-	cn.bind(simnet.NewInjectedContext(c.Net, cn.ep), fn)
+	cn.Bind(simnet.NewInjectedContext(c.Net, cn.Ep), fn)
 }
 
 func nnWithCtx(c *Cluster, nn *NormalNode, fn func()) {
@@ -104,7 +104,7 @@ func TestLemma52SplitVotesNeverPersist(t *testing.T) {
 		}
 		msg.Sig = sig
 		nnWithCtx(c, nn, func() {
-			nn.onPersist(c.ConsNodes[cnIdx].ep.ID(), msg)
+			nn.onPersist(c.ConsNodes[cnIdx].Ep.ID(), msg)
 		})
 	}
 
@@ -150,7 +150,7 @@ func TestPersistVoteDeduplication(t *testing.T) {
 	sig, _ := c.Scheme.Sign(cnIdentity(0), persistSigningBytes(0, msg.Entries))
 	msg.Sig = sig
 	for i := 0; i < 5; i++ {
-		nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].ep.ID(), msg) })
+		nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].Ep.ID(), msg) })
 	}
 	if ps := nn.persist[seq]; ps != nil && ps.persisted {
 		t.Fatal("one node's repeated votes reached quorum")
@@ -169,7 +169,7 @@ func TestPersistRejectsForgedCN(t *testing.T) {
 	nn := c.Orgs[0][0]
 	entry := PersistEntry{Seq: 9001, TxID: tx.ID(), Consistent: true}
 	msg := &PersistMsg{Node: 0, Entries: []PersistEntry{entry}, Sig: crypto.Signature("junk")}
-	nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].ep.ID(), msg) })
+	nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].Ep.ID(), msg) })
 	if nn.persist[9001] != nil {
 		t.Fatal("forged persist batch processed")
 	}
@@ -255,7 +255,7 @@ func TestPersistFanoutVerifiesOnce(t *testing.T) {
 		t.Fatalf("signing bytes: len %d, cap %d; the buffer must be sized exactly", len(msg.signing), cap(msg.signing))
 	}
 	signing := &msg.signing[0]
-	from := c.ConsNodes[0].ep.ID()
+	from := c.ConsNodes[0].Ep.ID()
 
 	for _, org := range c.Orgs {
 		for _, nn := range org {
@@ -288,7 +288,7 @@ func TestPersistFanoutVerifiesOnce(t *testing.T) {
 func TestPersistForgeryRejectedByEveryReceiver(t *testing.T) {
 	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
 	txns := gen.Batch(2)
-	from := c.ConsNodes[0].ep.ID()
+	from := c.ConsNodes[0].Ep.ID()
 	deliver := func(nn *NormalNode, m *PersistMsg) {
 		nnWithCtx(c, nn, func() { nn.onPersist(from, m) })
 	}
@@ -365,14 +365,14 @@ func TestResultVectorVerifiedOnce(t *testing.T) {
 			cn.evaluateResult(&forged)
 		})
 		if cn.persisted[seq+1] != nil {
-			t.Fatalf("consensus node %d stored a vector with a junk partition signature", cn.idx)
+			t.Fatalf("consensus node %d stored a vector with a junk partition signature", cn.Idx)
 		}
 		pe := cn.persisted[seq]
 		if pe == nil {
-			t.Fatalf("consensus node %d rejected the authentic vector", cn.idx)
+			t.Fatalf("consensus node %d rejected the authentic vector", cn.Idx)
 		}
 		if want := cold.derive().persist; pe.contentKey() != want.contentKey() || pe.VecDigest != want.VecDigest {
-			t.Fatalf("consensus node %d stored an echo that differs from the cold derivation", cn.idx)
+			t.Fatalf("consensus node %d stored an echo that differs from the cold derivation", cn.Idx)
 		}
 	}
 	if counter.verifies != 2 {

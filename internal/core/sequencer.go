@@ -89,7 +89,7 @@ func (s *SequencerNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg s
 func (s *SequencerNode) ingest(ctx *simnet.Context, txns []*types.Transaction) {
 	if !s.active {
 		// Forward to the current leader's sequencer.
-		leader := s.c.leaderIdx()
+		leader := s.c.LeaderIndex()
 		if leader == s.idx {
 			// We are about to become active; drop and let client
 			// retransmission handle it.
@@ -115,7 +115,7 @@ func (s *SequencerNode) ingest(ctx *simnet.Context, txns []*types.Transaction) {
 		}
 		s.pending = append(s.pending, types.SequencedTx{Seq: s.nextSeq, Tx: out})
 		s.nextSeq++
-		if tr := s.c.tracer; tr != nil {
+		if tr := s.c.Tracer; tr != nil {
 			tr.TxStage(out.ID(), trace.StageSequenced, int(s.ep.ID()), ctx.Now())
 		}
 		if len(s.pending) >= s.c.Cfg.SeqBatchMax {

@@ -13,9 +13,10 @@ import (
 )
 
 // Harness is the framework-agnostic cluster surface the scenario driver
-// runs against. Both core.Cluster (BIDL) and fabric.Cluster (the HLF /
-// FastFabric / StreamChain baselines) implement it; a new framework plugs
-// into every registry experiment and CLI by implementing this interface.
+// runs against. core.Cluster (BIDL), fabric.Cluster (the HLF / FastFabric /
+// StreamChain baselines) and ShardedHarness implement it, most of it through
+// the deployment substrate they embed; a new framework plugs into every
+// registry experiment and CLI by implementing this interface.
 type Harness interface {
 	// RegisterClients creates client endpoints for identities the workload
 	// generator has registered with the membership scheme.
@@ -35,8 +36,6 @@ type Harness interface {
 	InFlight() int
 	// Run advances the simulation to absolute virtual time t.
 	Run(t time.Duration)
-	// LeaderIndex reports the current consensus leader (for attacks).
-	LeaderIndex() int
 	// CheckSafety audits end-of-run ledger and state consistency.
 	CheckSafety() error
 	// Metrics returns the run's metrics collector.

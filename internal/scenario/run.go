@@ -63,8 +63,8 @@ func Run(s Scenario) (Result, error) { return RunWith(s, RunConfig{}) }
 
 // RunWith is Run with runtime knobs. It is the one shared driver behind
 // every registry experiment and every `bidl run` (whose deployment flags only
-// build a Scenario, and whose -scenario loads one): look up the spec's
-// compile target (see target.go), build that family's harness, register the
+// build a Scenario, and whose -scenario loads one): compile the spec to its
+// framework family's harness (see target.go), register the
 // workload's clients, prepopulate accounts, arm the fault schedule, schedule
 // the offered load, run past the window to drain, then summarize and
 // safety-check.
@@ -92,11 +92,7 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 		drain = 500 * time.Millisecond
 	}
 
-	target, ok := compileTargets[s.targetName()]
-	if !ok {
-		return Result{}, fmt.Errorf("scenario: no compile target registered for %q", s.targetName())
-	}
-	b := target(s, rc)
+	b := s.compile(rc)
 	h := b.harness
 
 	w := s.workloadConfig(b.orgs)

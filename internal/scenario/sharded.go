@@ -9,8 +9,8 @@ import (
 	"github.com/bidl-framework/bidl/internal/core"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -32,13 +32,11 @@ import (
 // are hub-partition endpoints, so a parallel run replays the exact serial
 // coordination order and sharded runs stay serial-vs-PDES byte-identical.
 type ShardedHarness struct {
-	sim       *simnet.Sim
-	net       *simnet.Network
-	scheme    crypto.Scheme
-	collector *metrics.Collector
-	tracer    *trace.Tracer
-	shards    []*core.Cluster
-	keyOwner  contract.KeyOwnerFunc
+	// Engine is the one simulation every shard is deployed on; it supplies
+	// At, Run, ForceSerial, Metrics, IdentityScheme and VirtualEvents.
+	*substrate.Engine
+	shards   []*core.Cluster
+	keyOwner contract.KeyOwnerFunc
 
 	// Per-shard 2PC coordinator clients.
 	xid    []crypto.Identity
@@ -94,42 +92,25 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		cfg.Shards = 1
 	}
 	base := cfg.Shard
-	sim := simnet.NewSim(base.Seed)
-	// One partition space across all shards: shard i's organizations map to
-	// ShardPartition(i*NumOrgs + o), so PDES parallelism scales with the
-	// total org count, not the per-shard count. All consensus nodes,
-	// sequencers, clients, and coordinators share hub partition 0.
-	sim.SetPartitions(simnet.PartitionCount(cfg.SimWorkers, cfg.Shards*base.NumOrgs))
-	sim.SetWorkers(cfg.SimWorkers)
-	net := simnet.NewNetwork(sim, base.Topology)
-	net.SetTracer(base.Tracer)
-	scheme := crypto.NewHMACScheme([]byte(fmt.Sprintf("bidl-%d", base.Seed)))
-	collector := metrics.NewCollector()
-
+	// One partition space across all shards: shard i's organizations sit at
+	// offset i*NumOrgs, so PDES parallelism scales with the total org count,
+	// not the per-shard count. All consensus nodes, sequencers, clients, and
+	// coordinators share hub partition 0.
 	h := &ShardedHarness{
-		sim:       sim,
-		net:       net,
-		scheme:    scheme,
-		collector: collector,
-		tracer:    base.Tracer,
-		keyOwner:  base.KeyOwner,
-		subs:      make(map[types.TxID]*xsubref),
+		Engine:   core.NewEngine(base, cfg.SimWorkers, cfg.Shards*base.NumOrgs),
+		keyOwner: base.KeyOwner,
+		subs:     make(map[types.TxID]*xsubref),
 	}
 	if h.keyOwner == nil {
 		h.keyOwner = contract.SmallBankKeyOwner(base.NumOrgs)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sc := base
-		sc.Sim = sim
-		sc.Net = net
-		sc.Scheme = scheme
-		sc.Collector = collector
-		sc.Label = "s" + strconv.Itoa(i) + "/"
-		sc.OrgPartitionOffset = i * base.NumOrgs
 		// Decorrelate per-shard node randomness and leader rotation; the
-		// shared scheme above keeps client keys identical across shards.
+		// shared scheme keeps client keys identical across shards.
 		sc.Seed = base.Seed + int64(i)*1_000_000_007
-		h.shards = append(h.shards, core.NewCluster(sc))
+		h.shards = append(h.shards,
+			core.NewClusterOn(h.Engine, "s"+strconv.Itoa(i)+"/", i*base.NumOrgs, sc))
 		h.xid = append(h.xid, crypto.Identity("xcoord-s"+strconv.Itoa(i)))
 		h.xnonce = append(h.xnonce, 0)
 	}
@@ -154,10 +135,8 @@ func (h *ShardedHarness) RegisterClients(ids []crypto.Identity) {
 		if len(h.xep) > i { // idempotent second call
 			continue
 		}
-		h.scheme.Register(h.xid[i])
-		s.RegisterClients([]crypto.Identity{h.xid[i]})
-		s.SetClientHook(h.xid[i], h.onCoordNotice)
-		h.xep = append(h.xep, s.ClientEndpoint(h.xid[i]))
+		h.Scheme.Register(h.xid[i])
+		h.xep = append(h.xep, s.RegisterCoordinator(h.xid[i], h.onCoordNotice))
 	}
 }
 
@@ -256,8 +235,8 @@ func (h *ShardedHarness) beginCross(at time.Duration, tx *types.Transaction, key
 
 	// The original transaction never reaches a sequencer; its lifecycle is
 	// the 2PC round, accounted here (submit) and in the hook (resolution).
-	h.collector.Submitted(rec.orig, at)
-	if tr := h.tracer; tr != nil {
+	h.Collector.Submitted(rec.orig, at)
+	if tr := h.Tracer; tr != nil {
 		tr.TxStage(rec.orig, trace.StageSubmit, int(h.xep[rec.debitShard]), at)
 	}
 	return rec, [2]*types.Transaction{prepD, prepC}
@@ -278,7 +257,7 @@ func (h *ShardedHarness) subTx(shard int, org, fn string, args ...string) *types
 		Orgs:     []string{org},
 	}
 	h.xnonce[shard]++
-	if err := tx.Sign(h.scheme); err != nil {
+	if err := tx.Sign(h.Scheme); err != nil {
 		panic(fmt.Sprintf("scenario: signing coordinator sub-txn: %v", err))
 	}
 	tx.Warm()
@@ -306,7 +285,7 @@ func (h *ShardedHarness) onCoordNotice(ctx *simnet.Context, e core.CommitEntry) 
 		}
 		rec.decided = true
 		rec.abort = rec.prepAborts > 0
-		if tr := h.tracer; tr != nil {
+		if tr := h.Tracer; tr != nil {
 			tr.TxStage(rec.orig, trace.StageXPrepared, int(h.xep[rec.debitShard]), ctx.Now())
 		}
 		d, c := rec.commitD, rec.commitC
@@ -331,15 +310,12 @@ func (h *ShardedHarness) onCoordNotice(ctx *simnet.Context, e core.CommitEntry) 
 	}
 	rec.done = true
 	h.open--
-	h.collector.Committed(rec.orig, ctx.Now(), rec.abort)
-	if tr := h.tracer; tr != nil {
+	h.Collector.Committed(rec.orig, ctx.Now(), rec.abort)
+	if tr := h.Tracer; tr != nil {
 		tr.TxStage(rec.orig, trace.StageXResolved, int(h.xep[rec.debitShard]), ctx.Now())
 		tr.TxStage(rec.orig, trace.StageNotified, int(h.xep[rec.debitShard]), ctx.Now())
 	}
 }
-
-// At implements Harness (closed-loop controllers; serial engine only).
-func (h *ShardedHarness) At(t time.Duration, fn func()) { h.sim.At(t, fn) }
 
 // InFlight implements Harness: per-shard pending transactions (which count
 // coordinator sub-transactions — a deliberate overcount that makes
@@ -352,16 +328,6 @@ func (h *ShardedHarness) InFlight() int {
 	}
 	return n
 }
-
-// Run implements Harness: one shared clock advances every shard.
-func (h *ShardedHarness) Run(t time.Duration) { h.sim.RunUntil(t) }
-
-// ForceSerial pins the shared engine to serial execution even when workers
-// were requested — the byte-identity reference for PDES determinism tests.
-func (h *ShardedHarness) ForceSerial(on bool) { h.sim.ForceSerial(on) }
-
-// LeaderIndex implements Harness (shard 0's consensus leader).
-func (h *ShardedHarness) LeaderIndex() int { return h.shards[0].LeaderIndex() }
 
 // CheckSafety implements Harness: every shard's own audit (prefix-consistent
 // ledgers, per-org state agreement) plus the cross-shard atomicity
@@ -388,15 +354,6 @@ func (h *ShardedHarness) CheckSafety() error {
 	}
 	return ledger.CheckConsistency("sharded", violations, nil, nil)
 }
-
-// Metrics implements Harness (the one collector all shards share).
-func (h *ShardedHarness) Metrics() *metrics.Collector { return h.collector }
-
-// IdentityScheme implements Harness (the one scheme all shards share).
-func (h *ShardedHarness) IdentityScheme() crypto.Scheme { return h.scheme }
-
-// VirtualEvents implements Harness (the shared engine's event count).
-func (h *ShardedHarness) VirtualEvents() uint64 { return h.sim.Events() }
 
 // LedgerDigests returns each shard's chained head-of-ledger digest — the
 // determinism fingerprint sharded smoke tests compare across engines.

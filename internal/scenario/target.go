@@ -26,47 +26,19 @@ type built struct {
 	armFaults func(gen *workload.Generator)
 }
 
-// compileTarget builds one framework family's harness from a validated,
-// defaults-resolved spec.
-type compileTarget func(s Scenario, rc RunConfig) built
-
-// The compile-target registry. RunWith stays framework-agnostic: a new
-// family (the sharded multi-channel deployment was the third) plugs in by
-// registering a target here instead of growing an if/else ladder in the
-// driver.
-const (
-	targetBIDL    = "bidl"
-	targetFabric  = "fabric"
-	targetSharded = "bidl-sharded"
-)
-
-var compileTargets = map[string]compileTarget{}
-
-func registerTarget(name string, t compileTarget) {
-	if _, dup := compileTargets[name]; dup {
-		panic("scenario: duplicate compile target " + name)
-	}
-	compileTargets[name] = t
-}
-
-func init() {
-	registerTarget(targetBIDL, buildBIDL)
-	registerTarget(targetFabric, buildFabric)
-	registerTarget(targetSharded, buildSharded)
-}
-
-// targetName selects the compile target for a defaults-resolved spec.
-// Sharding is a BIDL deployment shape, not a framework: `shards: 1` (or
-// absent) compiles through the ordinary single-channel target, which is what
-// keeps unsharded goldens byte-identical.
-func (s Scenario) targetName() string {
+// compile builds the harness of the spec's framework family from a
+// validated, defaults-resolved spec. Sharding is a BIDL deployment shape, not
+// a framework: `shards: 1` (or absent) compiles to the ordinary
+// single-channel cluster, which is what keeps unsharded goldens
+// byte-identical.
+func (s Scenario) compile(rc RunConfig) built {
 	switch {
 	case s.Framework != FrameworkBIDL:
-		return targetFabric
+		return buildFabric(s, rc)
 	case s.Shards > 1:
-		return targetSharded
+		return buildSharded(s, rc)
 	default:
-		return targetBIDL
+		return buildBIDL(s, rc)
 	}
 }
 
@@ -75,7 +47,7 @@ func buildBIDL(s Scenario, rc RunConfig) built {
 	cfg := s.bidlConfig()
 	cfg.Tracer = rc.Tracer
 	bc := core.NewCluster(cfg)
-	bc.Sim.ForceSerial(rc.ForceSerialSim)
+	bc.ForceSerial(rc.ForceSerialSim)
 	return built{
 		harness: bc,
 		orgs:    cfg.NumOrgs,
@@ -91,7 +63,7 @@ func buildFabric(s Scenario, rc RunConfig) built {
 	cfg := s.fabricConfig()
 	cfg.Tracer = rc.Tracer
 	fc := fabric.NewCluster(cfg)
-	fc.Sim.ForceSerial(rc.ForceSerialSim)
+	fc.ForceSerial(rc.ForceSerialSim)
 	return built{
 		harness: fc,
 		orgs:    cfg.NumOrgs,
@@ -108,9 +80,7 @@ func buildFabric(s Scenario, rc RunConfig) built {
 func buildSharded(s Scenario, rc RunConfig) built {
 	cfg := s.bidlConfig()
 	cfg.Tracer = rc.Tracer
-	workers := cfg.SimWorkers
-	cfg.SimWorkers = 0 // the harness drives the shared engine's workers
-	h := NewShardedHarness(ShardedConfig{Shards: s.Shards, Shard: cfg, SimWorkers: workers})
+	h := NewShardedHarness(ShardedConfig{Shards: s.Shards, Shard: cfg, SimWorkers: cfg.SimWorkers})
 	h.ForceSerial(rc.ForceSerialSim)
 	return built{
 		harness: h,
@@ -135,30 +105,20 @@ func installFaults(faults []chaos.Fault, env chaos.Env, seed int64) {
 }
 
 // bidlChaosEnv assembles the injector's cluster surface for a BIDL cluster
-// (standalone or one shard): endpoint rosters plus closures binding the
-// malicious-leader toggle and broadcaster attachment to the attack package.
+// (standalone or one shard): the substrate's endpoint rosters plus closures
+// binding the malicious-leader toggle and broadcaster attachment to the
+// attack package.
 func bidlChaosEnv(bc *core.Cluster, gen *workload.Generator) chaos.Env {
-	cons := make([]*simnet.Endpoint, len(bc.ConsNodes))
 	seqs := make([]*simnet.Endpoint, len(bc.Sequencers))
-	for i, cn := range bc.ConsNodes {
-		cons[i] = cn.Endpoint()
-	}
 	for i, sq := range bc.Sequencers {
 		seqs[i] = sq.Endpoint()
-	}
-	orgs := make([][]*simnet.Endpoint, len(bc.Orgs))
-	for i, org := range bc.Orgs {
-		orgs[i] = make([]*simnet.Endpoint, len(org))
-		for j, nn := range org {
-			orgs[i][j] = nn.Endpoint()
-		}
 	}
 	return chaos.Env{
 		Sim:         bc.Sim,
 		Net:         bc.Net,
-		Consensus:   cons,
+		Consensus:   bc.Cons.Members,
 		Sequencers:  seqs,
-		Orgs:        orgs,
+		Orgs:        bc.OrgEps,
 		LeaderIndex: bc.LeaderIndex,
 		SetLeaderEvil: func(on bool) {
 			if on {
@@ -195,22 +155,11 @@ func bidlChaosEnv(bc *core.Cluster, gen *workload.Generator) chaos.Env {
 // orderers play the consensus role, peers the org role, and there is no
 // sequencer multicast to race (broadcaster kinds are validated out).
 func fabricChaosEnv(fc *fabric.Cluster) chaos.Env {
-	cons := make([]*simnet.Endpoint, len(fc.Orderers))
-	for i, o := range fc.Orderers {
-		cons[i] = o.Endpoint()
-	}
-	orgs := make([][]*simnet.Endpoint, len(fc.Peers))
-	for i, org := range fc.Peers {
-		orgs[i] = make([]*simnet.Endpoint, len(org))
-		for j, p := range org {
-			orgs[i][j] = p.Endpoint()
-		}
-	}
 	return chaos.Env{
 		Sim:         fc.Sim,
 		Net:         fc.Net,
-		Consensus:   cons,
-		Orgs:        orgs,
+		Consensus:   fc.Cons.Members,
+		Orgs:        fc.OrgEps,
 		LeaderIndex: fc.LeaderIndex,
 		SetLeaderEvil: func(on bool) {
 			if on {

@@ -141,9 +141,6 @@ func (e *Endpoint) Restart() {
 	}
 }
 
-// QueueLen reports the inbox backlog (for monitoring/backpressure tests).
-func (e *Endpoint) QueueLen() int { return len(e.queue) - e.qHead }
-
 // netCounters is one partition's share of the network-wide traffic
 // accounting, padded so concurrent partitions never share a cache line.
 type netCounters struct {
@@ -232,10 +229,6 @@ func (n *Network) Sim() *Sim { return n.sim }
 // Topology returns the network's topology parameters.
 func (n *Network) Topology() Topology { return n.topo }
 
-// SetTopology replaces link parameters mid-simulation (used by experiments
-// that change loss or bandwidth on the fly).
-func (n *Network) SetTopology(t Topology) { n.topo = t }
-
 // SetTracer attaches (or, with nil, detaches) a telemetry tracer. Endpoints
 // already registered are named into the tracer, so attach order does not
 // matter.
@@ -247,9 +240,6 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 		}
 	}
 }
-
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 
 // TotalMessages reports how many messages have been accepted for delivery.
 func (n *Network) TotalMessages() uint64 {
@@ -322,9 +312,6 @@ func (n *Network) Endpoint(id NodeID) *Endpoint {
 	return n.endpoints[id]
 }
 
-// NumEndpoints returns the number of registered endpoints.
-func (n *Network) NumEndpoints() int { return len(n.endpoints) }
-
 // Join adds an endpoint to a named multicast group.
 func (n *Network) Join(group string, id NodeID) {
 	for _, m := range n.groups[group] {
@@ -365,7 +352,7 @@ func (n *Network) dropAt(dst *Endpoint, fromPart int, at time.Duration) {
 // send schedules msg from 'from' to 'to', departing at depart.
 // unicastSerialize indicates the sender pays NIC serialization for this copy
 // (true for unicast and for the single multicast emission).
-func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Duration, paySerialization bool) {
+func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Duration) {
 	dst := n.Endpoint(to)
 	if dst == nil {
 		panic(fmt.Sprintf("simnet: send to unknown endpoint %d", to))
@@ -379,7 +366,7 @@ func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Durat
 
 	// NIC egress serialization.
 	txDone := depart
-	if paySerialization && n.topo.NICBandwidth > 0 {
+	if n.topo.NICBandwidth > 0 {
 		start := depart
 		if from.egressFree > start {
 			start = from.egressFree
@@ -641,15 +628,6 @@ type Context struct {
 // start plus CPU time charged so far.
 func (c *Context) Now() time.Duration { return c.start + c.elapsed }
 
-// Self returns the endpoint's node ID.
-func (c *Context) Self() NodeID { return c.node.id }
-
-// Node returns the endpoint being activated.
-func (c *Context) Node() *Endpoint { return c.node }
-
-// Network returns the network.
-func (c *Context) Network() *Network { return c.net }
-
 // Rand exposes the deterministic randomness of the endpoint's partition
 // (partition 0's stream is the historical Sim.Rand stream).
 func (c *Context) Rand() *rand.Rand { return c.net.sim.partRng(c.node.part) }
@@ -665,13 +643,7 @@ func (c *Context) Elapse(d time.Duration) {
 
 // Send transmits msg to a single destination.
 func (c *Context) Send(to NodeID, msg Message) {
-	c.net.send(c.node, to, msg, c.Now(), true)
-}
-
-// SendWithoutSerialization transmits without charging NIC serialization;
-// used to model offloaded/line-rate devices such as the DPDK sequencer.
-func (c *Context) SendWithoutSerialization(to NodeID, msg Message) {
-	c.net.send(c.node, to, msg, c.Now(), false)
+	c.net.send(c.node, to, msg, c.Now())
 }
 
 // Multicast emits msg once to every member of a named group (IP multicast):
@@ -689,7 +661,7 @@ func (c *Context) MulticastUnicast(group string, msg Message) {
 		if t == c.node.id {
 			continue
 		}
-		c.net.send(c.node, t, msg, c.Now(), true)
+		c.net.send(c.node, t, msg, c.Now())
 	}
 }
 

@@ -5,6 +5,9 @@
 package types
 
 import (
+	"strconv"
+	"strings"
+
 	"github.com/bidl-framework/bidl/internal/crypto"
 )
 
@@ -195,6 +198,32 @@ func (t *Transaction) CorrespondingOrg() string {
 		return ""
 	}
 	return t.Orgs[0]
+}
+
+// OrgPrefix starts every organization name; OrgName and OrgIndex are the one
+// definition of the "org<i>" naming that Transaction.Orgs, the membership
+// registry, endpoint names and the fee-schedule keys all use.
+const OrgPrefix = "org"
+
+// OrgName returns organization i's name.
+func OrgName(i int) string { return OrgPrefix + strconv.Itoa(i) }
+
+// OrgIndex parses an organization name back to its index. It returns -1
+// unless name is exactly OrgName(i) for some 0 <= i < 10^9 (no sign, no
+// leading zeros), and allocates nothing.
+func OrgIndex(name string) int {
+	s, ok := strings.CutPrefix(name, OrgPrefix)
+	if !ok || s == "" || len(s) > 9 || (len(s) > 1 && s[0] == '0') {
+		return -1
+	}
+	i := 0
+	for _, c := range []byte(s) {
+		if c < '0' || c > '9' {
+			return -1
+		}
+		i = i*10 + int(c-'0')
+	}
+	return i
 }
 
 // RelatedTo reports whether org must execute this transaction (§4.3).

@@ -113,6 +113,22 @@ func TestRelatedOrgHelpers(t *testing.T) {
 	}
 }
 
+func TestOrgNameRoundTrip(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 96, 12345, 999999999} {
+		if got := OrgIndex(OrgName(i)); got != i {
+			t.Errorf("OrgIndex(OrgName(%d)) = %d", i, got)
+		}
+	}
+	for _, name := range []string{"", "org", "org-1", "org+1", "orgx", "organ3", "org3x", "org03", "Org3", "org1000000000"} {
+		if got := OrgIndex(name); got != -1 {
+			t.Errorf("OrgIndex(%q) = %d, want -1", name, got)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { OrgIndex("org42") }); allocs != 0 {
+		t.Errorf("OrgIndex allocates %v per call, want 0 (it sits on the result-dispatch path)", allocs)
+	}
+}
+
 func TestUnmarshalCorruptInputs(t *testing.T) {
 	tx := sampleTx()
 	buf := tx.Marshal()

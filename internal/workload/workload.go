@@ -166,7 +166,7 @@ func NewGenerator(cfg Config, scheme crypto.Scheme) *Generator {
 	}
 	g.orgNames = make([]string, cfg.NumOrgs)
 	for o := range g.orgNames {
-		g.orgNames[o] = Org(o)
+		g.orgNames[o] = types.OrgName(o)
 	}
 	n := cfg.Accounts
 	if n > maxNameCache {
@@ -192,9 +192,6 @@ func (g *Generator) Client(i int) crypto.Identity {
 	}
 	return g.clients[i]
 }
-
-// Org returns the organization name for index o.
-func Org(o int) string { return fmt.Sprintf("org%d", o) }
 
 // accountName renders the name of account i, serving low indices from the
 // bounded cache.
@@ -223,7 +220,7 @@ func (g *Generator) account(i int) (name, org string) {
 const (
 	baseChkPrefix = "sb:chk:acct-"
 	baseSavPrefix = "sb:sav:acct-"
-	baseFeePrefix = "stl:fee:org"
+	baseFeePrefix = "stl:fee:" + types.OrgPrefix
 )
 
 // parseSuffixIndex matches key against prefix + canonical decimal index in
@@ -386,7 +383,7 @@ func (g *Generator) NextFrom(ci int) *types.Transaction {
 		acct := fmt.Sprintf("nd-%d-%d", ci, g.nonces[client])
 		tx.Fn = "create_random"
 		tx.Args = [][]byte{[]byte(acct)}
-		tx.Orgs = []string{Org(g.rng.Intn(g.cfg.NumOrgs))}
+		tx.Orgs = []string{g.orgNames[g.rng.Intn(g.cfg.NumOrgs)]}
 	case g.cfg.SettlementRatio > 0 && g.rng.Float64() < g.cfg.SettlementRatio:
 		g.settlementStep(tx)
 	default:
