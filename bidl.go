@@ -51,6 +51,8 @@ type (
 	Generator = workload.Generator
 	// Collector accumulates throughput/latency/abort measurements.
 	Collector = metrics.Collector
+	// Summary holds a run's headline metrics (Collector.Summarize).
+	Summary = metrics.Summary
 	// Topology describes the simulated datacenter network.
 	Topology = simnet.Topology
 	// BenchOptions tunes experiment runs (Workers > 1 or < 0 enables the
@@ -98,9 +100,6 @@ type (
 	// FaultKind describes one fault-injection kind (name + summary) for
 	// CLI listings.
 	FaultKind = chaos.KindInfo
-	// Registry holds named counters and log2-bucket histograms; every
-	// Collector carries one as Collector.Reg.
-	Registry = metrics.Registry
 	// AnatomyReport is a critical-path latency decomposition computed from
 	// trace events (see DESIGN.md §12).
 	AnatomyReport = anatomy.Report
@@ -160,9 +159,6 @@ func MultiDCTopology(interDCBandwidth int64) Topology {
 // use.
 func GbpsBandwidth(gbps float64) int64 { return int64(gbps * float64(simnet.Gbps)) }
 
-// NewBaseline builds an HLF/FastFabric/StreamChain cluster.
-func NewBaseline(cfg BaselineConfig) *BaselineCluster { return fabric.NewCluster(cfg) }
-
 // DefaultBaselineConfig returns setting A for the given baseline variant.
 func DefaultBaselineConfig(v fabric.Variant) BaselineConfig { return fabric.DefaultConfig(v) }
 
@@ -211,146 +207,75 @@ func MeasureExperiment(id string, opts BenchOptions) (*BenchTable, BenchStats, e
 // end-to-end percentiles, consensus phase-transition timings, and the
 // speculative-execution overlap ratio. The inputs are a Tracer's TxEvents
 // and PhaseEvents — live from Tracer methods, or offline from a
-// -trace-jsonl file via ReadTraceJSONL (both yield byte-identical reports).
+// -trace-jsonl file via ValidateTraceJSONL (both yield byte-identical reports).
 func ComputeAnatomy(txEvents []trace.TxEvent, phaseEvents []trace.PhaseEvent, o AnatomyOptions) *AnatomyReport {
 	return anatomy.Compute(txEvents, phaseEvents, o)
 }
 
-// ReadTraceJSONL decodes a -trace-jsonl export, rejecting unknown fields
-// and malformed records (the schema is frozen; see DESIGN.md §12).
-func ReadTraceJSONL(r io.Reader) (*TraceJSONL, error) { return trace.ReadJSONL(r) }
-
-// ValidateTraceJSONL is ReadTraceJSONL plus semantic checks: per-transaction
-// stage timestamps must be non-negative and monotonically non-decreasing.
+// ValidateTraceJSONL decodes a -trace-jsonl export, rejecting unknown fields
+// and malformed records (the schema is frozen; see DESIGN.md §12), and checks
+// that per-transaction stage timestamps are non-negative and non-decreasing.
 func ValidateTraceJSONL(r io.Reader) (*TraceJSONL, error) { return trace.ValidateJSONL(r) }
 
-// BaselineSystem bundles a baseline (HLF/FastFabric/StreamChain) cluster
-// with a workload generator and registered clients.
-type BaselineSystem struct {
-	Cluster *BaselineCluster
+// System bundles a cluster with a workload generator and registered clients
+// — the convenient entry point for applications and examples. C is the
+// concrete cluster type, so framework-specific state (Cluster.Net, .Orgs,
+// .TotalCommitHeight()) stays reachable.
+type System[C Harness] struct {
+	Cluster C
 	Gen     *Generator
+}
+
+// BaselineSystem is a System over an HLF/FastFabric/StreamChain cluster.
+type BaselineSystem = System[*BaselineCluster]
+
+// NewSystem builds a BIDL cluster, registers the workload's clients, and
+// seeds every node's world state with the SmallBank accounts.
+func NewSystem(cfg Config, w WorkloadConfig) *System[*Cluster] {
+	return newSystem(core.NewCluster(cfg), cfg.NumOrgs, w)
 }
 
 // NewBaselineSystem builds a baseline cluster with clients and seeded state.
 func NewBaselineSystem(cfg BaselineConfig, w WorkloadConfig) *BaselineSystem {
-	c := fabric.NewCluster(cfg)
-	w.NumOrgs = cfg.NumOrgs
-	gen := workload.NewGenerator(w, c.Scheme)
+	return newSystem(fabric.NewCluster(cfg), cfg.NumOrgs, w)
+}
+
+func newSystem[C Harness](c C, numOrgs int, w WorkloadConfig) *System[C] {
+	w.NumOrgs = numOrgs
+	gen := workload.NewGenerator(w, c.IdentityScheme())
 	ids := make([]crypto.Identity, w.NumClients)
 	for i := range ids {
 		ids[i] = gen.Client(i)
 	}
 	c.RegisterClients(ids)
 	c.Prepopulate(gen.Prepopulate)
-	return &BaselineSystem{Cluster: c, Gen: gen}
+	return &System[C]{Cluster: c, Gen: gen}
 }
 
 // Submit schedules transactions for client submission at virtual time at.
-func (s *BaselineSystem) Submit(at time.Duration, txns ...*Transaction) {
-	s.Cluster.SubmitAt(at, txns...)
-}
-
-// SubmitRate schedules an offered load of rate txns/s over [0, window).
-// The total scheduled is exactly round(rate * window_seconds).
-func (s *BaselineSystem) SubmitRate(rate float64, window time.Duration) int {
-	return scenario.ScheduleTicks(rate, window, func(at time.Duration, n int) {
-		s.Cluster.SubmitAt(at, s.Gen.Batch(n)...)
-	})
-}
-
-// Run advances the simulation to absolute virtual time t.
-func (s *BaselineSystem) Run(t time.Duration) { s.Cluster.Run(t) }
-
-// Collector exposes the metrics collector.
-func (s *BaselineSystem) Collector() *Collector { return s.Cluster.Collector }
-
-// CheckSafety verifies ledgers and states across all peers.
-func (s *BaselineSystem) CheckSafety() error { return s.Cluster.CheckSafety() }
-
-// Summary computes headline metrics over [from, to).
-func (s *BaselineSystem) Summary(from, to time.Duration) Summary {
-	col := s.Cluster.Collector
-	return Summary{
-		Throughput:  col.EffectiveThroughput(from, to),
-		AvgLatency:  col.AvgLatency(from, to),
-		P99Latency:  col.PercentileLatency(0.99, from, to),
-		Committed:   col.NumCommitted(),
-		AbortRate:   col.AbortRate(),
-		SpecSuccess: col.SpecSuccessRate(),
-	}
-}
-
-// System bundles a BIDL cluster with a workload generator and registered
-// clients — the convenient entry point for applications and examples.
-type System struct {
-	Cluster *Cluster
-	Gen     *Generator
-}
-
-// NewSystem builds a cluster, registers the workload's clients, and seeds
-// every node's world state with the SmallBank accounts.
-func NewSystem(cfg Config, w WorkloadConfig) *System {
-	c := core.NewCluster(cfg)
-	w.NumOrgs = cfg.NumOrgs
-	gen := workload.NewGenerator(w, c.Scheme)
-	ids := make([]crypto.Identity, w.NumClients)
-	for i := range ids {
-		ids[i] = gen.Client(i)
-	}
-	c.RegisterClients(ids)
-	c.Prepopulate(gen.Prepopulate)
-	return &System{Cluster: c, Gen: gen}
-}
-
-// Submit schedules transactions for client submission at virtual time at.
-func (s *System) Submit(at time.Duration, txns ...*Transaction) {
+func (s *System[C]) Submit(at time.Duration, txns ...*Transaction) {
 	s.Cluster.SubmitAt(at, txns...)
 }
 
 // SubmitRate schedules an offered load of rate txns/s over [0, window),
 // returning the number of transactions scheduled — exactly
 // round(rate * window_seconds), free of float-accumulator drift.
-func (s *System) SubmitRate(rate float64, window time.Duration) int {
+func (s *System[C]) SubmitRate(rate float64, window time.Duration) int {
 	return scenario.ScheduleTicks(rate, window, func(at time.Duration, n int) {
 		s.Cluster.SubmitAt(at, s.Gen.Batch(n)...)
 	})
 }
 
 // Run advances the simulation to absolute virtual time t.
-func (s *System) Run(t time.Duration) { s.Cluster.Run(t) }
+func (s *System[C]) Run(t time.Duration) { s.Cluster.Run(t) }
 
 // Collector exposes the metrics collector.
-func (s *System) Collector() *Collector { return s.Cluster.Collector }
+func (s *System[C]) Collector() *Collector { return s.Cluster.Metrics() }
 
 // CheckSafety verifies ledgers and states across all correct nodes.
-func (s *System) CheckSafety() error { return s.Cluster.CheckSafety() }
+func (s *System[C]) CheckSafety() error { return s.Cluster.CheckSafety() }
 
-// Summary reports headline metrics for the window [from, to).
-type Summary struct {
-	Throughput  float64
-	AvgLatency  time.Duration
-	P99Latency  time.Duration
-	Committed   int
-	AbortRate   float64
-	SpecSuccess float64
-}
-
-// Summary computes headline metrics over [from, to).
-func (s *System) Summary(from, to time.Duration) Summary {
-	col := s.Cluster.Collector
-	return Summary{
-		Throughput:  col.EffectiveThroughput(from, to),
-		AvgLatency:  col.AvgLatency(from, to),
-		P99Latency:  col.PercentileLatency(0.99, from, to),
-		Committed:   col.NumCommitted(),
-		AbortRate:   col.AbortRate(),
-		SpecSuccess: col.SpecSuccessRate(),
-	}
-}
-
-// String renders the summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("throughput=%.0f txns/s avg_latency=%v p99=%v committed=%d abort_rate=%.2f%% spec_success=%.1f%%",
-		s.Throughput, s.AvgLatency.Round(10*time.Microsecond), s.P99Latency.Round(10*time.Microsecond),
-		s.Committed, s.AbortRate*100, s.SpecSuccess*100)
+// Summary computes headline metrics over the window [from, to).
+func (s *System[C]) Summary(from, to time.Duration) Summary {
+	return s.Cluster.Metrics().Summarize(from, to)
 }

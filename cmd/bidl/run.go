@@ -146,14 +146,9 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	type outcome struct {
-		err       error
-		submitted int
-		summary   bidl.Summary
-		counters  string
-		safetyErr error
-		timeline  []float64
-		tracer    *bidl.Tracer
-		reg       *bidl.Registry
+		err    error
+		res    bidl.ScenarioResult
+		tracer *bidl.Tracer
 	}
 	runSeed := func(seed int64) outcome {
 		sp := spec
@@ -163,30 +158,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			rc.Tracer = bidl.NewTracer(bidl.TraceOptions{})
 		}
 		res, err := bidl.RunScenarioWith(sp, rc)
-		if err != nil {
-			return outcome{err: err}
-		}
-		col := res.Collector
-		out := outcome{
-			submitted: res.Submitted,
-			summary: bidl.Summary{
-				Throughput:  res.Throughput,
-				AvgLatency:  res.AvgLatency,
-				P99Latency:  res.P99,
-				Committed:   col.NumCommitted(),
-				AbortRate:   res.AbortRate,
-				SpecSuccess: res.SpecSuccess,
-			},
-			counters: fmt.Sprintf("view_changes=%d conflicts=%d reexecuted=%d denied_clients=%d",
-				col.ViewChanges, col.Conflicts, col.Reexecuted, col.DeniedClients),
-			safetyErr: res.SafetyErr,
-			tracer:    rc.Tracer,
-			reg:       col.Reg,
-		}
-		if *timeline {
-			out.timeline = col.Timeline(100*time.Millisecond, total)
-		}
-		return out
+		return outcome{err: err, res: res, tracer: rc.Tracer}
 	}
 
 	// Fan the seeds out to a worker pool; results land in seed order.
@@ -224,19 +196,21 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		if *runs > 1 {
 			fmt.Fprintf(stdout, "--- seed %d ---\n", *sim.seed+int64(i))
 		}
-		fmt.Fprintf(stdout, "submitted %d transactions over %v at %.0f txns/s\n", out.submitted, window, spec.Load.Rate)
-		fmt.Fprintln(stdout, out.summary)
-		fmt.Fprintln(stdout, out.counters)
-		if out.safetyErr != nil {
-			fmt.Fprintln(stderr, "SAFETY VIOLATION:", out.safetyErr)
+		res, col := out.res, out.res.Collector
+		fmt.Fprintf(stdout, "submitted %d transactions over %v at %.0f txns/s\n", res.Submitted, window, spec.Load.Rate)
+		fmt.Fprintln(stdout, res.Summary)
+		fmt.Fprintf(stdout, "view_changes=%d conflicts=%d reexecuted=%d denied_clients=%d\n",
+			col.ViewChanges, col.Conflicts, col.Reexecuted, col.DeniedClients)
+		if res.SafetyErr != nil {
+			fmt.Fprintln(stderr, "SAFETY VIOLATION:", res.SafetyErr)
 			failed = true
 		} else {
 			fmt.Fprintln(stdout, "safety check: all correct nodes consistent")
 		}
-		sumTput += out.summary.Throughput
-		if out.timeline != nil {
+		sumTput += res.Throughput
+		if *timeline {
 			fmt.Fprintln(stdout, "\nthroughput timeline (100ms buckets):")
-			for i, v := range out.timeline {
+			for i, v := range col.Timeline(100*time.Millisecond, total) {
 				fmt.Fprintf(stdout, "  %5.1fs %8.0f txns/s\n", float64(i)*0.1, v)
 			}
 		}
@@ -267,10 +241,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		if *telemetry {
 			fmt.Fprintln(stdout)
 			tr.WriteSummary(stdout, bidl.TraceSummaryOptions{})
-			if reg := outcomes[0].reg; reg != nil {
-				fmt.Fprintln(stdout)
-				check(reg.WriteSummary(stdout))
-			}
+			fmt.Fprintln(stdout)
+			check(outcomes[0].res.Collector.WriteSummary(stdout))
 		}
 		if *anatomyOut != "" || *anatomyCSV != "" {
 			// Offline, `bidl report -scenario` recovers the same fault windows.

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
-	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -48,10 +48,7 @@ func (cl *Client) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 				continue
 			}
 			delete(cl.pending, e.TxID)
-			cl.c.Collector.Committed(e.TxID, ctx.Now(), e.Aborted)
-			if tr := cl.c.Cfg.Tracer; tr != nil {
-				tr.TxStage(e.TxID, trace.StageNotified, int(cl.ep.ID()), ctx.Now())
-			}
+			cl.c.Notified(e.TxID, cl.ep.ID(), ctx.Now(), e.Aborted)
 		}
 	}
 }
@@ -64,10 +61,7 @@ func (cl *Client) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 			continue
 		}
 		cl.pending[id] = &pendingTx{tx: tx, resps: make(map[string]*EndorseResp), start: ctx.Now()}
-		cl.c.Collector.Submitted(id, ctx.Now())
-		if tr := cl.c.Cfg.Tracer; tr != nil {
-			tr.TxStage(id, trace.StageSubmit, int(cl.ep.ID()), ctx.Now())
-		}
+		cl.c.Submitted(id, cl.ep.ID(), ctx.Now())
 		for _, org := range tx.Orgs {
 			o := types.OrgIndex(org)
 			if o < 0 || o >= len(cl.c.Peers) || len(cl.c.Peers[o]) == 0 {
@@ -90,7 +84,7 @@ func (cl *Client) onEndorse(ctx *simnet.Context, m *EndorseResp) {
 		// Endorsement failure: the transaction cannot proceed.
 		pt.submitted = true
 		delete(cl.pending, m.TxID)
-		cl.c.Collector.Committed(m.TxID, ctx.Now(), true)
+		cl.c.Notified(m.TxID, cl.ep.ID(), ctx.Now(), true)
 		return
 	}
 	pt.resps[m.Endorsement.Org] = m
@@ -111,7 +105,7 @@ func (cl *Client) onEndorse(ctx *simnet.Context, m *EndorseResp) {
 			pt.submitted = true
 			delete(cl.pending, m.TxID)
 			atomic.AddUint64(&cl.c.Collector.NondetAborts, 1)
-			cl.c.Collector.Committed(m.TxID, ctx.Now(), true)
+			cl.c.Notified(m.TxID, cl.ep.ID(), ctx.Now(), true)
 			return
 		}
 	}
@@ -125,6 +119,6 @@ func (cl *Client) onEndorse(ctx *simnet.Context, m *EndorseResp) {
 		env.Endorsements = append(env.Endorsements, pt.resps[o].Endorsement)
 	}
 	pt.submitted = true
-	cl.c.Collector.Phase("endorse", ctx.Now()-pt.start)
+	cl.c.Collector.Phase(metrics.PhaseEndorse, ctx.Now()-pt.start)
 	ctx.Send(cl.c.Orderers[cl.c.LeaderIndex()].Ep.ID(), &SubmitEnvelopes{Envs: []*Envelope{env}})
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
@@ -179,7 +180,7 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 		hashes = nil
 	}
 	if at, ok := o.proposeTime[v.Digest]; ok {
-		o.c.Collector.Phase("consensus", o.Ctx.Now()-at)
+		o.c.Collector.Phase(metrics.PhaseConsensus, o.Ctx.Now()-at)
 		delete(o.proposeTime, v.Digest)
 	}
 	blk := &FabricBlock{Number: seq, Cert: cert}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
+	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -220,7 +221,7 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	if err := p.blocks.Append(b); err != nil {
 		p.c.Violation("peer block append: " + err.Error())
 	}
-	p.c.Collector.Phase("validate", ctx.Now()-start)
+	p.c.Collector.Phase(metrics.PhaseValidate, ctx.Now()-start)
 
 	clients := make([]crypto.Identity, 0, len(notices))
 	for cl := range notices {

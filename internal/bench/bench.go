@@ -121,9 +121,6 @@ type Options struct {
 	TraceSink func(*trace.Tracer)
 }
 
-// DefaultOptions runs experiments at full scale, serially.
-func DefaultOptions() Options { return Options{Scale: 1.0, Seed: 1} }
-
 // logMu serializes progress lines from concurrent sweep workers.
 var logMu sync.Mutex
 

@@ -43,7 +43,7 @@ func TestChaosExperimentRegistered(t *testing.T) {
 	if !ok {
 		t.Fatal("chaos experiment not registered")
 	}
-	o := DefaultOptions()
+	o := Options{Scale: 1.0, Seed: 1}
 	specs := e.Scenarios(o)
 	if len(specs) != len(chaos.Catalog()) {
 		t.Fatalf("%d sweep points, want %d", len(specs), len(chaos.Catalog()))

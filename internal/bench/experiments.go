@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/scenario"
 )
 
@@ -255,9 +256,9 @@ func table2Table(o Options, res []Result) *Table {
 		Columns: []string{"orgs", "P1_endorse", "P2_consensus", "P3_validate", "end_to_end"},
 	}
 	for i, orgs := range fig6Orgs {
-		endorse := res[i].Collector.PhaseAvg("endorse")
-		cons := res[i].Collector.PhaseAvg("consensus")
-		validate := res[i].Collector.PhaseAvg("validate")
+		endorse := res[i].Collector.PhaseAvg(metrics.PhaseEndorse)
+		cons := res[i].Collector.PhaseAvg(metrics.PhaseConsensus)
+		validate := res[i].Collector.PhaseAvg(metrics.PhaseValidate)
 		t.AddRow(fmt.Sprintf("%d", orgs), ms(endorse), ms(cons), ms(validate), ms(endorse+cons+validate))
 	}
 	t.Notes = append(t.Notes,
@@ -284,10 +285,10 @@ func table3Table(o Options, res []Result) *Table {
 		Columns: []string{"orgs", "P1_consensus", "P2_ver_exec", "P3_persist", "P4_execution", "P5_commit", "end_to_end"},
 	}
 	for i, orgs := range fig6Orgs {
-		cons := res[i].Collector.PhaseAvg("consensus")
-		verexec := res[i].Collector.PhaseAvg("verexec")
-		persist := res[i].Collector.PhaseAvg("persist")
-		commit := res[i].Collector.PhaseAvg("commit")
+		cons := res[i].Collector.PhaseAvg(metrics.PhaseConsensus)
+		verexec := res[i].Collector.PhaseAvg(metrics.PhaseVerexec)
+		persist := res[i].Collector.PhaseAvg(metrics.PhasePersist)
+		commit := res[i].Collector.PhaseAvg(metrics.PhaseCommit)
 		exec := verexec + persist
 		e2e := cons
 		if exec > e2e {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/simnet"
-	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -48,10 +47,7 @@ func (cl *ClientNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg sim
 			}
 			delete(cl.pending, e.TxID)
 			if !cl.quiet {
-				cl.c.Collector.Committed(e.TxID, ctx.Now(), e.Aborted)
-				if tr := cl.c.Tracer; tr != nil {
-					tr.TxStage(e.TxID, trace.StageNotified, int(cl.ep.ID()), ctx.Now())
-				}
+				cl.c.Notified(e.TxID, cl.ep.ID(), ctx.Now(), e.Aborted)
 			}
 			if cl.hook != nil {
 				cl.hook(ctx, e)
@@ -69,10 +65,7 @@ func (cl *ClientNode) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 	for _, tx := range txns {
 		cl.pending[tx.ID()] = tx
 		if !cl.quiet {
-			cl.c.Collector.Submitted(tx.ID(), ctx.Now())
-			if tr := cl.c.Tracer; tr != nil {
-				tr.TxStage(tx.ID(), trace.StageSubmit, int(cl.ep.ID()), ctx.Now())
-			}
+			cl.c.Submitted(tx.ID(), cl.ep.ID(), ctx.Now())
 		}
 	}
 	leader := cl.c.LeaderIndex()

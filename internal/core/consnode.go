@@ -8,6 +8,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
+	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
@@ -379,7 +380,7 @@ func (n *ConsNode) Deliver(seq uint64, v consensus.Value, cert *types.Certificat
 		seqs, hashes = nil, nil
 	}
 	if at, ok := n.proposeTime[v.Digest]; ok {
-		n.c.Collector.Phase("consensus", n.Ctx.Now()-at)
+		n.c.Collector.Phase(metrics.PhaseConsensus, n.Ctx.Now()-at)
 		delete(n.proposeTime, v.Digest)
 	}
 	n.delivered[seq] = &deliveredBlock{seqs: seqs, hashes: hashes, cert: cert, at: n.Ctx.Now()}
@@ -627,8 +628,8 @@ func vectorApproved(tx *types.Transaction, vec []OrgResult) bool {
 }
 
 func (n *ConsNode) flushPersist() {
-	n.c.Collector.Reg.Inc("cn.persist_flushes", 1)
-	n.c.Collector.Reg.Inc("cn.persist_flush_entries", uint64(len(n.persistOut)))
+	atomic.AddUint64(&n.c.Collector.PersistFlushes, 1)
+	atomic.AddUint64(&n.c.Collector.PersistFlushEntries, uint64(len(n.persistOut)))
 	if len(n.persistOut) == 0 {
 		return
 	}

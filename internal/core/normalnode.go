@@ -10,6 +10,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/contract"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
+	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -454,7 +455,7 @@ func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction) {
 		tr.TxStage(tx.ID(), trace.StageExecuted, int(n.ep.ID()), n.ctx.Now())
 	}
 	if at, ok := n.arrival[seq]; ok {
-		n.c.Collector.Phase("verexec", n.ctx.Now()-at)
+		n.c.Collector.Phase(metrics.PhaseVerexec, n.ctx.Now()-at)
 		delete(n.arrival, seq)
 	}
 	if n.isDelegate() {
@@ -666,7 +667,7 @@ func (n *NormalNode) flushResults() {
 // onPersist counts PERSIST echoes; 2f+1 matching vectors mark the result
 // persisted (Algo 2 lines 15-18).
 func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
-	n.c.Collector.Reg.Inc("nn.persist_msgs", 1)
+	atomic.AddUint64(&n.c.Collector.PersistMsgs, 1)
 	cn, ok := n.c.Cons.Index(from)
 	if !ok || cn != m.Node {
 		return
@@ -677,7 +678,7 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 	// normal nodes on persist-echo verification.
 	n.ctx.Elapse(n.c.Cfg.Costs.MACVerify)
 	if !m.authentic(n.c.Scheme) {
-		n.c.Collector.Reg.Inc("nn.persist_badsig", 1)
+		atomic.AddUint64(&n.c.Collector.PersistBadSigs, 1)
 		return
 	}
 	progressed := false
@@ -702,7 +703,7 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 			progressed = true
 			if n.isDelegate() {
 				if vb, ok := n.vectors[e.TxID]; ok && vb.sent {
-					n.c.Collector.Phase("persist", n.ctx.Now()-vb.start)
+					n.c.Collector.Phase(metrics.PhasePersist, n.ctx.Now()-vb.start)
 					delete(n.vectors, e.TxID)
 					if tr := n.c.Tracer; tr != nil {
 						tr.TxStage(e.TxID, trace.StagePersisted, int(n.ep.ID()), n.ctx.Now())
@@ -933,7 +934,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	if err := n.blocks.Append(blk); err != nil {
 		n.c.Violation("block append: " + err.Error())
 	}
-	n.c.Collector.Phase("commit", n.ctx.Now()-pb.arrived)
+	n.c.Collector.Phase(metrics.PhaseCommit, n.ctx.Now()-pb.arrived)
 
 	clients := make([]crypto.Identity, 0, len(notices))
 	for cl := range notices {

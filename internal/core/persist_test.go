@@ -292,7 +292,7 @@ func TestPersistForgeryRejectedByEveryReceiver(t *testing.T) {
 	deliver := func(nn *NormalNode, m *PersistMsg) {
 		nnWithCtx(c, nn, func() { nn.onPersist(from, m) })
 	}
-	badsigs := func() uint64 { return c.Collector.Reg.Counter("nn.persist_badsig") }
+	badsigs := func() uint64 { return c.Collector.PersistBadSigs }
 
 	authentic := persistBatch(txns)
 	authentic.sign(c.ConsNodes[0].Sign)

@@ -71,8 +71,3 @@ func Default() Model {
 func (m Model) Hash(n int) time.Duration {
 	return time.Duration(float64(m.HashPerKB) * float64(n) / 1024)
 }
-
-// VerifyBatch returns the cost of verifying n signatures.
-func (m Model) VerifyBatch(n int) time.Duration {
-	return time.Duration(n) * m.SigVerify
-}

@@ -35,10 +35,3 @@ func TestHashScalesWithSize(t *testing.T) {
 		t.Fatal("hashing nothing should cost nothing")
 	}
 }
-
-func TestVerifyBatch(t *testing.T) {
-	m := Default()
-	if m.VerifyBatch(5) != 5*m.SigVerify {
-		t.Fatal("batch verify not linear")
-	}
-}

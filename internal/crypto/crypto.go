@@ -131,14 +131,6 @@ func (s *Ed25519Scheme) Known(id Identity) bool {
 	return ok
 }
 
-// PublicKey returns id's public key (nil if unregistered). Exposed for
-// membership-export tooling.
-func (s *Ed25519Scheme) PublicKey(id Identity) ed25519.PublicKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.pub[id]
-}
-
 // HMACScheme implements Scheme with HMAC-SHA256 tags. See the package
 // comment for the trust caveat: this is a simulation-only stand-in.
 //
@@ -206,20 +198,6 @@ func (s *HMACScheme) Known(id Identity) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.keys[id]
 	return ok
-}
-
-// MAC computes an HMAC-SHA256 tag over msg with the given pairwise key.
-// BIDL uses the hybrid MAC-signature mechanism for client transactions
-// (§4.1); pairwise session keys are modeled with this primitive.
-func MAC(key, msg []byte) Signature {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(msg)
-	return Signature(mac.Sum(nil))
-}
-
-// VerifyMAC reports whether tag is the HMAC of msg under key.
-func VerifyMAC(key, msg []byte, tag Signature) bool {
-	return hmac.Equal(MAC(key, msg), tag)
 }
 
 // Verdict memoises one signature check on a message object that many

@@ -128,20 +128,6 @@ func TestHashAllBoundaries(t *testing.T) {
 	}
 }
 
-func TestMACRoundTrip(t *testing.T) {
-	key := []byte("pairwise-key")
-	tag := MAC(key, []byte("payload"))
-	if !VerifyMAC(key, []byte("payload"), tag) {
-		t.Fatal("valid MAC rejected")
-	}
-	if VerifyMAC(key, []byte("payloaD"), tag) {
-		t.Fatal("tampered payload accepted")
-	}
-	if VerifyMAC([]byte("other-key"), []byte("payload"), tag) {
-		t.Fatal("wrong key accepted")
-	}
-}
-
 func TestPropertySignVerify(t *testing.T) {
 	for name, mk := range schemes() {
 		t.Run(name, func(t *testing.T) {

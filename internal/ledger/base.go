@@ -7,36 +7,20 @@ package ledger
 // tombstones) only ever touch the delta. A Base must never be mutated after
 // it is attached to a State — all constructors seal it by construction.
 //
-// Two flavors share the one type:
-//
-//   - a snapshot base interns an explicit key→value map (NewSnapshotBase),
-//     paying O(keys) once per cluster instead of once per node;
-//   - a functional base (NewFuncBase) describes its keyspace as a pure
-//     function — count, enumerator, lookup — and costs O(1) memory total,
-//     which is what lets a 10⁷-account workload run in near-constant space.
+// A base describes its keyspace as a pure function — count, enumerator,
+// lookup (NewFuncBase) — and costs O(1) memory total, which is what lets a
+// 10⁷-account workload run in near-constant space.
 //
 // Base entries carry Version{} (the prepopulation version), exactly like the
 // eager Prepopulate writes they replace, so MVCC validation observes
 // identical read versions either way.
 type Base struct {
-	// Snapshot flavor: interned entries. Values are shared across every
-	// state referencing the base; the ledger/contract stack never mutates a
-	// value slice in place (writes always allocate fresh values), so the
-	// sharing is safe.
-	data map[string][]byte
-
-	// Functional flavor: n keys enumerated by keyAt, resolved by lookup.
-	// lookup must return (value, true) exactly for the n keys keyAt yields
-	// and (nil, false) for every other string, and both must be pure.
+	// n keys enumerated by keyAt, resolved by lookup. lookup must return
+	// (value, true) exactly for the n keys keyAt yields and (nil, false) for
+	// every other string, and both must be pure.
 	n      int
 	keyAt  func(i int) string
 	lookup func(key string) ([]byte, bool)
-}
-
-// NewSnapshotBase interns an explicit key→value map as a shared base. The
-// map is owned by the base afterwards and must not be mutated by the caller.
-func NewSnapshotBase(entries map[string][]byte) *Base {
-	return &Base{data: entries}
 }
 
 // NewFuncBase builds a function-defined base over exactly n keys: keyAt
@@ -52,14 +36,7 @@ func NewFuncBase(n int, keyAt func(i int) string, lookup func(key string) ([]byt
 
 // Get resolves key against the base.
 func (b *Base) Get(key string) ([]byte, bool) {
-	if b == nil {
-		return nil, false
-	}
-	if b.data != nil {
-		v, ok := b.data[key]
-		return v, ok
-	}
-	if b.lookup == nil {
+	if b == nil || b.lookup == nil {
 		return nil, false
 	}
 	return b.lookup(key)
@@ -76,9 +53,6 @@ func (b *Base) Len() int {
 	if b == nil {
 		return 0
 	}
-	if b.data != nil {
-		return len(b.data)
-	}
 	return b.n
 }
 
@@ -86,12 +60,6 @@ func (b *Base) Len() int {
 // Enumeration order is unspecified; callers needing determinism sort.
 func (b *Base) forEach(fn func(key string, val []byte)) {
 	if b == nil {
-		return
-	}
-	if b.data != nil {
-		for k, v := range b.data {
-			fn(k, v)
-		}
 		return
 	}
 	for i := 0; i < b.n; i++ {

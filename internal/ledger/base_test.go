@@ -3,6 +3,7 @@ package ledger
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,8 +53,21 @@ func (r *flatReplay) check(t *testing.T, keys []string) {
 	}
 }
 
+// snapshotBase is a base over an explicit key→value map: a second way, next
+// to funcBase's arithmetic, of describing a relation as a pure function.
+func snapshotBase(entries map[string][]byte) *Base {
+	keys := make([]string, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return NewFuncBase(len(keys),
+		func(i int) string { return keys[i] },
+		func(key string) ([]byte, bool) { v, ok := entries[key]; return v, ok })
+}
+
 func snapBase() *Base {
-	return NewSnapshotBase(map[string][]byte{
+	return snapshotBase(map[string][]byte{
 		"a": []byte("1"), "b": []byte("2"), "c": []byte("3"),
 	})
 }
@@ -165,7 +179,7 @@ func TestSharedBaseEqualIsDeltaOnly(t *testing.T) {
 func TestDifferentBasesEqualBySemantics(t *testing.T) {
 	// A snapshot base and a functional base describing the same relation
 	// must compare equal, as must a based state and a flat state.
-	snap := NewSnapshotBase(map[string][]byte{"k0": []byte("v0"), "k1": []byte("v1")})
+	snap := snapshotBase(map[string][]byte{"k0": []byte("v0"), "k1": []byte("v1")})
 	fn := funcBase(2)
 	a, b := NewState(), NewState()
 	a.SetBase(snap)

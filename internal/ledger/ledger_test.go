@@ -53,23 +53,6 @@ func TestStateClone(t *testing.T) {
 	}
 }
 
-func TestVersionLess(t *testing.T) {
-	cases := []struct {
-		a, b Version
-		want bool
-	}{
-		{Version{1, 0}, Version{2, 0}, true},
-		{Version{2, 0}, Version{1, 5}, false},
-		{Version{1, 1}, Version{1, 2}, true},
-		{Version{1, 2}, Version{1, 2}, false},
-	}
-	for _, c := range cases {
-		if c.a.Less(c.b) != c.want {
-			t.Fatalf("Less(%v,%v) != %v", c.a, c.b, c.want)
-		}
-	}
-}
-
 func TestMVCCValidation(t *testing.T) {
 	s := NewState()
 	s.Put("acct", []byte("100"), Version{Block: 1, Tx: 0})

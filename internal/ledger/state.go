@@ -19,14 +19,6 @@ type Version struct {
 	Tx    int
 }
 
-// Less orders versions by block then transaction index.
-func (v Version) Less(o Version) bool {
-	if v.Block != o.Block {
-		return v.Block < o.Block
-	}
-	return v.Tx < o.Tx
-}
-
 type entry struct {
 	val []byte
 	ver Version

@@ -9,24 +9,52 @@ package metrics
 import (
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
-// Collector accumulates measurements. The transaction maps and latency
-// cache are touched only from client endpoints, which all execute in the
-// simulation's hub partition (one goroutine), so they need no locking. The
-// plain uint64 counters are incremented from node handlers that may execute
-// in concurrent partitions under the parallel engine: those sites use
-// atomic.AddUint64, which is commutative and therefore deterministic.
-type Collector struct {
-	submitted map[types.TxID]time.Duration
-	committed map[types.TxID]time.Duration
-	aborted   map[types.TxID]bool
+// Phase names one of the per-phase timers behind Tables 2 and 3.
+type Phase int
 
-	// Reg holds named counters and histogram-backed phase timings.
-	Reg *Registry
+// The phases, in the order the -telemetry block lists them (by name).
+const (
+	PhaseCommit    Phase = iota // BIDL: block arrival → committed (Phase 5)
+	PhaseConsensus              // proposal → decision at the leader
+	PhaseEndorse                // Fabric: submit → all endorsements in
+	PhasePersist                // BIDL: result vector → 2f+1 PERSIST echoes
+	PhaseValidate               // Fabric: block validation at a peer
+	PhaseVerexec                // BIDL: verify + speculative execution
+	numPhases
+)
+
+var phaseNames = [numPhases]string{
+	"phase.commit", "phase.consensus", "phase.endorse",
+	"phase.persist", "phase.validate", "phase.verexec",
+}
+
+// txRecord is one client transaction as the collector sees it: when it was
+// first submitted and, once done, when its first commit notice arrived.
+type txRecord struct {
+	submitted, committed time.Duration
+	done, aborted        bool
+}
+
+// Collector is a run's always-on, exact metrics store. The transaction
+// records and latency cache are touched only from client endpoints, which
+// all execute in the simulation's hub partition (one goroutine), so they
+// need no locking. The plain uint64 counters are incremented from node
+// handlers that may execute in concurrent partitions under the parallel
+// engine: those sites use atomic.AddUint64. The phase timers take phaseMu
+// for the same reason. Counter adds and histogram folds are commutative, so
+// a parallel run reports the same values as a serial one.
+type Collector struct {
+	txs                map[types.TxID]txRecord
+	committed, aborted int
+
+	phaseMu sync.Mutex
+	phases  [numPhases]Histogram
 
 	// latCache memoizes the sorted latency slice for the last queried
 	// window: Avg/P50/P99 over the same [from, to) would otherwise each
@@ -48,22 +76,24 @@ type Collector struct {
 	NondetAborts   uint64 // result-vector mismatches (non-determinism)
 	RejectedTxns   uint64 // malformed/invalid submissions dropped
 	RetransmitReqs uint64 // payload fetches due to loss
+
+	// PERSIST echo traffic (Algo 2 lines 15-18), printed by WriteSummary.
+	PersistFlushes      uint64 // PERSIST batches flushed by consensus nodes
+	PersistFlushEntries uint64 // entries in those batches
+	PersistMsgs         uint64 // PERSIST messages received by normal nodes
+	PersistBadSigs      uint64 // of those, dropped for a bad signature
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		submitted: make(map[types.TxID]time.Duration),
-		committed: make(map[types.TxID]time.Duration),
-		aborted:   make(map[types.TxID]bool),
-		Reg:       NewRegistry(),
-	}
+	return &Collector{txs: make(map[types.TxID]txRecord)}
 }
 
-// Submitted records that tx was handed to the framework at time at.
+// Submitted records that tx was handed to the framework at time at; a
+// retransmission keeps the first time.
 func (c *Collector) Submitted(id types.TxID, at time.Duration) {
-	if _, ok := c.submitted[id]; !ok {
-		c.submitted[id] = at
+	if _, ok := c.txs[id]; !ok {
+		c.txs[id] = txRecord{submitted: at}
 	}
 }
 
@@ -73,57 +103,53 @@ func (c *Collector) Submitted(id types.TxID, at time.Duration) {
 // own traffic) are ignored: effective throughput counts client
 // transactions (§6.2).
 func (c *Collector) Committed(id types.TxID, at time.Duration, aborted bool) {
-	if _, ok := c.submitted[id]; !ok {
+	r, ok := c.txs[id]
+	if !ok || r.done {
 		return
 	}
-	if _, ok := c.committed[id]; ok {
-		return
-	}
-	c.committed[id] = at
+	r.committed, r.done, r.aborted = at, true, aborted
+	c.txs[id] = r
+	c.committed++
 	if aborted {
-		c.aborted[id] = true
+		c.aborted++
 	}
 	c.latCacheValid = false
 }
 
 // IsCommitted reports whether id has a recorded commit.
-func (c *Collector) IsCommitted(id types.TxID) bool {
-	_, ok := c.committed[id]
-	return ok
+func (c *Collector) IsCommitted(id types.TxID) bool { return c.txs[id].done }
+
+// Phase accumulates one sample of a phase duration. Sums and counts are
+// exact, so PhaseAvg loses nothing to the histogram's log2 buckets.
+func (c *Collector) Phase(p Phase, d time.Duration) {
+	c.phaseMu.Lock()
+	c.phases[p].Observe(d)
+	c.phaseMu.Unlock()
 }
 
-// Phase accumulates one sample of a named phase duration into the registry
-// (histogram "phase.<name>"). Sums and counts are exact, so PhaseAvg matches
-// the old ad-hoc accumulator to the nanosecond.
-func (c *Collector) Phase(name string, d time.Duration) {
-	c.Reg.Observe("phase."+name, d)
-}
-
-// PhaseAvg returns the mean duration of a named phase.
-func (c *Collector) PhaseAvg(name string) time.Duration {
-	h := c.Reg.Histogram("phase." + name)
-	if h == nil {
-		return 0
-	}
-	return h.Avg()
+// PhaseAvg returns the mean duration of a phase (0 if never observed).
+func (c *Collector) PhaseAvg(p Phase) time.Duration {
+	c.phaseMu.Lock()
+	defer c.phaseMu.Unlock()
+	return c.phases[p].Avg()
 }
 
 // NumSubmitted returns the number of distinct submitted transactions.
-func (c *Collector) NumSubmitted() int { return len(c.submitted) }
+func (c *Collector) NumSubmitted() int { return len(c.txs) }
 
 // NumCommitted returns the number of distinct committed transactions
 // (including aborted ones).
-func (c *Collector) NumCommitted() int { return len(c.committed) }
+func (c *Collector) NumCommitted() int { return c.committed }
 
 // NumAborted returns the number of transactions committed as aborts.
-func (c *Collector) NumAborted() int { return len(c.aborted) }
+func (c *Collector) NumAborted() int { return c.aborted }
 
 // AbortRate returns aborted / committed.
 func (c *Collector) AbortRate() float64 {
-	if len(c.committed) == 0 {
+	if c.committed == 0 {
 		return 0
 	}
-	return float64(len(c.aborted)) / float64(len(c.committed))
+	return float64(c.aborted) / float64(c.committed)
 }
 
 // EffectiveThroughput returns valid (non-aborted) committed transactions per
@@ -133,8 +159,8 @@ func (c *Collector) EffectiveThroughput(from, to time.Duration) float64 {
 		return 0
 	}
 	n := 0
-	for id, at := range c.committed {
-		if at >= from && at < to && !c.aborted[id] {
+	for _, r := range c.txs {
+		if r.done && !r.aborted && r.committed >= from && r.committed < to {
 			n++
 		}
 	}
@@ -150,13 +176,10 @@ func (c *Collector) latencies(from, to time.Duration) []time.Duration {
 	}
 	ls := c.latCache[:0]
 	var sum time.Duration
-	for id, at := range c.committed {
-		if at < from || at >= to {
-			continue
-		}
-		if sub, ok := c.submitted[id]; ok {
-			ls = append(ls, at-sub)
-			sum += at - sub
+	for _, r := range c.txs {
+		if r.done && r.committed >= from && r.committed < to {
+			ls = append(ls, r.committed-r.submitted)
+			sum += r.committed - r.submitted
 		}
 	}
 	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
@@ -205,14 +228,14 @@ func (c *Collector) Timeline(width, horizon time.Duration) []float64 {
 		return nil
 	}
 	buckets := make([]float64, n)
-	for id, at := range c.committed {
-		if c.aborted[id] || at >= horizon {
+	for _, r := range c.txs {
+		if !r.done || r.aborted || r.committed >= horizon {
 			continue
 		}
 		// When horizon is not an integer multiple of width, commits in the
 		// partial tail window [n*width, horizon) have no full bucket; they
 		// are dropped rather than indexing past the slice.
-		if idx := int(at / width); idx < n {
+		if idx := int(r.committed / width); idx < n {
 			buckets[idx]++
 		}
 	}

@@ -135,13 +135,13 @@ func TestTimelineBuckets(t *testing.T) {
 
 func TestPhaseAveraging(t *testing.T) {
 	c := NewCollector()
-	c.Phase("consensus", 10*time.Millisecond)
-	c.Phase("consensus", 20*time.Millisecond)
-	if got := c.PhaseAvg("consensus"); got != 15*time.Millisecond {
+	c.Phase(PhaseConsensus, 10*time.Millisecond)
+	c.Phase(PhaseConsensus, 20*time.Millisecond)
+	if got := c.PhaseAvg(PhaseConsensus); got != 15*time.Millisecond {
 		t.Fatalf("avg %v", got)
 	}
-	if got := c.PhaseAvg("missing"); got != 0 {
-		t.Fatalf("missing phase avg %v", got)
+	if got := c.PhaseAvg(PhaseEndorse); got != 0 {
+		t.Fatalf("unobserved phase avg %v", got)
 	}
 }
 

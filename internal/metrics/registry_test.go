@@ -1,6 +1,10 @@
 package metrics
 
 import (
+	"bytes"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -124,6 +128,21 @@ func TestHistogramExactStats(t *testing.T) {
 	if q := h.Quantile(1.0); q != h.Max() {
 		t.Errorf("Quantile(1.0) = %v, want max %v", q, h.Max())
 	}
+
+	// Nearest rank is the ceil(p*n)-th smallest sample: a floored rank made
+	// p99 over ten samples the ninth, below the true quantile although
+	// Quantile promises an upper bound.
+	var tail Histogram
+	for i := 0; i < 9; i++ {
+		tail.Observe(time.Microsecond)
+	}
+	tail.Observe(time.Millisecond)
+	if q := tail.Quantile(0.99); q < time.Millisecond {
+		t.Errorf("Quantile(0.99) = %v, want >= 1ms (the 10th of 10 samples)", q)
+	}
+	if q := tail.Quantile(0.9); q >= time.Millisecond {
+		t.Errorf("Quantile(0.9) = %v, want the 9th sample's bucket (< 1ms)", q)
+	}
 }
 
 func TestHistogramZeroAndNegativeSamples(t *testing.T) {
@@ -139,48 +158,63 @@ func TestHistogramZeroAndNegativeSamples(t *testing.T) {
 	}
 }
 
+// PDES partitions write phases and counters concurrently: the folds are
+// commutative, so four goroutines must leave exactly the serial totals.
 func TestRegistryCountersAndHistograms(t *testing.T) {
-	r := NewRegistry()
-	if r.Counter("nope") != 0 {
-		t.Fatal("unknown counter nonzero")
+	const workers, per = 4, 1000
+	write := func(c *Collector, w int) {
+		for i := 0; i < per; i++ {
+			c.Phase(PhasePersist, time.Duration(w*per+i)*time.Microsecond)
+			c.Phase(PhaseVerexec, time.Millisecond)
+			atomic.AddUint64(&c.PersistMsgs, 1)
+			atomic.AddUint64(&c.PersistFlushEntries, uint64(w))
+		}
 	}
-	r.Inc("b.count", 2)
-	r.Inc("a.count", 1)
-	r.Inc("b.count", 3)
-	if r.Counter("b.count") != 5 || r.Counter("a.count") != 1 {
-		t.Fatalf("counters = %d/%d", r.Counter("b.count"), r.Counter("a.count"))
+	serial, parallel := NewCollector(), NewCollector()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		write(serial, w)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			write(parallel, w)
+		}(w)
 	}
-	names := r.CounterNames()
-	if len(names) != 2 || names[0] != "a.count" || names[1] != "b.count" {
-		t.Fatalf("CounterNames = %v, want sorted [a.count b.count]", names)
+	wg.Wait()
+	if parallel.PersistMsgs != workers*per || parallel.PersistFlushEntries != (0+1+2+3)*per {
+		t.Errorf("counters = %d/%d", parallel.PersistMsgs, parallel.PersistFlushEntries)
 	}
-
-	if r.Histogram("nope") != nil {
-		t.Fatal("unknown histogram non-nil")
+	if parallel.phases != serial.phases {
+		t.Errorf("phase histograms differ from the serial fold")
 	}
-	r.Observe("z.lat", 10*time.Millisecond)
-	r.Observe("y.lat", 20*time.Millisecond)
-	r.Observe("z.lat", 30*time.Millisecond)
-	if got := r.Histogram("z.lat").Avg(); got != 20*time.Millisecond {
-		t.Fatalf("z.lat avg = %v", got)
+	var a, b bytes.Buffer
+	if err := serial.WriteSummary(&a); err != nil {
+		t.Fatal(err)
 	}
-	hn := r.HistogramNames()
-	if len(hn) != 2 || hn[0] != "y.lat" || hn[1] != "z.lat" {
-		t.Fatalf("HistogramNames = %v, want sorted [y.lat z.lat]", hn)
+	if err := parallel.WriteSummary(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() || a.Len() == 0 {
+		t.Errorf("summaries differ:\n%s---\n%s", a.String(), b.String())
 	}
 }
 
-// The collector's phase tracking now rides on the registry; both views must
-// agree.
+// A phase sample shows up both in PhaseAvg (Tables 2-3) and in the
+// -telemetry block, under its name; an unobserved phase reads 0 and prints
+// no line.
 func TestCollectorPhaseRegistryIntegration(t *testing.T) {
 	c := NewCollector()
-	c.Phase("consensus", 10*time.Millisecond)
-	c.Phase("consensus", 30*time.Millisecond)
-	if got := c.PhaseAvg("consensus"); got != 20*time.Millisecond {
+	c.Phase(PhaseConsensus, 10*time.Millisecond)
+	c.Phase(PhaseConsensus, 30*time.Millisecond)
+	if got := c.PhaseAvg(PhaseConsensus); got != 20*time.Millisecond {
 		t.Fatalf("PhaseAvg = %v", got)
 	}
-	h := c.Reg.Histogram("phase.consensus")
-	if h == nil || h.Count() != 2 || h.Avg() != 20*time.Millisecond {
-		t.Fatalf("registry histogram = %+v", h)
+	var buf bytes.Buffer
+	if err := c.WriteSummary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "registry metrics:\n  hist     phase.consensus          n=2        mean=20ms       min=10ms       max=30ms "
+	if got := buf.String(); !strings.HasPrefix(got, want) || strings.Count(got, "\n") != 2 {
+		t.Errorf("summary = %q, want the header and one line starting %q", got, want)
 	}
 }

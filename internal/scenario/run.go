@@ -20,13 +20,9 @@ import (
 type Result struct {
 	// Submitted is the number of transactions scheduled onto the cluster.
 	Submitted int
-	// Throughput is effective committed txns/s inside the measurement
+	// Summary holds the headline numbers; its window is the measurement
 	// window [Warmup, Window).
-	Throughput  float64
-	AvgLatency  time.Duration
-	P50, P99    time.Duration
-	AbortRate   float64
-	SpecSuccess float64
+	metrics.Summary
 	// Events is the number of virtual events the run's simulator executed.
 	Events uint64
 	// Collector exposes the run's full metrics for custom tables.
@@ -125,16 +121,11 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 
 	col := h.Metrics()
 	res := Result{
-		Submitted:   submitted(),
-		Throughput:  col.EffectiveThroughput(warmup, window),
-		AvgLatency:  col.AvgLatency(warmup, window),
-		P50:         col.PercentileLatency(0.5, warmup, window),
-		P99:         col.PercentileLatency(0.99, warmup, window),
-		AbortRate:   col.AbortRate(),
-		SpecSuccess: col.SpecSuccessRate(),
-		Events:      h.VirtualEvents(),
-		Collector:   col,
-		SafetyErr:   h.CheckSafety(),
+		Submitted: submitted(),
+		Summary:   col.Summarize(warmup, window),
+		Events:    h.VirtualEvents(),
+		Collector: col,
+		SafetyErr: h.CheckSafety(),
 	}
 	if s.Anatomy && tracer != nil {
 		res.Anatomy = anatomy.Compute(tracer.TxEvents(), tracer.PhaseEvents(),

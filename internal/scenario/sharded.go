@@ -235,10 +235,7 @@ func (h *ShardedHarness) beginCross(at time.Duration, tx *types.Transaction, key
 
 	// The original transaction never reaches a sequencer; its lifecycle is
 	// the 2PC round, accounted here (submit) and in the hook (resolution).
-	h.Collector.Submitted(rec.orig, at)
-	if tr := h.Tracer; tr != nil {
-		tr.TxStage(rec.orig, trace.StageSubmit, int(h.xep[rec.debitShard]), at)
-	}
+	h.Submitted(rec.orig, h.xep[rec.debitShard], at)
 	return rec, [2]*types.Transaction{prepD, prepC}
 }
 
@@ -285,9 +282,7 @@ func (h *ShardedHarness) onCoordNotice(ctx *simnet.Context, e core.CommitEntry) 
 		}
 		rec.decided = true
 		rec.abort = rec.prepAborts > 0
-		if tr := h.Tracer; tr != nil {
-			tr.TxStage(rec.orig, trace.StageXPrepared, int(h.xep[rec.debitShard]), ctx.Now())
-		}
+		h.Tracer.TxStage(rec.orig, trace.StageXPrepared, int(h.xep[rec.debitShard]), ctx.Now())
 		d, c := rec.commitD, rec.commitC
 		if rec.abort {
 			d, c = rec.abortD, rec.abortC
@@ -310,11 +305,8 @@ func (h *ShardedHarness) onCoordNotice(ctx *simnet.Context, e core.CommitEntry) 
 	}
 	rec.done = true
 	h.open--
-	h.Collector.Committed(rec.orig, ctx.Now(), rec.abort)
-	if tr := h.Tracer; tr != nil {
-		tr.TxStage(rec.orig, trace.StageXResolved, int(h.xep[rec.debitShard]), ctx.Now())
-		tr.TxStage(rec.orig, trace.StageNotified, int(h.xep[rec.debitShard]), ctx.Now())
-	}
+	h.Tracer.TxStage(rec.orig, trace.StageXResolved, int(h.xep[rec.debitShard]), ctx.Now())
+	h.Notified(rec.orig, h.xep[rec.debitShard], ctx.Now(), rec.abort)
 }
 
 // InFlight implements Harness: per-shard pending transactions (which count

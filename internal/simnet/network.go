@@ -322,17 +322,6 @@ func (n *Network) Join(group string, id NodeID) {
 	n.groups[group] = append(n.groups[group], id)
 }
 
-// Leave removes an endpoint from a multicast group.
-func (n *Network) Leave(group string, id NodeID) {
-	ms := n.groups[group]
-	for i, m := range ms {
-		if m == id {
-			n.groups[group] = append(ms[:i:i], ms[i+1:]...)
-			return
-		}
-	}
-}
-
 // Group returns the members of a multicast group.
 func (n *Network) Group(group string) []NodeID { return n.groups[group] }
 
@@ -349,9 +338,8 @@ func (n *Network) dropAt(dst *Endpoint, fromPart int, at time.Duration) {
 	}
 }
 
-// send schedules msg from 'from' to 'to', departing at depart.
-// unicastSerialize indicates the sender pays NIC serialization for this copy
-// (true for unicast and for the single multicast emission).
+// send schedules one unicast copy of msg from 'from' to 'to', departing at
+// depart; the sender pays NIC egress serialization for it.
 func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Duration) {
 	dst := n.Endpoint(to)
 	if dst == nil {

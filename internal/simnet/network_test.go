@@ -387,8 +387,4 @@ func TestGroupJoinLeave(t *testing.T) {
 	if len(n.Group("g")) != 2 {
 		t.Fatalf("group size %d, want 2", len(n.Group("g")))
 	}
-	n.Leave("g", a.ID())
-	if g := n.Group("g"); len(g) != 1 || g[0] != b.ID() {
-		t.Fatalf("group after leave = %v, want [b]", g)
-	}
 }

@@ -88,6 +88,23 @@ func (e *Engine) IdentityScheme() crypto.Scheme { return e.Scheme }
 // VirtualEvents returns the number of discrete events executed so far.
 func (e *Engine) VirtualEvents() uint64 { return e.Sim.Events() }
 
+// Submitted records that the client at endpoint ep handed transaction id to
+// its framework at virtual time at. Submitted and Notified are the only
+// writers of a transaction's two ends — the collector's record and the
+// trace's submit/notified marks — so the two stores cannot disagree about
+// which transactions entered and left.
+func (e *Engine) Submitted(id types.TxID, ep simnet.NodeID, at time.Duration) {
+	e.Collector.Submitted(id, at)
+	e.Tracer.TxStage(id, trace.StageSubmit, int(ep), at)
+}
+
+// Notified records that the client at ep learned id's outcome at time at:
+// a commit notice, or an abort the client decided itself.
+func (e *Engine) Notified(id types.TxID, ep simnet.NodeID, at time.Duration, aborted bool) {
+	e.Collector.Committed(id, at, aborted)
+	e.Tracer.TxStage(id, trace.StageNotified, int(ep), at)
+}
+
 // Client is what the registry needs from a framework's client node.
 type Client interface {
 	simnet.Handler

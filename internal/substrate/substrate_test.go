@@ -2,12 +2,14 @@ package substrate
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -136,5 +138,31 @@ func TestPlacement(t *testing.T) {
 	}
 	if _, ok := d.Cons.Index(d.OrgEps[0][0].ID()); ok {
 		t.Fatal("an organization node is a consensus member")
+	}
+}
+
+// Submitted/Notified write a transaction's two ends into both stores, and
+// into the collector alone when tracing is off.
+func TestSubmittedNotifiedWriteBothStores(t *testing.T) {
+	id := crypto.Hash([]byte("tx"))
+	for _, tr := range []*trace.Tracer{nil, trace.New(trace.Options{})} {
+		e := NewEngine("test", 1, 0, 2, simnet.DefaultTopology(), tr)
+		e.Submitted(id, 7, time.Millisecond)
+		e.Notified(id, 7, 5*time.Millisecond, true)
+		col := e.Metrics()
+		if col.NumCommitted() != 1 || col.NumAborted() != 1 || col.AvgLatency(0, time.Second) != 4*time.Millisecond {
+			t.Fatalf("collector: committed=%d aborted=%d latency=%v",
+				col.NumCommitted(), col.NumAborted(), col.AvgLatency(0, time.Second))
+		}
+		want := []trace.TxEvent{
+			{Tx: id, Stage: trace.StageSubmit, Node: 7, At: time.Millisecond},
+			{Tx: id, Stage: trace.StageNotified, Node: 7, At: 5 * time.Millisecond},
+		}
+		if tr == nil {
+			want = nil
+		}
+		if got := tr.TxEvents(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace events = %+v, want %+v", got, want)
+		}
 	}
 }

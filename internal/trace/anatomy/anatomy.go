@@ -118,17 +118,6 @@ func (r *Report) StageWait(s trace.Stage) StageStat {
 	return StageStat{Stage: s}
 }
 
-// PhaseDist returns the stat for one phase-transition label (zero Dist if
-// the transition never occurred).
-func (r *Report) PhaseDist(label string) PhaseStat {
-	for _, p := range r.Phases {
-		if p.Label == label {
-			return p
-		}
-	}
-	return PhaseStat{Label: label}
-}
-
 // percentile is the nearest-rank percentile over an ascending-sorted slice,
 // idx = ceil(p*n)-1, matching metrics.PercentileLatency.
 func percentile(sorted []time.Duration, p float64) time.Duration {

@@ -221,14 +221,6 @@ func (t *Tracer) DroppedTxEvents() uint64 {
 	return t.txs.dropped
 }
 
-// DroppedPhaseEvents reports phase events lost to ring overflow.
-func (t *Tracer) DroppedPhaseEvents() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.phases.dropped
-}
-
 // TxEvents returns the buffered lifecycle events in recording order.
 func (t *Tracer) TxEvents() []TxEvent {
 	if t == nil {
