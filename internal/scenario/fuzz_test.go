@@ -10,7 +10,8 @@ import (
 // FuzzParse feeds arbitrary bytes to the spec's front door, the path of
 // `bidl run -scenario`: Parse and Validate answer with an error, never a
 // panic, and a spec that parses survives Marshal → Parse unchanged. Seeds
-// are the checked-in example specs.
+// are the checked-in example specs plus one that sets every field of a fault
+// entry and of tuning (no example does).
 func FuzzParse(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenario-*.json"))
 	if err != nil || len(seeds) == 0 {
@@ -23,6 +24,14 @@ func FuzzParse(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add([]byte(`{"load": {"rate": 100, "window": "10ms"},
+		"tuning": {"block_size": 9, "block_timeout": "2ms", "view_timeout": "30ms", "client_timeout": "40ms",
+			"seq_flush_interval": "3ms", "seq_batch_max": 8, "result_flush_interval": "4ms",
+			"reexec_threshold": 0.5, "sample_verify": 2, "deny_rejoin": "1s", "disable_denylist": true,
+			"disable_multicast": true, "consensus_on_payload": true, "disable_speculation": true},
+		"faults": [{"kind": "smart", "at": "1ms", "duration": "2ms", "org": 1, "node": 2, "dc": 3, "shard": 4,
+			"count": 5, "period": "6ms", "rate": 0.7, "window": 8, "interval": "9ms", "detect_lag": "10ms",
+			"malicious_clients": [1, 2]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {
