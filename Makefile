@@ -58,13 +58,17 @@ loc:
 		"$$(find internal/consensus -path '*/constest' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
 	@printf '%6d total\n' "$$($(LOC_TOTAL))"
 
-# The total may not grow unnoticed: a PR that needs more lines raises the
+# Neither total may grow unnoticed: a PR that needs more lines raises the
 # ceiling here, in its own diff, where a reviewer sees it.
-LOC_CEILING := 19450
+LOC_CEILING := 19200
+DOC_CEILING := 1619
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$total non-test Go lines, ceiling is $(LOC_CEILING) (LOC_CEILING in the Makefile)"; exit 1; \
 	fi; echo "loc-check: $$total non-test Go lines <= $(LOC_CEILING)"
+	@docs=$$(cat README.md DESIGN.md EXPERIMENTS.md | wc -l); if [ "$$docs" -gt $(DOC_CEILING) ]; then \
+		echo "loc-check: $$docs lines in README.md + DESIGN.md + EXPERIMENTS.md, ceiling is $(DOC_CEILING) (DOC_CEILING in the Makefile)"; exit 1; \
+	fi; echo "loc-check: $$docs doc lines <= $(DOC_CEILING)"
 
 # Each fuzz target for a bounded time (their checked-in seeds already run as
 # ordinary tests in `make test`). The short minimisation budget matters: with
@@ -126,11 +130,12 @@ scenario-smoke: $(BIDL)
 # entry's invariants (consistency audit, committed floors, trace-backed
 # recovery deadlines) must pass AND the rendered report must match its
 # golden byte-for-byte — pinning every chaos run's deterministic outcome.
-# Regenerate goldens deliberately with:
+# The two §6.2 adversary tests check the denylist catches the broadcaster,
+# always-on and smart. Regenerate goldens deliberately with:
 #   go test ./internal/chaos -run TestChaosCatalog -golden-update
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/chaos \
-		-run 'TestChaosCatalog|TestChaosSameSeedReproducible'
+		-run 'TestChaosCatalog|TestChaosSameSeedReproducible|TestDenylistCatchesBroadcaster|TestSmartAdversaryStillDenied'
 
 # PDES smoke: one small multi-DC deployment through `bidl run` twice — the
 # 4-worker conservative PDES engine under the race detector, then the serial

@@ -34,23 +34,23 @@ type Cluster struct {
 
 // NewCluster builds a baseline deployment.
 func NewCluster(cfg Config) *Cluster {
-	if cfg.NumOrderers == 0 {
-		cfg.NumOrderers = 3*cfg.F + 1
+	if cfg.NumConsensus == 0 {
+		cfg.NumConsensus = 3*cfg.F + 1
 	}
-	eng := substrate.NewEngine("fabric", cfg.Seed, cfg.SimWorkers, cfg.NumOrgs, cfg.Topology, cfg.Tracer)
+	eng := substrate.NewEngine("fabric", cfg.Config, cfg.NumOrgs)
 	reg := contract.NewRegistry()
 	reg.Deploy(contract.SmallBank{})
 	reg.Deploy(contract.Settlement{})
 
 	c := &Cluster{
-		Deployment: substrate.NewDeployment(eng, "", cfg.NumDCs, 0, ordererIdentity),
+		Deployment: substrate.NewDeployment(eng, "", 0, cfg.Config, ordererIdentity),
 		Cfg:        cfg,
 		Registry:   reg,
-		policy:     consensus.RoundRobin{N: cfg.NumOrderers},
+		policy:     consensus.RoundRobin{N: cfg.NumConsensus},
 	}
 
-	consCfg := simhost.Config(cfg.Costs, cfg.NumOrderers, cfg.F, c.policy, cfg.ViewTimeout)
-	for i := 0; i < cfg.NumOrderers; i++ {
+	consCfg := simhost.Config(cfg.Costs, cfg.NumConsensus, cfg.F, c.policy, cfg.ViewTimeout)
+	for i := 0; i < cfg.NumConsensus; i++ {
 		ord := newOrderer(c)
 		c.AddConsensus(&ord.Host, "orderer"+strconv.Itoa(i), ord)
 		consCfg.Self = i
@@ -61,7 +61,7 @@ func NewCluster(cfg Config) *Cluster {
 	for o := 0; o < cfg.NumOrgs; o++ {
 		c.Scheme.Register(crypto.Identity(types.OrgName(o)))
 		var peers []*Peer
-		for j := 0; j < cfg.PeersPerOrg; j++ {
+		for j := 0; j < cfg.PerOrg; j++ {
 			p := newPeer(c, o, j, cfg.Seed*7_000_003+int64(o*64+j))
 			p.ep = c.AddOrgNode(o, fmt.Sprintf("%s-peer%d", types.OrgName(o), j), p)
 			peers = append(peers, p)
@@ -99,6 +99,18 @@ func (c *Cluster) Prepopulate(fn func(*ledger.State)) {
 	}
 }
 
+// SetLeaderEvil makes the current leader's orderer propose invalid
+// transactions (Table 4 S2), or clears the flag on every orderer.
+func (c *Cluster) SetLeaderEvil(on bool) {
+	if on {
+		c.Orderers[c.LeaderIndex()].ProposeGarbage = true
+		return
+	}
+	for _, o := range c.Orderers {
+		o.ProposeGarbage = false
+	}
+}
+
 // LeaderIndex returns the current ordering-service leader.
 func (c *Cluster) LeaderIndex() int {
 	var hi uint64
@@ -117,7 +129,7 @@ func (c *Cluster) LeaderIndex() int {
 // replication: every peer is in one state-agreement group). The comparison
 // itself is shared with the BIDL cluster (ledger.CheckConsistency).
 func (c *Cluster) CheckSafety() error {
-	views := make([]ledger.SafetyView, 0, c.Cfg.NumOrgs*c.Cfg.PeersPerOrg)
+	views := make([]ledger.SafetyView, 0, c.Cfg.NumOrgs*c.Cfg.PerOrg)
 	for _, org := range c.Peers {
 		for j, p := range org {
 			views = append(views, ledger.SafetyView{

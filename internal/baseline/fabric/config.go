@@ -25,10 +25,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/bidl-framework/bidl/internal/cost"
-	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/substrate"
-	"github.com/bidl-framework/bidl/internal/trace"
 )
 
 // Variant selects which baseline framework a cluster emulates.
@@ -53,56 +50,18 @@ func (v Variant) String() string {
 	}
 }
 
-// Config parameterizes a baseline cluster.
+// Config parameterizes a baseline cluster: which framework it emulates on
+// the deployment every framework shares. PerOrg counts peers, NumConsensus
+// orderers. Protocol is "bft-smart" (PBFT) or "raft"; defaults: HLF →
+// bft-smart, FastFabric/StreamChain → raft (their built-in, §6).
 type Config struct {
 	Variant Variant
-
-	// NumOrgs organizations with PeersPerOrg peers each.
-	NumOrgs     int
-	PeersPerOrg int
-	// NumOrderers ordering-service nodes tolerating F faults.
-	NumOrderers int
-	F           int
-	// Protocol: "bft-smart" (PBFT) or "raft". Defaults: HLF → bft-smart,
-	// FastFabric/StreamChain → raft (their built-in, §6).
-	Protocol string
-
-	BlockSize    int
-	BlockTimeout time.Duration
-	ViewTimeout  time.Duration
-
-	Costs    cost.Model
-	Topology simnet.Topology
-	NumDCs   int
-	Seed     int64
-
-	// SimWorkers requests conservative parallel discrete-event execution
-	// with this many worker goroutines; values below 2 keep the serial
-	// engine. Orderers and clients share the hub partition, peer
-	// organizations shard over the rest (see core.Config.SimWorkers).
-	SimWorkers int
-
-	// Tracer, when non-nil, records per-transaction lifecycle spans and
-	// node/link telemetry (see internal/trace). Nil disables tracing.
-	Tracer *trace.Tracer
+	substrate.Config
 }
 
 // DefaultConfig mirrors evaluation setting A for the given variant.
 func DefaultConfig(v Variant) Config {
-	cfg := Config{
-		Variant:      v,
-		NumOrgs:      50,
-		PeersPerOrg:  1,
-		NumOrderers:  4,
-		F:            1,
-		BlockSize:    500,
-		BlockTimeout: 10 * time.Millisecond,
-		ViewTimeout:  150 * time.Millisecond,
-		Costs:        cost.Default(),
-		Topology:     simnet.DefaultTopology(),
-		NumDCs:       1,
-		Seed:         1,
-	}
+	cfg := Config{Variant: v, Config: substrate.DefaultConfig()}
 	switch v {
 	case HLF:
 		cfg.Protocol = substrate.ProtoPBFT
@@ -119,37 +78,18 @@ func DefaultConfig(v Variant) Config {
 func (c Config) quorum() int { return 2*c.F + 1 }
 
 // Validate reports the first configuration error, after applying the same
-// derivation NewCluster performs (NumOrderers = 3F+1 when zero). A Config
+// derivation NewCluster performs (NumConsensus = 3F+1 when zero). A Config
 // that validates builds a runnable cluster; scenario.Validate surfaces
 // these errors before any cluster is constructed.
 func (c Config) Validate() error {
-	if c.NumOrderers == 0 {
-		c.NumOrderers = 3*c.F + 1
+	if c.NumConsensus == 0 {
+		c.NumConsensus = 3*c.F + 1
 	}
-	switch {
-	case c.Variant != HLF && c.Variant != FastFabric && c.Variant != StreamChain:
+	if c.Variant != HLF && c.Variant != FastFabric && c.Variant != StreamChain {
 		return fmt.Errorf("fabric: unknown variant %d", int(c.Variant))
-	case c.NumOrgs < 1:
-		return fmt.Errorf("fabric: NumOrgs must be >= 1 (got %d)", c.NumOrgs)
-	case c.PeersPerOrg < 1:
-		return fmt.Errorf("fabric: PeersPerOrg must be >= 1 (got %d)", c.PeersPerOrg)
-	case c.NumOrderers < 1:
-		return fmt.Errorf("fabric: NumOrderers must be >= 1 (got %d)", c.NumOrderers)
-	case c.F < 0:
-		return fmt.Errorf("fabric: F must be >= 0 (got %d)", c.F)
-	case c.BlockSize < 1:
-		return fmt.Errorf("fabric: BlockSize must be >= 1 (got %d)", c.BlockSize)
-	case c.BlockTimeout <= 0:
-		// A deposed leader with envelopes still queued re-arms its batch
-		// timer every BlockTimeout: at zero it spins at one virtual instant
-		// and Run never returns.
-		return fmt.Errorf("fabric: BlockTimeout must be > 0 (got %s)", c.BlockTimeout)
-	case c.ViewTimeout < 0:
-		return fmt.Errorf("fabric: ViewTimeout must be >= 0 (got %s)", c.ViewTimeout)
-	case c.NumDCs < 0:
-		return fmt.Errorf("fabric: NumDCs must be >= 0 (got %d)", c.NumDCs)
-	case c.SimWorkers < 0:
-		return fmt.Errorf("fabric: SimWorkers must be >= 0 (got %d)", c.SimWorkers)
+	}
+	if err := c.Config.Validate("fabric"); err != nil {
+		return err
 	}
 	switch c.Protocol {
 	case "", substrate.ProtoPBFT, substrate.ProtoRaft:
@@ -163,13 +103,10 @@ func (c Config) Validate() error {
 		if c.Protocol == substrate.ProtoRaft {
 			need = 2*c.F + 1
 		}
-		if c.NumOrderers < need {
-			return fmt.Errorf("fabric: NumOrderers %d cannot tolerate F=%d faults under %q (need >= %d)",
-				c.NumOrderers, c.F, c.Protocol, need)
+		if c.NumConsensus < need {
+			return fmt.Errorf("fabric: NumConsensus %d cannot tolerate F=%d faults under %q (need >= %d)",
+				c.NumConsensus, c.F, c.Protocol, need)
 		}
-	}
-	if err := c.Topology.Validate(); err != nil {
-		return fmt.Errorf("fabric: %w", err)
 	}
 	return nil
 }

@@ -16,10 +16,10 @@ func TestConfigValidate(t *testing.T) {
 		want string // substring of the expected error; "" = valid
 	}{
 		{"default-hlf", func(c *Config) {}, ""},
-		{"derive-orderers-from-f", func(c *Config) { c.NumOrderers = 0; c.F = 2 }, ""},
+		{"derive-orderers-from-f", func(c *Config) { c.NumConsensus = 0; c.F = 2 }, ""},
 		{"unknown-variant", func(c *Config) { c.Variant = Variant(99) }, "unknown variant"},
 		{"zero-orgs", func(c *Config) { c.NumOrgs = 0 }, "NumOrgs"},
-		{"zero-peers", func(c *Config) { c.PeersPerOrg = 0 }, "PeersPerOrg"},
+		{"zero-peers", func(c *Config) { c.PerOrg = 0 }, "PerOrg"},
 		{"negative-f", func(c *Config) { c.F = -1 }, "F must be >= 0"},
 		{"zero-block-size", func(c *Config) { c.BlockSize = 0 }, "BlockSize"},
 		{"negative-block-timeout", func(c *Config) { c.BlockTimeout = -time.Millisecond }, "BlockTimeout"},
@@ -27,9 +27,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-view-timeout", func(c *Config) { c.ViewTimeout = -1 }, "ViewTimeout"},
 		{"negative-dcs", func(c *Config) { c.NumDCs = -1 }, "NumDCs"},
 		{"unknown-protocol", func(c *Config) { c.Protocol = "pbft" }, "unknown protocol"},
-		{"bft-quorum-infeasible", func(c *Config) { c.NumOrderers = 5; c.F = 2 }, "cannot tolerate"},
-		{"raft-quorum-feasible", func(c *Config) { c.Protocol = "raft"; c.NumOrderers = 5; c.F = 2 }, ""},
-		{"raft-quorum-infeasible", func(c *Config) { c.Protocol = "raft"; c.NumOrderers = 4; c.F = 2 }, "cannot tolerate"},
+		{"bft-quorum-infeasible", func(c *Config) { c.NumConsensus = 5; c.F = 2 }, "cannot tolerate"},
+		{"raft-quorum-feasible", func(c *Config) { c.Protocol = "raft"; c.NumConsensus = 5; c.F = 2 }, ""},
+		{"raft-quorum-infeasible", func(c *Config) { c.Protocol = "raft"; c.NumConsensus = 4; c.F = 2 }, "cannot tolerate"},
 		{"loss-rate-range", func(c *Config) { c.Topology.LossRate = 1 }, "LossRate"},
 		{"negative-jitter", func(c *Config) { c.Topology.Jitter = -1 }, "Jitter"},
 	}

@@ -163,11 +163,7 @@ func (p *Peer) maybeFetch(ctx *simnet.Context, src simnet.NodeID, top uint64) {
 	}
 	p.fetching = true
 	ctx.Send(src, &FabricBlockFetch{From: p.commitHeight, To: top})
-	cool := 2 * p.c.Cfg.BlockTimeout
-	if cool <= 0 {
-		cool = 20 * time.Millisecond
-	}
-	ctx.After(cool, func(c2 *simnet.Context) {
+	ctx.After(2*p.c.Cfg.BlockTimeout, func(c2 *simnet.Context) {
 		p.fetching = false
 		p.maybeFetch(c2, src, p.topBuffered())
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/bidl-framework/bidl/internal/chaos"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/scenario"
 )
@@ -320,26 +321,26 @@ func table4Scenarios(o Options) []scenario.Scenario {
 	window := o.scaled(2 * time.Second)
 	warm := window / 2 // measure after the system stabilizes post-attack
 
-	point := func(framework, label string, rate float64, attackSpec scenario.AttackSpec, noDenylist bool) scenario.Scenario {
+	point := func(framework, label string, rate float64, adversary []scenario.FaultSpec, noDenylist bool) scenario.Scenario {
 		sp := spec(framework, label, o, 0, 0)
 		sp.Load = load(o.rate(rate), window)
 		sp.Load.Warmup = scenario.Duration(warm)
-		sp.Attack = attackSpec
+		sp.Faults = adversary
 		sp.Tuning.DisableDenylist = noDenylist
 		return sp
 	}
-	leader := scenario.AttackSpec{Kind: scenario.AttackLeader}
-	bcast := scenario.AttackSpec{Kind: scenario.AttackBroadcaster, Start: scenario.Duration(100 * time.Millisecond)}
+	leader := []scenario.FaultSpec{{Kind: chaos.KindLeader}}
+	bcast := []scenario.FaultSpec{{Kind: chaos.KindBroadcaster, At: scenario.Duration(100 * time.Millisecond)}}
 
 	return []scenario.Scenario{
-		point(scenario.FrameworkStreamChain, "streamchain S1", satStream, scenario.AttackSpec{}, false),
-		point(scenario.FrameworkHLF, "hlf S1", satHLF, scenario.AttackSpec{}, false),
+		point(scenario.FrameworkStreamChain, "streamchain S1", satStream, nil, false),
+		point(scenario.FrameworkHLF, "hlf S1", satHLF, nil, false),
 		point(scenario.FrameworkHLF, "hlf S2", satHLF, leader, false),
-		point(scenario.FrameworkFastFabric, "fastfabric S1", satFF, scenario.AttackSpec{}, false),
-		point(scenario.FrameworkBIDL, "bidl-no-denylist S1", satBIDL, scenario.AttackSpec{}, true),
+		point(scenario.FrameworkFastFabric, "fastfabric S1", satFF, nil, false),
+		point(scenario.FrameworkBIDL, "bidl-no-denylist S1", satBIDL, nil, true),
 		point(scenario.FrameworkBIDL, "bidl-no-denylist S2", satBIDL, leader, true),
 		point(scenario.FrameworkBIDL, "bidl-no-denylist S3", satBIDL, bcast, true),
-		point(scenario.FrameworkBIDL, "bidl S1", satBIDL, scenario.AttackSpec{}, false),
+		point(scenario.FrameworkBIDL, "bidl S1", satBIDL, nil, false),
 		point(scenario.FrameworkBIDL, "bidl S2", satBIDL, leader, false),
 		point(scenario.FrameworkBIDL, "bidl S3", satBIDL, bcast, false),
 	}
@@ -391,7 +392,7 @@ func fig7Scenarios(o Options) []scenario.Scenario {
 	sp := spec(scenario.FrameworkBIDL, fmt.Sprintf("%.0f txns/s, attack at %v", rate, attackAt), o, 0, 0)
 	sp.Load = load(rate, horizon)
 	sp.Load.Warmup = scenario.Duration(time.Millisecond)
-	sp.Attack = scenario.AttackSpec{Kind: scenario.AttackSmart, Start: scenario.Duration(attackAt)}
+	sp.Faults = []scenario.FaultSpec{{Kind: chaos.KindSmart, At: scenario.Duration(attackAt)}}
 	return []scenario.Scenario{sp}
 }
 

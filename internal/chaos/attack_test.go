@@ -1,4 +1,4 @@
-package attack
+package chaos
 
 import (
 	"testing"
@@ -6,8 +6,15 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/core"
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/types"
 	"github.com/bidl-framework/bidl/internal/workload"
 )
+
+// broadcasterAt is the schedule entry that arms the always-on broadcaster at
+// at, every knob at its default.
+func broadcasterAt(at time.Duration) Fault {
+	return Fault{Kind: KindBroadcaster, At: types.Duration(at)}
+}
 
 func build(t testing.TB, cfg core.Config) (*core.Cluster, *workload.Generator) {
 	t.Helper()
@@ -45,7 +52,7 @@ func TestMaliciousLeaderReplaced(t *testing.T) {
 	cfg := testConfig()
 	c, gen := build(t, cfg)
 	evil := c.LeaderIndex()
-	EnableMaliciousLeader(c, evil)
+	c.SetLeaderEvil(true)
 	load(c, gen, 0, 400, 100*time.Microsecond)
 	c.Run(4 * time.Second)
 	if c.Collector.ViewChanges == 0 {
@@ -68,8 +75,7 @@ func TestBroadcasterCausesConflictsAndReexecution(t *testing.T) {
 	cfg := testConfig()
 	cfg.DisableDenylist = true // observe the raw damage
 	c, gen := build(t, cfg)
-	b := NewBroadcaster(c, gen, DefaultBroadcasterConfig())
-	b.Start(50 * time.Millisecond)
+	b := NewBroadcaster(c, gen, broadcasterAt(50*time.Millisecond))
 	load(c, gen, 0, 1500, time.Millisecond) // 1k tps for 1.5s, overlapping the attack
 	c.Run(4 * time.Second)
 	if b.Bursts == 0 {
@@ -93,8 +99,7 @@ func TestBroadcasterCausesConflictsAndReexecution(t *testing.T) {
 func TestDenylistCatchesBroadcaster(t *testing.T) {
 	cfg := testConfig()
 	c, gen := build(t, cfg)
-	b := NewBroadcaster(c, gen, DefaultBroadcasterConfig())
-	b.Start(50 * time.Millisecond)
+	b := NewBroadcaster(c, gen, broadcasterAt(50*time.Millisecond))
 	load(c, gen, 0, 2000, time.Millisecond)
 	c.Run(4 * time.Second)
 	mal := b.MaliciousIdentities()[0]
@@ -129,8 +134,7 @@ func TestDenylistNeverAccusesCorrectClients(t *testing.T) {
 	// own colluding client denied; correct clients keep speculation.
 	cfg := testConfig()
 	c, gen := build(t, cfg)
-	b := NewBroadcaster(c, gen, DefaultBroadcasterConfig())
-	b.Start(50 * time.Millisecond)
+	b := NewBroadcaster(c, gen, broadcasterAt(50*time.Millisecond))
 	load(c, gen, 0, 2000, time.Millisecond)
 	c.Run(4 * time.Second)
 	mal := b.MaliciousIdentities()[0]
@@ -149,8 +153,7 @@ func TestThroughputRecoversAfterDenylist(t *testing.T) {
 	// adversary keeps broadcasting.
 	cfg := testConfig()
 	c, gen := build(t, cfg)
-	b := NewBroadcaster(c, gen, DefaultBroadcasterConfig())
-	b.Start(200 * time.Millisecond)
+	b := NewBroadcaster(c, gen, broadcasterAt(200*time.Millisecond))
 	// Steady 2k tps load for 4 seconds.
 	const total = 4 * 2000
 	for i := 0; i < total; i += 4 {
@@ -180,10 +183,7 @@ func TestSmartAdversaryStillDenied(t *testing.T) {
 	// rotation.
 	cfg := testConfig()
 	c, gen := build(t, cfg)
-	bcfg := DefaultBroadcasterConfig()
-	bcfg.TargetLeader = c.LeaderIndex()
-	b := NewBroadcaster(c, gen, bcfg)
-	b.Start(100 * time.Millisecond)
+	b := NewBroadcaster(c, gen, Fault{Kind: KindSmart, At: types.Duration(100 * time.Millisecond)})
 	const total = 6 * 2000
 	for i := 0; i < total; i += 4 {
 		c.SubmitAt(time.Duration(i)*500*time.Microsecond, gen.Batch(4)...)

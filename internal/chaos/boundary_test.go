@@ -1,12 +1,11 @@
-package attack
+package chaos
 
 import (
 	"testing"
 	"time"
 
-	"github.com/bidl-framework/bidl/internal/chaos"
 	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // TestBroadcasterAtViewChangeBoundary arms the broadcaster at exactly the
@@ -18,9 +17,8 @@ func TestBroadcasterAtViewChangeBoundary(t *testing.T) {
 	cfg := testConfig()
 	c, gen := build(t, cfg)
 	evil := c.LeaderIndex()
-	EnableMaliciousLeader(c, evil)
-	b := NewBroadcaster(c, gen, DefaultBroadcasterConfig())
-	b.Start(cfg.ViewTimeout) // first burst lands as the view change does
+	c.SetLeaderEvil(true)
+	b := NewBroadcaster(c, gen, broadcasterAt(cfg.ViewTimeout)) // first burst lands as the view change does
 	load(c, gen, 0, 2000, time.Millisecond)
 	c.Run(5 * time.Second)
 
@@ -68,26 +66,16 @@ func TestEchoAdversaryUnderDropStorm(t *testing.T) {
 	e := NewEchoAdversary(c)
 	e.Start(20 * time.Millisecond)
 
-	cons := make([]*simnet.Endpoint, len(c.ConsNodes))
-	for i, cn := range c.ConsNodes {
-		cons[i] = cn.Endpoint()
-	}
-	env := chaos.Env{
-		Sim:         c.Sim,
-		Net:         c.Net,
-		Consensus:   cons,
-		LeaderIndex: c.LeaderIndex,
-	}
-	storm := []chaos.Fault{{
-		Kind:     chaos.KindDropStorm,
-		At:       100 * time.Millisecond,
-		Duration: 200 * time.Millisecond,
+	storm := []Fault{{
+		Kind:     KindDropStorm,
+		At:       types.Duration(100 * time.Millisecond),
+		Duration: types.Duration(200 * time.Millisecond),
 		Rate:     0.6,
 	}}
-	if err := chaos.ValidateSchedule(storm); err != nil {
+	if err := ValidateSchedule(storm); err != nil {
 		t.Fatal(err)
 	}
-	chaos.NewInjector(env, storm, 99).Install()
+	Install(c.Deployment, c, gen, storm, 99)
 
 	load(c, gen, 0, 1500, 500*time.Microsecond)
 	c.Run(4 * time.Second)

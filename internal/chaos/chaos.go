@@ -6,16 +6,21 @@
 // finished run into a pass/fail report (consistency, progress, liveness
 // expressed as recovery time).
 //
-// The package deliberately depends only on simnet: cluster-specific
-// operations (who is the leader, how to make it malicious, how to attach a
-// broadcaster) arrive as closures in Env, so the same fault schedule drives
-// both the BIDL cluster and the Fabric baselines. The scenario layer owns
-// the JSON surface (scenario.FaultSpec) and compiles it to []Fault.
+// There is one fault type from JSON to injector: Fault carries the spec's
+// JSON tags (a scenario's `faults` array is a []Fault) and is what Install
+// schedules; ValidateSchedule and the broadcaster defaults live beside it.
+// The same schedule drives the BIDL cluster and the Fabric baselines: rosters
+// come from the substrate.Deployment both embed, and the two operations that
+// differ per framework (who leads, how its leader turns malicious) are the
+// Env interface both clusters implement. The §6.2 adversaries that race the
+// sequencer multicast (Broadcaster, EchoAdversary) exist for BIDL only.
 package chaos
 
 import (
 	"fmt"
 	"time"
+
+	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // Fault kinds accepted by Fault.Kind.
@@ -54,41 +59,78 @@ const (
 	KindSmart = "smart"
 )
 
-// Fault is one scheduled fault event, the engine-level form the scenario
-// layer compiles FaultSpec into. Field meaning varies by Kind; unused
-// fields are ignored.
+// Fault is one scheduled fault event: an entry of a scenario's `faults`
+// array and what the injector schedules. Field meaning varies by Kind;
+// unused fields are ignored.
 type Fault struct {
-	Kind     string
-	At       time.Duration
-	Duration time.Duration
+	// Kind is one of the Kind* names above.
+	Kind string `json:"kind"`
+	// At is the virtual time the fault starts.
+	At types.Duration `json:"at,omitempty"`
+	// Duration bounds the fault window (crash, leader: 0 = permanent;
+	// partition, dc_outage, drop_storm, seq_failover require > 0).
+	Duration types.Duration `json:"duration,omitempty"`
 
-	// Targeting.
-	Org  int // crash/partition/churn: organization index
-	Node int // crash: node index within Org
-	DC   int // dc_outage: datacenter index
+	// Org/Node target crash and partition faults; DC targets dc_outage.
+	Org  int `json:"org,omitempty"`
+	Node int `json:"node,omitempty"`
+	DC   int `json:"dc,omitempty"`
 
-	// Churn shape.
-	Count  int
-	Period time.Duration
+	// Shard targets the fault at one channel of a sharded deployment
+	// (scenario.Shards > 1); org/node/dc indices are then relative to that
+	// shard's cluster. Must be 0 when the scenario is unsharded.
+	Shard int `json:"shard,omitempty"`
 
-	// Drop-storm intensity.
-	Rate float64
+	// Count cycles of one crash/restart every Period (churn).
+	Count  int            `json:"count,omitempty"`
+	Period types.Duration `json:"period,omitempty"`
 
-	// Broadcaster knobs (KindBroadcaster/KindSmart); zero values take
-	// the attack package defaults.
-	Window           int
-	Interval         time.Duration
-	DetectLag        time.Duration
-	MaliciousClients []int
+	// Rate is the drop-storm per-message drop probability.
+	Rate float64 `json:"rate,omitempty"`
+
+	// Broadcaster knobs (kinds broadcaster/smart); zero values take the
+	// defaults of withDefaults. Window is how many sequence numbers ahead
+	// of the observed frontier each burst contests, Interval the burst
+	// period. DetectLag models how long the smart adversary needs to notice
+	// a leadership change; during the lag it keeps attacking, which is how
+	// conflicts leak into successor views (§4.6). MaliciousClients are the
+	// colluding clients (indices into the workload generator's client
+	// space) whose signed transactions the adversary re-broadcasts; a
+	// permissioned blockchain bounds this set, which is why the denylist
+	// eventually wins.
+	Window           int            `json:"window,omitempty"`
+	Interval         types.Duration `json:"interval,omitempty"`
+	DetectLag        types.Duration `json:"detect_lag,omitempty"`
+	MaliciousClients []int          `json:"malicious_clients"`
 }
 
-// end returns the exclusive end of the fault's active window.
-// Permanent faults (and broadcasters, which never stop on their own)
-// extend to the horizon.
-func (f Fault) end() time.Duration {
+// withDefaults resolves the broadcaster knobs the schedule left zero: one
+// colluding client, an aggressive 64-slot burst every millisecond, 5 ms to
+// notice a new leader.
+func (f Fault) withDefaults() Fault {
+	if len(f.MaliciousClients) == 0 {
+		f.MaliciousClients = []int{0}
+	}
+	if f.Window == 0 {
+		f.Window = 64
+	}
+	if f.Interval == 0 {
+		f.Interval = types.Duration(time.Millisecond)
+	}
+	if f.DetectLag == 0 {
+		f.DetectLag = types.Duration(5 * time.Millisecond)
+	}
+	return f
+}
+
+// End returns the exclusive end of the fault's active window. Permanent
+// faults (and broadcasters, which never stop on their own) extend to the
+// horizon sentinel 1<<62. Recovery invariants measure from the latest End
+// across a schedule.
+func (f Fault) End() time.Duration {
 	switch f.Kind {
 	case KindChurn:
-		return f.At + time.Duration(f.Count)*f.Period
+		return (f.At + types.Duration(f.Count)*f.Period).D()
 	case KindCrash, KindLeader:
 		if f.Duration == 0 {
 			return 1 << 62
@@ -96,13 +138,8 @@ func (f Fault) end() time.Duration {
 	case KindBroadcaster, KindSmart:
 		return 1 << 62
 	}
-	return f.At + f.Duration
+	return (f.At + f.Duration).D()
 }
-
-// End is the exclusive end of the fault's active window (the horizon
-// sentinel for permanent faults). Recovery invariants measure from the
-// latest End across a schedule.
-func (f Fault) End() time.Duration { return f.end() }
 
 // KindInfo describes one fault kind for CLI listings.
 type KindInfo struct {
@@ -196,7 +233,7 @@ func ValidateSchedule(faults []Fault) error {
 			if g.overlapKey() != f.overlapKey() {
 				continue
 			}
-			if f.At < g.end() && g.At < f.end() {
+			if f.At.D() < g.End() && g.At.D() < f.End() {
 				return fmt.Errorf("chaos: faults %d and %d (%s): active windows overlap", j, i, f.Kind)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // TestValidateSchedule covers each rejection class of the schedule
@@ -11,7 +13,7 @@ import (
 // back-to-back windows on the same target, which must NOT be treated as
 // overlapping).
 func TestValidateSchedule(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	ms := func(n int) types.Duration { return types.Duration(n) * types.Duration(time.Millisecond) }
 	cases := []struct {
 		name   string
 		faults []Fault
@@ -95,11 +97,11 @@ func TestValidateSchedule(t *testing.T) {
 // and broadcasters (horizon sentinels) are skipped, churn ends after its
 // last cycle.
 func TestScheduleEnd(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	ms := func(n int) types.Duration { return types.Duration(n) * types.Duration(time.Millisecond) }
 	cases := []struct {
 		name   string
 		faults []Fault
-		want   time.Duration
+		want   types.Duration
 	}{
 		{"empty", nil, 0},
 		{"one-window", []Fault{{Kind: KindCrash, At: ms(100), Duration: ms(200)}}, ms(300)},
@@ -116,7 +118,7 @@ func TestScheduleEnd(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ScheduleEnd(tc.faults); got != tc.want {
+			if got := ScheduleEnd(tc.faults); got != tc.want.D() {
 				t.Fatalf("ScheduleEnd = %s, want %s", got, tc.want)
 			}
 		})

@@ -46,13 +46,13 @@ type Cluster struct {
 // Client identities must be registered afterwards via RegisterClients before
 // transactions from them verify.
 func NewCluster(cfg Config) *Cluster {
-	return NewClusterOn(NewEngine(cfg, cfg.SimWorkers, cfg.NumOrgs), "", 0, cfg)
+	return NewClusterOn(NewEngine(cfg, cfg.NumOrgs), "", 0, cfg)
 }
 
 // NewEngine builds the engine for BIDL deployments of cfg that together hold
-// orgs organizations, executed by workers PDES workers.
-func NewEngine(cfg Config, workers, orgs int) *substrate.Engine {
-	return substrate.NewEngine("bidl", cfg.Seed, workers, orgs, cfg.Topology, cfg.Tracer)
+// orgs organizations.
+func NewEngine(cfg Config, orgs int) *substrate.Engine {
+	return substrate.NewEngine("bidl", cfg.Config, orgs)
 }
 
 // NewClusterOn builds a BIDL deployment on an engine the caller owns — the
@@ -74,18 +74,15 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 
 	seed := crypto.Hash([]byte(fmt.Sprintf("leader-rotation-%d", cfg.Seed)))
 	c := &Cluster{
-		Deployment: substrate.NewDeployment(eng, label, cfg.NumDCs, orgOffset, cnIdentity),
+		Deployment: substrate.NewDeployment(eng, label, orgOffset, cfg.Config, cnIdentity),
 		Cfg:        cfg,
 		Registry:   reg,
 		// BIDL's unpredictable epoch rotation (§4.6).
 		policy:       &consensus.RandomEpoch{N: cfg.NumConsensus, Seed: seed},
-		keyOwner:     cfg.KeyOwner,
+		keyOwner:     contract.SmallBankKeyOwner(cfg.NumOrgs),
 		groupTxns:    label + groupTxns,
 		groupBlocks:  label + groupBlocks,
 		groupPersist: label + groupPersist,
-	}
-	if c.keyOwner == nil {
-		c.keyOwner = contract.SmallBankKeyOwner(cfg.NumOrgs)
 	}
 
 	// Consensus nodes + their co-located sequencers.
@@ -101,6 +98,7 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 		// The sequencer shares the consensus node's server: same datacenter,
 		// no placement slot of its own.
 		seqNode.ep = c.Net.Register(label+"seq"+strconv.Itoa(i), cn.Ep.DC(), seqNode)
+		c.Colocated = append(c.Colocated, seqNode.ep)
 		c.Sequencers = append(c.Sequencers, seqNode)
 
 		c.Net.Join(c.groupTxns, cn.Ep.ID())
@@ -111,7 +109,7 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 	for o := 0; o < cfg.NumOrgs; o++ {
 		c.Scheme.Register(crypto.Identity(types.OrgName(o)))
 		var orgNodes []*NormalNode
-		for j := 0; j < cfg.NormalPerOrg; j++ {
+		for j := 0; j < cfg.PerOrg; j++ {
 			nn := newNormalNode(c, o, j, cfg.Seed*1_000_003+int64(o*64+j))
 			nn.ep = c.AddOrgNode(o, fmt.Sprintf("%s-nn%d", types.OrgName(o), j), nn)
 			c.Net.Join(c.groupTxns, nn.ep.ID())
@@ -175,6 +173,19 @@ func (c *Cluster) LeaderIndex() int {
 	return c.policy.Leader(hi)
 }
 
+// SetLeaderEvil flips the current leader's sequencer into garbage mode
+// (Table 4 S2: while that node leads, every sequenced transaction is replaced
+// by an invalid one), or clears the flag on every sequencer.
+func (c *Cluster) SetLeaderEvil(on bool) {
+	if on {
+		c.Sequencers[c.LeaderIndex()].Garbage = true
+		return
+	}
+	for _, sq := range c.Sequencers {
+		sq.Garbage = false
+	}
+}
+
 // CheckSafety validates the paper's safety guarantee across the whole
 // deployment: all correct nodes hold prefix-consistent ledgers, and normal
 // nodes within an organization that reached the same height hold identical
@@ -183,7 +194,7 @@ func (c *Cluster) LeaderIndex() int {
 // the views: consensus node 0 is the prefix reference, and each
 // organization forms one state-agreement group.
 func (c *Cluster) CheckSafety() error {
-	ledgers := make([]ledger.SafetyView, 0, len(c.ConsNodes)+c.Cfg.NumOrgs*c.Cfg.NormalPerOrg)
+	ledgers := make([]ledger.SafetyView, 0, len(c.ConsNodes)+c.Cfg.NumOrgs*c.Cfg.PerOrg)
 	for i, cn := range c.ConsNodes {
 		ledgers = append(ledgers, ledger.SafetyView{
 			Label:  fmt.Sprintf("%sconsensus node %d", c.Label, i),

@@ -12,11 +12,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/bidl-framework/bidl/internal/contract"
-	"github.com/bidl-framework/bidl/internal/cost"
-	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/substrate"
-	"github.com/bidl-framework/bidl/internal/trace"
 )
 
 // Protocol names accepted by Config.Protocol: the BFT subset of what
@@ -28,28 +24,13 @@ const (
 	ProtoSBFT     = substrate.ProtoSBFT
 )
 
-// Config parameterizes a BIDL cluster.
+// Config parameterizes a BIDL cluster: the shared deployment fields (cluster
+// shape, block and view timeouts, costs, network, seed, engine) plus BIDL's
+// own batching, shepherding and ablation knobs. NumConsensus is 3F+1;
+// consensus nodes belong to organizations round-robin.
 type Config struct {
-	// NumOrgs is the number of organizations. Normal nodes are grouped
-	// into organizations; each consensus node also belongs to an
-	// organization (round-robin).
-	NumOrgs int
-	// NormalPerOrg is the number of normal nodes per organization.
-	NormalPerOrg int
-	// NumConsensus is the number of consensus nodes (3f+1).
-	NumConsensus int
-	// F is the number of tolerated Byzantine consensus nodes.
-	F int
+	substrate.Config
 
-	// Protocol selects the BFT protocol (ProtoPBFT by default).
-	Protocol string
-
-	// BlockSize is the number of transactions per block (paper: 500).
-	BlockSize int
-	// BlockTimeout proposes a partial block when it elapses (must be > 0).
-	BlockTimeout time.Duration
-	// ViewTimeout is the consensus progress timeout.
-	ViewTimeout time.Duration
 	// ClientTimeout is how long clients wait before retransmitting to all
 	// consensus nodes (§4.5 liveness path).
 	ClientTimeout time.Duration
@@ -88,46 +69,13 @@ type Config struct {
 	// consensus node signature-samples to catch a garbage-proposing
 	// leader (Table 4 S2). Zero disables sampling.
 	SampleVerify int
-
-	// KeyOwner maps world-state keys to owning organizations for result
-	// partitioning; nil selects the SmallBank layout.
-	KeyOwner contract.KeyOwnerFunc
-	// Costs is the virtual CPU cost model.
-	Costs cost.Model
-	// Topology describes the network; NumDCs spreads nodes round-robin
-	// over that many datacenters.
-	Topology simnet.Topology
-	NumDCs   int
-	// Seed drives all simulation randomness.
-	Seed int64
-
-	// SimWorkers requests conservative parallel discrete-event execution
-	// (PDES) with this many worker goroutines. Values below 2 keep the
-	// serial engine. The cluster partitions the event queue by node group —
-	// consensus nodes, sequencers, and clients share the hub partition;
-	// organizations spread over the rest — and a parallel run is
-	// byte-identical to a serial run of the same partitioned cluster.
-	SimWorkers int
-
-	// Tracer, when non-nil, records per-transaction lifecycle spans and
-	// node/link telemetry for the whole cluster (see internal/trace). Nil
-	// disables tracing at zero cost.
-	Tracer *trace.Tracer
 }
 
-// DefaultConfig mirrors the paper's evaluation setting A: four consensus
-// nodes (f=1) and 50 organizations with one normal node each, 500-txn
-// blocks, in one datacenter.
+// DefaultConfig mirrors the paper's evaluation setting A
+// (substrate.DefaultConfig) under PBFT, with BIDL's batching defaults.
 func DefaultConfig() Config {
-	return Config{
-		NumOrgs:             50,
-		NormalPerOrg:        1,
-		NumConsensus:        4,
-		F:                   1,
-		Protocol:            ProtoPBFT,
-		BlockSize:           500,
-		BlockTimeout:        10 * time.Millisecond,
-		ViewTimeout:         150 * time.Millisecond,
+	cfg := Config{
+		Config:              substrate.DefaultConfig(),
 		ClientTimeout:       500 * time.Millisecond,
 		SeqFlushInterval:    time.Millisecond,
 		SeqBatchMax:         100,
@@ -135,11 +83,9 @@ func DefaultConfig() Config {
 		ReexecThreshold:     0.01,
 		DenyRejoin:          0, // never rejoin within an experiment
 		SampleVerify:        8,
-		Costs:               cost.Default(),
-		Topology:            simnet.DefaultTopology(),
-		NumDCs:              1,
-		Seed:                1,
 	}
+	cfg.Protocol = ProtoPBFT
+	return cfg
 }
 
 func (c Config) quorum() int { return 2*c.F + 1 }
@@ -158,34 +104,19 @@ func (c Config) Validate() error {
 	if c.F == 0 && c.NumConsensus >= 4 {
 		c.F = (c.NumConsensus - 1) / 3
 	}
+	if err := c.Config.Validate("core"); err != nil {
+		return err
+	}
 	switch {
-	case c.NumOrgs < 1:
-		return fmt.Errorf("core: NumOrgs must be >= 1 (got %d)", c.NumOrgs)
-	case c.NormalPerOrg < 1:
-		return fmt.Errorf("core: NormalPerOrg must be >= 1 (got %d)", c.NormalPerOrg)
-	case c.NumConsensus < 1:
-		return fmt.Errorf("core: NumConsensus must be >= 1 (got %d)", c.NumConsensus)
-	case c.F < 0:
-		return fmt.Errorf("core: F must be >= 0 (got %d)", c.F)
 	case c.F > 0 && c.NumConsensus < 3*c.F+1:
 		return fmt.Errorf("core: NumConsensus %d cannot tolerate F=%d faults (need >= %d)",
 			c.NumConsensus, c.F, 3*c.F+1)
-	case c.BlockSize < 1:
-		return fmt.Errorf("core: BlockSize must be >= 1 (got %d)", c.BlockSize)
-	case c.NumDCs < 0:
-		return fmt.Errorf("core: NumDCs must be >= 0 (got %d)", c.NumDCs)
 	case c.ReexecThreshold < 0 || c.ReexecThreshold > 1:
 		return fmt.Errorf("core: ReexecThreshold must be in [0,1] (got %g)", c.ReexecThreshold)
 	case c.SampleVerify < 0:
 		return fmt.Errorf("core: SampleVerify must be >= 0 (got %d)", c.SampleVerify)
 	case c.SeqBatchMax < 0:
 		return fmt.Errorf("core: SeqBatchMax must be >= 0 (got %d)", c.SeqBatchMax)
-	case c.SimWorkers < 0:
-		return fmt.Errorf("core: SimWorkers must be >= 0 (got %d)", c.SimWorkers)
-	case c.BlockTimeout <= 0:
-		// Persist-vote retries and status ticks re-arm every 2×BlockTimeout:
-		// at zero they spin at one virtual instant and Run never returns.
-		return fmt.Errorf("core: BlockTimeout must be > 0 (got %s)", c.BlockTimeout)
 	}
 	switch c.Protocol {
 	case "", ProtoPBFT, ProtoHotStuff, ProtoZyzzyva, ProtoSBFT:
@@ -196,7 +127,6 @@ func (c Config) Validate() error {
 		name string
 		v    time.Duration
 	}{
-		{"ViewTimeout", c.ViewTimeout},
 		{"ClientTimeout", c.ClientTimeout},
 		{"SeqFlushInterval", c.SeqFlushInterval},
 		{"ResultFlushInterval", c.ResultFlushInterval},
@@ -205,9 +135,6 @@ func (c Config) Validate() error {
 		if d.v < 0 {
 			return fmt.Errorf("core: %s must be >= 0 (got %s)", d.name, d.v)
 		}
-	}
-	if err := c.Topology.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

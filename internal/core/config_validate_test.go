@@ -19,7 +19,7 @@ func TestConfigValidate(t *testing.T) {
 		{"derive-consensus-from-f", func(c *Config) { c.NumConsensus = 0; c.F = 2 }, ""},
 		{"derive-f-from-consensus", func(c *Config) { c.NumConsensus = 7; c.F = 0 }, ""},
 		{"zero-orgs", func(c *Config) { c.NumOrgs = 0 }, "NumOrgs"},
-		{"zero-normal-per-org", func(c *Config) { c.NormalPerOrg = 0 }, "NormalPerOrg"},
+		{"zero-normal-per-org", func(c *Config) { c.PerOrg = 0 }, "PerOrg"},
 		{"zero-consensus-zero-f", func(c *Config) { c.NumConsensus = 0; c.F = 0 }, ""},
 		{"negative-f", func(c *Config) { c.NumConsensus = 4; c.F = -1 }, "F must be >= 0"},
 		{"quorum-infeasible", func(c *Config) { c.NumConsensus = 5; c.F = 2 }, "cannot tolerate"},
@@ -40,6 +40,11 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-deny-rejoin", func(c *Config) { c.DenyRejoin = -1 }, "DenyRejoin"},
 		{"negative-intra-latency", func(c *Config) { c.Topology.IntraLatency = -1 }, "IntraLatency"},
 		{"loss-rate-range", func(c *Config) { c.Topology.LossRate = 1 }, "LossRate"},
+		// The shared half (substrate.Config.Validate) reports under this
+		// package's prefix; these two of its checks had no row in either
+		// framework's table.
+		{"negative-consensus", func(c *Config) { c.NumConsensus = -1 }, "core: NumConsensus must be >= 1"},
+		{"negative-sim-workers", func(c *Config) { c.SimWorkers = -1 }, "core: SimWorkers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -114,7 +114,7 @@ func TestNondeterministicTxnsAbortButStateConsistent(t *testing.T) {
 	w := defaultWorkload()
 	w.NondetRatio = 0.2
 	cfg := smallConfig()
-	cfg.NormalPerOrg = 2 // intra-org state comparison is meaningful
+	cfg.PerOrg = 2 // intra-org state comparison is meaningful
 	c, gen := buildCluster(t, cfg, w)
 	for i, tx := range gen.Batch(300) {
 		c.SubmitAt(time.Duration(i)*50*time.Microsecond, tx)

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"github.com/bidl-framework/bidl/internal/types"
-)
+import "github.com/bidl-framework/bidl/internal/types"
 
 // txPool holds sequenced transactions pending agreement, indexed by sequence
 // number and by hash. The first transaction received for a sequence number
@@ -118,22 +114,3 @@ func (p *txPool) drop(seq uint64) {
 		delete(p.bySeq, seq)
 	}
 }
-
-// pendingTxns returns all pooled, uncommitted transactions in sequence
-// order (used to re-sequence after a view change). Sorting keeps the whole
-// simulation deterministic: Go map iteration order is random.
-func (p *txPool) pendingTxns() []*types.Transaction {
-	seqs := make([]uint64, 0, len(p.bySeq))
-	for s := range p.bySeq {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	out := make([]*types.Transaction, 0, len(seqs))
-	for _, s := range seqs {
-		out = append(out, p.bySeq[s])
-	}
-	return out
-}
-
-// size returns the number of pooled transactions.
-func (p *txPool) size() int { return len(p.bySeq) }

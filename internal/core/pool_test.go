@@ -91,30 +91,20 @@ func TestPoolReplaceMovesSeq(t *testing.T) {
 	}
 }
 
-func TestPoolPendingTxnsSorted(t *testing.T) {
+func TestPoolDropUnindexes(t *testing.T) {
 	p := newTxPool()
 	for _, s := range []uint64{9, 2, 7, 4} {
 		p.add(s, poolTx(s))
 	}
-	pend := p.pendingTxns()
-	if len(pend) != 4 {
-		t.Fatalf("pending %d, want 4", len(pend))
-	}
-	// Sorted by seq: nonces were chosen equal to seqs.
-	want := []uint64{2, 4, 7, 9}
-	for i, tx := range pend {
-		if tx.Nonce != want[i] {
-			t.Fatalf("pending order %v at %d, want %v", tx.Nonce, i, want[i])
-		}
-	}
-	if p.size() != 4 {
-		t.Fatalf("size %d", p.size())
-	}
 	p.drop(7)
-	if p.size() != 3 {
-		t.Fatal("drop did not shrink pool")
+	if _, ok := p.at(7); ok {
+		t.Fatal("drop left the slot occupied")
 	}
 	if _, ok := p.byID(poolTx(7).ID()); ok {
 		t.Fatal("dropped txn still indexed")
+	}
+	// Unlike a commit, a drop does not bar the hash.
+	if p.add(8, poolTx(7)) != poolAdded {
+		t.Fatal("dropped txn could not take a fresh slot")
 	}
 }

@@ -177,7 +177,7 @@ func TestCrashedLeaderRecovers(t *testing.T) {
 // TestMultipleNormalNodesPerOrg: intra-org replicas stay consistent.
 func TestMultipleNormalNodesPerOrg(t *testing.T) {
 	cfg := smallConfig()
-	cfg.NormalPerOrg = 3
+	cfg.PerOrg = 3
 	c, gen := buildCluster(t, cfg, defaultWorkload())
 	for i, tx := range gen.Batch(200) {
 		c.SubmitAt(time.Duration(i)*50*time.Microsecond, tx)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -119,23 +120,24 @@ func TestAnatomyOfflineMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestAnatomyFaultWindowsAnnotated runs a crash scenario and checks the
-// report carries the compiled fault window plus the outside-windows row.
+// TestAnatomyFaultWindowsAnnotated runs a crash-then-churn scenario and checks
+// the report carries the compiled fault windows plus the outside-windows row.
+// Churn rotates over every organization, so its window names the cycle count,
+// not an organization.
 func TestAnatomyFaultWindowsAnnotated(t *testing.T) {
 	sp := anatomySpec(FrameworkBIDL, 0)
-	sp.Faults = []FaultSpec{{
-		Kind: "crash", Org: 1, Node: 0,
-		At: Duration(20 * time.Millisecond), Duration: Duration(30 * time.Millisecond),
-	}}
+	sp.Faults = []FaultSpec{
+		{Kind: "crash", Org: 1, Node: 0, At: Duration(20 * time.Millisecond), Duration: Duration(30 * time.Millisecond)},
+		{Kind: "churn", At: Duration(60 * time.Millisecond), Count: 4, Period: Duration(10 * time.Millisecond)},
+	}
 	_, _, _, rep := runAnatomy(t, sp, false)
-	if len(rep.Windows) != 2 {
-		t.Fatalf("windows = %+v, want crash window + outside row", rep.Windows)
+	var labels []string
+	for _, w := range rep.Windows {
+		labels = append(labels, w.Label)
 	}
-	if rep.Windows[0].Label != "crash org1/node0" {
-		t.Errorf("window label = %q", rep.Windows[0].Label)
-	}
-	if rep.Windows[1].Label != "outside windows" {
-		t.Errorf("second row = %q", rep.Windows[1].Label)
+	want := []string{"crash org1/node0", "churn x4", "outside windows"}
+	if !reflect.DeepEqual(labels, want) {
+		t.Fatalf("window labels = %q, want %q", labels, want)
 	}
 }
 

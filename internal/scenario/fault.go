@@ -4,69 +4,19 @@ import (
 	"fmt"
 
 	"github.com/bidl-framework/bidl/internal/chaos"
+	"github.com/bidl-framework/bidl/internal/substrate"
 )
 
-// FaultSpec is one declarative fault-injection entry — the JSON surface of
-// chaos.Fault (see chaos.Kinds for the taxonomy, or `bidl run
-// -list-faults`). Field meaning varies by kind; unused fields are ignored.
-type FaultSpec struct {
-	// Kind is one of crash, partition, dc_outage, drop_storm, churn,
-	// seq_failover, leader, broadcaster, smart.
-	Kind string `json:"kind"`
-	// At is the virtual time the fault starts.
-	At Duration `json:"at,omitempty"`
-	// Duration bounds the fault window (crash: 0 = permanent; partition,
-	// dc_outage, drop_storm, seq_failover require > 0).
-	Duration Duration `json:"duration,omitempty"`
-
-	// Org/Node target crash and partition faults; DC targets dc_outage.
-	Org  int `json:"org,omitempty"`
-	Node int `json:"node,omitempty"`
-	DC   int `json:"dc,omitempty"`
-
-	// Shard targets the fault at one channel of a sharded deployment
-	// (scenario.Shards > 1); org/node/dc indices are then relative to that
-	// shard's cluster. Must be 0 when the scenario is unsharded.
-	Shard int `json:"shard,omitempty"`
-
-	// Count cycles of one crash/restart every Period (churn).
-	Count  int      `json:"count,omitempty"`
-	Period Duration `json:"period,omitempty"`
-
-	// Rate is the drop-storm per-message drop probability.
-	Rate float64 `json:"rate,omitempty"`
-
-	// Broadcaster knobs (kinds broadcaster/smart); zero values take
-	// attack.DefaultBroadcasterConfig.
-	Window           int      `json:"window,omitempty"`
-	Interval         Duration `json:"interval,omitempty"`
-	DetectLag        Duration `json:"detect_lag,omitempty"`
-	MaliciousClients []int    `json:"malicious_clients"`
-}
-
-// fault compiles the spec entry to the engine form.
-func (f FaultSpec) fault() chaos.Fault {
-	return chaos.Fault{
-		Kind:             f.Kind,
-		At:               f.At.D(),
-		Duration:         f.Duration.D(),
-		Org:              f.Org,
-		Node:             f.Node,
-		DC:               f.DC,
-		Count:            f.Count,
-		Period:           f.Period.D(),
-		Rate:             f.Rate,
-		Window:           f.Window,
-		Interval:         f.Interval.D(),
-		DetectLag:        f.DetectLag.D(),
-		MaliciousClients: f.MaliciousClients,
-	}
-}
+// FaultSpec is one declarative fault-injection entry. It is the chaos
+// engine's own fault type, which carries the JSON tags: a spec's `faults`
+// array is what the injector schedules, with no copy in between (see
+// chaos.Kinds for the taxonomy, or `bidl run -list-faults`).
+type FaultSpec = chaos.Fault
 
 // attackFault lowers the legacy attack spec onto the fault schedule: a
 // leader attack is a permanent time-zero leader fault, the broadcaster
 // kinds map field-for-field. The zero AttackSpec compiles to a zero Fault
-// (Kind ""), which compiledFaults skips.
+// (Kind ""), which FaultSchedule skips.
 func (a AttackSpec) attackFault() chaos.Fault {
 	switch a.Kind {
 	case AttackLeader:
@@ -74,47 +24,34 @@ func (a AttackSpec) attackFault() chaos.Fault {
 	case AttackBroadcaster, AttackSmart:
 		return chaos.Fault{
 			Kind:             a.Kind,
-			At:               a.Start.D(),
+			At:               a.Start,
 			Window:           a.Window,
-			Interval:         a.Interval.D(),
-			DetectLag:        a.DetectLag.D(),
+			Interval:         a.Interval,
+			DetectLag:        a.DetectLag,
 			MaliciousClients: a.MaliciousClients,
 		}
 	}
 	return chaos.Fault{}
 }
 
-// FaultSchedule returns the run's compiled fault schedule — the faults
-// array plus the legacy attack spec lowered onto it — in engine form.
-// Invariant harnesses use it to locate fault-window ends (chaos.ScheduleEnd).
-func (s Scenario) FaultSchedule() []chaos.Fault { return s.compiledFaults() }
-
-// compiledFaults is the run's full fault schedule: the faults array plus
-// the legacy attack spec lowered onto it.
-func (s Scenario) compiledFaults() []chaos.Fault {
-	out := make([]chaos.Fault, 0, len(s.Faults)+1)
-	for _, f := range s.Faults {
-		out = append(out, f.fault())
-	}
+// FaultSchedule returns the run's full fault schedule: the faults array plus
+// the legacy attack spec lowered onto it (as a shard-0 entry). Invariant
+// harnesses use it to locate fault-window ends (chaos.ScheduleEnd).
+func (s Scenario) FaultSchedule() []chaos.Fault {
+	out := append([]chaos.Fault(nil), s.Faults...)
 	if a := s.Attack.attackFault(); a.Kind != "" {
 		out = append(out, a)
 	}
 	return out
 }
 
-// faultsForShard compiles the engine-form schedule targeting shard i: the
-// spec entries whose shard field matches, plus — on shard 0 — the legacy
-// attack spec.
+// faultsForShard returns the part of the schedule targeting shard i; an
+// unsharded run is shard 0 and gets all of it.
 func (s Scenario) faultsForShard(i int) []chaos.Fault {
 	var out []chaos.Fault
-	for _, f := range s.Faults {
+	for _, f := range s.FaultSchedule() {
 		if f.Shard == i {
-			out = append(out, f.fault())
-		}
-	}
-	if i == 0 {
-		if a := s.Attack.attackFault(); a.Kind != "" {
-			out = append(out, a)
+			out = append(out, f)
 		}
 	}
 	return out
@@ -125,8 +62,8 @@ func (s Scenario) faultsForShard(i int) []chaos.Fault {
 // times, overlapping windows — chaos.ValidateSchedule), out-of-range
 // targets, and sequencer-racing adversaries on frameworks without a
 // sequencer multicast.
-func (s Scenario) validateFaults(orgs, perOrg, dcs int, isBIDL bool) error {
-	faults := s.compiledFaults()
+func (s Scenario) validateFaults(cfg substrate.Config, isBIDL bool) error {
+	faults := s.FaultSchedule()
 	if len(faults) == 0 {
 		return nil
 	}
@@ -155,15 +92,15 @@ func (s Scenario) validateFaults(orgs, perOrg, dcs int, isBIDL bool) error {
 	for i, f := range faults {
 		switch f.Kind {
 		case chaos.KindCrash, chaos.KindPartition:
-			if f.Org >= orgs {
-				return fmt.Errorf("scenario: fault %d (%s): org %d out of range (cluster has %d orgs)", i, f.Kind, f.Org, orgs)
+			if f.Org >= cfg.NumOrgs {
+				return fmt.Errorf("scenario: fault %d (%s): org %d out of range (cluster has %d orgs)", i, f.Kind, f.Org, cfg.NumOrgs)
 			}
-			if f.Kind == chaos.KindCrash && f.Node >= perOrg {
-				return fmt.Errorf("scenario: fault %d (crash): node %d out of range (orgs have %d nodes)", i, f.Node, perOrg)
+			if f.Kind == chaos.KindCrash && f.Node >= cfg.PerOrg {
+				return fmt.Errorf("scenario: fault %d (crash): node %d out of range (orgs have %d nodes)", i, f.Node, cfg.PerOrg)
 			}
 		case chaos.KindDCOutage:
-			if f.DC >= dcs {
-				return fmt.Errorf("scenario: fault %d (dc_outage): dc %d out of range (cluster has %d datacenters)", i, f.DC, dcs)
+			if f.DC >= cfg.NumDCs {
+				return fmt.Errorf("scenario: fault %d (dc_outage): dc %d out of range (cluster has %d datacenters)", i, f.DC, cfg.NumDCs)
 			}
 		case chaos.KindBroadcaster, chaos.KindSmart:
 			if !isBIDL {

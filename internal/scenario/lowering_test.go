@@ -46,7 +46,7 @@ func everyFieldSpec(protocol string) Scenario {
 // by its Go name, so renaming a config field leaves the goldens alone.
 func renderBIDL(b *bytes.Buffer, c core.Config) {
 	fmt.Fprintf(b, "orgs=%d\nper_org=%d\nconsensus=%d\nf=%d\nprotocol=%s\n",
-		c.NumOrgs, c.NormalPerOrg, c.NumConsensus, c.F, c.Protocol)
+		c.NumOrgs, c.PerOrg, c.NumConsensus, c.F, c.Protocol)
 	fmt.Fprintf(b, "block_size=%d\nblock_timeout=%s\nview_timeout=%s\nclient_timeout=%s\n",
 		c.BlockSize, c.BlockTimeout, c.ViewTimeout, c.ClientTimeout)
 	fmt.Fprintf(b, "seq_flush_interval=%s\nseq_batch_max=%d\nresult_flush_interval=%s\n",
@@ -61,7 +61,7 @@ func renderBIDL(b *bytes.Buffer, c core.Config) {
 
 func renderFabric(b *bytes.Buffer, c fabric.Config) {
 	fmt.Fprintf(b, "variant=%s\norgs=%d\nper_org=%d\nconsensus=%d\nf=%d\nprotocol=%s\n",
-		c.Variant, c.NumOrgs, c.PeersPerOrg, c.NumOrderers, c.F, c.Protocol)
+		c.Variant, c.NumOrgs, c.PerOrg, c.NumConsensus, c.F, c.Protocol)
 	fmt.Fprintf(b, "block_size=%d\nblock_timeout=%s\nview_timeout=%s\n",
 		c.BlockSize, c.BlockTimeout, c.ViewTimeout)
 	fmt.Fprintf(b, "costs=%+v\ntopology=%+v\ndcs=%d\nseed=%d\nsim_workers=%d\ntraced=%t\n",

@@ -11,6 +11,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/trace/anatomy"
 	"github.com/bidl-framework/bidl/internal/workload"
@@ -104,10 +105,7 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 	if err := d.Prepopulate(gen.Prepopulate); err != nil {
 		return Result{}, err
 	}
-	// Faults arm after the membership is complete (the broadcaster
-	// registers its own endpoint; doing so earlier would shift endpoint
-	// IDs and change the run) but before any load is scheduled.
-	b.armFaults(gen)
+	s.armFaults(b, gen)
 	submitted, err := d.ScheduleLoad(gen, s.Load)
 	if err != nil {
 		return Result{}, err
@@ -138,19 +136,22 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 // labeled by kind and target. Exposed so the offline report path
 // (`bidl report`) can reproduce the in-process annotation from a spec.
 func (s Scenario) AnatomyWindows() []anatomy.Window {
-	faults := s.compiledFaults()
+	faults := s.FaultSchedule()
 	out := make([]anatomy.Window, 0, len(faults))
 	for _, f := range faults {
 		label := f.Kind
 		switch f.Kind {
 		case chaos.KindCrash:
 			label = fmt.Sprintf("%s org%d/node%d", f.Kind, f.Org, f.Node)
-		case chaos.KindPartition, chaos.KindChurn:
+		case chaos.KindPartition:
 			label = fmt.Sprintf("%s org%d", f.Kind, f.Org)
+		case chaos.KindChurn:
+			// Churn rotates over every organization; it has no single target.
+			label = fmt.Sprintf("%s x%d", f.Kind, f.Count)
 		case chaos.KindDCOutage:
 			label = fmt.Sprintf("%s dc%d", f.Kind, f.DC)
 		}
-		out = append(out, anatomy.Window{Label: label, Start: f.At, End: f.End()})
+		out = append(out, anatomy.Window{Label: label, Start: f.At.D(), End: f.End()})
 	}
 	return out
 }
@@ -247,11 +248,11 @@ func (t TopologySpec) topology() simnet.Topology {
 	return topo
 }
 
-// bidlConfig compiles the spec for the BIDL framework: start from
-// core.DefaultConfig (the paper's setting A) and override only fields the
-// spec sets, so an empty spec reproduces the default deployment exactly.
-func (s Scenario) bidlConfig() core.Config {
-	cfg := core.DefaultConfig()
+// lower compiles the spec groups every framework shares — protocol, seed,
+// sim_workers, nodes, topology, costs and the block/view part of tuning —
+// onto the framework's default deployment, overriding only fields the spec
+// sets, so an empty spec reproduces the default deployment exactly.
+func (s Scenario) lower(cfg substrate.Config) substrate.Config {
 	cfg.Seed = s.EffectiveSeed()
 	if s.Protocol != "" {
 		cfg.Protocol = s.Protocol
@@ -260,7 +261,7 @@ func (s Scenario) bidlConfig() core.Config {
 		cfg.NumOrgs = s.Nodes.Orgs
 	}
 	if s.Nodes.PerOrg > 0 {
-		cfg.NormalPerOrg = s.Nodes.PerOrg
+		cfg.PerOrg = s.Nodes.PerOrg
 	}
 	if s.Nodes.Consensus > 0 {
 		cfg.NumConsensus = s.Nodes.Consensus
@@ -286,6 +287,21 @@ func (s Scenario) bidlConfig() core.Config {
 	if tu.ViewTimeout != 0 {
 		cfg.ViewTimeout = tu.ViewTimeout.D()
 	}
+	if s.Costs != nil {
+		cfg.Costs = *s.Costs
+	}
+	cfg.SimWorkers = s.effectiveSimWorkers()
+	return cfg
+}
+
+// bidlConfig compiles the spec for the BIDL framework: core.DefaultConfig
+// (the paper's setting A) under the shared lowering, plus the BIDL-only
+// tuning.
+func (s Scenario) bidlConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Config = s.lower(cfg.Config)
+
+	tu := s.Tuning
 	if tu.ClientTimeout != 0 {
 		cfg.ClientTimeout = tu.ClientTimeout.D()
 	}
@@ -311,11 +327,6 @@ func (s Scenario) bidlConfig() core.Config {
 	cfg.DisableMulticast = tu.DisableMulticast
 	cfg.ConsensusOnPayload = tu.ConsensusOnPayload
 	cfg.DisableSpeculation = tu.DisableSpeculation
-
-	if s.Costs != nil {
-		cfg.Costs = *s.Costs
-	}
-	cfg.SimWorkers = s.effectiveSimWorkers()
 	return cfg
 }
 
@@ -346,49 +357,12 @@ func fabricVariant(framework string) (fabric.Variant, bool) {
 	return 0, false
 }
 
-// fabricConfig compiles the spec for a baseline framework, starting from
-// the variant's DefaultConfig.
+// fabricConfig compiles the spec for a baseline framework: the variant's
+// DefaultConfig under the shared lowering.
 func (s Scenario) fabricConfig() fabric.Config {
 	v, _ := fabricVariant(s.Framework)
 	cfg := fabric.DefaultConfig(v)
-	cfg.Seed = s.EffectiveSeed()
-	if s.Protocol != "" {
-		cfg.Protocol = s.Protocol
-	}
-	if s.Nodes.Orgs > 0 {
-		cfg.NumOrgs = s.Nodes.Orgs
-	}
-	if s.Nodes.PerOrg > 0 {
-		cfg.PeersPerOrg = s.Nodes.PerOrg
-	}
-	if s.Nodes.Consensus > 0 {
-		cfg.NumOrderers = s.Nodes.Consensus
-		cfg.F = 0
-	}
-	if s.Nodes.Faults > 0 {
-		cfg.F = s.Nodes.Faults
-	} else if s.Nodes.Consensus >= 4 {
-		cfg.F = (s.Nodes.Consensus - 1) / 3
-	}
-	if s.Nodes.Datacenters > 0 {
-		cfg.NumDCs = s.Nodes.Datacenters
-	}
-	cfg.Topology = s.Topology.topology()
-
-	tu := s.Tuning
-	if tu.BlockSize > 0 {
-		cfg.BlockSize = tu.BlockSize
-	}
-	if tu.BlockTimeout != 0 {
-		cfg.BlockTimeout = tu.BlockTimeout.D()
-	}
-	if tu.ViewTimeout != 0 {
-		cfg.ViewTimeout = tu.ViewTimeout.D()
-	}
-	if s.Costs != nil {
-		cfg.Costs = *s.Costs
-	}
-	cfg.SimWorkers = s.effectiveSimWorkers()
+	cfg.Config = s.lower(cfg.Config)
 	return cfg
 }
 
@@ -529,13 +503,13 @@ func (s Scenario) Validate() error {
 
 	if isBIDL {
 		cfg := s.bidlConfig()
-		if err := s.validateFaults(cfg.NumOrgs, cfg.NormalPerOrg, cfg.NumDCs, true); err != nil {
+		if err := s.validateFaults(cfg.Config, true); err != nil {
 			return err
 		}
 		return cfg.Validate()
 	}
 	cfg := s.fabricConfig()
-	if err := s.validateFaults(cfg.NumOrgs, cfg.PeersPerOrg, cfg.NumDCs, false); err != nil {
+	if err := s.validateFaults(cfg.Config, false); err != nil {
 		return err
 	}
 	return cfg.Validate()

@@ -17,12 +17,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
-	"reflect"
-	"strconv"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/cost"
+	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // Framework names accepted by Scenario.Framework.
@@ -33,50 +31,8 @@ const (
 	FrameworkStreamChain = "streamchain"
 )
 
-// Duration is a time.Duration that marshals as a human-readable string
-// ("150ms", "1.2s") and unmarshals from either such a string or a JSON
-// number of nanoseconds.
-type Duration time.Duration
-
-// D converts to a time.Duration.
-func (d Duration) D() time.Duration { return time.Duration(d) }
-
-// String renders the duration ("10ms").
-func (d Duration) String() string { return time.Duration(d).String() }
-
-// MarshalJSON renders the duration as a quoted string.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return []byte(strconv.Quote(time.Duration(d).String())), nil
-}
-
-// UnmarshalJSON accepts "150ms"-style strings and nanosecond numbers.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		s, err := strconv.Unquote(string(b))
-		if err != nil {
-			return fmt.Errorf("scenario: bad duration %s: %w", b, err)
-		}
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("scenario: bad duration %q: %w", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	ns, err := strconv.ParseFloat(string(b), 64)
-	if err != nil {
-		return fmt.Errorf("scenario: bad duration %s: %w", b, err)
-	}
-	*d = Duration(time.Duration(ns))
-	return nil
-}
-
-// Generate implements testing/quick.Generator, restricting random durations
-// to a range whose String() form re-parses exactly.
-func (Duration) Generate(r *rand.Rand, _ int) reflect.Value {
-	span := int64(1000 * time.Hour)
-	return reflect.ValueOf(Duration(r.Int63n(2*span) - span))
-}
+// Duration is the spec's human-readable duration ("150ms" in JSON).
+type Duration = types.Duration
 
 // Scenario is one complete declarative experiment: which framework to
 // simulate, on what cluster and network, under what workload and offered
@@ -348,7 +304,9 @@ const (
 )
 
 // AttackSpec optionally arms an adversary. The zero value is "no attack".
-// Broadcaster knobs left zero take attack.DefaultBroadcasterConfig.
+// It is kept as the legacy JSON key for a one-entry fault schedule
+// (attackFault is its one translation); zero broadcaster knobs take the
+// defaults of chaos.Fault.
 type AttackSpec struct {
 	// Kind is one of "", "none", "leader", "broadcaster", "smart".
 	Kind string `json:"kind,omitempty"`

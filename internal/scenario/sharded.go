@@ -73,44 +73,31 @@ type xsubref struct {
 	phase int // 1 = prepare, 2 = decision
 }
 
-// ShardedConfig parameterizes a sharded deployment.
-type ShardedConfig struct {
-	// Shards is the number of channels (>= 1).
-	Shards int
-	// Shard is the per-shard cluster template: every shard gets this many
-	// organizations, consensus nodes, etc. Seed, Costs, Topology, and
-	// Tracer are taken from it; per-shard node randomness is decorrelated
-	// by shard index.
-	Shard core.Config
-	// SimWorkers requests PDES across the union of all shards' partitions.
-	SimWorkers int
-}
-
-// NewShardedHarness builds cfg.Shards clusters on one shared simulation.
-func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
+// NewShardedHarness builds shards clusters on one shared simulation. cfg is
+// the per-shard cluster template: every shard gets this many organizations,
+// consensus nodes, etc.; Seed, SimWorkers, Costs, Topology and Tracer are
+// taken from it, and per-shard node randomness is decorrelated by shard
+// index.
+func NewShardedHarness(shards int, cfg core.Config) *ShardedHarness {
+	if shards < 1 {
+		shards = 1
 	}
-	base := cfg.Shard
 	// One partition space across all shards: shard i's organizations sit at
 	// offset i*NumOrgs, so PDES parallelism scales with the total org count,
 	// not the per-shard count. All consensus nodes, sequencers, clients, and
 	// coordinators share hub partition 0.
 	h := &ShardedHarness{
-		Engine:   core.NewEngine(base, cfg.SimWorkers, cfg.Shards*base.NumOrgs),
-		keyOwner: base.KeyOwner,
+		Engine:   core.NewEngine(cfg, shards*cfg.NumOrgs),
+		keyOwner: contract.SmallBankKeyOwner(cfg.NumOrgs),
 		subs:     make(map[types.TxID]*xsubref),
 	}
-	if h.keyOwner == nil {
-		h.keyOwner = contract.SmallBankKeyOwner(base.NumOrgs)
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		sc := base
+	for i := 0; i < shards; i++ {
+		sc := cfg
 		// Decorrelate per-shard node randomness and leader rotation; the
 		// shared scheme keeps client keys identical across shards.
-		sc.Seed = base.Seed + int64(i)*1_000_000_007
+		sc.Seed = cfg.Seed + int64(i)*1_000_000_007
 		h.shards = append(h.shards,
-			core.NewClusterOn(h.Engine, "s"+strconv.Itoa(i)+"/", i*base.NumOrgs, sc))
+			core.NewClusterOn(h.Engine, "s"+strconv.Itoa(i)+"/", i*cfg.NumOrgs, sc))
 		h.xid = append(h.xid, crypto.Identity("xcoord-s"+strconv.Itoa(i)))
 		h.xnonce = append(h.xnonce, 0)
 	}

@@ -22,7 +22,8 @@ func shardedFixture(t testing.TB, shards, simWorkers int) (*ShardedHarness, *wor
 	cfg.BlockSize = 50
 	cfg.BlockTimeout = 5 * time.Millisecond
 	cfg.Seed = 7
-	h := NewShardedHarness(ShardedConfig{Shards: shards, Shard: cfg, SimWorkers: simWorkers})
+	cfg.SimWorkers = simWorkers
+	h := NewShardedHarness(shards, cfg)
 
 	w := workload.DefaultConfig(cfg.NumOrgs)
 	w.NumClients = 8

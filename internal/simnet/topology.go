@@ -7,10 +7,7 @@ import (
 
 // Bandwidth values are in bytes per second. The paper's 40 Gbps NICs are
 // 5e9 B/s.
-const (
-	Gbps = int64(1e9 / 8)
-	Mbps = int64(1e6 / 8)
-)
+const Gbps = int64(1e9 / 8)
 
 // Topology describes the datacenter layout and link characteristics.
 // Endpoints are assigned to datacenters at registration time; latency and

@@ -11,8 +11,10 @@
 //     submission, and the safety-violation log. A framework's Cluster embeds
 //     it and adds its own node types.
 //
-// The package also holds the one protocol-by-name factory (NewReplica).
-// Nothing here branches on which framework is deployed.
+// Config is the part of a deployment's configuration every framework shares
+// (the frameworks' own Config types embed it), with the one setting-A default
+// and the one check of it. The package also holds the one protocol-by-name
+// factory (NewReplica). Nothing here branches on which framework is deployed.
 package substrate
 
 import (
@@ -27,6 +29,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus/raft"
 	"github.com/bidl-framework/bidl/internal/consensus/sbft"
 	"github.com/bidl-framework/bidl/internal/consensus/zyzzyva"
+	"github.com/bidl-framework/bidl/internal/cost"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simhost"
@@ -34,6 +37,108 @@ import (
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
+
+// Config is what every framework's deployment is parameterized by: cluster
+// shape, ordering-service batching and timeouts, cost model, network, seed
+// and engine. Which protocols a framework accepts and how many consensus
+// nodes tolerate F faults are the framework's own rules.
+type Config struct {
+	// NumOrgs organizations with PerOrg nodes each (BIDL normal nodes,
+	// baseline peers).
+	NumOrgs int
+	PerOrg  int
+	// NumConsensus consensus nodes (BIDL) or orderers (baselines)
+	// tolerating F faults.
+	NumConsensus int
+	F            int
+	// Protocol names the consensus protocol (see the Proto* names).
+	Protocol string
+
+	// BlockSize is the number of transactions per block (paper: 500).
+	BlockSize int
+	// BlockTimeout proposes a partial block when it elapses (must be > 0).
+	BlockTimeout time.Duration
+	// ViewTimeout is the consensus progress timeout.
+	ViewTimeout time.Duration
+
+	// Costs is the virtual CPU cost model.
+	Costs cost.Model
+	// Topology describes the network; NumDCs spreads nodes round-robin
+	// over that many datacenters.
+	Topology simnet.Topology
+	NumDCs   int
+	// Seed drives all simulation randomness.
+	Seed int64
+
+	// SimWorkers requests conservative parallel discrete-event execution
+	// (PDES) with this many worker goroutines. Values below 2 keep the
+	// serial engine. The event queue is partitioned by node group —
+	// consensus nodes, what shares their servers, and clients in the hub
+	// partition, organizations spread over the rest — and a parallel run is
+	// byte-identical to a serial run of the same partitioned cluster.
+	SimWorkers int
+
+	// Tracer, when non-nil, records per-transaction lifecycle spans and
+	// node/link telemetry for the whole cluster (see internal/trace). Nil
+	// disables tracing at zero cost.
+	Tracer *trace.Tracer
+}
+
+// DefaultConfig mirrors the paper's evaluation setting A: four consensus
+// nodes (f=1) and 50 organizations with one node each, 500-txn blocks, in
+// one datacenter. Protocol is left to the framework.
+func DefaultConfig() Config {
+	return Config{
+		NumOrgs:      50,
+		PerOrg:       1,
+		NumConsensus: 4,
+		F:            1,
+		BlockSize:    500,
+		BlockTimeout: 10 * time.Millisecond,
+		ViewTimeout:  150 * time.Millisecond,
+		Costs:        cost.Default(),
+		Topology:     simnet.DefaultTopology(),
+		NumDCs:       1,
+		Seed:         1,
+	}
+}
+
+// Validate reports the first error in the shared fields, prefixed with the
+// framework's package name. The framework applies its own derivations
+// (NumConsensus from F) first and its own checks after.
+func (c Config) Validate(prefix string) error {
+	var err error
+	switch {
+	case c.NumOrgs < 1:
+		err = fmt.Errorf("NumOrgs must be >= 1 (got %d)", c.NumOrgs)
+	case c.PerOrg < 1:
+		err = fmt.Errorf("PerOrg must be >= 1 (got %d)", c.PerOrg)
+	case c.NumConsensus < 1:
+		err = fmt.Errorf("NumConsensus must be >= 1 (got %d)", c.NumConsensus)
+	case c.F < 0:
+		err = fmt.Errorf("F must be >= 0 (got %d)", c.F)
+	case c.BlockSize < 1:
+		err = fmt.Errorf("BlockSize must be >= 1 (got %d)", c.BlockSize)
+	case c.BlockTimeout <= 0:
+		// Batch timers and persist-vote retries re-arm every BlockTimeout
+		// (a deposed orderer with envelopes queued, a normal node waiting
+		// for votes): at zero they spin at one virtual instant and Run
+		// never returns.
+		err = fmt.Errorf("BlockTimeout must be > 0 (got %s)", c.BlockTimeout)
+	case c.ViewTimeout < 0:
+		err = fmt.Errorf("ViewTimeout must be >= 0 (got %s)", c.ViewTimeout)
+	case c.NumDCs < 0:
+		err = fmt.Errorf("NumDCs must be >= 0 (got %d)", c.NumDCs)
+	case c.SimWorkers < 0:
+		err = fmt.Errorf("SimWorkers must be >= 0 (got %d)", c.SimWorkers)
+	default:
+		err = c.Topology.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", prefix, err)
+	}
+	return nil
+}
 
 // Engine is the simulation a deployment runs on.
 type Engine struct {
@@ -45,24 +150,26 @@ type Engine struct {
 	Tracer *trace.Tracer
 }
 
-// NewEngine builds an engine seeded with seed. The event queue is split by
-// the hub-and-shards rule (DESIGN.md §10): consensus nodes, whatever shares
-// their servers, and clients run in hub partition 0 because they read each
-// other's state mid-run; the orgs organizations the engine will carry spread
-// over the remaining partitions, as many as workers allow. domain keys the
-// membership scheme, so frameworks never share signing secrets.
-func NewEngine(domain string, seed int64, workers, orgs int, topo simnet.Topology, tracer *trace.Tracer) *Engine {
-	sim := simnet.NewSim(seed)
-	sim.SetPartitions(simnet.PartitionCount(workers, orgs))
-	sim.SetWorkers(workers)
-	net := simnet.NewNetwork(sim, topo)
-	net.SetTracer(tracer)
+// NewEngine builds the engine cfg asks for (Seed, SimWorkers, Topology,
+// Tracer). The event queue is split by the hub-and-shards rule (DESIGN.md
+// §10): consensus nodes, whatever shares their servers, and clients run in
+// hub partition 0 because they read each other's state mid-run; the orgs
+// organizations the engine will carry — cfg.NumOrgs per deployment placed on
+// it — spread over the remaining partitions, as many as the workers allow.
+// domain keys the membership scheme, so frameworks never share signing
+// secrets.
+func NewEngine(domain string, cfg Config, orgs int) *Engine {
+	sim := simnet.NewSim(cfg.Seed)
+	sim.SetPartitions(simnet.PartitionCount(cfg.SimWorkers, orgs))
+	sim.SetWorkers(cfg.SimWorkers)
+	net := simnet.NewNetwork(sim, cfg.Topology)
+	net.SetTracer(cfg.Tracer)
 	return &Engine{
 		Sim:       sim,
 		Net:       net,
-		Scheme:    crypto.NewHMACScheme([]byte(fmt.Sprintf("%s-%d", domain, seed))),
+		Scheme:    crypto.NewHMACScheme([]byte(fmt.Sprintf("%s-%d", domain, cfg.Seed))),
 		Collector: metrics.NewCollector(),
-		Tracer:    tracer,
+		Tracer:    cfg.Tracer,
 	}
 }
 
@@ -125,10 +232,13 @@ type Deployment struct {
 	// Label prefixes every endpoint name, so deployments sharing an Engine
 	// stay apart; embedders namespace their multicast groups with it too.
 	Label string
-	// Cons is the consensus group; OrgEps[o] lists organization o's
-	// endpoints in registration order.
-	Cons   simhost.Group
-	OrgEps [][]*simnet.Endpoint
+	// Cons is the consensus group; Colocated lists the endpoints an embedder
+	// registered on the consensus members' servers (BIDL's sequencers, in
+	// member order); OrgEps[o] lists organization o's endpoints in
+	// registration order.
+	Cons      simhost.Group
+	Colocated []*simnet.Endpoint
+	OrgEps    [][]*simnet.Endpoint
 
 	numDCs, orgOffset, placed int
 	clients                   map[crypto.Identity]clientEntry
@@ -137,17 +247,17 @@ type Deployment struct {
 	violations   []string
 }
 
-// NewDeployment places a cluster on e. Nodes spread round-robin over numDCs
-// datacenters; orgOffset shifts the cluster's organizations within the
-// engine's partition space, so co-hosted clusters spread over all PDES
-// partitions instead of piling onto the same ones. identity names the
-// consensus members in the scheme.
-func NewDeployment(e *Engine, label string, numDCs, orgOffset int, identity func(int) crypto.Identity) *Deployment {
+// NewDeployment places the cluster cfg describes on e. Nodes spread
+// round-robin over cfg.NumDCs datacenters; orgOffset shifts the cluster's
+// organizations within the engine's partition space, so co-hosted clusters
+// spread over all PDES partitions instead of piling onto the same ones.
+// identity names the consensus members in the scheme.
+func NewDeployment(e *Engine, label string, orgOffset int, cfg Config, identity func(int) crypto.Identity) *Deployment {
 	return &Deployment{
 		Engine:    e,
 		Label:     label,
 		Cons:      simhost.Group{Sim: e.Sim, Scheme: e.Scheme, Tracer: e.Tracer, Identity: identity},
-		numDCs:    numDCs,
+		numDCs:    cfg.NumDCs,
 		orgOffset: orgOffset,
 		clients:   make(map[crypto.Identity]clientEntry),
 	}

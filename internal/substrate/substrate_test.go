@@ -16,8 +16,9 @@ import (
 func member(i int) crypto.Identity { return crypto.Identity(fmt.Sprintf("cn%d", i)) }
 
 func newDeployment(workers, orgs, numDCs, orgOffset int) *Deployment {
-	e := NewEngine("test", 1, workers, orgs, simnet.DefaultTopology(), nil)
-	return NewDeployment(e, "x/", numDCs, orgOffset, member)
+	cfg := DefaultConfig()
+	cfg.SimWorkers, cfg.NumDCs = workers, numDCs
+	return NewDeployment(NewEngine("test", cfg, orgs), "x/", orgOffset, cfg, member)
 }
 
 // fakeClient records the batches the registry hands it, into a log shared by
@@ -146,7 +147,9 @@ func TestPlacement(t *testing.T) {
 func TestSubmittedNotifiedWriteBothStores(t *testing.T) {
 	id := crypto.Hash([]byte("tx"))
 	for _, tr := range []*trace.Tracer{nil, trace.New(trace.Options{})} {
-		e := NewEngine("test", 1, 0, 2, simnet.DefaultTopology(), tr)
+		cfg := DefaultConfig()
+		cfg.Tracer = tr
+		e := NewEngine("test", cfg, 2)
 		e.Submitted(id, 7, time.Millisecond)
 		e.Notified(id, 7, 5*time.Millisecond, true)
 		col := e.Metrics()

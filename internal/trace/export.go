@@ -52,16 +52,6 @@ type txSpan struct {
 func (s *txSpan) start() time.Duration { return s.events[0].At }
 func (s *txSpan) end() time.Duration   { return s.events[len(s.events)-1].At }
 
-// hasStage reports whether the span includes a given stage mark.
-func (s *txSpan) hasStage(st Stage) bool {
-	for _, e := range s.events {
-		if e.Stage == st {
-			return true
-		}
-	}
-	return false
-}
-
 // assembleSpans groups the lifecycle ring into per-transaction spans with at
 // least two stage marks, ordered by (start time, TxID) for determinism.
 func (t *Tracer) assembleSpans() []*txSpan {
