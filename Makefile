@@ -59,8 +59,12 @@ loc:
 	@printf '%6d total\n' "$$($(LOC_TOTAL))"
 
 # Neither total may grow unnoticed: a PR that needs more lines raises the
-# ceiling here, in its own diff, where a reviewer sees it.
-LOC_CEILING := 19200
+# ceiling here, in its own diff, where a reviewer sees it. PR 20 raised it
+# from 19200 by its measured net growth (19172 -> 19317): the node index
+# (core/pool.go: records, paged slots, their recycling) and BlockMsg's shared
+# decode and block memos cost more lines than the ten per-transaction maps,
+# their twin certificate checks and bench's private profile flags gave back.
+LOC_CEILING := 19317
 DOC_CEILING := 1619
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -94,23 +98,29 @@ benchmark-test:
 benchmark:
 	bash benchmark/run.sh -seed 7 -out /tmp/bidl-results.json
 
-# One-transaction smoke run of the end-to-end pipeline benchmark so the
-# hot-path suite can never bitrot (it also asserts the txn commits).
+# One-iteration smoke run of the hot-path benchmarks so the suite can never
+# bitrot: one transaction through the end-to-end pipeline and one 500-
+# transaction block through a normal node (each asserts that it commits).
 hotpath-smoke:
 	$(GO) test ./internal/bench/ -run XXX -bench BenchmarkPipelineHotPath -benchtime 1x
+	$(GO) test ./internal/core/ -run XXX -bench BenchmarkNormalNodeCommit -benchtime 1x
 
-# Full hot-path benchmark suite: end-to-end pipeline cost plus the simnet
-# delivery/event-loop microbenchmarks it builds on.
+# Full hot-path benchmark suite: end-to-end pipeline cost, a normal node's
+# cost per committed block, and the simnet delivery/event-loop
+# microbenchmarks they build on.
 bench-hotpath:
 	$(GO) test ./internal/bench/ -run XXX -bench BenchmarkPipelineHotPath -benchtime 2s
+	$(GO) test ./internal/core/ -run XXX -bench BenchmarkNormalNodeCommit -benchtime 2s
 	$(GO) test ./internal/simnet/ -run XXX -bench 'BenchmarkEndpointDelivery|BenchmarkSimEventLoop|BenchmarkSimBroadcast'
 
-# Capture CPU + allocation profiles of the fig5 sweep (the profile-guided
-# optimization loop). Inspect with:
+# Capture CPU + allocation profiles (the profile-guided optimization loop): of
+# the fig5 sweep, or with SCENARIO=benchmark/workloads/steady.json of one run
+# of that spec. Inspect with:
 #   go tool pprof $(BIDL) /tmp/bidl-cpu.pprof
 #   go tool pprof -sample_index=alloc_objects $(BIDL) /tmp/bidl-mem.pprof
+SCENARIO ?=
 profile: $(BIDL)
-	$(BIDL) bench -run fig5 -scale 0.15 -q \
+	$(BIDL) $(if $(SCENARIO),run -scenario $(SCENARIO),bench -run fig5 -scale 0.15 -q) \
 		-cpuprofile /tmp/bidl-cpu.pprof -memprofile /tmp/bidl-mem.pprof > /dev/null
 	@echo "profiles: /tmp/bidl-cpu.pprof /tmp/bidl-mem.pprof (binary $(BIDL))"
 

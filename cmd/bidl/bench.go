@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"sync"
 
 	"github.com/bidl-framework/bidl"
@@ -27,8 +26,7 @@ import (
 // and runs nothing. Sweep points are independent seeded simulations, so
 // -j/-parallel and -sim-workers (PDES inside each simulation, DESIGN.md §10)
 // change only wall-clock time: tables are byte-identical to a serial run.
-// The profile flags capture the harness itself (`make profile`); inspect with
-// `go tool pprof <binary> <profile>`.
+// -cpuprofile/-memprofile capture the harness itself (`make profile`).
 func benchCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCLI("bench", stdout, stderr)
 	var (
@@ -42,8 +40,6 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 		quiet     = c.Bool("q", false, "suppress progress logging")
 		telemetry = c.Bool("telemetry", false, "trace every run and print per-run telemetry summaries to stderr")
 		anatomy   = c.Bool("anatomy", false, "trace every run and print per-run latency-anatomy breakdowns to stderr")
-		cpuProf   = c.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = c.String("memprofile", "", "write an allocation profile taken at exit to this file")
 	)
 	if code, ok := c.parse(args); !ok {
 		return code
@@ -53,26 +49,11 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return c.fail(1, err)
-		}
-		defer f.Close() // LIFO: closes after the profile is flushed
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return c.fail(1, err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := c.profile(sim)
+	if err != nil {
+		return c.fail(1, err)
 	}
-	if *memProf != "" {
-		defer func() {
-			runtime.GC() // materialize up-to-date allocation stats
-			err := writeFile(*memProf, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
-			if err != nil {
-				c.fail(1, err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	if *list || (*runID == "" && !*dump) {
 		fmt.Fprintln(stdout, "available experiments:")

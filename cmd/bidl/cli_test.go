@@ -74,6 +74,7 @@ var cliMatrix = []cliRow{
 	{name: "errors", steps: []string{
 		"run -attack bogus",
 		"run -runs 2 -telemetry",
+		"run -runs 2 -cpuprofile $TMP/cpu.pprof",
 		"run -scenario testdata/no-such.json",
 		"bench -run no-such-experiment",
 		"report",

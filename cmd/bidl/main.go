@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"github.com/bidl-framework/bidl"
 )
@@ -80,6 +82,8 @@ type simFlags struct {
 	simWorkers *int
 	shards     *int
 	listFaults *bool
+	cpuProf    *string
+	memProf    *string
 }
 
 func (c cli) simFlags(defaultJobs int, jobsUsage string) simFlags {
@@ -89,7 +93,39 @@ func (c cli) simFlags(defaultJobs int, jobsUsage string) simFlags {
 		simWorkers: c.Int("sim-workers", 0, "PDES workers inside each simulation (0/1 = serial engine; output is identical)"),
 		shards:     c.Int("shards", 0, "shard every BIDL deployment that sets no `shards` of its own into this many channels (0/1 = single channel)"),
 		listFaults: c.Bool("list-faults", false, "list the fault kinds a scenario's faults array accepts and exit"),
+		cpuProf:    c.String("cpuprofile", "", "write a CPU profile of the run to this file (run: single run only)"),
+		memProf:    c.String("memprofile", "", "write an allocation profile taken at exit to this file (run: single run only)"),
 	}
+}
+
+// profile starts the -cpuprofile CPU profile and returns what the subcommand
+// defers: it stops that profile and writes the -memprofile allocation profile.
+func (c cli) profile(sim simFlags) (stop func(), err error) {
+	var cpu *os.File
+	if *sim.cpuProf != "" {
+		if cpu, err = os.Create(*sim.cpuProf); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				c.fail(1, err)
+			}
+		}
+		if *sim.memProf != "" {
+			runtime.GC() // materialize up-to-date allocation stats
+			err := writeFile(*sim.memProf, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+			if err != nil {
+				c.fail(1, err)
+			}
+		}
+	}, nil
 }
 
 // printFaultKinds is the -list-faults output.

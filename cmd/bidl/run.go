@@ -70,8 +70,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	tracing := *traceOut != "" || *traceJSONL != "" || *telemetry || *anatomyOut != "" || *anatomyCSV != ""
-	if (tracing || *timeline) && *runs != 1 {
-		return c.fail(2, errors.New("-timeline/-trace/-trace-jsonl/-telemetry/-anatomy/-anatomy-csv require -runs 1"))
+	if (tracing || *timeline || *sim.cpuProf != "" || *sim.memProf != "") && *runs != 1 {
+		return c.fail(2, errors.New("-timeline/-trace/-trace-jsonl/-telemetry/-anatomy/-anatomy-csv/-cpuprofile/-memprofile require -runs 1"))
 	}
 
 	var spec bidl.Scenario
@@ -144,6 +144,12 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if spec.Load.Drain == 0 {
 		total = window + 500*time.Millisecond
 	}
+
+	stopProfiles, err := c.profile(sim)
+	if err != nil {
+		return c.fail(1, err)
+	}
+	defer stopProfiles()
 
 	type outcome struct {
 		err    error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -68,12 +69,11 @@ type ConsNode struct {
 	// records the view each sequence was agreed in (shepherd accounting).
 	// proposedHash records leader proposals pre-agreement: result vectors
 	// matching a proposal persist immediately (Algo 1 line 17), which is
-	// why the persist round is masked by the consensus phase (§4.4).
+	// why the persist round is masked by the consensus phase (§4.4). Which
+	// hashes are in agreed blocks is the agreed mark of the pool's records.
 	agreed       map[uint64]types.TxID
 	agreedView   map[uint64]uint64
 	proposedHash map[uint64]types.TxID
-	// agreedHash is the set of hashes in agreed blocks.
-	agreedHash map[types.TxID]bool
 	// proposeTime records when this node proposed each ordering digest
 	// (leader-side consensus latency, Table 3 P1).
 	proposeTime map[crypto.Digest]time.Duration
@@ -114,7 +114,6 @@ func newConsNode(c *Cluster, org int) *ConsNode {
 		agreed:       make(map[uint64]types.TxID),
 		agreedView:   make(map[uint64]uint64),
 		proposedHash: make(map[uint64]types.TxID),
-		agreedHash:   make(map[types.TxID]bool),
 		proposeTime:  make(map[crypto.Digest]time.Duration),
 		resultsBuf:   make(map[uint64][]ResultEntry),
 		persisted:    make(map[uint64]*PersistEntry),
@@ -240,10 +239,12 @@ func (n *ConsNode) onSeqBatchFrom(from simnet.NodeID, m *SeqBatch) {
 			continue
 		}
 		res := n.pool.add(st.Seq, st.Tx)
-		if res == poolDupSeq && n.agreedHash[st.Tx.ID()] {
-			// Agreed transactions evict crafted squatters.
-			n.pool.replace(st.Seq, st.Tx)
-			res = poolAdded
+		if res == poolDupSeq {
+			if r := n.pool.recs[st.Tx.ID()]; r != nil && r.agreed {
+				// Agreed transactions evict crafted squatters.
+				n.pool.replace(st.Seq, st.Tx)
+				res = poolAdded
+			}
 		}
 		switch res {
 		case poolAdded:
@@ -402,21 +403,14 @@ func (n *ConsNode) drainDelivered() {
 }
 
 // decodeOrderingPrefix decodes an ordering that may be followed by payload
-// bytes (ConsensusOnPayload mode).
+// bytes (ConsensusOnPayload mode): the leading count says where it ends.
 func decodeOrderingPrefix(data []byte) ([]uint64, []types.TxID, error) {
-	seqs, hashes, err := types.DecodeOrdering(data)
-	if err == nil {
-		return seqs, hashes, nil
+	if len(data) >= 4 {
+		if end := 4 + 40*int(binary.BigEndian.Uint32(data)); end < len(data) {
+			data = data[:end]
+		}
 	}
-	if len(data) < 4 {
-		return nil, nil, err
-	}
-	count := int(uint32(data[0])<<24 | uint32(data[1])<<16 | uint32(data[2])<<8 | uint32(data[3]))
-	end := 4 + count*40
-	if end > len(data) {
-		return nil, nil, err
-	}
-	return types.DecodeOrdering(data[:end])
+	return types.DecodeOrdering(data)
 }
 
 // processBlock handles one agreed block in chain order.
@@ -431,7 +425,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		h := blk.hashes[i]
 		n.agreed[s] = h
 		n.agreedView[s] = blk.cert.View
-		n.agreedHash[h] = true
+		r, local := n.pool.agree(s, h)
 		delete(n.watch, h)
 		if currentView {
 			n.viewTotal++
@@ -439,7 +433,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 
 		// Def 4.1 conflict detection: local Phase-2 transaction at this
 		// sequence number differs from the agreed one.
-		if local, ok := n.pool.at(s); ok && local.ID() != h {
+		if local != nil {
 			atomic.AddUint64(&n.c.Collector.Conflicts, 1)
 			if currentView {
 				n.viewConf++
@@ -448,15 +442,15 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 			// sequence number is a re-sequencing artifact, not a
 			// crafted conflict: suspecting its client would be a
 			// false positive (§5.2).
-			if !n.agreedHash[local.ID()] {
-				n.suspect(local.Client, leaderOfBlock)
+			if !local.rec.agreed {
+				n.suspect(local.tx.Client, leaderOfBlock)
 			}
 			n.pool.drop(s)
 		}
 		// Sample-verify payloads to catch a garbage-proposing leader
 		// (Table 4 S2).
 		if cfg.SampleVerify > 0 && sampled < cfg.SampleVerify {
-			if tx, ok := n.pool.byID(h); ok {
+			if tx := n.pool.payload(r); tx != nil {
 				sampled++
 				n.Ctx.Elapse(cfg.Costs.SigVerify)
 				if !tx.VerifySig(n.c.Scheme) {
@@ -665,25 +659,11 @@ func (n *ConsNode) onFetch(from simnet.NodeID, m *FetchReq) {
 // view change) catch up from the leader's dissemination: the 2f+1
 // certificate proves agreement, so the block can be processed directly.
 func (n *ConsNode) onBlockMsg(m *BlockMsg) {
-	if m.Number < n.chainHeight || m.Cert == nil {
+	if _, ok := n.delivered[m.Number]; ok || m.Number < n.chainHeight {
 		return
 	}
-	if _, ok := n.delivered[m.Number]; ok {
-		return
-	}
-	seqs, hashes, err := types.DecodeOrdering(m.Ordering)
-	if err != nil {
-		return
-	}
-	n.Ctx.Elapse(n.c.Cfg.Costs.SigVerify + time.Duration(n.c.Cfg.quorum())*n.c.Cfg.Costs.MACVerify)
-	// Zero-digest certificate over an empty ordering = null block (a new
-	// leader's sequence-hole filler); the quorum signed the zero digest
-	// directly, so the ordering-digest equation does not apply.
-	null := len(seqs) == 0 && m.Cert.Digest == (crypto.Digest{})
-	if m.Cert.Number != m.Number || (!null && m.Cert.Digest != m.OrderingDig()) {
-		return
-	}
-	if !m.Cert.Verify(n.c.Scheme, cnIdentity, n.c.Cfg.quorum()) {
+	seqs, hashes, ok := n.c.certified(m, n.Ctx)
+	if !ok {
 		return
 	}
 	n.delivered[m.Number] = &deliveredBlock{seqs: seqs, hashes: hashes, cert: m.Cert, at: n.Ctx.Now()}
@@ -765,7 +745,7 @@ func (n *ConsNode) onClientRelay(m *RelayBatch) {
 	var fresh []*types.Transaction
 	for _, tx := range m.Txns {
 		id := tx.ID()
-		if n.agreedHash[id] || n.pool.isCommitted(id) || n.denylist[tx.Client] {
+		if r := n.pool.recs[id]; (r != nil && (r.agreed || r.committed)) || n.denylist[tx.Client] {
 			continue
 		}
 		fresh = append(fresh, tx)

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"sync"
+	"time"
+
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
+	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -70,13 +74,19 @@ type BlockMsg struct {
 	// consensus.
 	Ordering []byte
 	Cert     *types.Certificate
-	// Txns optionally carries full payloads when consensus-on-hash is
-	// disabled.
-	Txns []*types.Transaction
 
 	size    int // lazy Size cache; blocks are immutable once disseminated
 	oDig    crypto.Digest
 	hasODig bool
+	// DecodeOrdering(Ordering), decoded once for every receiver (ordering).
+	seqs    []uint64
+	hashes  []types.TxID
+	decErr  error
+	decoded bool
+	// The ledger block this commits on a chain with tip blk.Prev (block).
+	mu     sync.Mutex
+	blk    *types.Block
+	blkDig crypto.Digest
 }
 
 // Size implements simnet.Message. Cached: the leader multicasts one shared
@@ -86,9 +96,6 @@ func (m *BlockMsg) Size() int {
 		n := 8 + len(m.Ordering)
 		if m.Cert != nil {
 			n += m.Cert.Size()
-		}
-		for _, t := range m.Txns {
-			n += t.Size()
 		}
 		m.size = n
 	}
@@ -112,11 +119,59 @@ func (m *BlockMsg) OrderingDig() crypto.Digest {
 	return m.oDig
 }
 
-// warmCaches fills the lazy size/digest caches before the block is shared
-// across partitions.
+// ordering returns the decoded Ordering: like OrderingDig a function of the
+// shared bytes, warmed by a multicast's sender; receivers never write it.
+func (m *BlockMsg) ordering() ([]uint64, []types.TxID, error) {
+	if !m.decoded {
+		m.seqs, m.hashes, m.decErr = types.DecodeOrdering(m.Ordering)
+		m.decoded = true
+	}
+	return m.seqs, m.hashes, m.decErr
+}
+
+// warmCaches fills the lazy size/digest/ordering caches before the block is
+// shared across partitions.
 func (m *BlockMsg) warmCaches() {
 	m.Size()
 	m.OrderingDig()
+	m.ordering()
+}
+
+// certified decodes a disseminated block and verifies its 2f+1 certificate
+// (Algo 2 line 9), charging ctx one signature verification plus a MAC-rate
+// scan of the shares: modern BFT deployments aggregate certificates.
+func (c *Cluster) certified(m *BlockMsg, ctx *simnet.Context) (seqs []uint64, hashes []types.TxID, ok bool) {
+	seqs, hashes, err := m.ordering()
+	if err != nil || m.Cert == nil {
+		return nil, nil, false
+	}
+	ctx.Elapse(c.Cfg.Costs.SigVerify + time.Duration(c.Cfg.quorum())*c.Cfg.Costs.MACVerify)
+	// A zero-digest certificate over an empty ordering is a null block
+	// (a new leader's sequence-hole filler): the quorum signed the zero
+	// digest directly, so the ordering-digest equation does not apply.
+	null := len(seqs) == 0 && m.Cert.Digest == (crypto.Digest{})
+	ok = m.Cert.Number == m.Number && (null || m.Cert.Digest == m.OrderingDig()) &&
+		m.Cert.Verify(c.Scheme, cnIdentity, c.Cfg.quorum())
+	return seqs, hashes, ok
+}
+
+// block returns the ledger block a node with chain tip prev commits for this
+// message, and its header digest: functions of the message and prev alone.
+// The first committer builds and hashes it under the lock, every node on the
+// same tip appends that object, and a node on another tip builds its own.
+func (m *BlockMsg) block(prev crypto.Digest) (*types.Block, crypto.Digest) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.blk != nil && m.blk.Prev == prev {
+		return m.blk, m.blkDig
+	}
+	seqs, hashes, _ := m.ordering()
+	b := &types.Block{Number: m.Number, Prev: prev, Seqs: seqs, Hashes: hashes, Cert: m.Cert}
+	digest := b.HeaderDigest()
+	if m.blk == nil {
+		m.blk, m.blkDig = b, digest
+	}
+	return b, digest
 }
 
 // OrgResult is one organization's signed execution result for a transaction

@@ -16,15 +16,6 @@ import (
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
-// specResult is one speculatively executed transaction's outcome. orgRes
-// caches the delegate's signed partition so it can be retransmitted if the
-// persist round stalls under packet loss.
-type specResult struct {
-	txID   types.TxID
-	rw     *ledger.RWSet
-	orgRes *OrgResult
-}
-
 // vectorBuild accumulates per-org results for one transaction at its
 // corresponding organization's delegate (§4.4).
 type vectorBuild struct {
@@ -36,45 +27,29 @@ type vectorBuild struct {
 	sent   bool
 }
 
-// persistStatus tracks PERSIST quorum formation for one sequence number.
-// Honest runs see exactly one content key per sequence, so votes for the
-// first-seen key are a bitmask with one bit per configured consensus node;
-// only a diverging key (byzantine sender) spills to the generic map.
+// persistStatus tracks PERSIST quorum formation for one sequence number, by
+// value in its slot; the zero value is the empty tally. Honest runs see one
+// content key per sequence, so votes for the first-seen key are a bitmask, one
+// bit per consensus node; only a diverging key (byzantine sender) spills.
 type persistStatus struct {
-	key0       crypto.Digest
-	haveKey0   bool
-	votes0     []uint64
-	inline     [2]uint64 // backs votes0 for up to 128 consensus nodes
-	spill      map[crypto.Digest]map[int]bool
-	persisted  bool
-	consistent bool
-	resultDig  crypto.Digest
-	writes     []ledger.Write
-	aborted    bool
-}
-
-// newPersistStatus sizes the bitmask for numConsensus voters; clusters of up
-// to 128 consensus nodes cost the one allocation of the status itself.
-func newPersistStatus(numConsensus int) *persistStatus {
-	ps := &persistStatus{}
-	if words := (numConsensus + 63) / 64; words <= len(ps.inline) {
-		ps.votes0 = ps.inline[:words]
-	} else {
-		ps.votes0 = make([]uint64, words)
-	}
-	return ps
+	key0     crypto.Digest
+	votes0   [2]uint64 // votes for key0 from consensus nodes 0..127
+	spill    map[crypto.Digest]map[int]bool
+	haveKey0 bool
+	// result is the echo that reached 2f+1 matching votes, nil until one
+	// does: the canonical result the node adopts (§4.4 retrievability).
+	result *PersistEntry
 }
 
 // vote records node's vote for key and returns how many distinct nodes have
 // voted for that key so far. Votes for the first-seen key never allocate;
-// other keys (and node indices outside the configured cluster) land in the
-// spill map.
+// other keys (and node indices outside the bitmask) land in the spill map.
 func (ps *persistStatus) vote(key crypto.Digest, node int) int {
 	if !ps.haveKey0 {
 		ps.key0, ps.haveKey0 = key, true
 	}
-	if key == ps.key0 && 0 <= node && node < 64*len(ps.votes0) {
-		ps.votes0[node/64] |= 1 << uint(node%64)
+	if key == ps.key0 && uint(node) < 64*uint(len(ps.votes0)) {
+		ps.votes0[node/64] |= 1 << (node % 64)
 	} else {
 		if ps.spill == nil {
 			ps.spill = make(map[crypto.Digest]map[int]bool)
@@ -88,19 +63,19 @@ func (ps *persistStatus) vote(key crypto.Digest, node int) int {
 	}
 	n := len(ps.spill[key])
 	if key == ps.key0 {
-		for _, w := range ps.votes0 {
-			n += bits.OnesCount64(w)
-		}
+		n += bits.OnesCount64(ps.votes0[0]) + bits.OnesCount64(ps.votes0[1])
 	}
 	return n
 }
 
-// pendingBlock is an agreed block a normal node is working through.
+// pendingBlock is an agreed block a normal node is working through: msg's
+// decoded ordering, shared with every other receiver, and this node's records
+// of the hashes, resolved once on arrival.
 type pendingBlock struct {
-	number   uint64
+	msg      *BlockMsg
 	seqs     []uint64
 	hashes   []types.TxID
-	cert     *types.Certificate
+	recs     []*txRec
 	arrived  time.Duration
 	executed bool
 	fetching bool
@@ -117,14 +92,12 @@ type NormalNode struct {
 	ep       *simnet.Endpoint
 	ctx      *simnet.Context
 
-	pool    *txPool
-	arrival map[uint64]time.Duration
-	invalid map[types.TxID]bool
-	checked map[types.TxID]bool
+	// pool is the whole per-transaction index: payloads, arrival times,
+	// speculative results and PERSIST tallies by sequence number, marks by hash.
+	pool *txPool
 
 	base     *ledger.State
 	overlay  *ledger.Overlay
-	spec     map[uint64]*specResult
 	specNext uint64
 	specInit bool
 	gapArmed bool
@@ -140,8 +113,6 @@ type NormalNode struct {
 	resultOut []ResultEntry
 	flushArm  bool
 
-	persist map[uint64]*persistStatus
-
 	blockBuf        map[uint64]*pendingBlock
 	commitHeight    uint64
 	blocks          *ledger.BlockStore
@@ -150,11 +121,6 @@ type NormalNode struct {
 
 	deny      map[crypto.Identity]bool
 	denyVotes map[crypto.Identity]map[int]bool
-
-	// agreed marks hashes ordered by consensus: an agreed transaction is
-	// authoritative for its sequence slot and displaces any crafted
-	// squatter the first-received-wins rule let in (§4.1 vs Def 4.1).
-	agreed map[types.TxID]uint64
 }
 
 // Endpoint returns the node's simnet endpoint.
@@ -183,21 +149,15 @@ func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 		orgName:   types.OrgName(org),
 		idxInOrg:  idxInOrg,
 		pool:      newTxPool(),
-		arrival:   make(map[uint64]time.Duration),
-		invalid:   make(map[types.TxID]bool),
-		checked:   make(map[types.TxID]bool),
 		base:      base,
 		overlay:   ledger.NewOverlay(base),
-		spec:      make(map[uint64]*specResult),
 		nondet:    rand.New(rand.NewSource(seed)),
 		vectors:   make(map[types.TxID]*vectorBuild),
 		orgOut:    make(map[int][]OrgResultEntry),
-		persist:   make(map[uint64]*persistStatus),
 		blockBuf:  make(map[uint64]*pendingBlock),
 		blocks:    ledger.NewBlockStore(),
 		deny:      make(map[crypto.Identity]bool),
 		denyVotes: make(map[crypto.Identity]map[int]bool),
-		agreed:    make(map[types.TxID]uint64),
 	}
 }
 
@@ -223,7 +183,7 @@ func (n *NormalNode) OnRestart(ctx *simnet.Context) {
 		if _, pending := n.blockBuf[n.commitHeight]; pending {
 			n.armPersistRetry()
 		}
-		if len(n.pool.bySeq) > 0 {
+		if _, pooled := n.pool.lowestFrom(0); pooled {
 			n.armGapTimer()
 		}
 	})
@@ -263,52 +223,44 @@ func (n *NormalNode) onSeqBatch(m *SeqBatch) {
 		}
 		res := n.pool.add(st.Seq, st.Tx)
 		if res == poolDupSeq {
-			if seq, ok := n.agreed[st.Tx.ID()]; ok && seq == st.Seq {
+			if r := n.pool.recs[st.Tx.ID()]; r != nil && r.agreed && r.agreedSeq == st.Seq {
 				// Consensus agreed on this transaction: it evicts the
 				// crafted squatter occupying its slot.
 				n.pool.replace(st.Seq, st.Tx)
 				res = poolAdded
 			}
 		}
-		switch res {
-		case poolAdded:
-			n.arrival[st.Seq] = n.ctx.Now()
-			// The corresponding org's delegate is the single deterministic
-			// authority for a transaction's delivered/executed/persisted
-			// stages, so traces stay identical across node counts.
-			if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
-				types.OrgIndex(st.Tx.CorrespondingOrg()) == n.org {
-				tr.TxStage(st.Tx.ID(), trace.StageDelivered, int(n.ep.ID()), n.ctx.Now())
-			}
-			if n.specInit && st.Seq < n.specNext {
-				// A gap filled in late (loss or attack): speculation
-				// beyond it used the wrong order. Reset (§4.3
-				// fallback semantics).
-				n.specReset()
-			}
-		case poolDupSeq:
-			// First-received wins (§4.1); the loser is discarded.
+		if res != poolAdded {
+			// A replay, or a second claim on the sequence number:
+			// first-received wins (§4.1) and the loser is discarded.
 			continue
-		case poolDupHash:
-			continue
+		}
+		n.pool.slotAt(st.Seq).arrival = n.ctx.Now()
+		// The corresponding org's delegate is the single deterministic
+		// authority for a transaction's delivered/executed/persisted
+		// stages, so traces stay identical across node counts.
+		if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
+			types.OrgIndex(st.Tx.CorrespondingOrg()) == n.org {
+			tr.TxStage(st.Tx.ID(), trace.StageDelivered, int(n.ep.ID()), n.ctx.Now())
+		}
+		if n.specInit && st.Seq < n.specNext {
+			// A gap filled in late (loss or attack): speculation beyond
+			// it used the wrong order. Reset (§4.3 fallback semantics).
+			n.specReset()
 		}
 	}
 	n.trySpeculate()
 }
 
-// verifyTx runs the §4.1 signature check (step 3) once per transaction.
-func (n *NormalNode) verifyTx(tx *types.Transaction) bool {
-	id := tx.ID()
-	if n.checked[id] {
-		return !n.invalid[id]
+// verifyTx runs the §4.1 signature check (step 3) once per transaction; r is
+// tx's record.
+func (n *NormalNode) verifyTx(tx *types.Transaction, r *txRec) bool {
+	if !r.checked {
+		r.checked = true
+		n.ctx.Elapse(n.c.Cfg.Costs.SigVerify)
+		r.invalid = !tx.VerifySig(n.c.Scheme) || !n.c.Scheme.Known(tx.Client)
 	}
-	n.checked[id] = true
-	n.ctx.Elapse(n.c.Cfg.Costs.SigVerify)
-	if !tx.VerifySig(n.c.Scheme) || !n.c.Scheme.Known(tx.Client) {
-		n.invalid[id] = true
-		return false
-	}
-	return true
+	return !r.invalid
 }
 
 // trySpeculate executes pooled transactions in sequence-number order
@@ -317,7 +269,7 @@ func (n *NormalNode) verifyTx(tx *types.Transaction) bool {
 func (n *NormalNode) trySpeculate() {
 	if !n.specInit {
 		// Bootstrap: start from the lowest pooled sequence.
-		lowest, ok := n.lowestPooled()
+		lowest, ok := n.pool.lowestFrom(0)
 		if !ok {
 			return
 		}
@@ -325,12 +277,12 @@ func (n *NormalNode) trySpeculate() {
 		n.specInit = true
 	}
 	for {
-		tx, ok := n.pool.at(n.specNext)
-		if !ok {
+		s := n.pool.slotAt(n.specNext)
+		if s == nil {
 			n.armGapTimer()
 			return
 		}
-		seq := n.specNext
+		seq, tx, r := n.specNext, s.tx, s.rec
 		n.specNext++
 		if !tx.RelatedTo(n.orgName) {
 			continue
@@ -342,7 +294,7 @@ func (n *NormalNode) trySpeculate() {
 			// takes the commit-time sequential path.
 			continue
 		}
-		if !n.verifyTx(tx) {
+		if !n.verifyTx(tx, r) {
 			// Invalid related transactions still need a persist round
 			// so that every node can commit them as aborted: the
 			// related organizations vote "invalid".
@@ -351,7 +303,7 @@ func (n *NormalNode) trySpeculate() {
 			}
 			continue
 		}
-		n.executeSpec(seq, tx)
+		n.executeSpec(seq, tx, r)
 	}
 }
 
@@ -386,18 +338,6 @@ func (n *NormalNode) structOK(tx *types.Transaction) bool {
 	return true
 }
 
-func (n *NormalNode) lowestPooled() (uint64, bool) {
-	var lo uint64
-	found := false
-	for s := range n.pool.bySeq {
-		if !found || s < lo {
-			lo = s
-			found = true
-		}
-	}
-	return lo, found
-}
-
 // armGapTimer jumps speculation across a persistent gap (lost packet, a
 // crafted-transaction hole, or a leadership-change renumbering).
 func (n *NormalNode) armGapTimer() {
@@ -414,13 +354,7 @@ func (n *NormalNode) armGapTimer() {
 				return
 			}
 			// Jump to the next available sequence.
-			next, found := uint64(0), false
-			for s := range n.pool.bySeq {
-				if s > n.specNext && (!found || s < next) {
-					next, found = s, true
-				}
-			}
-			if found {
+			if next, found := n.pool.lowestFrom(n.specNext + 1); found && next > n.specNext {
 				n.specNext = next
 				n.trySpeculate()
 			}
@@ -430,36 +364,33 @@ func (n *NormalNode) armGapTimer() {
 
 // executeSpec speculatively executes one related transaction and feeds the
 // result into the persist pipeline.
-func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction) {
+func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction, r *txRec) {
 	if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
 		types.OrgIndex(tx.CorrespondingOrg()) == n.org {
 		tr.TxStage(tx.ID(), trace.StageExecStart, int(n.ep.ID()), n.ctx.Now())
 	}
 	n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
 	rw := n.c.Registry.Execute(n.overlay, tx, n.nondet)
+	ns := n.pool.note(seq)
+	ns.spec, ns.orgRes = r, nil
 	// The redundant non-determinism check must run against the same
 	// pre-state, before the first execution's writes land in the overlay.
-	var res OrgResult
 	if n.isDelegate() {
-		res = n.makeOrgResult(seq, tx, rw)
+		res := n.makeOrgResult(seq, tx, rw)
+		ns.orgRes = &res
 	}
 	n.overlayApply(rw)
-	sr := &specResult{txID: tx.ID(), rw: rw}
-	if n.isDelegate() {
-		sr.orgRes = &res
-	}
-	n.spec[seq] = sr
 	atomic.AddUint64(&n.c.Collector.Speculated, 1)
 	if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
 		types.OrgIndex(tx.CorrespondingOrg()) == n.org {
 		tr.TxStage(tx.ID(), trace.StageExecuted, int(n.ep.ID()), n.ctx.Now())
 	}
-	if at, ok := n.arrival[seq]; ok {
-		n.c.Collector.Phase(metrics.PhaseVerexec, n.ctx.Now()-at)
-		delete(n.arrival, seq)
+	if s := n.pool.slotAt(seq); s.arrival >= 0 {
+		n.c.Collector.Phase(metrics.PhaseVerexec, n.ctx.Now()-s.arrival)
+		s.arrival = -1
 	}
-	if n.isDelegate() {
-		n.routeOrgResult(seq, tx, res)
+	if ns.orgRes != nil {
+		n.routeOrgResult(seq, tx, *ns.orgRes)
 	}
 }
 
@@ -518,10 +449,9 @@ func (n *NormalNode) overlayApply(rw *ledger.RWSet) {
 // Discarded speculative results count as re-executions: the same
 // transactions run again from the reset point.
 func (n *NormalNode) specReset() {
-	atomic.AddUint64(&n.c.Collector.Reexecuted, uint64(len(n.spec)))
+	atomic.AddUint64(&n.c.Collector.Reexecuted, uint64(n.pool.dropSpecs()))
 	n.overlay.Discard()
-	n.spec = make(map[uint64]*specResult)
-	if lo, ok := n.lowestPooled(); ok {
+	if lo, ok := n.pool.lowestFrom(0); ok {
 		n.specNext = lo
 	}
 }
@@ -537,7 +467,7 @@ func (n *NormalNode) specReset() {
 func (n *NormalNode) feedVector(seq uint64, tx *types.Transaction, res OrgResult) {
 	vb := n.vectors[tx.ID()]
 	if vb != nil && vb.seq != seq {
-		if agreedSeq, ok := n.agreed[tx.ID()]; ok && agreedSeq == seq {
+		if r := n.pool.recs[tx.ID()]; r != nil && r.agreed && r.agreedSeq == seq {
 			vb = nil // stale build for a superseded sequence
 		} else {
 			return // keep the existing build; commit re-routes if needed
@@ -682,24 +612,19 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 		return
 	}
 	progressed := false
-	for _, e := range m.Entries {
-		if n.pool.isCommitted(e.TxID) {
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		// By sequence number first: while the named slot holds the entry's
+		// payload it cannot have committed, and the lookup by hash is skipped.
+		if s := n.pool.slotAt(e.Seq); (s == nil || s.tx.ID() != e.TxID) && n.pool.isCommitted(e.TxID) {
 			continue
 		}
-		ps := n.persist[e.Seq]
-		if ps == nil {
-			ps = newPersistStatus(len(n.c.ConsNodes))
-			n.persist[e.Seq] = ps
-		}
-		if ps.persisted {
+		ps := &n.pool.note(e.Seq).persist
+		if ps.result != nil {
 			continue
 		}
 		if ps.vote(e.contentKey(), m.Node) >= n.c.Cfg.quorum() {
-			ps.persisted = true
-			ps.consistent = e.Consistent
-			ps.resultDig = e.ResultDigest
-			ps.writes = e.Writes
-			ps.aborted = e.Aborted
+			ps.result = e
 			progressed = true
 			if n.isDelegate() {
 				if vb, ok := n.vectors[e.TxID]; ok && vb.sent {
@@ -723,38 +648,22 @@ func (n *NormalNode) onBlock(m *BlockMsg) {
 	if _, ok := n.blockBuf[m.Number]; ok || m.Number < n.commitHeight {
 		return
 	}
-	seqs, hashes, err := types.DecodeOrdering(m.Ordering)
-	if err != nil || m.Cert == nil {
+	seqs, hashes, ok := n.c.certified(m, n.ctx)
+	if !ok {
 		return
 	}
-	// Verify the 2f+1 certificate (Algo 2 line 9). Modern BFT
-	// deployments aggregate certificates (threshold signatures / batched
-	// verification), so the cost is one signature verification plus a
-	// MAC-rate scan of the shares rather than 2f+1 full verifications.
-	n.ctx.Elapse(n.c.Cfg.Costs.SigVerify + time.Duration(n.c.Cfg.quorum())*n.c.Cfg.Costs.MACVerify)
-	// A zero-digest certificate over an empty ordering is a null block
-	// (a new leader's sequence-hole filler): the quorum signed the zero
-	// digest directly, so the ordering-digest equation does not apply.
-	null := len(seqs) == 0 && m.Cert.Digest == (crypto.Digest{})
-	if m.Cert.Number != m.Number || (!null && m.Cert.Digest != m.OrderingDig()) {
-		return
-	}
-	if !m.Cert.Verify(n.c.Scheme, cnIdentity, n.c.Cfg.quorum()) {
-		return
-	}
+	// An agreed transaction is authoritative for its sequence slot and
+	// displaces any crafted squatter the first-received-wins rule let in
+	// (§4.1 vs Def 4.1).
+	recs := make([]*txRec, len(hashes))
 	for i, h := range hashes {
-		n.agreed[h] = seqs[i]
-		// Evict a conflicting squatter immediately if the agreed payload
-		// is already pooled under a different slot (cannot happen: pool
-		// is hash-unique) or a different transaction occupies the slot
-		// while the agreed payload is known via a previous fetch.
-		if occ, ok := n.pool.at(seqs[i]); ok && occ.ID() != h {
+		r, squatter := n.pool.agree(seqs[i], h)
+		if squatter != nil {
 			atomic.AddUint64(&n.c.Collector.Conflicts, 1)
 		}
+		r.agreedSeq, recs[i] = seqs[i], r
 	}
-	n.blockBuf[m.Number] = &pendingBlock{
-		number: m.Number, seqs: seqs, hashes: hashes, cert: m.Cert, arrived: n.ctx.Now(),
-	}
+	n.blockBuf[m.Number] = &pendingBlock{msg: m, seqs: seqs, hashes: hashes, recs: recs, arrived: n.ctx.Now()}
 	n.processBlocks()
 }
 
@@ -773,20 +682,21 @@ func (n *NormalNode) processBlocks() {
 	}
 }
 
-// tryCommitBlock returns true when the block fully committed.
+// tryCommitBlock returns true when the block fully committed. Every pass
+// reads the records in pb.recs: no attempt looks a hash up again.
 func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	// Step 1: ensure payloads. Relatedness is only knowable with the
 	// payload, so missing ones are fetched from the block's proposer.
 	var missing []types.TxID
-	for _, h := range pb.hashes {
-		if _, ok := n.pool.byID(h); !ok && !n.pool.isCommitted(h) {
-			missing = append(missing, h)
+	for i, r := range pb.recs {
+		if !r.pooled && !r.committed {
+			missing = append(missing, pb.hashes[i])
 		}
 	}
 	if len(missing) > 0 {
 		if !pb.fetching {
 			pb.fetching = true
-			target := n.c.ConsNodes[n.c.policy.Leader(pb.cert.View)]
+			target := n.c.ConsNodes[n.c.policy.Leader(pb.msg.Cert.View)]
 			n.ctx.Send(target.Ep.ID(), &FetchReq{Hashes: missing})
 			// Retry against other consensus nodes if the proposer is
 			// unresponsive.
@@ -797,141 +707,57 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		return false
 	}
 
-	// Step 2: classify related entries and detect speculation mismatches.
-	type relEntry struct {
-		seq uint64
-		tx  *types.Transaction
-	}
-	var related []relEntry
-	mismatch := false
-	for i, h := range pb.hashes {
-		if n.pool.isCommitted(h) {
-			continue
-		}
-		tx, _ := n.pool.byID(h)
-		if !n.structOK(tx) {
-			n.invalid[h] = true
-			n.checked[h] = true
-			continue
-		}
-		if !tx.RelatedTo(n.orgName) {
-			continue
-		}
-		seq := pb.seqs[i]
-		if !n.verifyTx(tx) {
-			// Invalid: vote aborted so the persist round completes.
-			if ps := n.persist[seq]; n.isDelegate() && (ps == nil || !ps.persisted) && !pb.executed {
-				n.routeInvalid(seq, tx)
-			}
-			continue
-		}
-		if sr, ok := n.spec[seq]; ok && sr.txID != h {
-			mismatch = true
-		}
-		related = append(related, relEntry{seq: seq, tx: tx})
-	}
-
-	// Step 3: if any related transaction was not cleanly speculated, fall
-	// back to the sequential workflow: discard all speculative state and
-	// re-execute every related transaction of the block in order against
-	// the committed state (§4.3 Phase 5). Executing only the missing ones
-	// against the live overlay would be wrong — the overlay may contain
-	// writes of later-sequenced transactions.
+	// Steps 2 and 3 run once, on the first attempt that holds every payload:
+	// a later one would reach the same verdicts (kept per hash) to no effect.
 	if !pb.executed {
 		pb.executed = true
-		clean := !mismatch
-		if clean {
-			for _, re := range related {
-				if sr, ok := n.spec[re.seq]; !ok || sr.txID != re.tx.ID() {
-					clean = false
-					break
-				}
-			}
-		}
-		if clean {
-			atomic.AddUint64(&n.c.Collector.SpecMatched, uint64(len(related)))
-		} else {
-			n.specReset()
-			for _, re := range related {
-				n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
-				rw := n.c.Registry.Execute(n.overlay, re.tx, n.nondet)
-				var res OrgResult
-				needResult := false
-				if ps := n.persist[re.seq]; n.isDelegate() && (ps == nil || !ps.persisted) {
-					res = n.makeOrgResult(re.seq, re.tx, rw)
-					needResult = true
-				}
-				n.overlayApply(rw)
-				sr := &specResult{txID: re.tx.ID(), rw: rw}
-				if needResult {
-					sr.orgRes = &res
-				}
-				n.spec[re.seq] = sr
-				atomic.AddUint64(&n.c.Collector.Reexecuted, 1)
-				if needResult {
-					n.routeOrgResult(re.seq, re.tx, res)
-				}
-			}
-			// Results flushed immediately: commit is waiting on them.
-			n.flushResults()
-		}
+		n.executeBlock(pb)
 	}
 
 	// Step 4: wait until every valid transaction's result persisted.
 	// Every node applies every committed write set (full world-state
 	// replication, as in HLF), so commit gates on all entries, not only
 	// related ones.
-	stalled := false
-	for i, h := range pb.hashes {
-		if n.pool.isCommitted(h) || n.invalid[h] {
+	for i, r := range pb.recs {
+		if r.committed || r.invalid {
 			continue
 		}
-		ps := n.persist[pb.seqs[i]]
-		if ps == nil || !ps.persisted {
-			stalled = true
-			break
+		if !n.pool.persisted(pb.seqs[i]) {
+			n.armPersistRetry()
+			return false
 		}
-	}
-	if stalled {
-		n.armPersistRetry()
-		return false
 	}
 
 	// Step 5: apply and commit.
 	n.ctx.Elapse(n.c.Cfg.Costs.BlockOverhead +
 		time.Duration(len(pb.hashes))*n.c.Cfg.Costs.CommitTxn)
 	notices := make(map[crypto.Identity][]CommitEntry)
-	for i, h := range pb.hashes {
-		if n.pool.isCommitted(h) {
+	for i, r := range pb.recs {
+		if r.committed {
 			continue
 		}
 		seq := pb.seqs[i]
-		tx, _ := n.pool.byID(h)
-		aborted := false
-		if n.invalid[h] {
-			aborted = true
-		} else {
-			ps := n.persist[seq]
-			if ps.consistent && !ps.aborted {
-				n.base.Apply(ps.writes, ledger.Version{Block: pb.number, Tx: i})
+		tx := n.pool.payload(r)
+		aborted := r.invalid
+		if !aborted {
+			if res := n.pool.noted(seq).persist.result; res.Consistent && !res.Aborted {
+				n.base.Apply(res.Writes, ledger.Version{Block: pb.msg.Number, Tx: i})
 			} else {
 				aborted = true
-				if !ps.consistent {
+				if !res.Consistent {
 					atomic.AddUint64(&n.c.Collector.NondetAborts, 1)
 				}
 			}
 		}
-		n.pool.markCommitted(h)
-		delete(n.spec, seq)
-		delete(n.arrival, seq)
-		delete(n.persist, seq)
+		n.pool.commit(r)
+		n.pool.clearNote(seq)
 		// The corresponding org's delegate notifies the client.
 		if n.isDelegate() && tx != nil && types.OrgIndex(tx.CorrespondingOrg()) == n.org {
-			notices[tx.Client] = append(notices[tx.Client], CommitEntry{TxID: h, Aborted: aborted})
+			notices[tx.Client] = append(notices[tx.Client], CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
 		}
 	}
-	blk := &types.Block{Number: pb.number, Prev: n.blocks.LastDigest(), Seqs: pb.seqs, Hashes: pb.hashes, Cert: pb.cert}
-	if err := n.blocks.Append(blk); err != nil {
+	blk, digest := pb.msg.block(n.blocks.LastDigest())
+	if err := n.blocks.AppendHashed(blk, digest); err != nil {
 		n.c.Violation("block append: " + err.Error())
 	}
 	n.c.Collector.Phase(metrics.PhaseCommit, n.ctx.Now()-pb.arrived)
@@ -955,6 +781,66 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	}
 	n.trySpeculate()
 	return true
+}
+
+// executeBlock classifies the block's related entries (step 2) and, unless
+// each of them was speculated cleanly, re-executes them in order (step 3).
+func (n *NormalNode) executeBlock(pb *pendingBlock) {
+	var related []int // indexes into pb.recs
+	clean := true
+	for i, r := range pb.recs {
+		if r.committed {
+			continue
+		}
+		tx := n.pool.payload(r)
+		if !n.structOK(tx) {
+			r.invalid, r.checked = true, true
+			continue
+		}
+		if !tx.RelatedTo(n.orgName) {
+			continue
+		}
+		seq := pb.seqs[i]
+		if !n.verifyTx(tx, r) {
+			// Invalid: vote aborted so the persist round completes.
+			if n.isDelegate() && !n.pool.persisted(seq) {
+				n.routeInvalid(seq, tx)
+			}
+			continue
+		}
+		if ns := n.pool.noted(seq); ns == nil || ns.spec != r {
+			clean = false
+		}
+		related = append(related, i)
+	}
+	if clean {
+		atomic.AddUint64(&n.c.Collector.SpecMatched, uint64(len(related)))
+		return
+	}
+	// Not cleanly speculated: fall back to the sequential workflow, discard
+	// all speculative state and re-execute every related transaction of the
+	// block in order against the committed state (§4.3 Phase 5). Executing
+	// only the missing ones would be wrong — the live overlay may contain
+	// writes of later-sequenced transactions.
+	n.specReset()
+	for _, i := range related {
+		seq, tx := pb.seqs[i], n.pool.payload(pb.recs[i])
+		n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
+		rw := n.c.Registry.Execute(n.overlay, tx, n.nondet)
+		ns := n.pool.note(seq)
+		ns.spec, ns.orgRes = pb.recs[i], nil
+		if n.isDelegate() && ns.persist.result == nil {
+			res := n.makeOrgResult(seq, tx, rw)
+			ns.orgRes = &res
+		}
+		n.overlayApply(rw)
+		atomic.AddUint64(&n.c.Collector.Reexecuted, 1)
+		if ns.orgRes != nil {
+			n.routeOrgResult(seq, tx, *ns.orgRes)
+		}
+	}
+	// Results flushed immediately: commit is waiting on them.
+	n.flushResults()
 }
 
 // onChainStatus fetches blocks this node missed (BlockMsg loss recovery).
@@ -1003,30 +889,28 @@ func (n *NormalNode) armPersistRetry() {
 				return // pipeline empty; the next stall re-arms
 			}
 			var stalled []uint64
-			for i, h := range pb.hashes {
-				if n.pool.isCommitted(h) || n.invalid[h] {
+			for i, r := range pb.recs {
+				if r.committed || r.invalid {
 					continue
 				}
-				if ps := n.persist[pb.seqs[i]]; ps == nil || !ps.persisted {
+				seq := pb.seqs[i]
+				if !n.pool.persisted(seq) {
 					// Lazy fallback: a quiet persist round may mean the
 					// transaction is invalid and its related orgs already
 					// moved on. Any node can verify the client signature
 					// itself (normally skipped for unrelated transactions
 					// to save CPU, §4.1); an invalid result unblocks the
 					// commit without a persist round.
-					if tx, ok := n.pool.byID(h); ok && !n.checked[h] {
-						if !n.verifyTx(tx) {
-							continue
-						}
+					tx := n.pool.payload(r)
+					if tx != nil && !n.verifyTx(tx, r) {
+						continue
 					}
-					stalled = append(stalled, pb.seqs[i])
-					if tx, ok := n.pool.byID(h); ok && tx.RelatedTo(n.orgName) && n.isDelegate() {
-						if n.invalid[h] {
-							n.routeInvalid(pb.seqs[i], tx)
-						} else if sr, ok := n.spec[pb.seqs[i]]; ok && sr.orgRes != nil {
-							n.routeOrgResult(pb.seqs[i], tx, *sr.orgRes)
+					stalled = append(stalled, seq)
+					if tx != nil && tx.RelatedTo(n.orgName) && n.isDelegate() {
+						if ns := n.pool.noted(seq); ns != nil && ns.orgRes != nil {
+							n.routeOrgResult(seq, tx, *ns.orgRes)
 						}
-						if vb, ok := n.vectors[h]; ok && vb.sent {
+						if vb, ok := n.vectors[pb.hashes[i]]; ok && vb.sent {
 							vb.sent = false
 							n.tryFinishVector(tx, vb)
 						}

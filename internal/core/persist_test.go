@@ -38,6 +38,14 @@ func nnWithCtx(c *Cluster, nn *NormalNode, fn func()) {
 	nn.bind(simnet.NewInjectedContext(c.Net, nn.ep), fn)
 }
 
+// persistAt returns nn's PERSIST tally for seq, or nil if it holds none.
+func persistAt(nn *NormalNode, seq uint64) *persistStatus {
+	if ns := nn.pool.noted(seq); ns != nil && ns.persist.haveKey0 {
+		return &ns.persist
+	}
+	return nil
+}
+
 // TestLemma52LocalStoreUniqueness: a consensus node persists at most one
 // result vector per sequence number (§4.4, the heart of Lemma 5.2).
 func TestLemma52LocalStoreUniqueness(t *testing.T) {
@@ -113,18 +121,18 @@ func TestLemma52SplitVotesNeverPersist(t *testing.T) {
 	sendPersist(1, a)
 	sendPersist(2, b)
 	sendPersist(3, b)
-	if ps := nn.persist[seq]; ps != nil && ps.persisted {
+	if ps := persistAt(nn, seq); ps != nil && ps.result != nil {
 		t.Fatal("split votes reached persistence")
 	}
 
 	// A third distinct vote for A persists it — with A's content.
 	sendPersist(2, a)
-	ps := nn.persist[seq]
-	if ps == nil || !ps.persisted {
+	ps := persistAt(nn, seq)
+	if ps == nil || ps.result == nil {
 		t.Fatal("2f+1 matching votes did not persist")
 	}
-	if string(ps.writes[0].Val) != "A" {
-		t.Fatalf("persisted value %q, want A", ps.writes[0].Val)
+	if string(ps.result.Writes[0].Val) != "A" {
+		t.Fatalf("persisted value %q, want A", ps.result.Writes[0].Val)
 	}
 }
 
@@ -152,7 +160,7 @@ func TestPersistVoteDeduplication(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].Ep.ID(), msg) })
 	}
-	if ps := nn.persist[seq]; ps != nil && ps.persisted {
+	if ps := persistAt(nn, seq); ps != nil && ps.result != nil {
 		t.Fatal("one node's repeated votes reached quorum")
 	}
 }
@@ -170,7 +178,7 @@ func TestPersistRejectsForgedCN(t *testing.T) {
 	entry := PersistEntry{Seq: 9001, TxID: tx.ID(), Consistent: true}
 	msg := &PersistMsg{Node: 0, Entries: []PersistEntry{entry}, Sig: crypto.Signature("junk")}
 	nnWithCtx(c, nn, func() { nn.onPersist(c.ConsNodes[0].Ep.ID(), msg) })
-	if nn.persist[9001] != nil {
+	if persistAt(nn, 9001) != nil {
 		t.Fatal("forged persist batch processed")
 	}
 }
@@ -182,7 +190,7 @@ func TestPersistRejectsForgedCN(t *testing.T) {
 func TestPersistVoteBitmask(t *testing.T) {
 	key, other := crypto.Hash([]byte("honest")), crypto.Hash([]byte("diverging"))
 	for _, n := range []int{4, 64, 65, 97} {
-		ps := newPersistStatus(n)
+		ps := new(persistStatus)
 		ref := map[crypto.Digest]map[int]bool{key: {}, other: {}}
 		vote := func(k crypto.Digest, node int) {
 			t.Helper()
@@ -203,7 +211,7 @@ func TestPersistVoteBitmask(t *testing.T) {
 			t.Fatalf("n=%d: spill map holds %d keys, want only the diverging one", n, len(ps.spill))
 		}
 
-		honest := newPersistStatus(n)
+		honest := new(persistStatus)
 		allocs := testing.AllocsPerRun(10, func() {
 			for node := 0; node < n; node++ {
 				honest.vote(key, node)
@@ -212,6 +220,48 @@ func TestPersistVoteBitmask(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("n=%d: honest votes cost %v allocs, want 0", n, allocs)
 		}
+	}
+}
+
+// TestPersistVoteAllocs: the PERSIST tally lives by value in the sequence
+// number's slot, so first votes allocate no status. A k-entry batch from each
+// of the four consensus nodes into one normal node, over sequence numbers it
+// has never seen, costs the slot pages and nothing per entry (the pointer
+// status this replaced cost one allocation per first vote: 0.25 per entry
+// here).
+func TestPersistVoteAllocs(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	nn := c.Orgs[1][0]
+	const k, runs = 256, 5
+	txns := gen.Batch(k)
+	var rounds [runs + 1][]*PersistMsg // AllocsPerRun adds a warm-up run
+	for r := range rounds {
+		for cn := range c.ConsNodes {
+			msg := &PersistMsg{Node: cn}
+			for i, tx := range txns {
+				pe := PersistEntry{Seq: uint64(9001 + r*k + i), TxID: tx.ID(), Consistent: true,
+					Writes: []ledger.Write{{Key: "k", Val: []byte("v")}}}
+				pe.warmContentKey()
+				msg.Entries = append(msg.Entries, pe)
+			}
+			msg.sign(c.ConsNodes[cn].Sign)
+			rounds[r] = append(rounds[r], msg)
+		}
+	}
+	ctx := simnet.NewInjectedContext(c.Net, nn.ep)
+	round := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for cn, msg := range rounds[round] {
+			nn.bind(ctx, func() { nn.onPersist(c.ConsNodes[cn].Ep.ID(), msg) })
+		}
+		round++
+	})
+	if ps := persistAt(nn, 9001+runs*k+k-1); ps == nil || ps.result == nil {
+		t.Fatal("the last entry of the last round did not persist")
+	}
+	if perEntry := allocs / float64(k*len(c.ConsNodes)); perEntry > 0.1 {
+		t.Fatalf("%.3f allocations per PERSIST entry (%v per round of %d entries from %d nodes), want <= 0.1",
+			perEntry, allocs, k, len(c.ConsNodes))
 	}
 }
 
@@ -260,7 +310,7 @@ func TestPersistFanoutVerifiesOnce(t *testing.T) {
 	for _, org := range c.Orgs {
 		for _, nn := range org {
 			nnWithCtx(c, nn, func() { nn.onPersist(from, msg) })
-			if ps := nn.persist[9001]; ps == nil || ps.vote(msg.Entries[0].contentKey(), 0) != 1 {
+			if ps := persistAt(nn, 9001); ps == nil || ps.vote(msg.Entries[0].contentKey(), 0) != 1 {
 				t.Fatalf("org %d did not count the authentic vote", nn.org)
 			}
 		}
@@ -298,7 +348,7 @@ func TestPersistForgeryRejectedByEveryReceiver(t *testing.T) {
 	authentic.sign(c.ConsNodes[0].Sign)
 	first := c.Orgs[0][0]
 	deliver(first, authentic)
-	if first.persist[9001] == nil {
+	if persistAt(first, 9001) == nil {
 		t.Fatal("authentic batch rejected")
 	}
 
@@ -314,7 +364,7 @@ func TestPersistForgeryRejectedByEveryReceiver(t *testing.T) {
 			if got := badsigs() - before; got != 2 {
 				t.Fatalf("org %d rejected %d of 2 forged batches", nn.org, got)
 			}
-			if nn != first && nn.persist[9001] != nil {
+			if nn != first && persistAt(nn, 9001) != nil {
 				t.Fatalf("org %d counted a forged vote", nn.org)
 			}
 		}
@@ -325,13 +375,13 @@ func TestPersistForgeryRejectedByEveryReceiver(t *testing.T) {
 	second := c.Orgs[1][0]
 	wrongKey.sign(c.ConsNodes[0].Sign)
 	deliver(second, wrongKey)
-	if second.persist[9001] == nil {
+	if persistAt(second, 9001) == nil {
 		t.Fatal("re-signed batch still rejected: stale invalid verdict")
 	}
 	authentic.sign(c.ConsNodes[1].Sign)
 	before := badsigs()
 	deliver(c.Orgs[2][0], authentic)
-	if badsigs() != before+1 || c.Orgs[2][0].persist[9001] != nil {
+	if badsigs() != before+1 || persistAt(c.Orgs[2][0], 9001) != nil {
 		t.Fatal("batch re-signed with the wrong key still accepted: stale valid verdict")
 	}
 }

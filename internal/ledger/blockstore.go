@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -16,7 +17,10 @@ var ErrChainBroken = errors.New("ledger: block does not extend chain")
 // the paper's safety guarantee.
 type BlockStore struct {
 	blocks []*types.Block
-	last   crypto.Digest
+	// digests[i] is blocks[i]'s header digest as recorded by Append: the chain
+	// tip and both comparisons read it instead of re-hashing.
+	digests []crypto.Digest
+	last    crypto.Digest
 }
 
 // NewBlockStore returns an empty chain. The genesis predecessor digest is
@@ -42,6 +46,12 @@ func (bs *BlockStore) Get(n uint64) *types.Block {
 // Append validates that b extends the chain (consecutive number, matching
 // previous digest) and appends it.
 func (bs *BlockStore) Append(b *types.Block) error {
+	return bs.AppendHashed(b, b.HeaderDigest())
+}
+
+// AppendHashed is Append for a caller that already holds b.HeaderDigest():
+// nodes extending the same tip with one shared block object hash it once.
+func (bs *BlockStore) AppendHashed(b *types.Block, digest crypto.Digest) error {
 	if b.Number != bs.Height() {
 		return fmt.Errorf("%w: number %d, height %d", ErrChainBroken, b.Number, bs.Height())
 	}
@@ -49,35 +59,19 @@ func (bs *BlockStore) Append(b *types.Block) error {
 		return fmt.Errorf("%w: prev digest mismatch at block %d", ErrChainBroken, b.Number)
 	}
 	bs.blocks = append(bs.blocks, b)
-	bs.last = b.HeaderDigest()
+	bs.digests, bs.last = append(bs.digests, digest), digest
 	return nil
 }
 
-// Equal reports whether two chains contain identical block headers.
+// Equal reports whether two chains hold identical headers at every height.
 func (bs *BlockStore) Equal(o *BlockStore) bool {
-	if bs.Height() != o.Height() {
-		return false
-	}
-	for i := range bs.blocks {
-		if bs.blocks[i].HeaderDigest() != o.blocks[i].HeaderDigest() {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(bs.digests, o.digests)
 }
 
 // CommonPrefixEqual reports whether the shorter chain is a prefix of the
 // longer one — the safety property that holds even while nodes are at
 // different heights.
 func (bs *BlockStore) CommonPrefixEqual(o *BlockStore) bool {
-	n := bs.Height()
-	if o.Height() < n {
-		n = o.Height()
-	}
-	for i := uint64(0); i < n; i++ {
-		if bs.blocks[i].HeaderDigest() != o.blocks[i].HeaderDigest() {
-			return false
-		}
-	}
-	return true
+	n := min(len(bs.digests), len(o.digests))
+	return slices.Equal(bs.digests[:n], o.digests[:n])
 }

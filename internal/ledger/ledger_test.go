@@ -250,6 +250,49 @@ func TestBlockStoreEqualAndPrefix(t *testing.T) {
 	}
 }
 
+// TestBlockStoreComparesEveryHeight: the comparisons read the digests recorded
+// at Append, and they read all of them. Two chains that differ at one middle
+// height fail both, whether the difference chains forward to the tip (as it
+// must through Append) or, with recorded digests forced equal everywhere else,
+// sits at that height alone, where a tip-only comparison would pass.
+func TestBlockStoreComparesEveryHeight(t *testing.T) {
+	a, forked, middle := NewBlockStore(), NewBlockStore(), NewBlockStore()
+	for i := uint64(0); i < 5; i++ {
+		blk := makeBlock(i, a.LastDigest())
+		if err := a.Append(blk); err != nil {
+			t.Fatal(err)
+		}
+		other := makeBlock(i, forked.LastDigest())
+		if i == 2 {
+			other.Seqs = []uint64{99}
+		}
+		if err := forked.Append(other); err != nil {
+			t.Fatal(err)
+		}
+		digest := blk.HeaderDigest()
+		if i == 2 {
+			digest[0] ^= 1
+		}
+		if err := middle.AppendHashed(&types.Block{Number: i, Prev: middle.LastDigest()}, digest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.LastDigest() != middle.LastDigest() || a.LastDigest() == forked.LastDigest() {
+		t.Fatal("test chains are not the pair the comparisons are meant to tell apart")
+	}
+	for name, o := range map[string]*BlockStore{"forked at height 2": forked, "differing at height 2 only": middle} {
+		if a.Equal(o) || o.Equal(a) {
+			t.Fatalf("chain %s reported equal", name)
+		}
+		if a.CommonPrefixEqual(o) || o.CommonPrefixEqual(a) {
+			t.Fatalf("chain %s reported prefix-consistent", name)
+		}
+	}
+	if b := NewBlockStore(); !a.CommonPrefixEqual(b) || a.Equal(b) {
+		t.Fatal("the empty chain must be a prefix of, and not equal to, a non-empty one")
+	}
+}
+
 func TestPropertyOverlayMatchesDirectApply(t *testing.T) {
 	// Applying a random series of writes through an overlay then
 	// committing must equal applying them directly to the state.

@@ -86,7 +86,7 @@ type Block struct {
 // digest, sequence numbers and transaction hashes. This is the value the BFT
 // protocol agrees on and certificates sign.
 func (b *Block) HeaderDigest() crypto.Digest {
-	var e enc
+	e := enc{buf: make([]byte, 0, 8+32+4+len(b.Seqs)*(8+32))} // exact: one allocation
 	e.u64(b.Number)
 	e.buf = append(e.buf, b.Prev[:]...)
 	e.u32(uint32(len(b.Seqs)))

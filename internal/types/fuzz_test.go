@@ -36,6 +36,9 @@ func FuzzOrdering(f *testing.F) {
 	f.Add(EncodeOrdering(nil, nil))
 	f.Add(EncodeOrdering([]uint64{1, 2, 1 << 40}, []TxID{{1}, {2}, {0xff}}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// A hostile count over a short body: the decoder sizes its result by what
+	// the buffer can hold, not by the count.
+	f.Add(append([]byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 40)...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		seqs, hashes, err := DecodeOrdering(b)
 		if err != nil {

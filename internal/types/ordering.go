@@ -19,6 +19,11 @@ func EncodeOrdering(seqs []uint64, hashes []TxID) []byte {
 func DecodeOrdering(buf []byte) (seqs []uint64, hashes []TxID, err error) {
 	d := &dec{buf: buf}
 	n := d.count()
+	// The count comes first, so both slices are sized once; it is capped by
+	// the entries the buffer can hold, so a hostile count cannot over-allocate.
+	if c := min(n, len(buf)/40); c > 0 {
+		seqs, hashes = make([]uint64, 0, c), make([]TxID, 0, c)
+	}
 	for i := 0; i < n && d.err == nil; i++ {
 		seqs = append(seqs, d.u64())
 		if d.off+32 > len(d.buf) {

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -69,5 +70,34 @@ func TestOrderingDigestBindsContent(t *testing.T) {
 	b := EncodeOrdering([]uint64{2}, []TxID{crypto.Hash([]byte("a"))})
 	if OrderingDigest(a) == OrderingDigest(b) {
 		t.Fatal("digest ignores sequence numbers")
+	}
+}
+
+// TestDecodeOrderingSizesOnce: the count is the first field, so both result
+// slices are allocated once at their final size, and a count the body cannot
+// back (the largest the codec admits, over one entry) allocates for what the
+// buffer holds, not for the count.
+func TestDecodeOrderingSizesOnce(t *testing.T) {
+	seqs := make([]uint64, 500)
+	hashes := make([]TxID, 500)
+	buf := EncodeOrdering(seqs, hashes)
+	if allocs := testing.AllocsPerRun(20, func() { DecodeOrdering(buf) }); allocs > 3 {
+		t.Fatalf("decoding 500 entries = %v allocs, want the two slices (and the decoder)", allocs)
+	}
+	s, h, err := DecodeOrdering(buf)
+	if err != nil || cap(s) != 500 || cap(h) != 500 {
+		t.Fatalf("decoded capacities %d, %d (err %v), want exactly 500", cap(s), cap(h), err)
+	}
+
+	hostile := EncodeOrdering(seqs[:1], hashes[:1])
+	hostile[1] = 0x10 // count 1<<20, body of one entry
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := DecodeOrdering(hostile); err == nil {
+		t.Fatal("count beyond the body decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<12 {
+		t.Fatalf("hostile count allocated %d bytes", grown)
 	}
 }
