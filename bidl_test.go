@@ -70,7 +70,7 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 	}
 	for _, e := range Experiments() {
 		delete(want, e.ID)
-		if e.Scenarios == nil || e.Table == nil || e.Description == "" || e.Paper == "" {
+		if e.Sweep == nil || e.Title == "" || len(e.Columns) == 0 || e.Description == "" || e.Paper == "" {
 			t.Fatalf("experiment %s incompletely registered", e.ID)
 		}
 	}

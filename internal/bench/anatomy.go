@@ -24,65 +24,44 @@ func init() {
 			"framework/protocol (BIDL × {bft-smart, hotstuff, sbft}, HLF, FastFabric): " +
 			"per-stage p50 waits, end-to-end percentiles, and the execution-under-" +
 			"consensus overlap ratio.",
-		Scenarios: anatomyScenarios,
-		Table:     anatomyTable,
-	})
-}
-
-// anatomyConfigs is the sweep, in table order.
-var anatomyConfigs = []struct {
-	label     string
-	framework string
-	protocol  string
-	rate      float64
-}{
-	{"bidl/bft-smart", scenario.FrameworkBIDL, "bft-smart", satBIDL},
-	{"bidl/hotstuff", scenario.FrameworkBIDL, "hotstuff", satBIDL},
-	{"bidl/sbft", scenario.FrameworkBIDL, "sbft", satBIDL},
-	{"hlf", scenario.FrameworkHLF, "", satHLF},
-	{"fastfabric", scenario.FrameworkFastFabric, "", satFF},
-}
-
-func anatomyScenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1200 * time.Millisecond)
-	var specs []scenario.Scenario
-	for _, c := range anatomyConfigs {
-		sp := spec(c.framework, fmt.Sprintf("anatomy %s", c.label), o, 0, 0)
-		sp.Protocol = c.protocol
-		sp.Load = load(o.rate(c.rate), window)
-		sp.Anatomy = true
-		specs = append(specs, sp)
-	}
-	return specs
-}
-
-func anatomyTable(o Options, res []Result) *Table {
-	t := &Table{
-		ID:    "anatomy",
 		Title: "Latency anatomy: per-stage p50 waits and execution/consensus overlap",
 		Columns: []string{"config", "txs", "p50_ms", "p99_ms", "seq_ms", "deliver_ms",
 			"exec_ms", "persist_ms", "agree_ms", "notify_ms", "overlap"},
-	}
-	for i, c := range anatomyConfigs {
-		rep := res[i].Anatomy
-		if rep == nil {
-			t.AddRow(c.label, "0", "-", "-", "-", "-", "-", "-", "-", "-", "-")
-			continue
-		}
-		t.AddRow(c.label,
-			fmt.Sprintf("%d", rep.Complete),
-			ms(rep.E2E.P50), ms(rep.E2E.P99),
-			ms(rep.StageWait(trace.StageSequenced).P50),
-			ms(rep.StageWait(trace.StageDelivered).P50),
-			ms(rep.StageWait(trace.StageExecStart).P50+rep.StageWait(trace.StageExecuted).P50),
-			ms(rep.StageWait(trace.StagePersisted).P50),
-			ms(rep.StageWait(trace.StageAgreed).P50),
-			ms(rep.StageWait(trace.StageNotified).P50),
-			pct(rep.Overlap.Ratio))
-	}
-	t.Notes = append(t.Notes,
-		"stage columns are p50 critical-path waits (frontier decomposition); they need not sum to p50 e2e",
-		"overlap = fraction of execution time hidden inside [sequenced, agreed] — the speculative-execution claim",
-	)
-	return t
+		Notes: []string{
+			"stage columns are p50 critical-path waits (frontier decomposition); they need not sum to p50 e2e",
+			"overlap = fraction of execution time hidden inside [sequenced, agreed] — the speculative-execution claim",
+		},
+		Sweep: func(o Options) []Group {
+			window := o.scaled(1200 * time.Millisecond)
+			config := func(label, framework, protocol string, rate float64) Group {
+				sp := spec(framework, "anatomy "+label, o, mix(0, 0), rate, window)
+				sp.Protocol = protocol
+				sp.Anatomy = true
+				return single(sp, func(t *Table, r Result) {
+					rep := r.Anatomy
+					if rep == nil {
+						t.AddRow(label, "0", "-", "-", "-", "-", "-", "-", "-", "-", "-")
+						return
+					}
+					t.AddRow(label,
+						fmt.Sprintf("%d", rep.Complete),
+						ms(rep.E2E.P50), ms(rep.E2E.P99),
+						ms(rep.StageWait(trace.StageSequenced).P50),
+						ms(rep.StageWait(trace.StageDelivered).P50),
+						ms(rep.StageWait(trace.StageExecStart).P50+rep.StageWait(trace.StageExecuted).P50),
+						ms(rep.StageWait(trace.StagePersisted).P50),
+						ms(rep.StageWait(trace.StageAgreed).P50),
+						ms(rep.StageWait(trace.StageNotified).P50),
+						pct(rep.Overlap.Ratio))
+				})
+			}
+			return []Group{
+				config("bidl/bft-smart", scenario.FrameworkBIDL, "bft-smart", satBIDL),
+				config("bidl/hotstuff", scenario.FrameworkBIDL, "hotstuff", satBIDL),
+				config("bidl/sbft", scenario.FrameworkBIDL, "sbft", satBIDL),
+				config("hlf", scenario.FrameworkHLF, "", satHLF),
+				config("fastfabric", scenario.FrameworkFastFabric, "", satFF),
+			}
+		},
+	})
 }

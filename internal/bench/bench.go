@@ -151,27 +151,68 @@ func (o Options) scaled(d time.Duration) time.Duration {
 // rate scales an offered load.
 func (o Options) rate(r float64) float64 { return r * o.Scale }
 
-// Experiment regenerates one of the paper's artifacts. Experiments are
-// pure data over the scenario layer: Scenarios expands the sweep into
-// declarative specs (what `bidl bench -dump-scenarios` emits), and Table
-// assembles the paper's table from the per-spec results. The Run method
-// executes the sweep through the shared scenario driver.
+// Experiment regenerates one of the paper's artifacts. It is pure data over
+// the scenario layer: the table's static parts sit in the registration
+// literal and Sweep describes the runs and their rows once, so a result is
+// addressed as (experiment, group, row) and no second loop has to stay
+// aligned with the first.
 type Experiment struct {
 	ID          string
 	Paper       string
 	Description string
-	// Scenarios expands the experiment into its sweep of scenario specs,
-	// one per independent simulation run, in table order.
-	Scenarios func(Options) []scenario.Scenario
-	// Table assembles the experiment's table from results indexed in
-	// Scenarios order.
-	Table func(Options, []Result) *Table
+	// Title, Columns and Notes are the table's static parts; Notes follow
+	// whatever notes the groups add.
+	Title   string
+	Columns []string
+	Notes   []string
+	// Sweep returns the experiment's row groups in table order.
+	Sweep func(Options) []Group
 }
 
-// Run validates and executes every sweep point (concurrently per
+// Group is the runs a set of table rows needs, one declarative spec per
+// independent simulation, and the function that turns exactly those runs'
+// results (in Runs order) into rows.
+type Group struct {
+	Runs []scenario.Scenario
+	Rows func(t *Table, res []Result)
+}
+
+// Scenarios flattens the sweep into its specs in table order (what `bidl
+// bench -dump-scenarios` emits).
+func (e Experiment) Scenarios(o Options) []scenario.Scenario {
+	return flatten(e.Sweep(o))
+}
+
+func flatten(groups []Group) []scenario.Scenario {
+	var specs []scenario.Scenario
+	for _, g := range groups {
+		specs = append(specs, g.Runs...)
+	}
+	return specs
+}
+
+// Table assembles the experiment's table from results in Scenarios order.
+func (e Experiment) Table(o Options, res []Result) *Table {
+	return e.assemble(e.Sweep(o), res)
+}
+
+// assemble hands each group the slice of results its runs produced.
+func (e Experiment) assemble(groups []Group, res []Result) *Table {
+	t := &Table{ID: e.ID, Title: e.Title, Columns: e.Columns}
+	for _, g := range groups {
+		n := len(g.Runs)
+		g.Rows(t, res[:n:n])
+		res = res[n:]
+	}
+	t.Notes = append(t.Notes, e.Notes...)
+	return t
+}
+
+// Run validates and executes every run of the sweep (concurrently per
 // o.Workers) and assembles the table.
 func (e Experiment) Run(o Options) (*Table, error) {
-	specs := e.Scenarios(o)
+	groups := e.Sweep(o)
+	specs := flatten(groups)
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("bench: %s sweep point %d (%s): %w", e.ID, i, specs[i].Name, err)
@@ -185,7 +226,7 @@ func (e Experiment) Run(o Options) (*Table, error) {
 			return runScenario(o, sp)
 		}
 	}
-	return e.Table(o, gather(o, tasks)), nil
+	return e.assemble(groups, gather(o, tasks)), nil
 }
 
 var registry = map[string]Experiment{}

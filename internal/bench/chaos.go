@@ -2,8 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"time"
+	"path"
 
+	"github.com/bidl-framework/bidl/examples"
 	"github.com/bidl-framework/bidl/internal/chaos"
 	"github.com/bidl-framework/bidl/internal/scenario"
 )
@@ -17,127 +18,48 @@ func init() {
 		Description: "Sweep the chaos catalog (crash/restart, partition heal, DC outage, " +
 			"drop storm, churn, sequencer failover, fabric crash) and report per-scenario " +
 			"commit progress, view changes, and the end-of-run consistency audit.",
-		Scenarios: chaosScenarios,
-		Table:     chaosTable,
+		Title:   "chaos catalog sweep",
+		Columns: []string{"scenario", "framework", "committed", "vchanges", "ktps", "consistent"},
+		Notes:   []string{"invariant gates (progress floors, trace-backed recovery deadlines) run in `go test ./internal/chaos`"},
+		// The runs are the catalog's own spec files (embedded, so the sweep
+		// works from any directory) in chaos.Catalog order. Options.Scale is
+		// ignored deliberately: each window is calibrated against the
+		// invariant gates in internal/chaos (fault windows must end early
+		// enough for recovery to be observable), so shrinking them would
+		// change what the sweep exercises.
+		Sweep: func(o Options) (groups []Group) {
+			for _, e := range chaos.Catalog() {
+				sp := catalogSpec(e)
+				sp.Seed = o.Seed
+				groups = append(groups, single(sp, func(t *Table, r Result) {
+					committed, vchanges := 0, uint64(0)
+					if r.Collector != nil {
+						committed = r.Collector.NumCommitted()
+						vchanges = r.Collector.ViewChanges
+					}
+					consistent := "yes"
+					if r.SafetyErr != nil {
+						consistent = r.SafetyErr.Error()
+					}
+					t.AddRow(sp.Name, sp.WithDefaults().Framework, fmt.Sprint(committed),
+						fmt.Sprint(vchanges), ktps(r.Throughput), consistent)
+				}))
+			}
+			return groups
+		},
 	})
 }
 
-// chaosSpecs returns the catalog scenarios in catalog order, built
-// programmatically so `bidl bench -run chaos` works from any working
-// directory. The examples/scenario-chaos-*.json files are the same specs in
-// JSON form (the catalog's runnable-from-JSON surface, fed to `bidl run
-// -scenario` and the chaos test gate); TestChaosSpecsMatchCatalogFiles pins
-// the two representations together, so edit both or neither.
-func chaosSpecs() []scenario.Scenario {
-	ms := func(n int) scenario.Duration { return scenario.Duration(time.Duration(n) * time.Millisecond) }
-	return []scenario.Scenario{
-		{
-			Name:      "chaos-crash",
-			Framework: scenario.FrameworkBIDL,
-			Nodes:     scenario.NodesSpec{Orgs: 6, PerOrg: 2, Consensus: 4},
-			Load:      scenario.LoadSpec{Rate: 2000, Window: ms(1000)},
-			Faults: []scenario.FaultSpec{
-				{Kind: chaos.KindCrash, At: ms(200), Duration: ms(300), Org: 2, Node: 0},
-			},
-		},
-		{
-			Name:      "chaos-partition",
-			Framework: scenario.FrameworkBIDL,
-			Nodes:     scenario.NodesSpec{Orgs: 6, PerOrg: 2, Consensus: 4},
-			Load:      scenario.LoadSpec{Rate: 2000, Window: ms(1000)},
-			Faults: []scenario.FaultSpec{
-				{Kind: chaos.KindPartition, At: ms(200), Duration: ms(250), Org: 1},
-			},
-		},
-		{
-			Name:      "chaos-dc-outage",
-			Framework: scenario.FrameworkBIDL,
-			Nodes:     scenario.NodesSpec{Orgs: 6, PerOrg: 1, Consensus: 4, Datacenters: 3},
-			Load:      scenario.LoadSpec{Rate: 1500, Window: ms(1200)},
-			Faults: []scenario.FaultSpec{
-				{Kind: chaos.KindDCOutage, At: ms(250), Duration: ms(250), DC: 2},
-			},
-		},
-		{
-			Name:      "chaos-storm",
-			Framework: scenario.FrameworkBIDL,
-			Nodes:     scenario.NodesSpec{Orgs: 6, PerOrg: 1, Consensus: 4},
-			Tuning:    scenario.TuningSpec{ViewTimeout: ms(100)},
-			Load:      scenario.LoadSpec{Rate: 2000, Window: ms(1000)},
-			Faults: []scenario.FaultSpec{
-				{Kind: chaos.KindDropStorm, At: ms(200), Duration: ms(250), Rate: 0.7},
-			},
-		},
-		{
-			Name:      "chaos-churn",
-			Framework: scenario.FrameworkBIDL,
-			Nodes:     scenario.NodesSpec{Orgs: 6, PerOrg: 2, Consensus: 4},
-			Load:      scenario.LoadSpec{Rate: 2000, Window: ms(1200)},
-			Faults: []scenario.FaultSpec{
-				{Kind: chaos.KindChurn, At: ms(150), Count: 4, Period: ms(200)},
-			},
-		},
-		{
-			Name:      "chaos-seq-failover",
-			Framework: scenario.FrameworkBIDL,
-			Nodes:     scenario.NodesSpec{Orgs: 6, PerOrg: 1, Consensus: 4},
-			Load:      scenario.LoadSpec{Rate: 2000, Window: ms(1000)},
-			Faults: []scenario.FaultSpec{
-				{Kind: chaos.KindSeqFailover, At: ms(200), Duration: ms(200)},
-			},
-		},
-		{
-			Name:      "chaos-fabric-crash",
-			Framework: scenario.FrameworkHLF,
-			Nodes:     scenario.NodesSpec{Orgs: 4, PerOrg: 2, Consensus: 4},
-			Load:      scenario.LoadSpec{Rate: 500, Window: ms(1000)},
-			Faults: []scenario.FaultSpec{
-				{Kind: chaos.KindCrash, At: ms(200), Duration: ms(300), Org: 1, Node: 1},
-			},
-		},
+// catalogSpec parses a catalog entry's embedded spec file. Failing to is a
+// defect of the build, not of any input: TestChaosExperimentRegistered pins it.
+func catalogSpec(e chaos.Entry) scenario.Scenario {
+	var sp scenario.Scenario
+	data, err := examples.ChaosSpecs.ReadFile(path.Base(e.File))
+	if err == nil {
+		sp, err = scenario.Parse(data)
 	}
-}
-
-// chaosScenarios ignores Options.Scale deliberately: each catalog window is
-// calibrated against the invariant gates in internal/chaos (fault windows
-// must end early enough for recovery to be observable), so shrinking them
-// would change what the sweep exercises.
-func chaosScenarios(o Options) []scenario.Scenario {
-	specs := chaosSpecs()
-	for i := range specs {
-		specs[i].Seed = o.Seed
+	if err != nil {
+		panic(fmt.Sprintf("bench: chaos catalog entry %s: %v", e.ID, err))
 	}
-	return specs
-}
-
-func chaosTable(o Options, results []Result) *Table {
-	t := &Table{
-		ID:      "chaos",
-		Title:   "chaos catalog sweep",
-		Columns: []string{"scenario", "framework", "committed", "vchanges", "ktps", "consistent"},
-		Notes: []string{
-			"invariant gates (progress floors, trace-backed recovery deadlines) run in `go test ./internal/chaos`",
-		},
-	}
-	specs := chaosSpecs()
-	for i, r := range results {
-		committed, vchanges := uint64(0), uint64(0)
-		if r.Collector != nil {
-			committed = uint64(r.Collector.NumCommitted())
-			vchanges = r.Collector.ViewChanges
-		}
-		consistent := "yes"
-		if r.SafetyErr != nil {
-			consistent = r.SafetyErr.Error()
-		}
-		t.AddRow(
-			specs[i].Name,
-			specs[i].WithDefaults().Framework,
-			fmt.Sprintf("%d", committed),
-			fmt.Sprintf("%d", vchanges),
-			ktps(r.Throughput),
-			consistent,
-		)
-	}
-	return t
+	return sp
 }

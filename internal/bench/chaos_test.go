@@ -6,38 +6,15 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/bidl-framework/bidl/examples"
 	"github.com/bidl-framework/bidl/internal/chaos"
 	"github.com/bidl-framework/bidl/internal/scenario"
 )
 
-// TestChaosSpecsMatchCatalogFiles pins the chaos experiment's programmatic
-// sweep to the JSON spec files the catalog (and `bidl run -scenario`) runs:
-// the i-th chaosSpecs entry must equal the i-th catalog entry's parsed
-// file, so the two representations cannot drift apart silently.
-func TestChaosSpecsMatchCatalogFiles(t *testing.T) {
-	specs := chaosSpecs()
-	cat := chaos.Catalog()
-	if len(specs) != len(cat) {
-		t.Fatalf("chaosSpecs has %d entries, catalog has %d", len(specs), len(cat))
-	}
-	for i, e := range cat {
-		data, err := os.ReadFile(filepath.Join("..", "..", e.File))
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		fromFile, err := scenario.Parse(data)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", e.ID, err)
-		}
-		if !reflect.DeepEqual(fromFile, specs[i]) {
-			t.Errorf("catalog entry %s (%s) differs from chaosSpecs[%d]:\nfile: %+v\ncode: %+v",
-				e.ID, e.File, i, fromFile, specs[i])
-		}
-	}
-}
-
-// TestChaosExperimentRegistered smoke-checks the sweep wiring: every spec
-// validates, and the table assembles one row per catalog entry.
+// TestChaosExperimentRegistered smoke-checks the sweep wiring: the runs are
+// the spec files chaos.Catalog names (read from disk here, embedded there), in
+// its order and with no embedded file left over; every spec validates, and the
+// table assembles one row per catalog entry.
 func TestChaosExperimentRegistered(t *testing.T) {
 	e, ok := Get("chaos")
 	if !ok {
@@ -47,6 +24,24 @@ func TestChaosExperimentRegistered(t *testing.T) {
 	specs := e.Scenarios(o)
 	if len(specs) != len(chaos.Catalog()) {
 		t.Fatalf("%d sweep points, want %d", len(specs), len(chaos.Catalog()))
+	}
+	embedded, err := examples.ChaosSpecs.ReadDir(".")
+	if err != nil || len(embedded) != len(specs) {
+		t.Fatalf("%d embedded spec files (err %v), catalog has %d entries", len(embedded), err, len(specs))
+	}
+	for i, e := range chaos.Catalog() {
+		data, err := os.ReadFile(filepath.Join("..", "..", e.File))
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		fromFile, err := scenario.Parse(data)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", e.ID, err)
+		}
+		fromFile.Seed = o.Seed
+		if !reflect.DeepEqual(fromFile, specs[i]) {
+			t.Errorf("sweep run %d is not catalog entry %s (%s):\nfile: %+v\nrun:  %+v", i, e.ID, e.File, fromFile, specs[i])
+		}
 	}
 	for _, sp := range specs {
 		if err := sp.Validate(); err != nil {

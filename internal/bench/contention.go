@@ -23,79 +23,51 @@ func init() {
 		Description: "BIDL vs FastFabric vs HLF under uniform and Zipf(1.5) account " +
 			"skew crossed with constant/diurnal/burst open-loop shapes and " +
 			"closed-loop clients, with 20% multi-step settlement flows.",
-		Scenarios: contentionScenarios,
-		Table:     contentionTable,
-	})
-}
-
-type contentionPoint struct {
-	skewName string
-	zipfS    float64
-	shape    string // scenario shape name, or "closed" for closed-loop
-}
-
-func contentionPoints() []contentionPoint {
-	var points []contentionPoint
-	for _, skew := range []struct {
-		name string
-		s    float64
-	}{{"uniform", 0}, {"zipf1.5", 1.5}} {
-		for _, shape := range []string{scenario.ShapeConstant, scenario.ShapeDiurnal, scenario.ShapeBurst, "closed"} {
-			points = append(points, contentionPoint{skew.name, skew.s, shape})
-		}
-	}
-	return points
-}
-
-var contentionFrameworks = []struct {
-	name string
-	rate float64
-}{
-	{scenario.FrameworkBIDL, satBIDL * 3 / 4},
-	{scenario.FrameworkFastFabric, satFF * 3 / 4},
-	{scenario.FrameworkHLF, satHLF * 3 / 4},
-}
-
-func contentionScenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1 * time.Second)
-	var specs []scenario.Scenario
-	for _, p := range contentionPoints() {
-		for _, fw := range contentionFrameworks {
-			sp := spec(fw.name, fmt.Sprintf("%s, %s skew, %s load", fw.name, p.skewName, p.shape), o, 0, 0)
-			sp.Workload.ZipfS = p.zipfS
-			sp.Workload.Settlement = 0.2
-			sp.Load = load(o.rate(fw.rate), window)
-			if p.shape == "closed" {
-				// Closed-loop demand follows the constant curve; the
-				// controller withholds whatever the cluster cannot absorb.
-				sp.Load.ClosedLoop = &scenario.ClosedLoopSpec{MaxInFlight: 512}
-			} else {
-				sp.Load.Shape = p.shape
-			}
-			specs = append(specs, sp)
-		}
-	}
-	return specs
-}
-
-func contentionTable(o Options, res []Result) *Table {
-	t := &Table{
-		ID:    "contention",
 		Title: "Skew × load shape: throughput and aborts (settlement 20%)",
 		Columns: []string{"skew", "shape", "bidl_ktps", "bidl_abort",
 			"ff_ktps", "ff_abort", "hlf_ktps", "hlf_abort", "bidl_submitted"},
-	}
-	nf := len(contentionFrameworks)
-	for i, p := range contentionPoints() {
-		b, f, h := res[nf*i], res[nf*i+1], res[nf*i+2]
-		t.AddRow(p.skewName, p.shape,
-			ktps(b.Throughput), pct(b.AbortRate),
-			ktps(f.Throughput), pct(f.AbortRate),
-			ktps(h.Throughput), pct(h.AbortRate),
-			fmt.Sprintf("%d", b.Submitted))
-	}
-	t.Notes = append(t.Notes,
-		"Zipf skew concentrates writes on popular accounts: BIDL holds throughput via speculative re-execution while the baselines' MVCC abort rates grow",
-		"bidl_submitted < open-loop demand on closed rows shows backpressure withholding load the cluster cannot absorb")
-	return t
+		Notes: []string{
+			"Zipf skew concentrates writes on popular accounts: BIDL holds throughput via speculative re-execution while the baselines' MVCC abort rates grow",
+			"bidl_submitted < open-loop demand on closed rows shows backpressure withholding load the cluster cannot absorb",
+		},
+		Sweep: func(o Options) (groups []Group) {
+			window := o.scaled(1 * time.Second)
+			for _, skew := range []struct {
+				name string
+				s    float64
+			}{{"uniform", 0}, {"zipf1.5", 1.5}} {
+				for _, shape := range []string{scenario.ShapeConstant, scenario.ShapeDiurnal, scenario.ShapeBurst, "closed"} {
+					point := func(fw string, rate float64) scenario.Scenario {
+						w := mix(0, 0)
+						w.ZipfS = skew.s
+						w.Settlement = 0.2
+						sp := spec(fw, fmt.Sprintf("%s, %s skew, %s load", fw, skew.name, shape), o, w, rate, window)
+						if shape == "closed" {
+							// Closed-loop demand follows the constant curve; the
+							// controller withholds whatever the cluster cannot absorb.
+							sp.Load.ClosedLoop = &scenario.ClosedLoopSpec{MaxInFlight: 512}
+						} else {
+							sp.Load.Shape = shape
+						}
+						return sp
+					}
+					groups = append(groups, Group{
+						Runs: []scenario.Scenario{
+							point(scenario.FrameworkBIDL, satBIDL*3/4),
+							point(scenario.FrameworkFastFabric, satFF*3/4),
+							point(scenario.FrameworkHLF, satHLF*3/4),
+						},
+						Rows: func(t *Table, res []Result) {
+							row := []string{skew.name, shape}
+							for _, r := range res {
+								row = append(row, ktps(r.Throughput), pct(r.AbortRate))
+							}
+							t.AddRow(append(row, fmt.Sprint(res[0].Submitted))...)
+						},
+					})
+				}
+			}
+			return groups
+		},
+	})
 }

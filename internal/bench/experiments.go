@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/chaos"
@@ -9,13 +10,12 @@ import (
 	"github.com/bidl-framework/bidl/internal/scenario"
 )
 
-// Every experiment below is pure data over the scenario layer: Scenarios
-// expands the sweep into declarative scenario specs (each builds its own
-// cluster from the experiment seed via the shared scenario driver), and
-// Table assembles the rows from the gathered results in sweep order.
-// Nothing here touches a cluster directly, so serial and parallel
-// execution produce byte-identical tables, and `bidl bench
-// -dump-scenarios` can emit every sweep as JSON.
+// Every experiment below is pure data over the scenario layer: its Sweep
+// lists, in table order, groups of declarative scenario specs (each builds
+// its own cluster from the experiment seed via scenario.RunWith) with the
+// function that turns that group's results into rows. Nothing here touches a
+// cluster directly, so serial and parallel execution produce byte-identical
+// tables, and `bidl bench -dump-scenarios` can emit every sweep as JSON.
 
 // Default per-framework saturation offered loads (txns/s) in evaluation
 // setting A, calibrated so each framework runs at its natural capacity:
@@ -28,15 +28,22 @@ const (
 	satStream = 3500
 )
 
-// spec starts a sweep point: framework + experiment seed + the standard
-// workload (10000 accounts = 1% hot set of 100, per the paper's setup).
-// An otherwise-empty spec compiles to the paper's evaluation setting A.
-func spec(framework, name string, o Options, contention, nondet float64) scenario.Scenario {
+// mix is the standard workload (10000 accounts = 1% hot set of 100, per the
+// paper's setup) at the given contention and non-determinism ratios.
+func mix(contention, nondet float64) scenario.WorkloadSpec {
+	return scenario.WorkloadSpec{Accounts: 10000, Contention: contention, Nondet: nondet}
+}
+
+// spec is one run: framework + experiment seed + workload under an open-loop
+// load of rate (before Options scaling) for window. An otherwise-empty spec
+// compiles to the paper's evaluation setting A.
+func spec(framework, name string, o Options, w scenario.WorkloadSpec, rate float64, window time.Duration) scenario.Scenario {
 	return scenario.Scenario{
 		Name:      name,
 		Framework: framework,
 		Seed:      o.Seed,
-		Workload:  scenario.WorkloadSpec{Accounts: 10000, Contention: contention, Nondet: nondet},
+		Workload:  w,
+		Load:      scenario.LoadSpec{Rate: o.rate(rate), Window: scenario.Duration(window)},
 	}
 }
 
@@ -49,9 +56,24 @@ func settingB(orgs, nnPerOrg int) scenario.NodesSpec {
 	return scenario.NodesSpec{Orgs: orgs, PerOrg: nnPerOrg, Consensus: orgs, Faults: f}
 }
 
-func load(rate float64, window time.Duration) scenario.LoadSpec {
-	return scenario.LoadSpec{Rate: rate, Window: scenario.Duration(window)}
+// single is a group of one run.
+func single(sp scenario.Scenario, rows func(t *Table, r Result)) Group {
+	return Group{[]scenario.Scenario{sp}, func(t *Table, res []Result) { rows(t, res[0]) }}
 }
+
+// perRun is the common row shape: the label cells, then cells(r) for each of
+// the group's runs in order.
+func perRun(cells func(Result) []string, label ...string) func(*Table, []Result) {
+	return func(t *Table, res []Result) {
+		row := slices.Clone(label)
+		for _, r := range res {
+			row = append(row, cells(r)...)
+		}
+		t.AddRow(row...)
+	}
+}
+
+func tputCell(r Result) []string { return []string{ktps(r.Throughput)} }
 
 // --- Figure 3: performance vs contention ratio ------------------------------
 
@@ -61,50 +83,30 @@ func init() {
 		Paper: "Figure 3",
 		Description: "Throughput, latency, and abort rate vs contention ratio " +
 			"(0-50%) for BIDL, FastFabric, and HLF; 4 consensus nodes, 50 normal nodes.",
-		Scenarios: fig3Scenarios,
-		Table:     fig3Table,
-	})
-}
-
-var fig3Ratios = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-
-func fig3Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1200 * time.Millisecond)
-	var specs []scenario.Scenario
-	for _, cr := range fig3Ratios {
-		for _, fw := range []struct {
-			name string
-			rate float64
-		}{
-			{scenario.FrameworkBIDL, satBIDL},
-			{scenario.FrameworkFastFabric, satFF},
-			{scenario.FrameworkHLF, satHLF},
-		} {
-			sp := spec(fw.name, fmt.Sprintf("%s, contention %.0f%%", fw.name, cr*100), o, cr, 0)
-			sp.Load = load(o.rate(fw.rate), window)
-			specs = append(specs, sp)
-		}
-	}
-	return specs
-}
-
-func fig3Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:    "fig3",
 		Title: "Performance under contention (setting A)",
 		Columns: []string{"contention", "bidl_ktps", "bidl_ms", "bidl_abort",
 			"ff_ktps", "ff_ms", "ff_abort", "hlf_ktps", "hlf_ms", "hlf_abort"},
-	}
-	for i, cr := range fig3Ratios {
-		b, f, h := res[3*i], res[3*i+1], res[3*i+2]
-		t.AddRow(pct(cr),
-			ktps(b.Throughput), ms(b.AvgLatency), pct(b.AbortRate),
-			ktps(f.Throughput), ms(f.AvgLatency), pct(f.AbortRate),
-			ktps(h.Throughput), ms(h.AvgLatency), pct(h.AbortRate))
-	}
-	t.Notes = append(t.Notes,
-		"paper: BIDL 40.1k txns/s with zero aborts at 50% contention; FF 2.2x lower with 37.7% aborts")
-	return t
+		Notes: []string{"paper: BIDL 40.1k txns/s with zero aborts at 50% contention; FF 2.2x lower with 37.7% aborts"},
+		Sweep: func(o Options) (groups []Group) {
+			window := o.scaled(1200 * time.Millisecond)
+			for _, cr := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
+				point := func(fw string, rate float64) scenario.Scenario {
+					return spec(fw, fmt.Sprintf("%s, contention %.0f%%", fw, cr*100), o, mix(cr, 0), rate, window)
+				}
+				groups = append(groups, Group{
+					Runs: []scenario.Scenario{
+						point(scenario.FrameworkBIDL, satBIDL),
+						point(scenario.FrameworkFastFabric, satFF),
+						point(scenario.FrameworkHLF, satHLF),
+					},
+					Rows: perRun(func(r Result) []string {
+						return []string{ktps(r.Throughput), ms(r.AvgLatency), pct(r.AbortRate)}
+					}, pct(cr)),
+				})
+			}
+			return groups
+		},
+	})
 }
 
 // --- Figure 5: throughput vs latency ----------------------------------------
@@ -115,108 +117,78 @@ func init() {
 		Paper: "Figure 5",
 		Description: "Throughput vs latency curves in the fault-free case for " +
 			"BIDL, FastFabric, and StreamChain (offered-load sweep).",
-		Scenarios: fig5Scenarios,
-		Table:     fig5Table,
-	})
-}
-
-type fig5Point struct {
-	name string
-	rate float64
-}
-
-func fig5Points() []fig5Point {
-	var points []fig5Point
-	addSweep := func(name string, rates []float64) {
-		for _, r := range rates {
-			points = append(points, fig5Point{name, r})
-		}
-	}
-	addSweep("bidl", []float64{5000, 10000, 20000, 30000, 40000, 44000})
-	addSweep("fastfabric", []float64{5000, 10000, 20000, 26000, 30000})
-	addSweep("streamchain", []float64{500, 1000, 2000, 3000, 3500})
-	return points
-}
-
-func fig5Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1200 * time.Millisecond)
-	points := fig5Points()
-	specs := make([]scenario.Scenario, len(points))
-	for i, p := range points {
-		sp := spec(p.name, fmt.Sprintf("%s at %.0f txns/s", p.name, o.rate(p.rate)), o, 0, 0)
-		sp.Load = load(o.rate(p.rate), window)
-		specs[i] = sp
-	}
-	return specs
-}
-
-func fig5Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "fig5",
 		Title:   "Throughput vs latency (fault-free, setting A)",
 		Columns: []string{"framework", "offered_ktps", "achieved_ktps", "avg_ms", "p99_ms"},
-	}
-	for i, p := range fig5Points() {
-		t.AddRow(p.name, ktps(o.rate(p.rate)), ktps(res[i].Throughput), ms(res[i].AvgLatency), ms(res[i].P99))
-	}
-	t.Notes = append(t.Notes,
-		"paper: StreamChain lowest latency at low throughput; BIDL dominates both throughput and latency at scale")
-	return t
+		Notes:   []string{"paper: StreamChain lowest latency at low throughput; BIDL dominates both throughput and latency at scale"},
+		Sweep: func(o Options) (groups []Group) {
+			window := o.scaled(1200 * time.Millisecond)
+			curve := func(fw string, rates ...float64) {
+				for _, rate := range rates {
+					sp := spec(fw, fmt.Sprintf("%s at %.0f txns/s", fw, o.rate(rate)), o, mix(0, 0), rate, window)
+					groups = append(groups, single(sp, func(t *Table, r Result) {
+						t.AddRow(fw, ktps(o.rate(rate)), ktps(r.Throughput), ms(r.AvgLatency), ms(r.P99))
+					}))
+				}
+			}
+			curve(scenario.FrameworkBIDL, 5000, 10000, 20000, 30000, 40000, 44000)
+			curve(scenario.FrameworkFastFabric, 5000, 10000, 20000, 26000, 30000)
+			curve(scenario.FrameworkStreamChain, 500, 1000, 2000, 3000, 3500)
+			return groups
+		},
+	})
 }
 
 // --- Figure 6: BIDL scalability across BFT protocols ------------------------
 
+// fig6Orgs is the organization sweep of Figure 6 and Tables 2 and 3.
+var fig6Orgs = []int{4, 7, 13, 25, 49, 97}
+
 func init() {
+	// The protocol columns are core's protocol names.
+	protos := []string{"bft-smart", "zyzzyva", "sbft", "hotstuff"}
 	register(Experiment{
 		ID:    "fig6",
 		Paper: "Figure 6",
 		Description: "BIDL latency with four BFT protocols (BFT-SMaRt, Zyzzyva, " +
 			"SBFT, HotStuff) as organizations scale 4..97 (setting B: 1 CN + 1 NN per org).",
-		Scenarios: fig6Scenarios,
-		Table:     fig6Table,
+		Title:   "BIDL latency vs #organizations per BFT protocol (ms)",
+		Columns: append([]string{"orgs"}, protos...),
+		Notes:   []string{"paper: latency first decreases (execution parallelism grows) then increases gently (consensus cost)"},
+		Sweep: func(o Options) (groups []Group) {
+			window := o.scaled(1 * time.Second)
+			for _, orgs := range fig6Orgs {
+				g := Group{Rows: perRun(func(r Result) []string { return []string{ms(r.AvgLatency)} }, fmt.Sprint(orgs))}
+				for _, proto := range protos {
+					sp := spec(scenario.FrameworkBIDL, fmt.Sprintf("%s with %d orgs", proto, orgs), o, mix(0, 0), 20000, window)
+					sp.Protocol = proto
+					sp.Nodes = settingB(orgs, 1)
+					g.Runs = append(g.Runs, sp)
+				}
+				groups = append(groups, g)
+			}
+			return groups
+		},
 	})
 }
 
-var fig6Orgs = []int{4, 7, 13, 25, 49, 97}
-
-// fig6Protos must match core's protocol names (bft-smart, zyzzyva, sbft,
-// hotstuff) in table-column order.
-var fig6Protos = []string{"bft-smart", "zyzzyva", "sbft", "hotstuff"}
-
-func fig6Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1 * time.Second)
-	var specs []scenario.Scenario
-	for _, orgs := range fig6Orgs {
-		for _, proto := range fig6Protos {
-			sp := spec(scenario.FrameworkBIDL, fmt.Sprintf("%s with %d orgs", proto, orgs), o, 0, 0)
-			sp.Protocol = proto
-			sp.Nodes = settingB(orgs, 1)
-			sp.Load = load(o.rate(20000), window)
-			specs = append(specs, sp)
-		}
-	}
-	return specs
-}
-
-func fig6Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "fig6",
-		Title:   "BIDL latency vs #organizations per BFT protocol (ms)",
-		Columns: []string{"orgs", "bft-smart", "zyzzyva", "sbft", "hotstuff"},
-	}
-	for i, orgs := range fig6Orgs {
-		row := []string{fmt.Sprintf("%d", orgs)}
-		for j := range fig6Protos {
-			row = append(row, ms(res[i*len(fig6Protos)+j].AvgLatency))
-		}
-		t.AddRow(row...)
-	}
-	t.Notes = append(t.Notes,
-		"paper: latency first decreases (execution parallelism grows) then increases gently (consensus cost)")
-	return t
-}
-
 // --- Tables 2 and 3: latency breakdowns -------------------------------------
+
+// breakdown is the sweep both tables share: one setting-B run per
+// organization count at 15k txns/s, one row of phase averages from it.
+func breakdown(framework, protocol string, row func(orgs string, c *metrics.Collector) []string) func(Options) []Group {
+	return func(o Options) (groups []Group) {
+		window := o.scaled(1 * time.Second)
+		for _, orgs := range fig6Orgs {
+			sp := spec(framework, fmt.Sprintf("%d orgs", orgs), o, mix(0, 0), 15000, window)
+			sp.Protocol = protocol
+			sp.Nodes = settingB(orgs, 1)
+			groups = append(groups, single(sp, func(t *Table, r Result) {
+				t.AddRow(row(fmt.Sprint(orgs), r.Collector)...)
+			}))
+		}
+		return groups
+	}
+}
 
 func init() {
 	register(Experiment{
@@ -224,83 +196,35 @@ func init() {
 		Paper: "Table 2",
 		Description: "FastFabric-SMaRt end-to-end latency breakdown " +
 			"(endorse/consensus/validate) vs #organizations.",
-		Scenarios: table2Scenarios,
-		Table:     table2Table,
+		Title:   "FastFabric-SMaRt latency breakdown (ms)",
+		Columns: []string{"orgs", "P1_endorse", "P2_consensus", "P3_validate", "end_to_end"},
+		Notes:   []string{"paper (4→97 orgs): endorse 9.2→6.5, consensus 10.4→16.2, validate 51.5→6.9, e2e 71.0→29.6"},
+		// bft-smart: the paper's modified FastFabric-SMaRt.
+		Sweep: breakdown(scenario.FrameworkFastFabric, "bft-smart", func(orgs string, c *metrics.Collector) []string {
+			endorse := c.PhaseAvg(metrics.PhaseEndorse)
+			cons := c.PhaseAvg(metrics.PhaseConsensus)
+			validate := c.PhaseAvg(metrics.PhaseValidate)
+			return []string{orgs, ms(endorse), ms(cons), ms(validate), ms(endorse + cons + validate)}
+		}),
 	})
 	register(Experiment{
 		ID:    "table3",
 		Paper: "Table 3",
 		Description: "BIDL-SMaRt end-to-end latency breakdown " +
 			"(consensus/ver&exec/persist/commit) vs #organizations.",
-		Scenarios: table3Scenarios,
-		Table:     table3Table,
-	})
-}
-
-func table2Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1 * time.Second)
-	specs := make([]scenario.Scenario, len(fig6Orgs))
-	for i, orgs := range fig6Orgs {
-		sp := spec(scenario.FrameworkFastFabric, fmt.Sprintf("%d orgs", orgs), o, 0, 0)
-		sp.Protocol = "bft-smart" // the paper's modified FastFabric-SMaRt
-		sp.Nodes = settingB(orgs, 1)
-		sp.Load = load(o.rate(15000), window)
-		specs[i] = sp
-	}
-	return specs
-}
-
-func table2Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "table2",
-		Title:   "FastFabric-SMaRt latency breakdown (ms)",
-		Columns: []string{"orgs", "P1_endorse", "P2_consensus", "P3_validate", "end_to_end"},
-	}
-	for i, orgs := range fig6Orgs {
-		endorse := res[i].Collector.PhaseAvg(metrics.PhaseEndorse)
-		cons := res[i].Collector.PhaseAvg(metrics.PhaseConsensus)
-		validate := res[i].Collector.PhaseAvg(metrics.PhaseValidate)
-		t.AddRow(fmt.Sprintf("%d", orgs), ms(endorse), ms(cons), ms(validate), ms(endorse+cons+validate))
-	}
-	t.Notes = append(t.Notes,
-		"paper (4→97 orgs): endorse 9.2→6.5, consensus 10.4→16.2, validate 51.5→6.9, e2e 71.0→29.6")
-	return t
-}
-
-func table3Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1 * time.Second)
-	specs := make([]scenario.Scenario, len(fig6Orgs))
-	for i, orgs := range fig6Orgs {
-		sp := spec(scenario.FrameworkBIDL, fmt.Sprintf("%d orgs", orgs), o, 0, 0)
-		sp.Nodes = settingB(orgs, 1)
-		sp.Load = load(o.rate(15000), window)
-		specs[i] = sp
-	}
-	return specs
-}
-
-func table3Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "table3",
 		Title:   "BIDL-SMaRt latency breakdown (ms)",
 		Columns: []string{"orgs", "P1_consensus", "P2_ver_exec", "P3_persist", "P4_execution", "P5_commit", "end_to_end"},
-	}
-	for i, orgs := range fig6Orgs {
-		cons := res[i].Collector.PhaseAvg(metrics.PhaseConsensus)
-		verexec := res[i].Collector.PhaseAvg(metrics.PhaseVerexec)
-		persist := res[i].Collector.PhaseAvg(metrics.PhasePersist)
-		commit := res[i].Collector.PhaseAvg(metrics.PhaseCommit)
-		exec := verexec + persist
-		e2e := cons
-		if exec > e2e {
-			e2e = exec
-		}
-		e2e += commit
-		t.AddRow(fmt.Sprintf("%d", orgs), ms(cons), ms(verexec), ms(persist), ms(exec), ms(commit), ms(e2e))
-	}
-	t.Notes = append(t.Notes,
-		"paper (4→97 orgs): consensus 10.3→16.4, ver&exec 59.3→7.6, persist 0.5→2.1, commit ~2.7, e2e = max(P1,P4)+P5 62.5→19.3")
-	return t
+		Notes:   []string{"paper (4→97 orgs): consensus 10.3→16.4, ver&exec 59.3→7.6, persist 0.5→2.1, commit ~2.7, e2e = max(P1,P4)+P5 62.5→19.3"},
+		Sweep: breakdown(scenario.FrameworkBIDL, "", func(orgs string, c *metrics.Collector) []string {
+			cons := c.PhaseAvg(metrics.PhaseConsensus)
+			verexec := c.PhaseAvg(metrics.PhaseVerexec)
+			persist := c.PhaseAvg(metrics.PhasePersist)
+			commit := c.PhaseAvg(metrics.PhaseCommit)
+			exec := verexec + persist
+			e2e := max(cons, exec) + commit
+			return []string{orgs, ms(cons), ms(verexec), ms(persist), ms(exec), ms(commit), ms(e2e)}
+		}),
+	})
 }
 
 // --- Table 4: malicious participants -----------------------------------------
@@ -312,63 +236,59 @@ func init() {
 		Description: "Effective throughput under S1 (fault-free), S2 (malicious " +
 			"leader proposing invalid transactions), S3 (malicious broadcaster) " +
 			"for StreamChain, HLF, FastFabric, BIDL without denylist, and BIDL.",
-		Scenarios: table4Scenarios,
-		Table:     table4Table,
-	})
-}
-
-func table4Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(2 * time.Second)
-	warm := window / 2 // measure after the system stabilizes post-attack
-
-	point := func(framework, label string, rate float64, adversary []scenario.FaultSpec, noDenylist bool) scenario.Scenario {
-		sp := spec(framework, label, o, 0, 0)
-		sp.Load = load(o.rate(rate), window)
-		sp.Load.Warmup = scenario.Duration(warm)
-		sp.Faults = adversary
-		sp.Tuning.DisableDenylist = noDenylist
-		return sp
-	}
-	leader := []scenario.FaultSpec{{Kind: chaos.KindLeader}}
-	bcast := []scenario.FaultSpec{{Kind: chaos.KindBroadcaster, At: scenario.Duration(100 * time.Millisecond)}}
-
-	return []scenario.Scenario{
-		point(scenario.FrameworkStreamChain, "streamchain S1", satStream, nil, false),
-		point(scenario.FrameworkHLF, "hlf S1", satHLF, nil, false),
-		point(scenario.FrameworkHLF, "hlf S2", satHLF, leader, false),
-		point(scenario.FrameworkFastFabric, "fastfabric S1", satFF, nil, false),
-		point(scenario.FrameworkBIDL, "bidl-no-denylist S1", satBIDL, nil, true),
-		point(scenario.FrameworkBIDL, "bidl-no-denylist S2", satBIDL, leader, true),
-		point(scenario.FrameworkBIDL, "bidl-no-denylist S3", satBIDL, bcast, true),
-		point(scenario.FrameworkBIDL, "bidl S1", satBIDL, nil, false),
-		point(scenario.FrameworkBIDL, "bidl S2", satBIDL, leader, false),
-		point(scenario.FrameworkBIDL, "bidl S3", satBIDL, bcast, false),
-	}
-}
-
-func table4Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "table4",
 		Title:   "Effective throughput under malicious participants (ktxns/s)",
 		Columns: []string{"framework", "S1_fault_free", "S2_malicious_leader", "S3_malicious_broadcaster"},
-	}
-	sc, h1, h2, ff := res[0], res[1], res[2], res[3]
-	bn1, bn2, bn3 := res[4], res[5], res[6]
-	b1, b2, b3 := res[7], res[8], res[9]
-
-	t.AddRow("streamchain", ktps(sc.Throughput), "N/A", "N/A")
-	// HLF: S3 unaffected (no multicast ingestion).
-	t.AddRow("hlf", ktps(h1.Throughput), ktps(h2.Throughput), ktps(h1.Throughput))
-	// FastFabric: only S1 is in its trust model.
-	t.AddRow("fastfabric", ktps(ff.Throughput), "N/A", "N/A")
-	// BIDL without the denylist: S3 hurts and stays hurt.
-	t.AddRow("bidl-no-denylist", ktps(bn1.Throughput), ktps(bn2.Throughput), ktps(bn3.Throughput))
-	// BIDL with the full shepherded workflow.
-	t.AddRow("bidl", ktps(b1.Throughput), ktps(b2.Throughput), ktps(b3.Throughput))
-
-	t.Notes = append(t.Notes,
-		"paper: SC 2.73 / HLF 9.25 / FF 29.32 / BIDL-no-denylist 41.67,41.67,10.75 / BIDL 41.67 across all")
-	return t
+		Notes:   []string{"paper: SC 2.73 / HLF 9.25 / FF 29.32 / BIDL-no-denylist 41.67,41.67,10.75 / BIDL 41.67 across all"},
+		Sweep: func(o Options) []Group {
+			window := o.scaled(2 * time.Second)
+			adversary := map[string][]scenario.FaultSpec{
+				"S1": nil,
+				"S2": {{Kind: chaos.KindLeader}},
+				"S3": {{Kind: chaos.KindBroadcaster, At: scenario.Duration(100 * time.Millisecond)}},
+			}
+			// system is one row. Each cell names the situation whose
+			// throughput it shows, or is literal text; every situation
+			// named is run once, in order of first mention.
+			system := func(label, framework string, rate float64, noDenylist bool, cells ...string) Group {
+				var g Group
+				runOf := map[string]int{}
+				for _, c := range cells {
+					faults, situation := adversary[c]
+					if _, seen := runOf[c]; seen || !situation {
+						continue
+					}
+					runOf[c] = len(g.Runs)
+					sp := spec(framework, label+" "+c, o, mix(0, 0), rate, window)
+					sp.Load.Warmup = scenario.Duration(window / 2) // measure after the system stabilizes post-attack
+					sp.Faults = faults
+					sp.Tuning.DisableDenylist = noDenylist
+					g.Runs = append(g.Runs, sp)
+				}
+				g.Rows = func(t *Table, res []Result) {
+					row := []string{label}
+					for _, c := range cells {
+						if i, ok := runOf[c]; ok {
+							c = ktps(res[i].Throughput)
+						}
+						row = append(row, c)
+					}
+					t.AddRow(row...)
+				}
+				return g
+			}
+			return []Group{
+				system("streamchain", scenario.FrameworkStreamChain, satStream, false, "S1", "N/A", "N/A"),
+				// HLF: S3 unaffected (no multicast ingestion).
+				system("hlf", scenario.FrameworkHLF, satHLF, false, "S1", "S2", "S1"),
+				// FastFabric: only S1 is in its trust model.
+				system("fastfabric", scenario.FrameworkFastFabric, satFF, false, "S1", "N/A", "N/A"),
+				// BIDL without the denylist: S3 hurts and stays hurt.
+				system("bidl-no-denylist", scenario.FrameworkBIDL, satBIDL, true, "S1", "S2", "S3"),
+				// BIDL with the full shepherded workflow.
+				system("bidl", scenario.FrameworkBIDL, satBIDL, false, "S1", "S2", "S3"),
+			}
+		},
+	})
 }
 
 // --- Figure 7: real-time throughput under the smart adversary ----------------
@@ -379,40 +299,27 @@ func init() {
 		Paper: "Figure 7",
 		Description: "Real-time BIDL throughput while a smart adversary attacks " +
 			"only one correct node's views: dip, view changes, denylist, recovery.",
-		Scenarios: fig7Scenarios,
-		Table:     fig7Table,
-	})
-}
-
-func fig7Scenarios(o Options) []scenario.Scenario {
-	horizon := o.scaled(6 * time.Second)
-	attackAt := horizon / 6
-	rate := o.rate(satBIDL * 3 / 4)
-	// A single timeline run: nothing to fan out.
-	sp := spec(scenario.FrameworkBIDL, fmt.Sprintf("%.0f txns/s, attack at %v", rate, attackAt), o, 0, 0)
-	sp.Load = load(rate, horizon)
-	sp.Load.Warmup = scenario.Duration(time.Millisecond)
-	sp.Faults = []scenario.FaultSpec{{Kind: chaos.KindSmart, At: scenario.Duration(attackAt)}}
-	return []scenario.Scenario{sp}
-}
-
-func fig7Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "fig7",
 		Title:   "BIDL throughput timeline under the smart adversary",
 		Columns: []string{"time_s", "ktps"},
-	}
-	horizon := o.scaled(6 * time.Second)
-	attackAt := horizon / 6
-	width := horizon / 30
-	for i, v := range res[0].Collector.Timeline(width, horizon) {
-		t.AddRow(fmt.Sprintf("%.2f", (time.Duration(i)*width).Seconds()), ktps(v))
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("attack starts at %.2fs; view changes observed: %d; clients denied: %d",
-			attackAt.Seconds(), res[0].Collector.ViewChanges, res[0].Collector.DeniedClients),
-		"paper: throughput dips on attack, view changes rotate the leader, the denylist restores peak throughput")
-	return t
+		Notes:   []string{"paper: throughput dips on attack, view changes rotate the leader, the denylist restores peak throughput"},
+		// A single timeline run: nothing to fan out.
+		Sweep: func(o Options) []Group {
+			horizon := o.scaled(6 * time.Second)
+			attackAt := horizon / 6
+			const rate = satBIDL * 3 / 4
+			sp := spec(scenario.FrameworkBIDL, fmt.Sprintf("%.0f txns/s, attack at %v", o.rate(rate), attackAt), o, mix(0, 0), rate, horizon)
+			sp.Load.Warmup = scenario.Duration(time.Millisecond)
+			sp.Faults = []scenario.FaultSpec{{Kind: chaos.KindSmart, At: scenario.Duration(attackAt)}}
+			return []Group{single(sp, func(t *Table, r Result) {
+				width := horizon / 30
+				for i, v := range r.Collector.Timeline(width, horizon) {
+					t.AddRow(fmt.Sprintf("%.2f", (time.Duration(i)*width).Seconds()), ktps(v))
+				}
+				t.Notes = append(t.Notes, fmt.Sprintf("attack starts at %.2fs; view changes observed: %d; clients denied: %d",
+					attackAt.Seconds(), r.Collector.ViewChanges, r.Collector.DeniedClients))
+			})}
+		},
+	})
 }
 
 // --- Figure 8: non-determinism and contention robustness ---------------------
@@ -423,59 +330,34 @@ func init() {
 		Paper: "Figure 8",
 		Description: "Effective throughput of BIDL vs FastFabric under increasing " +
 			"non-determinism ratio and increasing contention ratio.",
-		Scenarios: fig8Scenarios,
-		Table:     fig8Table,
-	})
-}
-
-type fig8Point struct {
-	mode  string
-	ratio float64
-}
-
-func fig8Points() []fig8Point {
-	var points []fig8Point
-	for _, nd := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		points = append(points, fig8Point{"nondet", nd})
-	}
-	for _, cr := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		points = append(points, fig8Point{"contention", cr})
-	}
-	return points
-}
-
-func fig8Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1200 * time.Millisecond)
-	var specs []scenario.Scenario
-	for _, p := range fig8Points() {
-		cr, nd := 0.0, 0.0
-		if p.mode == "nondet" {
-			nd = p.ratio
-		} else {
-			cr = p.ratio
-		}
-		b := spec(scenario.FrameworkBIDL, fmt.Sprintf("bidl, %s %.0f%%", p.mode, p.ratio*100), o, cr, nd)
-		b.Load = load(o.rate(satBIDL), window)
-		f := spec(scenario.FrameworkFastFabric, fmt.Sprintf("fastfabric, %s %.0f%%", p.mode, p.ratio*100), o, cr, nd)
-		f.Load = load(o.rate(satFF), window)
-		specs = append(specs, b, f)
-	}
-	return specs
-}
-
-func fig8Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "fig8",
 		Title:   "Robustness to non-deterministic and contended workloads (ktxns/s)",
 		Columns: []string{"workload", "param", "bidl_ktps", "bidl_abort", "ff_ktps", "ff_abort"},
-	}
-	for i, p := range fig8Points() {
-		b, f := res[2*i], res[2*i+1]
-		t.AddRow(p.mode, pct(p.ratio), ktps(b.Throughput), pct(b.AbortRate), ktps(f.Throughput), pct(f.AbortRate))
-	}
-	t.Notes = append(t.Notes,
-		"paper: both drop with non-determinism (BIDL faster); under contention BIDL holds throughput with zero aborts while FF aborts grow")
-	return t
+		Notes:   []string{"paper: both drop with non-determinism (BIDL faster); under contention BIDL holds throughput with zero aborts while FF aborts grow"},
+		Sweep: func(o Options) (groups []Group) {
+			window := o.scaled(1200 * time.Millisecond)
+			for _, mode := range []string{"nondet", "contention"} {
+				for _, ratio := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
+					w := mix(ratio, 0)
+					if mode == "nondet" {
+						w = mix(0, ratio)
+					}
+					point := func(fw string, rate float64) scenario.Scenario {
+						return spec(fw, fmt.Sprintf("%s, %s %.0f%%", fw, mode, ratio*100), o, w, rate, window)
+					}
+					groups = append(groups, Group{
+						Runs: []scenario.Scenario{
+							point(scenario.FrameworkBIDL, satBIDL),
+							point(scenario.FrameworkFastFabric, satFF),
+						},
+						Rows: perRun(func(r Result) []string {
+							return []string{ktps(r.Throughput), pct(r.AbortRate)}
+						}, mode, pct(ratio)),
+					})
+				}
+			}
+			return groups
+		},
+	})
 }
 
 // --- Figure 9: multi-datacenter bandwidth -------------------------------------
@@ -486,46 +368,30 @@ func init() {
 		Paper: "Figure 9",
 		Description: "BIDL vs BIDL-opt-disabled (no IP multicast, no consensus-on-hash) " +
 			"across 4 datacenters with shrinking inter-DC bandwidth.",
-		Scenarios: fig9Scenarios,
-		Table:     fig9Table,
-	})
-}
-
-var fig9Bands = []float64{10, 5, 2, 1, 0.5}
-
-func fig9Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1200 * time.Millisecond)
-	var specs []scenario.Scenario
-	for _, gbps := range fig9Bands {
-		for _, optDisabled := range []bool{false, true} {
-			sp := spec(scenario.FrameworkBIDL,
-				fmt.Sprintf("%.1f Gbps inter-DC (opt_disabled=%v)", gbps, optDisabled), o, 0, 0)
-			sp.Nodes.Datacenters = 4
-			sp.Topology.InterDCGbps = gbps
-			sp.Topology.InterLatency = scenario.Duration(10 * time.Millisecond) // 20ms RTT (§6.4)
-			sp.Tuning.ViewTimeout = scenario.Duration(400 * time.Millisecond)
-			sp.Tuning.BlockTimeout = scenario.Duration(25 * time.Millisecond)
-			sp.Tuning.DisableMulticast = optDisabled
-			sp.Tuning.ConsensusOnPayload = optDisabled
-			sp.Load = load(o.rate(satBIDL/2), window)
-			specs = append(specs, sp)
-		}
-	}
-	return specs
-}
-
-func fig9Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "fig9",
 		Title:   "Throughput over 4 datacenters vs inter-DC bandwidth (ktxns/s)",
 		Columns: []string{"bandwidth_gbps", "bidl", "bidl_opt_disabled"},
-	}
-	for i, gbps := range fig9Bands {
-		t.AddRow(fmt.Sprintf("%.1f", gbps), ktps(res[2*i].Throughput), ktps(res[2*i+1].Throughput))
-	}
-	t.Notes = append(t.Notes,
-		"paper: BIDL degrades slowly as bandwidth shrinks; without multicast+consensus-on-hash the gap widens at tight bandwidth")
-	return t
+		Notes:   []string{"paper: BIDL degrades slowly as bandwidth shrinks; without multicast+consensus-on-hash the gap widens at tight bandwidth"},
+		Sweep: func(o Options) (groups []Group) {
+			window := o.scaled(1200 * time.Millisecond)
+			for _, gbps := range []float64{10, 5, 2, 1, 0.5} {
+				g := Group{Rows: perRun(tputCell, fmt.Sprintf("%.1f", gbps))}
+				for _, optDisabled := range []bool{false, true} {
+					sp := spec(scenario.FrameworkBIDL,
+						fmt.Sprintf("%.1f Gbps inter-DC (opt_disabled=%v)", gbps, optDisabled), o, mix(0, 0), satBIDL/2, window)
+					sp.Nodes.Datacenters = 4
+					sp.Topology.InterDCGbps = gbps
+					sp.Topology.InterLatency = scenario.Duration(10 * time.Millisecond) // 20ms RTT (§6.4)
+					sp.Tuning.ViewTimeout = scenario.Duration(400 * time.Millisecond)
+					sp.Tuning.BlockTimeout = scenario.Duration(25 * time.Millisecond)
+					sp.Tuning.DisableMulticast = optDisabled
+					sp.Tuning.ConsensusOnPayload = optDisabled
+					g.Runs = append(g.Runs, sp)
+				}
+				groups = append(groups, g)
+			}
+			return groups
+		},
+	})
 }
 
 // --- Figure 10: packet loss ---------------------------------------------------
@@ -536,40 +402,28 @@ func init() {
 		Paper: "Figure 10",
 		Description: "BIDL vs FastFabric effective throughput under increasing " +
 			"packet-loss rates.",
-		Scenarios: fig10Scenarios,
-		Table:     fig10Table,
-	})
-}
-
-var fig10Losses = []float64{0, 0.005, 0.01, 0.02, 0.04, 0.08}
-
-func fig10Scenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1500 * time.Millisecond)
-	var specs []scenario.Scenario
-	for _, loss := range fig10Losses {
-		b := spec(scenario.FrameworkBIDL, fmt.Sprintf("bidl, %.1f%% loss", loss*100), o, 0, 0)
-		b.Topology.LossRate = loss
-		b.Load = load(o.rate(satBIDL*3/4), window)
-		f := spec(scenario.FrameworkFastFabric, fmt.Sprintf("fastfabric, %.1f%% loss", loss*100), o, 0, 0)
-		f.Topology.LossRate = loss
-		f.Load = load(o.rate(satFF*3/4), window)
-		specs = append(specs, b, f)
-	}
-	return specs
-}
-
-func fig10Table(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "fig10",
 		Title:   "Throughput vs packet-loss rate (ktxns/s)",
 		Columns: []string{"loss", "bidl", "fastfabric"},
-	}
-	for i, loss := range fig10Losses {
-		t.AddRow(pct(loss), ktps(res[2*i].Throughput), ktps(res[2*i+1].Throughput))
-	}
-	t.Notes = append(t.Notes,
-		"paper: BIDL's gain over FF is largest at low loss and narrows as loss grows")
-	return t
+		Notes:   []string{"paper: BIDL's gain over FF is largest at low loss and narrows as loss grows"},
+		Sweep: func(o Options) (groups []Group) {
+			window := o.scaled(1500 * time.Millisecond)
+			for _, loss := range []float64{0, 0.005, 0.01, 0.02, 0.04, 0.08} {
+				point := func(fw string, rate float64) scenario.Scenario {
+					sp := spec(fw, fmt.Sprintf("%s, %.1f%% loss", fw, loss*100), o, mix(0, 0), rate, window)
+					sp.Topology.LossRate = loss
+					return sp
+				}
+				groups = append(groups, Group{
+					Runs: []scenario.Scenario{
+						point(scenario.FrameworkBIDL, satBIDL*3/4),
+						point(scenario.FrameworkFastFabric, satFF*3/4),
+					},
+					Rows: perRun(tputCell, pct(loss)),
+				})
+			}
+			return groups
+		},
+	})
 }
 
 // --- Ablations ----------------------------------------------------------------
@@ -580,48 +434,24 @@ func init() {
 		Paper: "Design ablations (extension)",
 		Description: "BIDL design-choice ablations: parallel vs sequential workflow, " +
 			"IP multicast, consensus-on-hash.",
-		Scenarios: ablationScenarios,
-		Table:     ablationTable,
-	})
-}
-
-type ablationVariant struct {
-	name string
-	mut  func(*scenario.TuningSpec)
-}
-
-func ablationVariants() []ablationVariant {
-	return []ablationVariant{
-		{"bidl-full", func(*scenario.TuningSpec) {}},
-		{"no-speculation", func(t *scenario.TuningSpec) { t.DisableSpeculation = true }},
-		{"no-multicast", func(t *scenario.TuningSpec) { t.DisableMulticast = true }},
-		{"consensus-on-payload", func(t *scenario.TuningSpec) { t.ConsensusOnPayload = true }},
-	}
-}
-
-func ablationScenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1200 * time.Millisecond)
-	variants := ablationVariants()
-	specs := make([]scenario.Scenario, len(variants))
-	for i, v := range variants {
-		sp := spec(scenario.FrameworkBIDL, v.name, o, 0.2, 0)
-		v.mut(&sp.Tuning)
-		sp.Load = load(o.rate(satBIDL*3/4), window)
-		specs[i] = sp
-	}
-	return specs
-}
-
-func ablationTable(o Options, res []Result) *Table {
-	t := &Table{
-		ID:      "ablation",
 		Title:   "BIDL ablations (setting A)",
 		Columns: []string{"variant", "ktps", "avg_ms", "p99_ms", "spec_success"},
-	}
-	for i, v := range ablationVariants() {
-		t.AddRow(v.name, ktps(res[i].Throughput), ms(res[i].AvgLatency), ms(res[i].P99), pct(res[i].SpecSuccess))
-	}
-	t.Notes = append(t.Notes,
-		"no-speculation reverts to the sequential workflow: latency rises by roughly the execution phase")
-	return t
+		Notes:   []string{"no-speculation reverts to the sequential workflow: latency rises by roughly the execution phase"},
+		Sweep: func(o Options) []Group {
+			window := o.scaled(1200 * time.Millisecond)
+			variant := func(name string, tuning scenario.TuningSpec) Group {
+				sp := spec(scenario.FrameworkBIDL, name, o, mix(0.2, 0), satBIDL*3/4, window)
+				sp.Tuning = tuning
+				return single(sp, func(t *Table, r Result) {
+					t.AddRow(name, ktps(r.Throughput), ms(r.AvgLatency), ms(r.P99), pct(r.SpecSuccess))
+				})
+			}
+			return []Group{
+				variant("bidl-full", scenario.TuningSpec{}),
+				variant("no-speculation", scenario.TuningSpec{DisableSpeculation: true}),
+				variant("no-multicast", scenario.TuningSpec{DisableMulticast: true}),
+				variant("consensus-on-payload", scenario.TuningSpec{ConsensusOnPayload: true}),
+			}
+		},
+	})
 }

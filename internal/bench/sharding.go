@@ -37,68 +37,38 @@ func init() {
 		Description: "BIDL sharded over 1/2/4 channels with cross-shard 2PC ratios " +
 			"of 0/5%/20%, vs the unsharded engine and the FastFabric/HLF " +
 			"baselines at the same per-cluster size.",
-		Scenarios: shardingScenarios,
-		Table:     shardingTable,
-	})
-}
-
-type shardingPoint struct {
-	framework string
-	shards    int
-	ratio     float64
-	rate      float64 // total offered load before Options scaling
-}
-
-func shardingPoints() []shardingPoint {
-	pts := []shardingPoint{
-		{scenario.FrameworkBIDL, 1, 0, shardBaseRate},
-	}
-	for _, n := range []int{2, 4} {
-		for _, r := range []float64{0, 0.05, 0.2} {
-			pts = append(pts, shardingPoint{scenario.FrameworkBIDL, n, r, float64(n) * shardBaseRate})
-		}
-	}
-	pts = append(pts,
-		shardingPoint{scenario.FrameworkFastFabric, 1, 0, shardRateFF},
-		shardingPoint{scenario.FrameworkHLF, 1, 0, shardRateHLF},
-	)
-	return pts
-}
-
-func shardingScenarios(o Options) []scenario.Scenario {
-	window := o.scaled(1 * time.Second)
-	var specs []scenario.Scenario
-	for _, p := range shardingPoints() {
-		name := fmt.Sprintf("%s shards=%d cross=%g", p.framework, p.shards, p.ratio)
-		sp := spec(p.framework, name, o, 0, 0)
-		sp.Nodes = scenario.NodesSpec{Orgs: shardOrgs}
-		if p.framework == scenario.FrameworkBIDL && p.shards > 1 {
-			sp.Shards = p.shards
-			sp.CrossShardRatio = p.ratio
-		}
-		sp.Load = load(o.rate(p.rate), window)
-		specs = append(specs, sp)
-	}
-	return specs
-}
-
-func shardingTable(o Options, res []Result) *Table {
-	t := &Table{
-		ID:    "sharding",
 		Title: "Multi-channel sharding: scale-out vs cross-shard 2PC cost",
 		Columns: []string{"framework", "shards", "cross", "offered_ktps",
 			"ktps", "avg_ms", "p99_ms", "abort"},
-	}
-	for i, p := range shardingPoints() {
-		r := res[i]
-		t.AddRow(p.framework,
-			fmt.Sprintf("%d", p.shards),
-			pct(p.ratio),
-			ktps(o.rate(p.rate)),
-			ktps(r.Throughput), ms(r.AvgLatency), ms(r.P99), pct(r.AbortRate))
-	}
-	t.Notes = append(t.Notes,
-		"each shard is a full copy of the cluster, so offered load scales with the shard count; cross=0% rows isolate pure horizontal scale-out",
-		"cross-shard transfers pay two sequencing rounds (prepare, then commit/abort) plus first-wins lock conflicts — visible as added latency and aborts at 20%")
-	return t
+		Notes: []string{
+			"each shard is a full copy of the cluster, so offered load scales with the shard count; cross=0% rows isolate pure horizontal scale-out",
+			"cross-shard transfers pay two sequencing rounds (prepare, then commit/abort) plus first-wins lock conflicts — visible as added latency and aborts at 20%",
+		},
+		Sweep: func(o Options) []Group {
+			window := o.scaled(1 * time.Second)
+			// rate is the total offered load before Options scaling.
+			point := func(framework string, shards int, ratio, rate float64) Group {
+				name := fmt.Sprintf("%s shards=%d cross=%g", framework, shards, ratio)
+				sp := spec(framework, name, o, mix(0, 0), rate, window)
+				sp.Nodes = scenario.NodesSpec{Orgs: shardOrgs}
+				if shards > 1 {
+					sp.Shards = shards
+					sp.CrossShardRatio = ratio
+				}
+				return single(sp, func(t *Table, r Result) {
+					t.AddRow(framework, fmt.Sprint(shards), pct(ratio), ktps(o.rate(rate)),
+						ktps(r.Throughput), ms(r.AvgLatency), ms(r.P99), pct(r.AbortRate))
+				})
+			}
+			groups := []Group{point(scenario.FrameworkBIDL, 1, 0, shardBaseRate)}
+			for _, n := range []int{2, 4} {
+				for _, ratio := range []float64{0, 0.05, 0.2} {
+					groups = append(groups, point(scenario.FrameworkBIDL, n, ratio, float64(n)*shardBaseRate))
+				}
+			}
+			return append(groups,
+				point(scenario.FrameworkFastFabric, 1, 0, shardRateFF),
+				point(scenario.FrameworkHLF, 1, 0, shardRateHLF))
+		},
+	})
 }

@@ -122,6 +122,17 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 	return c
 }
 
+// multicast sends one of the three pipeline messages (sequenced batch, block,
+// PERSIST) to group: one IP multicast, or with DisableMulticast one unicast
+// per member ("BIDL-opt-disabled", Fig 9).
+func (c *Cluster) multicast(ctx *simnet.Context, group string, msg simnet.Message) {
+	if c.Cfg.DisableMulticast {
+		ctx.MulticastUnicast(group, msg)
+	} else {
+		ctx.Multicast(group, msg)
+	}
+}
+
 // RegisterClients creates client endpoints for the given identities.
 // Identities must already exist in the scheme (the workload generator
 // registers them).

@@ -26,7 +26,7 @@ const (
 
 // Config parameterizes a BIDL cluster: the shared deployment fields (cluster
 // shape, block and view timeouts, costs, network, seed, engine) plus BIDL's
-// own batching, shepherding and ablation knobs. NumConsensus is 3F+1;
+// client timeout and ablation switches. NumConsensus is 3F+1;
 // consensus nodes belong to organizations round-robin.
 type Config struct {
 	substrate.Config
@@ -35,23 +35,10 @@ type Config struct {
 	// consensus nodes (§4.5 liveness path).
 	ClientTimeout time.Duration
 
-	// SeqFlushInterval batches sequenced-transaction multicasts.
-	SeqFlushInterval time.Duration
-	// SeqBatchMax flushes the sequencer batch early at this size.
-	SeqBatchMax int
-	// ResultFlushInterval batches delegate result messages.
-	ResultFlushInterval time.Duration
-
-	// ReexecThreshold is the per-view re-execution (mismatch) rate that
-	// triggers a shepherd view change (paper default 1%, §4.5).
-	ReexecThreshold float64
-
 	// DisableDenylist turns off the §4.6 protocol ("BIDL w/o denylist",
-	// Table 4).
+	// Table 4). A denied client stays denied for the rest of the run (§4.6:
+	// much longer than the detection window).
 	DisableDenylist bool
-	// DenyRejoin is how long a denied client stays denied (§4.6: much
-	// longer than the detection window). Zero means forever.
-	DenyRejoin time.Duration
 
 	// DisableMulticast sends sequenced transactions as N unicasts
 	// ("BIDL-opt-disabled", Fig 9).
@@ -64,26 +51,29 @@ type Config struct {
 	// execute sequentially at commit time — the sequential workflow BIDL's
 	// parallel design is measured against (ablation).
 	DisableSpeculation bool
-
-	// SampleVerify is how many transactions per assembled block a
-	// consensus node signature-samples to catch a garbage-proposing
-	// leader (Table 4 S2). Zero disables sampling.
-	SampleVerify int
 }
 
+// Batching and shepherding parameters no experiment, workload or flag varies.
+const (
+	// seqFlushInterval batches sequenced-transaction multicasts;
+	// seqBatchMax flushes the sequencer batch early at this size.
+	seqFlushInterval = time.Millisecond
+	seqBatchMax      = 100
+	// resultFlushInterval batches delegate result messages.
+	resultFlushInterval = time.Millisecond
+	// reexecThreshold is the per-view re-execution (mismatch) rate that
+	// triggers a shepherd view change (the paper's 1 %, §4.5).
+	reexecThreshold = 0.01
+	// sampleVerify is how many transactions per assembled block a consensus
+	// node signature-samples to catch a garbage-proposing leader (Table 4
+	// S2); fabric.Orderer.Deliver samples the same number.
+	sampleVerify = 8
+)
+
 // DefaultConfig mirrors the paper's evaluation setting A
-// (substrate.DefaultConfig) under PBFT, with BIDL's batching defaults.
+// (substrate.DefaultConfig) under PBFT.
 func DefaultConfig() Config {
-	cfg := Config{
-		Config:              substrate.DefaultConfig(),
-		ClientTimeout:       500 * time.Millisecond,
-		SeqFlushInterval:    time.Millisecond,
-		SeqBatchMax:         100,
-		ResultFlushInterval: time.Millisecond,
-		ReexecThreshold:     0.01,
-		DenyRejoin:          0, // never rejoin within an experiment
-		SampleVerify:        8,
-	}
+	cfg := Config{Config: substrate.DefaultConfig(), ClientTimeout: 500 * time.Millisecond}
 	cfg.Protocol = ProtoPBFT
 	return cfg
 }
@@ -107,34 +97,17 @@ func (c Config) Validate() error {
 	if err := c.Config.Validate("core"); err != nil {
 		return err
 	}
-	switch {
-	case c.F > 0 && c.NumConsensus < 3*c.F+1:
+	if c.F > 0 && c.NumConsensus < 3*c.F+1 {
 		return fmt.Errorf("core: NumConsensus %d cannot tolerate F=%d faults (need >= %d)",
 			c.NumConsensus, c.F, 3*c.F+1)
-	case c.ReexecThreshold < 0 || c.ReexecThreshold > 1:
-		return fmt.Errorf("core: ReexecThreshold must be in [0,1] (got %g)", c.ReexecThreshold)
-	case c.SampleVerify < 0:
-		return fmt.Errorf("core: SampleVerify must be >= 0 (got %d)", c.SampleVerify)
-	case c.SeqBatchMax < 0:
-		return fmt.Errorf("core: SeqBatchMax must be >= 0 (got %d)", c.SeqBatchMax)
 	}
 	switch c.Protocol {
 	case "", ProtoPBFT, ProtoHotStuff, ProtoZyzzyva, ProtoSBFT:
 	default:
 		return fmt.Errorf("core: unknown protocol %q", c.Protocol)
 	}
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{
-		{"ClientTimeout", c.ClientTimeout},
-		{"SeqFlushInterval", c.SeqFlushInterval},
-		{"ResultFlushInterval", c.ResultFlushInterval},
-		{"DenyRejoin", c.DenyRejoin},
-	} {
-		if d.v < 0 {
-			return fmt.Errorf("core: %s must be >= 0 (got %s)", d.name, d.v)
-		}
+	if c.ClientTimeout < 0 {
+		return fmt.Errorf("core: ClientTimeout must be >= 0 (got %s)", c.ClientTimeout)
 	}
 	return nil
 }

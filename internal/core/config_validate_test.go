@@ -25,9 +25,6 @@ func TestConfigValidate(t *testing.T) {
 		{"quorum-infeasible", func(c *Config) { c.NumConsensus = 5; c.F = 2 }, "cannot tolerate"},
 		{"zero-block-size", func(c *Config) { c.BlockSize = 0 }, "BlockSize"},
 		{"negative-dcs", func(c *Config) { c.NumDCs = -1 }, "NumDCs"},
-		{"reexec-threshold-range", func(c *Config) { c.ReexecThreshold = 1.2 }, "ReexecThreshold"},
-		{"negative-sample-verify", func(c *Config) { c.SampleVerify = -1 }, "SampleVerify"},
-		{"negative-seq-batch", func(c *Config) { c.SeqBatchMax = -1 }, "SeqBatchMax"},
 		{"unknown-protocol", func(c *Config) { c.Protocol = "paxos" }, "unknown protocol"},
 		{"negative-block-timeout", func(c *Config) { c.BlockTimeout = -time.Millisecond }, "BlockTimeout"},
 		// Zero would hang Run: armPersistRetry re-arms itself with After(0)
@@ -35,9 +32,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-block-timeout", func(c *Config) { c.BlockTimeout = 0 }, "BlockTimeout must be > 0"},
 		{"negative-view-timeout", func(c *Config) { c.ViewTimeout = -1 }, "ViewTimeout"},
 		{"negative-client-timeout", func(c *Config) { c.ClientTimeout = -1 }, "ClientTimeout"},
-		{"negative-seq-flush", func(c *Config) { c.SeqFlushInterval = -1 }, "SeqFlushInterval"},
-		{"negative-result-flush", func(c *Config) { c.ResultFlushInterval = -1 }, "ResultFlushInterval"},
-		{"negative-deny-rejoin", func(c *Config) { c.DenyRejoin = -1 }, "DenyRejoin"},
 		{"negative-intra-latency", func(c *Config) { c.Topology.IntraLatency = -1 }, "IntraLatency"},
 		{"loss-rate-range", func(c *Config) { c.Topology.LossRate = 1 }, "LossRate"},
 		// The shared half (substrate.Config.Validate) reports under this

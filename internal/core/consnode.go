@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"maps"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -449,7 +450,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		}
 		// Sample-verify payloads to catch a garbage-proposing leader
 		// (Table 4 S2).
-		if cfg.SampleVerify > 0 && sampled < cfg.SampleVerify {
+		if sampled < sampleVerify {
 			if tx := n.pool.payload(r); tx != nil {
 				sampled++
 				n.Ctx.Elapse(cfg.Costs.SigVerify)
@@ -479,11 +480,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		}
 		bm := &BlockMsg{Number: number, Ordering: types.EncodeOrdering(blk.seqs, blk.hashes), Cert: blk.cert}
 		bm.warmCaches()
-		if cfg.DisableMulticast {
-			n.Ctx.MulticastUnicast(n.c.groupBlocks, bm)
-		} else {
-			n.Ctx.Multicast(n.c.groupBlocks, bm)
-		}
+		n.c.multicast(n.Ctx, n.c.groupBlocks, bm)
 	}
 
 	n.evaluateBuffered(blk.seqs)
@@ -503,7 +500,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		}
 		if n.viewTotal > cfg.BlockSize {
 			rate := float64(n.viewConf+n.viewMis) / float64(n.viewTotal)
-			if rate > cfg.ReexecThreshold {
+			if rate > reexecThreshold {
 				n.requestViewChangeOnce()
 			}
 		}
@@ -581,7 +578,7 @@ func (n *ConsNode) evaluateResult(e *ResultEntry) {
 	n.persistOut = append(n.persistOut, m.persist)
 	if !n.persistArm {
 		n.persistArm = true
-		n.After(n.c.Cfg.ResultFlushInterval, func() {
+		n.After(resultFlushInterval, func() {
 			n.persistArm = false
 			n.flushPersist()
 		})
@@ -632,11 +629,7 @@ func (n *ConsNode) flushPersist() {
 	n.Ctx.Elapse(n.c.Cfg.Costs.MACCompute)
 	msg := &PersistMsg{Node: n.Idx, Entries: entries}
 	msg.sign(n.Sign)
-	if n.c.Cfg.DisableMulticast {
-		n.Ctx.MulticastUnicast(n.c.groupPersist, msg)
-	} else {
-		n.Ctx.Multicast(n.c.groupPersist, msg)
-	}
+	n.c.multicast(n.Ctx, n.c.groupPersist, msg)
 }
 
 // --- retransmission and client liveness ------------------------------------
@@ -675,22 +668,24 @@ func (n *ConsNode) onBlockMsg(m *BlockMsg) {
 // partition) would otherwise buffer every later delivery forever, because
 // peers never retransmit decided instances.
 func (n *ConsNode) onPeerChainStatus(from simnet.NodeID, m *ChainStatus) {
-	if m.Height <= n.chainHeight || n.blockFetching {
-		return
-	}
-	need := false
-	for num := n.chainHeight; num < m.Height; num++ {
-		if _, ok := n.delivered[num]; !ok {
-			need = true
-			break
-		}
-	}
-	if !need {
+	if n.blockFetching || !missesBlock(n.chainHeight, m.Height, n.delivered) {
 		return
 	}
 	n.blockFetching = true
 	n.Ctx.Send(from, &BlockFetchReq{From: n.chainHeight, To: m.Height})
 	n.After(2*n.c.Cfg.BlockTimeout, func() { n.blockFetching = false })
+}
+
+// missesBlock reports whether a node at height, with later blocks buffered,
+// lacks any block below the height a peer advertises: the test both node
+// kinds' ChainStatus handlers fetch on.
+func missesBlock[B any](height, peer uint64, buffered map[uint64]B) bool {
+	for num := height; num < peer; num++ {
+		if _, ok := buffered[num]; !ok {
+			return true
+		}
+	}
+	return false
 }
 
 // onBlockFetch re-sends stored blocks a normal node missed.
@@ -867,15 +862,6 @@ func (n *ConsNode) ViewChanged(view uint64, leader int, metas [][]byte) {
 			upd := &DenyUpdate{Node: n.Idx, Clients: newly}
 			upd.Sig = n.Sign(denySigningBytes(n.Idx, newly))
 			n.Ctx.Multicast(n.c.groupPersist, upd)
-			if n.c.Cfg.DenyRejoin > 0 {
-				n.After(n.c.Cfg.DenyRejoin, func() {
-					for _, c := range newly {
-						delete(n.denylist, c)
-						delete(n.maliceVotes, c)
-						delete(n.suspects, c)
-					}
-				})
-			}
 		}
 	}
 
@@ -896,6 +882,9 @@ func (n *ConsNode) activateSequencer(view uint64) {
 	start := n.maxSeen + uint64(10*n.c.Cfg.BlockSize) + 1
 	n.watermark = start - 1
 	n.maxSeen = start - 1
+	// Assignments of an earlier term are abandoned with it; left in place
+	// they would be walked by pooledAbove on every batch, forever.
+	maps.DeleteFunc(n.auth, func(s uint64, _ types.TxID) bool { return s <= n.watermark })
 	n.seqActView, n.seqActStart = view, start
 	n.Ctx.Send(n.c.Sequencers[n.Idx].ep.ID(), &seqActivate{Active: true, View: view, StartSeq: start})
 	// Transactions stranded by the previous leadership term are NOT

@@ -141,6 +141,14 @@ func (n *NormalNode) Denied(c crypto.Identity) bool { return n.deny[c] }
 // isDelegate reports whether this node is its organization's delegate.
 func (n *NormalNode) isDelegate() bool { return n.idxInOrg == 0 }
 
+// speaksFor reports whether this node is the delegate of tx's corresponding
+// organization: the single deterministic authority for the transaction's
+// delivered/executed/persisted trace stages (so traces stay identical across
+// node counts) and the node that notifies its client.
+func (n *NormalNode) speaksFor(tx *types.Transaction) bool {
+	return n.isDelegate() && types.OrgIndex(tx.CorrespondingOrg()) == n.org
+}
+
 func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 	base := ledger.NewState()
 	return &NormalNode{
@@ -236,11 +244,7 @@ func (n *NormalNode) onSeqBatch(m *SeqBatch) {
 			continue
 		}
 		n.pool.slotAt(st.Seq).arrival = n.ctx.Now()
-		// The corresponding org's delegate is the single deterministic
-		// authority for a transaction's delivered/executed/persisted
-		// stages, so traces stay identical across node counts.
-		if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
-			types.OrgIndex(st.Tx.CorrespondingOrg()) == n.org {
+		if tr := n.c.Tracer; tr != nil && n.speaksFor(st.Tx) {
 			tr.TxStage(st.Tx.ID(), trace.StageDelivered, int(n.ep.ID()), n.ctx.Now())
 		}
 		if n.specInit && st.Seq < n.specNext {
@@ -346,7 +350,7 @@ func (n *NormalNode) armGapTimer() {
 	}
 	n.gapArmed = true
 	at := n.specNext
-	n.ctx.After(4*n.c.Cfg.SeqFlushInterval, func(c2 *simnet.Context) {
+	n.ctx.After(4*seqFlushInterval, func(c2 *simnet.Context) {
 		n.bind(c2, func() {
 			n.gapArmed = false
 			if n.specNext != at {
@@ -365,8 +369,7 @@ func (n *NormalNode) armGapTimer() {
 // executeSpec speculatively executes one related transaction and feeds the
 // result into the persist pipeline.
 func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction, r *txRec) {
-	if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
-		types.OrgIndex(tx.CorrespondingOrg()) == n.org {
+	if tr := n.c.Tracer; tr != nil && n.speaksFor(tx) {
 		tr.TxStage(tx.ID(), trace.StageExecStart, int(n.ep.ID()), n.ctx.Now())
 	}
 	n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
@@ -381,8 +384,7 @@ func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction, r *txRec) {
 	}
 	n.overlayApply(rw)
 	atomic.AddUint64(&n.c.Collector.Speculated, 1)
-	if tr := n.c.Tracer; tr != nil && n.isDelegate() &&
-		types.OrgIndex(tx.CorrespondingOrg()) == n.org {
+	if tr := n.c.Tracer; tr != nil && n.speaksFor(tx) {
 		tr.TxStage(tx.ID(), trace.StageExecuted, int(n.ep.ID()), n.ctx.Now())
 	}
 	if s := n.pool.slotAt(seq); s.arrival >= 0 {
@@ -559,7 +561,7 @@ func (n *NormalNode) armFlush() {
 		return
 	}
 	n.flushArm = true
-	n.ctx.After(n.c.Cfg.ResultFlushInterval, func(c2 *simnet.Context) {
+	n.ctx.After(resultFlushInterval, func(c2 *simnet.Context) {
 		n.bind(c2, func() {
 			n.flushArm = false
 			n.flushResults()
@@ -700,7 +702,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 			n.ctx.Send(target.Ep.ID(), &FetchReq{Hashes: missing})
 			// Retry against other consensus nodes if the proposer is
 			// unresponsive.
-			n.ctx.After(4*n.c.Cfg.SeqFlushInterval+2*n.c.Cfg.Topology.IntraLatency, func(c2 *simnet.Context) {
+			n.ctx.After(4*seqFlushInterval+2*n.c.Cfg.Topology.IntraLatency, func(c2 *simnet.Context) {
 				n.bind(c2, func() { pb.fetching = false; n.processBlocks() })
 			})
 		}
@@ -751,8 +753,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		}
 		n.pool.commit(r)
 		n.pool.clearNote(seq)
-		// The corresponding org's delegate notifies the client.
-		if n.isDelegate() && tx != nil && types.OrgIndex(tx.CorrespondingOrg()) == n.org {
+		if tx != nil && n.speaksFor(tx) {
 			notices[tx.Client] = append(notices[tx.Client], CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
 		}
 	}
@@ -845,18 +846,7 @@ func (n *NormalNode) executeBlock(pb *pendingBlock) {
 
 // onChainStatus fetches blocks this node missed (BlockMsg loss recovery).
 func (n *NormalNode) onChainStatus(from simnet.NodeID, m *ChainStatus) {
-	if m.Height <= n.commitHeight || n.blockFetching {
-		return
-	}
-	// Only fetch numbers not already buffered.
-	need := false
-	for num := n.commitHeight; num < m.Height; num++ {
-		if _, ok := n.blockBuf[num]; !ok {
-			need = true
-			break
-		}
-	}
-	if !need {
+	if n.blockFetching || !missesBlock(n.commitHeight, m.Height, n.blockBuf) {
 		return
 	}
 	n.blockFetching = true

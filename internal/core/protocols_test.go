@@ -198,3 +198,38 @@ func TestMultipleNormalNodesPerOrg(t *testing.T) {
 		}
 	}
 }
+
+// TestAuthPrunedAtViewChange: a consensus node that leads again starts its
+// term past every assignment of its earlier ones, and drops them — auth
+// holds nothing at or below the watermark however often leadership rotates.
+func TestAuthPrunedAtViewChange(t *testing.T) {
+	cfg := smallConfig()
+	cfg.ViewTimeout = 60 * time.Millisecond
+	cfg.ClientTimeout = 200 * time.Millisecond
+	c, gen := buildCluster(t, cfg, defaultWorkload())
+	// Whoever leads turns its sequencer to garbage every 100 ms: detection
+	// deposes it with sequenced batches still arriving, so leadership goes
+	// round the four consensus nodes more than twice.
+	for at := 50 * time.Millisecond; at < 1200*time.Millisecond; at += 100 * time.Millisecond {
+		c.Sim.At(at, func() { c.SetLeaderEvil(true) })
+	}
+	c.Sim.At(1200*time.Millisecond, func() { c.SetLeaderEvil(false) })
+	for i := 0; i < 1200; i++ {
+		c.SubmitAt(time.Duration(i)*time.Millisecond, gen.Batch(4)...)
+	}
+	c.Run(3 * time.Second)
+	if vc := c.Collector.ViewChanges; vc < 8 {
+		t.Fatalf("only %d view changes: leadership did not come round twice", vc)
+	}
+	for _, cn := range c.ConsNodes {
+		for s := range cn.auth {
+			if s <= cn.watermark {
+				t.Fatalf("consensus node %d keeps assignment %d at or below its watermark %d (%d held)",
+					cn.Idx, s, cn.watermark, len(cn.auth))
+			}
+		}
+	}
+	if err := c.CheckSafety(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -118,13 +118,13 @@ func (s *SequencerNode) ingest(ctx *simnet.Context, txns []*types.Transaction) {
 		if tr := s.c.Tracer; tr != nil {
 			tr.TxStage(out.ID(), trace.StageSequenced, int(s.ep.ID()), ctx.Now())
 		}
-		if len(s.pending) >= s.c.Cfg.SeqBatchMax {
+		if len(s.pending) >= seqBatchMax {
 			s.flush(ctx)
 		}
 	}
 	if len(s.pending) > 0 && !s.flushArmed {
 		s.flushArmed = true
-		ctx.After(s.c.Cfg.SeqFlushInterval, func(c2 *simnet.Context) {
+		ctx.After(seqFlushInterval, func(c2 *simnet.Context) {
 			s.flushArmed = false
 			s.flush(c2)
 		})
@@ -143,11 +143,7 @@ func (s *SequencerNode) flush(ctx *simnet.Context) {
 	// transactions) — this is what caps BIDL's throughput near the
 	// paper's 40-50k txns/s.
 	ctx.Elapse(time.Duration(len(batch.Txns)) * s.c.Cfg.Costs.SequencerPerTxn)
-	if s.c.Cfg.DisableMulticast {
-		ctx.MulticastUnicast(s.c.groupTxns, batch)
-	} else {
-		ctx.Multicast(s.c.groupTxns, batch)
-	}
+	s.c.multicast(ctx, s.c.groupTxns, batch)
 }
 
 // garbageTxn fabricates an invalid transaction of roughly the given size.

@@ -26,8 +26,7 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add([]byte(`{"load": {"rate": 100, "window": "10ms"},
 		"tuning": {"block_size": 9, "block_timeout": "2ms", "view_timeout": "30ms", "client_timeout": "40ms",
-			"seq_flush_interval": "3ms", "seq_batch_max": 8, "result_flush_interval": "4ms",
-			"reexec_threshold": 0.5, "sample_verify": 2, "deny_rejoin": "1s", "disable_denylist": true,
+			"disable_denylist": true,
 			"disable_multicast": true, "consensus_on_payload": true, "disable_speculation": true},
 		"faults": [{"kind": "smart", "at": "1ms", "duration": "2ms", "org": 1, "node": 2, "dc": 3, "shard": 4,
 			"count": 5, "period": "6ms", "rate": 0.7, "window": 8, "interval": "9ms", "detect_lag": "10ms",

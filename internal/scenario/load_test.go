@@ -107,24 +107,12 @@ func TestBurstShapeConcentratesLoad(t *testing.T) {
 func TestClosedLoopBackpressure(t *testing.T) {
 	gen := workload.NewGenerator(workload.DefaultConfig(4), crypto.NewHMACScheme([]byte("cl")))
 	f := &fakeHarness{}
-	d := NewDriver(f)
-	if err := d.RegisterClients([]crypto.Identity{gen.Client(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Prepopulate(gen.Prepopulate); err != nil {
-		t.Fatal(err)
-	}
 	l := loadSpec(1000, 50*time.Millisecond)
 	l.ClosedLoop = &ClosedLoopSpec{MaxInFlight: 10}
 	// Script: free, free, then saturated for 3 polls, then free again.
 	f.inFlight = []int{0, 0, 10, 10, 10, 0}
-	submitted, err := d.ScheduleLoad(gen, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	submitted := ScheduleLoad(f, gen, l)
+	f.Run(time.Second)
 	if submitted() == 0 {
 		t.Fatal("closed loop submitted nothing")
 	}

@@ -29,9 +29,7 @@ func everyFieldSpec(protocol string) Scenario {
 		},
 		Tuning: TuningSpec{
 			BlockSize: 123, BlockTimeout: Duration(us(3100)), ViewTimeout: Duration(us(91000)),
-			ClientTimeout: Duration(us(410000)), SeqFlushInterval: Duration(us(700)),
-			SeqBatchMax: 37, ResultFlushInterval: Duration(us(1300)), ReexecThreshold: 0.07,
-			SampleVerify: 5, DenyRejoin: Duration(us(2900000)),
+			ClientTimeout:   Duration(us(410000)),
 			DisableDenylist: true, DisableMulticast: true, ConsensusOnPayload: true, DisableSpeculation: true,
 		},
 		Costs: &cost.Model{
@@ -49,10 +47,6 @@ func renderBIDL(b *bytes.Buffer, c core.Config) {
 		c.NumOrgs, c.PerOrg, c.NumConsensus, c.F, c.Protocol)
 	fmt.Fprintf(b, "block_size=%d\nblock_timeout=%s\nview_timeout=%s\nclient_timeout=%s\n",
 		c.BlockSize, c.BlockTimeout, c.ViewTimeout, c.ClientTimeout)
-	fmt.Fprintf(b, "seq_flush_interval=%s\nseq_batch_max=%d\nresult_flush_interval=%s\n",
-		c.SeqFlushInterval, c.SeqBatchMax, c.ResultFlushInterval)
-	fmt.Fprintf(b, "reexec_threshold=%g\nsample_verify=%d\ndeny_rejoin=%s\n",
-		c.ReexecThreshold, c.SampleVerify, c.DenyRejoin)
 	fmt.Fprintf(b, "disable_denylist=%t\ndisable_multicast=%t\nconsensus_on_payload=%t\ndisable_speculation=%t\n",
 		c.DisableDenylist, c.DisableMulticast, c.ConsensusOnPayload, c.DisableSpeculation)
 	fmt.Fprintf(b, "costs=%+v\ntopology=%+v\ndcs=%d\nseed=%d\nsim_workers=%d\ntraced=%t\n",

@@ -98,21 +98,15 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 	for i := range ids {
 		ids[i] = gen.Client(i)
 	}
-	d := NewDriver(h)
-	if err := d.RegisterClients(ids); err != nil {
-		return Result{}, err
-	}
-	if err := d.Prepopulate(gen.Prepopulate); err != nil {
-		return Result{}, err
-	}
+	// The order is the contract: registering a client creates its endpoint,
+	// so doing it after traffic is scheduled would change endpoint-ID
+	// assignment and break run-to-run determinism; prepopulating after
+	// submissions start would let transactions run against unseeded accounts.
+	h.RegisterClients(ids)
+	h.Prepopulate(gen.Prepopulate)
 	s.armFaults(b, gen)
-	submitted, err := d.ScheduleLoad(gen, s.Load)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := d.Run(window + drain); err != nil {
-		return Result{}, err
-	}
+	submitted := ScheduleLoad(h, gen, s.Load)
+	h.Run(window + drain)
 	if rc.Observe != nil {
 		rc.Observe(h)
 	}
@@ -304,24 +298,6 @@ func (s Scenario) bidlConfig() core.Config {
 	tu := s.Tuning
 	if tu.ClientTimeout != 0 {
 		cfg.ClientTimeout = tu.ClientTimeout.D()
-	}
-	if tu.SeqFlushInterval != 0 {
-		cfg.SeqFlushInterval = tu.SeqFlushInterval.D()
-	}
-	if tu.SeqBatchMax > 0 {
-		cfg.SeqBatchMax = tu.SeqBatchMax
-	}
-	if tu.ResultFlushInterval != 0 {
-		cfg.ResultFlushInterval = tu.ResultFlushInterval.D()
-	}
-	if tu.ReexecThreshold > 0 {
-		cfg.ReexecThreshold = tu.ReexecThreshold
-	}
-	if tu.SampleVerify > 0 {
-		cfg.SampleVerify = tu.SampleVerify
-	}
-	if tu.DenyRejoin != 0 {
-		cfg.DenyRejoin = tu.DenyRejoin.D()
 	}
 	cfg.DisableDenylist = tu.DisableDenylist
 	cfg.DisableMulticast = tu.DisableMulticast

@@ -147,14 +147,6 @@ type TuningSpec struct {
 	ViewTimeout   Duration `json:"view_timeout,omitempty"`
 	ClientTimeout Duration `json:"client_timeout,omitempty"`
 
-	// BIDL-only batching/shepherding knobs (ignored by the baselines).
-	SeqFlushInterval    Duration `json:"seq_flush_interval,omitempty"`
-	SeqBatchMax         int      `json:"seq_batch_max,omitempty"`
-	ResultFlushInterval Duration `json:"result_flush_interval,omitempty"`
-	ReexecThreshold     float64  `json:"reexec_threshold,omitempty"`
-	SampleVerify        int      `json:"sample_verify,omitempty"`
-	DenyRejoin          Duration `json:"deny_rejoin,omitempty"`
-
 	// Ablation switches (BIDL-only, all default off).
 	DisableDenylist    bool `json:"disable_denylist,omitempty"`
 	DisableMulticast   bool `json:"disable_multicast,omitempty"`

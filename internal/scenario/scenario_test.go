@@ -12,7 +12,6 @@ import (
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/types"
-	"github.com/bidl-framework/bidl/internal/workload"
 )
 
 // TestScenarioJSONRoundTrip is the codec property test: any Scenario value
@@ -179,8 +178,7 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// fakeHarness satisfies Harness without running a simulation, so the
-// driver's lifecycle enforcement can be tested in isolation. At-scheduled
+// fakeHarness satisfies Harness without running a simulation. At-scheduled
 // events queue up and fire in order from Run, with inFlight scripted per
 // step, so the closed-loop controller is testable without a cluster.
 type fakeHarness struct {
@@ -228,80 +226,6 @@ func (f *fakeHarness) CheckSafety() error            { return nil }
 func (f *fakeHarness) Metrics() *metrics.Collector   { return nil }
 func (f *fakeHarness) IdentityScheme() crypto.Scheme { return nil }
 func (f *fakeHarness) VirtualEvents() uint64         { return 0 }
-
-// TestDriverEnforcesLifecycle is the regression test for the
-// client-registration / prepopulation ordering bug class: the shared driver
-// must reject any call sequence other than RegisterClients → Prepopulate →
-// (SubmitAt | ScheduleRate)* → Run.
-func TestDriverEnforcesLifecycle(t *testing.T) {
-	gen := workload.NewGenerator(workload.DefaultConfig(4), crypto.NewHMACScheme([]byte("t")))
-
-	t.Run("prepopulate-before-register", func(t *testing.T) {
-		d := NewDriver(&fakeHarness{})
-		if err := d.Prepopulate(func(*ledger.State) {}); err == nil {
-			t.Fatal("Prepopulate before RegisterClients must error")
-		}
-	})
-	t.Run("submit-before-prepopulate", func(t *testing.T) {
-		d := NewDriver(&fakeHarness{})
-		if err := d.SubmitAt(0); err == nil {
-			t.Fatal("SubmitAt before Prepopulate must error")
-		}
-		if err := d.RegisterClients(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.SubmitAt(0); err == nil {
-			t.Fatal("SubmitAt after RegisterClients but before Prepopulate must error")
-		}
-		if _, err := d.ScheduleRate(gen, 100, time.Second); err == nil {
-			t.Fatal("ScheduleRate before Prepopulate must error")
-		}
-	})
-	t.Run("run-before-prepopulate", func(t *testing.T) {
-		d := NewDriver(&fakeHarness{})
-		if err := d.Run(time.Second); err == nil {
-			t.Fatal("Run before Prepopulate must error")
-		}
-	})
-	t.Run("double-register", func(t *testing.T) {
-		d := NewDriver(&fakeHarness{})
-		if err := d.RegisterClients(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.RegisterClients(nil); err == nil {
-			t.Fatal("second RegisterClients must error")
-		}
-	})
-	t.Run("correct-order", func(t *testing.T) {
-		h := &fakeHarness{}
-		d := NewDriver(h)
-		if err := d.RegisterClients(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Prepopulate(func(*ledger.State) {}); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.SubmitAt(0); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := d.ScheduleRate(gen, 1000, 10*time.Millisecond); err != nil || n <= 0 {
-			t.Fatalf("ScheduleRate: n=%d err=%v", n, err)
-		}
-		if err := d.Run(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		want := []string{"register", "prepop", "submit", "run"}
-		got := h.calls[:0:0]
-		for _, c := range h.calls {
-			if len(got) == 0 || got[len(got)-1] != c {
-				got = append(got, c)
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("call order %v, want %v", got, want)
-		}
-	})
-}
 
 // TestRunEndToEnd exercises the whole declarative path on a small BIDL
 // cluster: spec → compile → drive → result.

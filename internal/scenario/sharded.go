@@ -17,7 +17,7 @@ import (
 
 // ShardedHarness runs N independent BIDL channels — each a full core.Cluster
 // with its own sequencers, consensus group, and organizations — over ONE
-// shared simnet.Sim, and stitches them into a single Harness so the Driver,
+// shared simnet.Sim, and stitches them into a single Harness so RunWith,
 // every load shape, and the fault machinery work unchanged (DESIGN.md §14).
 //
 // The keyspace is partitioned by ledger.KeyShard: a transaction whose

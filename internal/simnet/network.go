@@ -379,26 +379,24 @@ func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Durat
 		return
 	}
 
-	arrive := txDone + n.pathLatency(from, dst)
-
 	// Shared inter-DC pipe serialization.
+	ready := txDone
 	if from.dc != dst.dc {
 		ctr.interDC += uint64(size)
 		if n.topo.InterDCBandwidth > 0 {
 			key := from.dc*4096 + dst.dc
-			start := txDone
-			if n.pipeFree[key] > start {
-				start = n.pipeFree[key]
+			if n.pipeFree[key] > ready {
+				ready = n.pipeFree[key]
 			}
-			done := start + time.Duration(float64(size)/float64(n.topo.InterDCBandwidth)*float64(time.Second))
-			n.pipeFree[key] = done
-			arrive = done + n.pathLatency(from, dst)
+			ready += time.Duration(float64(size) / float64(n.topo.InterDCBandwidth) * float64(time.Second))
+			n.pipeFree[key] = ready
 		}
 	}
 
 	// Deliveries are inlined events (no closure): the steady-state unicast
-	// path allocates nothing, pinned by TestUntracedDeliveryAllocs.
-	n.sim.schedDelivery(from.part, arrive, dst, from.id, msg, size)
+	// path allocates nothing, pinned by TestUntracedDeliveryAllocs. The
+	// latency (one jitter draw) is computed once, as on the multicast path.
+	n.sim.schedDelivery(from.part, ready+n.pathLatency(from, dst), dst, from.id, msg, size)
 }
 
 // deliver lands a message at its destination at virtual time 'at': the shared

@@ -388,3 +388,25 @@ func TestGroupJoinLeave(t *testing.T) {
 		t.Fatalf("group size %d, want 2", len(n.Group("g")))
 	}
 }
+
+// TestUnicastPipeJitterDrawsOnce pins one latency (jitter) draw per unicast
+// whether or not a shared inter-DC pipe is configured: the RNG is at the same
+// position after one capped cross-DC unicast as after one uncapped.
+func TestUnicastPipeJitterDrawsOnce(t *testing.T) {
+	next := func(interDCBandwidth int64) int64 {
+		topo := DefaultTopology()
+		topo.Jitter = 50 * time.Microsecond
+		topo.InterDCBandwidth = interDCBandwidth
+		s, n := newTestNet(topo)
+		a := n.Register("a", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
+		b := n.Register("b", 1, &recorder{})
+		s.At(0, func() {
+			(&Context{net: n, node: a}).Send(b.ID(), testMsg{size: 100})
+		})
+		s.Run()
+		return s.Rand().Int63()
+	}
+	if capped, uncapped := next(Gbps), next(0); capped != uncapped {
+		t.Fatalf("RNG diverges after one cross-DC unicast: capped pipe %d, uncapped %d", capped, uncapped)
+	}
+}

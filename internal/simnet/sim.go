@@ -381,11 +381,33 @@ func (s *Sim) Run() {
 		s.runParallel(0, false)
 		return
 	}
+	s.runSerial(0, false)
+}
+
+// RunUntil executes events with timestamps <= t, then sets the clock to t.
+// Events scheduled beyond t remain queued so the simulation can be resumed.
+func (s *Sim) RunUntil(t time.Duration) {
+	if s.parallelOK() {
+		s.runParallel(t, true)
+		return
+	}
+	s.runSerial(t, true)
+	if !s.stopped && s.now < t {
+		s.now = t
+		for _, p := range s.parts {
+			p.now = t
+		}
+	}
+}
+
+// runSerial is the serial executor: every queued event, or with bounded only
+// those with timestamps <= limit.
+func (s *Sim) runSerial(limit time.Duration, bounded bool) {
 	s.stopped = false
 	if len(s.parts) == 1 {
 		// Single-partition fast path: the historical event loop.
 		p := s.parts[0]
-		for len(p.heap) > 0 && !s.stopped {
+		for len(p.heap) > 0 && !s.stopped && !(bounded && p.heap[0].at > limit) {
 			var e event
 			e, p.heap = heapPop(p.heap)
 			s.now, p.now = e.at, e.at
@@ -398,7 +420,7 @@ func (s *Sim) Run() {
 	// key order — the order the parallel engine must reproduce.
 	for !s.stopped {
 		pi := s.minPart()
-		if pi < 0 {
+		if pi < 0 || bounded && s.parts[pi].heap[0].at > limit {
 			break
 		}
 		p := s.parts[pi]
@@ -409,47 +431,4 @@ func (s *Sim) Run() {
 		exec(&e)
 	}
 	s.cur = 0
-}
-
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
-// Events scheduled beyond t remain queued so the simulation can be resumed.
-func (s *Sim) RunUntil(t time.Duration) {
-	if s.parallelOK() {
-		s.runParallel(t, true)
-		return
-	}
-	s.stopped = false
-	if len(s.parts) == 1 {
-		p := s.parts[0]
-		for len(p.heap) > 0 && !s.stopped {
-			if p.heap[0].at > t {
-				break
-			}
-			var e event
-			e, p.heap = heapPop(p.heap)
-			s.now, p.now = e.at, e.at
-			p.nEvents++
-			exec(&e)
-		}
-	} else {
-		for !s.stopped {
-			pi := s.minPart()
-			if pi < 0 || s.parts[pi].heap[0].at > t {
-				break
-			}
-			p := s.parts[pi]
-			var e event
-			e, p.heap = heapPop(p.heap)
-			s.now, p.now, s.cur = e.at, e.at, pi
-			p.nEvents++
-			exec(&e)
-		}
-		s.cur = 0
-	}
-	if !s.stopped && s.now < t {
-		s.now = t
-		for _, p := range s.parts {
-			p.now = t
-		}
-	}
 }
