@@ -60,7 +60,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		telemetry  = c.Bool("telemetry", false, "print per-node/per-link telemetry and slowest-transaction spans (single run only)")
 		anatomyOut = c.String("anatomy", "", "write the critical-path latency anatomy report to this file (\"-\" = stdout; single run only)")
 		anatomyCSV = c.String("anatomy-csv", "", "also write the latency anatomy as CSV to this file (single run only)")
-		heapCheck  = c.Int64("heap-check", 0, "after all runs, GC and fail if the live heap exceeds this many bytes (0 = off)")
+		heapCheck  = c.Int64("heap-check", 0, "GC at the end of every run, its deployment still reachable, and fail if the live heap exceeds this many bytes (0 = off)")
 	)
 	if code, ok := c.parse(args); !ok {
 		return code
@@ -155,6 +155,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		err    error
 		res    bidl.ScenarioResult
 		tracer *bidl.Tracer
+		live   uint64 // -heap-check: the heap the run kept live at its end
 	}
 	runSeed := func(seed int64) outcome {
 		sp := spec
@@ -163,8 +164,19 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		if tracing {
 			rc.Tracer = bidl.NewTracer(bidl.TraceOptions{})
 		}
+		var live uint64
+		if *heapCheck > 0 {
+			// Measured where a run's memory peaks in what it keeps: the
+			// simulation over, every node's state and index still reachable.
+			rc.Observe = func(bidl.Harness) {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				live = ms.HeapAlloc
+			}
+		}
 		res, err := bidl.RunScenarioWith(sp, rc)
-		return outcome{err: err, res: res, tracer: rc.Tracer}
+		return outcome{err: err, res: res, tracer: rc.Tracer, live: live}
 	}
 
 	// Fan the seeds out to a worker pool; results land in seed order.
@@ -265,16 +277,16 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		export("wrote Chrome trace to %s (open in Perfetto / chrome://tracing)", *traceOut, tr.WriteChromeTrace)
 		export("wrote trace events to %s", *traceJSONL, tr.WriteJSONL)
 	}
-	// The memory side of `make workload-smoke`: with every run finished
-	// (results retained, clusters collectable) the live heap must fit the
-	// budget. A million-account scenario only passes because prepopulation
-	// shares one copy-on-write base per generator.
+	// The memory side of `make workload-smoke` and `make heap-smoke`: what a
+	// run keeps live must fit the budget. A million-account scenario only
+	// passes because prepopulation shares one copy-on-write base per generator.
 	if *heapCheck > 0 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		live, limit := float64(ms.HeapAlloc)/(1<<20), float64(*heapCheck)/(1<<20)
-		if ms.HeapAlloc > uint64(*heapCheck) {
+		var most uint64
+		for _, out := range outcomes {
+			most = max(most, out.live)
+		}
+		live, limit := float64(most)/(1<<20), float64(*heapCheck)/(1<<20)
+		if most > uint64(*heapCheck) {
 			fmt.Fprintf(stderr, "bidl run: heap-check FAILED: live heap %.1f MiB exceeds limit %.1f MiB\n", live, limit)
 			failed = true
 		} else {

@@ -51,7 +51,7 @@ func newPeer(c *Cluster, org, idxInOrg int, seed int64) *Peer {
 		org:       org,
 		orgName:   types.OrgName(org),
 		idxInOrg:  idxInOrg,
-		state:     ledger.NewState(),
+		state:     ledger.NewStateOn(c.Keys),
 		blocks:    ledger.NewBlockStore(),
 		nondet:    rand.New(rand.NewSource(seed)),
 		blockBuf:  make(map[uint64]*FabricBlock),

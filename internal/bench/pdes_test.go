@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,7 +85,19 @@ func TestPDESScenarioDeepIdentity(t *testing.T) {
 			ForceSerialSim: forceSerial,
 			Observe: func(h scenario.Harness) {
 				bc := h.(*core.Cluster)
-				d.digest = fmt.Sprintf("%x", bc.LedgerDigest())
+				// The ledger, every organization's world state and the
+				// telemetry block: key and hash ids follow whichever
+				// partition interned first, and none of these may.
+				var sb strings.Builder
+				fmt.Fprintf(&sb, "%x", bc.LedgerDigest())
+				for _, org := range bc.Orgs {
+					fmt.Fprintf(&sb, " %x", org[0].State().Digest())
+				}
+				sb.WriteByte('\n')
+				if err := bc.Collector.WriteSummary(&sb); err != nil {
+					t.Fatal(err)
+				}
+				d.digest = sb.String()
 				d.parts = bc.Sim.NumPartitions()
 			},
 		}
@@ -104,7 +117,7 @@ func TestPDESScenarioDeepIdentity(t *testing.T) {
 		t.Fatalf("results diverge:\nparallel: %+v\nserial:   %+v", parallel.res, serial.res)
 	}
 	if parallel.digest != serial.digest || parallel.digest == "" {
-		t.Fatalf("ledger digests diverge: parallel %q, serial %q", parallel.digest, serial.digest)
+		t.Fatalf("ledger, state digests or telemetry diverge:\nparallel: %s\nserial:   %s", parallel.digest, serial.digest)
 	}
 	if parallel.res.Events == 0 || parallel.res.Throughput == 0 {
 		t.Fatalf("degenerate run (events=%d throughput=%g)", parallel.res.Events, parallel.res.Throughput)

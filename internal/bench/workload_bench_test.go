@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/workload"
 )
@@ -15,7 +16,8 @@ var benchSink any
 // BenchmarkPrepopulate measures creating and prepopulating one node's world
 // state at a million accounts with settlement fee schedules enabled —
 // exactly what every node pays at cluster construction. With the shared
-// copy-on-write base this is O(1): a fresh state plus one pointer. (The
+// copy-on-write base and the deployment's key table this is O(1): a fresh
+// state plus two pointers. (The
 // per-transaction generator cost is the benchmark ladder's
 // workload.next_zipf_ns rung.)
 func BenchmarkPrepopulate(b *testing.B) { prepopulateBenchAt(b, 1_000_000) }
@@ -27,11 +29,12 @@ func prepopulateBenchAt(b *testing.B, accounts int) {
 	w.SettlementRatio = 0.2 // fee schedule joins the base layer
 	gen := workload.NewGenerator(w, crypto.NewHMACScheme([]byte("bench")))
 	gen.Prepopulate(ledger.NewState()) // build the shared base outside the timer
+	keys := dense.NewTable[string]()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st *ledger.State
 	for i := 0; i < b.N; i++ {
-		st = ledger.NewState()
+		st = ledger.NewStateOn(keys)
 		gen.Prepopulate(st)
 	}
 	b.StopTimer()

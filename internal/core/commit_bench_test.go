@@ -37,7 +37,9 @@ func BenchmarkNormalNodeCommit(b *testing.B) {
 			echoes[i] = PersistEntry{Seq: seqs[i], TxID: hashes[i], Consistent: true,
 				Writes: []ledger.Write{{Key: fmt.Sprintf("k%d", i), Val: []byte("v")}}}
 			echoes[i].warmContentKey()
+			echoes[i].kids = nn.base.Resolve(echoes[i].Writes) // as the assembling delegate does
 		}
+		batch.resolve(c.hashes) // as the sequencer does
 		var persists []*PersistMsg
 		for cn := range c.ConsNodes {
 			for _, half := range [][]PersistEntry{echoes[:size/2], echoes[size/2:]} {

@@ -108,7 +108,7 @@ func newConsNode(c *Cluster, org int) *ConsNode {
 	return &ConsNode{
 		c:            c,
 		org:          org,
-		pool:         newTxPool(),
+		pool:         newTxPoolOn(c.hashes),
 		auth:         make(map[uint64]types.TxID),
 		delivered:    make(map[uint64]*deliveredBlock),
 		blocks:       ledger.NewBlockStore(),
@@ -225,7 +225,7 @@ func (n *ConsNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet
 // nodes' speculation.
 func (n *ConsNode) onSeqBatchFrom(from simnet.NodeID, m *SeqBatch) {
 	authoritative := from == n.c.Sequencers[n.Idx].ep.ID()
-	for _, st := range m.Txns {
+	for i, st := range m.Txns {
 		// Replay check: one SHA-256 over the ~1KB payload.
 		n.Ctx.Elapse(n.c.Cfg.Costs.Hash(st.Tx.Size()))
 		if n.denylist[st.Tx.Client] {
@@ -234,16 +234,17 @@ func (n *ConsNode) onSeqBatchFrom(from simnet.NodeID, m *SeqBatch) {
 		if st.Seq > n.maxSeen {
 			n.maxSeen = st.Seq
 		}
+		ord := m.ordinal(i, n.pool.hashes)
 		if authoritative {
-			n.pool.replace(st.Seq, st.Tx)
+			n.pool.replaceOrd(st.Seq, st.Tx, ord)
 			n.auth[st.Seq] = st.Tx.ID()
 			continue
 		}
-		res := n.pool.add(st.Seq, st.Tx)
+		res := n.pool.addOrd(st.Seq, st.Tx, ord)
 		if res == poolDupSeq {
-			if r := n.pool.recs[st.Tx.ID()]; r != nil && r.agreed {
+			if r := n.pool.recs.Get(ord); r != nil && r.agreed {
 				// Agreed transactions evict crafted squatters.
-				n.pool.replace(st.Seq, st.Tx)
+				n.pool.replaceOrd(st.Seq, st.Tx, ord)
 				res = poolAdded
 			}
 		}
@@ -740,7 +741,7 @@ func (n *ConsNode) onClientRelay(m *RelayBatch) {
 	var fresh []*types.Transaction
 	for _, tx := range m.Txns {
 		id := tx.ID()
-		if r := n.pool.recs[id]; (r != nil && (r.agreed || r.committed)) || n.denylist[tx.Client] {
+		if r := n.pool.known(id); (r != nil && (r.agreed || r.committed)) || n.denylist[tx.Client] {
 			continue
 		}
 		fresh = append(fresh, tx)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -48,6 +49,29 @@ type SeqBatch struct {
 	Txns []types.SequencedTx
 
 	size int // lazy Size cache; batches are immutable once multicast
+	// ords[i] is the ordinal of Txns[i]'s hash in hashes, resolved once by the
+	// sequencer (resolve) for every receiver of that cluster; a batch built
+	// any other way carries none and each receiver interns the hashes itself.
+	hashes *dense.Table[types.TxID]
+	ords   []uint32
+}
+
+// resolve fills the ordinal memo; the sender calls it before the batch is
+// shared, receivers only read it.
+func (m *SeqBatch) resolve(hashes *dense.Table[types.TxID]) {
+	m.hashes, m.ords = hashes, make([]uint32, len(m.Txns))
+	for i, st := range m.Txns {
+		m.ords[i] = hashes.Intern(st.Tx.ID())
+	}
+}
+
+// ordinal returns the ordinal of Txns[i]'s hash in hashes: the memo when it
+// was resolved in that table, else by interning, to the same value.
+func (m *SeqBatch) ordinal(i int, hashes *dense.Table[types.TxID]) uint32 {
+	if m.hashes == hashes {
+		return m.ords[i]
+	}
+	return hashes.Intern(m.Txns[i].Tx.ID())
 }
 
 // Size implements simnet.Message. Computed once and cached: the batch fans
@@ -333,8 +357,12 @@ func (e *ResultEntry) derive() *resultMemo {
 }
 
 // warm attaches the memo; the assembling delegate calls it once so the
-// consensus nodes neither re-derive the echo nor re-verify the partitions.
-func (e *ResultEntry) warm() { e.memo = e.derive() }
+// consensus nodes neither re-derive the echo nor re-verify the partitions,
+// and resolves the echo's keys in its state's table for the nodes that apply it.
+func (e *ResultEntry) warm(st *ledger.State) {
+	e.memo = e.derive()
+	e.memo.persist.kids = st.Resolve(e.memo.persist.Writes)
+}
 
 // Size implements simnet.Message. Cached on the sender's first send.
 func (m *ResultMsg) Size() int {
@@ -412,6 +440,10 @@ type PersistEntry struct {
 	// partitions concurrently.
 	ck   crypto.Digest
 	ckOK bool
+	// kids is Writes' keys as ids in the assembling delegate's key table
+	// (ResultEntry.warm), so every node of the deployment applies the result
+	// by array index; empty on an entry built any other way.
+	kids ledger.KeyIDs
 }
 
 // contentKey digests the entry's full content; normal nodes count PERSIST

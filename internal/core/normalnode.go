@@ -150,13 +150,13 @@ func (n *NormalNode) speaksFor(tx *types.Transaction) bool {
 }
 
 func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
-	base := ledger.NewState()
+	base := ledger.NewStateOn(c.Keys)
 	return &NormalNode{
 		c:         c,
 		org:       org,
 		orgName:   types.OrgName(org),
 		idxInOrg:  idxInOrg,
-		pool:      newTxPool(),
+		pool:      newTxPoolOn(c.hashes),
 		base:      base,
 		overlay:   ledger.NewOverlay(base),
 		nondet:    rand.New(rand.NewSource(seed)),
@@ -222,19 +222,20 @@ func (n *NormalNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simn
 // --- Phase 4-1: verification and speculative execution ---------------------
 
 func (n *NormalNode) onSeqBatch(m *SeqBatch) {
-	for _, st := range m.Txns {
+	for i, st := range m.Txns {
 		n.ctx.Elapse(n.c.Cfg.Costs.Hash(st.Tx.Size()))
 		if n.deny[st.Tx.Client] {
 			// Denylisted clients' multicasts are ignored outright, so
 			// their crafted transactions stop occupying sequence slots.
 			continue
 		}
-		res := n.pool.add(st.Seq, st.Tx)
+		ord := m.ordinal(i, n.pool.hashes)
+		res := n.pool.addOrd(st.Seq, st.Tx, ord)
 		if res == poolDupSeq {
-			if r := n.pool.recs[st.Tx.ID()]; r != nil && r.agreed && r.agreedSeq == st.Seq {
+			if r := n.pool.recs.Get(ord); r != nil && r.agreed && r.agreedSeq == st.Seq {
 				// Consensus agreed on this transaction: it evicts the
 				// crafted squatter occupying its slot.
-				n.pool.replace(st.Seq, st.Tx)
+				n.pool.replaceOrd(st.Seq, st.Tx, ord)
 				res = poolAdded
 			}
 		}
@@ -469,7 +470,7 @@ func (n *NormalNode) specReset() {
 func (n *NormalNode) feedVector(seq uint64, tx *types.Transaction, res OrgResult) {
 	vb := n.vectors[tx.ID()]
 	if vb != nil && vb.seq != seq {
-		if r := n.pool.recs[tx.ID()]; r != nil && r.agreed && r.agreedSeq == seq {
+		if r := n.pool.known(tx.ID()); r != nil && r.agreed && r.agreedSeq == seq {
 			vb = nil // stale build for a superseded sequence
 		} else {
 			return // keep the existing build; commit re-routes if needed
@@ -522,7 +523,7 @@ func (n *NormalNode) tryFinishVector(tx *types.Transaction, vb *vectorBuild) {
 	for _, o := range orgs {
 		entry.Vector = append(entry.Vector, vb.got[o])
 	}
-	entry.warm()
+	entry.warm(n.base)
 	n.resultOut = append(n.resultOut, entry)
 	n.armFlush()
 }
@@ -743,7 +744,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		aborted := r.invalid
 		if !aborted {
 			if res := n.pool.noted(seq).persist.result; res.Consistent && !res.Aborted {
-				n.base.Apply(res.Writes, ledger.Version{Block: pb.msg.Number, Tx: i})
+				n.base.ApplyResolved(res.Writes, res.kids, ledger.Version{Block: pb.msg.Number, Tx: i})
 			} else {
 				aborted = true
 				if !res.Consistent {

@@ -402,10 +402,10 @@ func TestResultVectorVerifiedOnce(t *testing.T) {
 	const seq = uint64(9001)
 	cold := mkVector(t, c, seq, tx, "A")
 	good := cold
-	good.warm()
+	good.warm(c.Orgs[0][0].base)
 	forged := mkVector(t, c, seq+1, tx, "A")
 	forged.Vector[0].Sig = crypto.Signature("junk")
-	forged.warm()
+	forged.warm(c.Orgs[0][0].base)
 
 	counter.verifies = 0
 	for _, cn := range c.ConsNodes {

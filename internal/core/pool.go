@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"time"
 
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -12,8 +13,11 @@ import (
 // transaction received for a sequence number wins (§4.1 step 1); duplicate
 // hashes are rejected (replay check, step 2), committed ones forever.
 type txPool struct {
-	recs map[types.TxID]*txRec
-	slab []txRec // records are cut from chunks that double up to 1024
+	// hashes gives every hash the cluster has seen an ordinal; recs is this
+	// node's record per ordinal. The zero record is a hash the node never
+	// heard of, whoever else interned it.
+	hashes *dense.Table[types.TxID]
+	recs   dense.Pages[txRec]
 	// Sequence numbers run consecutively within a term and jump at a view
 	// change, but are unauthenticated (§4.1): slots live in pages keyed by
 	// seq>>pageBits, so memory follows the numbers in use whatever they are.
@@ -62,8 +66,12 @@ type page struct {
 	node             *[pageSize]nodeSlot // normal nodes only, allocated on first use
 }
 
-func newTxPool() *txPool {
-	return &txPool{recs: make(map[types.TxID]*txRec), pages: make(map[uint64]*page)}
+// newTxPool returns a pool over a hash table of its own; a cluster's nodes
+// share the cluster's (newTxPoolOn).
+func newTxPool() *txPool { return newTxPoolOn(dense.NewTable[types.TxID]()) }
+
+func newTxPoolOn(hashes *dense.Table[types.TxID]) *txPool {
+	return &txPool{hashes: hashes, pages: make(map[uint64]*page)}
 }
 
 // page returns the page seq falls in, or nil; create adds a missing one.
@@ -97,18 +105,15 @@ func (p *txPool) release(pg *page) {
 	}
 }
 
-// rec returns id's record, creating it; recs[id] is nil for an unknown hash.
-func (p *txPool) rec(id types.TxID) *txRec {
-	r := p.recs[id]
-	if r == nil {
-		if len(p.slab) == cap(p.slab) {
-			p.slab = make([]txRec, 0, min(max(2*cap(p.slab), 8), 1024))
-		}
-		p.slab = p.slab[:len(p.slab)+1]
-		r = &p.slab[len(p.slab)-1]
-		p.recs[id] = r
+// rec returns id's record for the caller to mark.
+func (p *txPool) rec(id types.TxID) *txRec { return p.recs.At(p.hashes.Intern(id)) }
+
+// known returns id's record to read; nil is as good as the zero record.
+func (p *txPool) known(id types.TxID) *txRec {
+	if ord, ok := p.hashes.Lookup(id); ok {
+		return p.recs.Get(ord)
 	}
-	return r
+	return nil
 }
 
 // slotAt returns the slot holding a payload at seq, or nil. The pointer is
@@ -150,14 +155,18 @@ const (
 
 // add attempts to insert tx at seq.
 func (p *txPool) add(seq uint64, tx *types.Transaction) addResult {
-	id := tx.ID()
+	return p.addOrd(seq, tx, p.hashes.Intern(tx.ID()))
+}
+
+// addOrd is add for a caller that holds the ordinal of tx's hash.
+func (p *txPool) addOrd(seq uint64, tx *types.Transaction, ord uint32) addResult {
 	if s := p.slotAt(seq); s != nil {
-		if s.tx.ID() == id || p.isCommitted(id) {
+		if r := p.recs.Get(ord); r == s.rec || (r != nil && r.committed) {
 			return poolDupHash
 		}
 		return poolDupSeq
 	}
-	r := p.rec(id)
+	r := p.recs.At(ord)
 	if r.committed || r.pooled {
 		return poolDupHash
 	}
@@ -183,13 +192,13 @@ func (p *txPool) payload(r *txRec) *types.Transaction {
 
 // byID returns the transaction with the given hash, if pooled.
 func (p *txPool) byID(id types.TxID) (*types.Transaction, bool) {
-	tx := p.payload(p.recs[id])
+	tx := p.payload(p.known(id))
 	return tx, tx != nil
 }
 
 // seqOf returns the pooled sequence number of a hash.
 func (p *txPool) seqOf(id types.TxID) (uint64, bool) {
-	if r := p.recs[id]; r != nil && r.pooled {
+	if r := p.known(id); r != nil && r.pooled {
 		return r.seq, true
 	}
 	return 0, false
@@ -207,7 +216,7 @@ func (p *txPool) commit(r *txRec) {
 
 // isCommitted reports whether the hash already committed.
 func (p *txPool) isCommitted(id types.TxID) bool {
-	r := p.recs[id]
+	r := p.known(id)
 	return r != nil && r.committed
 }
 
@@ -215,7 +224,12 @@ func (p *txPool) isCommitted(id types.TxID) bool {
 // the authoritative path for batches arriving from the leader's own
 // co-located sequencer, which a racing broadcaster must never displace.
 func (p *txPool) replace(seq uint64, tx *types.Transaction) {
-	r, s := p.rec(tx.ID()), p.slotAt(seq)
+	p.replaceOrd(seq, tx, p.hashes.Intern(tx.ID()))
+}
+
+// replaceOrd is replace for a caller that holds the ordinal of tx's hash.
+func (p *txPool) replaceOrd(seq uint64, tx *types.Transaction, ord uint32) {
+	r, s := p.recs.At(ord), p.slotAt(seq)
 	if r.committed || (s != nil && s.rec == r) {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 )
 
 // Version identifies the transaction that last wrote a key: the HLF-style
@@ -19,44 +20,61 @@ type Version struct {
 	Tx    int
 }
 
+// entry is what a state's delta holds for one key id. The zero entry says the
+// state never wrote the key: it reads through to the base.
 type entry struct {
-	val []byte
-	ver Version
+	val  []byte
+	ver  Version
+	kind uint8
 }
+
+const (
+	absent    uint8 = iota // never written here
+	value                  // written: val at ver
+	tombstone              // deleted here, whatever the base says
+)
 
 // State is the committed world state: a versioned key-value store.
 // It is single-writer by construction (one simulated node owns it).
 //
 // A State is optionally layered copy-on-write over a shared immutable Base
 // (SetBase): reads that miss the private delta fall through to the base,
-// writes land in the delta, and deletes of base keys leave tombstones. The
+// writes land in the delta, and deletes leave tombstones. The
 // observable key-value relation — Get, Len, Digest, Equal, Clone — is
 // exactly that of a flat state holding base∪delta, so attaching a base is
 // behavior-preserving; only the memory cost changes (O(written keys) per
 // node instead of O(base keys)).
+//
+// The delta is an array, not a map: keys gives every key some state sharing
+// it ever wrote an id (one table per deployment: NewStateOn) and delta holds
+// this state's value, version and kind under that id.
 type State struct {
-	data map[string]entry
-	base *Base
-	// dels tombstones base keys the state has deleted; nil until the first
-	// such delete. Keys in data are never simultaneously in dels.
-	dels map[string]struct{}
-	// size is the live key count: len(data not shadowing base) + base keys
+	keys  *dense.Table[string]
+	delta dense.Pages[entry]
+	base  *Base
+	// size is the live key count: values not shadowing the base + base keys
 	// neither shadowed nor tombstoned. Maintained incrementally so Len stays
 	// O(1) with a functional base.
 	size int
+	// idbuf is what Resolve cuts its id slices from.
+	idbuf []uint32
 }
 
-// NewState returns an empty world state.
-func NewState() *State {
-	return &State{data: make(map[string]entry)}
-}
+// NewState returns an empty world state with a key table of its own.
+func NewState() *State { return NewStateOn(dense.NewTable[string]()) }
+
+// NewStateOn returns an empty world state that names its keys in keys. The
+// replicas of one deployment share a table: a key is then named once, not
+// once per node, Equal between two of them compares arrays, and a write set
+// resolved by one (Resolve) applies on all by index.
+func NewStateOn(keys *dense.Table[string]) *State { return &State{keys: keys} }
 
 // SetBase attaches a shared immutable base layer. It must be called on an
 // empty state (prepopulation happens before any traffic by lifecycle
 // contract); attaching to a non-empty state panics rather than silently
 // changing which layer owns existing keys.
 func (s *State) SetBase(b *Base) {
-	if len(s.data) != 0 || s.size != 0 || s.base != nil {
+	if len(s.delta) != 0 || s.size != 0 || s.base != nil {
 		panic("ledger: SetBase on a non-empty state")
 	}
 	s.base = b
@@ -66,27 +84,23 @@ func (s *State) SetBase(b *Base) {
 // Base returns the attached base layer, or nil.
 func (s *State) Base() *Base { return s.base }
 
-// baseLive reports whether key is visible from the base layer (defined and
-// not tombstoned).
-func (s *State) baseLive(key string) ([]byte, bool) {
-	if s.base == nil {
-		return nil, false
-	}
-	if s.dels != nil {
-		if _, dead := s.dels[key]; dead {
-			return nil, false
+// written returns key's delta entry if the state wrote or deleted key.
+func (s *State) written(key string) *entry {
+	if id, ok := s.keys.Lookup(key); ok {
+		if e := s.delta.Get(id); e != nil && e.kind != absent {
+			return e
 		}
 	}
-	return s.base.Get(key)
+	return nil
 }
 
 // Get returns the value and version for key, with ok=false if absent.
 // Base-layer values read at Version{}, the prepopulation version.
 func (s *State) Get(key string) (val []byte, ver Version, ok bool) {
-	if e, ok := s.data[key]; ok {
-		return e.val, e.ver, true
+	if e := s.written(key); e != nil {
+		return e.val, e.ver, e.kind == value
 	}
-	if v, ok := s.baseLive(key); ok {
+	if v, ok := s.base.Get(key); ok {
 		return v, Version{}, true
 	}
 	return nil, Version{}, false
@@ -94,43 +108,36 @@ func (s *State) Get(key string) (val []byte, ver Version, ok bool) {
 
 // Put writes key=val at version ver.
 func (s *State) Put(key string, val []byte, ver Version) {
-	if _, shadowing := s.data[key]; !shadowing {
-		if s.base != nil && s.base.Has(key) {
-			if s.dels != nil {
-				if _, dead := s.dels[key]; dead {
-					// Resurrecting a tombstoned base key.
-					delete(s.dels, key)
-					s.size++
-				}
-			}
-			// Shadowing a live base key leaves the count unchanged.
-		} else {
-			s.size++
-		}
-	}
-	s.data[key] = entry{val: val, ver: ver}
+	s.put(s.keys.Intern(key), key, val, ver)
 }
 
-// Delete removes key, tombstoning it when the base layer defines it.
-func (s *State) Delete(key string) {
-	if _, ok := s.data[key]; ok {
-		delete(s.data, key)
-		s.size--
-		if s.base != nil && s.base.Has(key) {
-			if s.dels == nil {
-				s.dels = make(map[string]struct{})
-			}
-			s.dels[key] = struct{}{}
+// put is Put for a caller that holds key's id. The base is asked about a key
+// once, when the state first touches it.
+func (s *State) put(id uint32, key string, val []byte, ver Version) {
+	e := s.delta.At(id)
+	if e.kind == tombstone || (e.kind == absent && !s.base.Has(key)) {
+		s.size++ // else: overwriting, or shadowing a live base key
+	}
+	*e = entry{val: val, ver: ver, kind: value}
+}
+
+// Delete removes key, leaving a tombstone.
+func (s *State) Delete(key string) { s.del(s.keys.Intern(key), key) }
+
+// del is Delete for a caller that holds key's id. Like put it asks the base
+// only about a key the state has not touched.
+func (s *State) del(id uint32, key string) {
+	e := s.delta.Get(id)
+	if e == nil || e.kind == absent {
+		if !s.base.Has(key) {
+			return
 		}
+		e = s.delta.At(id)
+	} else if e.kind == tombstone {
 		return
 	}
-	if _, ok := s.baseLive(key); ok {
-		if s.dels == nil {
-			s.dels = make(map[string]struct{})
-		}
-		s.dels[key] = struct{}{}
-		s.size--
-	}
+	*e = entry{kind: tombstone}
+	s.size--
 }
 
 // Len returns the number of live keys.
@@ -147,25 +154,64 @@ func (s *State) Apply(writes []Write, ver Version) {
 	}
 }
 
+// KeyIDs is a write set's keys resolved once for every state that shares a
+// key table: ids[i] is writes[i].Key's id in table. A pure function of the
+// keys and the table, so whoever resolves it, a receiver reads what it would
+// have computed (DESIGN.md §7.1).
+type KeyIDs struct {
+	table *dense.Table[string]
+	ids   []uint32
+}
+
+// Resolve returns the ids of writes' keys in s's key table. The id slices
+// are cut from chunks, so resolving costs no allocation per write set.
+func (s *State) Resolve(writes []Write) KeyIDs {
+	if len(s.idbuf) < len(writes) {
+		s.idbuf = make([]uint32, max(len(writes), 1024))
+	}
+	ids := s.idbuf[:len(writes):len(writes)]
+	s.idbuf = s.idbuf[len(writes):]
+	for i, w := range writes {
+		ids[i] = s.keys.Intern(w.Key)
+	}
+	return KeyIDs{table: s.keys, ids: ids}
+}
+
+// ApplyResolved is Apply for a write set that carries its keys' ids: an
+// array index per write, no lock and no hash. Ids resolved in another table
+// (another deployment's, or none at all) are ignored and the keys go by name.
+func (s *State) ApplyResolved(writes []Write, r KeyIDs, ver Version) {
+	if r.table != s.keys || len(r.ids) != len(writes) {
+		s.Apply(writes, ver)
+		return
+	}
+	for i, w := range writes {
+		if w.Delete {
+			s.del(r.ids[i], w.Key)
+		} else {
+			s.put(r.ids[i], w.Key, w.Val, ver)
+		}
+	}
+}
+
 // forEachLive calls fn with every live (key, value) pair: the delta plus
 // base keys neither shadowed nor tombstoned. Order is unspecified.
 func (s *State) forEachLive(fn func(key string, val []byte)) {
-	for k, e := range s.data {
-		fn(k, e.val)
-	}
-	if s.base == nil {
-		return
-	}
-	s.base.forEach(func(k string, v []byte) {
-		if _, shadowed := s.data[k]; shadowed {
-			return
+	names := s.keys.Names()
+	for i, pg := range s.delta {
+		if pg == nil {
+			continue
 		}
-		if s.dels != nil {
-			if _, dead := s.dels[k]; dead {
-				return
+		for j := range pg {
+			if e := &pg[j]; e.kind == value {
+				fn(names[i*dense.PageSize+j], e.val)
 			}
 		}
-		fn(k, v)
+	}
+	s.base.forEach(func(k string, v []byte) {
+		if s.written(k) == nil {
+			fn(k, v)
+		}
 	})
 }
 
@@ -174,16 +220,16 @@ func (s *State) forEachLive(fn func(key string, val []byte)) {
 // (the paper's safety guarantee, §3.1). With a base attached this costs
 // O(base keys) — it is an audit, not a hot path.
 func (s *State) Digest() crypto.Digest {
-	keys := make([]string, 0, s.size)
-	vals := make(map[string][]byte, s.size)
-	s.forEachLive(func(k string, v []byte) {
-		keys = append(keys, k)
-		vals[k] = v
-	})
-	sort.Strings(keys)
-	parts := make([][]byte, 0, len(keys)*2)
-	for _, k := range keys {
-		parts = append(parts, []byte(k), vals[k])
+	type pair struct {
+		key string
+		val []byte
+	}
+	live := make([]pair, 0, s.size)
+	s.forEachLive(func(k string, v []byte) { live = append(live, pair{k, v}) })
+	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
+	parts := make([][]byte, 0, len(live)*2)
+	for _, p := range live {
+		parts = append(parts, []byte(p.key), p.val)
 	}
 	return crypto.HashAll(parts...)
 }
@@ -198,14 +244,11 @@ func (s *State) Equal(o *State) bool {
 	if s.size != o.size {
 		return false
 	}
-	if s.base == o.base {
-		// Shared (or both-nil) base: keys in neither delta nor tombstone set
-		// resolve identically, so only delta keys need checking — each side's
-		// writes and deletes against the other's view.
-		return s.deltaMatches(o) && o.deltaMatches(s)
+	if s.base == o.base && s.keys == o.keys {
+		return s.deltaEqual(o)
 	}
-	// Different bases: full scan. size equality plus one-sided containment
-	// implies set equality.
+	// Different bases or key tables: full scan. size equality plus one-sided
+	// containment implies set equality.
 	equal := true
 	s.forEachLive(func(k string, v []byte) {
 		if !equal {
@@ -219,36 +262,64 @@ func (s *State) Equal(o *State) bool {
 	return equal
 }
 
-// deltaMatches checks s's delta writes and tombstones against o's view.
-func (s *State) deltaMatches(o *State) bool {
-	for k, e := range s.data {
-		ov, _, ok := o.Get(k)
-		if !ok || !bytes.Equal(e.val, ov) {
-			return false
+// unwritten stands in for a page a state never stored to.
+var unwritten [dense.PageSize]entry
+
+// deltaEqual compares two states over one base and one key table position by
+// position: an id means the same key on both sides, and a key neither side
+// wrote resolves identically. Where the entries differ (one side may have
+// written what the other reads from the base) the key's two readings decide.
+func (s *State) deltaEqual(o *State) bool {
+	var names []string
+	for i := 0; i < len(s.delta) || i < len(o.delta); i++ {
+		a, b := &unwritten, &unwritten
+		if i < len(s.delta) && s.delta[i] != nil {
+			a = s.delta[i]
 		}
-	}
-	for k := range s.dels {
-		if _, _, ok := o.Get(k); ok {
-			return false
+		if i < len(o.delta) && o.delta[i] != nil {
+			b = o.delta[i]
+		}
+		for j := 0; a != b && j < len(a); j++ {
+			x, y := &a[j], &b[j]
+			if x.kind == y.kind && bytes.Equal(x.val, y.val) {
+				continue
+			}
+			if names == nil {
+				names = s.keys.Names()
+			}
+			key := names[i*dense.PageSize+j]
+			xv, xok := s.read(x, key)
+			yv, yok := o.read(y, key)
+			if xok != yok || !bytes.Equal(xv, yv) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// Clone deep-copies the state (delta values are copied; the immutable base
-// layer is shared by reference).
-func (s *State) Clone() *State {
-	c := NewState()
-	c.base = s.base
-	c.size = s.size
-	for k, e := range s.data {
-		c.data[k] = entry{val: append([]byte(nil), e.val...), ver: e.ver}
+// read returns what key reads as, given its delta entry.
+func (s *State) read(e *entry, key string) ([]byte, bool) {
+	if e.kind == absent {
+		return s.base.Get(key)
 	}
-	if s.dels != nil {
-		c.dels = make(map[string]struct{}, len(s.dels))
-		for k := range s.dels {
-			c.dels[k] = struct{}{}
+	return e.val, e.kind == value
+}
+
+// Clone deep-copies the state (delta values are copied; the immutable base
+// layer and the key table are shared by reference).
+func (s *State) Clone() *State {
+	c := NewStateOn(s.keys)
+	c.base, c.size, c.delta = s.base, s.size, make(dense.Pages[entry], len(s.delta))
+	for i, pg := range s.delta {
+		if pg == nil {
+			continue
 		}
+		cp := *pg
+		for j := range cp {
+			cp[j].val = append([]byte(nil), cp[j].val...)
+		}
+		c.delta[i] = &cp
 	}
 	return c
 }

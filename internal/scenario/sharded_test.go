@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,7 +221,21 @@ func TestShardedSpecSerialVsPDES(t *testing.T) {
 		res, err := RunWith(spec, RunConfig{
 			ForceSerialSim: forceSerial,
 			Observe: func(h Harness) {
-				digests = fmt.Sprint(h.(*ShardedHarness).LedgerDigests())
+				sh := h.(*ShardedHarness)
+				digests = fmt.Sprint(sh.LedgerDigests())
+				// World states and telemetry too: nothing may follow the key
+				// and hash ids, which follow the partition that interned first.
+				var sb strings.Builder
+				for i := 0; i < sh.NumShards(); i++ {
+					for _, org := range sh.Shard(i).Orgs {
+						fmt.Fprintf(&sb, " %x", org[0].State().Digest())
+					}
+				}
+				sb.WriteByte('\n')
+				if err := sh.Metrics().WriteSummary(&sb); err != nil {
+					t.Fatal(err)
+				}
+				digests += sb.String()
 			},
 		})
 		if err != nil {

@@ -31,6 +31,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus/zyzzyva"
 	"github.com/bidl-framework/bidl/internal/cost"
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
@@ -239,6 +240,9 @@ type Deployment struct {
 	Cons      simhost.Group
 	Colocated []*simnet.Endpoint
 	OrgEps    [][]*simnet.Endpoint
+	// Keys names the world-state keys of the deployment once for all its
+	// replicas' states (ledger.NewStateOn).
+	Keys *dense.Table[string]
 
 	numDCs, orgOffset, placed int
 	clients                   map[crypto.Identity]clientEntry
@@ -257,6 +261,7 @@ func NewDeployment(e *Engine, label string, orgOffset int, cfg Config, identity 
 		Engine:    e,
 		Label:     label,
 		Cons:      simhost.Group{Sim: e.Sim, Scheme: e.Scheme, Tracer: e.Tracer, Identity: identity},
+		Keys:      dense.NewTable[string](),
 		numDCs:    cfg.NumDCs,
 		orgOffset: orgOffset,
 		clients:   make(map[crypto.Identity]clientEntry),
