@@ -69,7 +69,15 @@ loc:
 # Resolve/ApplyResolved (+71 over the two maps and their bookkeeping), the id
 # memos on SeqBatch and PersistEntry (+32), the by-ordinal pool entry points
 # (+14, the record slab gone), -heap-check measured per run (+12), wiring (+13).
-LOC_CEILING := 19078
+# PR 24 raised it by its measured net, +91 (19078 -> 19169; the issue aimed at
+# +70), for a 4x cut in `fabric`'s host time and 58 % in its live heap: the
+# memos on fabric.Envelope and FabricBlock with VSCC moved onto the envelope
+# (+55 in messages.go, -26 in peer.go), ledger.State's ResolveReads and
+# ValidateResolved with ValidateMVCC now a call of it (+35), types.TipBlock,
+# the block-per-chain-tip rule written once (+30, -14 in core/messages.go), the
+# orderer's resolver and the client's sorted replies (+13), the hash table
+# moved from core.Cluster to substrate.Deployment (-1).
+LOC_CEILING := 19169
 DOC_CEILING := 1617
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -105,10 +113,12 @@ benchmark:
 
 # One-iteration smoke run of the hot-path benchmarks so the suite can never
 # bitrot: one transaction through the end-to-end pipeline and one 500-
-# transaction block through a normal node (each asserts that it commits).
+# transaction block through a normal node and through a baseline peer (each
+# asserts that it commits).
 hotpath-smoke:
 	$(GO) test ./internal/bench/ -run XXX -bench BenchmarkPipelineHotPath -benchtime 1x
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkNormalNodeCommit -benchtime 1x
+	$(GO) test ./internal/baseline/fabric/ -run XXX -bench BenchmarkPeerValidateAndCommit -benchtime 1x
 
 # Full hot-path benchmark suite: end-to-end pipeline cost, a normal node's
 # cost per committed block, and the simnet delivery/event-loop
@@ -116,6 +126,7 @@ hotpath-smoke:
 bench-hotpath:
 	$(GO) test ./internal/bench/ -run XXX -bench BenchmarkPipelineHotPath -benchtime 2s
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkNormalNodeCommit -benchtime 2s
+	$(GO) test ./internal/baseline/fabric/ -run XXX -bench BenchmarkPeerValidateAndCommit -benchtime 200x
 	$(GO) test ./internal/simnet/ -run XXX -bench 'BenchmarkEndpointDelivery|BenchmarkSimEventLoop|BenchmarkSimBroadcast'
 
 # Capture CPU + allocation profiles (the profile-guided optimization loop): of
@@ -154,14 +165,21 @@ chaos-smoke:
 
 # PDES smoke: one small multi-DC deployment through `bidl run` twice — the
 # 4-worker conservative PDES engine under the race detector, then the serial
-# reference — and the full reports must be byte-identical. The exhaustive
-# per-experiment determinism gate is TestPDESDeterminismAllExperiments
-# (internal/bench), which `make race` runs for the whole registry.
+# reference — and the full reports must be byte-identical; then the same pair
+# for FastFabric (the benchmark's `fabric` spec: 50 peers in three partitions
+# reading the memos on shared blocks and envelopes, DESIGN.md §7.1). The
+# exhaustive per-experiment determinism gate is
+# TestPDESDeterminismAllExperiments (internal/bench), which `make race` runs
+# for the whole registry.
 pdes-smoke: $(BIDL) $(BIDL_RACE)
 	$(BIDL_RACE) run -dcs 2 -rate 4000 -duration 400ms -sim-workers 4 > /tmp/bidl-pdes-par.txt
 	$(BIDL) run -dcs 2 -rate 4000 -duration 400ms > /tmp/bidl-pdes-ser.txt
 	@cmp /tmp/bidl-pdes-par.txt /tmp/bidl-pdes-ser.txt \
 		&& echo "pdes-smoke: parallel output byte-identical to serial"
+	$(BIDL_RACE) run -scenario benchmark/workloads/fabric.json -sim-workers 4 > /tmp/bidl-pdes-ff-par.txt
+	$(BIDL) run -scenario benchmark/workloads/fabric.json > /tmp/bidl-pdes-ff-ser.txt
+	@cmp /tmp/bidl-pdes-ff-par.txt /tmp/bidl-pdes-ff-ser.txt \
+		&& echo "pdes-smoke: fastfabric parallel output byte-identical to serial"
 
 # End-to-end trace smoke: a short traced run must produce a valid,
 # Perfetto-loadable Chrome trace (parses, has spans and counter tracks) AND
@@ -200,8 +218,12 @@ workload-smoke: $(BIDL)
 # benchmark's `steady` spec ends with 59.1 MiB live, every node's records and
 # entries being arrays over cluster-wide ids; the limit is that + 15 %. With a
 # map by hash and a map by key in each of the 54 nodes it ended with 128.5 MiB.
+# The `fabric` spec ends with 43.0 MiB, its 50 peers marking committed
+# transactions in arrays over the deployment's hash ordinals; with a map by
+# hash in each it ended with 101.3 MiB. Same + 15 %.
 heap-smoke: $(BIDL)
 	$(BIDL) run -scenario benchmark/workloads/steady.json -heap-check 71303168
+	$(BIDL) run -scenario benchmark/workloads/fabric.json -heap-check 51852083
 
 # Per-node prepopulation microbenchmark (O(1) via the shared copy-on-write
 # base). Per-transaction generation is the benchmark ladder's workload.* rungs.

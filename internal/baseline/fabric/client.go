@@ -1,7 +1,8 @@
 package fabric
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 
 // pendingTx tracks one client transaction through the endorsement round.
 type pendingTx struct {
-	tx        *types.Transaction
-	resps     map[string]*EndorseResp
+	tx *types.Transaction
+	// resps holds one reply per organization heard from, sorted by its name.
+	resps     []*EndorseResp
 	submitted bool
 	start     time.Duration
 }
@@ -60,7 +62,7 @@ func (cl *Client) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 		if _, ok := cl.pending[id]; ok {
 			continue
 		}
-		cl.pending[id] = &pendingTx{tx: tx, resps: make(map[string]*EndorseResp), start: ctx.Now()}
+		cl.pending[id] = &pendingTx{tx: tx, resps: make([]*EndorseResp, 0, len(tx.Orgs)), start: ctx.Now()}
 		cl.c.Submitted(id, cl.ep.ID(), ctx.Now())
 		for _, org := range tx.Orgs {
 			o := types.OrgIndex(org)
@@ -87,21 +89,23 @@ func (cl *Client) onEndorse(ctx *simnet.Context, m *EndorseResp) {
 		cl.c.Notified(m.TxID, cl.ep.ID(), ctx.Now(), true)
 		return
 	}
-	pt.resps[m.Endorsement.Org] = m
+	// A second reply from an organization replaces its first.
+	at, found := slices.BinarySearchFunc(pt.resps, m.Endorsement.Org,
+		func(r *EndorseResp, org string) int { return strings.Compare(r.Endorsement.Org, org) })
+	if found {
+		pt.resps[at] = m
+	} else {
+		pt.resps = slices.Insert(pt.resps, at, m)
+	}
 	if len(pt.resps) < len(pt.tx.Orgs) {
 		return
 	}
 	// All endorsements in: check result agreement. Non-deterministic
 	// transactions produce mismatching endorsements and are early-aborted
 	// (FastFabric behaviour, §6.3) — they never reach ordering.
-	orgs := make([]string, 0, len(pt.resps))
-	for o := range pt.resps {
-		orgs = append(orgs, o)
-	}
-	sort.Strings(orgs)
-	first := pt.resps[orgs[0]]
-	for _, o := range orgs[1:] {
-		if pt.resps[o].Endorsement.Digest != first.Endorsement.Digest {
+	first := pt.resps[0]
+	for _, r := range pt.resps[1:] {
+		if r.Endorsement.Digest != first.Endorsement.Digest {
 			pt.submitted = true
 			delete(cl.pending, m.TxID)
 			atomic.AddUint64(&cl.c.Collector.NondetAborts, 1)
@@ -110,13 +114,14 @@ func (cl *Client) onEndorse(ctx *simnet.Context, m *EndorseResp) {
 		}
 	}
 	env := &Envelope{
-		Tx:      pt.tx,
-		Reads:   first.Reads,
-		Writes:  first.Writes,
-		Aborted: first.Aborted,
+		Tx:           pt.tx,
+		Reads:        first.Reads,
+		Writes:       first.Writes,
+		Aborted:      first.Aborted,
+		Endorsements: make([]Endorsement, len(pt.resps)),
 	}
-	for _, o := range orgs {
-		env.Endorsements = append(env.Endorsements, pt.resps[o].Endorsement)
+	for i, r := range pt.resps {
+		env.Endorsements[i] = r.Endorsement
 	}
 	pt.submitted = true
 	cl.c.Collector.Phase(metrics.PhaseEndorse, ctx.Now()-pt.start)

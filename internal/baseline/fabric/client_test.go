@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/trace/anatomy"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -67,5 +69,47 @@ func TestClientAbortClosesCollectorAndTrace(t *testing.T) {
 				t.Fatalf("anatomy reports %d complete transactions, want 1", rep.Complete)
 			}
 		})
+	}
+}
+
+// A second reply from an organization replaces its first: it never counts as
+// a second organization, and the envelope carries the later endorsement.
+func TestSecondReplyFromOneOrgReplacesTheFirst(t *testing.T) {
+	c, _ := buildCluster(t, smallConfig(FastFabric), defaultWorkload())
+	var submitted []*Envelope
+	c.Net.DropFilter = func(_, _ simnet.NodeID, msg simnet.Message) bool {
+		if m, ok := msg.(*SubmitEnvelopes); ok {
+			submitted = append(submitted, m.Envs...)
+		}
+		return true
+	}
+	id := crypto.Identity("lone-client")
+	c.Scheme.Register(id)
+	cl := &Client{c: c, id: id, pending: make(map[types.TxID]*pendingTx)}
+	cl.ep = c.AddClient(id, cl)
+	// Organization names out of order: the envelope lists them sorted.
+	tx := &types.Transaction{Client: id, Nonce: 1, Contract: "smallbank", Fn: "x",
+		Orgs: []string{types.OrgName(3), types.OrgName(1)}}
+	if err := tx.Sign(c.Scheme); err != nil {
+		t.Fatal(err)
+	}
+	ctx := simnet.NewInjectedContext(c.Net, cl.ep)
+	cl.Submit(ctx, []*types.Transaction{tx})
+
+	reply := func(org int, digest byte) *EndorseResp {
+		return &EndorseResp{TxID: tx.ID(), Endorsement: Endorsement{Org: types.OrgName(org), Digest: crypto.Digest{digest}}}
+	}
+	cl.onEndorse(ctx, reply(3, 7))
+	cl.onEndorse(ctx, reply(3, 9))
+	if len(submitted) != 0 || cl.Pending() != 1 {
+		t.Fatalf("two replies from one organization: %d envelopes submitted, %d pending; want 0 and 1", len(submitted), cl.Pending())
+	}
+	cl.onEndorse(ctx, reply(1, 9))
+	if len(submitted) != 1 {
+		t.Fatalf("%d envelopes submitted once both organizations replied, want 1 (NondetAborts=%d)", len(submitted), c.Collector.NondetAborts)
+	}
+	es := submitted[0].Endorsements
+	if len(es) != 2 || es[0].Org != types.OrgName(1) || es[1].Org != types.OrgName(3) || es[1].Digest != (crypto.Digest{9}) {
+		t.Fatalf("envelope endorsements %+v, want org1 then org3's second reply", es)
 	}
 }

@@ -1,7 +1,10 @@
 package fabric
 
 import (
+	"slices"
+
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -41,12 +44,15 @@ type EndorseResp struct {
 }
 
 // Size implements simnet.Message.
-func (m *EndorseResp) Size() int {
-	n := 16 + 32 + 16 + 32 + 64
-	for _, r := range m.Reads {
+func (m *EndorseResp) Size() int { return 16 + 32 + 16 + 32 + 64 + rwSize(m.Reads, m.Writes) }
+
+// rwSize is the wire size of a read-write set.
+func rwSize(reads []ledger.Read, writes []ledger.Write) int {
+	n := 0
+	for _, r := range reads {
 		n += len(r.Key) + 17
 	}
-	for _, w := range m.Writes {
+	for _, w := range writes {
 		n += len(w.Key) + len(w.Val) + 2
 	}
 	return n
@@ -54,31 +60,51 @@ func (m *EndorseResp) Size() int {
 
 // Envelope is the client-assembled transaction proposal submitted to the
 // ordering service: the transaction, its read-write set, and one
-// endorsement per related organization.
+// endorsement per related organization. One object reaches every peer
+// (DESIGN.md §7.1).
 type Envelope struct {
 	Tx           *types.Transaction
 	Reads        []ledger.Read
 	Writes       []ledger.Write
 	Aborted      bool
 	Endorsements []Endorsement
+
+	size int            // lazy Size cache; envelopes are immutable once submitted
+	vscc crypto.Verdict // endorsed's outcome, filled by the first peer to validate
+	// Reads' and Writes' keys as ids in the deployment's key table, resolved
+	// by the proposing orderer before any peer holds the envelope; one built
+	// any other way carries none and every peer goes by name.
+	rkeys, wkeys ledger.KeyIDs
 }
 
-// Size implements simnet.Message.
+// Size implements simnet.Message. Cached on the client's submission.
 func (m *Envelope) Size() int {
-	n := m.Tx.Size() + len(m.Endorsements)*(16+32+64)
-	for _, r := range m.Reads {
-		n += len(r.Key) + 17
+	if m.size == 0 {
+		m.size = m.Tx.Size() + len(m.Endorsements)*(16+32+64) + rwSize(m.Reads, m.Writes)
 	}
-	for _, w := range m.Writes {
-		n += len(w.Key) + len(w.Val) + 2
-	}
-	return n
+	return m.size
 }
 
-// rwDigest hashes an endorsement result canonically.
-func rwDigest(reads []ledger.Read, writes []ledger.Write, aborted bool) crypto.Digest {
-	rw := ledger.RWSet{Reads: reads, Writes: writes, Aborted: aborted}
-	return rw.Digest()
+// endorsed reports whether the envelope carries a valid endorsement of its
+// read-write set from every related organization, each exactly once (VSCC).
+// Signature-verification cost is part of validatePerTxn.
+func (m *Envelope) endorsed(scheme crypto.Scheme) bool {
+	return m.vscc.Check(0, func() bool {
+		if len(m.Endorsements) != len(m.Tx.Orgs) {
+			return false
+		}
+		dig := (&ledger.RWSet{Writes: m.Writes, Aborted: m.Aborted}).Digest()
+		for i, e := range m.Endorsements {
+			first := slices.IndexFunc(m.Endorsements, func(o Endorsement) bool { return o.Org == e.Org })
+			if first != i || !m.Tx.RelatedTo(e.Org) || e.Digest != dig {
+				return false
+			}
+			if !scheme.Verify(crypto.Identity(e.Org), endorsementBytes(m.Tx.ID(), e.Org, e.Digest), e.Sig) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // SubmitEnvelopes carries client envelopes to the ordering service.
@@ -87,9 +113,11 @@ type SubmitEnvelopes struct {
 }
 
 // Size implements simnet.Message.
-func (m *SubmitEnvelopes) Size() int {
-	n := 16
-	for _, e := range m.Envs {
+func (m *SubmitEnvelopes) Size() int { return 16 + envsSize(m.Envs) }
+
+func envsSize(envs []*Envelope) int {
+	n := 0
+	for _, e := range envs {
 		n += e.Size()
 	}
 	return n
@@ -103,31 +131,58 @@ type PayloadShare struct {
 }
 
 // Size implements simnet.Message.
-func (m *PayloadShare) Size() int {
-	n := 16
-	for _, e := range m.Envs {
-		n += e.Size()
-	}
-	return n
-}
+func (m *PayloadShare) Size() int { return 16 + envsSize(m.Envs) }
 
 // FabricBlock is an ordered block delivered to peers for validation.
 type FabricBlock struct {
 	Number uint64
 	Envs   []*Envelope
 	Cert   *types.Certificate
+
+	// ords[i] is the ordinal of Envs[i]'s transaction hash in hashes, resolved
+	// by the disseminating orderer (resolve); a block built or re-sent by
+	// anyone else carries none and each peer interns the hashes itself.
+	hashes *dense.Table[types.TxID]
+	ords   []uint32
+	tip    types.TipBlock // the ledger block this commits (block)
 }
 
 // Size implements simnet.Message.
 func (m *FabricBlock) Size() int {
-	n := 24
-	for _, e := range m.Envs {
-		n += e.Size()
-	}
+	n := 24 + envsSize(m.Envs)
 	if m.Cert != nil {
 		n += m.Cert.Size()
 	}
 	return n
+}
+
+// resolve fills the ordinal memo before the block is shared.
+func (m *FabricBlock) resolve(hashes *dense.Table[types.TxID]) {
+	m.hashes, m.ords = hashes, make([]uint32, len(m.Envs))
+	for i, env := range m.Envs {
+		m.ords[i] = hashes.Intern(env.Tx.ID())
+	}
+}
+
+// ordinal returns the ordinal of Envs[i]'s transaction hash in hashes: the
+// memo when resolved in that table, else by interning, to the same value.
+func (m *FabricBlock) ordinal(i int, hashes *dense.Table[types.TxID]) uint32 {
+	if m.hashes == hashes {
+		return m.ords[i]
+	}
+	return hashes.Intern(m.Envs[i].Tx.ID())
+}
+
+// block returns the ledger block a peer with chain tip prev appends for this
+// message, and its header digest.
+func (m *FabricBlock) block(prev crypto.Digest) (*types.Block, crypto.Digest) {
+	return m.tip.On(prev, func() *types.Block {
+		b := &types.Block{Number: m.Number, Hashes: make([]types.TxID, len(m.Envs)), Seqs: make([]uint64, len(m.Envs))}
+		for i, env := range m.Envs {
+			b.Hashes[i] = env.Tx.ID()
+		}
+		return b
+	})
 }
 
 // FabricBlockFetch asks an orderer to re-send committed blocks in

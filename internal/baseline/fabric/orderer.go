@@ -6,6 +6,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
@@ -31,6 +32,9 @@ type Orderer struct {
 	pendingEnvs []*Envelope
 	byHash      map[types.TxID]*Envelope
 	batchArmed  bool
+	// keys resolves the keys of proposed envelopes in the deployment's table;
+	// of the state only the table and its id chunks are used.
+	keys *ledger.State
 
 	delivered   map[uint64]*FabricBlock
 	chainHeight uint64
@@ -46,6 +50,7 @@ func newOrderer(c *Cluster) *Orderer {
 	return &Orderer{
 		c:           c,
 		byHash:      make(map[types.TxID]*Envelope),
+		keys:        ledger.NewStateOn(c.Keys),
 		delivered:   make(map[uint64]*FabricBlock),
 		proposeTime: make(map[crypto.Digest]time.Duration),
 	}
@@ -140,6 +145,7 @@ func (o *Orderer) proposeBatch(envs []*Envelope) {
 	for i, env := range envs {
 		hashes[i] = env.Tx.ID()
 		total += env.Size()
+		env.rkeys, env.wkeys = o.keys.ResolveReads(env.Reads), o.keys.Resolve(env.Writes)
 	}
 	// HLF: disseminate payloads to the other consensus nodes so they can
 	// verify the proposal contents.
@@ -161,6 +167,7 @@ func (o *Orderer) ViewChangeMeta() []byte { return nil }
 // ViewChanged implements consensus.Host.
 func (o *Orderer) ViewChanged(view uint64, leader int, metas [][]byte) {
 	o.vcOnce = false
+	clear(o.proposeTime) // what the new view decides was not proposed here
 	if o.Idx == 0 {
 		atomic.AddUint64(&o.c.Collector.ViewChanges, 1)
 	}
@@ -222,6 +229,7 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 					tr.TxStage(env.Tx.ID(), trace.StageAgreed, int(o.Ep.ID()), o.Ctx.Now())
 				}
 			}
+			b.resolve(o.c.Hashes)
 			for _, org := range o.c.Peers {
 				for _, p := range org {
 					o.Ctx.Send(p.ep.ID(), b)

@@ -3,6 +3,8 @@ package fabric
 import (
 	"testing"
 	"time"
+
+	"github.com/bidl-framework/bidl/internal/simnet"
 )
 
 func TestOrderersConverge(t *testing.T) {
@@ -59,5 +61,22 @@ func TestHLFOrderersHoldPayloads(t *testing.T) {
 	}
 	if got := run(FastFabric); got != 0 {
 		t.Fatalf("FastFabric follower orderer holds %d payloads, want 0 (trusted single orderer)", got)
+	}
+}
+
+// A proposal a view change discards is never delivered, so nothing but the
+// view change can drop its proposal time.
+func TestViewChangeForgetsProposalTimes(t *testing.T) {
+	c, peers, batch := quietCluster(t, smallConfig(HLF))
+	o := c.Orderers[c.LeaderIndex()]
+	o.Bind(simnet.NewInjectedContext(c.Net, o.Ep), func() {
+		o.proposeBatch(testBlock(t, c, 0, batch(3)).Envs)
+		if len(o.proposeTime) != 1 {
+			t.Fatalf("%d proposal times after one proposal, want 1", len(o.proposeTime))
+		}
+		o.ViewChanged(1, 1, nil)
+	})
+	if len(o.proposeTime) != 0 || peers[0].CommitHeight() != 0 {
+		t.Fatalf("%d proposal times kept across the view change that discarded the proposal", len(o.proposeTime))
 	}
 }

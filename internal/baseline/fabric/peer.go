@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
@@ -29,8 +30,10 @@ type Peer struct {
 
 	commitHeight uint64
 	blockBuf     map[uint64]*FabricBlock
-	committed    map[types.TxID]bool
-	fetching     bool
+	// committed marks, by ordinal in the deployment's hash table, the
+	// transactions some block already carried.
+	committed dense.Pages[bool]
+	fetching  bool
 }
 
 // Endpoint returns the peer's simnet endpoint.
@@ -47,15 +50,14 @@ func (p *Peer) CommitHeight() uint64 { return p.commitHeight }
 
 func newPeer(c *Cluster, org, idxInOrg int, seed int64) *Peer {
 	return &Peer{
-		c:         c,
-		org:       org,
-		orgName:   types.OrgName(org),
-		idxInOrg:  idxInOrg,
-		state:     ledger.NewStateOn(c.Keys),
-		blocks:    ledger.NewBlockStore(),
-		nondet:    rand.New(rand.NewSource(seed)),
-		blockBuf:  make(map[uint64]*FabricBlock),
-		committed: make(map[types.TxID]bool),
+		c:        c,
+		org:      org,
+		orgName:  types.OrgName(org),
+		idxInOrg: idxInOrg,
+		state:    ledger.NewStateOn(c.Keys),
+		blocks:   ledger.NewBlockStore(),
+		nondet:   rand.New(rand.NewSource(seed)),
+		blockBuf: make(map[uint64]*FabricBlock),
 	}
 }
 
@@ -100,7 +102,7 @@ func (p *Peer) endorse(ctx *simnet.Context, from simnet.NodeID, m *EndorseReq) {
 		p.c.Cfg.Tracer.TxStage(m.Tx.ID(), trace.StageExecuted, int(p.ep.ID()), ctx.Now())
 	}
 	resp.Reads, resp.Writes, resp.Aborted = rw.Reads, rw.Writes, rw.Aborted
-	dig := rwDigest(rw.Reads, rw.Writes, rw.Aborted)
+	dig := rw.Digest()
 	ctx.Elapse(signCost)
 	sig, err := p.c.Scheme.Sign(crypto.Identity(p.orgName), endorsementBytes(m.Tx.ID(), p.orgName, dig))
 	if err != nil {
@@ -178,27 +180,28 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	ctx.Elapse(costs.BlockOverhead)
 	notices := make(map[crypto.Identity][]CommitEntry)
 	for i, env := range blk.Envs {
-		id := env.Tx.ID()
-		if p.committed[id] {
+		done := p.committed.At(blk.ordinal(i, p.c.Hashes))
+		if *done {
 			continue
 		}
-		p.committed[id] = true
+		*done = true
 		ctx.Elapse(p.c.Cfg.validatePerTxn())
 		aborted := env.Aborted
-		if !aborted && !p.validateEndorsements(env) {
+		if !aborted && !env.endorsed(p.c.Scheme) {
 			aborted = true
 			atomic.AddUint64(&p.c.Collector.RejectedTxns, 1)
 		}
-		if !aborted && !ledger.ValidateMVCC(p.state, &ledger.RWSet{Reads: env.Reads}) {
+		if !aborted && !p.state.ValidateResolved(env.Reads, env.rkeys) {
 			aborted = true
 			atomic.AddUint64(&p.c.Collector.MVCCAborts, 1)
 		}
 		if !aborted {
 			ctx.Elapse(costs.CommitTxn)
-			p.state.Apply(env.Writes, ledger.Version{Block: blk.Number, Tx: i})
+			p.state.ApplyResolved(env.Writes, env.wkeys, ledger.Version{Block: blk.Number, Tx: i})
 		}
 		// The first related org's lead peer notifies the client.
 		if p.idxInOrg == 0 && env.Tx.CorrespondingOrg() == p.orgName {
+			id := env.Tx.ID()
 			notices[env.Tx.Client] = append(notices[env.Tx.Client], CommitEntry{TxID: id, Aborted: aborted})
 			if tr := p.c.Cfg.Tracer; tr != nil {
 				// Block arrival at the committing peer, then the durable
@@ -209,12 +212,7 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 		}
 	}
 	// Ledger append.
-	b := &types.Block{Number: blk.Number, Prev: p.blocks.LastDigest()}
-	for _, env := range blk.Envs {
-		b.Hashes = append(b.Hashes, env.Tx.ID())
-		b.Seqs = append(b.Seqs, 0)
-	}
-	if err := p.blocks.Append(b); err != nil {
+	if err := p.blocks.AppendHashed(blk.block(p.blocks.LastDigest())); err != nil {
 		p.c.Violation("peer block append: " + err.Error())
 	}
 	p.c.Collector.Phase(metrics.PhaseValidate, ctx.Now()-start)
@@ -229,28 +227,4 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 			ctx.Send(ep, &CommitNote{Entries: notices[cl]})
 		}
 	}
-}
-
-// validateEndorsements checks the envelope carries a valid endorsement from
-// every related organization (VSCC). Signature-verification cost is part of
-// validatePerTxn.
-func (p *Peer) validateEndorsements(env *Envelope) bool {
-	if len(env.Endorsements) != len(env.Tx.Orgs) {
-		return false
-	}
-	dig := rwDigest(env.Reads, env.Writes, env.Aborted)
-	seen := make(map[string]bool, len(env.Endorsements))
-	for _, e := range env.Endorsements {
-		if seen[e.Org] || !env.Tx.RelatedTo(e.Org) {
-			return false
-		}
-		seen[e.Org] = true
-		if e.Digest != dig {
-			return false
-		}
-		if !p.c.Scheme.Verify(crypto.Identity(e.Org), endorsementBytes(env.Tx.ID(), e.Org, e.Digest), e.Sig) {
-			return false
-		}
-	}
-	return true
 }

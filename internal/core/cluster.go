@@ -7,7 +7,6 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/contract"
 	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
@@ -36,9 +35,6 @@ type Cluster struct {
 
 	policy   consensus.LeaderPolicy
 	keyOwner contract.KeyOwnerFunc
-	// hashes names every transaction hash the cluster's nodes index, once for
-	// all their pools (DESIGN.md §7.1).
-	hashes *dense.Table[types.TxID]
 
 	// Multicast group names, namespaced by the deployment's Label so clusters
 	// sharing one network (sharded deployments) cannot hear each other's
@@ -84,7 +80,6 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 		// BIDL's unpredictable epoch rotation (§4.6).
 		policy:       &consensus.RandomEpoch{N: cfg.NumConsensus, Seed: seed},
 		keyOwner:     contract.SmallBankKeyOwner(cfg.NumOrgs),
-		hashes:       dense.NewTable[types.TxID](),
 		groupTxns:    label + groupTxns,
 		groupBlocks:  label + groupBlocks,
 		groupPersist: label + groupPersist,

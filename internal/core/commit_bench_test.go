@@ -39,7 +39,7 @@ func BenchmarkNormalNodeCommit(b *testing.B) {
 			echoes[i].warmContentKey()
 			echoes[i].kids = nn.base.Resolve(echoes[i].Writes) // as the assembling delegate does
 		}
-		batch.resolve(c.hashes) // as the sequencer does
+		batch.resolve(c.Hashes) // as the sequencer does
 		var persists []*PersistMsg
 		for cn := range c.ConsNodes {
 			for _, half := range [][]PersistEntry{echoes[:size/2], echoes[size/2:]} {

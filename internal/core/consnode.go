@@ -108,7 +108,7 @@ func newConsNode(c *Cluster, org int) *ConsNode {
 	return &ConsNode{
 		c:            c,
 		org:          org,
-		pool:         newTxPoolOn(c.hashes),
+		pool:         newTxPoolOn(c.Hashes),
 		auth:         make(map[uint64]types.TxID),
 		delivered:    make(map[uint64]*deliveredBlock),
 		blocks:       ledger.NewBlockStore(),

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -107,10 +106,7 @@ type BlockMsg struct {
 	hashes  []types.TxID
 	decErr  error
 	decoded bool
-	// The ledger block this commits on a chain with tip blk.Prev (block).
-	mu     sync.Mutex
-	blk    *types.Block
-	blkDig crypto.Digest
+	tip     types.TipBlock // the ledger block this commits (block)
 }
 
 // Size implements simnet.Message. Cached: the leader multicasts one shared
@@ -180,22 +176,12 @@ func (c *Cluster) certified(m *BlockMsg, ctx *simnet.Context) (seqs []uint64, ha
 }
 
 // block returns the ledger block a node with chain tip prev commits for this
-// message, and its header digest: functions of the message and prev alone.
-// The first committer builds and hashes it under the lock, every node on the
-// same tip appends that object, and a node on another tip builds its own.
+// message, and its header digest.
 func (m *BlockMsg) block(prev crypto.Digest) (*types.Block, crypto.Digest) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.blk != nil && m.blk.Prev == prev {
-		return m.blk, m.blkDig
-	}
-	seqs, hashes, _ := m.ordering()
-	b := &types.Block{Number: m.Number, Prev: prev, Seqs: seqs, Hashes: hashes, Cert: m.Cert}
-	digest := b.HeaderDigest()
-	if m.blk == nil {
-		m.blk, m.blkDig = b, digest
-	}
-	return b, digest
+	return m.tip.On(prev, func() *types.Block {
+		seqs, hashes, _ := m.ordering()
+		return &types.Block{Number: m.Number, Seqs: seqs, Hashes: hashes, Cert: m.Cert}
+	})
 }
 
 // OrgResult is one organization's signed execution result for a transaction

@@ -156,7 +156,7 @@ func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 		org:       org,
 		orgName:   types.OrgName(org),
 		idxInOrg:  idxInOrg,
-		pool:      newTxPoolOn(c.hashes),
+		pool:      newTxPoolOn(c.Hashes),
 		base:      base,
 		overlay:   ledger.NewOverlay(base),
 		nondet:    rand.New(rand.NewSource(seed)),

@@ -135,7 +135,7 @@ func TestIndexMemoOrNoMemoSameOutcome(t *testing.T) {
 	}
 	batches := func(txns []types.SequencedTx) []*SeqBatch {
 		resolved, foreign := &SeqBatch{Txns: txns}, &SeqBatch{Txns: txns}
-		resolved.resolve(r.c.hashes)
+		resolved.resolve(r.c.Hashes)
 		foreign.resolve(foreignHashes(r))
 		return []*SeqBatch{resolved, {Txns: txns}, foreign}
 	}

@@ -138,7 +138,7 @@ func (s *SequencerNode) flush(ctx *simnet.Context) {
 		return
 	}
 	batch := &SeqBatch{View: s.view, Txns: s.pending}
-	batch.resolve(s.c.hashes)
+	batch.resolve(s.c.Hashes)
 	s.pending = nil
 	// The sequencer's added per-transaction delay (§6: ~20 µs for 1 KB
 	// transactions) — this is what caps BIDL's throughput near the

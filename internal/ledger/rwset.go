@@ -84,15 +84,4 @@ func (rw *RWSet) Size() int {
 // transaction read must still be at the version observed during endorsement.
 // Contending transactions endorsed in parallel fail this check and abort —
 // the behaviour BIDL eliminates by executing in sequence-number order (§4.3).
-func ValidateMVCC(s *State, rw *RWSet) bool {
-	for _, r := range rw.Reads {
-		_, ver, ok := s.Get(r.Key)
-		if ok != r.Existed {
-			return false
-		}
-		if ok && ver != r.Ver {
-			return false
-		}
-	}
-	return true
-}
+func ValidateMVCC(s *State, rw *RWSet) bool { return s.ValidateResolved(rw.Reads, KeyIDs{}) }

@@ -87,9 +87,15 @@ func (s *State) Base() *Base { return s.base }
 // written returns key's delta entry if the state wrote or deleted key.
 func (s *State) written(key string) *entry {
 	if id, ok := s.keys.Lookup(key); ok {
-		if e := s.delta.Get(id); e != nil && e.kind != absent {
-			return e
-		}
+		return s.writtenAt(id)
+	}
+	return nil
+}
+
+// writtenAt is written for a caller that holds the key's id.
+func (s *State) writtenAt(id uint32) *entry {
+	if e := s.delta.Get(id); e != nil && e.kind != absent {
+		return e
 	}
 	return nil
 }
@@ -166,15 +172,30 @@ type KeyIDs struct {
 // Resolve returns the ids of writes' keys in s's key table. The id slices
 // are cut from chunks, so resolving costs no allocation per write set.
 func (s *State) Resolve(writes []Write) KeyIDs {
-	if len(s.idbuf) < len(writes) {
-		s.idbuf = make([]uint32, max(len(writes), 1024))
-	}
-	ids := s.idbuf[:len(writes):len(writes)]
-	s.idbuf = s.idbuf[len(writes):]
+	ids := s.cut(len(writes))
 	for i, w := range writes {
 		ids[i] = s.keys.Intern(w.Key)
 	}
 	return KeyIDs{table: s.keys, ids: ids}
+}
+
+// ResolveReads is Resolve for a read set's keys.
+func (s *State) ResolveReads(reads []Read) KeyIDs {
+	ids := s.cut(len(reads))
+	for i, r := range reads {
+		ids[i] = s.keys.Intern(r.Key)
+	}
+	return KeyIDs{table: s.keys, ids: ids}
+}
+
+// cut returns the next n ids of the chunk.
+func (s *State) cut(n int) []uint32 {
+	if len(s.idbuf) < n {
+		s.idbuf = make([]uint32, max(n, 1024))
+	}
+	ids := s.idbuf[:n:n]
+	s.idbuf = s.idbuf[n:]
+	return ids
 }
 
 // ApplyResolved is Apply for a write set that carries its keys' ids: an
@@ -192,6 +213,31 @@ func (s *State) ApplyResolved(writes []Write, r KeyIDs, ver Version) {
 			s.put(r.ids[i], w.Key, w.Val, ver)
 		}
 	}
+}
+
+// ValidateResolved is ValidateMVCC for a read set that carries its keys' ids:
+// an array index per read. Like ApplyResolved it ignores ids resolved in
+// another table and goes by name.
+func (s *State) ValidateResolved(reads []Read, r KeyIDs) bool {
+	byID := r.table == s.keys && len(r.ids) == len(reads)
+	for i, rd := range reads {
+		var e *entry
+		if byID {
+			e = s.writtenAt(r.ids[i])
+		} else {
+			e = s.written(rd.Key)
+		}
+		ver, ok := Version{}, false
+		if e != nil {
+			ver, ok = e.ver, e.kind == value
+		} else {
+			ok = s.base.Has(rd.Key)
+		}
+		if ok != rd.Existed || (ok && ver != rd.Ver) {
+			return false
+		}
+	}
+	return true
 }
 
 // forEachLive calls fn with every live (key, value) pair: the delta plus

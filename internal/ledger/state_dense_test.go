@@ -153,6 +153,52 @@ func TestApplyResolvedInAnotherTable(t *testing.T) {
 	}
 }
 
+// ValidateResolved says what ValidateMVCC says, whoever resolved the read set:
+// this state's table, another deployment's, nobody, or too few ids. Seeded
+// reads over base keys, written keys, tombstones and keys nobody ever named,
+// at the version the state holds and beside it.
+func TestValidateResolvedMatchesByName(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sts := replicas(2, funcBase(30))
+	st, sibling := sts[0], sts[1]
+	elsewhere := NewState()
+	var universe []string
+	for i := 0; i < 60; i++ {
+		universe = append(universe, fmt.Sprintf("k%d", i)) // k0..k29 are base keys
+		elsewhere.Put(universe[i], nil, Version{})
+	}
+	for op := 0; op < 400; op++ {
+		key := universe[rng.Intn(40)] // k40.. stay unnamed in st's table
+		switch rng.Intn(3) {
+		case 0:
+			st.Put(key, []byte{byte(op)}, Version{Block: uint64(op), Tx: rng.Intn(3)})
+		case 1:
+			st.Delete(key)
+		}
+		var reads []Read
+		for n := rng.Intn(4); n > 0; n-- {
+			k := universe[rng.Intn(len(universe))]
+			_, ver, ok := st.Get(k)
+			switch rng.Intn(6) {
+			case 0:
+				ver.Tx++
+			case 1:
+				ok = !ok
+			}
+			reads = append(reads, Read{Key: k, Ver: ver, Existed: ok})
+		}
+		want := ValidateMVCC(st, &RWSet{Reads: reads})
+		for name, ids := range map[string]KeyIDs{
+			"own ids": st.ResolveReads(reads), "a sibling's ids": sibling.ResolveReads(reads),
+			"foreign ids": elsewhere.ResolveReads(reads), "no ids": {}, "too few ids": {table: st.keys},
+		} {
+			if got := st.ValidateResolved(reads, ids); got != want {
+				t.Fatalf("op %d, %s: ValidateResolved(%+v) = %t, by name %t", op, name, reads, got, want)
+			}
+		}
+	}
+}
+
 // Equal between two states on one table compares position by position, and
 // still tells apart a different value, a tombstone and nothing under one id —
 // and still calls a write equal to the base value it shadows equal to no write.

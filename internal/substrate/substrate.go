@@ -241,8 +241,10 @@ type Deployment struct {
 	Colocated []*simnet.Endpoint
 	OrgEps    [][]*simnet.Endpoint
 	// Keys names the world-state keys of the deployment once for all its
-	// replicas' states (ledger.NewStateOn).
-	Keys *dense.Table[string]
+	// replicas' states (ledger.NewStateOn), Hashes the transaction hashes its
+	// nodes index (DESIGN.md §7.1).
+	Keys   *dense.Table[string]
+	Hashes *dense.Table[types.TxID]
 
 	numDCs, orgOffset, placed int
 	clients                   map[crypto.Identity]clientEntry
@@ -262,6 +264,7 @@ func NewDeployment(e *Engine, label string, orgOffset int, cfg Config, identity 
 		Label:     label,
 		Cons:      simhost.Group{Sim: e.Sim, Scheme: e.Scheme, Tracer: e.Tracer, Identity: identity},
 		Keys:      dense.NewTable[string](),
+		Hashes:    dense.NewTable[types.TxID](),
 		numDCs:    cfg.NumDCs,
 		orgOffset: orgOffset,
 		clients:   make(map[crypto.Identity]clientEntry),

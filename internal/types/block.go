@@ -1,6 +1,8 @@
 package types
 
 import (
+	"sync"
+
 	"github.com/bidl-framework/bidl/internal/crypto"
 )
 
@@ -95,6 +97,34 @@ func (b *Block) HeaderDigest() crypto.Digest {
 		e.buf = append(e.buf, b.Hashes[i][:]...)
 	}
 	return crypto.Hash(e.buf)
+}
+
+// TipBlock memoises, on a block message every replica receives by pointer, the
+// ledger block it commits on a chain tip and that block's header digest:
+// functions of the message and the tip alone (DESIGN.md §7.1).
+type TipBlock struct {
+	mu  sync.Mutex
+	blk *Block
+	dig crypto.Digest
+}
+
+// On returns the block a node with chain tip prev commits, and its header
+// digest; build makes the block from the message, On sets its Prev. The first
+// committer builds and hashes it under the lock, every node on the same tip
+// appends that object, and a node on another tip builds its own.
+func (m *TipBlock) On(prev crypto.Digest, build func() *Block) (*Block, crypto.Digest) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.blk != nil && m.blk.Prev == prev {
+		return m.blk, m.dig
+	}
+	b := build()
+	b.Prev = prev
+	digest := b.HeaderDigest()
+	if m.blk == nil {
+		m.blk, m.dig = b, digest
+	}
+	return b, digest
 }
 
 // HashOnlySize is the wire size of the block without payloads — what the
