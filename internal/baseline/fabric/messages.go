@@ -139,12 +139,11 @@ type FabricBlock struct {
 	Envs   []*Envelope
 	Cert   *types.Certificate
 
-	// ords[i] is the ordinal of Envs[i]'s transaction hash in hashes, resolved
-	// by the disseminating orderer (resolve); a block built or re-sent by
-	// anyone else carries none and each peer interns the hashes itself.
-	hashes *dense.Table[types.TxID]
-	ords   []uint32
-	tip    types.TipBlock // the ledger block this commits (block)
+	// ords are Envs' transaction hashes' ordinals, resolved by the
+	// disseminating orderer (resolve); a block built or re-sent by anyone else
+	// carries none and each peer interns the hashes itself.
+	ords dense.Ordinals[types.TxID]
+	tip  types.TipBlock // the ledger block this commits (block)
 }
 
 // Size implements simnet.Message.
@@ -158,19 +157,7 @@ func (m *FabricBlock) Size() int {
 
 // resolve fills the ordinal memo before the block is shared.
 func (m *FabricBlock) resolve(hashes *dense.Table[types.TxID]) {
-	m.hashes, m.ords = hashes, make([]uint32, len(m.Envs))
-	for i, env := range m.Envs {
-		m.ords[i] = hashes.Intern(env.Tx.ID())
-	}
-}
-
-// ordinal returns the ordinal of Envs[i]'s transaction hash in hashes: the
-// memo when resolved in that table, else by interning, to the same value.
-func (m *FabricBlock) ordinal(i int, hashes *dense.Table[types.TxID]) uint32 {
-	if m.hashes == hashes {
-		return m.ords[i]
-	}
-	return hashes.Intern(m.Envs[i].Tx.ID())
+	m.ords.Resolve(hashes, make([]uint32, len(m.Envs)), func(i int) types.TxID { return m.Envs[i].Tx.ID() })
 }
 
 // block returns the ledger block a peer with chain tip prev appends for this

@@ -180,7 +180,7 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	ctx.Elapse(costs.BlockOverhead)
 	notices := make(map[crypto.Identity][]CommitEntry)
 	for i, env := range blk.Envs {
-		done := p.committed.At(blk.ordinal(i, p.c.Hashes))
+		done := p.committed.At(blk.ords.Intern(p.c.Hashes, i, env.Tx.ID()))
 		if *done {
 			continue
 		}

@@ -78,7 +78,7 @@ func DefaultConfig() Config {
 	return cfg
 }
 
-func (c Config) quorum() int { return 2*c.F + 1 }
+func (c *Config) quorum() int { return 2*c.F + 1 }
 
 // Validate reports the first configuration error, after applying the same
 // derivations NewCluster performs (NumConsensus = 3F+1 when zero, F =

@@ -66,25 +66,15 @@ type ConsNode struct {
 	chainHeight   uint64
 	blockFetching bool
 	blocks        *ledger.BlockStore
-	// agreed maps sequence number → agreed transaction hash; agreedView
-	// records the view each sequence was agreed in (shepherd accounting).
-	// proposedHash records leader proposals pre-agreement: result vectors
-	// matching a proposal persist immediately (Algo 1 line 17), which is
-	// why the persist round is masked by the consensus phase (§4.4). Which
-	// hashes are in agreed blocks is the agreed mark of the pool's records.
-	agreed       map[uint64]types.TxID
-	agreedView   map[uint64]uint64
-	proposedHash map[uint64]types.TxID
 	// proposeTime records when this node proposed each ordering digest
 	// (leader-side consensus latency, Table 3 P1).
 	proposeTime map[crypto.Digest]time.Duration
 
-	// persist protocol state.
-	resultsBuf map[uint64][]ResultEntry
-	// persisted is localStore(): the PERSIST echo of the one result vector
-	// this node accepted per sequence number (§4.4, Lemma 5.2).
-	persisted  map[uint64]*PersistEntry
-	persistOut []PersistEntry
+	// Per sequence number the pool keeps the proposed or agreed hash, the
+	// accepted echo and the waiting vectors (consSlot): result vectors
+	// matching a proposal persist immediately (Algo 1 line 17), which is why
+	// the persist round is masked by the consensus phase (§4.4).
+	persistOut []*PersistEntry
 	persistArm bool
 
 	// shepherding state (§4.5/§4.6).
@@ -106,22 +96,17 @@ func (n *ConsNode) Denylist() map[crypto.Identity]bool { return n.denylist }
 
 func newConsNode(c *Cluster, org int) *ConsNode {
 	return &ConsNode{
-		c:            c,
-		org:          org,
-		pool:         newTxPoolOn(c.Hashes),
-		auth:         make(map[uint64]types.TxID),
-		delivered:    make(map[uint64]*deliveredBlock),
-		blocks:       ledger.NewBlockStore(),
-		agreed:       make(map[uint64]types.TxID),
-		agreedView:   make(map[uint64]uint64),
-		proposedHash: make(map[uint64]types.TxID),
-		proposeTime:  make(map[crypto.Digest]time.Duration),
-		resultsBuf:   make(map[uint64][]ResultEntry),
-		persisted:    make(map[uint64]*PersistEntry),
-		suspects:     make(map[crypto.Identity]map[int]bool),
-		maliceVotes:  make(map[crypto.Identity]bool),
-		denylist:     make(map[crypto.Identity]bool),
-		watch:        make(map[types.TxID]bool),
+		c:           c,
+		org:         org,
+		pool:        newTxPoolOn(c.Hashes),
+		auth:        make(map[uint64]types.TxID),
+		delivered:   make(map[uint64]*deliveredBlock),
+		blocks:      ledger.NewBlockStore(),
+		proposeTime: make(map[crypto.Digest]time.Duration),
+		suspects:    make(map[crypto.Identity]map[int]bool),
+		maliceVotes: make(map[crypto.Identity]bool),
+		denylist:    make(map[crypto.Identity]bool),
+		watch:       make(map[types.TxID]bool),
 	}
 }
 
@@ -234,7 +219,7 @@ func (n *ConsNode) onSeqBatchFrom(from simnet.NodeID, m *SeqBatch) {
 		if st.Seq > n.maxSeen {
 			n.maxSeen = st.Seq
 		}
-		ord := m.ordinal(i, n.pool.hashes)
+		ord := m.ords.Intern(n.pool.hashes, i, st.Tx.ID())
 		if authoritative {
 			n.pool.replaceOrd(st.Seq, st.Tx, ord)
 			n.auth[st.Seq] = st.Tx.ID()
@@ -352,8 +337,8 @@ func (n *ConsNode) Proposed(seq uint64, v consensus.Value) {
 		return
 	}
 	for i, s := range seqs {
-		if _, ok := n.proposedHash[s]; !ok {
-			n.proposedHash[s] = hashes[i]
+		if cs := n.pool.consAt(s, true); !cs.hashed {
+			cs.hash, cs.hashed = hashes[i], true
 		}
 	}
 	n.evaluateBuffered(seqs)
@@ -363,10 +348,11 @@ func (n *ConsNode) Proposed(seq uint64, v consensus.Value) {
 // proposal or an agreement on one of seqs.
 func (n *ConsNode) evaluateBuffered(seqs []uint64) {
 	for _, s := range seqs {
-		if buf, ok := n.resultsBuf[s]; ok {
-			delete(n.resultsBuf, s)
-			for i := range buf {
-				n.evaluateResult(&buf[i])
+		if cs := n.pool.consAt(s, false); cs != nil && cs.waiting != nil {
+			buf := cs.waiting
+			cs.waiting = nil
+			for _, e := range buf {
+				n.evaluateResult(e)
 			}
 		}
 	}
@@ -425,8 +411,8 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 	currentView := blk.cert.View == n.Rep.View()
 	for i, s := range blk.seqs {
 		h := blk.hashes[i]
-		n.agreed[s] = h
-		n.agreedView[s] = blk.cert.View
+		cs := n.pool.consAt(s, true)
+		cs.hash, cs.view, cs.hashed, cs.agreed = h, blk.cert.View, true, true
 		r, local := n.pool.agree(s, h)
 		delete(n.watch, h)
 		if currentView {
@@ -521,18 +507,17 @@ func (n *ConsNode) requestViewChangeOnce() {
 func (n *ConsNode) onResults(m *ResultMsg) {
 	for i := range m.Entries {
 		e := &m.Entries[i]
-		if h, ok := n.agreed[e.Seq]; ok {
-			if h == e.TxID {
-				n.evaluateResult(e)
-			} else if n.agreedView[e.Seq] == n.Rep.View() {
-				// Speculation on a conflicting transaction in the
-				// current view: feeds the shepherd's re-execution
-				// monitor. Stale votes from superseded sequencing
-				// terms are not evidence against this view's leader.
-				n.viewMis++
-			}
-		} else {
-			n.resultsBuf[e.Seq] = append(n.resultsBuf[e.Seq], *e)
+		switch cs := n.pool.consAt(e.Seq, true); {
+		case !cs.agreed:
+			cs.waiting = append(cs.waiting, e)
+		case cs.hash == e.TxID:
+			n.evaluateResult(e)
+		case cs.view == n.Rep.View():
+			// Speculation on a conflicting transaction in the current
+			// view: feeds the shepherd's re-execution monitor. Stale
+			// votes from superseded sequencing terms are not evidence
+			// against this view's leader.
+			n.viewMis++
 		}
 	}
 }
@@ -541,14 +526,11 @@ func (n *ConsNode) onResults(m *ResultMsg) {
 // vector must match the hash the leader proposed (or that agreement fixed)
 // for its sequence number.
 func (n *ConsNode) evaluateResult(e *ResultEntry) {
-	h, ok := n.agreed[e.Seq]
-	if !ok {
-		h, ok = n.proposedHash[e.Seq]
-	}
-	if !ok || h != e.TxID {
+	cs := n.pool.consAt(e.Seq, false)
+	if cs == nil || !cs.hashed || cs.hash != e.TxID {
 		return
 	}
-	if _, stored := n.persisted[e.Seq]; stored {
+	if cs.persisted != nil {
 		// localStore: only one result vector per sequence (§4.4).
 		return
 	}
@@ -575,8 +557,8 @@ func (n *ConsNode) evaluateResult(e *ResultEntry) {
 			return
 		}
 	}
-	n.persisted[e.Seq] = &m.persist
-	n.persistOut = append(n.persistOut, m.persist)
+	cs.persisted = &m.persist
+	n.persistOut = append(n.persistOut, cs.persisted)
 	if !n.persistArm {
 		n.persistArm = true
 		n.After(resultFlushInterval, func() {
@@ -715,10 +697,10 @@ func (n *ConsNode) onBlockFetch(from simnet.NodeID, m *BlockFetchReq) {
 // onPersistFetch re-sends this node's stored PERSIST entries for the
 // requested sequence numbers (persist-round loss recovery).
 func (n *ConsNode) onPersistFetch(from simnet.NodeID, m *PersistFetchReq) {
-	var entries []PersistEntry
+	var entries []*PersistEntry
 	for _, seq := range m.Seqs {
-		if pe, ok := n.persisted[seq]; ok {
-			entries = append(entries, *pe)
+		if cs := n.pool.consAt(seq, false); cs != nil && cs.persisted != nil {
+			entries = append(entries, cs.persisted)
 		}
 	}
 	if len(entries) == 0 {

@@ -529,7 +529,7 @@ func (r *indexRun) block(number int) {
 }
 
 func (r *indexRun) persist(what string, cn int, entries []PersistEntry) {
-	msg := &PersistMsg{Node: cn, Entries: entries}
+	msg := &PersistMsg{Node: cn, Entries: echoes(entries...)}
 	msg.sign(r.c.ConsNodes[cn].Sign)
 	from := r.c.ConsNodes[cn].Ep.ID()
 	for _, e := range entries {

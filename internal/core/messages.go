@@ -48,29 +48,15 @@ type SeqBatch struct {
 	Txns []types.SequencedTx
 
 	size int // lazy Size cache; batches are immutable once multicast
-	// ords[i] is the ordinal of Txns[i]'s hash in hashes, resolved once by the
-	// sequencer (resolve) for every receiver of that cluster; a batch built
-	// any other way carries none and each receiver interns the hashes itself.
-	hashes *dense.Table[types.TxID]
-	ords   []uint32
+	// ords are Txns' hashes' ordinals, resolved once by the sequencer
+	// (resolve) for every receiver of that cluster; a batch built any other
+	// way carries none and each receiver interns the hashes itself.
+	ords dense.Ordinals[types.TxID]
 }
 
-// resolve fills the ordinal memo; the sender calls it before the batch is
-// shared, receivers only read it.
+// resolve fills the ordinal memo before the batch is shared.
 func (m *SeqBatch) resolve(hashes *dense.Table[types.TxID]) {
-	m.hashes, m.ords = hashes, make([]uint32, len(m.Txns))
-	for i, st := range m.Txns {
-		m.ords[i] = hashes.Intern(st.Tx.ID())
-	}
-}
-
-// ordinal returns the ordinal of Txns[i]'s hash in hashes: the memo when it
-// was resolved in that table, else by interning, to the same value.
-func (m *SeqBatch) ordinal(i int, hashes *dense.Table[types.TxID]) uint32 {
-	if m.hashes == hashes {
-		return m.ords[i]
-	}
-	return hashes.Intern(m.Txns[i].Tx.ID())
+	m.ords.Resolve(hashes, make([]uint32, len(m.Txns)), func(i int) types.TxID { return m.Txns[i].Tx.ID() })
 }
 
 // Size implements simnet.Message. Computed once and cached: the batch fans
@@ -278,6 +264,7 @@ type ResultEntry struct {
 type resultMemo struct {
 	persist PersistEntry
 	parts   []crypto.Verdict // parallel with Vector
+	ord     [1]uint32        // holds persist.ord's one id, in the memo's allocation
 }
 
 // Consistent reports whether no organization flagged non-determinism.
@@ -344,10 +331,12 @@ func (e *ResultEntry) derive() *resultMemo {
 
 // warm attaches the memo; the assembling delegate calls it once so the
 // consensus nodes neither re-derive the echo nor re-verify the partitions,
-// and resolves the echo's keys in its state's table for the nodes that apply it.
-func (e *ResultEntry) warm(st *ledger.State) {
+// and resolves the echo's keys in its state's table and its hash in the
+// cluster's for the nodes that tally and apply it.
+func (e *ResultEntry) warm(st *ledger.State, hashes *dense.Table[types.TxID]) {
 	e.memo = e.derive()
 	e.memo.persist.kids = st.Resolve(e.memo.persist.Writes)
+	e.memo.persist.ord.Resolve(hashes, e.memo.ord[:], func(int) types.TxID { return e.TxID })
 }
 
 // Size implements simnet.Message. Cached on the sender's first send.
@@ -374,10 +363,12 @@ func writesSize(ws []ledger.Write) int {
 }
 
 // PersistMsg is a consensus node's batched PERSIST echo to all normal nodes
-// (Algo 1 line 18). One signature covers the batch.
+// (Algo 1 line 18). One signature covers the batch. Entries are shared, not
+// copied: an honest node sends the echo its vector's memo holds, so one
+// object per transaction reaches every normal node from every consensus node.
 type PersistMsg struct {
 	Node    int
-	Entries []PersistEntry
+	Entries []*PersistEntry
 	Sig     crypto.Signature
 
 	size int // lazy Size cache; persist echoes are immutable once multicast
@@ -426,10 +417,12 @@ type PersistEntry struct {
 	// partitions concurrently.
 	ck   crypto.Digest
 	ckOK bool
-	// kids is Writes' keys as ids in the assembling delegate's key table
-	// (ResultEntry.warm), so every node of the deployment applies the result
-	// by array index; empty on an entry built any other way.
+	// kids is Writes' keys as ids in the assembling delegate's key table, and
+	// ord TxID's ordinal in its cluster's hash table (ResultEntry.warm), so
+	// every node of the deployment applies the result by array index and finds
+	// the hash's record without a lookup; empty on an entry built any other way.
 	kids ledger.KeyIDs
+	ord  dense.Ordinals[types.TxID]
 }
 
 // contentKey digests the entry's full content; normal nodes count PERSIST
@@ -458,10 +451,9 @@ func (e *PersistEntry) warmContentKey() {
 
 // persistSigningBytes covers the batch content. The buffer is sized exactly,
 // so the build is one allocation.
-func persistSigningBytes(node int, entries []PersistEntry) []byte {
+func persistSigningBytes(node int, entries []*PersistEntry) []byte {
 	size := 1
-	for i := range entries {
-		e := &entries[i]
+	for _, e := range entries {
 		size += 8 + len(e.TxID) + len(e.VecDigest) + len(e.ResultDigest) + writesSize(e.Writes) - 2*len(e.Writes)
 		if e.Consistent {
 			size++
@@ -472,8 +464,7 @@ func persistSigningBytes(node int, entries []PersistEntry) []byte {
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, byte(node))
-	for i := range entries {
-		e := &entries[i]
+	for _, e := range entries {
 		for b := 0; b < 8; b++ {
 			buf = append(buf, byte(e.Seq>>(8*(7-b))))
 		}

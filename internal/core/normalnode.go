@@ -29,26 +29,34 @@ type vectorBuild struct {
 
 // persistStatus tracks PERSIST quorum formation for one sequence number, by
 // value in its slot; the zero value is the empty tally. Honest runs see one
-// content key per sequence, so votes for the first-seen key are a bitmask, one
-// bit per consensus node; only a diverging key (byzantine sender) spills.
+// echo per sequence, one shared object, so votes for the first-seen echo's
+// content key are a bitmask, one bit per consensus node, and a vote carrying
+// that very object is counted without digesting anything; only a diverging
+// key (byzantine sender) spills.
 type persistStatus struct {
-	key0     crypto.Digest
-	votes0   [2]uint64 // votes for key0 from consensus nodes 0..127
-	spill    map[crypto.Digest]map[int]bool
-	haveKey0 bool
+	first  *PersistEntry // the first echo voted for; key0 is its content key
+	key0   crypto.Digest
+	votes0 [2]uint64 // votes for key0 from consensus nodes 0..127
+	spill  map[crypto.Digest]map[int]bool
 	// result is the echo that reached 2f+1 matching votes, nil until one
 	// does: the canonical result the node adopts (§4.4 retrievability).
 	result *PersistEntry
 }
 
-// vote records node's vote for key and returns how many distinct nodes have
-// voted for that key so far. Votes for the first-seen key never allocate;
-// other keys (and node indices outside the bitmask) land in the spill map.
-func (ps *persistStatus) vote(key crypto.Digest, node int) int {
-	if !ps.haveKey0 {
-		ps.key0, ps.haveKey0 = key, true
+// vote records node's vote for e's content and returns how many distinct
+// nodes have voted for that content so far. Votes for the first-seen content
+// never allocate; other keys (and node indices outside the bitmask) land in
+// the spill map.
+func (ps *persistStatus) vote(e *PersistEntry, node int) int {
+	if ps.first == nil {
+		ps.first, ps.key0 = e, e.contentKey()
 	}
-	if key == ps.key0 && uint(node) < 64*uint(len(ps.votes0)) {
+	key, same := ps.key0, e == ps.first
+	if !same {
+		key = e.contentKey()
+		same = key == ps.key0
+	}
+	if same && uint(node) < 64*uint(len(ps.votes0)) {
 		ps.votes0[node/64] |= 1 << (node % 64)
 	} else {
 		if ps.spill == nil {
@@ -61,8 +69,11 @@ func (ps *persistStatus) vote(key crypto.Digest, node int) int {
 		}
 		set[node] = true
 	}
-	n := len(ps.spill[key])
-	if key == ps.key0 {
+	n := 0
+	if ps.spill != nil {
+		n = len(ps.spill[key])
+	}
+	if same {
 		n += bits.OnesCount64(ps.votes0[0]) + bits.OnesCount64(ps.votes0[1])
 	}
 	return n
@@ -229,7 +240,7 @@ func (n *NormalNode) onSeqBatch(m *SeqBatch) {
 			// their crafted transactions stop occupying sequence slots.
 			continue
 		}
-		ord := m.ordinal(i, n.pool.hashes)
+		ord := m.ords.Intern(n.pool.hashes, i, st.Tx.ID())
 		res := n.pool.addOrd(st.Seq, st.Tx, ord)
 		if res == poolDupSeq {
 			if r := n.pool.recs.Get(ord); r != nil && r.agreed && r.agreedSeq == st.Seq {
@@ -523,7 +534,7 @@ func (n *NormalNode) tryFinishVector(tx *types.Transaction, vb *vectorBuild) {
 	for _, o := range orgs {
 		entry.Vector = append(entry.Vector, vb.got[o])
 	}
-	entry.warm(n.base)
+	entry.warm(n.base, n.pool.hashes)
 	n.resultOut = append(n.resultOut, entry)
 	n.armFlush()
 }
@@ -615,18 +626,18 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 		return
 	}
 	progressed := false
-	for i := range m.Entries {
-		e := &m.Entries[i]
-		// By sequence number first: while the named slot holds the entry's
-		// payload it cannot have committed, and the lookup by hash is skipped.
-		if s := n.pool.slotAt(e.Seq); (s == nil || s.tx.ID() != e.TxID) && n.pool.isCommitted(e.TxID) {
-			continue
+	for _, e := range m.Entries {
+		// A receiver never interns: a hash its table lacks was never committed.
+		if ord, ok := e.ord.Lookup(n.pool.hashes, 0, e.TxID); ok {
+			if r := n.pool.recs.Get(ord); r != nil && r.committed {
+				continue
+			}
 		}
 		ps := &n.pool.note(e.Seq).persist
 		if ps.result != nil {
 			continue
 		}
-		if ps.vote(e.contentKey(), m.Node) >= n.c.Cfg.quorum() {
+		if ps.vote(e, m.Node) >= n.c.Cfg.quorum() {
 			ps.result = e
 			progressed = true
 			if n.isDelegate() {

@@ -58,12 +58,26 @@ type nodeSlot struct {
 	persist persistStatus
 }
 
+// consSlot is what a consensus node keeps besides, never recycled: the hash
+// proposed at the sequence number until one is agreed, then the agreed hash
+// and the view it was agreed in; the echo of the one result vector it accepted
+// (localStore(), §4.4, Lemma 5.2); and the vectors that wait for a hash.
+type consSlot struct {
+	hash           types.TxID
+	view           uint64
+	hashed, agreed bool
+	persisted      *PersistEntry
+	waiting        []*ResultEntry
+}
+
 // page holds pageSize consecutive sequence numbers; held and noted have a bit
-// per payload and per non-zero node slot. A page with none is recycled.
+// per payload and per non-zero node slot. A page with none, and no consensus
+// node slots, is recycled.
 type page struct {
 	key, held, noted uint64
 	slots            [pageSize]slot
 	node             *[pageSize]nodeSlot // normal nodes only, allocated on first use
+	cons             *[pageSize]consSlot // consensus nodes only, likewise
 }
 
 // newTxPool returns a pool over a hash table of its own; a cluster's nodes
@@ -98,7 +112,7 @@ func (p *txPool) page(seq uint64, create bool) *page {
 
 // release recycles pg once nothing in it is in use.
 func (p *txPool) release(pg *page) {
-	if pg.held|pg.noted == 0 {
+	if pg.held|pg.noted == 0 && pg.cons == nil {
 		delete(p.pages, pg.key)
 		p.last = nil
 		p.spare = append(p.spare, pg)
@@ -214,12 +228,6 @@ func (p *txPool) commit(r *txRec) {
 	}
 }
 
-// isCommitted reports whether the hash already committed.
-func (p *txPool) isCommitted(id types.TxID) bool {
-	r := p.known(id)
-	return r != nil && r.committed
-}
-
 // replace forcibly installs tx at seq, evicting any different occupant —
 // the authoritative path for batches arriving from the leader's own
 // co-located sequencer, which a racing broadcaster must never displace.
@@ -301,6 +309,19 @@ func (p *txPool) note(seq uint64) *nodeSlot {
 	return &pg.node[seq&pageMask]
 }
 
+// consAt returns seq's consensus node slot; create adds a missing one, else
+// it is nil. The pointer is good for the pool's life.
+func (p *txPool) consAt(seq uint64, create bool) *consSlot {
+	pg := p.page(seq, create)
+	if pg == nil || (pg.cons == nil && !create) {
+		return nil
+	}
+	if pg.cons == nil {
+		pg.cons = new([pageSize]consSlot)
+	}
+	return &pg.cons[seq&pageMask]
+}
+
 // dropSpecs discards every speculative result and returns how many there were.
 func (p *txPool) dropSpecs() (dropped int) {
 	for _, pg := range p.pages {
@@ -309,7 +330,7 @@ func (p *txPool) dropSpecs() (dropped int) {
 			if ns := &pg.node[i]; ns.spec != nil {
 				ns.spec, ns.orgRes = nil, nil
 				dropped++
-				if !ns.persist.haveKey0 {
+				if ns.persist.first == nil {
 					pg.noted &^= 1 << i
 				}
 			}

@@ -10,6 +10,12 @@ func poolTx(n uint64) *types.Transaction {
 	return &types.Transaction{Client: "c", Nonce: n, Contract: "x", Fn: "f"}
 }
 
+// isCommitted reports whether the hash already committed.
+func (p *txPool) isCommitted(id types.TxID) bool {
+	r := p.known(id)
+	return r != nil && r.committed
+}
+
 func TestPoolFirstReceivedWins(t *testing.T) {
 	p := newTxPool()
 	a, b := poolTx(1), poolTx(2)

@@ -53,6 +53,42 @@ func (t *Table[K]) Names() []K {
 	return t.names[:len(t.names):len(t.names)]
 }
 
+// Ordinals memoises the ids of a shared message's names in one table: the
+// sender resolves them once (Resolve) and every receiver on that table reads
+// them. A receiver on another table, or of a message nobody resolved, gets
+// the same id by name; the memo is never written once the message is shared.
+type Ordinals[K comparable] struct {
+	table *Table[K]
+	ids   []uint32
+}
+
+// Resolve interns len(ids) names in t, name(i) being the i-th, into ids,
+// which the memo keeps: the caller chooses where the ids live.
+func (o *Ordinals[K]) Resolve(t *Table[K], ids []uint32, name func(i int) K) {
+	o.table, o.ids = t, ids
+	for i := range ids {
+		ids[i] = t.Intern(name(i))
+	}
+}
+
+// Intern returns the id in t of the i-th name, which is name, adding it to t
+// if new: for a caller that records the name (pools a payload, marks a hash).
+func (o *Ordinals[K]) Intern(t *Table[K], i int, name K) uint32 {
+	if o.table == t {
+		return o.ids[i]
+	}
+	return t.Intern(name)
+}
+
+// Lookup returns the id in t of the i-th name, which is name, if t has one,
+// never adding it: for a caller that only reads (tallies an echo).
+func (o *Ordinals[K]) Lookup(t *Table[K], i int, name K) (uint32, bool) {
+	if o.table == t {
+		return o.ids[i], true
+	}
+	return t.Lookup(name)
+}
+
 // Pages are PageSize consecutive ids each: small enough that an owner who
 // touches a handful of ids pays for a handful, fixed so that a pointer into
 // one stays good for the owner's life.

@@ -83,3 +83,31 @@ func TestPages(t *testing.T) {
 		t.Fatal("a neighbour in a stored page does not read as the zero record")
 	}
 }
+
+// A memo resolved in one table is read only by a reader on that table: a
+// reader on another table, or of an unresolved memo, gets that table's id by
+// name, and Lookup never adds a name.
+func TestOrdinals(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	home, other := NewTable[string](), NewTable[string]()
+	other.Intern("c")
+	var memo, none Ordinals[string]
+	memo.Resolve(home, make([]uint32, len(names)), func(i int) string { return names[i] })
+	for i, name := range names {
+		if id := memo.Intern(home, i, name); id != uint32(i) {
+			t.Fatalf("%s: memo id %d in the resolving table, want %d", name, id, i)
+		}
+		if id, ok := none.Lookup(home, i, name); !ok || id != uint32(i) {
+			t.Fatalf("%s: unresolved Lookup = %d, %t, want %d", name, id, ok, i)
+		}
+	}
+	if id, ok := memo.Lookup(other, 2, "c"); !ok || id != 0 {
+		t.Fatalf("c: Lookup in another table = %d, %t, want that table's 0", id, ok)
+	}
+	if _, ok := memo.Lookup(other, 0, "a"); ok || len(other.Names()) != 1 {
+		t.Fatalf("Lookup in another table found or added a name it never held (%d names)", len(other.Names()))
+	}
+	if id := memo.Intern(other, 0, "a"); id != 1 || len(other.Names()) != 2 {
+		t.Fatalf("Intern in another table = %d, want the next id 1", id)
+	}
+}
