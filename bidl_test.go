@@ -5,20 +5,37 @@ import (
 	"time"
 )
 
+// smallSpec is an 8-organization deployment offered rate txns/s for 200 ms
+// of load, simulated to 1 s.
+func smallSpec(framework string, rate float64) Scenario {
+	var s Scenario
+	s.Framework = framework
+	s.Nodes.Orgs = 8
+	s.Tuning.BlockSize = 50
+	s.Tuning.BlockTimeout = ScenarioDuration(5 * time.Millisecond)
+	s.Workload.Clients, s.Workload.Accounts = 10, 500
+	s.Load.Rate, s.Load.Window = rate, ScenarioDuration(200*time.Millisecond)
+	s.Load.Drain = ScenarioDuration(800 * time.Millisecond)
+	return s
+}
+
+// runSmall runs s and summarizes every commit of the whole run.
+func runSmall(t *testing.T, s Scenario, rc ScenarioRunConfig) (ScenarioResult, Summary) {
+	t.Helper()
+	res, err := RunScenarioWith(s, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SafetyErr != nil {
+		t.Fatal(res.SafetyErr)
+	}
+	return res, res.Collector.Summarize(0, 2*time.Second)
+}
+
 func TestSystemEndToEnd(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumOrgs = 8
-	cfg.BlockSize = 50
-	cfg.BlockTimeout = 5 * time.Millisecond
-	w := DefaultWorkload(cfg.NumOrgs)
-	w.NumClients = 10
-	w.Accounts = 500
-	sys := NewSystem(cfg, w)
-	n := sys.SubmitRate(5000, 200*time.Millisecond)
-	sys.Run(time.Second)
-	sum := sys.Summary(0, time.Second)
-	if sum.Committed != n {
-		t.Fatalf("committed %d of %d", sum.Committed, n)
+	res, sum := runSmall(t, smallSpec(FrameworkBIDL, 5000), ScenarioRunConfig{})
+	if sum.Committed != res.Submitted {
+		t.Fatalf("committed %d of %d", sum.Committed, res.Submitted)
 	}
 	if sum.AbortRate != 0 {
 		t.Fatalf("abort rate %.2f on deterministic workload", sum.AbortRate)
@@ -26,32 +43,18 @@ func TestSystemEndToEnd(t *testing.T) {
 	if sum.AvgLatency <= 0 || sum.AvgLatency > 100*time.Millisecond {
 		t.Fatalf("latency %v", sum.AvgLatency)
 	}
-	if err := sys.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBaselineSystemEndToEnd(t *testing.T) {
-	for _, v := range []BaselineVariant{HLF, FastFabric, StreamChain} {
-		cfg := DefaultBaselineConfig(v)
-		cfg.NumOrgs = 8
-		cfg.BlockSize = 50
-		cfg.BlockTimeout = 5 * time.Millisecond
-		if v == StreamChain {
-			cfg.BlockSize = 1
-			cfg.BlockTimeout = 500 * time.Microsecond
+	for _, fw := range []string{FrameworkHLF, FrameworkFastFabric, FrameworkStreamChain} {
+		s := smallSpec(fw, 1000)
+		s.Load.Drain = ScenarioDuration(1800 * time.Millisecond)
+		if fw == FrameworkStreamChain {
+			s.Tuning.BlockSize = 1
+			s.Tuning.BlockTimeout = ScenarioDuration(500 * time.Microsecond)
 		}
-		w := DefaultWorkload(cfg.NumOrgs)
-		w.NumClients = 10
-		w.Accounts = 500
-		sys := NewBaselineSystem(cfg, w)
-		n := sys.SubmitRate(1000, 200*time.Millisecond)
-		sys.Run(2 * time.Second)
-		if got := sys.Summary(0, 2*time.Second).Committed; got != n {
-			t.Fatalf("variant %v committed %d of %d", v, got, n)
-		}
-		if err := sys.CheckSafety(); err != nil {
-			t.Fatal(err)
+		if res, sum := runSmall(t, s, ScenarioRunConfig{}); sum.Committed != res.Submitted {
+			t.Fatalf("%s committed %d of %d", fw, sum.Committed, res.Submitted)
 		}
 	}
 }
@@ -81,16 +84,8 @@ func TestExperimentsRegistryComplete(t *testing.T) {
 
 func TestDeterministicSystems(t *testing.T) {
 	run := func() Summary {
-		cfg := DefaultConfig()
-		cfg.NumOrgs = 8
-		cfg.BlockSize = 50
-		w := DefaultWorkload(cfg.NumOrgs)
-		w.NumClients = 10
-		w.Accounts = 500
-		sys := NewSystem(cfg, w)
-		sys.SubmitRate(3000, 200*time.Millisecond)
-		sys.Run(time.Second)
-		return sys.Summary(0, time.Second)
+		_, sum := runSmall(t, smallSpec(FrameworkBIDL, 3000), ScenarioRunConfig{})
+		return sum
 	}
 	a, b := run(), run()
 	if a != b {

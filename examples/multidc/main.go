@@ -13,31 +13,35 @@ import (
 	"github.com/bidl-framework/bidl"
 )
 
-func main() {
-	const rate = 15000
-	window := time.Second
+// run offers 15k txns/s for 1 s to setting A spread over four datacenters
+// whose inter-DC pipes share gbps, and returns the throughput measured from
+// 300 ms on and the bytes that crossed datacenters.
+func run(gbps float64, optDisabled bool) (float64, uint64) {
+	var s bidl.Scenario
+	s.Nodes.Datacenters = 4
+	s.Topology.InterDCGbps = gbps // the default inter-DC latency is 10 ms: 20 ms RTT
+	s.Tuning.ViewTimeout = bidl.ScenarioDuration(400 * time.Millisecond)
+	s.Tuning.BlockTimeout = bidl.ScenarioDuration(25 * time.Millisecond)
+	s.Tuning.DisableMulticast, s.Tuning.ConsensusOnPayload = optDisabled, optDisabled
+	s.Workload.Seed = 7
+	s.Load.Rate, s.Load.Window = 15000, bidl.ScenarioDuration(time.Second)
+	s.Load.Warmup = bidl.ScenarioDuration(300 * time.Millisecond)
+	s.Load.Drain = bidl.ScenarioDuration(time.Second)
 
-	run := func(gbps float64, optDisabled bool) (float64, uint64) {
-		cfg := bidl.DefaultConfig()
-		cfg.NumDCs = 4
-		cfg.Topology = bidl.MultiDCTopology(bidl.GbpsBandwidth(gbps))
-		cfg.Topology.InterLatency = 10 * time.Millisecond // 20 ms RTT
-		cfg.ViewTimeout = 400 * time.Millisecond
-		cfg.BlockTimeout = 25 * time.Millisecond
-		if optDisabled {
-			cfg.DisableMulticast = true
-			cfg.ConsensusOnPayload = true
-		}
-		sys := bidl.NewSystem(cfg, bidl.DefaultWorkload(cfg.NumOrgs))
-		sys.SubmitRate(rate, window)
-		sys.Run(window + time.Second)
-		if err := sys.CheckSafety(); err != nil {
-			log.Fatal(err)
-		}
-		return sys.Summary(300*time.Millisecond, window).Throughput,
-			sys.Cluster.Net.InterDCBytes()
+	var interDC uint64
+	res, err := bidl.RunScenarioWith(s, bidl.ScenarioRunConfig{Observe: func(h bidl.Harness) {
+		interDC = h.(*bidl.Cluster).Net.InterDCBytes()
+	}})
+	if err == nil {
+		err = res.SafetyErr
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Throughput, interDC
+}
 
+func main() {
 	fmt.Println("BIDL across 4 datacenters (20 ms inter-DC RTT), offered 15k txns/s")
 	fmt.Println("bandwidth   bidl txns/s  (interDC MB)   opt-disabled txns/s  (interDC MB)")
 	for _, gbps := range []float64{10, 2, 1} {

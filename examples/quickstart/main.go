@@ -1,5 +1,5 @@
-// Quickstart: build a BIDL network, submit SmallBank transfers, and watch
-// them commit with speculative execution.
+// Quickstart: describe a BIDL network as a scenario, offer it SmallBank
+// transfers, and watch them commit with speculative execution.
 package main
 
 import (
@@ -13,36 +13,40 @@ import (
 func main() {
 	// A small deployment: 4 consensus nodes (tolerating 1 Byzantine),
 	// 8 organizations with one normal node each.
-	cfg := bidl.DefaultConfig()
-	cfg.NumOrgs = 8
-	cfg.BlockSize = 100
-	cfg.BlockTimeout = 5 * time.Millisecond
+	var s bidl.Scenario
+	s.Nodes.Orgs = 8
+	s.Tuning.BlockSize = 100
+	s.Tuning.BlockTimeout = bidl.ScenarioDuration(5 * time.Millisecond)
+	s.Workload.Clients, s.Workload.Accounts = 10, 1000
 
-	w := bidl.DefaultWorkload(cfg.NumOrgs)
-	w.NumClients = 10
-	w.Accounts = 1000
+	// 500 money transfers over 50 ms of virtual time, then 950 ms to drain.
+	s.Load.Rate, s.Load.Window = 10000, bidl.ScenarioDuration(50*time.Millisecond)
+	s.Load.Drain = bidl.ScenarioDuration(950 * time.Millisecond)
 
-	sys := bidl.NewSystem(cfg, w)
-
-	// Submit 500 money transfers over 50 ms of virtual time.
-	for i := 0; i < 500; i++ {
-		sys.Submit(time.Duration(i)*100*time.Microsecond, sys.Gen.Next())
+	// Observe sees the cluster once the simulation ends.
+	var blocks uint64
+	var balance string
+	res, err := bidl.RunScenarioWith(s, bidl.ScenarioRunConfig{Observe: func(h bidl.Harness) {
+		c := h.(*bidl.Cluster)
+		blocks = c.TotalCommitHeight()
+		// An account balance on an organization's normal node.
+		if val, _, ok := c.Orgs[0][0].State().Get("sb:chk:acct-0"); ok {
+			balance = string(val)
+		}
+	}})
+	if err != nil {
+		log.Fatal(err)
 	}
-	sys.Run(time.Second)
 
 	fmt.Println("BIDL quickstart")
-	fmt.Println("  ", sys.Summary(0, time.Second))
-	fmt.Printf("   blocks committed: %d\n", sys.Cluster.TotalCommitHeight())
+	fmt.Printf("   submitted %d: %v\n", res.Submitted, res.Summary)
+	fmt.Printf("   blocks committed: %d\n", blocks)
 
 	// The safety guarantee (§3.1): every correct node holds the same chain
 	// and organizations agree on the world state.
-	if err := sys.CheckSafety(); err != nil {
-		log.Fatal(err)
+	if res.SafetyErr != nil {
+		log.Fatal(res.SafetyErr)
 	}
 	fmt.Println("   safety: all correct nodes consistent")
-
-	// Peek at an account balance on an organization's normal node.
-	if val, _, ok := sys.Cluster.Orgs[0][0].State().Get("sb:chk:acct-0"); ok {
-		fmt.Printf("   acct-0 checking balance at org0: %s\n", val)
-	}
+	fmt.Printf("   acct-0 checking balance at org0: %s\n", balance)
 }

@@ -15,44 +15,38 @@ import (
 	"github.com/bidl-framework/bidl"
 )
 
-const (
-	rate       = 15000
-	window     = time.Second
-	contention = 0.5 // half of all transfers touch the 1% hot accounts
-)
+const contention = 0.5 // half of all transfers touch the 1% hot accounts
+
+// run offers 15k txns/s of the contended workload for 1 s to 20
+// organizations of framework, measuring after a 200 ms warm-up.
+func run(framework string) bidl.ScenarioResult {
+	var s bidl.Scenario
+	s.Framework = framework
+	s.Nodes.Orgs = 20
+	s.Workload.Contention = contention
+	s.Workload.Seed = 7
+	s.Load.Rate, s.Load.Window = 15000, bidl.ScenarioDuration(time.Second)
+	res, err := bidl.RunScenario(s)
+	if err == nil {
+		err = res.SafetyErr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
 
 func main() {
 	fmt.Printf("Supply-chain workload: %.0f%% of transfers touch hot items\n\n", contention*100)
 
-	// BIDL.
-	cfg := bidl.DefaultConfig()
-	cfg.NumOrgs = 20
-	w := bidl.DefaultWorkload(cfg.NumOrgs)
-	w.ContentionRatio = contention
-	sys := bidl.NewSystem(cfg, w)
-	sys.SubmitRate(rate, window)
-	sys.Run(window + 500*time.Millisecond)
-	b := sys.Summary(200*time.Millisecond, window)
-	if err := sys.CheckSafety(); err != nil {
-		log.Fatal(err)
-	}
+	b := run(bidl.FrameworkBIDL)
 	fmt.Printf("  BIDL:       throughput=%.0f txns/s abort_rate=%.1f%% (sequence-ordered execution)\n",
 		b.Throughput, b.AbortRate*100)
 
 	// FastFabric on the identical workload.
-	fcfg := bidl.DefaultBaselineConfig(bidl.FastFabric)
-	fcfg.NumOrgs = 20
-	fw := bidl.DefaultWorkload(fcfg.NumOrgs)
-	fw.ContentionRatio = contention
-	fsys := bidl.NewBaselineSystem(fcfg, fw)
-	fsys.SubmitRate(rate, window)
-	fsys.Run(window + 500*time.Millisecond)
-	f := fsys.Summary(200*time.Millisecond, window)
-	if err := fsys.CheckSafety(); err != nil {
-		log.Fatal(err)
-	}
+	f := run(bidl.FrameworkFastFabric)
 	fmt.Printf("  FastFabric: throughput=%.0f txns/s abort_rate=%.1f%% (MVCC aborts: %d)\n",
-		f.Throughput, f.AbortRate*100, fsys.Collector().MVCCAborts)
+		f.Throughput, f.AbortRate*100, f.Collector.MVCCAborts)
 
 	fmt.Println("\nBIDL eliminates contention aborts by executing contending transactions")
 	fmt.Println("in sequence-number order (§4.3); FastFabric endorses them in parallel")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -63,7 +64,7 @@ func testBlock(t testing.TB, c *Cluster, number uint64, txns []*types.Transactio
 	keys := c.Orderers[0].keys
 	for i, tx := range txns {
 		env := endorsedEnvelope(t, c, tx, nil, []ledger.Write{{Key: fmt.Sprintf("k-%d-%d", number, i), Val: []byte("v")}})
-		env.rkeys, env.wkeys = keys.ResolveReads(env.Reads), keys.Resolve(env.Writes)
+		resolveKeys(keys, env)
 		blk.Envs = append(blk.Envs, env)
 	}
 	blk.resolve(c.Hashes)
@@ -140,8 +141,8 @@ func TestTamperedEnvelopeCopyRejected(t *testing.T) {
 // none at all give the same states, aborts and chains as keys by name.
 func TestEnvelopeKeyIDsOrNoneSameOutcome(t *testing.T) {
 	c, peers, batch := quietCluster(t, smallConfig(FastFabric))
-	foreign := ledger.NewState() // stands for another deployment's table
-	build := func(number uint64, txns []*types.Transaction, resolver *ledger.State) *FabricBlock {
+	foreign := ledger.NewResolver(dense.NewTable[string]()) // another deployment's table
+	build := func(number uint64, txns []*types.Transaction, resolver *ledger.Resolver) *FabricBlock {
 		blk := &FabricBlock{Number: number}
 		for i, tx := range txns {
 			// Every envelope read key "shared" when nobody had written it, and
@@ -158,14 +159,14 @@ func TestEnvelopeKeyIDsOrNoneSameOutcome(t *testing.T) {
 			}
 			env := endorsedEnvelope(t, c, tx, reads, writes)
 			if resolver != nil {
-				env.rkeys, env.wkeys = resolver.ResolveReads(reads), resolver.Resolve(writes)
+				resolveKeys(resolver, env)
 			}
 			blk.Envs = append(blk.Envs, env)
 		}
 		return blk
 	}
 	txns := batch(8)
-	for i, resolver := range []*ledger.State{c.Orderers[0].keys, foreign, nil} {
+	for i, resolver := range []*ledger.Resolver{c.Orderers[0].keys, foreign, nil} {
 		deliver(c, peers[i], build(0, txns, resolver))
 	}
 	if got := c.Collector.MVCCAborts; got != 3*5 {

@@ -32,9 +32,8 @@ type Orderer struct {
 	pendingEnvs []*Envelope
 	byHash      map[types.TxID]*Envelope
 	batchArmed  bool
-	// keys resolves the keys of proposed envelopes in the deployment's table;
-	// of the state only the table and its id chunks are used.
-	keys *ledger.State
+	// keys resolves the keys of proposed envelopes in the deployment's table.
+	keys *ledger.Resolver
 
 	delivered   map[uint64]*FabricBlock
 	chainHeight uint64
@@ -50,7 +49,7 @@ func newOrderer(c *Cluster) *Orderer {
 	return &Orderer{
 		c:           c,
 		byHash:      make(map[types.TxID]*Envelope),
-		keys:        ledger.NewStateOn(c.Keys),
+		keys:        ledger.NewResolver(c.Keys),
 		delivered:   make(map[uint64]*FabricBlock),
 		proposeTime: make(map[crypto.Digest]time.Duration),
 	}
@@ -138,6 +137,12 @@ func (o *Orderer) maybeBatch() {
 	}
 }
 
+// resolveKeys memoises the ids of env's read and write keys for the peers.
+func resolveKeys(r *ledger.Resolver, env *Envelope) {
+	env.rkeys = r.Resolve(len(env.Reads), func(i int) string { return env.Reads[i].Key })
+	env.wkeys = r.Resolve(len(env.Writes), func(i int) string { return env.Writes[i].Key })
+}
+
 func (o *Orderer) proposeBatch(envs []*Envelope) {
 	hashes := make([]types.TxID, len(envs))
 	seqs := make([]uint64, len(envs))
@@ -145,7 +150,7 @@ func (o *Orderer) proposeBatch(envs []*Envelope) {
 	for i, env := range envs {
 		hashes[i] = env.Tx.ID()
 		total += env.Size()
-		env.rkeys, env.wkeys = o.keys.ResolveReads(env.Reads), o.keys.Resolve(env.Writes)
+		resolveKeys(o.keys, env)
 	}
 	// HLF: disseminate payloads to the other consensus nodes so they can
 	// verify the proposal contents.

@@ -384,17 +384,7 @@ func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction, r *txRec) {
 	if tr := n.c.Tracer; tr != nil && n.speaksFor(tx) {
 		tr.TxStage(tx.ID(), trace.StageExecStart, int(n.ep.ID()), n.ctx.Now())
 	}
-	n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
-	rw := n.c.Registry.Execute(n.overlay, tx, n.nondet)
-	ns := n.pool.note(seq)
-	ns.spec, ns.orgRes = r, nil
-	// The redundant non-determinism check must run against the same
-	// pre-state, before the first execution's writes land in the overlay.
-	if n.isDelegate() {
-		res := n.makeOrgResult(seq, tx, rw)
-		ns.orgRes = &res
-	}
-	n.overlayApply(rw)
+	n.execute(seq, tx, r, true)
 	atomic.AddUint64(&n.c.Collector.Speculated, 1)
 	if tr := n.c.Tracer; tr != nil && n.speaksFor(tx) {
 		tr.TxStage(tx.ID(), trace.StageExecuted, int(n.ep.ID()), n.ctx.Now())
@@ -403,6 +393,24 @@ func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction, r *txRec) {
 		n.c.Collector.Phase(metrics.PhaseVerexec, n.ctx.Now()-s.arrival)
 		s.arrival = -1
 	}
+}
+
+// execute runs related transaction tx, pooled as r, at seq against the
+// overlay and, at the delegate, routes this org's signed partition of the
+// result. vote false keeps the delegate silent: a re-execution does not vote
+// again for a result that already persisted.
+func (n *NormalNode) execute(seq uint64, tx *types.Transaction, r *txRec, vote bool) {
+	n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
+	rw := n.c.Registry.Execute(n.overlay, tx, n.nondet)
+	ns := n.pool.note(seq)
+	ns.spec, ns.orgRes = r, nil
+	// The redundant non-determinism check must run against the same
+	// pre-state, before the first execution's writes land in the overlay.
+	if vote && n.isDelegate() {
+		res := n.makeOrgResult(seq, tx, rw)
+		ns.orgRes = &res
+	}
+	n.overlayApply(rw)
 	if ns.orgRes != nil {
 		n.routeOrgResult(seq, tx, *ns.orgRes)
 	}
@@ -837,20 +845,9 @@ func (n *NormalNode) executeBlock(pb *pendingBlock) {
 	// writes of later-sequenced transactions.
 	n.specReset()
 	for _, i := range related {
-		seq, tx := pb.seqs[i], n.pool.payload(pb.recs[i])
-		n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
-		rw := n.c.Registry.Execute(n.overlay, tx, n.nondet)
-		ns := n.pool.note(seq)
-		ns.spec, ns.orgRes = pb.recs[i], nil
-		if n.isDelegate() && ns.persist.result == nil {
-			res := n.makeOrgResult(seq, tx, rw)
-			ns.orgRes = &res
-		}
-		n.overlayApply(rw)
+		seq, r := pb.seqs[i], pb.recs[i]
+		n.execute(seq, n.pool.payload(r), r, !n.pool.persisted(seq))
 		atomic.AddUint64(&n.c.Collector.Reexecuted, 1)
-		if ns.orgRes != nil {
-			n.routeOrgResult(seq, tx, *ns.orgRes)
-		}
 	}
 	// Results flushed immediately: commit is waiting on them.
 	n.flushResults()

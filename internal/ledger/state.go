@@ -56,8 +56,8 @@ type State struct {
 	// neither shadowed nor tombstoned. Maintained incrementally so Len stays
 	// O(1) with a functional base.
 	size int
-	// idbuf is what Resolve cuts its id slices from.
-	idbuf []uint32
+	// ids resolves write sets in keys (Resolve).
+	ids Resolver
 }
 
 // NewState returns an empty world state with a key table of its own.
@@ -67,7 +67,9 @@ func NewState() *State { return NewStateOn(dense.NewTable[string]()) }
 // replicas of one deployment share a table: a key is then named once, not
 // once per node, Equal between two of them compares arrays, and a write set
 // resolved by one (Resolve) applies on all by index.
-func NewStateOn(keys *dense.Table[string]) *State { return &State{keys: keys} }
+func NewStateOn(keys *dense.Table[string]) *State {
+	return &State{keys: keys, ids: Resolver{table: keys}}
+}
 
 // SetBase attaches a shared immutable base layer. It must be called on an
 // empty state (prepopulation happens before any traffic by lifecycle
@@ -169,33 +171,34 @@ type KeyIDs struct {
 	ids   []uint32
 }
 
-// Resolve returns the ids of writes' keys in s's key table. The id slices
-// are cut from chunks, so resolving costs no allocation per write set.
+// Resolver resolves key sets in one key table, for a holder of that table
+// that may hold no state at all (an orderer). It cuts the id slices from a
+// chunk of its own, so resolving costs no allocation per key set.
+type Resolver struct {
+	table *dense.Table[string]
+	chunk []uint32
+}
+
+// NewResolver returns a resolver over table.
+func NewResolver(table *dense.Table[string]) *Resolver { return &Resolver{table: table} }
+
+// Resolve returns the ids of n keys, key(i) being the i-th, interning new
+// ones.
+func (r *Resolver) Resolve(n int, key func(i int) string) KeyIDs {
+	if len(r.chunk) < n {
+		r.chunk = make([]uint32, max(n, 1024))
+	}
+	ids := r.chunk[:n:n]
+	r.chunk = r.chunk[n:]
+	for i := range ids {
+		ids[i] = r.table.Intern(key(i))
+	}
+	return KeyIDs{table: r.table, ids: ids}
+}
+
+// Resolve returns the ids of writes' keys in s's key table.
 func (s *State) Resolve(writes []Write) KeyIDs {
-	ids := s.cut(len(writes))
-	for i, w := range writes {
-		ids[i] = s.keys.Intern(w.Key)
-	}
-	return KeyIDs{table: s.keys, ids: ids}
-}
-
-// ResolveReads is Resolve for a read set's keys.
-func (s *State) ResolveReads(reads []Read) KeyIDs {
-	ids := s.cut(len(reads))
-	for i, r := range reads {
-		ids[i] = s.keys.Intern(r.Key)
-	}
-	return KeyIDs{table: s.keys, ids: ids}
-}
-
-// cut returns the next n ids of the chunk.
-func (s *State) cut(n int) []uint32 {
-	if len(s.idbuf) < n {
-		s.idbuf = make([]uint32, max(n, 1024))
-	}
-	ids := s.idbuf[:n:n]
-	s.idbuf = s.idbuf[n:]
-	return ids
+	return s.ids.Resolve(len(writes), func(i int) string { return writes[i].Key })
 }
 
 // ApplyResolved is Apply for a write set that carries its keys' ids: an

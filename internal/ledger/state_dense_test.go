@@ -189,8 +189,8 @@ func TestValidateResolvedMatchesByName(t *testing.T) {
 		}
 		want := ValidateMVCC(st, &RWSet{Reads: reads})
 		for name, ids := range map[string]KeyIDs{
-			"own ids": st.ResolveReads(reads), "a sibling's ids": sibling.ResolveReads(reads),
-			"foreign ids": elsewhere.ResolveReads(reads), "no ids": {}, "too few ids": {table: st.keys},
+			"own ids": readIDs(st, reads), "a sibling's ids": readIDs(sibling, reads),
+			"foreign ids": readIDs(elsewhere, reads), "no ids": {}, "too few ids": {table: st.keys},
 		} {
 			if got := st.ValidateResolved(reads, ids); got != want {
 				t.Fatalf("op %d, %s: ValidateResolved(%+v) = %t, by name %t", op, name, reads, got, want)
@@ -293,4 +293,9 @@ func TestStateDigestBytes(t *testing.T) {
 	if limit := uint64(n * 145); got > limit {
 		t.Fatalf("Digest over %d base keys allocated %d bytes (%d per key), limit %d per key", n, got, got/n, limit/n)
 	}
+}
+
+// readIDs resolves a read set's keys in st's key table.
+func readIDs(st *State, reads []Read) KeyIDs {
+	return st.ids.Resolve(len(reads), func(i int) string { return reads[i].Key })
 }

@@ -14,9 +14,14 @@ func loadSpec(rate float64, window time.Duration) LoadSpec {
 	return LoadSpec{Rate: rate, Window: Duration(window)}
 }
 
+// linear is the fixed-rate cumulative curve: rate × elapsed seconds.
+func linear(rate float64) func(time.Duration) float64 {
+	return func(t time.Duration) float64 { return rate * t.Seconds() }
+}
+
 // TestConstantShapeMatchesLegacySchedule: the compiled constant shape must
-// reproduce ScheduleTicks tick-for-tick — the property that keeps every
-// pre-existing experiment golden byte-identical.
+// reproduce the fixed-rate schedule tick-for-tick — the property that keeps
+// every pre-existing experiment golden byte-identical.
 func TestConstantShapeMatchesLegacySchedule(t *testing.T) {
 	for _, rate := range []float64{0, 333, 1234.5, 44000} {
 		window := 750 * time.Millisecond
@@ -25,7 +30,7 @@ func TestConstantShapeMatchesLegacySchedule(t *testing.T) {
 			n  int
 		}
 		var legacy, shaped []call
-		nl := ScheduleTicks(rate, window, func(at time.Duration, n int) {
+		nl := ScheduleCumulative(linear(rate), window, func(at time.Duration, n int) {
 			legacy = append(legacy, call{at, n})
 		})
 		l := loadSpec(rate, window).withShapeDefaults()
@@ -243,8 +248,8 @@ func TestShapedRunsSafe(t *testing.T) {
 	}
 }
 
-// TestScheduleTicksExactTotal pins the anti-drift contract: for any rate,
-// the total scheduled over a window equals round(rate * window_seconds)
+// TestScheduleTicksExactTotal pins the anti-drift contract of the
+// millisecond ticks: for any rate, the total scheduled over a window equals round(rate * window_seconds)
 // exactly. The seed implementation carried a running float accumulator whose
 // rounding error could compound across thousands of ticks and under-deliver.
 func TestScheduleTicksExactTotal(t *testing.T) {
@@ -260,7 +265,7 @@ func TestScheduleTicksExactTotal(t *testing.T) {
 		{123456.78, 2 * time.Second},
 	}
 	for _, tc := range cases {
-		total := ScheduleTicks(tc.rate, tc.window, func(time.Duration, int) {})
+		total := ScheduleCumulative(linear(tc.rate), tc.window, func(time.Duration, int) {})
 		want := int(math.Round(tc.rate * tc.window.Seconds()))
 		if total != want {
 			t.Errorf("rate %.2f over %v: scheduled %d, want exactly %d",
@@ -274,7 +279,7 @@ func TestScheduleTicksExactTotal(t *testing.T) {
 func TestScheduleTicksMonotonic(t *testing.T) {
 	last := time.Duration(-1)
 	sum := 0
-	total := ScheduleTicks(3333.3, 2*time.Second, func(at time.Duration, n int) {
+	total := ScheduleCumulative(linear(3333.3), 2*time.Second, func(at time.Duration, n int) {
 		if at <= last {
 			t.Fatalf("tick at %v not after previous %v", at, last)
 		}

@@ -150,23 +150,13 @@ func (s Scenario) AnatomyWindows() []anatomy.Window {
 	return out
 }
 
-// ScheduleTicks drives fn once per millisecond with the txn count owed at
-// that tick, returning the total scheduled. The count owed is derived from
-// the rounded cumulative target rate*elapsed rather than a running float
-// accumulator, so rounding error never compounds: for any rate, the total
-// scheduled over window is exactly round(rate * window_seconds).
-func ScheduleTicks(rate float64, window time.Duration, fn func(time.Duration, int)) int {
-	return ScheduleCumulative(func(t time.Duration) float64 {
-		return rate * t.Seconds()
-	}, window, fn)
-}
-
-// ScheduleCumulative generalizes ScheduleTicks to an arbitrary
-// cumulative-arrivals function: cum(t) is the expected number of
-// transactions offered in [0, t), and each millisecond tick schedules the
-// integer shortfall against round(cum). Load shapes compile to closed-form
-// cum functions, so shaping adds no per-tick state and a constant shape is
-// byte-identical to the legacy fixed-rate schedule.
+// ScheduleCumulative drives fn once per millisecond with the txn count owed
+// at that tick, returning the total scheduled: cum(t) is the expected number
+// of transactions offered in [0, t), and each tick schedules the integer
+// shortfall against round(cum). The count owed is derived from the rounded
+// cumulative target rather than a running float accumulator, so rounding
+// error never compounds. Load shapes compile to closed-form cum functions,
+// so shaping adds no per-tick state.
 func ScheduleCumulative(cum func(time.Duration) float64, window time.Duration, fn func(time.Duration, int)) int {
 	tick := time.Millisecond
 	total := 0

@@ -45,14 +45,6 @@ func DefaultTopology() Topology {
 	}
 }
 
-// MultiDCTopology mirrors the §6.4 setup: several datacenters connected by
-// dedicated cables with 20 ms RTT and a shared bandwidth cap per direction.
-func MultiDCTopology(interDCBandwidth int64) Topology {
-	t := DefaultTopology()
-	t.InterDCBandwidth = interDCBandwidth
-	return t
-}
-
 // Validate reports the first out-of-range topology parameter.
 func (t Topology) Validate() error {
 	switch {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"github.com/bidl-framework/bidl/internal/trace"
 )
@@ -13,21 +12,9 @@ import (
 // plus how many transactions committed.
 func tracedRun(t *testing.T) (*Tracer, int) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.NumOrgs = 8
-	cfg.BlockSize = 50
-	cfg.BlockTimeout = 5 * time.Millisecond
-	cfg.Tracer = NewTracer(TraceOptions{})
-	w := DefaultWorkload(cfg.NumOrgs)
-	w.NumClients = 10
-	w.Accounts = 500
-	sys := NewSystem(cfg, w)
-	sys.SubmitRate(3000, 200*time.Millisecond)
-	sys.Run(time.Second)
-	if err := sys.CheckSafety(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg.Tracer, sys.Summary(0, time.Second).Committed
+	tr := NewTracer(TraceOptions{})
+	_, sum := runSmall(t, smallSpec(FrameworkBIDL, 3000), ScenarioRunConfig{Tracer: tr})
+	return tr, sum.Committed
 }
 
 // TestTraceDeterminism is the acceptance gate for the tracing layer: two
@@ -117,19 +104,12 @@ func TestTraceCoversCommittedTransactions(t *testing.T) {
 // on every summary metric.
 func TestUntracedSystemUnaffected(t *testing.T) {
 	run := func(traced bool) Summary {
-		cfg := DefaultConfig()
-		cfg.NumOrgs = 8
-		cfg.BlockSize = 50
+		var rc ScenarioRunConfig
 		if traced {
-			cfg.Tracer = NewTracer(TraceOptions{})
+			rc.Tracer = NewTracer(TraceOptions{})
 		}
-		w := DefaultWorkload(cfg.NumOrgs)
-		w.NumClients = 10
-		w.Accounts = 500
-		sys := NewSystem(cfg, w)
-		sys.SubmitRate(3000, 200*time.Millisecond)
-		sys.Run(time.Second)
-		return sys.Summary(0, time.Second)
+		_, sum := runSmall(t, smallSpec(FrameworkBIDL, 3000), rc)
+		return sum
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("tracing changed simulation outcome:\nuntraced %+v\ntraced   %+v", a, b)
