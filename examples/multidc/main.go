@@ -28,17 +28,17 @@ func run(gbps float64, optDisabled bool) (float64, uint64) {
 	s.Load.Warmup = bidl.ScenarioDuration(300 * time.Millisecond)
 	s.Load.Drain = bidl.ScenarioDuration(time.Second)
 
-	var interDC uint64
-	res, err := bidl.RunScenarioWith(s, bidl.ScenarioRunConfig{Observe: func(h bidl.Harness) {
-		interDC = h.(*bidl.Cluster).Net.InterDCBytes()
-	}})
+	// The run's link telemetry counts inter-DC bytes. A tracer pins the
+	// serial engine, which capped pipes do already.
+	tracer := bidl.NewTracer(bidl.TraceOptions{})
+	res, err := bidl.RunScenarioWith(s, bidl.ScenarioRunConfig{Tracer: tracer})
 	if err == nil {
 		err = res.SafetyErr
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res.Throughput, interDC
+	return res.Throughput, tracer.InterDCBytes()
 }
 
 func main() {

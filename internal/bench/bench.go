@@ -100,7 +100,9 @@ type Options struct {
 	// SimWorkers requests conservative parallel discrete-event execution
 	// inside every sweep point that does not set its own sim_workers:
 	// the single-run counterpart to Workers' across-run parallelism.
-	// Results are byte-identical to serial runs at the same seed.
+	// Results are byte-identical to serial runs at the same seed; a point
+	// with loss or jitter runs on one partition for that reason
+	// (substrate.Config.SimWorkers).
 	SimWorkers int
 	// ForceSerialSim pins the serial simulation engine even when
 	// SimWorkers (or a spec) requests parallelism — the byte-identity

@@ -70,7 +70,6 @@ func TestPDESScenarioDeepIdentity(t *testing.T) {
 		Framework:  scenario.FrameworkBIDL,
 		Seed:       3,
 		Nodes:      scenario.NodesSpec{Orgs: 8, Datacenters: 2},
-		Topology:   scenario.TopologySpec{LossRate: 0.01, Jitter: scenario.Duration(20 * time.Microsecond)},
 		Load:       scenario.LoadSpec{Rate: 2000, Window: scenario.Duration(400 * time.Millisecond)},
 		SimWorkers: 4,
 	}
@@ -121,6 +120,35 @@ func TestPDESScenarioDeepIdentity(t *testing.T) {
 	}
 	if parallel.res.Events == 0 || parallel.res.Throughput == 0 {
 		t.Fatalf("degenerate run (events=%d throughput=%g)", parallel.res.Events, parallel.res.Throughput)
+	}
+}
+
+// TestPDESLossyRunIgnoresSimWorkers pins sim_workers' promise on a lossy and
+// on a jittery topology: loss and jitter draw from the sending partition's
+// random stream, so such a run keeps one partition and a spec at sim_workers
+// 4 is the spec at 0, result for result.
+func TestPDESLossyRunIgnoresSimWorkers(t *testing.T) {
+	for _, topo := range []scenario.TopologySpec{
+		{LossRate: 0.01},
+		{Jitter: scenario.Duration(20 * time.Microsecond)},
+	} {
+		run := func(workers int) scenario.Result {
+			res, err := scenario.Run(scenario.Scenario{
+				Framework:  scenario.FrameworkBIDL,
+				Nodes:      scenario.NodesSpec{Orgs: 8},
+				Topology:   topo,
+				Load:       scenario.LoadSpec{Rate: 4000, Window: scenario.Duration(300 * time.Millisecond)},
+				SimWorkers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Collector = nil // pointer identity, not part of the fingerprint
+			return res
+		}
+		if serial, parallel := run(0), run(4); serial != parallel {
+			t.Errorf("%+v: sim_workers 4 changed the run:\nworkers 0: %+v\nworkers 4: %+v", topo, serial, parallel)
+		}
 	}
 }
 

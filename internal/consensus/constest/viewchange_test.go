@@ -16,6 +16,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus/sbft"
 	"github.com/bidl-framework/bidl/internal/consensus/zyzzyva"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/trace"
 )
 
 // -golden-update rewrites the view-change transcripts from the current
@@ -120,6 +121,8 @@ func transcript(factory constest.Factory, n, f int, s schedule) []byte {
 	opts := s.opts
 	opts.Seed = 7
 	c := constest.NewCluster(n, f, factory, opts)
+	tr := trace.New(trace.Options{})
+	c.Net.SetTracer(tr)
 	for i, node := range c.Nodes {
 		node.Meta = []byte{byte('a' + i)}
 	}
@@ -134,7 +137,13 @@ func transcript(factory constest.Factory, n, f int, s schedule) []byte {
 			fmt.Fprintf(&b, "  view %d leader=%d metas=%q\n", v, node.Leaders[j], node.Metas[j])
 		}
 	}
-	fmt.Fprintf(&b, "events=%d bytes=%d\n", c.Sim.Events(), c.Net.TotalBytes())
+	var sent uint64
+	for _, node := range c.Nodes {
+		for _, bk := range tr.NodeBuckets(int(node.Endpoint().ID())) {
+			sent += bk.BytesOut
+		}
+	}
+	fmt.Fprintf(&b, "events=%d bytes=%d\n", c.Sim.Events(), sent)
 	return b.Bytes()
 }
 

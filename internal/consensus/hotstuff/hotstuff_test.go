@@ -6,6 +6,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/consensus/constest"
+	"github.com/bidl-framework/bidl/internal/simnet"
 )
 
 func factory(cfg consensus.Config, host consensus.Host) consensus.Replica {
@@ -30,22 +31,27 @@ func TestLinearMessageComplexity(t *testing.T) {
 	// per decision regardless of cluster size.
 	run := func(n, f int) float64 {
 		c := constest.NewCluster(n, f, factory, constest.Options{})
+		// A DropFilter that drops nothing sees every message a node sends.
+		sent := make(map[simnet.NodeID]int)
+		c.Net.DropFilter = func(from, _ simnet.NodeID, _ simnet.Message) bool {
+			sent[from]++
+			return false
+		}
 		const k = 10
 		for i := 0; i < k; i++ {
 			c.Propose(time.Duration(i)*time.Millisecond, constest.Val(string(rune('a'+i))))
 		}
 		c.Run(2 * time.Second)
 		// Average sent messages per follower per decision.
-		var sent uint64
-		followers := 0
+		total, followers := 0, 0
 		for i, node := range c.Nodes {
 			if i == c.LeaderIdx() {
 				continue
 			}
-			sent += node.Endpoint().Stats().Sent
+			total += sent[node.Endpoint().ID()]
 			followers++
 		}
-		return float64(sent) / float64(followers) / k
+		return float64(total) / float64(followers) / k
 	}
 	small := run(4, 1)
 	large := run(10, 3)

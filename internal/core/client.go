@@ -91,7 +91,7 @@ func (cl *ClientNode) armRetry(ctx *simnet.Context) {
 		}
 		sortTxns(txns)
 		for _, cn := range cl.c.ConsNodes {
-			c2.Send(cn.Ep.ID(), &RelayBatch{Txns: txns})
+			c2.Send(cn.Ep.ID(), &SubmitBatch{Txns: txns})
 		}
 		cl.armRetry(c2)
 	})

@@ -185,7 +185,7 @@ func (n *ConsNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet
 			n.onFetch(from, m)
 		case *FetchResp:
 			n.onFetchResp(m)
-		case *RelayBatch:
+		case *SubmitBatch:
 			n.onClientRelay(m)
 		case *BlockFetchReq:
 			n.onBlockFetch(from, m)
@@ -719,7 +719,7 @@ func (n *ConsNode) onFetchResp(m *FetchResp) {
 // onClientRelay handles client retransmissions (§4.5 second trigger): relay
 // to the leader's sequencer and view-change if the transaction still fails
 // to commit.
-func (n *ConsNode) onClientRelay(m *RelayBatch) {
+func (n *ConsNode) onClientRelay(m *SubmitBatch) {
 	var fresh []*types.Transaction
 	for _, tx := range m.Txns {
 		id := tx.ID()
@@ -733,7 +733,7 @@ func (n *ConsNode) onClientRelay(m *RelayBatch) {
 		return
 	}
 	leader := n.c.LeaderIndex()
-	n.Ctx.Send(n.c.Sequencers[leader].ep.ID(), &RelayBatch{Txns: fresh})
+	n.Ctx.Send(n.c.Sequencers[leader].ep.ID(), &SubmitBatch{Txns: fresh})
 	ids := make([]types.TxID, 0, len(fresh))
 	for _, tx := range fresh {
 		ids = append(ids, tx.ID())

@@ -10,30 +10,17 @@ import (
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
-// SubmitBatch carries client transactions to the leader's sequencer
-// (Phase 1). Clients batch their submissions per flush tick.
+// SubmitBatch carries unsequenced transactions: a client's submissions to
+// the leader's sequencer (Phase 1), a passive sequencer's forward, a client's
+// retransmission to every consensus node and a consensus node's relay of it
+// to the leader's sequencer (§4.5), and a 2PC decision the sharded harness
+// hands a client. Each receiver role handles it one way.
 type SubmitBatch struct {
 	Txns []*types.Transaction
 }
 
 // Size implements simnet.Message.
 func (m *SubmitBatch) Size() int {
-	n := 16
-	for _, t := range m.Txns {
-		n += t.Size()
-	}
-	return n
-}
-
-// RelayBatch carries transactions a consensus node relays to the current
-// leader's sequencer: client retransmissions (§4.5) and re-sequencing after
-// a view change.
-type RelayBatch struct {
-	Txns []*types.Transaction
-}
-
-// Size implements simnet.Message.
-func (m *RelayBatch) Size() int {
 	n := 16
 	for _, t := range m.Txns {
 		n += t.Size()

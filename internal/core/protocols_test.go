@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"github.com/bidl-framework/bidl/internal/trace"
 )
 
 // TestAllProtocolsEndToEnd runs the BIDL workflow over each of the four BFT
@@ -85,6 +87,7 @@ func TestConsensusOnPayloadMode(t *testing.T) {
 	run := func(onPayload bool) (int, uint64) {
 		cfg := smallConfig()
 		cfg.ConsensusOnPayload = onPayload
+		cfg.Tracer = trace.New(trace.Options{})
 		c, gen := buildCluster(t, cfg, defaultWorkload())
 		for i, tx := range gen.Batch(150) {
 			c.SubmitAt(time.Duration(i)*50*time.Microsecond, tx)
@@ -93,7 +96,13 @@ func TestConsensusOnPayloadMode(t *testing.T) {
 		if err := c.CheckSafety(); err != nil {
 			t.Fatal(err)
 		}
-		return c.Collector.NumCommitted(), c.Net.TotalBytes()
+		var sent uint64
+		for id := 0; id < cfg.Tracer.NumNodes(); id++ {
+			for _, b := range cfg.Tracer.NodeBuckets(id) {
+				sent += b.BytesOut
+			}
+		}
+		return c.Collector.NumCommitted(), sent
 	}
 	nHash, bytesHash := run(false)
 	nFull, bytesFull := run(true)

@@ -79,8 +79,6 @@ func (s *SequencerNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg s
 		}
 	case *SubmitBatch:
 		s.ingest(ctx, m.Txns)
-	case *RelayBatch:
-		s.ingest(ctx, m.Txns)
 	}
 }
 

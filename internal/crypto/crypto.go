@@ -1,21 +1,16 @@
 // Package crypto implements the cryptographic primitives BIDL depends on:
-// SHA-256 hashing, digital signatures over an explicit membership registry
-// (§3.1: every node and client has a unique key pair), and MACs.
+// SHA-256 hashing, signatures over an explicit membership registry (§3.1:
+// every node and client has a unique key), and MACs.
 //
-// Two signature schemes are provided behind one interface:
-//
-//   - Ed25519Scheme: real ed25519 signatures; used by unit tests, examples,
-//     and anywhere authenticity actually matters.
-//   - HMACScheme: an HMAC-SHA256 stand-in whose per-identity secrets derive
-//     from a master seed. It is NOT a signature scheme (verifiers could
-//     forge), but inside a simulation where the framework itself is the only
-//     verifier it provides the same interface at ~100x less wall-clock cost.
-//     Virtual crypto *cost* is charged separately from the cost model, so
-//     simulation results are identical under either scheme.
+// The one Scheme is HMACScheme, an HMAC-SHA256 stand-in for signatures whose
+// per-identity secrets derive from a master seed. It is NOT a signature
+// scheme (verifiers could forge), but inside a simulation where the framework
+// itself is the only verifier it provides the interface at a fraction of a
+// real signer's wall-clock cost. Virtual crypto *cost* is charged separately
+// from the cost model, so simulation results do not depend on the signer.
 package crypto
 
 import (
-	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -67,68 +62,6 @@ type Scheme interface {
 	Verify(id Identity, msg []byte, sig Signature) bool
 	// Known reports whether id has been registered.
 	Known(id Identity) bool
-}
-
-// Ed25519Scheme implements Scheme with real ed25519 keys. Keys are derived
-// deterministically from a master seed and the identity name so that
-// independently constructed schemes with the same seed agree.
-type Ed25519Scheme struct {
-	mu     sync.RWMutex
-	master [32]byte
-	priv   map[Identity]ed25519.PrivateKey
-	pub    map[Identity]ed25519.PublicKey
-}
-
-// NewEd25519Scheme creates a scheme whose keys derive from seed.
-func NewEd25519Scheme(seed []byte) *Ed25519Scheme {
-	return &Ed25519Scheme{
-		master: sha256.Sum256(seed),
-		priv:   make(map[Identity]ed25519.PrivateKey),
-		pub:    make(map[Identity]ed25519.PublicKey),
-	}
-}
-
-// Register implements Scheme.
-func (s *Ed25519Scheme) Register(id Identity) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.priv[id]; ok {
-		return
-	}
-	seed := HashAll(s.master[:], []byte(id))
-	priv := ed25519.NewKeyFromSeed(seed[:])
-	s.priv[id] = priv
-	s.pub[id] = priv.Public().(ed25519.PublicKey)
-}
-
-// Sign implements Scheme.
-func (s *Ed25519Scheme) Sign(id Identity, msg []byte) (Signature, error) {
-	s.mu.RLock()
-	priv, ok := s.priv[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("crypto: unknown identity %q", id)
-	}
-	return Signature(ed25519.Sign(priv, msg)), nil
-}
-
-// Verify implements Scheme.
-func (s *Ed25519Scheme) Verify(id Identity, msg []byte, sig Signature) bool {
-	s.mu.RLock()
-	pub, ok := s.pub[id]
-	s.mu.RUnlock()
-	if !ok || len(sig) != ed25519.SignatureSize {
-		return false
-	}
-	return ed25519.Verify(pub, msg, sig)
-}
-
-// Known implements Scheme.
-func (s *Ed25519Scheme) Known(id Identity) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.priv[id]
-	return ok
 }
 
 // HMACScheme implements Scheme with HMAC-SHA256 tags. See the package

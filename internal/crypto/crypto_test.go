@@ -10,8 +10,7 @@ import (
 
 func schemes() map[string]func() Scheme {
 	return map[string]func() Scheme{
-		"ed25519": func() Scheme { return NewEd25519Scheme([]byte("seed")) },
-		"hmac":    func() Scheme { return NewHMACScheme([]byte("seed")) },
+		"hmac": func() Scheme { return NewHMACScheme([]byte("seed")) },
 	}
 }
 
@@ -93,15 +92,15 @@ func TestUnknownIdentity(t *testing.T) {
 }
 
 func TestDeterministicKeys(t *testing.T) {
-	a := NewEd25519Scheme([]byte("seed"))
-	b := NewEd25519Scheme([]byte("seed"))
+	a := NewHMACScheme([]byte("seed"))
+	b := NewHMACScheme([]byte("seed"))
 	a.Register("alice")
 	b.Register("alice")
 	sig, _ := a.Sign("alice", []byte("msg"))
 	if !b.Verify("alice", []byte("msg"), sig) {
 		t.Fatal("independently derived schemes disagree")
 	}
-	c := NewEd25519Scheme([]byte("other-seed"))
+	c := NewHMACScheme([]byte("other-seed"))
 	c.Register("alice")
 	if c.Verify("alice", []byte("msg"), sig) {
 		t.Fatal("different master seed verified a foreign signature")
@@ -109,7 +108,7 @@ func TestDeterministicKeys(t *testing.T) {
 }
 
 func TestRegisterIdempotent(t *testing.T) {
-	s := NewEd25519Scheme([]byte("seed"))
+	s := NewHMACScheme([]byte("seed"))
 	s.Register("alice")
 	sig, _ := s.Sign("alice", []byte("m"))
 	s.Register("alice")

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"github.com/bidl-framework/bidl/internal/trace"
 )
 
 // crashRxr counts deliveries, charging CPU per message so an inbox backlog
@@ -13,11 +15,13 @@ import (
 type crashRxr struct {
 	ep      *Endpoint
 	seen    int
-	crashAt int // crash after this many receipts (0 = never)
+	last    time.Duration // virtual time of the latest receipt
+	crashAt int           // crash after this many receipts (0 = never)
 }
 
 func (r *crashRxr) OnMessage(ctx *Context, from NodeID, msg Message) {
 	r.seen++
+	r.last = ctx.Now()
 	ctx.Elapse(50 * time.Microsecond)
 	if r.crashAt > 0 && r.seen == r.crashAt {
 		r.ep.SetDown(true)
@@ -59,8 +63,10 @@ func (b *burster) OnStart(ctx *Context) {
 // runMidFlightCrash builds the regression topology: a sender partition
 // bursts 100 messages at a receiver in another partition; the receiver
 // crashes itself mid-backlog, a warden restarts it later, and a second
-// burst lands after the restart. Returns a full-state fingerprint.
-func runMidFlightCrash(workers int) (seen int, dropped uint64, fingerprint string) {
+// burst lands after the restart. tr, when non-nil, is attached (pinning the
+// serial engine). Returns the receipts and a fingerprint of what the
+// handlers and the engine observed.
+func runMidFlightCrash(workers int, tr *trace.Tracer) (rx *crashRxr, fingerprint string) {
 	const first, later = 100, 50
 	s := NewSim(11)
 	s.SetPartitions(2)
@@ -70,7 +76,8 @@ func runMidFlightCrash(workers int) (seen int, dropped uint64, fingerprint strin
 		InterLatency: 2 * time.Millisecond,
 	}
 	n := NewNetwork(s, topo)
-	rx := &crashRxr{crashAt: 40}
+	n.SetTracer(tr)
+	rx = &crashRxr{crashAt: 40}
 	b := n.RegisterPart("rx", 1, 1, rx)
 	rx.ep = b
 	n.RegisterPart("warden", 1, 1, &warden{target: b, at: 8 * time.Millisecond})
@@ -78,10 +85,7 @@ func runMidFlightCrash(workers int) (seen int, dropped uint64, fingerprint strin
 		target: b.ID(), first: first, later: later, laterAt: 10 * time.Millisecond,
 	})
 	s.Run()
-	st := b.Stats()
-	return rx.seen, st.Dropped, fmt.Sprintf(
-		"seen=%d dropped=%d received=%d events=%d now=%s",
-		rx.seen, st.Dropped, st.Received, s.Events(), s.Now())
+	return rx, fmt.Sprintf("seen=%d last=%s events=%d now=%s", rx.seen, rx.last, s.Events(), s.Now())
 }
 
 // TestCrashMidFlightDropsEnqueued is the regression test for crash
@@ -90,7 +94,9 @@ func runMidFlightCrash(workers int) (seen int, dropped uint64, fingerprint strin
 // sent after a Restart must flow again. Conservation: every sent message is
 // either seen or dropped.
 func TestCrashMidFlightDropsEnqueued(t *testing.T) {
-	seen, dropped, _ := runMidFlightCrash(0)
+	tr := trace.New(trace.Options{})
+	rx, _ := runMidFlightCrash(0, tr)
+	seen, dropped := rx.seen, tracedSum(tr, rx.ep.ID(), drops)
 	if seen <= 40 || seen >= 150 {
 		t.Fatalf("seen = %d; want crash mid-backlog then recovery (40 < seen < 150)", seen)
 	}
@@ -112,9 +118,9 @@ func TestCrashMidFlightDropsEnqueued(t *testing.T) {
 // byte-identical to the serial run (and race-clean under -race), because
 // all endpoint mutation happens on the owning partition.
 func TestCrashMidFlightParallelIdentical(t *testing.T) {
-	_, _, serial := runMidFlightCrash(0)
+	_, serial := runMidFlightCrash(0, nil)
 	for _, w := range []int{2, 4} {
-		if _, _, par := runMidFlightCrash(w); par != serial {
+		if _, par := runMidFlightCrash(w, nil); par != serial {
 			t.Errorf("workers=%d diverged:\nserial:   %s\nparallel: %s", w, serial, par)
 		}
 	}

@@ -12,7 +12,8 @@ import (
 type NodeID int
 
 // Message is anything deliverable across the network. Size is used for
-// serialization delay on bandwidth-limited links and for traffic accounting.
+// serialization delay on bandwidth-limited links and for the tracer's traffic
+// telemetry.
 type Message interface {
 	Size() int
 }
@@ -39,17 +40,6 @@ type delivery struct {
 	from  NodeID
 	msg   Message
 	timer func(*Context)
-}
-
-// EndpointStats accumulates per-endpoint counters.
-type EndpointStats struct {
-	Received   uint64
-	Dropped    uint64
-	Sent       uint64
-	BytesSent  uint64
-	BytesRecvd uint64
-	BusyTime   time.Duration
-	MaxQueue   int
 }
 
 // Endpoint models a node with a single dedicated CPU core and one NIC.
@@ -83,14 +73,6 @@ type Endpoint struct {
 
 	// egressFree is when the NIC finishes serializing the last message.
 	egressFree time.Duration
-
-	stats EndpointStats
-	// xdrop counts sender-side drops (loss, drop filters) charged to this
-	// endpoint by each sending partition. Sender-side drop accounting is the
-	// one place a remote partition touches a destination endpoint, so it
-	// gets a per-sender-partition cell instead of a racy shared counter;
-	// Stats folds the cells back into Dropped. Nil when single-partitioned.
-	xdrop []uint64
 }
 
 // ID returns the endpoint's node ID.
@@ -105,20 +87,11 @@ func (e *Endpoint) DC() int { return e.dc }
 // Partition returns the simulation partition the endpoint executes in.
 func (e *Endpoint) Partition() int { return e.part }
 
-// Stats returns a copy of the endpoint's counters.
-func (e *Endpoint) Stats() EndpointStats {
-	st := e.stats
-	for _, d := range e.xdrop {
-		st.Dropped += d
-	}
-	return st
-}
-
 // SetDown marks the endpoint crashed (true) or alive (false). A crashed
 // endpoint drops all deliveries — including messages already sitting in its
-// inbox, which are counted as dropped when the (dead) core pops them — and
-// loses its own timers. Prefer Restart over SetDown(false) to bring a node
-// back: it gives the handler a chance to re-arm its periodic timers.
+// inbox, which the tracer records as dropped when the (dead) core pops them —
+// and loses its own timers. Prefer Restart over SetDown(false) to bring a
+// node back: it gives the handler a chance to re-arm its periodic timers.
 func (e *Endpoint) SetDown(down bool) { e.down = down }
 
 // Restarter is implemented by handlers that need a callback when their
@@ -141,15 +114,6 @@ func (e *Endpoint) Restart() {
 	}
 }
 
-// netCounters is one partition's share of the network-wide traffic
-// accounting, padded so concurrent partitions never share a cache line.
-type netCounters struct {
-	messages uint64
-	bytes    uint64
-	interDC  uint64
-	_        [40]byte
-}
-
 // Network connects endpoints according to a Topology.
 type Network struct {
 	sim       *Sim
@@ -163,12 +127,12 @@ type Network struct {
 	// never touched concurrently.
 	pipeFree map[int]time.Duration
 
-	// mcPipeDone and mcSeenDC are scratch maps reused across multicastSend
-	// calls so a fan-out allocates no per-call maps. They are only touched
-	// under features that force the serial engine (tracing, inter-DC pipes),
-	// where a single activation owns them end to end.
-	mcPipeDone map[int]time.Duration
-	mcSeenDC   map[int]bool
+	// mcReady maps a multicast's destination datacenters to when the payload
+	// is ready to leave for them. It is scratch reused across multicastSend
+	// calls, so a fan-out allocates no per-call map, and only touched under
+	// features that force the serial engine (tracing, inter-DC pipes), where
+	// a single activation owns it end to end.
+	mcReady map[int]time.Duration
 
 	// LatencyOverride, when non-nil, replaces the topology latency for a
 	// given endpoint pair. Used by tests and by adversarial scenarios that
@@ -179,13 +143,9 @@ type Network struct {
 	// (targeted partition/censorship scenarios). Return true to drop.
 	DropFilter func(from, to NodeID, msg Message) bool
 
-	// counters holds per-partition traffic totals, indexed by the sending
-	// partition and summed on read, so parallel partitions account traffic
-	// without sharing a counter.
-	counters []netCounters
-
 	// tracer, when non-nil, receives node/link telemetry from the hot
-	// paths. Every hook is guarded by a nil check so disabled tracing adds
+	// paths: it is the one record of traffic, drops, queueing and busy time.
+	// Every hot-path hook is guarded by a nil check so disabled tracing adds
 	// zero allocations; an attached tracer also zeroes the PDES lookahead,
 	// pinning the run to the serial engine (trace streams are strictly
 	// time-ordered).
@@ -194,17 +154,15 @@ type Network struct {
 
 // NewNetwork creates a network over the given simulator and topology.
 // Partitioning must already be configured on the simulator (SetPartitions):
-// the network sizes its per-partition accounting and installs the
+// RegisterPart checks placements against it, and the network installs the
 // conservative-PDES lookahead bound here.
 func NewNetwork(sim *Sim, topo Topology) *Network {
 	n := &Network{
-		sim:        sim,
-		topo:       topo,
-		groups:     make(map[string][]NodeID),
-		pipeFree:   make(map[int]time.Duration),
-		mcPipeDone: make(map[int]time.Duration),
-		mcSeenDC:   make(map[int]bool),
-		counters:   make([]netCounters, sim.NumPartitions()),
+		sim:      sim,
+		topo:     topo,
+		groups:   make(map[string][]NodeID),
+		pipeFree: make(map[int]time.Duration),
+		mcReady:  make(map[int]time.Duration),
 	}
 	sim.SetLookahead(n.lookaheadBound)
 	return n
@@ -241,33 +199,6 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 	}
 }
 
-// TotalMessages reports how many messages have been accepted for delivery.
-func (n *Network) TotalMessages() uint64 {
-	var v uint64
-	for i := range n.counters {
-		v += n.counters[i].messages
-	}
-	return v
-}
-
-// TotalBytes reports the total bytes accepted for delivery.
-func (n *Network) TotalBytes() uint64 {
-	var v uint64
-	for i := range n.counters {
-		v += n.counters[i].bytes
-	}
-	return v
-}
-
-// InterDCBytes reports bytes that crossed datacenter boundaries.
-func (n *Network) InterDCBytes() uint64 {
-	var v uint64
-	for i := range n.counters {
-		v += n.counters[i].interDC
-	}
-	return v
-}
-
 // Register adds an endpoint in datacenter dc (partition 0) with the given
 // handler and returns it. If the handler implements Starter, OnStart fires
 // at time zero.
@@ -286,9 +217,6 @@ func (n *Network) RegisterPart(name string, dc, part int, h Handler) *Endpoint {
 	}
 	e := &Endpoint{id: NodeID(len(n.endpoints)), name: name, dc: dc, part: part, net: n, handler: h}
 	e.procFn = e.processNext
-	if n.sim.NumPartitions() > 1 {
-		e.xdrop = make([]uint64, n.sim.NumPartitions())
-	}
 	n.endpoints = append(n.endpoints, e)
 	if n.tracer != nil {
 		n.tracer.RegisterNode(int(e.id), name, dc)
@@ -325,17 +253,40 @@ func (n *Network) Join(group string, id NodeID) {
 // Group returns the members of a multicast group.
 func (n *Network) Group(group string) []NodeID { return n.groups[group] }
 
-// dropAt charges a sender-side drop of a message bound for dst observed at
-// virtual time at, attributed to the sending partition fromPart.
-func (n *Network) dropAt(dst *Endpoint, fromPart int, at time.Duration) {
-	if fromPart == dst.part || dst.xdrop == nil {
-		dst.stats.Dropped++
-	} else {
-		dst.xdrop[fromPart]++
-	}
-	if n.tracer != nil {
+// dropped reports whether the message from 'from' to dst is lost to a
+// DropFilter or to random loss (independent per receiver, drawn from the
+// sending partition's stream), recording a loss with the tracer at time at.
+func (n *Network) dropped(from, dst *Endpoint, msg Message, at time.Duration) bool {
+	if (n.DropFilter != nil && n.DropFilter(from.id, dst.id, msg)) ||
+		(n.topo.LossRate > 0 && n.sim.partRng(from.part).Float64() < n.topo.LossRate) {
 		n.tracer.Dropped(int(dst.id), at)
+		return true
 	}
+	return false
+}
+
+// egress serializes size bytes through from's NIC, starting no earlier than
+// depart and behind whatever it is still sending, and returns when the last
+// byte leaves.
+func (n *Network) egress(from *Endpoint, size int, depart time.Duration) time.Duration {
+	if n.topo.NICBandwidth <= 0 {
+		return depart
+	}
+	from.egressFree = max(depart, from.egressFree) +
+		time.Duration(float64(size)/float64(n.topo.NICBandwidth)*float64(time.Second))
+	return from.egressFree
+}
+
+// pipe serializes size bytes through the shared fromDC→toDC pipe, entering no
+// earlier than ready, and returns when they leave it. Only a capped
+// InterDCBandwidth uses pipes, and it forces the serial engine, so pipeFree is
+// never touched concurrently.
+func (n *Network) pipe(fromDC, toDC, size int, ready time.Duration) time.Duration {
+	key := fromDC*4096 + toDC
+	done := max(ready, n.pipeFree[key]) +
+		time.Duration(float64(size)/float64(n.topo.InterDCBandwidth)*float64(time.Second))
+	n.pipeFree[key] = done
+	return done
 }
 
 // send schedules one unicast copy of msg from 'from' to 'to', departing at
@@ -346,53 +297,17 @@ func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Durat
 		panic(fmt.Sprintf("simnet: send to unknown endpoint %d", to))
 	}
 	size := msg.Size()
-	ctr := &n.counters[from.part]
-	ctr.messages++
-	ctr.bytes += uint64(size)
-	from.stats.Sent++
-	from.stats.BytesSent += uint64(size)
-
-	// NIC egress serialization.
-	txDone := depart
-	if n.topo.NICBandwidth > 0 {
-		start := depart
-		if from.egressFree > start {
-			start = from.egressFree
-		}
-		txDone = start + time.Duration(float64(size)/float64(n.topo.NICBandwidth)*float64(time.Second))
-		from.egressFree = txDone
-	}
-
+	ready := n.egress(from, size, depart)
 	if n.tracer != nil {
 		n.tracer.Sent(int(from.id), depart, size)
-		n.tracer.Wire(from.dc, dst.dc, txDone, size)
+		n.tracer.Wire(from.dc, dst.dc, ready, size)
 	}
-
-	if n.DropFilter != nil && n.DropFilter(from.id, to, msg) {
-		n.dropAt(dst, from.part, txDone)
+	if n.dropped(from, dst, msg, ready) {
 		return
 	}
-	// Random loss, independent per receiver, drawn from the sending
-	// partition's stream.
-	if n.topo.LossRate > 0 && n.sim.partRng(from.part).Float64() < n.topo.LossRate {
-		n.dropAt(dst, from.part, txDone)
-		return
+	if from.dc != dst.dc && n.topo.InterDCBandwidth > 0 {
+		ready = n.pipe(from.dc, dst.dc, size, ready)
 	}
-
-	// Shared inter-DC pipe serialization.
-	ready := txDone
-	if from.dc != dst.dc {
-		ctr.interDC += uint64(size)
-		if n.topo.InterDCBandwidth > 0 {
-			key := from.dc*4096 + dst.dc
-			if n.pipeFree[key] > ready {
-				ready = n.pipeFree[key]
-			}
-			ready += time.Duration(float64(size) / float64(n.topo.InterDCBandwidth) * float64(time.Second))
-			n.pipeFree[key] = ready
-		}
-	}
-
 	// Deliveries are inlined events (no closure): the steady-state unicast
 	// path allocates nothing, pinned by TestUntracedDeliveryAllocs. The
 	// latency (one jitter draw) is computed once, as on the multicast path.
@@ -403,14 +318,9 @@ func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Durat
 // tail of the unicast and multicast paths.
 func (n *Network) deliver(dst *Endpoint, from NodeID, msg Message, at time.Duration, size int) {
 	if dst.down {
-		dst.stats.Dropped++
-		if n.tracer != nil {
-			n.tracer.Dropped(int(dst.id), at)
-		}
+		n.tracer.Dropped(int(dst.id), at)
 		return
 	}
-	dst.stats.Received++
-	dst.stats.BytesRecvd += uint64(size)
 	if n.tracer != nil {
 		n.tracer.Received(int(dst.id), at, size)
 	}
@@ -423,92 +333,46 @@ func (n *Network) deliver(dst *Endpoint, from NodeID, msg Message, at time.Durat
 // that makes Fig 9's multicast optimization matter.
 func (n *Network) multicastSend(from *Endpoint, targets []NodeID, msg Message, depart time.Duration) {
 	size := msg.Size()
-	txDone := depart
-	if n.topo.NICBandwidth > 0 {
-		start := depart
-		if from.egressFree > start {
-			start = from.egressFree
-		}
-		txDone = start + time.Duration(float64(size)/float64(n.topo.NICBandwidth)*float64(time.Second))
-		from.egressFree = txDone
-	}
-	from.stats.Sent++
-	from.stats.BytesSent += uint64(size)
-	ctr := &n.counters[from.part]
-	ctr.messages += uint64(len(targets))
-	ctr.bytes += uint64(size)
+	txDone := n.egress(from, size, depart)
 	if n.tracer != nil {
 		n.tracer.Sent(int(from.id), depart, size)
-		// One wire crossing per destination datacenter (the router
-		// replicates the payload), mirroring the pipe accounting below.
-		// Tracing forces the serial engine, so the shared scratch map is
-		// owned by this activation.
-		seenDC := n.mcSeenDC
-		clear(seenDC)
-		for _, t := range targets {
-			if dst := n.Endpoint(t); dst != nil && !seenDC[dst.dc] {
-				seenDC[dst.dc] = true
-				n.tracer.Wire(from.dc, dst.dc, txDone, size)
-			}
-		}
 	}
 
-	// Pay each inter-DC pipe once. pipeDone stays nil on the fast path
-	// (unlimited inter-DC bandwidth): lookups on a nil map are legal, and
-	// the shared scratch map is only touched under the serial engine.
-	var pipeDone map[int]time.Duration
-	if n.topo.InterDCBandwidth > 0 {
-		pipeDone = n.mcPipeDone
-		clear(pipeDone)
-		seen := n.mcSeenDC
-		clear(seen)
+	// One wire crossing, and with capped inter-DC bandwidth one pipe
+	// crossing, per destination datacenter. ready stays nil on the fast path
+	// (untraced, uncapped): lookups on a nil map are legal.
+	var ready map[int]time.Duration
+	if n.tracer != nil || n.topo.InterDCBandwidth > 0 {
+		ready = n.mcReady
+		clear(ready)
 		for _, t := range targets {
 			dst := n.Endpoint(t)
-			if dst == nil || dst.dc == from.dc || seen[dst.dc] {
+			if dst == nil {
 				continue
 			}
-			seen[dst.dc] = true
-			key := from.dc*4096 + dst.dc
-			start := txDone
-			if n.pipeFree[key] > start {
-				start = n.pipeFree[key]
+			if _, seen := ready[dst.dc]; seen {
+				continue
 			}
-			done := start + time.Duration(float64(size)/float64(n.topo.InterDCBandwidth)*float64(time.Second))
-			n.pipeFree[key] = done
-			pipeDone[dst.dc] = done
-			ctr.interDC += uint64(size)
-		}
-	} else {
-		for _, t := range targets {
-			dst := n.Endpoint(t)
-			if dst != nil && dst.dc != from.dc {
-				ctr.interDC += uint64(size)
+			n.tracer.Wire(from.dc, dst.dc, txDone, size)
+			at := txDone
+			if dst.dc != from.dc && n.topo.InterDCBandwidth > 0 {
+				at = n.pipe(from.dc, dst.dc, size, txDone)
 			}
+			ready[dst.dc] = at
 		}
 	}
 
 	for _, t := range targets {
-		if t == from.id {
-			continue
-		}
 		dst := n.Endpoint(t)
-		if dst == nil {
+		if t == from.id || dst == nil || n.dropped(from, dst, msg, txDone) {
 			continue
 		}
-		if n.DropFilter != nil && n.DropFilter(from.id, t, msg) {
-			n.dropAt(dst, from.part, txDone)
-			continue
-		}
-		if n.topo.LossRate > 0 && n.sim.partRng(from.part).Float64() < n.topo.LossRate {
-			n.dropAt(dst, from.part, txDone)
-			continue
-		}
-		ready := txDone
-		if d, ok := pipeDone[dst.dc]; ok {
-			ready = d
+		at := txDone
+		if d, ok := ready[dst.dc]; ok {
+			at = d
 		}
 		// One inlined delivery event per receiver and nothing else.
-		n.sim.schedDelivery(from.part, ready+n.pathLatency(from, dst), dst, from.id, msg, size)
+		n.sim.schedDelivery(from.part, at+n.pathLatency(from, dst), dst, from.id, msg, size)
 	}
 }
 
@@ -540,9 +404,6 @@ func (e *Endpoint) enqueue(d delivery) {
 		e.qHead = 0
 	}
 	e.queue = append(e.queue, d)
-	if qlen := len(e.queue) - e.qHead; qlen > e.stats.MaxQueue {
-		e.stats.MaxQueue = qlen
-	}
 	if e.net.tracer != nil {
 		e.net.tracer.Queue(int(e.id), e.net.sim.partNow(e.part), len(e.queue)-e.qHead)
 	}
@@ -569,14 +430,11 @@ func (e *Endpoint) processNext() {
 	*ctx = Context{net: e.net, node: e, start: now}
 	if e.down {
 		// The core died with deliveries still queued: they are lost, not
-		// replayed on restart, and messages count against Dropped exactly
+		// replayed on restart, and messages are recorded as dropped exactly
 		// like arrivals at a down endpoint (deliver). Timers vanish
 		// silently — a crashed process has no pending timers to lose.
 		if d.timer == nil {
-			e.stats.Dropped++
-			if e.net.tracer != nil {
-				e.net.tracer.Dropped(int(e.id), now)
-			}
+			e.net.tracer.Dropped(int(e.id), now)
 		}
 		e.net.sim.schedTimer(e.part, now, e.procFn)
 		return
@@ -586,7 +444,6 @@ func (e *Endpoint) processNext() {
 	} else {
 		e.handler.OnMessage(ctx, d.from, d.msg)
 	}
-	e.stats.BusyTime += ctx.elapsed
 	if e.net.tracer != nil {
 		e.net.tracer.Busy(int(e.id), ctx.start, ctx.elapsed)
 	}

@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"github.com/bidl-framework/bidl/internal/trace"
 )
 
 // testMsg is a fixed-size payload for network tests.
@@ -43,6 +45,24 @@ func newTestNet(topo Topology) (*Sim, *Network) {
 	return s, NewNetwork(s, topo)
 }
 
+// traced attaches a fresh tracer to n: the network's one record of traffic.
+func traced(n *Network) *trace.Tracer {
+	tr := trace.New(trace.Options{})
+	n.SetTracer(tr)
+	return tr
+}
+
+// tracedSum totals f over node id's telemetry buckets.
+func tracedSum(tr *trace.Tracer, id NodeID, f func(trace.NodeBucket) uint64) uint64 {
+	var total uint64
+	for _, b := range tr.NodeBuckets(int(id)) {
+		total += f(b)
+	}
+	return total
+}
+
+func drops(b trace.NodeBucket) uint64 { return b.Dropped }
+
 func TestUnicastLatency(t *testing.T) {
 	topo := DefaultTopology()
 	topo.NICBandwidth = 0 // isolate propagation
@@ -67,6 +87,7 @@ func TestInterDCLatency(t *testing.T) {
 	topo := DefaultTopology()
 	topo.NICBandwidth = 0
 	s, n := newTestNet(topo)
+	tr := traced(n)
 	rx := &recorder{}
 	a := n.Register("a", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
 	b := n.Register("b", 1, rx)
@@ -77,8 +98,8 @@ func TestInterDCLatency(t *testing.T) {
 	if rx.got[0].at != topo.InterLatency {
 		t.Fatalf("arrival at %v, want %v", rx.got[0].at, topo.InterLatency)
 	}
-	if n.InterDCBytes() != 100 {
-		t.Fatalf("interDC bytes = %d, want 100", n.InterDCBytes())
+	if got := tr.InterDCBytes(); got != 100 {
+		t.Fatalf("interDC bytes = %d, want 100", got)
 	}
 }
 
@@ -112,6 +133,7 @@ func TestCPUQueueing(t *testing.T) {
 	topo.NICBandwidth = 0
 	topo.IntraLatency = 0
 	s, n := newTestNet(topo)
+	tr := traced(n)
 	rx := &recorder{cost: 10 * time.Millisecond}
 	a := n.Register("a", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
 	b := n.Register("b", 0, rx)
@@ -129,7 +151,8 @@ func TestCPUQueueing(t *testing.T) {
 			t.Fatalf("activation %d at %v, want %v", i, rx.got[i].at, w)
 		}
 	}
-	if got := n.Endpoint(b.ID()).Stats().BusyTime; got != 30*time.Millisecond {
+	busy := tracedSum(tr, b.ID(), func(k trace.NodeBucket) uint64 { return uint64(k.Busy) })
+	if got := time.Duration(busy); got != 30*time.Millisecond {
 		t.Fatalf("busy time = %v, want 30ms", got)
 	}
 }
@@ -226,29 +249,39 @@ func TestSharedInterDCPipe(t *testing.T) {
 	}
 }
 
+// TestMulticastCrossesPipeOncePerDC: a multicast to two receivers in another
+// datacenter crosses the inter-DC link once (§6.4, Fig 9), in time and in
+// bytes, whether or not the pipe's bandwidth is capped.
 func TestMulticastCrossesPipeOncePerDC(t *testing.T) {
-	topo := DefaultTopology()
-	topo.NICBandwidth = 0
-	topo.InterLatency = 0
-	topo.IntraLatency = 0
-	topo.InterDCBandwidth = 1000
-	s, n := newTestNet(topo)
-	rx1, rx2 := &recorder{}, &recorder{}
-	a := n.Register("a", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
-	b := n.Register("b", 1, rx1)
-	c := n.Register("c", 1, rx2)
-	n.Join("g", b.ID())
-	n.Join("g", c.ID())
-	s.At(0, func() {
-		(&Context{net: n, node: a}).Multicast("g", testMsg{size: 500})
-	})
-	s.Run()
-	if rx1.got[0].at != 500*time.Millisecond || rx2.got[0].at != 500*time.Millisecond {
-		t.Fatalf("multicast pipe crossings at %v/%v, want both 500ms",
-			rx1.got[0].at, rx2.got[0].at)
-	}
-	if n.InterDCBytes() != 500 {
-		t.Fatalf("interDC bytes = %d, want 500 (single crossing)", n.InterDCBytes())
+	for _, bw := range []int64{1000, 0} {
+		topo := DefaultTopology()
+		topo.NICBandwidth = 0
+		topo.InterLatency = 0
+		topo.IntraLatency = 0
+		topo.InterDCBandwidth = bw
+		s, n := newTestNet(topo)
+		tr := traced(n)
+		rx1, rx2 := &recorder{}, &recorder{}
+		a := n.Register("a", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
+		b := n.Register("b", 1, rx1)
+		c := n.Register("c", 1, rx2)
+		n.Join("g", b.ID())
+		n.Join("g", c.ID())
+		s.At(0, func() {
+			(&Context{net: n, node: a}).Multicast("g", testMsg{size: 500})
+		})
+		s.Run()
+		want := time.Duration(0)
+		if bw > 0 {
+			want = 500 * time.Millisecond
+		}
+		if rx1.got[0].at != want || rx2.got[0].at != want {
+			t.Fatalf("pipe %d B/s: multicast crossings at %v/%v, want both %v",
+				bw, rx1.got[0].at, rx2.got[0].at, want)
+		}
+		if got := tr.InterDCBytes(); got != 500 {
+			t.Fatalf("pipe %d B/s: interDC bytes = %d, want 500 (single crossing)", bw, got)
+		}
 	}
 }
 
@@ -257,6 +290,7 @@ func TestPacketLoss(t *testing.T) {
 	topo.NICBandwidth = 0
 	topo.LossRate = 0.5
 	s, n := newTestNet(topo)
+	tr := traced(n)
 	rx := &recorder{}
 	a := n.Register("a", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
 	b := n.Register("b", 0, rx)
@@ -272,7 +306,7 @@ func TestPacketLoss(t *testing.T) {
 	if got < total*40/100 || got > total*60/100 {
 		t.Fatalf("delivered %d of %d with 50%% loss; outside [40%%,60%%]", got, total)
 	}
-	if dropped := n.Endpoint(b.ID()).Stats().Dropped; int(dropped)+got != total {
+	if dropped := tracedSum(tr, b.ID(), drops); int(dropped)+got != total {
 		t.Fatalf("dropped(%d)+delivered(%d) != %d", dropped, got, total)
 	}
 }

@@ -59,20 +59,13 @@ func TestTracerHooksRecord(t *testing.T) {
 	}
 	s.Run()
 
-	sum := func(id int, f func(trace.NodeBucket) uint64) uint64 {
-		var total uint64
-		for _, b := range tr.NodeBuckets(id) {
-			total += f(b)
-		}
-		return total
-	}
-	if got := sum(int(src.ID()), func(b trace.NodeBucket) uint64 { return b.BytesOut }); got != 5*512 {
+	if got := tracedSum(tr, src.ID(), func(b trace.NodeBucket) uint64 { return b.BytesOut }); got != 5*512 {
 		t.Errorf("src BytesOut = %d, want %d", got, 5*512)
 	}
-	if got := sum(int(dst.ID()), func(b trace.NodeBucket) uint64 { return b.BytesIn }); got != 5*512 {
+	if got := tracedSum(tr, dst.ID(), func(b trace.NodeBucket) uint64 { return b.BytesIn }); got != 5*512 {
 		t.Errorf("dst BytesIn = %d, want %d", got, 5*512)
 	}
-	if got := sum(int(dst.ID()), func(b trace.NodeBucket) uint64 { return b.Delivered }); got != 5 {
+	if got := tracedSum(tr, dst.ID(), func(b trace.NodeBucket) uint64 { return b.Delivered }); got != 5 {
 		t.Errorf("dst Delivered = %d, want 5", got)
 	}
 	var maxQ int
@@ -86,42 +79,69 @@ func TestTracerHooksRecord(t *testing.T) {
 	if maxQ == 0 {
 		t.Error("dst MaxQueue never recorded")
 	}
-	if busyTotal != dst.Stats().BusyTime {
-		t.Errorf("traced busy %v != endpoint BusyTime %v", busyTotal, dst.Stats().BusyTime)
+	if busyTotal != 5*100*time.Microsecond {
+		t.Errorf("traced busy %v, want 500µs (5 activations of 100µs)", busyTotal)
 	}
 }
 
-// TestTracerRecordsDrops covers the three drop sites: DropFilter, random
-// loss, and a crashed destination.
+// TestTracerRecordsDrops covers the four drop sites, the tracer being the
+// only record of drops: a DropFilter, random loss, a message arriving at a
+// crashed destination, and a backlog the crashed core pops (processNext).
 func TestTracerRecordsDrops(t *testing.T) {
-	s := NewSim(1)
-	n := NewNetwork(s, DefaultTopology())
-	tr := trace.New(trace.Options{})
-	n.SetTracer(tr)
-	sink := HandlerFunc(func(*Context, NodeID, Message) {})
-	src := n.Register("src", 0, sink)
-	dst := n.Register("dst", 0, sink)
-	var msg Message = testMsg{size: 64}
+	s, n := newTestNet(DefaultTopology())
+	tr := traced(n)
+	src := n.Register("src", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
+	var dst *Endpoint
+	seen, crashOn := 0, 0
+	dst = n.Register("dst", 0, HandlerFunc(func(ctx *Context, _ NodeID, _ Message) {
+		seen++
+		ctx.Elapse(time.Millisecond) // later arrivals queue behind this one
+		if seen == crashOn {
+			dst.SetDown(true)
+		}
+	}))
+	burst := func(k int) {
+		ctx := NewInjectedContext(n, src)
+		for i := 0; i < k; i++ {
+			ctx.Send(dst.ID(), testMsg{size: 64})
+		}
+		s.Run()
+	}
+	var want uint64
+	expect := func(site string, more int) {
+		want += uint64(more)
+		if got := tracedSum(tr, dst.ID(), drops); got != want {
+			t.Fatalf("%s: traced drops = %d, want %d", site, got, want)
+		}
+	}
 
 	n.DropFilter = func(from, to NodeID, m Message) bool { return true }
-	NewInjectedContext(n, src).Send(dst.ID(), msg)
-	s.Run()
+	burst(1)
+	expect("DropFilter", 1)
 	n.DropFilter = nil
 
+	n.topo.LossRate = 0.5
+	before := seen
+	burst(100)
+	n.topo.LossRate = 0
+	if lost := 100 - (seen - before); lost == 0 || lost == 100 {
+		t.Fatalf("50%% loss dropped %d of 100", lost)
+	} else {
+		expect("random loss", lost)
+	}
+
 	dst.SetDown(true)
-	NewInjectedContext(n, src).Send(dst.ID(), msg)
-	s.Run()
+	burst(1)
+	expect("crashed destination", 1)
 	dst.SetDown(false)
 
-	var drops uint64
-	for _, b := range tr.NodeBuckets(int(dst.ID())) {
-		drops += b.Dropped
-	}
-	if drops != 2 {
-		t.Fatalf("traced drops = %d, want 2 (filter + down)", drops)
-	}
-	if dst.Stats().Dropped != 2 {
-		t.Fatalf("endpoint drops = %d, want 2", dst.Stats().Dropped)
+	// All four arrive while the first is processed; the second crashes the
+	// core with the last two still queued.
+	crashOn = seen + 2
+	burst(4)
+	expect("crashed backlog", 2)
+	if seen != crashOn {
+		t.Fatalf("the crashed core processed %d messages after the crash", seen-crashOn)
 	}
 }
 

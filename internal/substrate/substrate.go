@@ -75,8 +75,10 @@ type Config struct {
 	// (PDES) with this many worker goroutines. Values below 2 keep the
 	// serial engine. The event queue is partitioned by node group —
 	// consensus nodes, what shares their servers, and clients in the hub
-	// partition, organizations spread over the rest — and a parallel run is
-	// byte-identical to a serial run of the same partitioned cluster.
+	// partition, organizations spread over the rest — and a run is
+	// byte-identical at every SimWorkers. A topology with loss or jitter
+	// keeps one partition: both draw from the sending partition's random
+	// stream, so the partition count would pick the draws.
 	SimWorkers int
 
 	// Tracer, when non-nil, records per-transaction lifecycle spans and
@@ -156,12 +158,16 @@ type Engine struct {
 // §10): consensus nodes, whatever shares their servers, and clients run in
 // hub partition 0 because they read each other's state mid-run; the orgs
 // organizations the engine will carry — cfg.NumOrgs per deployment placed on
-// it — spread over the remaining partitions, as many as the workers allow.
-// domain keys the membership scheme, so frameworks never share signing
-// secrets.
+// it — spread over the remaining partitions, as many as the workers allow
+// (one partition under loss or jitter, see Config.SimWorkers). domain keys
+// the membership scheme, so frameworks never share signing secrets.
 func NewEngine(domain string, cfg Config, orgs int) *Engine {
 	sim := simnet.NewSim(cfg.Seed)
-	sim.SetPartitions(simnet.PartitionCount(cfg.SimWorkers, orgs))
+	parts := simnet.PartitionCount(cfg.SimWorkers, orgs)
+	if cfg.Topology.LossRate > 0 || cfg.Topology.Jitter > 0 {
+		parts = 1
+	}
+	sim.SetPartitions(parts)
 	sim.SetWorkers(cfg.SimWorkers)
 	net := simnet.NewNetwork(sim, cfg.Topology)
 	net.SetTracer(cfg.Tracer)

@@ -386,6 +386,23 @@ func (t *Tracer) Wire(fromDC, toDC int, at time.Duration, bytes int) {
 	ls.buckets[idx].Msgs++
 }
 
+// InterDCBytes returns the bytes that crossed between datacenters: the link
+// buckets with fromDC != toDC, where a multicast crosses each pipe once.
+func (t *Tracer) InterDCBytes() uint64 {
+	if t == nil {
+		return 0
+	}
+	var total uint64
+	for _, ls := range t.links {
+		if ls.fromDC != ls.toDC {
+			for _, b := range ls.buckets {
+				total += b.Bytes
+			}
+		}
+	}
+	return total
+}
+
 // NodeName returns the registered name of node id ("node<id>" if unknown).
 func (t *Tracer) NodeName(id int) string {
 	if t == nil || id < 0 || id >= len(t.nodes) || t.nodes[id] == nil {

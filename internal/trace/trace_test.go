@@ -29,7 +29,7 @@ func TestNilTracerIsDisabled(t *testing.T) {
 	tr.Received(0, 0, 100)
 	tr.Dropped(0, 0)
 	tr.Wire(0, 1, 0, 100)
-	if tr.Horizon() != 0 || tr.NumNodes() != 0 || tr.TxEvents() != nil {
+	if tr.Horizon() != 0 || tr.NumNodes() != 0 || tr.TxEvents() != nil || tr.InterDCBytes() != 0 {
 		t.Fatal("nil tracer recorded something")
 	}
 	var buf bytes.Buffer
@@ -158,6 +158,8 @@ func TestTrafficAndLinkBuckets(t *testing.T) {
 	tr.Dropped(1, time.Millisecond)
 	tr.Wire(0, 1, time.Millisecond, 500)
 	tr.Wire(0, 1, 2*time.Millisecond, 100)
+	tr.Wire(1, 0, 12*time.Millisecond, 50)
+	tr.Wire(1, 1, time.Millisecond, 64) // intra-DC fabric: not inter-DC
 
 	b := tr.NodeBuckets(1)
 	if b[0].BytesOut != 500 || b[0].BytesIn != 300 || b[0].Delivered != 1 || b[0].Dropped != 1 {
@@ -172,6 +174,9 @@ func TestTrafficAndLinkBuckets(t *testing.T) {
 	ls := tr.links[0*4096+1]
 	if ls == nil || ls.buckets[0].Bytes != 600 || ls.buckets[0].Msgs != 2 {
 		t.Errorf("link bucket = %+v", ls)
+	}
+	if got := tr.InterDCBytes(); got != 650 {
+		t.Errorf("InterDCBytes = %d, want 650 (both directions, every bucket, no intra-DC)", got)
 	}
 }
 
