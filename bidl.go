@@ -133,6 +133,11 @@ func RunScenarioWith(s Scenario, rc ScenarioRunConfig) (ScenarioResult, error) {
 	return scenario.RunWith(s, rc)
 }
 
+// Gather runs independent tasks on a pool of workers goroutines (0/1 →
+// serial, <0 → GOMAXPROCS) and returns their results in task order: the pool
+// behind every experiment sweep and `bidl run -runs N`.
+func Gather[T any](workers int, tasks []func() T) []T { return bench.Gather(workers, tasks) }
+
 // Experiments lists every registered paper experiment.
 func Experiments() []Experiment { return bench.All() }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 
 	"github.com/bidl-framework/bidl"
@@ -13,29 +12,26 @@ import (
 
 // benchCmd regenerates the paper's evaluation artifacts:
 //
-//	bidl bench -list
+//	bidl bench                              # list the experiments
 //	bidl bench -run fig3                    # one experiment, full scale
 //	bidl bench -run all -scale 0.25 -j 4    # quick pass, 4 sweep points at a time
 //	bidl bench -run table4 -csv out.csv
-//	bidl bench -run fig5 -shards 4          # every BIDL point as a 4-channel deployment
 //	bidl bench -run fig5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	bidl bench -dump-scenarios -run fig5    # the sweep as declarative JSON
 //
 // -dump-scenarios prints every sweep point of the selected experiments (all
 // of them without -run) as scenario JSON that `bidl run -scenario` replays,
 // and runs nothing. Sweep points are independent seeded simulations, so
-// -j/-parallel and -sim-workers (PDES inside each simulation, DESIGN.md §10)
+// -j and -sim-workers (PDES inside each simulation, DESIGN.md §10)
 // change only wall-clock time: tables are byte-identical to a serial run.
 // -cpuprofile/-memprofile capture the harness itself (`make profile`).
 func benchCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCLI("bench", stdout, stderr)
 	var (
 		runID     = c.String("run", "", "experiment ID to run (or \"all\")")
-		list      = c.Bool("list", false, "list available experiments")
 		dump      = c.Bool("dump-scenarios", false, "print the selected experiments' sweep points as scenario JSON and exit")
 		scale     = c.Float64("scale", 1.0, "load/duration scale in (0,1]")
-		sim       = c.simFlags(1, "concurrent sweep points (1 = serial)")
-		parallel  = c.Bool("parallel", false, "shorthand for -j GOMAXPROCS")
+		sim       = c.simFlags(1, "concurrent sweep points (1 = serial, -1 = one per CPU)")
 		csv       = c.String("csv", "", "also write results as CSV to this file")
 		quiet     = c.Bool("q", false, "suppress progress logging")
 		telemetry = c.Bool("telemetry", false, "trace every run and print per-run telemetry summaries to stderr")
@@ -55,22 +51,16 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopProfiles()
 
-	if *list || (*runID == "" && !*dump) {
+	if *runID == "" && !*dump {
 		fmt.Fprintln(stdout, "available experiments:")
 		for _, e := range bidl.Experiments() {
 			fmt.Fprintf(stdout, "  %-8s %-10s %s\n", e.ID, e.Paper, e.Description)
 		}
-		if *runID == "" {
-			fmt.Fprintln(stdout, "\nrun one with: bidl bench -run <id>")
-		}
+		fmt.Fprintln(stdout, "\nrun one with: bidl bench -run <id>")
 		return 0
 	}
 
-	workers := *sim.jobs
-	if *parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	opts := bidl.BenchOptions{Scale: *scale, Seed: *sim.seed, Workers: workers, SimWorkers: *sim.simWorkers, Shards: *sim.shards}
+	opts := bidl.BenchOptions{Scale: *scale, Seed: *sim.seed, Workers: *sim.jobs, SimWorkers: *sim.simWorkers}
 	if !*quiet {
 		opts.Log = stderr
 	}

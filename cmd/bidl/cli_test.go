@@ -23,34 +23,37 @@ type cliRow struct {
 }
 
 const (
-	small    = "run -rate 4000 -duration 300ms"
 	examples = "../../examples/scenario-"
-	jsonl    = "testdata/run-300ms.jsonl" // run -orgs 4 -rate 400 -duration 300ms -trace-jsonl
+	jsonl    = "testdata/run-300ms.jsonl" // run -scenario testdata/run-traced.json -trace-jsonl
 )
 
+// spec is the `run` command line of a checked-in spec under testdata/.
+func spec(name string) string { return "run -scenario testdata/" + name + ".json" }
+
 // cliMatrix was recorded from the separate binaries this command replaced,
-// one per subcommand, and replays byte for byte through run.
+// one per subcommand, and replays byte for byte through run. The run-* rows
+// were recorded from deployment flags; their specs reproduce every result line.
 var cliMatrix = []cliRow{
-	{name: "run-default", steps: []string{small}},
-	{name: "run-hotstuff", steps: []string{small + " -protocol hotstuff -orgs 25"}},
-	{name: "run-contention", steps: []string{small + " -contention 0.5 -nondet 0.1"}},
-	{name: "run-loss", steps: []string{small + " -loss 0.01"}},
-	{name: "run-attack-leader", steps: []string{small + " -attack leader"}},
-	{name: "run-attack-broadcaster", steps: []string{small + " -attack broadcaster -timeline"}},
-	{name: "run-attack-smart", steps: []string{small + " -attack smart"}},
-	{name: "run-dcs2", steps: []string{small + " -dcs 2"}},
-	{name: "run-dcs2-pdes", steps: []string{small + " -dcs 2 -sim-workers 4"}},
-	{name: "run-dcs4", steps: []string{small + " -dcs 4 -inter-gbps 1"}},
-	{name: "run-seeds", steps: []string{small + " -runs 3 -j 2"}},
-	{name: "run-sharded", steps: []string{small + " -shards 4 -cross-shard 0.1"}},
+	{name: "run-default", steps: []string{spec("run-default")}},
+	{name: "run-hotstuff", steps: []string{spec("run-hotstuff")}},
+	{name: "run-contention", steps: []string{spec("run-contention")}},
+	{name: "run-loss", steps: []string{spec("run-loss")}},
+	{name: "run-attack-leader", steps: []string{spec("run-attack-leader")}},
+	{name: "run-attack-broadcaster", steps: []string{spec("run-attack-broadcaster") + " -timeline"}},
+	{name: "run-attack-smart", steps: []string{spec("run-attack-smart")}},
+	{name: "run-dcs2", steps: []string{spec("run-dcs2")}},
+	{name: "run-dcs2-pdes", steps: []string{spec("run-dcs2") + " -sim-workers 4"}},
+	{name: "run-dcs4", steps: []string{spec("run-dcs4")}},
+	{name: "run-seeds", steps: []string{spec("run-default") + " -runs 3 -j 2"}},
+	{name: "run-sharded", steps: []string{spec("run-sharded")}},
 	{name: "run-list-faults", steps: []string{"run -list-faults"}},
 	{name: "run-traced",
 		steps: []string{
-			"run -orgs 4 -rate 400 -duration 300ms -telemetry -anatomy - -anatomy-csv $TMP/a.csv -trace $TMP/t.json -trace-jsonl $TMP/t.jsonl",
+			spec("run-traced") + " -telemetry -anatomy - -anatomy-csv $TMP/a.csv -trace $TMP/t.json -trace-jsonl $TMP/t.jsonl",
 			"trace-check $TMP/t.json",
 			"trace-check -jsonl $TMP/t.jsonl",
 			"report -trace-jsonl $TMP/t.jsonl -out $TMP/r.txt -csv $TMP/r.csv",
-			"run -orgs 4 -rate 400 -duration 300ms -anatomy $TMP/a.txt",
+			spec("run-traced") + " -anatomy $TMP/a.txt",
 		},
 		files: []string{"a.csv", "r.csv", "a.txt", "r.txt"}},
 	{name: "scenario-chaos-churn", steps: []string{"run -scenario " + examples + "chaos-churn.json"}},
@@ -72,7 +75,6 @@ var cliMatrix = []cliRow{
 	{name: "report-windows", steps: []string{"report -trace-jsonl " + jsonl + " -scenario " + examples + "chaos-crash.json"}},
 	{name: "trace-check-jsonl", steps: []string{"trace-check -jsonl " + jsonl}},
 	{name: "errors", steps: []string{
-		"run -attack bogus",
 		"run -runs 2 -telemetry",
 		"run -runs 2 -cpuprofile $TMP/cpu.pprof",
 		"run -scenario testdata/no-such.json",
@@ -135,13 +137,12 @@ func TestCLIMatrix(t *testing.T) {
 }
 
 // TestCLIRejectsIgnoredInput covers command lines the separate binaries
-// accepted while ignoring part of them: each now exits 2 and names the input.
+// accepted while ignoring part of them, and a deployment described anywhere
+// but in a spec: each exits 2 and names the input.
 func TestCLIRejectsIgnoredInput(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
-		{"run -scenario " + examples + "chaos-crash.json -orgs 4", "-orgs is superseded by -scenario"},
-		{"run -scenario " + examples + "chaos-crash.json -attack leader", "-attack is superseded by -scenario"},
-		{"run -cross-shard 0.1", "cross_shard_ratio 0.1 requires shards > 1"},
-		{"run -scenario " + examples + "chaos-crash.json -cross-shard 0.1", "requires shards > 1"},
+		{"run", "-scenario FILE is required"},
+		{spec("run-default") + " -orgs 4", "-orgs"},
 		{"run -timeline -runs 2", "-timeline"},
 		{"simulate", "usage: bidl run|bench|report|trace-check"},
 		{"", "usage: bidl run|bench|report|trace-check"},

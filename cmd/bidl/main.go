@@ -1,10 +1,9 @@
 // Command bidl is the one command-line surface of the BIDL reproduction.
 //
-//	bidl run                                   # paper setting A, 20k txns/s
-//	bidl run -scenario examples/scenario-fig5.json
-//	bidl bench -run fig5 -scale 0.25           # regenerate a paper artifact
-//	bidl report -trace-jsonl run.jsonl         # latency anatomy, offline
-//	bidl trace-check -jsonl run.jsonl          # validate a trace export
+//	bidl run -scenario examples/scenario-fig5.json   # one deployment
+//	bidl bench -run fig5 -scale 0.25                 # regenerate a paper artifact
+//	bidl report -trace-jsonl run.jsonl               # latency anatomy, offline
+//	bidl trace-check -jsonl run.jsonl                # validate a trace export
 //
 // `bidl <subcommand> -h` lists a subcommand's flags. Simulator speed and
 // memory are measured by the repository benchmark (`make benchmark`,
@@ -75,12 +74,11 @@ func (c cli) fail(code int, err error) int {
 }
 
 // simFlags are the flags `run` and `bench` share: both turn scenarios into
-// simulations.
+// simulations, and none of these changes what is simulated.
 type simFlags struct {
 	seed       *int64
 	jobs       *int
 	simWorkers *int
-	shards     *int
 	listFaults *bool
 	cpuProf    *string
 	memProf    *string
@@ -91,7 +89,6 @@ func (c cli) simFlags(defaultJobs int, jobsUsage string) simFlags {
 		seed:       c.Int64("seed", 1, "simulation seed (run: the first of -runs consecutive seeds)"),
 		jobs:       c.Int("j", defaultJobs, jobsUsage),
 		simWorkers: c.Int("sim-workers", 0, "PDES workers inside each simulation (0/1 = serial engine; output is identical)"),
-		shards:     c.Int("shards", 0, "shard every BIDL deployment that sets no `shards` of its own into this many channels (0/1 = single channel)"),
 		listFaults: c.Bool("list-faults", false, "list the fault kinds a scenario's faults array accepts and exit"),
 		cpuProf:    c.String("cpuprofile", "", "write a CPU profile of the run to this file (run: single run only)"),
 		memProf:    c.String("memprofile", "", "write an allocation profile taken at exit to this file (run: single run only)"),

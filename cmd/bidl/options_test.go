@@ -51,8 +51,8 @@ func TestOptionCount(t *testing.T) {
 		got, want int
 	}{
 		{"scenario spec fields", specLeaves(reflect.TypeOf(bidl.Scenario{})), 69},
-		{"bidl run flags", flagCount(t, "run"), 29},
-		{"bidl bench flags", flagCount(t, "bench"), 16},
+		{"bidl run flags", flagCount(t, "run"), 15},
+		{"bidl bench flags", flagCount(t, "bench"), 13},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d, pinned at %d", c.surface, c.got, c.want)

@@ -16,7 +16,7 @@ import (
 // both feed the same events into the same decomposition (the JSONL schema is
 // frozen; DESIGN.md §12).
 //
-//	bidl run -rate 4000 -duration 300ms -trace-jsonl run.jsonl
+//	bidl run -scenario chaos.json -trace-jsonl run.jsonl
 //	bidl report -trace-jsonl run.jsonl -csv anatomy.csv
 //	bidl report -trace-jsonl run.jsonl -scenario chaos.json   # fault windows
 //

@@ -109,13 +109,6 @@ type Options struct {
 	// reference used by the PDES determinism tests.
 	ForceSerialSim bool
 
-	// Shards overlays multi-channel sharding (the scenario `shards` field)
-	// onto every BIDL sweep point that does not set its own. Unlike
-	// Workers/SimWorkers this changes what is simulated — each point becomes
-	// an N-channel deployment — so the golden and perf trails never set it;
-	// it exists for `bidl bench -shards` exploration.
-	Shards int
-
 	// TraceSink, when non-nil, turns on per-run tracing: every framework
 	// run gets a private Tracer, handed to the sink after the run
 	// finishes. Sweep points may run concurrently (Workers), so the sink
@@ -228,7 +221,7 @@ func (e Experiment) Run(o Options) (*Table, error) {
 			return runScenario(o, sp)
 		}
 	}
-	return e.assemble(groups, gather(o, tasks)), nil
+	return e.assemble(groups, Gather(o.Workers, tasks)), nil
 }
 
 var registry = map[string]Experiment{}

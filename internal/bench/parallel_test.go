@@ -21,7 +21,7 @@ func TestGatherPreservesTaskOrder(t *testing.T) {
 		tasks[i] = func() int { return i * i }
 	}
 	for _, workers := range []int{0, 1, 3, 8, -1} {
-		out := gather(Options{Workers: workers}, tasks)
+		out := Gather(workers, tasks)
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
@@ -49,7 +49,7 @@ func TestGatherRunsConcurrently(t *testing.T) {
 			return 0
 		}
 	}
-	gather(Options{Workers: 4}, tasks)
+	Gather(4, tasks)
 	if peak.Load() < 2 {
 		t.Fatalf("peak concurrency %d, want >= 2", peak.Load())
 	}

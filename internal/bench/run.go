@@ -23,13 +23,6 @@ func runScenario(o Options, sp scenario.Scenario) Result {
 	if o.SimWorkers > 1 && sp.SimWorkers == 0 {
 		sp.SimWorkers = o.SimWorkers
 	}
-	// Sharding overlay: an explicit shards in the spec wins; otherwise
-	// every BIDL point of the sweep runs as an o.Shards-channel deployment
-	// (sharding is a BIDL-only feature, so baseline points are untouched).
-	if o.Shards > 1 && sp.Shards == 0 &&
-		sp.WithDefaults().Framework == scenario.FrameworkBIDL {
-		sp.Shards = o.Shards
-	}
 	rc.ForceSerialSim = o.ForceSerialSim
 	res, err := scenario.RunWith(sp, rc)
 	if err != nil {

@@ -10,32 +10,22 @@ import (
 // fully independent simulation runs — each sweep point builds its own
 // simnet.Sim, RNG, cluster, and metrics.Collector from the experiment seed,
 // shares no state with its siblings, and is pure with respect to its slot in
-// the result slice. gather fans those points out to a worker pool and puts
+// the result slice. Gather fans those points out to a worker pool and puts
 // results back in task order, so an experiment table is byte-identical
-// whether Workers is 1 or GOMAXPROCS.
+// whether Workers is 1 or GOMAXPROCS. `bidl run -runs N` fans its seeds out
+// through the same pool.
 
-// workers resolves Options.Workers: 0/1 → serial, <0 → GOMAXPROCS.
-func (o Options) workers() int {
-	switch {
-	case o.Workers < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Workers == 0:
-		return 1
-	default:
-		return o.Workers
-	}
-}
-
-// gather executes tasks across o.workers() goroutines and returns results in
-// task order. Tasks are claimed from a shared atomic cursor, so long points
-// (large org counts, long windows) don't convoy behind short ones.
-func gather[T any](o Options, tasks []func() T) []T {
+// Gather executes tasks on a pool of workers goroutines (0/1 → serial, <0 →
+// GOMAXPROCS) and returns results in task order. Tasks are claimed from a
+// shared atomic cursor, so long points (large org counts, long windows) don't
+// convoy behind short ones.
+func Gather[T any](workers int, tasks []func() T) []T {
 	n := len(tasks)
 	out := make([]T, n)
-	w := o.workers()
-	if w > n {
-		w = n
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	w := min(workers, n)
 	if w <= 1 {
 		for i, task := range tasks {
 			out[i] = task()

@@ -69,21 +69,9 @@ type Host interface {
 	// RandInt returns a deterministic random int in [0,n) (protocol
 	// tie-breaking only; never safety-relevant).
 	RandInt(n int) int
-}
-
-// PhaseRecorder is an optional Host capability: hosts that also implement it
-// receive protocol milestone annotations (pre-prepare sent, prepare/commit
-// quorum formed, QC assembled, ...) for tracing. Protocols report milestones
-// through the Phase helper so hosts without the capability pay nothing.
-type PhaseRecorder interface {
+	// ConsensusPhase annotates a protocol milestone (pre-prepare sent,
+	// prepare/commit quorum formed, QC assembled, ...) for tracing.
 	ConsensusPhase(phase string, view, seq uint64)
-}
-
-// Phase reports a protocol milestone to the host if it records phases.
-func Phase(h Host, phase string, view, seq uint64) {
-	if r, ok := h.(PhaseRecorder); ok {
-		r.ConsensusPhase(phase, view, seq)
-	}
 }
 
 // LeaderPolicy maps views to leader indices. BIDL supplies its random

@@ -227,7 +227,7 @@ func (c *Core[I]) Decide(seq uint64, in I, phase string, cert *types.Certificate
 	}
 	s.Decided = true
 	c.decidedCnt++
-	Phase(c.Host, phase, cert.View, seq)
+	c.Host.ConsensusPhase(phase, cert.View, seq)
 	c.Host.Deliver(seq, Value{Digest: s.Digest, Data: s.Data}, cert)
 	if c.hasUndecided() {
 		c.ArmTimer()

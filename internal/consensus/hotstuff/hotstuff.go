@@ -212,11 +212,11 @@ func (r *Replica) onVote(from int, m *Msg) {
 	qc := crypto.Signature(qcDigest[:])
 	switch p {
 	case 0:
-		consensus.Phase(r.Host, "prepare-qc", r.View(), m.Seq)
+		r.Host.ConsensusPhase("prepare-qc", r.View(), m.Seq)
 		r.Host.BroadcastCN(&Msg{Kind: kindPreCommit, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc})
 		r.ownVote(1, m.Seq, in)
 	case 1:
-		consensus.Phase(r.Host, "precommit-qc", r.View(), m.Seq)
+		r.Host.ConsensusPhase("precommit-qc", r.View(), m.Seq)
 		r.Host.BroadcastCN(&Msg{Kind: kindCommit, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc})
 		in.locked = true
 		r.ownVote(2, m.Seq, in)

@@ -94,7 +94,7 @@ func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
 	in := r.Inst(seq)
 	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
 	r.Host.Proposed(seq, v)
-	consensus.Phase(r.Host, "pre-prepare", r.View(), seq)
+	r.Host.ConsensusPhase("pre-prepare", r.View(), seq)
 	r.Host.Elapse(r.Cfg.MACCompute) // authenticate the pre-prepare
 	r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
 	// The leader's own prepare is implicit in the pre-prepare.
@@ -194,7 +194,7 @@ func (r *Replica) maybePrepared(seq uint64, in *instance) {
 		return
 	}
 	in.sentComm = true
-	consensus.Phase(r.Host, "prepared", r.View(), seq)
+	r.Host.ConsensusPhase("prepared", r.View(), seq)
 	in.commits[r.Cfg.Self] = r.sendCommit(seq, in.Digest)
 	r.maybeDecide(seq, in)
 }

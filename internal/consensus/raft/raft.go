@@ -228,7 +228,7 @@ func (r *Replica) deliver(seq uint64) {
 	e := r.log[seq]
 	e.decided = true
 	r.commitIdx = seq + 1
-	consensus.Phase(r.host, "replicated", uint64(r.term), seq)
+	r.host.ConsensusPhase("replicated", uint64(r.term), seq)
 	r.host.Deliver(seq, e.val, nil)
 }
 

@@ -185,7 +185,7 @@ func (r *Replica) acceptShare(from int, seq uint64, in *instance, sig crypto.Sig
 
 // emitProof combines shares into one aggregate proof and broadcasts it.
 func (r *Replica) emitProof(seq uint64, in *instance, limit int) {
-	consensus.Phase(r.Host, "proof", r.View(), seq)
+	r.Host.ConsensusPhase("proof", r.View(), seq)
 	r.Host.Elapse(r.Cfg.ThresholdCombine)
 	cert := consensus.BuildCert(r.View(), seq, in.Digest, in.shares, limit)
 	r.Host.BroadcastCN(&Msg{Kind: kindCommitProof, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})

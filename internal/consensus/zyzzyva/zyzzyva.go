@@ -162,7 +162,7 @@ func (r *Replica) acceptSpec(from int, seq uint64, in *instance, sig crypto.Sign
 	in.specs[from] = sig
 	if len(in.specs) >= r.Cfg.FastQuorum() {
 		// Fast path: everyone responded consistently.
-		consensus.Phase(r.Host, "fast-quorum", r.View(), seq)
+		r.Host.ConsensusPhase("fast-quorum", r.View(), seq)
 		r.commit(kindCommitFast, seq, in, in.specs, r.Cfg.FastQuorum())
 		return
 	}
@@ -174,7 +174,7 @@ func (r *Replica) acceptSpec(from int, seq uint64, in *instance, sig crypto.Sign
 				return
 			}
 			in.sentCC = true
-			consensus.Phase(r.Host, "commit-cert", r.View(), seq)
+			r.Host.ConsensusPhase("commit-cert", r.View(), seq)
 			cert := consensus.BuildCert(r.View(), seq, in.Digest, in.specs, r.Cfg.Quorum())
 			r.Host.BroadcastCN(&Msg{Kind: kindCommitCert, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Certs: cert.Sigs})
 			// The collector's own local commit.

@@ -59,9 +59,8 @@ type RunConfig struct {
 func Run(s Scenario) (Result, error) { return RunWith(s, RunConfig{}) }
 
 // RunWith is Run with runtime knobs. It is the one shared driver behind
-// every registry experiment and every `bidl run` (whose deployment flags only
-// build a Scenario, and whose -scenario loads one): compile the spec to its
-// framework family's harness (see target.go), register the
+// every registry experiment and every `bidl run -scenario`: compile the spec
+// to its framework family's harness (see target.go), register the
 // workload's clients, prepopulate accounts, arm the fault schedule, schedule
 // the offered load, run past the window to drain, then summarize and
 // safety-check.

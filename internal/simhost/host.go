@@ -90,8 +90,7 @@ func (h *Host) Endpoint() *simnet.Endpoint { return h.Ep }
 func (h *Host) Replica() consensus.Replica { return h.Rep }
 
 // Bind makes ctx current for the duration of fn and restores the previous
-// activation afterwards (activations nest: a loopback Send steps the replica
-// inside the sender's activation).
+// activation afterwards, so activations may nest.
 func (h *Host) Bind(ctx *simnet.Context, fn func()) {
 	prev := h.Ctx
 	h.Ctx = ctx
@@ -107,13 +106,8 @@ func (h *Host) Receive(from simnet.NodeID, m consensus.Msg) {
 	}
 }
 
-// Send implements consensus.Host. A message to oneself steps the replica
-// directly, without touching the network.
+// Send implements consensus.Host.
 func (h *Host) Send(to int, m consensus.Msg) {
-	if to == h.Idx {
-		h.Rep.Step(h.Idx, m)
-		return
-	}
 	h.Ctx.Send(h.g.Members[to].ID(), m)
 }
 
@@ -151,7 +145,7 @@ func (h *Host) VerifyNode(node int, data []byte, sig crypto.Signature) bool {
 // RandInt implements consensus.Host.
 func (h *Host) RandInt(n int) int { return h.g.Sim.Rand().Intn(n) }
 
-// ConsensusPhase implements consensus.PhaseRecorder: protocol milestones
+// ConsensusPhase implements consensus.Host: protocol milestones
 // (pre-prepare, prepared, committed, QC formations, ...) land on the tracer's
 // consensus track.
 func (h *Host) ConsensusPhase(phase string, view, seq uint64) {

@@ -72,22 +72,6 @@ func wiretap(net *simnet.Network) *int {
 	return carried
 }
 
-func TestSendToSelfIsSynchronousLoopback(t *testing.T) {
-	sim, net, nodes := newGroup(t, 3)
-	carried := wiretap(net)
-	n := nodes[1]
-	n.inject(net, func() {
-		n.Send(1, note("self"))
-		if got := n.steps(); len(got) != 1 || got[0] != "1:self" {
-			t.Fatalf("steps right after Send(self) = %v, want [1:self]", got)
-		}
-	})
-	sim.Run()
-	if *carried != 0 {
-		t.Fatalf("loopback put %d messages on the network", *carried)
-	}
-}
-
 func TestSendAndBroadcastReachPeersNeverSelf(t *testing.T) {
 	sim, net, nodes := newGroup(t, 4)
 	carried := wiretap(net)

@@ -10,7 +10,7 @@
 //   - per-stage wait distributions (p50/p95/p99 nearest-rank, consistent
 //     with internal/metrics) and each stage's share of total latency;
 //   - per-protocol consensus phase-transition timing tables from
-//     PhaseRecorder events;
+//     consensus.Host.ConsensusPhase events;
 //   - an overlap report quantifying how much execution time is hidden under
 //     consensus — the speculative-execution claim as one "overlap ratio";
 //   - optional fault-window annotation comparing transactions that overlap
