@@ -100,8 +100,14 @@ loc:
 # -24 in internal/bench with the pool exported as Gather), bidl.Gather (+5),
 # the optional consensus.PhaseRecorder folded into consensus.Host (-12),
 # simhost.Host.Send's untaken loopback (-6), one comment (-1).
-LOC_CEILING := 18715
-DOC_CEILING := 1612
+# Lowered to the measured count (18715 -> 18535, 1612 -> 1611): the 19 spec
+# keys no spec ever set are constants where they are used (link latencies and
+# NIC speed, client timeout, hot set, balance, padding, diurnal amplitude,
+# shape period, closed-loop back-off, the broadcaster's four knobs), with
+# their Validate checks and the config fields behind them; bench -list-faults
+# gone; fourteen uncalled methods and ConsNode's FetchResp case deleted.
+LOC_CEILING := 18535
+DOC_CEILING := 1611
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$total non-test Go lines, ceiling is $(LOC_CEILING) (LOC_CEILING in the Makefile)"; exit 1; \
@@ -116,7 +122,8 @@ loc-check:
 # crasher lands in the package's testdata/fuzz/ and is kept as a seed.
 FUZZ_TARGETS := internal/types:FuzzTransaction internal/types:FuzzOrdering \
 	internal/scenario:FuzzParse internal/trace/anatomy:FuzzTraceJSONL \
-	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta
+	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta \
+	internal/core:FuzzPersistVote
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t"; \

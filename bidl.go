@@ -96,8 +96,8 @@ type (
 )
 
 // FaultKinds returns the fault-injection taxonomy accepted by a scenario's
-// `faults` array, in a stable order — the `-list-faults` surface of the
-// CLIs (see DESIGN.md §11).
+// `faults` array, in a stable order — what `bidl run -list-faults` prints
+// (see DESIGN.md §11).
 func FaultKinds() []FaultKind { return chaos.Kinds() }
 
 // Protocol names for Scenario.Protocol.

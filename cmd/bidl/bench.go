@@ -40,10 +40,6 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 	if code, ok := c.parse(args); !ok {
 		return code
 	}
-	if *sim.listFaults {
-		printFaultKinds(stdout)
-		return 0
-	}
 
 	stopProfiles, err := c.profile(sim)
 	if err != nil {

@@ -79,7 +79,6 @@ type simFlags struct {
 	seed       *int64
 	jobs       *int
 	simWorkers *int
-	listFaults *bool
 	cpuProf    *string
 	memProf    *string
 }
@@ -89,7 +88,6 @@ func (c cli) simFlags(defaultJobs int, jobsUsage string) simFlags {
 		seed:       c.Int64("seed", 1, "simulation seed (run: the first of -runs consecutive seeds)"),
 		jobs:       c.Int("j", defaultJobs, jobsUsage),
 		simWorkers: c.Int("sim-workers", 0, "PDES workers inside each simulation (0/1 = serial engine; output is identical)"),
-		listFaults: c.Bool("list-faults", false, "list the fault kinds a scenario's faults array accepts and exit"),
 		cpuProf:    c.String("cpuprofile", "", "write a CPU profile of the run to this file (run: single run only)"),
 		memProf:    c.String("memprofile", "", "write an allocation profile taken at exit to this file (run: single run only)"),
 	}
@@ -123,14 +121,6 @@ func (c cli) profile(sim simFlags) (stop func(), err error) {
 			}
 		}
 	}, nil
-}
-
-// printFaultKinds is the -list-faults output.
-func printFaultKinds(w io.Writer) {
-	fmt.Fprintln(w, "fault kinds (scenario `faults` array, see DESIGN.md §11):")
-	for _, k := range bidl.FaultKinds() {
-		fmt.Fprintf(w, "  %-12s %s\n", k.Name, k.Summary)
-	}
 }
 
 // loadScenario reads, strict-parses and validates a scenario file.

@@ -38,12 +38,16 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		anatomyOut = c.String("anatomy", "", "write the critical-path latency anatomy report to this file (\"-\" = stdout; single run only)")
 		anatomyCSV = c.String("anatomy-csv", "", "also write the latency anatomy as CSV to this file (single run only)")
 		heapCheck  = c.Int64("heap-check", 0, "GC at the end of every run, its deployment still reachable, and fail if the live heap exceeds this many bytes (0 = off)")
+		listFaults = c.Bool("list-faults", false, "list the fault kinds a scenario's faults array accepts and exit")
 	)
 	if code, ok := c.parse(args); !ok {
 		return code
 	}
-	if *sim.listFaults {
-		printFaultKinds(stdout)
+	if *listFaults {
+		fmt.Fprintln(stdout, "fault kinds (scenario `faults` array, see DESIGN.md §11):")
+		for _, k := range bidl.FaultKinds() {
+			fmt.Fprintf(stdout, "  %-12s %s\n", k.Name, k.Summary)
+		}
 		return 0
 	}
 	tracing := *traceOut != "" || *traceJSONL != "" || *telemetry || *anatomyOut != "" || *anatomyCSV != ""

@@ -33,9 +33,6 @@ type Client struct {
 	pending map[types.TxID]*pendingTx
 }
 
-// Endpoint returns the client's simnet endpoint.
-func (cl *Client) Endpoint() *simnet.Endpoint { return cl.ep }
-
 // Pending returns how many transactions are in flight.
 func (cl *Client) Pending() int { return len(cl.pending) }
 

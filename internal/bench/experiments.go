@@ -380,7 +380,6 @@ func init() {
 						fmt.Sprintf("%.1f Gbps inter-DC (opt_disabled=%v)", gbps, optDisabled), o, mix(0, 0), satBIDL/2, window)
 					sp.Nodes.Datacenters = 4
 					sp.Topology.InterDCGbps = gbps
-					sp.Topology.InterLatency = scenario.Duration(10 * time.Millisecond) // 20ms RTT (§6.4)
 					sp.Tuning.ViewTimeout = scenario.Duration(400 * time.Millisecond)
 					sp.Tuning.BlockTimeout = scenario.Duration(25 * time.Millisecond)
 					sp.Tuning.DisableMulticast = optDisabled

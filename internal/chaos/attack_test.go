@@ -102,7 +102,7 @@ func TestDenylistCatchesBroadcaster(t *testing.T) {
 	b := NewBroadcaster(c, gen, broadcasterAt(50*time.Millisecond))
 	load(c, gen, 0, 2000, time.Millisecond)
 	c.Run(4 * time.Second)
-	mal := b.MaliciousIdentities()[0]
+	mal := b.MaliciousIdentity()
 	denied := 0
 	for _, cn := range c.ConsNodes {
 		if cn.Denylist()[mal] {
@@ -137,7 +137,7 @@ func TestDenylistNeverAccusesCorrectClients(t *testing.T) {
 	b := NewBroadcaster(c, gen, broadcasterAt(50*time.Millisecond))
 	load(c, gen, 0, 2000, time.Millisecond)
 	c.Run(4 * time.Second)
-	mal := b.MaliciousIdentities()[0]
+	mal := b.MaliciousIdentity()
 	for _, cn := range c.ConsNodes {
 		for cl := range cn.Denylist() {
 			if cl != mal {
@@ -160,7 +160,7 @@ func TestThroughputRecoversAfterDenylist(t *testing.T) {
 		c.SubmitAt(time.Duration(i)*500*time.Microsecond, gen.Batch(4)...)
 	}
 	c.Run(5 * time.Second)
-	mal := b.MaliciousIdentities()[0]
+	mal := b.MaliciousIdentity()
 	deniedSomewhere := false
 	for _, cn := range c.ConsNodes {
 		if cn.Denylist()[mal] {
@@ -189,7 +189,7 @@ func TestSmartAdversaryStillDenied(t *testing.T) {
 		c.SubmitAt(time.Duration(i)*500*time.Microsecond, gen.Batch(4)...)
 	}
 	c.Run(8 * time.Second)
-	mal := b.MaliciousIdentities()[0]
+	mal := b.MaliciousIdentity()
 	denied := 0
 	for _, cn := range c.ConsNodes {
 		if cn.Denylist()[mal] {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -31,18 +30,15 @@ func TestBroadcasterAtViewChangeBoundary(t *testing.T) {
 	if b.Bursts == 0 {
 		t.Fatal("broadcaster never fired")
 	}
-	malicious := make(map[crypto.Identity]bool)
-	for _, id := range b.MaliciousIdentities() {
-		malicious[id] = true
-	}
+	malicious := b.MaliciousIdentity()
 	denied := 0
 	for _, cn := range c.ConsNodes {
 		for cl := range cn.Denylist() {
-			if !malicious[cl] {
+			if cl != malicious {
 				t.Fatalf("correct client %s denylisted across the view-change boundary", cl)
 			}
 		}
-		if cn.Denylist()[b.MaliciousIdentities()[0]] {
+		if cn.Denylist()[malicious] {
 			denied++
 		}
 	}

@@ -26,11 +26,28 @@ import (
 //     to escape the denylist's f+1-distinct-leaders rule; BIDL's proactive
 //     view change and unpredictable rotation defeat it.
 
+// The broadcaster's knobs, the same for every schedule.
+const (
+	// burstWindow is how many sequence numbers ahead of the observed
+	// frontier each burst contests.
+	burstWindow = 64
+	// burstInterval is the burst period.
+	burstInterval = time.Millisecond
+	// detectLag models how long the smart adversary needs to notice a
+	// leadership change; during the lag it keeps attacking, which is how
+	// conflicts leak into successor views (§4.6).
+	detectLag = 5 * time.Millisecond
+	// maliciousClient is the colluding client (an index into the workload
+	// generator's client space) whose signed transactions the adversary
+	// re-broadcasts; a permissioned blockchain bounds this set, which is
+	// why the denylist eventually wins.
+	maliciousClient = 0
+)
+
 // Broadcaster is the malicious broadcaster endpoint.
 type Broadcaster struct {
 	c   *core.Cluster
 	gen *workload.Generator
-	f   Fault // knobs, defaults resolved
 	ep  *simnet.Endpoint
 
 	// target restricts attacking to views led by that consensus node (the
@@ -49,7 +66,7 @@ type Broadcaster struct {
 // and arms it at f.At. It observes the transaction multicast group like any
 // node in the datacenter.
 func NewBroadcaster(c *core.Cluster, gen *workload.Generator, f Fault) *Broadcaster {
-	b := &Broadcaster{c: c, gen: gen, f: f.withDefaults(), target: -1, observedLeader: -1}
+	b := &Broadcaster{c: c, gen: gen, target: -1, observedLeader: -1}
 	if f.Kind == KindSmart {
 		b.target = c.LeaderIndex()
 	}
@@ -58,14 +75,8 @@ func NewBroadcaster(c *core.Cluster, gen *workload.Generator, f Fault) *Broadcas
 	return b
 }
 
-// MaliciousIdentities returns the colluding clients' identities.
-func (b *Broadcaster) MaliciousIdentities() []crypto.Identity {
-	out := make([]crypto.Identity, 0, len(b.f.MaliciousClients))
-	for _, i := range b.f.MaliciousClients {
-		out = append(out, b.gen.Client(i))
-	}
-	return out
-}
+// MaliciousIdentity returns the colluding client's identity.
+func (b *Broadcaster) MaliciousIdentity() crypto.Identity { return b.gen.Client(maliciousClient) }
 
 // OnMessage implements simnet.Handler: the adversary passively tracks the
 // sequencer frontier from the multicast it receives.
@@ -87,11 +98,11 @@ func (b *Broadcaster) active() bool {
 	}
 	actual := b.c.LeaderIndex()
 	if actual != b.observedLeader {
-		// Notice the change only after DetectLag.
+		// Notice the change only after detectLag.
 		if b.leaderSince == 0 {
 			b.leaderSince = b.c.Sim.Now()
 		}
-		if b.c.Sim.Now()-b.leaderSince >= b.f.DetectLag.D() {
+		if b.c.Sim.Now()-b.leaderSince >= detectLag {
 			b.observedLeader = actual
 			b.leaderSince = 0
 		}
@@ -108,12 +119,11 @@ func (b *Broadcaster) tick() {
 		if b.contested >= start {
 			start = b.contested + 1
 		}
-		end := b.frontier + uint64(b.f.Window)
+		end := b.frontier + burstWindow
 		if end >= start {
 			var crafted []types.SequencedTx
 			for s := start; s <= end; s++ {
-				ci := b.f.MaliciousClients[int(s)%len(b.f.MaliciousClients)]
-				crafted = append(crafted, types.SequencedTx{Seq: s, Tx: b.gen.NextFrom(ci)})
+				crafted = append(crafted, types.SequencedTx{Seq: s, Tx: b.gen.NextFrom(maliciousClient)})
 			}
 			b.contested = end
 			b.Bursts++
@@ -121,5 +131,5 @@ func (b *Broadcaster) tick() {
 			ctx.Multicast(b.c.TxnGroup(), &core.SeqBatch{Txns: crafted})
 		}
 	}
-	b.c.Sim.After(b.f.Interval.D(), b.tick)
+	b.c.Sim.After(burstInterval, b.tick)
 }

@@ -8,7 +8,7 @@
 //
 // There is one fault type from JSON to injector: Fault carries the spec's
 // JSON tags (a scenario's `faults` array is a []Fault) and is what Install
-// schedules; ValidateSchedule and the broadcaster defaults live beside it.
+// schedules; ValidateSchedule lives beside it.
 // The same schedule drives the BIDL cluster and the Fabric baselines: rosters
 // come from the substrate.Deployment both embed, and the two operations that
 // differ per framework (who leads, how its leader turns malicious) are the
@@ -87,40 +87,6 @@ type Fault struct {
 
 	// Rate is the drop-storm per-message drop probability.
 	Rate float64 `json:"rate,omitempty"`
-
-	// Broadcaster knobs (kinds broadcaster/smart); zero values take the
-	// defaults of withDefaults. Window is how many sequence numbers ahead
-	// of the observed frontier each burst contests, Interval the burst
-	// period. DetectLag models how long the smart adversary needs to notice
-	// a leadership change; during the lag it keeps attacking, which is how
-	// conflicts leak into successor views (§4.6). MaliciousClients are the
-	// colluding clients (indices into the workload generator's client
-	// space) whose signed transactions the adversary re-broadcasts; a
-	// permissioned blockchain bounds this set, which is why the denylist
-	// eventually wins.
-	Window           int            `json:"window,omitempty"`
-	Interval         types.Duration `json:"interval,omitempty"`
-	DetectLag        types.Duration `json:"detect_lag,omitempty"`
-	MaliciousClients []int          `json:"malicious_clients"`
-}
-
-// withDefaults resolves the broadcaster knobs the schedule left zero: one
-// colluding client, an aggressive 64-slot burst every millisecond, 5 ms to
-// notice a new leader.
-func (f Fault) withDefaults() Fault {
-	if len(f.MaliciousClients) == 0 {
-		f.MaliciousClients = []int{0}
-	}
-	if f.Window == 0 {
-		f.Window = 64
-	}
-	if f.Interval == 0 {
-		f.Interval = types.Duration(time.Millisecond)
-	}
-	if f.DetectLag == 0 {
-		f.DetectLag = types.Duration(5 * time.Millisecond)
-	}
-	return f
 }
 
 // End returns the exclusive end of the fault's active window. Permanent
@@ -147,8 +113,8 @@ type KindInfo struct {
 	Summary string
 }
 
-// Kinds returns the fault taxonomy in a stable order (the -list-faults
-// surface of the CLIs).
+// Kinds returns the fault taxonomy in a stable order (what `bidl run
+// -list-faults` prints).
 func Kinds() []KindInfo {
 	return []KindInfo{
 		{KindCrash, "take one node down at `at`; restart after `duration` (0 = permanent) and catch up from committed state"},
@@ -205,10 +171,10 @@ func ValidateSchedule(faults []Fault) error {
 		if !knownKind(f.Kind) {
 			return fmt.Errorf("chaos: fault %d: unknown kind %q", i, f.Kind)
 		}
-		if f.At < 0 || f.Duration < 0 || f.Period < 0 || f.Interval < 0 || f.DetectLag < 0 {
+		if f.At < 0 || f.Duration < 0 || f.Period < 0 {
 			return fmt.Errorf("chaos: fault %d (%s): times must be >= 0", i, f.Kind)
 		}
-		if f.Org < 0 || f.Node < 0 || f.DC < 0 || f.Count < 0 || f.Window < 0 {
+		if f.Org < 0 || f.Node < 0 || f.DC < 0 || f.Count < 0 {
 			return fmt.Errorf("chaos: fault %d (%s): targets and counts must be >= 0", i, f.Kind)
 		}
 		if f.Rate < 0 || f.Rate > 1 {
@@ -222,11 +188,6 @@ func ValidateSchedule(faults []Fault) error {
 		}
 		if f.Kind == KindChurn && (f.Count == 0 || f.Period == 0) {
 			return fmt.Errorf("chaos: fault %d (churn): count and period must be > 0", i)
-		}
-		for _, ci := range f.MaliciousClients {
-			if ci < 0 {
-				return fmt.Errorf("chaos: fault %d (%s): malicious client indices must be >= 0 (got %d)", i, f.Kind, ci)
-			}
 		}
 		for j := 0; j < i; j++ {
 			g := faults[j]

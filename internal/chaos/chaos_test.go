@@ -32,7 +32,6 @@ func TestValidateSchedule(t *testing.T) {
 		{"storm-zero-rate", []Fault{{Kind: KindDropStorm, Duration: ms(10)}}, "rate must be > 0"},
 		{"windowed-zero-duration", []Fault{{Kind: KindPartition, Org: 1}}, "duration must be > 0"},
 		{"shapeless-churn", []Fault{{Kind: KindChurn, Count: 3}}, "count and period must be > 0"},
-		{"negative-malicious-client", []Fault{{Kind: KindBroadcaster, MaliciousClients: []int{-2}}}, "malicious client"},
 		{
 			"overlapping-storms",
 			[]Fault{

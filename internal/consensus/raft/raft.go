@@ -94,9 +94,6 @@ func New(cfg consensus.Config, host consensus.Host) *Replica {
 	return r
 }
 
-// Name returns the protocol name.
-func (r *Replica) Name() string { return "raft" }
-
 // View implements consensus.Replica (the Raft term).
 func (r *Replica) View() uint64 { return r.term }
 

@@ -155,9 +155,6 @@ func NewRegistry() *Registry {
 // Deploy installs a contract. Re-deploying a name replaces it.
 func (r *Registry) Deploy(c Contract) { r.contracts[c.Name()] = c }
 
-// Get returns the named contract, or nil.
-func (r *Registry) Get(name string) Contract { return r.contracts[name] }
-
 // Execute runs tx against view and returns its read-write set. Unknown
 // contracts or functions, and contract errors, yield an aborted result with
 // no writes — never a panic, since transactions are adversarial inputs.

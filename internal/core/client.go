@@ -31,9 +31,6 @@ type ClientNode struct {
 	quiet bool
 }
 
-// Endpoint returns the client's simnet endpoint.
-func (cl *ClientNode) Endpoint() *simnet.Endpoint { return cl.ep }
-
 // Pending returns how many transactions await commit notification.
 func (cl *ClientNode) Pending() int { return len(cl.pending) }
 
@@ -75,11 +72,11 @@ func (cl *ClientNode) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 
 // armRetry schedules the §4.5 client retransmission check.
 func (cl *ClientNode) armRetry(ctx *simnet.Context) {
-	if cl.retryArmed || cl.c.Cfg.ClientTimeout <= 0 {
+	if cl.retryArmed {
 		return
 	}
 	cl.retryArmed = true
-	ctx.After(cl.c.Cfg.ClientTimeout, func(c2 *simnet.Context) {
+	ctx.After(clientTimeout, func(c2 *simnet.Context) {
 		cl.retryArmed = false
 		if len(cl.pending) == 0 {
 			return

@@ -26,14 +26,10 @@ const (
 
 // Config parameterizes a BIDL cluster: the shared deployment fields (cluster
 // shape, block and view timeouts, costs, network, seed, engine) plus BIDL's
-// client timeout and ablation switches. NumConsensus is 3F+1;
-// consensus nodes belong to organizations round-robin.
+// ablation switches. NumConsensus is 3F+1; consensus nodes belong to
+// organizations round-robin.
 type Config struct {
 	substrate.Config
-
-	// ClientTimeout is how long clients wait before retransmitting to all
-	// consensus nodes (§4.5 liveness path).
-	ClientTimeout time.Duration
 
 	// DisableDenylist turns off the §4.6 protocol ("BIDL w/o denylist",
 	// Table 4). A denied client stays denied for the rest of the run (§4.6:
@@ -68,12 +64,17 @@ const (
 	// node signature-samples to catch a garbage-proposing leader (Table 4
 	// S2); fabric.Orderer.Deliver samples the same number.
 	sampleVerify = 8
+	// clientTimeout is how long clients wait before retransmitting to all
+	// consensus nodes, and how long a consensus node then waits for the
+	// relayed transactions before it requests a view change (§4.5 liveness
+	// path).
+	clientTimeout = 500 * time.Millisecond
 )
 
 // DefaultConfig mirrors the paper's evaluation setting A
 // (substrate.DefaultConfig) under PBFT.
 func DefaultConfig() Config {
-	cfg := Config{Config: substrate.DefaultConfig(), ClientTimeout: 500 * time.Millisecond}
+	cfg := Config{Config: substrate.DefaultConfig()}
 	cfg.Protocol = ProtoPBFT
 	return cfg
 }
@@ -105,9 +106,6 @@ func (c Config) Validate() error {
 	case "", ProtoPBFT, ProtoHotStuff, ProtoZyzzyva, ProtoSBFT:
 	default:
 		return fmt.Errorf("core: unknown protocol %q", c.Protocol)
-	}
-	if c.ClientTimeout < 0 {
-		return fmt.Errorf("core: ClientTimeout must be >= 0 (got %s)", c.ClientTimeout)
 	}
 	return nil
 }

@@ -31,7 +31,6 @@ func TestConfigValidate(t *testing.T) {
 		// while the head block waits for persist votes.
 		{"zero-block-timeout", func(c *Config) { c.BlockTimeout = 0 }, "BlockTimeout must be > 0"},
 		{"negative-view-timeout", func(c *Config) { c.ViewTimeout = -1 }, "ViewTimeout"},
-		{"negative-client-timeout", func(c *Config) { c.ClientTimeout = -1 }, "ClientTimeout"},
 		{"negative-intra-latency", func(c *Config) { c.Topology.IntraLatency = -1 }, "IntraLatency"},
 		{"loss-rate-range", func(c *Config) { c.Topology.LossRate = 1 }, "LossRate"},
 		// The shared half (substrate.Config.Validate) reports under this

@@ -183,8 +183,6 @@ func (n *ConsNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet
 			n.onResults(m)
 		case *FetchReq:
 			n.onFetch(from, m)
-		case *FetchResp:
-			n.onFetchResp(m)
 		case *SubmitBatch:
 			n.onClientRelay(m)
 		case *BlockFetchReq:
@@ -712,10 +710,6 @@ func (n *ConsNode) onPersistFetch(from simnet.NodeID, m *PersistFetchReq) {
 	n.Ctx.Send(from, msg)
 }
 
-func (n *ConsNode) onFetchResp(m *FetchResp) {
-	n.onSeqBatchFrom(-1, &SeqBatch{Txns: m.Txns})
-}
-
 // onClientRelay handles client retransmissions (§4.5 second trigger): relay
 // to the leader's sequencer and view-change if the transaction still fails
 // to commit.
@@ -739,7 +733,7 @@ func (n *ConsNode) onClientRelay(m *SubmitBatch) {
 		ids = append(ids, tx.ID())
 	}
 	view := n.Rep.View()
-	n.After(n.c.Cfg.ClientTimeout, func() {
+	n.After(clientTimeout, func() {
 		if n.Rep.View() != view {
 			// The watchdog indicts the leader it was armed against; a
 			// successor gets a fresh timeout (the client's retransmission

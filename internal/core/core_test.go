@@ -192,7 +192,7 @@ func TestMoneyConservedAcrossCluster(t *testing.T) {
 			total += parseI64(raw)
 		}
 	}
-	want := int64(w.Accounts) * w.InitialBalance
+	want := int64(w.Accounts) * workload.InitialBalance
 	if total != want {
 		t.Fatalf("total checking %d, want %d (money not conserved)", total, want)
 	}

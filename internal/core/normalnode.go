@@ -140,9 +140,6 @@ func (n *NormalNode) Endpoint() *simnet.Endpoint { return n.ep }
 // State exposes the committed world state (safety checks, examples).
 func (n *NormalNode) State() *ledger.State { return n.base }
 
-// Blocks exposes the node's ledger.
-func (n *NormalNode) Blocks() *ledger.BlockStore { return n.blocks }
-
 // CommitHeight returns the number of fully committed blocks.
 func (n *NormalNode) CommitHeight() uint64 { return n.commitHeight }
 

@@ -158,7 +158,6 @@ func TestCrashedConsensusFollower(t *testing.T) {
 func TestCrashedLeaderRecovers(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ViewTimeout = 60 * time.Millisecond
-	cfg.ClientTimeout = 200 * time.Millisecond
 	c, gen := buildCluster(t, cfg, defaultWorkload())
 	evil := c.LeaderIndex()
 	// Crash the leader (and its sequencer) before any load arrives, so
@@ -214,7 +213,6 @@ func TestMultipleNormalNodesPerOrg(t *testing.T) {
 func TestAuthPrunedAtViewChange(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ViewTimeout = 60 * time.Millisecond
-	cfg.ClientTimeout = 200 * time.Millisecond
 	c, gen := buildCluster(t, cfg, defaultWorkload())
 	// Whoever leads turns its sequencer to garbage every 100 ms: detection
 	// deposes it with sequenced batches still arriving, so leadership goes

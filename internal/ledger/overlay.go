@@ -67,6 +67,3 @@ func (o *Overlay) Commit() {
 	}
 	o.Discard()
 }
-
-// Base returns the committed state beneath the overlay.
-func (o *Overlay) Base() *State { return o.base }

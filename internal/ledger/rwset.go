@@ -68,18 +68,6 @@ func (rw *RWSet) Equal(o *RWSet) bool {
 	return true
 }
 
-// Size approximates the wire size of the result for bandwidth accounting.
-func (rw *RWSet) Size() int {
-	n := 1
-	for _, r := range rw.Reads {
-		n += len(r.Key) + 16
-	}
-	for _, w := range rw.Writes {
-		n += len(w.Key) + len(w.Val) + 1
-	}
-	return n
-}
-
 // ValidateMVCC performs HLF's multi-version concurrency check: every key the
 // transaction read must still be at the version observed during endorsement.
 // Contending transactions endorsed in parallel fail this check and abort —

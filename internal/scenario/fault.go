@@ -15,21 +15,14 @@ type FaultSpec = chaos.Fault
 
 // attackFault lowers the legacy attack spec onto the fault schedule: a
 // leader attack is a permanent time-zero leader fault, the broadcaster
-// kinds map field-for-field. The zero AttackSpec compiles to a zero Fault
-// (Kind ""), which FaultSchedule skips.
+// kinds arm at Start. The zero AttackSpec compiles to a zero Fault (Kind ""),
+// which FaultSchedule skips.
 func (a AttackSpec) attackFault() chaos.Fault {
 	switch a.Kind {
 	case AttackLeader:
 		return chaos.Fault{Kind: chaos.KindLeader}
 	case AttackBroadcaster, AttackSmart:
-		return chaos.Fault{
-			Kind:             a.Kind,
-			At:               a.Start,
-			Window:           a.Window,
-			Interval:         a.Interval,
-			DetectLag:        a.DetectLag,
-			MaliciousClients: a.MaliciousClients,
-		}
+		return chaos.Fault{Kind: a.Kind, At: a.Start}
 	}
 	return chaos.Fault{}
 }

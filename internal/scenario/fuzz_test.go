@@ -11,7 +11,7 @@ import (
 // `bidl run -scenario`: Parse and Validate answer with an error, never a
 // panic, and a spec that parses survives Marshal → Parse unchanged. Seeds
 // are the checked-in example specs plus one that sets every field of a fault
-// entry and of tuning (no example does).
+// entry and of tuning and one field of costs (no example does).
 func FuzzParse(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenario-*.json"))
 	if err != nil || len(seeds) == 0 {
@@ -25,12 +25,11 @@ func FuzzParse(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"load": {"rate": 100, "window": "10ms"},
-		"tuning": {"block_size": 9, "block_timeout": "2ms", "view_timeout": "30ms", "client_timeout": "40ms",
-			"disable_denylist": true,
+		"tuning": {"block_size": 9, "block_timeout": "2ms", "view_timeout": "30ms", "disable_denylist": true,
 			"disable_multicast": true, "consensus_on_payload": true, "disable_speculation": true},
+		"costs": {"SigVerify": 40000},
 		"faults": [{"kind": "smart", "at": "1ms", "duration": "2ms", "org": 1, "node": 2, "dc": 3, "shard": 4,
-			"count": 5, "period": "6ms", "rate": 0.7, "window": 8, "interval": "9ms", "detect_lag": "10ms",
-			"malicious_clients": [1, 2]}]}`))
+			"count": 5, "period": "6ms", "rate": 0.7}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {

@@ -65,21 +65,24 @@ func ScheduleLoad(h Harness, gen *workload.Generator, load LoadSpec) func() int 
 	return scheduleClosedLoop(h, gen, load, cum)
 }
 
+// Closed-loop poll interval: closedLoopBackoff after a poll that found room,
+// doubled by each consecutive full poll up to closedLoopMaxBackoff.
+const (
+	closedLoopBackoff    = time.Millisecond
+	closedLoopMaxBackoff = 16 * time.Millisecond
+)
+
 // scheduleClosedLoop installs a self-rescheduling controller (the BDLS-style
 // auto back-off under heavy payload): at each poll it owes cum(now) −
 // submitted transactions by the demand curve, but injects at most the room
 // left under MaxInFlight. A full window doubles the poll interval up to
-// MaxBackoff; available room resets it. The controller reads InFlight
-// mid-run, so closed-loop scenarios pin the serial simulation engine
+// closedLoopMaxBackoff; available room resets it. The controller reads
+// InFlight mid-run, so closed-loop scenarios pin the serial simulation engine
 // (Scenario.effectiveSimWorkers).
 func scheduleClosedLoop(h Harness, gen *workload.Generator, load LoadSpec, cum func(time.Duration) float64) func() int {
 	cl := *load.ClosedLoop
 	window := load.Window.D()
-	base := cl.Backoff.D()
-	maxB := cl.MaxBackoff.D()
-	if maxB < base {
-		maxB = base
-	}
+	base, maxB := closedLoopBackoff, closedLoopMaxBackoff
 	submitted := 0
 	var step func(now, backoff time.Duration)
 	step = func(now, backoff time.Duration) {

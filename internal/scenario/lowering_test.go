@@ -23,13 +23,9 @@ func everyFieldSpec(protocol string) Scenario {
 		Seed:       23,
 		SimWorkers: 3,
 		Nodes:      NodesSpec{Orgs: 11, PerOrg: 3, Consensus: 13, Faults: 2, Datacenters: 5},
-		Topology: TopologySpec{
-			IntraLatency: Duration(us(170)), InterLatency: Duration(us(7100)),
-			NICGbps: 25, InterDCGbps: 1.5, Jitter: Duration(us(19)), LossRate: 0.03,
-		},
+		Topology:   TopologySpec{InterDCGbps: 1.5, Jitter: Duration(us(19)), LossRate: 0.03},
 		Tuning: TuningSpec{
 			BlockSize: 123, BlockTimeout: Duration(us(3100)), ViewTimeout: Duration(us(91000)),
-			ClientTimeout:   Duration(us(410000)),
 			DisableDenylist: true, DisableMulticast: true, ConsensusOnPayload: true, DisableSpeculation: true,
 		},
 		Costs: &cost.Model{
@@ -45,8 +41,8 @@ func everyFieldSpec(protocol string) Scenario {
 func renderBIDL(b *bytes.Buffer, c core.Config) {
 	fmt.Fprintf(b, "orgs=%d\nper_org=%d\nconsensus=%d\nf=%d\nprotocol=%s\n",
 		c.NumOrgs, c.PerOrg, c.NumConsensus, c.F, c.Protocol)
-	fmt.Fprintf(b, "block_size=%d\nblock_timeout=%s\nview_timeout=%s\nclient_timeout=%s\n",
-		c.BlockSize, c.BlockTimeout, c.ViewTimeout, c.ClientTimeout)
+	fmt.Fprintf(b, "block_size=%d\nblock_timeout=%s\nview_timeout=%s\n",
+		c.BlockSize, c.BlockTimeout, c.ViewTimeout)
 	fmt.Fprintf(b, "disable_denylist=%t\ndisable_multicast=%t\nconsensus_on_payload=%t\ndisable_speculation=%t\n",
 		c.DisableDenylist, c.DisableMulticast, c.ConsensusOnPayload, c.DisableSpeculation)
 	fmt.Fprintf(b, "costs=%+v\ntopology=%+v\ndcs=%d\nseed=%d\nsim_workers=%d\ntraced=%t\n",
@@ -63,10 +59,10 @@ func renderFabric(b *bytes.Buffer, c fabric.Config) {
 }
 
 // TestLoweringPinned pins what each spec field compiles to, for every
-// framework: most tuning and topology keys are set by no example, workload,
-// experiment or flag, so nothing else would notice a line lost from the
-// spec → config lowering. The goldens were recorded before the BIDL and
-// baseline lowerings were merged.
+// framework: several tuning and topology keys and the costs are set by no
+// example, workload or experiment, so nothing else would notice a line lost
+// from the spec → config lowering. The goldens were recorded before the BIDL
+// and baseline lowerings were merged.
 func TestLoweringPinned(t *testing.T) {
 	// The non-default protocol of each framework.
 	protocols := map[string]string{
@@ -88,6 +84,8 @@ func TestLoweringPinned(t *testing.T) {
 				{"consensus-7-faults-2", Scenario{Nodes: NodesSpec{Consensus: 7, Faults: 2}}},
 				// Too few nodes to derive f from: the default f=1 must not survive.
 				{"consensus-3", Scenario{Nodes: NodesSpec{Consensus: 3}}},
+				// The eleven costs it leaves zero keep their defaults.
+				{"costs-one-field", Scenario{Costs: &cost.Model{SigVerify: 77 * time.Microsecond}}},
 			}
 			var buf bytes.Buffer
 			for _, sp := range specs {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/baseline/fabric"
@@ -169,19 +170,22 @@ func ScheduleCumulative(cum func(time.Duration) float64, window time.Duration, f
 	return total
 }
 
+// diurnalAmplitude is the diurnal shape's modulation depth.
+const diurnalAmplitude = 0.5
+
 // cumulative compiles the (defaults-resolved) load shape to its closed-form
-// cumulative-arrivals function. All shapes preserve mean rate: over any
-// whole period (and for constant, any interval) cum(t) advances by
-// Rate·Δt.
+// cumulative-arrivals function. A shape's period is the load window, and
+// every shape preserves mean rate: over the window (and for constant, any
+// interval) cum(t) advances by Rate·Δt.
 func (l LoadSpec) cumulative() func(time.Duration) float64 {
 	r := l.Rate
+	p := l.Window.D().Seconds()
 	switch l.Shape {
 	case ShapeDiurnal:
-		// rate(t) = R·(1 − A·cos(2πt/P)); starts at the trough so a run
-		// shorter than one period still warms up on light load.
+		// rate(t) = R·(1 − A·cos(2πt/P)); starts at the trough so the run
+		// warms up on light load.
 		// ∫₀ᵗ rate = R·t − R·A·P/(2π)·sin(2πt/P).
-		a := l.ShapeAmplitude
-		p := l.ShapePeriod.D().Seconds()
+		a := diurnalAmplitude
 		return func(t time.Duration) float64 {
 			ts := t.Seconds()
 			return r*ts - r*a*p/(2*math.Pi)*math.Sin(2*math.Pi*ts/p)
@@ -191,7 +195,6 @@ func (l LoadSpec) cumulative() func(time.Duration) float64 {
 		// at (1−M·d)/(1−d)×R, so each whole period offers exactly R·P.
 		m, dty := l.BurstMultiplier, l.BurstDuty
 		off := (1 - m*dty) / (1 - dty)
-		p := l.ShapePeriod.D().Seconds()
 		return func(t time.Duration) float64 {
 			ts := t.Seconds()
 			k := math.Floor(ts / p)
@@ -207,20 +210,9 @@ func (l LoadSpec) cumulative() func(time.Duration) float64 {
 // --- spec → framework config compilation --------------------------------
 
 // topology lowers TopologySpec onto simnet.DefaultTopology, overriding
-// only explicitly set fields. Negative bandwidths mean unlimited.
+// only explicitly set fields.
 func (t TopologySpec) topology() simnet.Topology {
 	topo := simnet.DefaultTopology()
-	if t.IntraLatency != 0 {
-		topo.IntraLatency = t.IntraLatency.D()
-	}
-	if t.InterLatency != 0 {
-		topo.InterLatency = t.InterLatency.D()
-	}
-	if t.NICGbps < 0 {
-		topo.NICBandwidth = 0
-	} else if t.NICGbps > 0 {
-		topo.NICBandwidth = int64(t.NICGbps * float64(simnet.Gbps))
-	}
 	if t.InterDCGbps > 0 {
 		topo.InterDCBandwidth = int64(t.InterDCGbps * float64(simnet.Gbps))
 	}
@@ -271,7 +263,14 @@ func (s Scenario) lower(cfg substrate.Config) substrate.Config {
 		cfg.ViewTimeout = tu.ViewTimeout.D()
 	}
 	if s.Costs != nil {
-		cfg.Costs = *s.Costs
+		// Field by field: a zero cost keeps the default, as zero does
+		// everywhere else in the spec.
+		set, costs := reflect.ValueOf(*s.Costs), reflect.ValueOf(&cfg.Costs).Elem()
+		for i := 0; i < set.NumField(); i++ {
+			if !set.Field(i).IsZero() {
+				costs.Field(i).Set(set.Field(i))
+			}
+		}
 	}
 	cfg.SimWorkers = s.effectiveSimWorkers()
 	return cfg
@@ -285,9 +284,6 @@ func (s Scenario) bidlConfig() core.Config {
 	cfg.Config = s.lower(cfg.Config)
 
 	tu := s.Tuning
-	if tu.ClientTimeout != 0 {
-		cfg.ClientTimeout = tu.ClientTimeout.D()
-	}
 	cfg.DisableDenylist = tu.DisableDenylist
 	cfg.DisableMulticast = tu.DisableMulticast
 	cfg.ConsensusOnPayload = tu.ConsensusOnPayload
@@ -343,19 +339,10 @@ func (s Scenario) workloadConfig(orgs int) workload.Config {
 	if ws.Accounts > 0 {
 		w.Accounts = ws.Accounts
 	}
-	if ws.HotFraction > 0 {
-		w.HotFraction = ws.HotFraction
-	}
 	w.ContentionRatio = ws.Contention
 	w.NondetRatio = ws.Nondet
 	w.ZipfS = ws.ZipfS
 	w.SettlementRatio = ws.Settlement
-	if ws.InitialBalance != 0 {
-		w.InitialBalance = ws.InitialBalance
-	}
-	if ws.Padding > 0 {
-		w.Padding = ws.Padding
-	}
 	w.Seed = ws.Seed
 	if w.Seed == 0 {
 		w.Seed = s.EffectiveSeed()
@@ -412,12 +399,6 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown load_shape %q", s.Load.Shape)
 	}
-	if l.ShapeAmplitude < 0 || l.ShapeAmplitude > 1 {
-		return fmt.Errorf("scenario: load.shape_amplitude must be in [0,1] (got %g)", l.ShapeAmplitude)
-	}
-	if l.ShapePeriod <= 0 {
-		return fmt.Errorf("scenario: load.shape_period must be > 0 (got %s)", l.ShapePeriod)
-	}
 	if l.Shape == ShapeBurst {
 		if l.BurstDuty <= 0 || l.BurstDuty >= 1 {
 			return fmt.Errorf("scenario: load.burst_duty must be in (0,1) (got %g)", l.BurstDuty)
@@ -430,21 +411,14 @@ func (s Scenario) Validate() error {
 				l.BurstMultiplier*l.BurstDuty)
 		}
 	}
-	if cl := l.ClosedLoop; cl != nil {
-		if cl.MaxInFlight < 1 {
-			return fmt.Errorf("scenario: closed_loop.max_in_flight must be >= 1 (got %d)", cl.MaxInFlight)
-		}
-		if cl.Backoff <= 0 || cl.MaxBackoff < cl.Backoff {
-			return fmt.Errorf("scenario: closed_loop backoff must be > 0 and max_backoff >= backoff")
-		}
+	if cl := l.ClosedLoop; cl != nil && cl.MaxInFlight < 1 {
+		return fmt.Errorf("scenario: closed_loop.max_in_flight must be >= 1 (got %d)", cl.MaxInFlight)
 	}
 
 	ws := s.Workload
 	switch {
 	case ws.Clients < 0 || ws.Accounts < 0:
 		return fmt.Errorf("scenario: workload counts must be >= 0")
-	case ws.HotFraction < 0 || ws.HotFraction > 1:
-		return fmt.Errorf("scenario: workload.hot_fraction must be in [0,1] (got %g)", ws.HotFraction)
 	case ws.Contention < 0 || ws.Contention > 1:
 		return fmt.Errorf("scenario: workload.contention must be in [0,1] (got %g)", ws.Contention)
 	case ws.Nondet < 0 || ws.Nondet > 1:
@@ -462,7 +436,7 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown attack kind %q", s.Attack.Kind)
 	}
-	if s.Attack.Start < 0 || s.Attack.Window < 0 || s.Attack.Interval < 0 || s.Attack.DetectLag < 0 {
+	if s.Attack.Start < 0 {
 		return fmt.Errorf("scenario: attack parameters must be >= 0")
 	}
 

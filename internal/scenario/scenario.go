@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"github.com/bidl-framework/bidl/internal/cost"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -76,8 +75,9 @@ type Scenario struct {
 	Topology TopologySpec `json:"topology,omitempty"`
 	// Tuning adjusts protocol timeouts, batching, and ablation switches.
 	Tuning TuningSpec `json:"tuning,omitempty"`
-	// Costs overrides the virtual CPU cost model; nil selects the paper's
-	// calibrated model (cost.Default). Durations are JSON nanoseconds.
+	// Costs overrides the virtual CPU cost model field by field: nil, or a
+	// zero field, keeps the paper's calibrated value (cost.Default). Fields
+	// are named as in cost.Model; durations are JSON nanoseconds.
 	Costs *cost.Model `json:"costs,omitempty"`
 	// Workload parameterizes the SmallBank transaction mix.
 	Workload WorkloadSpec `json:"workload,omitempty"`
@@ -117,17 +117,10 @@ type NodesSpec struct {
 	Datacenters int `json:"datacenters,omitempty"`
 }
 
-// TopologySpec shapes the network. Zero fields mean the paper's cluster:
-// 0.2 ms intra-DC RTT, 20 ms inter-DC RTT, 40 Gbps NICs, no shared
-// inter-DC cap, no jitter, no loss. Negative bandwidths mean "unlimited".
+// TopologySpec shapes the network. Zero fields mean the paper's cluster
+// (simnet.DefaultTopology): 0.2 ms intra-DC RTT, 20 ms inter-DC RTT, 40 Gbps
+// NICs, no shared inter-DC cap, no jitter, no loss.
 type TopologySpec struct {
-	// IntraLatency is the one-way delay within a datacenter (default 100µs).
-	IntraLatency Duration `json:"intra_latency,omitempty"`
-	// InterLatency is the one-way delay between datacenters (default 10ms).
-	InterLatency Duration `json:"inter_latency,omitempty"`
-	// NICGbps is per-endpoint egress capacity in Gbps (default 40;
-	// negative = unlimited).
-	NICGbps float64 `json:"nic_gbps,omitempty"`
 	// InterDCGbps caps the shared pipe per ordered DC pair in Gbps
 	// (default 0 = unlimited; the Fig 9 knob).
 	InterDCGbps float64 `json:"inter_dc_gbps,omitempty"`
@@ -142,10 +135,9 @@ type TopologySpec struct {
 // Zero durations and counts mean the framework's defaults (BIDL: 500-txn
 // blocks, 10ms block timeout, 150ms view timeout; StreamChain: block size 1).
 type TuningSpec struct {
-	BlockSize     int      `json:"block_size,omitempty"`
-	BlockTimeout  Duration `json:"block_timeout,omitempty"`
-	ViewTimeout   Duration `json:"view_timeout,omitempty"`
-	ClientTimeout Duration `json:"client_timeout,omitempty"`
+	BlockSize    int      `json:"block_size,omitempty"`
+	BlockTimeout Duration `json:"block_timeout,omitempty"`
+	ViewTimeout  Duration `json:"view_timeout,omitempty"`
 
 	// Ablation switches (BIDL-only, all default off).
 	DisableDenylist    bool `json:"disable_denylist,omitempty"`
@@ -158,9 +150,8 @@ type TuningSpec struct {
 // paper's standard workload: 100 clients, 10000 accounts, 1% hot set,
 // no contention, no non-determinism, ~1KB transactions.
 type WorkloadSpec struct {
-	Clients     int     `json:"clients,omitempty"`
-	Accounts    int     `json:"accounts,omitempty"`
-	HotFraction float64 `json:"hot_fraction,omitempty"`
+	Clients  int `json:"clients,omitempty"`
+	Accounts int `json:"accounts,omitempty"`
 	// Contention is the probability a transfer touches a hot account.
 	Contention float64 `json:"contention,omitempty"`
 	// Nondet is the probability a transaction is non-deterministic.
@@ -173,10 +164,6 @@ type WorkloadSpec struct {
 	// multi-step settlement flow (open → settle/cancel) instead of a
 	// SmallBank transfer.
 	Settlement float64 `json:"settlement,omitempty"`
-	// InitialBalance seeds every account (default 1,000,000).
-	InitialBalance int64 `json:"initial_balance,omitempty"`
-	// Padding sizes transactions in bytes (default ~1KB).
-	Padding uint32 `json:"padding,omitempty"`
 	// Seed drives workload randomness; zero inherits the scenario seed.
 	Seed int64 `json:"seed,omitempty"`
 }
@@ -185,12 +172,13 @@ type WorkloadSpec struct {
 const (
 	// ShapeConstant offers Rate txns/s uniformly (the default).
 	ShapeConstant = "constant"
-	// ShapeDiurnal modulates the rate sinusoidally around Rate:
-	// rate(t) = Rate · (1 − Amplitude·cos(2πt/Period)), starting at the
-	// trough. The mean over any whole period is exactly Rate.
+	// ShapeDiurnal modulates the rate sinusoidally around Rate, one period
+	// per Window: rate(t) = Rate · (1 − 0.5·cos(2πt/Window)), starting at
+	// the trough. The mean over the window is exactly Rate.
 	ShapeDiurnal = "diurnal"
-	// ShapeBurst alternates BurstDuty·Period at BurstMultiplier×Rate with
-	// an off-phase rate chosen so the mean over a period is exactly Rate.
+	// ShapeBurst spends the first BurstDuty of the Window at
+	// BurstMultiplier×Rate and the rest at an off-phase rate chosen so the
+	// mean over the window is exactly Rate.
 	ShapeBurst = "burst"
 )
 
@@ -211,12 +199,6 @@ type LoadSpec struct {
 	// Shapes are compiled to an analytic cumulative-arrivals function, so a
 	// constant shape is byte-identical to the legacy fixed-rate schedule.
 	Shape string `json:"load_shape,omitempty"`
-	// ShapeAmplitude is the diurnal modulation depth in [0, 1]
-	// (default 0.5).
-	ShapeAmplitude float64 `json:"shape_amplitude,omitempty"`
-	// ShapePeriod is the diurnal/burst period (default Window, i.e. one
-	// full cycle per run).
-	ShapePeriod Duration `json:"shape_period,omitempty"`
 	// BurstMultiplier is the on-phase rate multiple (default 4). With duty
 	// d and multiplier m, the off-phase runs at (1−m·d)/(1−d)×Rate, which
 	// requires m·d < 1.
@@ -227,8 +209,8 @@ type LoadSpec struct {
 
 	// ClosedLoop switches from open-loop scheduling to closed-loop clients:
 	// a controller tracks the cluster-wide outstanding-transaction count
-	// and withholds load (with exponential back-off) while the window is
-	// full. The offered rate still follows Rate and Shape — they become the
+	// and withholds load (polling with exponential back-off from 1 ms to
+	// 16 ms) while the window is full. The offered rate still follows Rate and Shape — they become the
 	// demand curve rather than the injection schedule. Closed-loop runs pin
 	// the serial simulation engine (the controller reacts to mid-run
 	// cluster state, which the partition discipline cannot order).
@@ -240,11 +222,6 @@ type ClosedLoopSpec struct {
 	// MaxInFlight caps submitted-but-uncommitted transactions cluster-wide
 	// (default 512).
 	MaxInFlight int `json:"max_in_flight,omitempty"`
-	// Backoff is the initial pause after finding the window full
-	// (default 1ms); each consecutive full poll doubles it.
-	Backoff Duration `json:"backoff,omitempty"`
-	// MaxBackoff caps the exponential back-off (default 16ms).
-	MaxBackoff Duration `json:"max_backoff,omitempty"`
 }
 
 // withShapeDefaults resolves the zero-value shape knobs to their
@@ -252,12 +229,6 @@ type ClosedLoopSpec struct {
 func (l LoadSpec) withShapeDefaults() LoadSpec {
 	if l.Shape == "" {
 		l.Shape = ShapeConstant
-	}
-	if l.ShapeAmplitude == 0 {
-		l.ShapeAmplitude = 0.5
-	}
-	if l.ShapePeriod == 0 {
-		l.ShapePeriod = l.Window
 	}
 	if l.BurstMultiplier == 0 {
 		l.BurstMultiplier = 4
@@ -269,12 +240,6 @@ func (l LoadSpec) withShapeDefaults() LoadSpec {
 		cl := *l.ClosedLoop
 		if cl.MaxInFlight == 0 {
 			cl.MaxInFlight = 512
-		}
-		if cl.Backoff == 0 {
-			cl.Backoff = Duration(time.Millisecond)
-		}
-		if cl.MaxBackoff == 0 {
-			cl.MaxBackoff = Duration(16 * time.Millisecond)
 		}
 		l.ClosedLoop = &cl
 	}
@@ -297,24 +262,13 @@ const (
 
 // AttackSpec optionally arms an adversary. The zero value is "no attack".
 // It is kept as the legacy JSON key for a one-entry fault schedule
-// (attackFault is its one translation); zero broadcaster knobs take the
-// defaults of chaos.Fault.
+// (attackFault is its one translation).
 type AttackSpec struct {
 	// Kind is one of "", "none", "leader", "broadcaster", "smart".
 	Kind string `json:"kind,omitempty"`
 	// Start is the virtual time a broadcaster arms (leader attacks apply
 	// at time zero regardless).
 	Start Duration `json:"start,omitempty"`
-	// Window is how many sequence numbers ahead of the observed frontier
-	// each burst contests.
-	Window int `json:"window,omitempty"`
-	// Interval is the burst period.
-	Interval Duration `json:"interval,omitempty"`
-	// DetectLag models how long the adversary needs to notice a
-	// leadership change.
-	DetectLag Duration `json:"detect_lag,omitempty"`
-	// MaliciousClients are the colluding client indices.
-	MaliciousClients []int `json:"malicious_clients"`
 }
 
 // WithDefaults returns the scenario with its framework name normalized.

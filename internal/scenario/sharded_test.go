@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -182,6 +184,40 @@ func TestShardedScenarioRun(t *testing.T) {
 	}
 	if stats[1] == 0 {
 		t.Fatal("no cross-shard transfer committed")
+	}
+}
+
+// Closed-loop load on a sharded spec: the controller reads the sharded
+// harness's in-flight count (pending per shard plus undecided 2PC transfers),
+// so a tight window holds most of the demand back, the run stays safe, and
+// a rerun reproduces it.
+func TestShardedClosedLoop(t *testing.T) {
+	spec := shardedSpec()
+	spec.CrossShardRatio = 0.2
+	spec.Load.ClosedLoop = &ClosedLoopSpec{MaxInFlight: 8}
+	run := func() (Result, string) {
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := res.Collector.WriteSummary(&sb); err != nil {
+			t.Fatal(err)
+		}
+		res.Collector = nil
+		return res, sb.String()
+	}
+	res, metrics := run()
+	if res.SafetyErr != nil {
+		t.Fatalf("safety: %v", res.SafetyErr)
+	}
+	demand := int(math.Round(spec.Load.Rate * spec.Load.Window.D().Seconds()))
+	if res.Submitted == 0 || res.Submitted >= demand {
+		t.Fatalf("submitted %d of a demand of %d: backpressure should hold some back", res.Submitted, demand)
+	}
+	again, metricsAgain := run()
+	if !reflect.DeepEqual(res, again) || metrics != metricsAgain {
+		t.Fatalf("rerun diverged:\n%+v\n%+v", res, again)
 	}
 }
 

@@ -181,12 +181,6 @@ func (n *Network) lookaheadBound() time.Duration {
 	return n.topo.MinLatency()
 }
 
-// Sim returns the underlying simulator.
-func (n *Network) Sim() *Sim { return n.sim }
-
-// Topology returns the network's topology parameters.
-func (n *Network) Topology() Topology { return n.topo }
-
 // SetTracer attaches (or, with nil, detaches) a telemetry tracer. Endpoints
 // already registered are named into the tracer, so attach order does not
 // matter.

@@ -184,9 +184,6 @@ func ShardPartition(g, nparts int) int {
 // lookahead bound is positive, and ForceSerial is off.
 func (s *Sim) SetWorkers(w int) { s.workers = w }
 
-// Workers returns the configured concurrency.
-func (s *Sim) Workers() int { return s.workers }
-
 // ForceSerial pins the serial engine regardless of workers/partitions —
 // the reference executor that parallel runs must match byte-for-byte.
 func (s *Sim) ForceSerial(v bool) { s.forceSerial = v }

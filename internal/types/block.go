@@ -147,6 +147,3 @@ func (b *Block) Size() int {
 	}
 	return n
 }
-
-// Len returns the number of transactions the block orders.
-func (b *Block) Len() int { return len(b.Hashes) }

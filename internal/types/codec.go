@@ -18,7 +18,6 @@ const maxElems = 1 << 20
 // serialization format.
 type enc struct{ buf []byte }
 
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *enc) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 func (e *enc) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 func (e *enc) bytes(b []byte) {
@@ -39,16 +38,6 @@ func (d *dec) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, d.off)
 	}
-}
-
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail("u8")
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
 }
 
 func (d *dec) u32() uint32 {

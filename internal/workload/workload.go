@@ -32,8 +32,6 @@ type Config struct {
 	NumClients int
 	// Accounts is the total number of bank accounts.
 	Accounts int
-	// HotFraction is the share of accounts considered hot (paper: 1%).
-	HotFraction float64
 	// ContentionRatio is the probability a transfer touches a hot account
 	// (paper sweeps 0–50%).
 	ContentionRatio float64
@@ -58,13 +56,18 @@ type Config struct {
 	Shards int
 	// CrossShardRatio is the probability a transfer crosses shards.
 	CrossShardRatio float64
-	// InitialBalance seeds every account.
-	InitialBalance int64
-	// Padding sizes transactions (~1 KB default).
-	Padding uint32
 	// Seed drives all workload randomness.
 	Seed int64
 }
+
+// Workload parameters no experiment, workload or spec varies: transactions
+// are padded to types.DefaultTxPadding.
+const (
+	// hotFraction is the share of accounts considered hot (paper: 1%).
+	hotFraction = 0.01
+	// InitialBalance seeds every account.
+	InitialBalance = 1_000_000
+)
 
 // DefaultConfig returns the paper's standard workload parameters.
 func DefaultConfig(numOrgs int) Config {
@@ -72,13 +75,10 @@ func DefaultConfig(numOrgs int) Config {
 		NumOrgs:         numOrgs,
 		NumClients:      100,
 		Accounts:        10000,
-		HotFraction:     0.01,
 		ContentionRatio: 0,
 		NondetRatio:     0,
 		ZipfS:           0,
 		SettlementRatio: 0,
-		InitialBalance:  1_000_000,
-		Padding:         types.DefaultTxPadding,
 		Seed:            7,
 	}
 }
@@ -152,7 +152,7 @@ func NewGenerator(cfg Config, scheme crypto.Scheme) *Generator {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		scheme: scheme,
 		nonces: make(map[crypto.Identity]uint64),
-		nHot:   int(float64(cfg.Accounts) * cfg.HotFraction),
+		nHot:   int(float64(cfg.Accounts) * hotFraction),
 	}
 	if g.nHot < 1 {
 		g.nHot = 1
@@ -178,9 +178,6 @@ func NewGenerator(cfg Config, scheme crypto.Scheme) *Generator {
 	}
 	return g
 }
-
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
 
 // Client returns the identity of client i. An out-of-range index is a
 // harness bug — the returned identity would never have been registered with
@@ -259,7 +256,7 @@ func (g *Generator) Base() *ledger.Base {
 	if g.base != nil {
 		return g.base
 	}
-	prepBal := []byte(strconv.FormatInt(g.cfg.InitialBalance, 10))
+	prepBal := []byte(strconv.FormatInt(InitialBalance, 10))
 	feeVal := []byte(strconv.Itoa(contract.DefaultSettlementFee))
 	nAcct := g.cfg.Accounts
 	nFee := 0
@@ -375,7 +372,7 @@ func (g *Generator) NextFrom(ci int) *types.Transaction {
 		Client:   client,
 		Nonce:    g.nonces[client],
 		Contract: "smallbank",
-		Padding:  g.cfg.Padding,
+		Padding:  types.DefaultTxPadding,
 	}
 	switch {
 	case g.cfg.NondetRatio > 0 && g.rng.Float64() < g.cfg.NondetRatio:

@@ -49,7 +49,7 @@ func TestContentionSkewsToHotAccounts(t *testing.T) {
 	g := newGen(cfg)
 	hot := 0
 	const n = 2000
-	nHot := int(float64(cfg.Accounts) * cfg.HotFraction)
+	nHot := int(float64(cfg.Accounts) * hotFraction)
 	for i := 0; i < n; i++ {
 		tx := g.Next()
 		src := string(tx.Args[0])
@@ -106,7 +106,7 @@ func TestPrepopulate(t *testing.T) {
 		t.Fatalf("state has %d keys, want 200 (checking+savings)", st.Len())
 	}
 	val, _, ok := st.Get(contract.CheckingKey("acct-0"))
-	if !ok || string(val) != strconv.FormatInt(cfg.InitialBalance, 10) {
+	if !ok || string(val) != strconv.FormatInt(InitialBalance, 10) {
 		t.Fatalf("acct-0 checking = %q", val)
 	}
 }
@@ -147,7 +147,7 @@ func TestDestinationContention(t *testing.T) {
 	cfg.Accounts = 1000
 	cfg.ContentionRatio = 0.6
 	g := newGen(cfg)
-	nHot := int(float64(cfg.Accounts) * cfg.HotFraction)
+	nHot := int(float64(cfg.Accounts) * hotFraction)
 	const n = 4000
 	dstHot, bothHot := 0, 0
 	for i := 0; i < n; i++ {
