@@ -538,3 +538,51 @@ func TestConsNodeSlotsOutliveDroppedPayload(t *testing.T) {
 		t.Fatal("the agreed hash went with the dropped payload's page")
 	}
 }
+
+// TestPersistSignatureCoversEntry: a PERSIST signature covers every field of
+// every entry, the entries' order and the sending node. A batch consensus
+// node 0 signed is rebuilt as a fresh object, so nothing is cached (no signing
+// bytes, content key or verdict), and keeps the original signature: the
+// rebuild verifies, and a rebuild with any one field changed does not.
+func TestPersistSignatureCoversEntry(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	txns := gen.Batch(2)
+	entries := func() []PersistEntry {
+		es := make([]PersistEntry, len(txns))
+		for i, tx := range txns {
+			es[i] = PersistEntry{Seq: 9001 + uint64(i), TxID: tx.ID(), VecDigest: crypto.Digest{byte(1 + i)},
+				Consistent: true, ResultDigest: crypto.Digest{byte(10 + i)},
+				Writes: []ledger.Write{{Key: "k", Val: []byte("v")}}}
+		}
+		return es
+	}
+	signed := &PersistMsg{Node: 0, Entries: echoes(entries()...)}
+	signed.sign(c.ConsNodes[0].Sign)
+	rebuild := func(change func(*PersistMsg)) *PersistMsg {
+		m := &PersistMsg{Node: signed.Node, Entries: echoes(entries()...), Sig: signed.Sig}
+		change(m)
+		return m
+	}
+	if !rebuild(func(*PersistMsg) {}).authentic(c.Scheme) {
+		t.Fatal("the unchanged rebuild of a signed batch is rejected")
+	}
+	for _, tc := range []struct {
+		field  string
+		change func(*PersistMsg)
+	}{
+		{"Seq", func(m *PersistMsg) { m.Entries[0].Seq++ }},
+		{"TxID", func(m *PersistMsg) { m.Entries[1].TxID[31] ^= 1 }},
+		{"VecDigest", func(m *PersistMsg) { m.Entries[0].VecDigest[0] ^= 1 }},
+		{"ResultDigest", func(m *PersistMsg) { m.Entries[1].ResultDigest[0] ^= 1 }},
+		{"write key", func(m *PersistMsg) { m.Entries[0].Writes[0].Key = "j" }},
+		{"write value", func(m *PersistMsg) { m.Entries[1].Writes[0].Val = []byte("w") }},
+		{"Aborted", func(m *PersistMsg) { m.Entries[0].Aborted = true }},
+		{"Consistent", func(m *PersistMsg) { m.Entries[1].Consistent = false }},
+		{"entry order", func(m *PersistMsg) { m.Entries[0], m.Entries[1] = m.Entries[1], m.Entries[0] }},
+		{"Node", func(m *PersistMsg) { m.Node = 1 }},
+	} {
+		if rebuild(tc.change).authentic(c.Scheme) {
+			t.Errorf("a batch with %s changed still carries a valid signature", tc.field)
+		}
+	}
+}
