@@ -106,7 +106,13 @@ loc:
 # shape period, closed-loop back-off, the broadcaster's four knobs), with
 # their Validate checks and the config fields behind them; bench -list-faults
 # gone; fourteen uncalled methods and ConsNode's FetchResp case deleted.
-LOC_CEILING := 18535
+# Dense vote tallies raised it by its measured net, +53 (18535 -> 18588), for a
+# 27 % cut in `wide`'s allocated bytes per transaction and 8 % in its live heap:
+# consensus.Votes, one dense vote tally for four protocols, with the map form
+# of BuildCert gone (+49 in consensus/core.go); the consensus node's decoded
+# proposal reused at delivery (+25 in consnode.go, vectorApproved compared in
+# place at 0); PERSIST signed over content keys (-21 in messages.go).
+LOC_CEILING := 18588
 DOC_CEILING := 1611
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -262,14 +268,16 @@ workload-smoke: $(BIDL)
 # The `fabric` spec ends with 43.0 MiB, its 50 peers marking committed
 # transactions in arrays over the deployment's hash ordinals; with a map by
 # hash in each it ended with 101.3 MiB. Same + 15 %. The `wide` spec (97
-# consensus nodes) ends with 43.3 MiB, each consensus node keeping one slot
-# per sequence number in the pool's pages and one shared echo object per
-# result; with five maps by sequence number in each and a copy of every echo
-# per sender it ended with 61.6 MiB, which fails this limit. Same + 15 %.
+# consensus nodes) ends with 39.6 MiB, each consensus node keeping one slot
+# per sequence number in the pool's pages, one shared echo object per result
+# and its votes by member index into exact-size certificates; the limit is
+# that + 8 % (the benchmark's bound on live_heap_mb). With vote maps and
+# doubling certificate slices it ended with 43.3 MiB, which fails this limit;
+# with five maps by sequence number and a copy of every echo per sender, 61.6.
 heap-smoke: $(BIDL)
 	$(BIDL) run -scenario benchmark/workloads/steady.json -heap-check 71303168
 	$(BIDL) run -scenario benchmark/workloads/fabric.json -heap-check 51852083
-	$(BIDL) run -scenario benchmark/workloads/wide.json -heap-check 52213841
+	$(BIDL) run -scenario benchmark/workloads/wide.json -heap-check 44845499
 
 # Per-node prepopulation microbenchmark (O(1) via the shared copy-on-write
 # base). Per-transaction generation is the benchmark ladder's workload.* rungs.

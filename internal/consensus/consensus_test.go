@@ -123,3 +123,24 @@ func TestValueSize(t *testing.T) {
 		t.Fatalf("size %d", v.Size())
 	}
 }
+
+// TestVotesCertExactCapacity: a certificate's signatures are allocated once,
+// at their final count, and a tally of unsigned votes keeps no signature
+// slots.
+func TestVotesCertExactCapacity(t *testing.T) {
+	v := NewVotes(97)
+	for m := 96; m >= 0; m-- {
+		v.Add(m, crypto.Signature{byte(m)})
+	}
+	for _, limit := range []int{1, 65, 97, 200} {
+		sigs := v.Cert(0, 0, crypto.Digest{}, limit).Sigs
+		if want := min(limit, 97); len(sigs) != want || cap(sigs) != want || sigs[want-1].Node != want-1 {
+			t.Fatalf("limit %d: %d signatures (capacity %d), want the first %d members'", limit, len(sigs), cap(sigs), want)
+		}
+	}
+	unsigned := NewVotes(97)
+	unsigned.Add(3, nil)
+	if unsigned.sigs != nil || unsigned.Len() != 1 {
+		t.Fatalf("an unsigned vote: %d votes, signature slots %v", unsigned.Len(), unsigned.sigs != nil)
+	}
+}

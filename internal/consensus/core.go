@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -93,14 +94,62 @@ func (m *ViewMsg) signingBytes() []byte {
 	return buf
 }
 
-// BuildCert assembles the certificate for (view, seq, digest) from the first
-// limit signatures in ascending node order.
-func BuildCert(view, seq uint64, d crypto.Digest, sigs map[int]crypto.Signature, limit int) *types.Certificate {
+// Votes is one phase's tally of votes on an instance, by member index in
+// [0, n): at most one vote per member, a repeated vote keeping its latest
+// signature. A has-voted bitmap and a signature per member replace a map by
+// member; nothing is allocated before the first vote, nor a signature slot for
+// a tally of unsigned votes.
+type Votes struct {
+	n, count int
+	has      []uint64           // bit m%64 of word m/64: member m voted
+	sigs     []crypto.Signature // by member, from the first signed vote on
+}
+
+// NewVotes returns an empty tally over n members.
+func NewVotes(n int) Votes { return Votes{n: n} }
+
+// Add records member's vote; sig is nil for an unsigned one.
+func (v *Votes) Add(member int, sig crypto.Signature) {
+	if v.has == nil {
+		v.has = make([]uint64, (v.n+63)/64)
+	}
+	if w, bit := member/64, uint64(1)<<(member%64); v.has[w]&bit == 0 {
+		v.has[w] |= bit
+		v.count++
+	}
+	if sig != nil && v.sigs == nil {
+		v.sigs = make([]crypto.Signature, v.n)
+	}
+	if v.sigs != nil {
+		v.sigs[member] = sig
+	}
+}
+
+// Len returns how many members voted.
+func (v *Votes) Len() int { return v.count }
+
+// Has reports whether member voted.
+func (v *Votes) Has(member int) bool {
+	return v.has != nil && v.has[member/64]&(1<<(member%64)) != 0
+}
+
+// Cert assembles the certificate for (view, seq, digest) from the first limit
+// voters in ascending member order (every voter for limit <= 0).
+func (v *Votes) Cert(view, seq uint64, d crypto.Digest, limit int) *types.Certificate {
 	cert := &types.Certificate{View: view, Number: seq, Digest: d}
-	for _, node := range SortedNodes(sigs) {
-		cert.Sigs = append(cert.Sigs, types.NodeSig{Node: node, Sig: sigs[node]})
-		if len(cert.Sigs) == limit {
-			break
+	k := v.count
+	if limit > 0 && limit < k {
+		k = limit
+	}
+	cert.Sigs = make([]types.NodeSig, 0, k)
+	for w, word := range v.has {
+		for ; word != 0 && len(cert.Sigs) < k; word &= word - 1 {
+			m := 64*w + bits.TrailingZeros64(word)
+			s := types.NodeSig{Node: m}
+			if v.sigs != nil {
+				s.Sig = v.sigs[m]
+			}
+			cert.Sigs = append(cert.Sigs, s)
 		}
 	}
 	return cert

@@ -1,21 +1,9 @@
 package consensus
 
-import (
-	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/types"
-)
-
-// mapTally is the vote tally the protocols keep: a map by member, certified
-// by BuildCert. FuzzVotes drives it against its own reference.
-type mapTally map[int]crypto.Signature
-
-func newTally(int) mapTally { return make(mapTally) }
-
-func (m mapTally) Add(member int, sig crypto.Signature) { m[member] = sig }
-func (m mapTally) Len() int                             { return len(m) }
-func (m mapTally) Has(member int) bool                  { _, ok := m[member]; return ok }
-func (m mapTally) Cert(view, seq uint64, d crypto.Digest, limit int) *types.Certificate {
-	return BuildCert(view, seq, d, m, limit)
+// newTally is the vote tally FuzzVotes drives against a map by member.
+func newTally(n int) *Votes {
+	v := NewVotes(n)
+	return &v
 }
 
 // CollectedViews returns the views c holds view-change messages for.

@@ -52,7 +52,7 @@ type instance struct {
 	consensus.Slot
 	locked bool
 	// leader-side vote tallies per phase
-	votes [3]map[int]crypto.Signature
+	votes [3]consensus.Votes
 }
 
 // lockedRank is the rank of a locked proposal (precommitQC seen) in a
@@ -73,7 +73,7 @@ func New(cfg consensus.Config, host consensus.Host) *Replica {
 		NewInstance: func() *instance {
 			in := &instance{}
 			for i := range in.votes {
-				in.votes[i] = make(map[int]crypto.Signature)
+				in.votes[i] = consensus.NewVotes(cfg.N)
 			}
 			return in
 		},
@@ -161,7 +161,7 @@ func (r *Replica) vote(kind, phaseIdx int, seq uint64, in *instance) {
 // ownVote tallies the leader's own vote for a phase it just opened.
 func (r *Replica) ownVote(phaseIdx int, seq uint64, in *instance) {
 	r.Host.Elapse(r.Cfg.SigSign)
-	in.votes[phaseIdx][r.Cfg.Self] = r.Host.Sign(signBytes(phaseIdx, r.View(), seq, in.Digest))
+	in.votes[phaseIdx].Add(r.Cfg.Self, r.Host.Sign(signBytes(phaseIdx, r.View(), seq, in.Digest)))
 }
 
 // signBytes selects the byte string a phase vote covers: commit-phase votes
@@ -202,8 +202,8 @@ func (r *Replica) onVote(from int, m *Msg) {
 	if !r.Host.VerifyNode(from, signBytes(p, m.View, m.Seq, m.Digest), m.Sig) {
 		return
 	}
-	in.votes[p][from] = m.Sig
-	if len(in.votes[p]) != r.Cfg.Quorum() {
+	in.votes[p].Add(from, m.Sig)
+	if in.votes[p].Len() != r.Cfg.Quorum() {
 		return
 	}
 	// Quorum reached: combine into a QC and advance the phase.
@@ -223,7 +223,7 @@ func (r *Replica) onVote(from int, m *Msg) {
 	case 2:
 		// Commit votes sign types.CertSigningBytes, so 2f+1 of them are a
 		// standard certificate that verifies like every other protocol's.
-		cert := consensus.BuildCert(r.View(), m.Seq, in.Digest, in.votes[2], r.Cfg.Quorum())
+		cert := in.votes[2].Cert(r.View(), m.Seq, in.Digest, r.Cfg.Quorum())
 		r.Host.BroadcastCN(&Msg{Kind: kindDecide, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc, CertSigs: cert.Sigs})
 		r.Decide(m.Seq, in, "decided", cert)
 	}

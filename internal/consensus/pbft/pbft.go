@@ -47,8 +47,8 @@ func (m *Msg) Size() int {
 
 type instance struct {
 	consensus.Slot
-	prepares map[int]bool
-	commits  map[int]crypto.Signature
+	prepares consensus.Votes // unsigned: MAC-authenticated
+	commits  consensus.Votes
 	sentPrep bool
 	sentComm bool
 }
@@ -74,7 +74,7 @@ func New(cfg consensus.Config, host consensus.Host) *Replica {
 	r := &Replica{}
 	r.Init(cfg, host, consensus.Protocol[*instance]{
 		NewInstance: func() *instance {
-			return &instance{prepares: make(map[int]bool), commits: make(map[int]crypto.Signature)}
+			return &instance{prepares: consensus.NewVotes(cfg.N), commits: consensus.NewVotes(cfg.N)}
 		},
 		ProposeAt: r.proposeAt,
 		Rank:      r.rank,
@@ -98,7 +98,7 @@ func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
 	r.Host.Elapse(r.Cfg.MACCompute) // authenticate the pre-prepare
 	r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
 	// The leader's own prepare is implicit in the pre-prepare.
-	in.prepares[r.Cfg.Self] = true
+	in.prepares.Add(r.Cfg.Self, nil)
 	in.sentPrep = true
 	r.maybePrepared(seq, in)
 	r.ArmTimer()
@@ -157,11 +157,11 @@ func (r *Replica) onPrePrepare(from int, m *Msg) {
 	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
 	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
 	// The leader's pre-prepare doubles as its prepare.
-	in.prepares[from] = true
+	in.prepares.Add(from, nil)
 	if !in.sentPrep {
 		in.sentPrep = true
 		r.sendPrepare(m.Seq, m.Digest)
-		in.prepares[r.Cfg.Self] = true
+		in.prepares.Add(r.Cfg.Self, nil)
 	} else if in.sentComm {
 		// A duplicate pre-prepare is the leader re-driving a stalled
 		// instance (retransmit path): our earlier prepare or commit may
@@ -183,19 +183,19 @@ func (r *Replica) onPrepare(from int, m *Msg) {
 	if in.Have && in.Digest != m.Digest {
 		return
 	}
-	in.prepares[from] = true
+	in.prepares.Add(from, nil)
 	r.maybePrepared(m.Seq, in)
 }
 
 // maybePrepared sends a commit once the instance has a pre-prepare and a
 // 2f+1 prepare quorum.
 func (r *Replica) maybePrepared(seq uint64, in *instance) {
-	if !in.Have || in.sentComm || len(in.prepares) < r.Cfg.Quorum() {
+	if !in.Have || in.sentComm || in.prepares.Len() < r.Cfg.Quorum() {
 		return
 	}
 	in.sentComm = true
 	r.Host.ConsensusPhase("prepared", r.View(), seq)
-	in.commits[r.Cfg.Self] = r.sendCommit(seq, in.Digest)
+	in.commits.Add(r.Cfg.Self, r.sendCommit(seq, in.Digest))
 	r.maybeDecide(seq, in)
 }
 
@@ -213,15 +213,15 @@ func (r *Replica) onCommit(from int, m *Msg) {
 	if in.Have && in.Digest != m.Digest {
 		return
 	}
-	in.commits[from] = m.Sig
+	in.commits.Add(from, m.Sig)
 	r.maybeDecide(m.Seq, in)
 }
 
 func (r *Replica) maybeDecide(seq uint64, in *instance) {
-	if in.Decided || !in.Have || !in.sentComm || len(in.commits) < r.Cfg.Quorum() {
+	if in.Decided || !in.Have || !in.sentComm || in.commits.Len() < r.Cfg.Quorum() {
 		return
 	}
-	r.Decide(seq, in, "committed", consensus.BuildCert(r.View(), seq, in.Digest, in.commits, r.Cfg.Quorum()))
+	r.Decide(seq, in, "committed", in.commits.Cert(r.View(), seq, in.Digest, r.Cfg.Quorum()))
 }
 
 // --- what pbft adds to the shared view change --------------------------------
@@ -234,7 +234,7 @@ func (r *Replica) rank(in *instance) int {
 	// P-set (PBFT §4.4): any sequence committed at a correct node then
 	// appears in at least one of the 2f+1 view-change messages (quorum
 	// intersection), which is what makes fillHoles safe.
-	case in.Decided || len(in.prepares) >= r.Cfg.Quorum():
+	case in.Decided || in.prepares.Len() >= r.Cfg.Quorum():
 		return prepared
 	default:
 		return prePrepared

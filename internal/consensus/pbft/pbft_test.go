@@ -151,8 +151,7 @@ func TestCommitVerdictSharedButExact(t *testing.T) {
 		c.Nodes[to].WithCtx(func() { c.Nodes[to].Replica().Step(from, m) })
 	}
 	counted := func(at, from int) bool {
-		_, ok := c.Nodes[at].Replica().(*Replica).Inst(0).commits[from]
-		return ok
+		return c.Nodes[at].Replica().(*Replica).Inst(0).commits.Has(from)
 	}
 
 	step(1, 0, authentic)

@@ -42,7 +42,7 @@ func (m *Msg) Size() int {
 
 type instance struct {
 	consensus.Slot
-	shares   map[int]crypto.Signature
+	shares   consensus.Votes
 	fallback bool
 }
 
@@ -68,7 +68,7 @@ func NewWithCollectors(cfg consensus.Config, host consensus.Host, collectors int
 	}
 	r := &Replica{collectors: collectors}
 	r.Init(cfg, host, consensus.Protocol[*instance]{
-		NewInstance: func() *instance { return &instance{shares: make(map[int]crypto.Signature)} },
+		NewInstance: func() *instance { return &instance{shares: consensus.NewVotes(cfg.N)} },
 		ProposeAt:   r.proposeAt,
 		Rank:        consensus.RankUndecided[*instance],
 		Supersedes:  consensus.HigherRank,
@@ -168,15 +168,15 @@ func (r *Replica) acceptShare(from int, seq uint64, in *instance, sig crypto.Sig
 	if in.Decided {
 		return
 	}
-	in.shares[from] = sig
-	if len(in.shares) >= r.Cfg.FastQuorum() {
+	in.shares.Add(from, sig)
+	if in.shares.Len() >= r.Cfg.FastQuorum() {
 		r.emitProof(seq, in, r.Cfg.FastQuorum())
 		return
 	}
-	if len(in.shares) == r.Cfg.Quorum() && !in.fallback {
+	if in.shares.Len() == r.Cfg.Quorum() && !in.fallback {
 		in.fallback = true
 		r.AfterInEpoch(r.Cfg.FastPathWait(), func() {
-			if !in.Decided && len(in.shares) < r.Cfg.FastQuorum() {
+			if !in.Decided && in.shares.Len() < r.Cfg.FastQuorum() {
 				r.emitProof(seq, in, r.Cfg.Quorum())
 			}
 		})
@@ -187,7 +187,7 @@ func (r *Replica) acceptShare(from int, seq uint64, in *instance, sig crypto.Sig
 func (r *Replica) emitProof(seq uint64, in *instance, limit int) {
 	r.Host.ConsensusPhase("proof", r.View(), seq)
 	r.Host.Elapse(r.Cfg.ThresholdCombine)
-	cert := consensus.BuildCert(r.View(), seq, in.Digest, in.shares, limit)
+	cert := in.shares.Cert(r.View(), seq, in.Digest, limit)
 	r.Host.BroadcastCN(&Msg{Kind: kindCommitProof, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
 	r.Decide(seq, in, "decided", cert)
 }

@@ -46,8 +46,8 @@ func (m *Msg) Size() int {
 
 type instance struct {
 	consensus.Slot
-	specs  map[int]crypto.Signature // collector: spec responses
-	acks   map[int]crypto.Signature // collector: local commits
+	specs  consensus.Votes // collector: spec responses
+	acks   consensus.Votes // collector: local commits
 	sentCC bool
 }
 
@@ -62,7 +62,7 @@ func New(cfg consensus.Config, host consensus.Host) *Replica {
 	r := &Replica{}
 	r.Init(cfg, host, consensus.Protocol[*instance]{
 		NewInstance: func() *instance {
-			return &instance{specs: make(map[int]crypto.Signature), acks: make(map[int]crypto.Signature)}
+			return &instance{specs: consensus.NewVotes(cfg.N), acks: consensus.NewVotes(cfg.N)}
 		},
 		ProposeAt:  r.proposeAt,
 		Rank:       consensus.RankUndecided[*instance],
@@ -159,36 +159,36 @@ func (r *Replica) acceptSpec(from int, seq uint64, in *instance, sig crypto.Sign
 	if in.Decided {
 		return
 	}
-	in.specs[from] = sig
-	if len(in.specs) >= r.Cfg.FastQuorum() {
+	in.specs.Add(from, sig)
+	if in.specs.Len() >= r.Cfg.FastQuorum() {
 		// Fast path: everyone responded consistently.
 		r.Host.ConsensusPhase("fast-quorum", r.View(), seq)
-		r.commit(kindCommitFast, seq, in, in.specs, r.Cfg.FastQuorum())
+		r.commit(kindCommitFast, seq, in, &in.specs, r.Cfg.FastQuorum())
 		return
 	}
-	if len(in.specs) == r.Cfg.Quorum() && !in.sentCC {
+	if in.specs.Len() == r.Cfg.Quorum() && !in.sentCC {
 		// Arm the slow-path timer: if the fast quorum does not arrive,
 		// fall back to the two-phase commit-certificate path.
 		r.AfterInEpoch(r.Cfg.FastPathWait(), func() {
-			if in.Decided || in.sentCC || len(in.specs) >= r.Cfg.FastQuorum() {
+			if in.Decided || in.sentCC || in.specs.Len() >= r.Cfg.FastQuorum() {
 				return
 			}
 			in.sentCC = true
 			r.Host.ConsensusPhase("commit-cert", r.View(), seq)
-			cert := consensus.BuildCert(r.View(), seq, in.Digest, in.specs, r.Cfg.Quorum())
+			cert := in.specs.Cert(r.View(), seq, in.Digest, r.Cfg.Quorum())
 			r.Host.BroadcastCN(&Msg{Kind: kindCommitCert, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Certs: cert.Sigs})
 			// The collector's own local commit.
 			r.Host.Elapse(r.Cfg.SigSign)
-			in.acks[r.Cfg.Self] = r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest))
+			in.acks.Add(r.Cfg.Self, r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest)))
 			r.maybeFullCommit(seq, in)
 		})
 	}
 }
 
-// commit distributes the certificate over the first limit of sigs and
+// commit distributes the certificate over the first limit of votes and
 // decides locally.
-func (r *Replica) commit(kind int, seq uint64, in *instance, sigs map[int]crypto.Signature, limit int) {
-	cert := consensus.BuildCert(r.View(), seq, in.Digest, sigs, limit)
+func (r *Replica) commit(kind int, seq uint64, in *instance, votes *consensus.Votes, limit int) {
+	cert := votes.Cert(r.View(), seq, in.Digest, limit)
 	r.Host.BroadcastCN(&Msg{Kind: kind, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
 	r.Decide(seq, in, "decided", cert)
 }
@@ -245,13 +245,13 @@ func (r *Replica) onLocalCommit(from int, m *Msg) {
 	if in.Digest != m.Digest {
 		return
 	}
-	in.acks[from] = m.Sig
+	in.acks.Add(from, m.Sig)
 	r.maybeFullCommit(m.Seq, in)
 }
 
 func (r *Replica) maybeFullCommit(seq uint64, in *instance) {
-	if in.Decided || len(in.acks) < r.Cfg.Quorum() {
+	if in.Decided || in.acks.Len() < r.Cfg.Quorum() {
 		return
 	}
-	r.commit(kindFullCommit, seq, in, in.acks, r.Cfg.Quorum())
+	r.commit(kindFullCommit, seq, in, &in.acks, r.Cfg.Quorum())
 }

@@ -66,6 +66,9 @@ type ConsNode struct {
 	chainHeight   uint64
 	blockFetching bool
 	blocks        *ledger.BlockStore
+	// proposals holds, per undelivered consensus sequence, the ordering
+	// Proposed decoded, so that Deliver of those very bytes reuses it.
+	proposals map[uint64]proposal
 	// proposeTime records when this node proposed each ordering digest
 	// (leader-side consensus latency, Table 3 P1).
 	proposeTime map[crypto.Digest]time.Duration
@@ -101,6 +104,7 @@ func newConsNode(c *Cluster, org int) *ConsNode {
 		pool:        newTxPoolOn(c.Hashes),
 		auth:        make(map[uint64]types.TxID),
 		delivered:   make(map[uint64]*deliveredBlock),
+		proposals:   make(map[uint64]proposal),
 		blocks:      ledger.NewBlockStore(),
 		proposeTime: make(map[crypto.Digest]time.Duration),
 		suspects:    make(map[crypto.Identity]map[int]bool),
@@ -334,6 +338,9 @@ func (n *ConsNode) Proposed(seq uint64, v consensus.Value) {
 	if err != nil {
 		return
 	}
+	if seq >= n.chainHeight {
+		n.proposals[seq] = proposal{v.Data, seqs, hashes}
+	}
 	for i, s := range seqs {
 		if cs := n.pool.consAt(s, true); !cs.hashed {
 			cs.hash, cs.hashed = hashes[i], true
@@ -356,9 +363,16 @@ func (n *ConsNode) evaluateBuffered(seqs []uint64) {
 	}
 }
 
+// proposal is an ordering Proposed decoded, and the bytes it decoded.
+type proposal struct {
+	data   []byte
+	seqs   []uint64
+	hashes []types.TxID
+}
+
 // Deliver implements consensus.Host: a block ordering was agreed.
 func (n *ConsNode) Deliver(seq uint64, v consensus.Value, cert *types.Certificate) {
-	seqs, hashes, err := decodeOrderingPrefix(v.Data)
+	seqs, hashes, err := n.agreedOrdering(seq, v.Data)
 	if err != nil {
 		// Null requests (a new leader's hole filler) and any other
 		// undecodable agreed value become empty blocks: every correct
@@ -374,6 +388,16 @@ func (n *ConsNode) Deliver(seq uint64, v consensus.Value, cert *types.Certificat
 	n.drainDelivered()
 }
 
+// agreedOrdering decodes data, the value agreed at consensus sequence seq,
+// unless it is the very slice Proposed last decoded for seq. Anything else (a
+// copy of those bytes, another proposal, a null fill) is decoded afresh.
+func (n *ConsNode) agreedOrdering(seq uint64, data []byte) ([]uint64, []types.TxID, error) {
+	if p, ok := n.proposals[seq]; ok && len(data) == len(p.data) && &data[0] == &p.data[0] {
+		return p.seqs, p.hashes, nil
+	}
+	return decodeOrderingPrefix(data)
+}
+
 // drainDelivered processes buffered decisions in chain order, as far as they
 // are contiguous.
 func (n *ConsNode) drainDelivered() {
@@ -384,6 +408,7 @@ func (n *ConsNode) drainDelivered() {
 		}
 		n.processBlock(n.chainHeight, blk)
 		delete(n.delivered, n.chainHeight)
+		delete(n.proposals, n.chainHeight)
 		n.chainHeight++
 	}
 }
@@ -587,14 +612,14 @@ func vectorApproved(tx *types.Transaction, vec []OrgResult) bool {
 	if len(vec) != len(tx.Orgs) {
 		return false
 	}
-	have := make(map[string]bool, len(vec))
-	for _, r := range vec {
-		have[r.Org] = true
-	}
+next:
 	for _, o := range tx.Orgs {
-		if !have[o] {
-			return false
+		for i := range vec {
+			if vec[i].Org == o {
+				continue next
+			}
 		}
+		return false
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -436,38 +437,16 @@ func (e *PersistEntry) warmContentKey() {
 	e.ck, e.ckOK = e.contentKey(), true
 }
 
-// persistSigningBytes covers the batch content. The buffer is sized exactly,
-// so the build is one allocation.
+// persistSigningBytes covers the batch content: the node, then each entry's
+// sequence number and content key, which digests every other field (the
+// write set with Aborted included). 40 bytes an entry, in one exact-size
+// allocation.
 func persistSigningBytes(node int, entries []*PersistEntry) []byte {
-	size := 1
+	buf := make([]byte, 1, 1+40*len(entries))
+	buf[0] = byte(node)
 	for _, e := range entries {
-		size += 8 + len(e.TxID) + len(e.VecDigest) + len(e.ResultDigest) + writesSize(e.Writes) - 2*len(e.Writes)
-		if e.Consistent {
-			size++
-		}
-		if e.Aborted {
-			size++
-		}
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, byte(node))
-	for _, e := range entries {
-		for b := 0; b < 8; b++ {
-			buf = append(buf, byte(e.Seq>>(8*(7-b))))
-		}
-		buf = append(buf, e.TxID[:]...)
-		buf = append(buf, e.VecDigest[:]...)
-		if e.Consistent {
-			buf = append(buf, 1)
-		}
-		if e.Aborted {
-			buf = append(buf, 2)
-		}
-		buf = append(buf, e.ResultDigest[:]...)
-		for _, w := range e.Writes {
-			buf = append(buf, w.Key...)
-			buf = append(buf, w.Val...)
-		}
+		ck := e.contentKey()
+		buf = append(binary.BigEndian.AppendUint64(buf, e.Seq), ck[:]...)
 	}
 	return buf
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/bidl-framework/bidl/internal/consensus"
@@ -329,6 +330,10 @@ func TestPersistFanoutVerifiesOnce(t *testing.T) {
 	if len(msg.signing) != cap(msg.signing) {
 		t.Fatalf("signing bytes: len %d, cap %d; the buffer must be sized exactly", len(msg.signing), cap(msg.signing))
 	}
+	if want := 1 + 40*len(msg.Entries); len(msg.signing) != want {
+		t.Fatalf("signing bytes: %d for %d entries, want %d (node, then sequence number and content key per entry)",
+			len(msg.signing), len(msg.Entries), want)
+	}
 	signing := &msg.signing[0]
 	from := c.ConsNodes[0].Ep.ID()
 
@@ -583,6 +588,117 @@ func TestPersistSignatureCoversEntry(t *testing.T) {
 	} {
 		if rebuild(tc.change).authentic(c.Scheme) {
 			t.Errorf("a batch with %s changed still carries a valid signature", tc.field)
+		}
+	}
+}
+
+// TestDeliverDecodesItsOwnValue: a consensus node reuses the ordering Proposed
+// decoded for a consensus sequence only when the agreed value is that very
+// slice. Agreement there on another ordering, on a null fill or on a copy of
+// the proposed bytes delivers the agreed value's own decoding; agreement on
+// the proposed slice decodes nothing again, so Proposed and Deliver of one
+// 100-entry proposal allocate the two ordering slices once.
+func TestDeliverDecodesItsOwnValue(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	cn := c.ConsNodes[(c.policy.Leader(0)+1)%len(c.ConsNodes)] // delivers without disseminating
+	txns := gen.Batch(100)
+	value := func(from uint64, txns []*types.Transaction) consensus.Value {
+		seqs, hashes := make([]uint64, len(txns)), make([]types.TxID, len(txns))
+		for i, tx := range txns {
+			seqs[i], hashes[i] = from+uint64(i), tx.ID()
+		}
+		o := types.EncodeOrdering(seqs, hashes)
+		return consensus.Value{Digest: types.OrderingDigest(o), Data: o}
+	}
+	// deliver runs Proposed(a) then Deliver(b) at the node's next consensus
+	// sequence and returns the ordering Proposed decoded and the block stored.
+	deliver := func(a, b consensus.Value) (proposed []uint64, blk *types.Block) {
+		s := cn.chainHeight
+		cnWithCtx(c, cn, func() {
+			cn.Proposed(s, a)
+			proposed = cn.proposals[s].seqs
+			cn.Deliver(s, b, &types.Certificate{Number: s})
+		})
+		return proposed, cn.blocks.Get(s)
+	}
+
+	a := value(1000, txns[:2])
+	for _, tc := range []struct {
+		name string
+		b    consensus.Value
+		want []uint64
+	}{
+		{"another ordering", value(2000, txns[2:4]), []uint64{2000, 2001}},
+		{"a null fill", consensus.Value{}, nil},
+		{"a copy of the proposed bytes", consensus.Value{Digest: a.Digest, Data: slices.Clone(a.Data)}, []uint64{1000, 1001}},
+	} {
+		proposed, blk := deliver(a, tc.b)
+		if blk == nil || !slices.Equal(blk.Seqs, tc.want) {
+			t.Fatalf("agreement on %s: block %v, want sequence numbers %v", tc.name, blk, tc.want)
+		}
+		if len(blk.Seqs) > 0 && &blk.Seqs[0] == &proposed[0] {
+			t.Fatalf("agreement on %s delivered the ordering decoded for the proposal", tc.name)
+		}
+	}
+	if proposed, blk := deliver(a, a); &blk.Seqs[0] != &proposed[0] {
+		t.Fatal("agreement on the proposed slice decoded it again")
+	}
+
+	// One 100-entry proposal per run at a fresh consensus sequence and fresh,
+	// page-aligned sequence numbers, agreed as the proposed slice or a copy.
+	const runs = 20
+	allocs := func(from uint64, agreed func(consensus.Value) consensus.Value) float64 {
+		vals := make([]consensus.Value, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range vals {
+			vals[i] = value(from+uint64(128*i), txns)
+		}
+		copies := make([]consensus.Value, len(vals))
+		for i, v := range vals {
+			copies[i] = agreed(v)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			deliver(vals[i], copies[i])
+			i++
+		})
+	}
+	shared := allocs(1<<20, func(v consensus.Value) consensus.Value { return v })
+	copied := allocs(1<<21, func(v consensus.Value) consensus.Value {
+		return consensus.Value{Digest: v.Digest, Data: slices.Clone(v.Data)}
+	})
+	if copied-shared != 2 {
+		t.Fatalf("Proposed + Deliver of a 100-entry proposal: %v allocations agreeing on the proposed slice, %v on a copy; want the copy's second decoding (2) to be the only difference",
+			shared, copied)
+	}
+}
+
+// TestVectorApproved: a result vector is approved when it has one partition
+// per related organization and covers every one of them, in any order; one
+// that repeats an organization and so misses another is not.
+func TestVectorApproved(t *testing.T) {
+	tx := &types.Transaction{Orgs: []string{"org0", "org1", "org2"}}
+	vec := func(orgs ...string) []OrgResult {
+		out := make([]OrgResult, len(orgs))
+		for i, o := range orgs {
+			out[i].Org = o
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		vec  []OrgResult
+		want bool
+	}{
+		{"every organization", vec("org0", "org1", "org2"), true},
+		{"another order", vec("org2", "org0", "org1"), true},
+		{"one repeated, one missing", vec("org0", "org1", "org1"), false},
+		{"one missing", vec("org0", "org2"), false},
+		{"one unrelated", vec("org0", "org1", "org2", "org3"), false},
+		{"an unrelated one instead", vec("org0", "org1", "org3"), false},
+		{"none", nil, false},
+	} {
+		if got := vectorApproved(tx, tc.vec); got != tc.want {
+			t.Errorf("%s: approved %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
