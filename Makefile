@@ -112,8 +112,14 @@ loc:
 # of BuildCert gone (+49 in consensus/core.go); the consensus node's decoded
 # proposal reused at delivery (+25 in consnode.go, vectorApproved compared in
 # place at 0); PERSIST signed over content keys (-21 in messages.go).
-LOC_CEILING := 18588
-DOC_CEILING := 1611
+# Lowered to the measured count (18588 -> 18546, 1611 -> 1610): every paper
+# figure comes from its registry experiment alone, so examples/multidc, the
+# second Fig 9, is gone (-55) with bidl.RunExperiment (-10); fig9's inter-DC
+# byte columns, read from a tracer per point, added 20 (Experiment.Traced,
+# Result.InterDCBytes, the row), and checking an org result's signature
+# before the delegate stashes it 3.
+LOC_CEILING := 18546
+DOC_CEILING := 1610
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$total non-test Go lines, ceiling is $(LOC_CEILING) (LOC_CEILING in the Makefile)"; exit 1; \
@@ -129,7 +135,7 @@ loc-check:
 FUZZ_TARGETS := internal/types:FuzzTransaction internal/types:FuzzOrdering \
 	internal/scenario:FuzzParse internal/trace/anatomy:FuzzTraceJSONL \
 	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta \
-	internal/core:FuzzPersistVote internal/consensus:FuzzVotes
+	internal/core:FuzzPersistVote internal/consensus:FuzzVotes internal/core:FuzzResultMemo
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t"; \
@@ -299,14 +305,13 @@ shard-smoke: $(BIDL) $(BIDL_RACE)
 	@cmp /tmp/bidl-shard-par.txt /tmp/bidl-shard-ser.txt \
 		&& echo "shard-smoke: 4-shard PDES output byte-identical to serial"
 
-# The example programs through the public API: supplychain and multidc must
-# print their pinned stdout byte for byte (examples/testdata/*.golden, quoted
-# by EXPERIMENTS.md; multidc takes ~9 s), quickstart and trading must exit 0.
+# The example programs through the public API: supplychain must print its
+# pinned stdout byte for byte (examples/testdata/supplychain.golden),
+# quickstart and trading must exit 0. Paper figures come from `bidl bench`
+# alone, so no example is a second copy of one.
 examples-smoke:
-	@for e in supplychain multidc; do \
-		$(GO) run ./examples/$$e > /tmp/bidl-example-$$e.txt || exit 1; \
-		diff -u examples/testdata/$$e.golden /tmp/bidl-example-$$e.txt || exit 1; \
-		echo "examples-smoke: $$e matches its golden"; \
-	done
+	$(GO) run ./examples/supplychain > /tmp/bidl-example-supplychain.txt
+	@diff -u examples/testdata/supplychain.golden /tmp/bidl-example-supplychain.txt \
+		&& echo "examples-smoke: supplychain matches its golden"
 	$(GO) run ./examples/quickstart > /dev/null
 	$(GO) run ./examples/trading > /dev/null

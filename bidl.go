@@ -20,7 +20,6 @@
 package bidl
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/bidl-framework/bidl/internal/baseline/fabric"
@@ -141,18 +140,9 @@ func Gather[T any](workers int, tasks []func() T) []T { return bench.Gather(work
 // Experiments lists every registered paper experiment.
 func Experiments() []Experiment { return bench.All() }
 
-// RunExperiment regenerates a paper artifact by ID (fig3, fig5, fig6,
-// table2, table3, table4, fig7, fig8, fig9, fig10, ablation).
-func RunExperiment(id string, opts BenchOptions) (*BenchTable, error) {
-	e, ok := bench.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("bidl: unknown experiment %q", id)
-	}
-	return e.Run(opts)
-}
-
-// MeasureExperiment runs an experiment and also reports its wall-clock
-// seconds and executed virtual events.
+// MeasureExperiment regenerates a paper artifact by its experiment ID (fig3,
+// fig9, table4, ...; see Experiments), as `bidl bench -run` does, and reports
+// its wall-clock seconds and executed virtual events.
 func MeasureExperiment(id string, opts BenchOptions) (*BenchTable, BenchStats, error) {
 	return bench.Measure(id, opts)
 }

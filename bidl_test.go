@@ -60,7 +60,7 @@ func TestBaselineSystemEndToEnd(t *testing.T) {
 }
 
 func TestRunExperimentUnknownID(t *testing.T) {
-	if _, err := RunExperiment("nope", BenchOptions{Scale: 0.1, Seed: 1}); err == nil {
+	if _, _, err := MeasureExperiment("nope", BenchOptions{Scale: 0.1, Seed: 1}); err == nil {
 		t.Fatal("unknown experiment did not error")
 	}
 }

@@ -162,6 +162,9 @@ type Experiment struct {
 	Notes   []string
 	// Sweep returns the experiment's row groups in table order.
 	Sweep func(Options) []Group
+	// Traced runs every point with a tracer, for rows that read the
+	// traffic it records (Result.InterDCBytes).
+	Traced bool
 }
 
 // Group is the runs a set of table rows needs, one declarative spec per
@@ -218,7 +221,7 @@ func (e Experiment) Run(o Options) (*Table, error) {
 		sp := specs[i]
 		tasks[i] = func() Result {
 			o.logf("%s: %s", e.ID, sp.Name)
-			return runScenario(o, sp)
+			return runScenario(o, sp, e.Traced)
 		}
 	}
 	return e.assemble(groups, Gather(o.Workers, tasks)), nil
@@ -253,3 +256,5 @@ func ms(d time.Duration) string {
 func ktps(v float64) string { return fmt.Sprintf("%.2f", v/1000) }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
+
+func mb(bytes uint64) string { return fmt.Sprintf("%.2f", float64(bytes)/1e6) }

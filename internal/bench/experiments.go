@@ -367,14 +367,23 @@ func init() {
 		ID:    "fig9",
 		Paper: "Figure 9",
 		Description: "BIDL vs BIDL-opt-disabled (no IP multicast, no consensus-on-hash) " +
-			"across 4 datacenters with shrinking inter-DC bandwidth.",
+			"across 4 datacenters with shrinking inter-DC bandwidth, and the MB each moves between datacenters.",
 		Title:   "Throughput over 4 datacenters vs inter-DC bandwidth (ktxns/s)",
-		Columns: []string{"bandwidth_gbps", "bidl", "bidl_opt_disabled"},
+		Columns: []string{"bandwidth_gbps", "bidl", "bidl_opt_disabled", "bidl_interdc_mb", "opt_disabled_interdc_mb"},
 		Notes:   []string{"paper: BIDL degrades slowly as bandwidth shrinks; without multicast+consensus-on-hash the gap widens at tight bandwidth"},
+		// The *_interdc_mb columns are the bytes that crossed datacenters
+		// over the whole run, read from each point's tracer. Capped inter-DC
+		// pipes already pin the serial engine, so tracing costs host time
+		// but no parallelism.
+		Traced: true,
 		Sweep: func(o Options) (groups []Group) {
 			window := o.scaled(1200 * time.Millisecond)
 			for _, gbps := range []float64{10, 5, 2, 1, 0.5} {
-				g := Group{Rows: perRun(tputCell, fmt.Sprintf("%.1f", gbps))}
+				label := fmt.Sprintf("%.1f", gbps)
+				g := Group{Rows: func(t *Table, res []Result) {
+					bidl, off := res[0], res[1]
+					t.AddRow(label, ktps(bidl.Throughput), ktps(off.Throughput), mb(bidl.InterDCBytes), mb(off.InterDCBytes))
+				}}
 				for _, optDisabled := range []bool{false, true} {
 					sp := spec(scenario.FrameworkBIDL,
 						fmt.Sprintf("%.1f Gbps inter-DC (opt_disabled=%v)", gbps, optDisabled), o, mix(0, 0), satBIDL/2, window)

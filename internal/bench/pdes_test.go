@@ -165,10 +165,10 @@ func TestPDESTracedRunFallsBackToSerial(t *testing.T) {
 		Load:       scenario.LoadSpec{Rate: 1000, Window: scenario.Duration(300 * time.Millisecond)},
 		SimWorkers: 4,
 	}
-	traced := runScenario(o, spec)
+	traced := runScenario(o, spec, false)
 	o.TraceSink = nil
 	o.ForceSerialSim = true
-	serial := runScenario(o, spec)
+	serial := runScenario(o, spec, false)
 	traced.Collector, serial.Collector = nil, nil
 	if traced != serial {
 		t.Fatalf("traced (serial-pinned) run diverges from explicit serial run:\ntraced: %+v\nserial: %+v", traced, serial)

@@ -11,11 +11,13 @@ type Result = scenario.Result
 
 // runScenario executes one sweep point through the shared scenario driver,
 // wiring the harness-level accounting (virtual-event counter, trace sink)
-// around it. Spec validation errors surface as SafetyErr so a single bad
-// point cannot abort a whole gathered sweep.
-func runScenario(o Options, sp scenario.Scenario) Result {
+// around it. A traced point, or any point under a trace sink, runs with one
+// tracer, so its Result counts inter-DC bytes. Spec validation errors
+// surface as SafetyErr so a single bad point cannot abort a whole gathered
+// sweep.
+func runScenario(o Options, sp scenario.Scenario, traced bool) Result {
 	var rc scenario.RunConfig
-	if o.TraceSink != nil {
+	if traced || o.TraceSink != nil {
 		rc.Tracer = trace.New(trace.Options{})
 	}
 	// Harness-level PDES selection: an explicit sim_workers in the spec

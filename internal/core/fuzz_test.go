@@ -2,10 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -110,6 +114,125 @@ func FuzzPersistVote(f *testing.F) {
 			ref[key][node] = true
 			if got, want := ps.vote(e, node), len(ref[key]); got != want {
 				t.Fatalf("node %d voting for result %d: tally %d, reference %d", node, e.ResultDigest[0], got, want)
+			}
+		}
+	})
+}
+
+// FuzzResultMemo draws a result vector and builds it three ways: warmed on
+// the cluster's tables (as the assembling delegate sends it), warmed on
+// another deployment's tables, and without a memo, so the consensus node
+// derives it. Each goes to its own consensus node after the same proposal:
+// all three must accept or reject it alike and queue echoes with equal fields
+// and content keys, and a normal node applying each accepted echo as a commit
+// does must reach an equal state. Each partition is three bytes: the
+// organization, a flag byte (bit 0 aborted, bit 1 inconsistent, bits 2-3 at 1
+// a junk signature and at 2 a write the signed digest does not cover, bits
+// 4-5 the number of writes) and the writes' value; then one byte per write
+// picks its key and its kind (a put, a put of an empty value, a delete).
+func FuzzResultMemo(f *testing.F) {
+	f.Add([]byte{0, 1, 0x20, 7, 0, 13})                                    // one org: a put and a delete
+	f.Add([]byte{2, 0, 0x30, 5, 6, 1, 14, 2, 0x10, 9, 0, 3, 0x00, 0})      // three orgs, an empty value, a shared key
+	f.Add([]byte{0, 1, 0x11, 3, 2})                                        // aborted
+	f.Add([]byte{1, 0, 0x12, 4, 3, 1, 0x10, 4, 3})                         // inconsistent
+	f.Add([]byte{0, 2, 0x14, 1, 0})                                        // a junk signature
+	f.Add([]byte{1, 0, 0x10, 1, 0, 1, 0x18, 2, 1})                         // writes the signed digest does not cover
+	f.Add([]byte{3, 0, 0x10, 1, 0, 1, 0x10, 2, 7, 2, 0x20, 3, 8, 9, 3, 0}) // four orgs
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cfg := smallConfig()
+		cfg.NumOrgs = 4
+		c, _ := buildCluster(t, cfg, defaultWorkload())
+		const seq = uint64(1)
+		id := types.TxID{0xb1, 0xd1}
+		next := func() byte {
+			if len(b) == 0 {
+				return 0
+			}
+			v := b[0]
+			b = b[1:]
+			return v
+		}
+		var vec []OrgResult
+		for n := 1 + int(next())%4; len(vec) < n; {
+			org, flags, val := types.OrgName(int(next())%cfg.NumOrgs), next(), next()
+			r := OrgResult{Org: org, Aborted: flags&1 != 0, Inconsistent: flags&2 != 0}
+			for i := 0; i < int(flags>>4)%4; i++ {
+				kind := next()
+				w := ledger.Write{Key: fmt.Sprintf("k%d", kind%6)}
+				switch kind / 6 % 3 {
+				case 0:
+					w.Val = []byte{val, byte(i)}
+				case 1:
+					w.Val = []byte{}
+				default:
+					w.Delete = true
+				}
+				r.Writes = append(r.Writes, w)
+			}
+			r.Digest = (&ledger.RWSet{Writes: r.Writes, Aborted: r.Aborted}).Digest()
+			sig, err := c.Scheme.Sign(crypto.Identity(org), orgResultBytes(seq, id, org, r.Digest, r.Aborted, r.Inconsistent))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Sig = sig
+			switch flags >> 2 % 4 {
+			case 1:
+				r.Sig = crypto.Signature("junk")
+			case 2:
+				r.Writes = append(r.Writes, ledger.Write{Key: "unsigned", Val: []byte{val}})
+			}
+			vec = append(vec, r)
+		}
+
+		// Another deployment: its own key table and hash table, each
+		// numbering something else first.
+		hashes, elsewhere := dense.NewTable[types.TxID](), ledger.NewState()
+		hashes.Intern(types.TxID{0xff})
+		elsewhere.Put("unrelated", nil, ledger.Version{})
+		entries := make([]ResultEntry, 3)
+		for i := range entries {
+			entries[i] = ResultEntry{Seq: seq, TxID: id, Vector: slices.Clone(vec)}
+		}
+		warmVector(&entries[0], c)
+		entries[1].warm(elsewhere, hashes)
+
+		ordering := types.EncodeOrdering([]uint64{seq}, []types.TxID{id})
+		value := consensus.Value{Digest: types.OrderingDigest(ordering), Data: ordering}
+		echoes := make([]*PersistEntry, len(entries)) // nil where the way was rejected
+		for i := range entries {
+			cn := c.ConsNodes[i]
+			cnWithCtx(c, cn, func() {
+				cn.Proposed(0, value)
+				cn.evaluateResult(&entries[i])
+			})
+			switch len(cn.persistOut) {
+			case 0:
+			case 1:
+				echoes[i] = cn.persistOut[0]
+			default:
+				t.Fatalf("way %d queued %d echoes for one vector", i, len(cn.persistOut))
+			}
+			if (echoes[i] == nil) != (echoes[0] == nil) {
+				t.Fatalf("way %d accepted the vector: %t, way 0: %t", i, echoes[i] != nil, echoes[0] != nil)
+			}
+		}
+		if echoes[0] == nil {
+			return
+		}
+		fields := func(pe *PersistEntry) PersistEntry {
+			return PersistEntry{Seq: pe.Seq, TxID: pe.TxID, VecDigest: pe.VecDigest, Consistent: pe.Consistent,
+				ResultDigest: pe.ResultDigest, Writes: pe.Writes, Aborted: pe.Aborted}
+		}
+		for i, pe := range echoes {
+			if !reflect.DeepEqual(fields(pe), fields(echoes[0])) || pe.contentKey() != echoes[0].contentKey() {
+				t.Fatalf("way %d queued %+v, way 0 %+v", i, fields(pe), fields(echoes[0]))
+			}
+			nn := c.Orgs[1+i][0]
+			if pe.Consistent && !pe.Aborted {
+				nn.base.ApplyResolved(pe.Writes, pe.kids, ledger.Version{Block: 1})
+			}
+			if first := c.Orgs[1][0].base; !nn.base.Equal(first) || nn.base.Digest() != first.Digest() {
+				t.Fatalf("applying way %d's echo reaches another state than way 0's", i)
 			}
 		}
 	})

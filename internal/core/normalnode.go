@@ -550,7 +550,14 @@ func (n *NormalNode) onOrgResults(m *OrgResultMsg) {
 		return
 	}
 	for _, e := range m.Entries {
+		// The signature covers (seq, TxID, org, digest, flags), not the
+		// payload, so a forged partition is dropped before it can be
+		// stashed into a vector whose payload is not here yet.
 		n.ctx.Elapse(n.c.Cfg.Costs.MACVerify)
+		if !n.c.Scheme.Verify(crypto.Identity(e.Result.Org),
+			orgResultBytes(e.Seq, e.TxID, e.Result.Org, e.Result.Digest, e.Result.Aborted, e.Result.Inconsistent), e.Result.Sig) {
+			continue
+		}
 		tx, ok := n.pool.byID(e.TxID)
 		if !ok {
 			// Payload not here yet; buffer through the vector with
@@ -563,10 +570,6 @@ func (n *NormalNode) onOrgResults(m *OrgResultMsg) {
 				n.vectors[e.TxID] = vb
 			}
 			vb.got[e.Result.Org] = e.Result
-			continue
-		}
-		if !n.c.Scheme.Verify(crypto.Identity(e.Result.Org),
-			orgResultBytes(e.Seq, e.TxID, e.Result.Org, e.Result.Digest, e.Result.Aborted, e.Result.Inconsistent), e.Result.Sig) {
 			continue
 		}
 		n.feedVector(e.Seq, tx, e.Result)

@@ -702,3 +702,57 @@ func TestVectorApproved(t *testing.T) {
 		}
 	}
 }
+
+// TestForgedOrgResultNeverEntersVector: the corresponding organization's
+// delegate receives a badly signed partition of T from T's other related
+// organization before T's payload, then the payload, which it executes at
+// once. The signature needs no payload to check, so the forged partition is
+// dropped on arrival: the vector waits, and the first ResultMsg carries the
+// genuine partition once it arrives.
+func TestForgedOrgResultNeverEntersVector(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	tx := gen.Next()
+	for len(tx.Orgs) != 2 {
+		tx = gen.Next()
+	}
+	oc, other := c.Orgs[types.OrgIndex(tx.Orgs[0])][0], c.Orgs[types.OrgIndex(tx.Orgs[1])][0]
+	var sent []*ResultMsg
+	c.Net.DropFilter = func(_, _ simnet.NodeID, msg simnet.Message) bool {
+		if rm, ok := msg.(*ResultMsg); ok && (len(sent) == 0 || sent[len(sent)-1] != rm) {
+			sent = append(sent, rm)
+		}
+		return true
+	}
+	batch := &SeqBatch{Txns: []types.SequencedTx{{Seq: 1, Tx: tx}}}
+	// The other organization's genuine partition, as its delegate routes it.
+	nnWithCtx(c, other, func() { other.onSeqBatch(batch) })
+	genuine := other.orgOut[oc.org]
+	if len(genuine) != 1 {
+		t.Fatalf("%s routed %d partitions of T to %s, want 1", tx.Orgs[1], len(genuine), tx.Orgs[0])
+	}
+	forged := genuine[0]
+	forged.Result.Writes = []ledger.Write{{Key: "k", Val: []byte("forged")}}
+	forged.Result.Digest = (&ledger.RWSet{Writes: forged.Result.Writes}).Digest()
+	forged.Result.Sig = crypto.Signature("junk")
+
+	nnWithCtx(c, oc, func() {
+		oc.onOrgResults(&OrgResultMsg{Entries: []OrgResultEntry{forged}})
+		oc.onSeqBatch(batch)
+		oc.flushResults()
+	})
+	if len(sent) != 0 {
+		t.Fatalf("the vector shipped before %s's genuine partition arrived", tx.Orgs[1])
+	}
+	nnWithCtx(c, oc, func() {
+		oc.onOrgResults(&OrgResultMsg{Entries: genuine})
+		oc.flushResults()
+	})
+	if len(sent) != 1 || len(sent[0].Entries) != 1 || len(sent[0].Entries[0].Vector) != 2 {
+		t.Fatalf("%d result batches after the genuine partition, want one with one two-partition vector", len(sent))
+	}
+	for _, r := range sent[0].Entries[0].Vector {
+		if r.Org == tx.Orgs[1] && r.Digest != genuine[0].Result.Digest {
+			t.Fatalf("the vector carries a partition of %s other than the genuine one", r.Org)
+		}
+	}
+}

@@ -35,6 +35,9 @@ type Result struct {
 	// Anatomy (or the caller supplied a tracer and set Anatomy): stage
 	// waits, phase transitions, overlap ratio, and fault-window annotation.
 	Anatomy *anatomy.Report
+	// InterDCBytes is the bytes that crossed between datacenters
+	// (Tracer.InterDCBytes), counted when the run had a tracer.
+	InterDCBytes uint64
 }
 
 // RunConfig carries runtime-only knobs that are deliberately not part of
@@ -113,11 +116,12 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 
 	col := h.Metrics()
 	res := Result{
-		Submitted: submitted(),
-		Summary:   col.Summarize(warmup, window),
-		Events:    h.VirtualEvents(),
-		Collector: col,
-		SafetyErr: h.CheckSafety(),
+		Submitted:    submitted(),
+		Summary:      col.Summarize(warmup, window),
+		Events:       h.VirtualEvents(),
+		Collector:    col,
+		SafetyErr:    h.CheckSafety(),
+		InterDCBytes: tracer.InterDCBytes(),
 	}
 	if s.Anatomy && tracer != nil {
 		res.Anatomy = anatomy.Compute(tracer.TxEvents(), tracer.PhaseEvents(),
