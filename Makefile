@@ -118,8 +118,14 @@ loc:
 # byte columns, read from a tracer per point, added 20 (Experiment.Traced,
 # Result.InterDCBytes, the row), and checking an org result's signature
 # before the delegate stashes it 3.
-LOC_CEILING := 18546
-DOC_CEILING := 1610
+# Lowered to the measured count (18546 -> 18465, 1610 -> 1609): the
+# collector's phase timers are gone (histogram.go -95, Phase, PhaseAvg and the
+# hist lines -50, the seven timer calls with the six fields and maps that fed
+# them -49 in core and fabric); Tables 2/3 read trace-stage spans instead
+# (anatomy.Report.Spans +47, the two rows +43, a traced point's anatomy and
+# ring guard, reported as an error by Experiment.Run, +23).
+LOC_CEILING := 18465
+DOC_CEILING := 1609
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
 		echo "loc-check: $$total non-test Go lines, ceiling is $(LOC_CEILING) (LOC_CEILING in the Makefile)"; exit 1; \
@@ -135,7 +141,8 @@ loc-check:
 FUZZ_TARGETS := internal/types:FuzzTransaction internal/types:FuzzOrdering \
 	internal/scenario:FuzzParse internal/trace/anatomy:FuzzTraceJSONL \
 	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta \
-	internal/core:FuzzPersistVote internal/consensus:FuzzVotes internal/core:FuzzResultMemo
+	internal/core:FuzzPersistVote internal/consensus:FuzzVotes internal/core:FuzzResultMemo \
+	internal/bench:FuzzBreakdownRows
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t"; \

@@ -4,10 +4,8 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -18,7 +16,6 @@ type pendingTx struct {
 	// resps holds one reply per organization heard from, sorted by its name.
 	resps     []*EndorseResp
 	submitted bool
-	start     time.Duration
 }
 
 // Client drives the execute→order→validate workflow: it requests
@@ -59,7 +56,7 @@ func (cl *Client) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 		if _, ok := cl.pending[id]; ok {
 			continue
 		}
-		cl.pending[id] = &pendingTx{tx: tx, resps: make([]*EndorseResp, 0, len(tx.Orgs)), start: ctx.Now()}
+		cl.pending[id] = &pendingTx{tx: tx, resps: make([]*EndorseResp, 0, len(tx.Orgs))}
 		cl.c.Submitted(id, cl.ep.ID(), ctx.Now())
 		for _, org := range tx.Orgs {
 			o := types.OrgIndex(org)
@@ -121,6 +118,5 @@ func (cl *Client) onEndorse(ctx *simnet.Context, m *EndorseResp) {
 		env.Endorsements[i] = r.Endorsement
 	}
 	pt.submitted = true
-	cl.c.Collector.Phase(metrics.PhaseEndorse, ctx.Now()-pt.start)
 	ctx.Send(cl.c.Orderers[cl.c.LeaderIndex()].Ep.ID(), &SubmitEnvelopes{Envs: []*Envelope{env}})
 }

@@ -2,12 +2,9 @@ package fabric
 
 import (
 	"sync/atomic"
-	"time"
 
 	"github.com/bidl-framework/bidl/internal/consensus"
-	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
@@ -37,7 +34,6 @@ type Orderer struct {
 
 	delivered   map[uint64]*FabricBlock
 	chainHeight uint64
-	proposeTime map[crypto.Digest]time.Duration
 
 	// ProposeGarbage makes a malicious leader propose invalid envelopes
 	// (Table 4 S2).
@@ -47,11 +43,10 @@ type Orderer struct {
 
 func newOrderer(c *Cluster) *Orderer {
 	return &Orderer{
-		c:           c,
-		byHash:      make(map[types.TxID]*Envelope),
-		keys:        ledger.NewResolver(c.Keys),
-		delivered:   make(map[uint64]*FabricBlock),
-		proposeTime: make(map[crypto.Digest]time.Duration),
+		c:         c,
+		byHash:    make(map[types.TxID]*Envelope),
+		keys:      ledger.NewResolver(c.Keys),
+		delivered: make(map[uint64]*FabricBlock),
 	}
 }
 
@@ -160,7 +155,6 @@ func (o *Orderer) proposeBatch(envs []*Envelope) {
 	ordering := types.EncodeOrdering(seqs, hashes)
 	o.Ctx.Elapse(o.c.Cfg.Costs.Hash(total) + o.c.Cfg.Costs.BlockOverhead)
 	v := consensus.Value{Digest: types.OrderingDigest(ordering), Data: ordering}
-	o.proposeTime[v.Digest] = o.Ctx.Now()
 	o.Rep.Propose(v)
 }
 
@@ -172,7 +166,6 @@ func (o *Orderer) ViewChangeMeta() []byte { return nil }
 // ViewChanged implements consensus.Host.
 func (o *Orderer) ViewChanged(view uint64, leader int, metas [][]byte) {
 	o.vcOnce = false
-	clear(o.proposeTime) // what the new view decides was not proposed here
 	if o.Idx == 0 {
 		atomic.AddUint64(&o.c.Collector.ViewChanges, 1)
 	}
@@ -190,10 +183,6 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 		// peers commit strictly in order, so the chain must advance past
 		// the sequence either way.
 		hashes = nil
-	}
-	if at, ok := o.proposeTime[v.Digest]; ok {
-		o.c.Collector.Phase(metrics.PhaseConsensus, o.Ctx.Now()-at)
-		delete(o.proposeTime, v.Digest)
 	}
 	blk := &FabricBlock{Number: seq, Cert: cert}
 	missing := 0

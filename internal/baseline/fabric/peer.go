@@ -9,7 +9,6 @@ import (
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -215,7 +214,6 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	if err := p.blocks.AppendHashed(blk.block(p.blocks.LastDigest())); err != nil {
 		p.c.Violation("peer block append: " + err.Error())
 	}
-	p.c.Collector.Phase(metrics.PhaseValidate, ctx.Now()-start)
 
 	clients := make([]crypto.Identity, 0, len(notices))
 	for cl := range notices {

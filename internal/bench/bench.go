@@ -162,8 +162,8 @@ type Experiment struct {
 	Notes   []string
 	// Sweep returns the experiment's row groups in table order.
 	Sweep func(Options) []Group
-	// Traced runs every point with a tracer, for rows that read the
-	// traffic it records (Result.InterDCBytes).
+	// Traced runs every point with a tracer, for rows that read what it
+	// records (Result.InterDCBytes, Result.Anatomy).
 	Traced bool
 }
 
@@ -216,15 +216,23 @@ func (e Experiment) Run(o Options) (*Table, error) {
 			return nil, fmt.Errorf("bench: %s sweep point %d (%s): %w", e.ID, i, specs[i].Name, err)
 		}
 	}
+	errs := make([]error, len(specs))
 	tasks := make([]func() Result, len(specs))
 	for i := range specs {
 		sp := specs[i]
-		tasks[i] = func() Result {
+		tasks[i] = func() (r Result) {
 			o.logf("%s: %s", e.ID, sp.Name)
-			return runScenario(o, sp, e.Traced)
+			r, errs[i] = runScenario(o, sp, e.Traced)
+			return r
 		}
 	}
-	return e.assemble(groups, Gather(o.Workers, tasks)), nil
+	res := Gather(o.Workers, tasks)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s sweep point %d (%s): %w", e.ID, i, specs[i].Name, err)
+		}
+	}
+	return e.assemble(groups, res), nil
 }
 
 var registry = map[string]Experiment{}

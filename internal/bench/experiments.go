@@ -6,8 +6,9 @@ import (
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/chaos"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/scenario"
+	"github.com/bidl-framework/bidl/internal/trace"
+	"github.com/bidl-framework/bidl/internal/trace/anatomy"
 )
 
 // Every experiment below is pure data over the scenario layer: its Sweep
@@ -173,9 +174,11 @@ func init() {
 
 // --- Tables 2 and 3: latency breakdowns -------------------------------------
 
-// breakdown is the sweep both tables share: one setting-B run per
-// organization count at 15k txns/s, one row of phase averages from it.
-func breakdown(framework, protocol string, row func(orgs string, c *metrics.Collector) []string) func(Options) []Group {
+// breakdown is the sweep both tables share: one traced setting-B run per
+// organization count at 15k txns/s. phases reads a row's columns from that
+// run's trace as totals over one population (Report.Spans), measured_e2e
+// last; each cell is a total over the population's size.
+func breakdown(framework, protocol string, phases func(*anatomy.Report) (n int, totals []time.Duration)) func(Options) []Group {
 	return func(o Options) (groups []Group) {
 		window := o.scaled(1 * time.Second)
 		for _, orgs := range fig6Orgs {
@@ -183,12 +186,56 @@ func breakdown(framework, protocol string, row func(orgs string, c *metrics.Coll
 			sp.Protocol = protocol
 			sp.Nodes = settingB(orgs, 1)
 			groups = append(groups, single(sp, func(t *Table, r Result) {
-				t.AddRow(row(fmt.Sprint(orgs), r.Collector)...)
+				n, totals := phases(r.Anatomy)
+				row := []string{fmt.Sprint(orgs)}
+				for _, d := range totals {
+					if n == 0 {
+						row = append(row, "-")
+					} else {
+						row = append(row, ms(d/time.Duration(n)))
+					}
+				}
+				t.AddRow(row...)
 			}))
 		}
 		return groups
 	}
 }
+
+// span is the time from the latest of from's marks to to's.
+func span(to trace.Stage, from ...trace.Stage) anatomy.Span {
+	return anatomy.Span{From: from, To: to}
+}
+
+// table2Phases is Table 2's row: endorsement is the endorsing peer's
+// execution, consensus runs from there to the orderer's agreement, validation
+// from agreement to commit at the committing peer, its inbox queue included.
+func table2Phases(rep *anatomy.Report) (int, []time.Duration) {
+	n, s := rep.Spans(
+		span(trace.StageExecuted, trace.StageSubmit),
+		span(trace.StageAgreed, trace.StageExecuted),
+		span(trace.StagePersisted, trace.StageAgreed),
+		span(trace.StageNotified, trace.StageSubmit))
+	return n, []time.Duration{s[0], s[1], s[2], s[0] + s[1] + s[2], s[3]}
+}
+
+// table3Phases is Table 3's row: consensus from sequencing to agreement,
+// verify-and-execute then persist at the corresponding organization
+// (execution is the two), commit from the later of agreement and persist to
+// the client's notice, and the paper's formula max(P1, P4) + P5.
+func table3Phases(rep *anatomy.Report) (int, []time.Duration) {
+	n, s := rep.Spans(
+		span(trace.StageAgreed, trace.StageSequenced),
+		span(trace.StageExecuted, trace.StageDelivered),
+		span(trace.StagePersisted, trace.StageExecuted),
+		span(trace.StagePersisted, trace.StageDelivered),
+		span(trace.StageNotified, trace.StageAgreed, trace.StagePersisted),
+		span(trace.StageNotified, trace.StageSubmit))
+	return n, []time.Duration{s[0], s[1], s[2], s[3], s[4], max(s[0], s[3]) + s[4], s[5]}
+}
+
+const measuredNote = "phases are differences of trace stages averaged over the run's complete transactions " +
+	"that carry every stage the row reads; measured_e2e is submit→notified over the same transactions"
 
 func init() {
 	register(Experiment{
@@ -197,15 +244,14 @@ func init() {
 		Description: "FastFabric-SMaRt end-to-end latency breakdown " +
 			"(endorse/consensus/validate) vs #organizations.",
 		Title:   "FastFabric-SMaRt latency breakdown (ms)",
-		Columns: []string{"orgs", "P1_endorse", "P2_consensus", "P3_validate", "end_to_end"},
-		Notes:   []string{"paper (4→97 orgs): endorse 9.2→6.5, consensus 10.4→16.2, validate 51.5→6.9, e2e 71.0→29.6"},
+		Columns: []string{"orgs", "P1_endorse", "P2_consensus", "P3_validate", "end_to_end", "measured_e2e"},
+		Notes: []string{
+			"P1 submit→executed, P2 executed→agreed, P3 agreed→persisted, end_to_end = P1+P2+P3; " + measuredNote,
+			"paper (4→97 orgs): endorse 9.2→6.5, consensus 10.4→16.2, validate 51.5→6.9, e2e 71.0→29.6",
+		},
+		Traced: true,
 		// bft-smart: the paper's modified FastFabric-SMaRt.
-		Sweep: breakdown(scenario.FrameworkFastFabric, "bft-smart", func(orgs string, c *metrics.Collector) []string {
-			endorse := c.PhaseAvg(metrics.PhaseEndorse)
-			cons := c.PhaseAvg(metrics.PhaseConsensus)
-			validate := c.PhaseAvg(metrics.PhaseValidate)
-			return []string{orgs, ms(endorse), ms(cons), ms(validate), ms(endorse + cons + validate)}
-		}),
+		Sweep: breakdown(scenario.FrameworkFastFabric, "bft-smart", table2Phases),
 	})
 	register(Experiment{
 		ID:    "table3",
@@ -213,17 +259,14 @@ func init() {
 		Description: "BIDL-SMaRt end-to-end latency breakdown " +
 			"(consensus/ver&exec/persist/commit) vs #organizations.",
 		Title:   "BIDL-SMaRt latency breakdown (ms)",
-		Columns: []string{"orgs", "P1_consensus", "P2_ver_exec", "P3_persist", "P4_execution", "P5_commit", "end_to_end"},
-		Notes:   []string{"paper (4→97 orgs): consensus 10.3→16.4, ver&exec 59.3→7.6, persist 0.5→2.1, commit ~2.7, e2e = max(P1,P4)+P5 62.5→19.3"},
-		Sweep: breakdown(scenario.FrameworkBIDL, "", func(orgs string, c *metrics.Collector) []string {
-			cons := c.PhaseAvg(metrics.PhaseConsensus)
-			verexec := c.PhaseAvg(metrics.PhaseVerexec)
-			persist := c.PhaseAvg(metrics.PhasePersist)
-			commit := c.PhaseAvg(metrics.PhaseCommit)
-			exec := verexec + persist
-			e2e := max(cons, exec) + commit
-			return []string{orgs, ms(cons), ms(verexec), ms(persist), ms(exec), ms(commit), ms(e2e)}
-		}),
+		Columns: []string{"orgs", "P1_consensus", "P2_ver_exec", "P3_persist", "P4_execution", "P5_commit", "end_to_end", "measured_e2e"},
+		Notes: []string{
+			"P1 sequenced→agreed, P2 delivered→executed, P3 executed→persisted, P4 delivered→persisted, " +
+				"P5 notified minus the later of agreed and persisted, end_to_end = max(P1,P4)+P5; " + measuredNote,
+			"paper (4→97 orgs): consensus 10.3→16.4, ver&exec 59.3→7.6, persist 0.5→2.1, commit ~2.7, e2e = max(P1,P4)+P5 62.5→19.3",
+		},
+		Traced: true,
+		Sweep:  breakdown(scenario.FrameworkBIDL, "", table3Phases),
 	})
 }
 

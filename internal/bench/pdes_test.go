@@ -165,10 +165,13 @@ func TestPDESTracedRunFallsBackToSerial(t *testing.T) {
 		Load:       scenario.LoadSpec{Rate: 1000, Window: scenario.Duration(300 * time.Millisecond)},
 		SimWorkers: 4,
 	}
-	traced := runScenario(o, spec, false)
+	traced, err1 := runScenario(o, spec, false)
 	o.TraceSink = nil
 	o.ForceSerialSim = true
-	serial := runScenario(o, spec, false)
+	serial, err2 := runScenario(o, spec, false)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	traced.Collector, serial.Collector = nil, nil
 	if traced != serial {
 		t.Fatalf("traced (serial-pinned) run diverges from explicit serial run:\ntraced: %+v\nserial: %+v", traced, serial)

@@ -10,7 +10,6 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
@@ -69,9 +68,6 @@ type ConsNode struct {
 	// proposals holds, per undelivered consensus sequence, the ordering
 	// Proposed decoded, so that Deliver of those very bytes reuses it.
 	proposals map[uint64]proposal
-	// proposeTime records when this node proposed each ordering digest
-	// (leader-side consensus latency, Table 3 P1).
-	proposeTime map[crypto.Digest]time.Duration
 
 	// Per sequence number the pool keeps the proposed or agreed hash, the
 	// accepted echo and the waiting vectors (consSlot): result vectors
@@ -106,7 +102,6 @@ func newConsNode(c *Cluster, org int) *ConsNode {
 		delivered:   make(map[uint64]*deliveredBlock),
 		proposals:   make(map[uint64]proposal),
 		blocks:      ledger.NewBlockStore(),
-		proposeTime: make(map[crypto.Digest]time.Duration),
 		suspects:    make(map[crypto.Identity]map[int]bool),
 		maliceVotes: make(map[crypto.Identity]bool),
 		denylist:    make(map[crypto.Identity]bool),
@@ -325,7 +320,6 @@ func (n *ConsNode) propose(seqs []uint64, hashes []types.TxID) {
 	// Hash the proposal content.
 	n.Ctx.Elapse(n.c.Cfg.Costs.Hash(len(data)) + n.c.Cfg.Costs.BlockOverhead)
 	v := consensus.Value{Digest: types.OrderingDigest(ordering), Data: data}
-	n.proposeTime[v.Digest] = n.Ctx.Now()
 	n.Rep.Propose(v)
 }
 
@@ -379,10 +373,6 @@ func (n *ConsNode) Deliver(seq uint64, v consensus.Value, cert *types.Certificat
 		// node agreed on the same bytes, and in-order delivery must
 		// advance past the sequence either way.
 		seqs, hashes = nil, nil
-	}
-	if at, ok := n.proposeTime[v.Digest]; ok {
-		n.c.Collector.Phase(metrics.PhaseConsensus, n.Ctx.Now()-at)
-		delete(n.proposeTime, v.Digest)
 	}
 	n.delivered[seq] = &deliveredBlock{seqs: seqs, hashes: hashes, cert: cert, at: n.Ctx.Now()}
 	n.drainDelivered()

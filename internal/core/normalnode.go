@@ -10,7 +10,6 @@ import (
 	"github.com/bidl-framework/bidl/internal/contract"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
-	"github.com/bidl-framework/bidl/internal/metrics"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -23,7 +22,6 @@ type vectorBuild struct {
 	txID   types.TxID
 	needed map[string]bool
 	got    map[string]OrgResult
-	start  time.Duration
 	sent   bool
 }
 
@@ -87,7 +85,6 @@ type pendingBlock struct {
 	seqs     []uint64
 	hashes   []types.TxID
 	recs     []*txRec
-	arrived  time.Duration
 	executed bool
 	fetching bool
 }
@@ -103,8 +100,8 @@ type NormalNode struct {
 	ep       *simnet.Endpoint
 	ctx      *simnet.Context
 
-	// pool is the whole per-transaction index: payloads, arrival times,
-	// speculative results and PERSIST tallies by sequence number, marks by hash.
+	// pool is the whole per-transaction index: payloads, speculative results
+	// and PERSIST tallies by sequence number, marks by hash.
 	pool *txPool
 
 	base     *ledger.State
@@ -252,7 +249,6 @@ func (n *NormalNode) onSeqBatch(m *SeqBatch) {
 			// first-received wins (§4.1) and the loser is discarded.
 			continue
 		}
-		n.pool.slotAt(st.Seq).arrival = n.ctx.Now()
 		if tr := n.c.Tracer; tr != nil && n.speaksFor(st.Tx) {
 			tr.TxStage(st.Tx.ID(), trace.StageDelivered, int(n.ep.ID()), n.ctx.Now())
 		}
@@ -386,10 +382,6 @@ func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction, r *txRec) {
 	if tr := n.c.Tracer; tr != nil && n.speaksFor(tx) {
 		tr.TxStage(tx.ID(), trace.StageExecuted, int(n.ep.ID()), n.ctx.Now())
 	}
-	if s := n.pool.slotAt(seq); s.arrival >= 0 {
-		n.c.Collector.Phase(metrics.PhaseVerexec, n.ctx.Now()-s.arrival)
-		s.arrival = -1
-	}
 }
 
 // execute runs related transaction tx, pooled as r, at seq against the
@@ -493,12 +485,7 @@ func (n *NormalNode) feedVector(seq uint64, tx *types.Transaction, res OrgResult
 		}
 	}
 	if vb == nil {
-		vb = &vectorBuild{
-			seq:   seq,
-			txID:  tx.ID(),
-			got:   make(map[string]OrgResult, len(tx.Orgs)),
-			start: n.ctx.Now(),
-		}
+		vb = &vectorBuild{seq: seq, txID: tx.ID(), got: make(map[string]OrgResult, len(tx.Orgs))}
 		n.vectors[tx.ID()] = vb
 	}
 	if vb.needed == nil {
@@ -529,7 +516,6 @@ func (n *NormalNode) tryFinishVector(tx *types.Transaction, vb *vectorBuild) {
 		return
 	}
 	vb.sent = true
-	vb.start = n.ctx.Now() // persist latency measured from vector send (§4.4)
 	orgs := make([]string, 0, len(vb.got))
 	for o := range vb.needed {
 		orgs = append(orgs, o)
@@ -565,8 +551,7 @@ func (n *NormalNode) onOrgResults(m *OrgResultMsg) {
 			// a provisional build keyed by TxID.
 			vb := n.vectors[e.TxID]
 			if vb == nil {
-				vb = &vectorBuild{seq: e.Seq, txID: e.TxID, needed: nil,
-					got: make(map[string]OrgResult), start: n.ctx.Now()}
+				vb = &vectorBuild{seq: e.Seq, txID: e.TxID, got: make(map[string]OrgResult)}
 				n.vectors[e.TxID] = vb
 			}
 			vb.got[e.Result.Org] = e.Result
@@ -650,7 +635,6 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 			progressed = true
 			if n.isDelegate() {
 				if vb, ok := n.vectors[e.TxID]; ok && vb.sent {
-					n.c.Collector.Phase(metrics.PhasePersist, n.ctx.Now()-vb.start)
 					delete(n.vectors, e.TxID)
 					if tr := n.c.Tracer; tr != nil {
 						tr.TxStage(e.TxID, trace.StagePersisted, int(n.ep.ID()), n.ctx.Now())
@@ -685,7 +669,7 @@ func (n *NormalNode) onBlock(m *BlockMsg) {
 		}
 		r.agreedSeq, recs[i] = seqs[i], r
 	}
-	n.blockBuf[m.Number] = &pendingBlock{msg: m, seqs: seqs, hashes: hashes, recs: recs, arrived: n.ctx.Now()}
+	n.blockBuf[m.Number] = &pendingBlock{msg: m, seqs: seqs, hashes: hashes, recs: recs}
 	n.processBlocks()
 }
 
@@ -781,7 +765,6 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	if err := n.blocks.AppendHashed(blk, digest); err != nil {
 		n.c.Violation("block append: " + err.Error())
 	}
-	n.c.Collector.Phase(metrics.PhaseCommit, n.ctx.Now()-pb.arrived)
 
 	clients := make([]crypto.Identity, 0, len(notices))
 	for cl := range notices {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"time"
 
 	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -40,12 +39,11 @@ type txRec struct {
 
 const pageBits, pageSize, pageMask = 6, 1 << 6, 1<<6 - 1
 
-// slot is what every node keeps per sequence number: the payload, its record
-// and when it arrived (-1 once the verify-and-execute phase was measured).
+// slot is what every node keeps per sequence number: the payload and its
+// record.
 type slot struct {
-	tx      *types.Transaction
-	rec     *txRec
-	arrival time.Duration
+	tx  *types.Transaction
+	rec *txRec
 }
 
 // nodeSlot is what a normal node keeps besides, by value: whom it executed
@@ -141,7 +139,7 @@ func (p *txPool) slotAt(seq uint64) *slot {
 
 func (p *txPool) put(seq uint64, tx *types.Transaction, r *txRec) {
 	pg := p.page(seq, true)
-	pg.slots[seq&pageMask] = slot{tx: tx, rec: r, arrival: -1}
+	pg.slots[seq&pageMask] = slot{tx: tx, rec: r}
 	pg.held |= 1 << (seq & pageMask)
 	r.pooled, r.seq = true, seq
 }
@@ -341,11 +339,8 @@ func (p *txPool) dropSpecs() (dropped int) {
 }
 
 // clearNote forgets, once the block ordering seq commits, what the node noted
-// there and the arrival time of whatever payload sits there.
+// there.
 func (p *txPool) clearNote(seq uint64) {
-	if s := p.slotAt(seq); s != nil {
-		s.arrival = -1
-	}
 	if ns := p.noted(seq); ns != nil {
 		*ns = nodeSlot{}
 		pg := p.page(seq, false)

@@ -1,38 +1,18 @@
-// Package metrics collects per-transaction and per-phase measurements from a
-// simulated blockchain run: client-perceived latency (submit → commit
-// notification, the paper's end-to-end metric, §6), effective throughput
-// (valid committed transactions per second, §6.2), abort and re-execution
-// counters, per-phase latency breakdowns (Tables 2 and 3), and a real-time
-// throughput timeline (Fig 7).
+// Package metrics collects per-transaction measurements from a simulated
+// blockchain run: client-perceived latency (submit → commit notification, the
+// paper's end-to-end metric, §6), effective throughput (valid committed
+// transactions per second, §6.2), abort and re-execution counters, and a
+// real-time throughput timeline (Fig 7). Where latency went between the two
+// ends is the tracer's record (internal/trace), not this package's.
 package metrics
 
 import (
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/types"
 )
-
-// Phase names one of the per-phase timers behind Tables 2 and 3.
-type Phase int
-
-// The phases, in the order the -telemetry block lists them (by name).
-const (
-	PhaseCommit    Phase = iota // BIDL: block arrival → committed (Phase 5)
-	PhaseConsensus              // proposal → decision at the leader
-	PhaseEndorse                // Fabric: submit → all endorsements in
-	PhasePersist                // BIDL: result vector → 2f+1 PERSIST echoes
-	PhaseValidate               // Fabric: block validation at a peer
-	PhaseVerexec                // BIDL: verify + speculative execution
-	numPhases
-)
-
-var phaseNames = [numPhases]string{
-	"phase.commit", "phase.consensus", "phase.endorse",
-	"phase.persist", "phase.validate", "phase.verexec",
-}
 
 // txRecord is one client transaction as the collector sees it: when it was
 // first submitted and, once done, when its first commit notice arrived.
@@ -46,15 +26,11 @@ type txRecord struct {
 // all execute in the simulation's hub partition (one goroutine), so they
 // need no locking. The plain uint64 counters are incremented from node
 // handlers that may execute in concurrent partitions under the parallel
-// engine: those sites use atomic.AddUint64. The phase timers take phaseMu
-// for the same reason. Counter adds and histogram folds are commutative, so
+// engine: those sites use atomic.AddUint64. Counter adds are commutative, so
 // a parallel run reports the same values as a serial one.
 type Collector struct {
 	txs                map[types.TxID]txRecord
 	committed, aborted int
-
-	phaseMu sync.Mutex
-	phases  [numPhases]Histogram
 
 	// latCache memoizes the sorted latency slice for the last queried
 	// window: Avg/P50/P99 over the same [from, to) would otherwise each
@@ -118,21 +94,6 @@ func (c *Collector) Committed(id types.TxID, at time.Duration, aborted bool) {
 
 // IsCommitted reports whether id has a recorded commit.
 func (c *Collector) IsCommitted(id types.TxID) bool { return c.txs[id].done }
-
-// Phase accumulates one sample of a phase duration. Sums and counts are
-// exact, so PhaseAvg loses nothing to the histogram's log2 buckets.
-func (c *Collector) Phase(p Phase, d time.Duration) {
-	c.phaseMu.Lock()
-	c.phases[p].Observe(d)
-	c.phaseMu.Unlock()
-}
-
-// PhaseAvg returns the mean duration of a phase (0 if never observed).
-func (c *Collector) PhaseAvg(p Phase) time.Duration {
-	c.phaseMu.Lock()
-	defer c.phaseMu.Unlock()
-	return c.phases[p].Avg()
-}
 
 // NumSubmitted returns the number of distinct submitted transactions.
 func (c *Collector) NumSubmitted() int { return len(c.txs) }

@@ -133,18 +133,6 @@ func TestTimelineBuckets(t *testing.T) {
 	}
 }
 
-func TestPhaseAveraging(t *testing.T) {
-	c := NewCollector()
-	c.Phase(PhaseConsensus, 10*time.Millisecond)
-	c.Phase(PhaseConsensus, 20*time.Millisecond)
-	if got := c.PhaseAvg(PhaseConsensus); got != 15*time.Millisecond {
-		t.Fatalf("avg %v", got)
-	}
-	if got := c.PhaseAvg(PhaseEndorse); got != 0 {
-		t.Fatalf("unobserved phase avg %v", got)
-	}
-}
-
 func TestAbortRateAndSpecRate(t *testing.T) {
 	c := NewCollector()
 	for i := byte(0); i < 10; i++ {

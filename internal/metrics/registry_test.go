@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,78 +93,12 @@ func TestEffectiveThroughputNonZeroFrom(t *testing.T) {
 	}
 }
 
-func TestHistogramExactStats(t *testing.T) {
-	var h Histogram
-	if h.Avg() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram not zeroed")
-	}
-	samples := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond,
-	}
-	for _, s := range samples {
-		h.Observe(s)
-	}
-	if h.Count() != 3 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Sum() != 60*time.Millisecond {
-		t.Errorf("sum = %v", h.Sum())
-	}
-	if h.Avg() != 20*time.Millisecond {
-		t.Errorf("avg = %v, want exact 20ms", h.Avg())
-	}
-	if h.Min() != 10*time.Millisecond || h.Max() != 30*time.Millisecond {
-		t.Errorf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	// Log2 buckets: the quantile is an upper bound within 2x of the truth,
-	// clamped to [min, max].
-	for _, p := range []float64{0.01, 0.5, 0.99, 1.0} {
-		q := h.Quantile(p)
-		if q < h.Min() || q > h.Max() {
-			t.Errorf("Quantile(%v) = %v outside [min, max]", p, q)
-		}
-	}
-	if q := h.Quantile(1.0); q != h.Max() {
-		t.Errorf("Quantile(1.0) = %v, want max %v", q, h.Max())
-	}
-
-	// Nearest rank is the ceil(p*n)-th smallest sample: a floored rank made
-	// p99 over ten samples the ninth, below the true quantile although
-	// Quantile promises an upper bound.
-	var tail Histogram
-	for i := 0; i < 9; i++ {
-		tail.Observe(time.Microsecond)
-	}
-	tail.Observe(time.Millisecond)
-	if q := tail.Quantile(0.99); q < time.Millisecond {
-		t.Errorf("Quantile(0.99) = %v, want >= 1ms (the 10th of 10 samples)", q)
-	}
-	if q := tail.Quantile(0.9); q >= time.Millisecond {
-		t.Errorf("Quantile(0.9) = %v, want the 9th sample's bucket (< 1ms)", q)
-	}
-}
-
-func TestHistogramZeroAndNegativeSamples(t *testing.T) {
-	var h Histogram
-	h.Observe(0)
-	h.Observe(-time.Millisecond)
-	h.Observe(time.Millisecond)
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Min() != -time.Millisecond || h.Max() != time.Millisecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-}
-
-// PDES partitions write phases and counters concurrently: the folds are
-// commutative, so four goroutines must leave exactly the serial totals.
-func TestRegistryCountersAndHistograms(t *testing.T) {
+// PDES partitions bump counters concurrently: the adds are commutative, so
+// four goroutines must leave exactly the serial totals.
+func TestRegistryCounters(t *testing.T) {
 	const workers, per = 4, 1000
 	write := func(c *Collector, w int) {
 		for i := 0; i < per; i++ {
-			c.Phase(PhasePersist, time.Duration(w*per+i)*time.Microsecond)
-			c.Phase(PhaseVerexec, time.Millisecond)
 			atomic.AddUint64(&c.PersistMsgs, 1)
 			atomic.AddUint64(&c.PersistFlushEntries, uint64(w))
 		}
@@ -184,9 +117,6 @@ func TestRegistryCountersAndHistograms(t *testing.T) {
 	if parallel.PersistMsgs != workers*per || parallel.PersistFlushEntries != (0+1+2+3)*per {
 		t.Errorf("counters = %d/%d", parallel.PersistMsgs, parallel.PersistFlushEntries)
 	}
-	if parallel.phases != serial.phases {
-		t.Errorf("phase histograms differ from the serial fold")
-	}
 	var a, b bytes.Buffer
 	if err := serial.WriteSummary(&a); err != nil {
 		t.Fatal(err)
@@ -196,25 +126,5 @@ func TestRegistryCountersAndHistograms(t *testing.T) {
 	}
 	if a.String() != b.String() || a.Len() == 0 {
 		t.Errorf("summaries differ:\n%s---\n%s", a.String(), b.String())
-	}
-}
-
-// A phase sample shows up both in PhaseAvg (Tables 2-3) and in the
-// -telemetry block, under its name; an unobserved phase reads 0 and prints
-// no line.
-func TestCollectorPhaseRegistryIntegration(t *testing.T) {
-	c := NewCollector()
-	c.Phase(PhaseConsensus, 10*time.Millisecond)
-	c.Phase(PhaseConsensus, 30*time.Millisecond)
-	if got := c.PhaseAvg(PhaseConsensus); got != 20*time.Millisecond {
-		t.Fatalf("PhaseAvg = %v", got)
-	}
-	var buf bytes.Buffer
-	if err := c.WriteSummary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "registry metrics:\n  hist     phase.consensus          n=2        mean=20ms       min=10ms       max=30ms "
-	if got := buf.String(); !strings.HasPrefix(got, want) || strings.Count(got, "\n") != 2 {
-		t.Errorf("summary = %q, want the header and one line starting %q", got, want)
 	}
 }

@@ -38,21 +38,13 @@ func (s Summary) String() string {
 		s.Committed, s.AbortRate*100, s.SpecSuccess*100)
 }
 
-// WriteSummary renders the PERSIST counters and the phase histograms as the
-// -telemetry "registry metrics" block: sorted by name, one line per metric,
-// untouched metrics omitted. Histograms print count, mean, exact min/max,
-// and the p50/p95/p99 upper bounds from Quantile. A collector with nothing
-// to show prints nothing (no header), so callers can append the block
-// unconditionally. Call it once the simulation is quiescent.
+// WriteSummary renders the PERSIST counters as the -telemetry "registry
+// metrics" block: sorted by name, one line per counter, zero counters
+// omitted. A collector with nothing to show prints nothing (no header), so
+// callers can append the block unconditionally. Call it once the simulation
+// is quiescent.
 func (c *Collector) WriteSummary(w io.Writer) error {
-	var err error
 	header := "registry metrics:\n"
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, header+format, args...)
-			header = ""
-		}
-	}
 	for _, ctr := range []struct {
 		name string
 		v    uint64
@@ -62,16 +54,13 @@ func (c *Collector) WriteSummary(w io.Writer) error {
 		{"nn.persist_badsig", c.PersistBadSigs},
 		{"nn.persist_msgs", c.PersistMsgs},
 	} {
-		if ctr.v > 0 {
-			p("  counter  %-24s %d\n", ctr.name, ctr.v)
+		if ctr.v == 0 {
+			continue
 		}
-	}
-	for i := range c.phases {
-		if h := &c.phases[i]; h.Count() > 0 {
-			p("  hist     %-24s n=%-8d mean=%-10s min=%-10s max=%-10s p50<=%-10s p95<=%-10s p99<=%s\n",
-				phaseNames[i], h.Count(), h.Avg(), h.Min(), h.Max(),
-				h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
+		if _, err := fmt.Fprintf(w, "%s  counter  %-24s %d\n", header, ctr.name, ctr.v); err != nil {
+			return err
 		}
+		header = ""
 	}
-	return err
+	return nil
 }

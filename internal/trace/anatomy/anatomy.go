@@ -14,7 +14,9 @@
 //   - an overlap report quantifying how much execution time is hidden under
 //     consensus — the speculative-execution claim as one "overlap ratio";
 //   - optional fault-window annotation comparing transactions that overlap
-//     an injected fault against those that do not.
+//     an injected fault against those that do not;
+//   - spans between stages averaged over one population (Report.Spans): the
+//     paper's per-phase tables (Tables 2 and 3) as differences of stages.
 //
 // The same Report is produced by the in-process -anatomy path and by
 // `bidl report` reading a -trace-jsonl file offline; golden tests pin the
@@ -105,6 +107,8 @@ type Report struct {
 	Overlap    OverlapStat
 	Windows    []WindowStat // fault windows, then the outside-all row
 	Breakdowns []TxBreakdown
+
+	complete []*txRecord // the complete transactions, for Spans
 }
 
 // StageWait returns the stat for one stage (zero Dist if the stage never
@@ -116,6 +120,48 @@ func (r *Report) StageWait(s trace.Stage) StageStat {
 		}
 	}
 	return StageStat{Stage: s}
+}
+
+// Span is the time from the latest of From's marks (at least one) to To's
+// mark on one transaction: a latency phase as a difference of stages.
+type Span struct {
+	From []trace.Stage
+	To   trace.Stage
+}
+
+// Spans totals each span over one population: the complete transactions that
+// carry every stage any of the spans reads. n is that population's size, so
+// sums[i]/n is span i's mean, and spans that chain (a→b plus b→c) add up to
+// the span across them (a→c) exactly. A nil report's population is empty.
+func (r *Report) Spans(spans ...Span) (n int, sums []time.Duration) {
+	sums = make([]time.Duration, len(spans))
+	if r == nil {
+		return 0, sums
+	}
+	var need [trace.NumStages]bool
+	for _, sp := range spans {
+		need[sp.To] = true
+		for _, s := range sp.From {
+			need[s] = true
+		}
+	}
+next:
+	for _, rec := range r.complete {
+		for s, needed := range need {
+			if needed && !rec.seen[s] {
+				continue next
+			}
+		}
+		n++
+		for i, sp := range spans {
+			from := rec.at[sp.From[0]]
+			for _, s := range sp.From[1:] {
+				from = max(from, rec.at[s])
+			}
+			sums[i] += rec.at[sp.To] - from
+		}
+	}
+	return n, sums
 }
 
 // percentile is the nearest-rank percentile over an ascending-sorted slice,
@@ -197,6 +243,7 @@ func Compute(txEvents []trace.TxEvent, phaseEvents []trace.PhaseEvent, opts Opti
 		}
 	}
 	r.Complete = len(complete)
+	r.complete = complete
 
 	// Observed stage order: sort stages present in the trace by their median
 	// timestamp (nearest-rank p50 across complete transactions), ties broken
