@@ -47,8 +47,10 @@ type refCons struct {
 	height     uint64
 	out        []PersistEntry
 	viewMis    int
-	// what the run exercised, summed over nodes
-	late, rejectedSecond, mismatches int
+	// what the run exercised, summed over nodes: multi counts sequence
+	// numbers that had two or more vectors waiting at once, ordered those
+	// among them whose stored echo depended on arrival order
+	late, rejectedSecond, mismatches, multi, ordered int
 }
 
 func newRefCons(c *Cluster, cn *ConsNode) *refCons {
@@ -74,17 +76,19 @@ func (r *refCons) authentic(e *ResultEntry) bool {
 	return true
 }
 
-func (r *refCons) evaluate(e *ResultEntry, buffered bool) {
+// evaluate stores e's echo if it passes and reports whether it passed every
+// check but localStore's, that is whether it was stored or refused second.
+func (r *refCons) evaluate(e *ResultEntry, buffered bool) (valid bool) {
 	h, ok := r.agreed[e.Seq]
 	if !ok {
 		h, ok = r.proposed[e.Seq]
 	}
 	if !ok || h != e.TxID || !r.authentic(e) {
-		return
+		return false
 	}
 	if _, stored := r.persisted[e.Seq]; stored {
 		r.rejectedSecond++
-		return
+		return true
 	}
 	if buffered {
 		r.late++
@@ -92,14 +96,34 @@ func (r *refCons) evaluate(e *ResultEntry, buffered bool) {
 	pe := e.derive().persist
 	r.persisted[e.Seq] = pe
 	r.out = append(r.out, pe)
+	return true
 }
 
+// evaluateBuffered evaluates the waiting vectors in arrival order. Where one
+// of them is stored and a later valid one has other content, only arrival
+// order decides which echo the node queues, and check compares it.
 func (r *refCons) evaluateBuffered(seqs []uint64) {
 	for _, s := range seqs {
 		buf := r.buffered[s]
 		delete(r.buffered, s)
+		if len(buf) >= 2 {
+			r.multi++
+		}
+		_, before := r.persisted[s]
+		var first crypto.Digest
+		seen, differs := false, false
 		for _, e := range buf {
-			r.evaluate(e, true)
+			if !r.evaluate(e, true) {
+				continue
+			}
+			if k := e.derive().persist.contentKey(); !seen {
+				first, seen = k, true
+			} else if k != first {
+				differs = true
+			}
+		}
+		if !before && differs {
+			r.ordered++
 		}
 	}
 }
@@ -417,7 +441,7 @@ func (r *consRun) finish() {
 }
 
 func TestConsNodeSeqModel(t *testing.T) {
-	var late, second, mis, fetches int
+	var late, second, mis, multi, ordered, fetches int
 	for seed := int64(1); seed <= 3; seed++ {
 		r := newConsRun(t, seed)
 		for op := 0; op < 300; op++ {
@@ -426,12 +450,14 @@ func TestConsNodeSeqModel(t *testing.T) {
 		r.finish()
 		for _, ref := range r.refs {
 			late, second, mis = late+ref.late, second+ref.rejectedSecond, mis+ref.mismatches
+			multi, ordered = multi+ref.multi, ordered+ref.ordered
 		}
 		fetches += r.fetches
 	}
 	// The random runs must reach every path they are there for.
-	if late == 0 || second == 0 || mis == 0 || fetches == 0 {
-		t.Fatalf("buffered vectors persisted %d, second vectors refused %d, current-view mismatches %d, fetch replies %d: a path went unexercised",
-			late, second, mis, fetches)
+	if late == 0 || second == 0 || mis == 0 || multi == 0 || ordered == 0 || fetches == 0 {
+		t.Fatalf("buffered vectors persisted %d, second vectors refused %d, current-view mismatches %d, "+
+			"sequence numbers with several vectors waiting %d (echo decided by arrival order %d), fetch replies %d: a path went unexercised",
+			late, second, mis, multi, ordered, fetches)
 	}
 }

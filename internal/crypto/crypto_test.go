@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,6 +116,54 @@ func TestRegisterIdempotent(t *testing.T) {
 	s.Register("alice")
 	if !s.Verify("alice", []byte("m"), sig) {
 		t.Fatal("re-registration changed the key")
+	}
+}
+
+// TestHMACTags checks tags against HMAC-SHA256 computed afresh under the
+// derived key. Verify rejects a changed message, a changed, truncated, longer
+// or empty signature and an unknown identity; Sign's results are distinct
+// slices that keep their bytes whatever the scheme computes next, so a
+// signature never aliases a pooled state's scratch.
+func TestHMACTags(t *testing.T) {
+	s := NewHMACScheme([]byte("seed"))
+	s.Register("alice")
+	tag := func(msg string) []byte {
+		k := HashAll(s.master[:], []byte("hmac-key"), []byte("alice"))
+		m := hmac.New(sha256.New, k[:])
+		m.Write([]byte(msg))
+		return m.Sum(nil)
+	}
+	a, _ := s.Sign("alice", []byte("a"))
+	b, _ := s.Sign("alice", []byte("b"))
+	if &a[0] == &b[0] || !bytes.Equal(a, tag("a")) || !bytes.Equal(b, tag("b")) {
+		t.Fatalf("back-to-back Sign: %x and %x share storage or are not the tags %x and %x", a, b, tag("a"), tag("b"))
+	}
+	s.Verify("alice", []byte("c"), b)
+	s.Sign("alice", []byte("d"))
+	if !bytes.Equal(a, tag("a")) || !bytes.Equal(b, tag("b")) {
+		t.Fatal("a returned signature changed when the scheme computed another tag")
+	}
+	if !s.Verify("alice", []byte("a"), a) {
+		t.Fatal("valid signature rejected")
+	}
+	flipped := append(Signature(nil), a...)
+	flipped[len(flipped)-1] ^= 1
+	for name, tc := range map[string]struct {
+		id  Identity
+		msg string
+		sig Signature
+	}{
+		"changed message":   {"alice", "b", a},
+		"changed signature": {"alice", "a", flipped},
+		"truncated":         {"alice", "a", a[:len(a)-1]},
+		"longer":            {"alice", "a", append(append(Signature(nil), a...), 0)},
+		"empty":             {"alice", "a", Signature{}},
+		"nil":               {"alice", "a", nil},
+		"unknown identity":  {"ghost", "a", a},
+	} {
+		if s.Verify(tc.id, []byte(tc.msg), tc.sig) {
+			t.Errorf("%s: verified", name)
+		}
 	}
 }
 

@@ -125,3 +125,38 @@ func TestCrashMidFlightParallelIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestTimerAcrossCrash pins what a crash does to an endpoint's timers, with a
+// tracer attached: a timer that fires while the endpoint is down, or that
+// waits in its inbox when it goes down, never runs and is recorded neither as
+// a drop nor as a delivery; one armed before the crash that fires after
+// Restart runs.
+func TestTimerAcrossCrash(t *testing.T) {
+	const ms = time.Millisecond
+	s := NewSim(1)
+	n := NewNetwork(s, DefaultTopology())
+	tr := trace.New(trace.Options{})
+	n.SetTracer(tr)
+	var ran []string
+	ep := n.Register("node", 0, HandlerFunc(func(ctx *Context, _ NodeID, _ Message) { ctx.Elapse(3 * ms) }))
+	peer := n.Register("peer", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
+	arm := func(name string, d time.Duration) {
+		NewInjectedContext(n, ep).After(d, func(*Context) { ran = append(ran, name) })
+	}
+	s.At(0, func() {
+		arm("queued", 2*ms) // fires while the core is busy with the message below
+		arm("down", 6*ms)   // fires while the endpoint is down
+		arm("restarted", 9*ms)
+		NewInjectedContext(n, peer).Send(ep.ID(), testMsg{size: 64})
+	})
+	s.At(3*ms, func() { ep.SetDown(true) })
+	s.At(8*ms, ep.Restart)
+	s.Run()
+	if len(ran) != 1 || ran[0] != "restarted" {
+		t.Fatalf("timers run: %v; want only [restarted]", ran)
+	}
+	delivered := tracedSum(tr, ep.ID(), func(b trace.NodeBucket) uint64 { return b.Delivered })
+	if d := tracedSum(tr, ep.ID(), drops); d != 0 || delivered != 1 {
+		t.Fatalf("traced %d drops and %d deliveries; want 0 and the one message", d, delivered)
+	}
+}
