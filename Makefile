@@ -124,7 +124,13 @@ loc:
 # them -49 in core and fabric); Tables 2/3 read trace-stage spans instead
 # (anatomy.Report.Spans +47, the two rows +43, a traced point's anatomy and
 # ring guard, reported as an error by Experiment.Run, +23).
-LOC_CEILING := 18465
+# Allocation levers raised it by its measured net, +33 (18465 -> 18498), for a
+# 32 % cut in `wide`'s allocations per transaction: a pooled HMAC state
+# with the scratch Verify compares in, one tag routine for Sign and Verify
+# (+19 in crypto); a timer scheduled as an inlined delivery event (+5 in
+# simnet); a consensus node's first waiting vector inline in its slot, later
+# ones in an overflow map, and PERSIST batches sized from the last (+9 in core).
+LOC_CEILING := 18498
 DOC_CEILING := 1609
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \

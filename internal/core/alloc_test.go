@@ -79,3 +79,30 @@ func TestExecutePathAllocs(t *testing.T) {
 			allocs, budget)
 	}
 }
+
+// TestConsNodeWaitingAllocs pins a consensus node buffering result vectors
+// before agreement: once the sequence numbers' slot page exists, the first
+// vector to wait at each is held by pointer in its slot, so a 64-entry
+// ResultMsg costs no allocation.
+func TestConsNodeWaitingAllocs(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	cn := c.ConsNodes[1]
+	msg := &ResultMsg{Entries: make([]ResultEntry, pageSize)}
+	for i := range msg.Entries {
+		msg.Entries[i] = ResultEntry{Seq: pageSize + uint64(i), TxID: gen.Next().ID()}
+	}
+	cn.pool.consAt(pageSize, true)
+	allocs := testing.AllocsPerRun(100, func() {
+		cn.onResults(msg)
+		for i := range msg.Entries {
+			cs := cn.pool.consAt(msg.Entries[i].Seq, false)
+			if cs.waiting != &msg.Entries[i] {
+				t.Fatalf("entry %d is not the vector waiting at %d", i, msg.Entries[i].Seq)
+			}
+			cs.waiting = nil
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("buffering a %d-entry ResultMsg = %v allocs/op, want 0", len(msg.Entries), allocs)
+	}
+}

@@ -70,9 +70,11 @@ type ConsNode struct {
 	proposals map[uint64]proposal
 
 	// Per sequence number the pool keeps the proposed or agreed hash, the
-	// accepted echo and the waiting vectors (consSlot): result vectors
-	// matching a proposal persist immediately (Algo 1 line 17), which is why
-	// the persist round is masked by the consensus phase (§4.4).
+	// accepted echo and the first waiting vector (consSlot), overflow the
+	// vectors that wait behind it in arrival order: result vectors matching
+	// a proposal persist immediately (Algo 1 line 17), which is why the
+	// persist round is masked by the consensus phase (§4.4).
+	overflow   map[uint64][]*ResultEntry
 	persistOut []*PersistEntry
 	persistArm bool
 
@@ -101,6 +103,7 @@ func newConsNode(c *Cluster, org int) *ConsNode {
 		auth:        make(map[uint64]types.TxID),
 		delivered:   make(map[uint64]*deliveredBlock),
 		proposals:   make(map[uint64]proposal),
+		overflow:    make(map[uint64][]*ResultEntry),
 		blocks:      ledger.NewBlockStore(),
 		suspects:    make(map[crypto.Identity]map[int]bool),
 		maliceVotes: make(map[crypto.Identity]bool),
@@ -348,9 +351,11 @@ func (n *ConsNode) Proposed(seq uint64, v consensus.Value) {
 func (n *ConsNode) evaluateBuffered(seqs []uint64) {
 	for _, s := range seqs {
 		if cs := n.pool.consAt(s, false); cs != nil && cs.waiting != nil {
-			buf := cs.waiting
+			first, rest := cs.waiting, n.overflow[s]
 			cs.waiting = nil
-			for _, e := range buf {
+			delete(n.overflow, s)
+			n.evaluateResult(first)
+			for _, e := range rest {
 				n.evaluateResult(e)
 			}
 		}
@@ -521,8 +526,10 @@ func (n *ConsNode) onResults(m *ResultMsg) {
 	for i := range m.Entries {
 		e := &m.Entries[i]
 		switch cs := n.pool.consAt(e.Seq, true); {
+		case !cs.agreed && cs.waiting == nil:
+			cs.waiting = e
 		case !cs.agreed:
-			cs.waiting = append(cs.waiting, e)
+			n.overflow[e.Seq] = append(n.overflow[e.Seq], e)
 		case cs.hash == e.TxID:
 			n.evaluateResult(e)
 		case cs.view == n.Rep.View():
@@ -620,8 +627,9 @@ func (n *ConsNode) flushPersist() {
 	if len(n.persistOut) == 0 {
 		return
 	}
+	// The message keeps the batch; the next one starts at its capacity.
 	entries := n.persistOut
-	n.persistOut = nil
+	n.persistOut = make([]*PersistEntry, 0, cap(entries))
 	n.Ctx.Elapse(n.c.Cfg.Costs.MACCompute)
 	msg := &PersistMsg{Node: n.Idx, Entries: entries}
 	msg.sign(n.Sign)

@@ -69,13 +69,21 @@ type Scheme interface {
 //
 // Keyed HMAC states are recycled through a per-identity sync.Pool: hmac.New
 // costs three allocations and two key-block hashes, and on the hot path the
-// same few identities sign/verify once per message. Pools are safe for the
-// PDES engine's concurrent partitions.
+// same few identities sign/verify once per message. Each pooled state keeps a
+// tag-sized scratch next to it, so Verify computes and compares in place and
+// allocates nothing. Pools are safe for the PDES engine's concurrent
+// partitions.
 type HMACScheme struct {
 	mu     sync.RWMutex
 	master [32]byte
 	keys   map[Identity][]byte
 	macs   map[Identity]*sync.Pool
+}
+
+// hmacState is one pooled keyed HMAC and the scratch its tags go to.
+type hmacState struct {
+	mac hash.Hash
+	tag [sha256.Size]byte
 }
 
 // NewHMACScheme creates a scheme whose per-identity secrets derive from seed.
@@ -97,32 +105,43 @@ func (s *HMACScheme) Register(id Identity) {
 	k := HashAll(s.master[:], []byte("hmac-key"), []byte(id))
 	s.keys[id] = k[:]
 	key := k[:]
-	s.macs[id] = &sync.Pool{New: func() interface{} { return hmac.New(sha256.New, key) }}
+	s.macs[id] = &sync.Pool{New: func() interface{} { return &hmacState{mac: hmac.New(sha256.New, key)} }}
 }
 
 // Sign implements Scheme.
 func (s *HMACScheme) Sign(id Identity, msg []byte) (Signature, error) {
-	s.mu.RLock()
-	pool, ok := s.macs[id]
-	s.mu.RUnlock()
-	if !ok {
+	pool, st := s.tag(id, msg)
+	if st == nil {
 		return nil, fmt.Errorf("crypto: unknown identity %q", id)
 	}
-	mac := pool.Get().(hash.Hash)
-	mac.Reset()
-	mac.Write(msg)
-	tag := mac.Sum(make([]byte, 0, sha256.Size))
-	pool.Put(mac)
-	return Signature(tag), nil
+	defer pool.Put(st)
+	return append(make(Signature, 0, sha256.Size), st.tag[:]...), nil
 }
 
 // Verify implements Scheme.
 func (s *HMACScheme) Verify(id Identity, msg []byte, sig Signature) bool {
-	want, err := s.Sign(id, msg)
-	if err != nil {
+	pool, st := s.tag(id, msg)
+	if st == nil {
 		return false
 	}
-	return hmac.Equal(want, sig)
+	defer pool.Put(st)
+	return hmac.Equal(st.tag[:], sig)
+}
+
+// tag computes id's tag over msg into the scratch of st, a state drawn from
+// pool that the caller puts back; st is nil for an unknown identity.
+func (s *HMACScheme) tag(id Identity, msg []byte) (pool *sync.Pool, st *hmacState) {
+	s.mu.RLock()
+	pool = s.macs[id]
+	s.mu.RUnlock()
+	if pool == nil {
+		return nil, nil
+	}
+	st = pool.Get().(*hmacState)
+	st.mac.Reset()
+	st.mac.Write(msg)
+	st.mac.Sum(st.tag[:0])
+	return pool, st
 }
 
 // Known implements Scheme.

@@ -37,10 +37,17 @@ func (f HandlerFunc) OnMessage(ctx *Context, from NodeID, msg Message) { f(ctx, 
 
 // delivery is a message (or timer) waiting in an endpoint's inbox.
 type delivery struct {
-	from  NodeID
-	msg   Message
-	timer func(*Context)
+	from NodeID
+	msg  Message
 }
+
+// timer is a callback on an endpoint's own core. It travels as a message that
+// never crosses a wire: Context.After schedules it as an inlined delivery
+// event, which a down endpoint drops silently.
+type timer func(*Context)
+
+// Size implements Message.
+func (timer) Size() int { return 0 }
 
 // Endpoint models a node with a single dedicated CPU core and one NIC.
 // Deliveries queue FIFO and the handler processes them serially; the virtual
@@ -110,7 +117,7 @@ func (e *Endpoint) Restart() {
 	}
 	e.down = false
 	if r, ok := e.handler.(Restarter); ok {
-		e.enqueue(delivery{from: e.id, timer: r.OnRestart})
+		e.enqueue(delivery{from: e.id, msg: timer(r.OnRestart)})
 	}
 }
 
@@ -216,12 +223,7 @@ func (n *Network) RegisterPart(name string, dc, part int, h Handler) *Endpoint {
 		n.tracer.RegisterNode(int(e.id), name, dc)
 	}
 	if s, ok := h.(Starter); ok {
-		n.sim.schedTimer(part, 0, func() {
-			if e.down {
-				return
-			}
-			e.enqueue(delivery{from: e.id, timer: s.OnStart})
-		})
+		n.sim.schedDelivery(part, 0, e, e.id, timer(s.OnStart), 0)
 	}
 	return e
 }
@@ -311,6 +313,12 @@ func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Durat
 // deliver lands a message at its destination at virtual time 'at': the shared
 // tail of the unicast and multicast paths.
 func (n *Network) deliver(dst *Endpoint, from NodeID, msg Message, at time.Duration, size int) {
+	if _, ok := msg.(timer); ok {
+		if !dst.down {
+			dst.enqueue(delivery{from: from, msg: msg})
+		}
+		return
+	}
 	if dst.down {
 		n.tracer.Dropped(int(dst.id), at)
 		return
@@ -422,19 +430,20 @@ func (e *Endpoint) processNext() {
 	now := e.net.sim.partNow(e.part)
 	ctx := &e.actCtx
 	*ctx = Context{net: e.net, node: e, start: now}
+	t, isTimer := d.msg.(timer)
 	if e.down {
 		// The core died with deliveries still queued: they are lost, not
 		// replayed on restart, and messages are recorded as dropped exactly
 		// like arrivals at a down endpoint (deliver). Timers vanish
 		// silently — a crashed process has no pending timers to lose.
-		if d.timer == nil {
+		if !isTimer {
 			e.net.tracer.Dropped(int(e.id), now)
 		}
 		e.net.sim.schedTimer(e.part, now, e.procFn)
 		return
 	}
-	if d.timer != nil {
-		d.timer(ctx)
+	if isTimer {
+		t(ctx)
 	} else {
 		e.handler.OnMessage(ctx, d.from, d.msg)
 	}
@@ -503,13 +512,8 @@ func (c *Context) MulticastUnicast(group string, msg Message) {
 }
 
 // After schedules fn to run on this endpoint's core d from now. The callback
-// queues like any other delivery, so a busy core delays it.
+// queues like any other delivery, so a busy core delays it; it is scheduled
+// as an inlined delivery event (timer) and allocates nothing of its own.
 func (c *Context) After(d time.Duration, fn func(*Context)) {
-	node := c.node
-	c.net.sim.schedTimer(node.part, c.Now()+d, func() {
-		if node.down {
-			return
-		}
-		node.enqueue(delivery{from: node.id, timer: fn})
-	})
+	c.net.sim.schedDelivery(c.node.part, c.Now()+d, c.node, c.node.id, timer(fn), 0)
 }

@@ -34,9 +34,10 @@ const MaxPartitions = 64
 // Events are stored by value inside the heap's backing array: scheduling one
 // never heap-allocates an event node and never boxes through an interface.
 //
-// When fn is nil the event is a message delivery and the dst/from/msg/size
-// fields carry the payload directly — the per-message closure that used to
-// dominate the hot path's allocation profile is gone entirely.
+// When fn is nil the event is a message delivery or a timer (Context.After)
+// and the dst/from/msg/size fields carry the payload directly — the
+// per-message closure that used to dominate the hot path's allocation
+// profile is gone entirely.
 type event struct {
 	at  time.Duration
 	seq uint64
@@ -269,14 +270,14 @@ func (s *Sim) sched(op, dp int, e event) {
 	s.parts[dp].heap = heapPush(s.parts[dp].heap, e)
 }
 
-// schedDelivery schedules an inlined message-delivery event — no closure,
-// no allocation beyond (amortized) heap growth.
+// schedDelivery schedules an inlined delivery event for a message or a timer
+// — no closure, no allocation beyond (amortized) heap growth.
 func (s *Sim) schedDelivery(op int, at time.Duration, dst *Endpoint, from NodeID, msg Message, size int) {
 	s.sched(op, dst.part, event{at: at, dst: dst, from: from, msg: msg, size: int64(size)})
 }
 
 // schedTimer schedules fn on partition p's queue at absolute time at, with
-// p as the originating partition (endpoint-local timers and continuations).
+// p as the originating partition (an endpoint's processNext continuation).
 func (s *Sim) schedTimer(p int, at time.Duration, fn func()) {
 	s.sched(p, p, event{at: at, fn: fn})
 }

@@ -32,6 +32,27 @@ func TestUntracedDeliveryAllocs(t *testing.T) {
 	}
 }
 
+// TestTimerAllocs pins Context.After with a pre-bound callback at zero
+// allocations: the timer is an inlined delivery event, not a closure around
+// one.
+func TestTimerAllocs(t *testing.T) {
+	s := NewSim(1)
+	n := NewNetwork(s, DefaultTopology())
+	ep := n.Register("node", 0, HandlerFunc(func(*Context, NodeID, Message) {}))
+	fired := 0
+	fn := func(*Context) { fired++ }
+	allocs := testing.AllocsPerRun(200, func() {
+		NewInjectedContext(n, ep).After(time.Millisecond, fn)
+		s.Run()
+	})
+	if fired != 201 {
+		t.Fatalf("timer fired %d times, want 201", fired)
+	}
+	if allocs > 0 {
+		t.Fatalf("Context.After = %v allocs/op, want 0 (a closure around the timer crept back?)", allocs)
+	}
+}
+
 // TestTracerHooksRecord drives traffic through a traced network and checks
 // that every telemetry channel saw it: bytes out at the sender, bytes in at
 // the receiver, queue depth, CPU busy time, and bytes on the wire.
