@@ -130,7 +130,15 @@ loc:
 # (+19 in crypto); a timer scheduled as an inlined delivery event (+5 in
 # simnet); a consensus node's first waiting vector inline in its slot, later
 # ones in an overflow map, and PERSIST batches sized from the last (+9 in core).
-LOC_CEILING := 18498
+# Allocation levers raised it by its measured net, +19 (18498 -> 18517), for a
+# 65 % cut in `steady`'s allocations per transaction: HashAll from a stack
+# buffer and crypto.AppendPart, the framing RWSet.Digest and VectorDigest
+# append with (+20 in crypto, +1 in ledger); ExecuteTransient the one execution
+# routine, NewTxContext and finish gone (-29 in engine.go); SmallBank keys
+# looked up without boxing, one buffer per balance, org names from a table
+# (+13); the normal node's two scratches and its vectors built in an inline
+# slice instead of two maps (+10 in core); the Fabric peer's scratch (+4).
+LOC_CEILING := 18517
 DOC_CEILING := 1609
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -148,7 +156,7 @@ FUZZ_TARGETS := internal/types:FuzzTransaction internal/types:FuzzOrdering \
 	internal/scenario:FuzzParse internal/trace/anatomy:FuzzTraceJSONL \
 	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta \
 	internal/core:FuzzPersistVote internal/consensus:FuzzVotes internal/core:FuzzResultMemo \
-	internal/bench:FuzzBreakdownRows
+	internal/bench:FuzzBreakdownRows internal/ledger:FuzzRWSetDigest
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t"; \

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/bidl-framework/bidl/internal/contract"
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
@@ -26,6 +27,8 @@ type Peer struct {
 	state  *ledger.State
 	blocks *ledger.BlockStore
 	nondet *rand.Rand
+	// exec runs every endorsement; the response carries a copy of its result.
+	exec contract.ExecScratch
 
 	commitHeight uint64
 	blockBuf     map[uint64]*FabricBlock
@@ -96,11 +99,12 @@ func (p *Peer) endorse(ctx *simnet.Context, from simnet.NodeID, m *EndorseReq) {
 		p.c.Cfg.Tracer.TxStage(m.Tx.ID(), trace.StageExecStart, int(p.ep.ID()), ctx.Now())
 	}
 	ctx.Elapse(costs.ExecTxn)
-	rw := p.c.Registry.Execute(p.state, m.Tx, p.nondet)
+	rw := p.c.Registry.ExecuteTransient(p.state, m.Tx, p.nondet, &p.exec)
 	if traceExec {
 		p.c.Cfg.Tracer.TxStage(m.Tx.ID(), trace.StageExecuted, int(p.ep.ID()), ctx.Now())
 	}
-	resp.Reads, resp.Writes, resp.Aborted = rw.Reads, rw.Writes, rw.Aborted
+	resp.Reads, resp.Writes = append([]ledger.Read(nil), rw.Reads...), append([]ledger.Write(nil), rw.Writes...)
+	resp.Aborted = rw.Aborted
 	dig := rw.Digest()
 	ctx.Elapse(signCost)
 	sig, err := p.c.Scheme.Sign(crypto.Identity(p.orgName), endorsementBytes(m.Tx.ID(), p.orgName, dig))

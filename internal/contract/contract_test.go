@@ -180,9 +180,22 @@ func TestUnknownContractAndFunction(t *testing.T) {
 	}
 }
 
+// newTxContext arms a fresh context the way ExecuteTransient does.
+func newTxContext(view StateView) *TxContext {
+	ctx := new(TxContext)
+	ctx.reset(view, nil)
+	return ctx
+}
+
+// sealed seals ctx as a successful invocation and returns its result.
+func sealed(ctx *TxContext) *ledger.RWSet {
+	ctx.seal(false)
+	return &ctx.rw
+}
+
 func TestReadYourWrites(t *testing.T) {
 	s := ledger.NewState()
-	ctx := NewTxContext(s, nil)
+	ctx := newTxContext(s)
 	ctx.PutState("k", []byte("v1"))
 	if v, ok := ctx.GetState("k"); !ok || string(v) != "v1" {
 		t.Fatal("staged write not visible in same txn")
@@ -191,7 +204,7 @@ func TestReadYourWrites(t *testing.T) {
 	if _, ok := ctx.GetState("k"); ok {
 		t.Fatal("staged delete not visible")
 	}
-	rw := ctx.finish(false)
+	rw := sealed(ctx)
 	if len(rw.Writes) != 1 || !rw.Writes[0].Delete {
 		t.Fatalf("writes = %+v, want single delete", rw.Writes)
 	}
@@ -199,11 +212,11 @@ func TestReadYourWrites(t *testing.T) {
 
 func TestWritesCanonicalOrder(t *testing.T) {
 	mk := func(order []string) *ledger.RWSet {
-		ctx := NewTxContext(ledger.NewState(), nil)
+		ctx := newTxContext(ledger.NewState())
 		for _, k := range order {
 			ctx.PutState(k, []byte("v"))
 		}
-		return ctx.finish(false)
+		return sealed(ctx)
 	}
 	a := mk([]string{"b", "a", "c"})
 	b := mk([]string{"c", "b", "a"})
@@ -215,10 +228,10 @@ func TestWritesCanonicalOrder(t *testing.T) {
 func TestRWSetRecordsReads(t *testing.T) {
 	s := ledger.NewState()
 	s.Put("k", []byte("v"), ledger.Version{Block: 3, Tx: 1})
-	ctx := NewTxContext(s, nil)
+	ctx := newTxContext(s)
 	ctx.GetState("k")
 	ctx.GetState("missing")
-	rw := ctx.finish(false)
+	rw := sealed(ctx)
 	if len(rw.Reads) != 2 {
 		t.Fatalf("reads = %d, want 2", len(rw.Reads))
 	}

@@ -27,7 +27,8 @@ type StateView interface {
 
 // TxContext is the API a contract sees during one invocation. Reads record
 // observed versions; writes stage into the read-write set with
-// read-your-writes semantics inside the transaction.
+// read-your-writes semantics inside the transaction. Each ExecScratch owns
+// one, re-armed for every execution.
 type TxContext struct {
 	view   StateView
 	rw     ledger.RWSet
@@ -35,18 +36,6 @@ type TxContext struct {
 	dels   map[string]bool
 	nondet *rand.Rand
 	keys   []string // scratch for seal's sorted key pass
-}
-
-// NewTxContext creates a context reading from view. nondet, when non-nil, is
-// the node-local randomness a non-deterministic contract observes; correct
-// deterministic contracts never touch it.
-func NewTxContext(view StateView, nondet *rand.Rand) *TxContext {
-	return &TxContext{
-		view:   view,
-		staged: make(map[string][]byte),
-		dels:   make(map[string]bool),
-		nondet: nondet,
-	}
 }
 
 // GetState reads a key, recording the read version for MVCC validation.
@@ -107,30 +96,16 @@ func (c *TxContext) seal(aborted bool) {
 	}
 }
 
-// finish seals the read-write set and returns it as a standalone value whose
-// lifetime is independent of the context.
-func (c *TxContext) finish(aborted bool) *ledger.RWSet {
-	c.seal(aborted)
-	rw := c.rw
-	return &rw
-}
-
 // reset re-arms the context for another invocation, reusing its maps and
-// slice backings. Any RWSet previously sealed in place (ExecuteTransient) is
-// invalidated.
+// slice backings. The RWSet sealed by the previous invocation is invalidated.
 func (c *TxContext) reset(view StateView, nondet *rand.Rand) {
-	c.view = view
-	c.nondet = nondet
-	c.rw.Reads = c.rw.Reads[:0]
-	c.rw.Writes = c.rw.Writes[:0]
-	c.rw.Aborted = false
+	c.view, c.nondet = view, nondet
+	c.rw = ledger.RWSet{Reads: c.rw.Reads[:0], Writes: c.rw.Writes[:0]}
 	if c.staged == nil {
-		c.staged = make(map[string][]byte)
-		c.dels = make(map[string]bool)
-	} else {
-		clear(c.staged)
-		clear(c.dels)
+		c.staged, c.dels = make(map[string][]byte), make(map[string]bool)
 	}
+	clear(c.staged)
+	clear(c.dels)
 }
 
 // Contract is a deployed smart contract.
@@ -157,15 +132,11 @@ func (r *Registry) Deploy(c Contract) { r.contracts[c.Name()] = c }
 
 // Execute runs tx against view and returns its read-write set. Unknown
 // contracts or functions, and contract errors, yield an aborted result with
-// no writes — never a panic, since transactions are adversarial inputs.
+// no writes — never a panic, since transactions are adversarial inputs. The
+// result is ExecuteTransient's on a scratch of its own, so it outlives the
+// call.
 func (r *Registry) Execute(view StateView, tx *types.Transaction, nondet *rand.Rand) *ledger.RWSet {
-	c := r.contracts[tx.Contract]
-	ctx := NewTxContext(view, nondet)
-	if c == nil {
-		return ctx.finish(true)
-	}
-	err := safeInvoke(c, ctx, tx.Fn, tx.Args)
-	return ctx.finish(err != nil)
+	return r.ExecuteTransient(view, tx, nondet, new(ExecScratch))
 }
 
 // ExecScratch is a reusable execution context for ExecuteTransient. Each
@@ -175,11 +146,11 @@ type ExecScratch struct {
 	ctx TxContext
 }
 
-// ExecuteTransient is Execute with a caller-owned scratch context. The
-// returned RWSet aliases the scratch and is valid ONLY until the next
-// ExecuteTransient call with the same scratch — use it where the result is
-// consumed immediately and discarded, e.g. the delegate's redundant
-// re-execution that only compares digests (§4.4 non-determinism check).
+// ExecuteTransient is the one execution routine, run on a caller-owned
+// scratch context. The returned RWSet aliases the scratch and is valid ONLY
+// until the next ExecuteTransient call with the same scratch: a node keeps a
+// scratch per result it holds at once, and copies a result only where it
+// leaves the node.
 func (r *Registry) ExecuteTransient(view StateView, tx *types.Transaction, nondet *rand.Rand, sc *ExecScratch) *ledger.RWSet {
 	c := r.contracts[tx.Contract]
 	ctx := &sc.ctx

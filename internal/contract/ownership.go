@@ -17,25 +17,29 @@ import (
 type KeyOwnerFunc func(key string, tx *types.Transaction) string
 
 // SmallBankKeyOwner returns the ownership map for the SmallBank layout:
-// account i belongs to organization i mod numOrgs; keys that do not parse
-// (e.g. freshly created non-deterministic accounts) belong to the
-// transaction's corresponding organization.
+// account i belongs to organization i mod numOrgs; keys whose suffix is not
+// a non-negative number (e.g. freshly created non-deterministic accounts)
+// belong to the transaction's corresponding organization.
 func SmallBankKeyOwner(numOrgs int) KeyOwnerFunc {
+	names := make([]string, numOrgs)
+	for i := range names {
+		names[i] = types.OrgName(i)
+	}
 	return func(key string, tx *types.Transaction) string {
 		// Keys look like "sb:chk:acct-<i>" / "sb:sav:acct-<i>".
 		idx := strings.LastIndex(key, "acct-")
 		if idx >= 0 {
-			if i, err := strconv.Atoi(key[idx+len("acct-"):]); err == nil {
-				return types.OrgName(i % numOrgs)
+			if i, err := strconv.Atoi(key[idx+len("acct-"):]); err == nil && i >= 0 {
+				return names[i%numOrgs]
 			}
 		}
 		return tx.CorrespondingOrg()
 	}
 }
 
-// PartitionWrites filters a write set down to the keys owned by org.
-func PartitionWrites(rw *ledger.RWSet, owner KeyOwnerFunc, tx *types.Transaction, org string) []ledger.Write {
-	var out []ledger.Write
+// PartitionWrites appends the writes of rw owned by org to dst, a reused
+// buffer where the partition is only digested, nil where it is kept.
+func PartitionWrites(dst []ledger.Write, rw *ledger.RWSet, owner KeyOwnerFunc, tx *types.Transaction, org string) []ledger.Write {
 	for _, w := range rw.Writes {
 		o := owner(w.Key, tx)
 		// Writes owned by a non-related organization fall to the
@@ -44,8 +48,8 @@ func PartitionWrites(rw *ledger.RWSet, owner KeyOwnerFunc, tx *types.Transaction
 			o = tx.CorrespondingOrg()
 		}
 		if o == org {
-			out = append(out, w)
+			dst = append(dst, w)
 		}
 	}
-	return out
+	return dst
 }

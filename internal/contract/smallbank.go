@@ -3,6 +3,7 @@ package contract
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -29,18 +30,25 @@ func (SmallBank) Name() string { return "smallbank" }
 // space is small and hit millions of times across a sweep, so the key
 // strings are built once per account and shared: state maps, RW sets, and
 // overlays all reference the same backing strings instead of churning a
-// fresh concatenation per invocation. sync.Map because parallel sweeps
-// (-j N) execute SmallBank concurrently; the cache is append-only.
+// fresh concatenation per invocation. Parallel sweeps (-j N) execute
+// SmallBank concurrently, hence the lock; unlike sync.Map, it boxes no key.
 type sbKeys struct{ chk, sav string }
 
-var sbKeyCache sync.Map // acct string → *sbKeys
+var sbKeyCache = struct {
+	sync.Mutex
+	m map[string]*sbKeys
+}{m: make(map[string]*sbKeys)}
 
 func sbKeysFor(acct string) *sbKeys {
-	if v, ok := sbKeyCache.Load(acct); ok {
-		return v.(*sbKeys)
+	sbKeyCache.Lock()
+	defer sbKeyCache.Unlock()
+	k := sbKeyCache.m[acct]
+	if k == nil {
+		owned := strings.Clone(acct)
+		k = &sbKeys{chk: "sb:chk:" + owned, sav: "sb:sav:" + owned}
+		sbKeyCache.m[owned] = k
 	}
-	v, _ := sbKeyCache.LoadOrStore(acct, &sbKeys{chk: "sb:chk:" + acct, sav: "sb:sav:" + acct})
-	return v.(*sbKeys)
+	return k
 }
 
 // CheckingKey returns the world-state key for an account's checking balance.
@@ -62,7 +70,8 @@ func getBal(ctx *TxContext, key string) (int64, bool) {
 }
 
 func putBal(ctx *TxContext, key string, v int64) {
-	ctx.PutState(key, []byte(strconv.FormatInt(v, 10)))
+	var buf [20]byte
+	ctx.PutState(key, append([]byte(nil), strconv.AppendInt(buf[:0], v, 10)...))
 }
 
 // Invoke implements Contract.
@@ -78,7 +87,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 			return fmt.Errorf("%w: bad balance", ErrAbort)
 		}
 		if _, exists := ctx.GetState(CheckingKey(acct)); exists {
-			return fmt.Errorf("%w: account %s exists", ErrAbort, acct)
+			return fmt.Errorf("%w: account %s exists", ErrAbort, args[0])
 		}
 		putBal(ctx, CheckingKey(acct), bal)
 		putBal(ctx, SavingsKey(acct), bal)
@@ -108,7 +117,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 		}
 		bal, ok := getBal(ctx, CheckingKey(acct))
 		if !ok {
-			return fmt.Errorf("%w: no account %s", ErrAbort, acct)
+			return fmt.Errorf("%w: no account %s", ErrAbort, args[0])
 		}
 		putBal(ctx, CheckingKey(acct), bal+amt)
 		return nil
@@ -124,7 +133,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 		}
 		bal, ok := getBal(ctx, SavingsKey(acct))
 		if !ok {
-			return fmt.Errorf("%w: no account %s", ErrAbort, acct)
+			return fmt.Errorf("%w: no account %s", ErrAbort, args[0])
 		}
 		if bal+amt < 0 {
 			return fmt.Errorf("%w: insufficient savings", ErrAbort)
@@ -143,7 +152,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 		}
 		sb, ok := getBal(ctx, CheckingKey(src))
 		if !ok {
-			return fmt.Errorf("%w: no account %s", ErrAbort, src)
+			return fmt.Errorf("%w: no account %s", ErrAbort, args[0])
 		}
 		if sb < amt {
 			return fmt.Errorf("%w: insufficient funds", ErrAbort)
@@ -155,7 +164,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 		}
 		db, ok := getBal(ctx, CheckingKey(dst))
 		if !ok {
-			return fmt.Errorf("%w: no account %s", ErrAbort, dst)
+			return fmt.Errorf("%w: no account %s", ErrAbort, args[1])
 		}
 		putBal(ctx, CheckingKey(src), sb-amt)
 		putBal(ctx, CheckingKey(dst), db+amt)
@@ -172,7 +181,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 		}
 		chk, ok := getBal(ctx, CheckingKey(acct))
 		if !ok {
-			return fmt.Errorf("%w: no account %s", ErrAbort, acct)
+			return fmt.Errorf("%w: no account %s", ErrAbort, args[0])
 		}
 		sav, _ := getBal(ctx, SavingsKey(acct))
 		if chk+sav < amt {
@@ -190,7 +199,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 		src, dst := string(args[0]), string(args[1])
 		sav, ok := getBal(ctx, SavingsKey(src))
 		if !ok {
-			return fmt.Errorf("%w: no account %s", ErrAbort, src)
+			return fmt.Errorf("%w: no account %s", ErrAbort, args[0])
 		}
 		chk, _ := getBal(ctx, CheckingKey(src))
 		if src == dst {
@@ -201,7 +210,7 @@ func (SmallBank) Invoke(ctx *TxContext, fn string, args [][]byte) error {
 		}
 		dchk, ok := getBal(ctx, CheckingKey(dst))
 		if !ok {
-			return fmt.Errorf("%w: no account %s", ErrAbort, dst)
+			return fmt.Errorf("%w: no account %s", ErrAbort, args[1])
 		}
 		putBal(ctx, SavingsKey(src), 0)
 		putBal(ctx, CheckingKey(src), 0)

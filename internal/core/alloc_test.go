@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"github.com/bidl-framework/bidl/internal/contract"
+	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -55,6 +57,9 @@ func TestSequencerMulticastFanoutAllocs(t *testing.T) {
 // so makeOrgResult must settle at a small constant allocation count —
 // re-marshalling or context reallocation would blow well past the budget.
 func TestExecutePathAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops a random share of Puts under -race, so Sign's HMAC states re-allocate")
+	}
 	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
 	nn := c.Orgs[0][0]
 	if !nn.isDelegate() {
@@ -70,13 +75,42 @@ func TestExecutePathAllocs(t *testing.T) {
 			nn.makeOrgResult(1, tx, rw)
 		})
 	})
-	// Partition slices, SmallBank's strconv/string conversions inside the
-	// re-execution, and the two partition digests — but no per-call context
-	// maps and no re-marshal.
-	const budget = 30
+	// 3 measured: the re-execution's two balance values and the signature
+	// (this org owns neither key, so its kept partition is empty). 18 while
+	// the partition digests built slices of parts, owner names were
+	// formatted per write, account keys were boxed for a sync.Map and putBal
+	// converted twice (budget 30 then); the budget is measured + 10 %.
+	const budget = 3
 	if allocs > budget {
 		t.Fatalf("delegate execute path = %v allocs/op, want <= %d (transient scratch not reused?)",
 			allocs, budget)
+	}
+}
+
+// TestSmallBankTransientAllocs pins a SmallBank payment on a warm scratch:
+// the context's maps and the RW set's slices are reused and the account keys
+// are looked up without boxing, so the two new balance values are all that
+// is allocated.
+func TestSmallBankTransientAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation pins hold for the plain build only")
+	}
+	r := contract.NewRegistry()
+	r.Deploy(contract.SmallBank{})
+	st := ledger.NewState()
+	st.Put(contract.CheckingKey("acct-1"), []byte("1000"), ledger.Version{})
+	st.Put(contract.CheckingKey("acct-2"), []byte("1000"), ledger.Version{})
+	tx := &types.Transaction{Contract: "smallbank", Fn: "send_payment",
+		Args: [][]byte{[]byte("acct-1"), []byte("acct-2"), []byte("5")}}
+	var sc contract.ExecScratch
+	r.ExecuteTransient(st, tx, nil, &sc)
+	allocs := testing.AllocsPerRun(100, func() {
+		if rw := r.ExecuteTransient(st, tx, nil, &sc); rw.Aborted || len(rw.Writes) != 2 {
+			t.Fatalf("payment = %+v, want two writes", rw)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("warm-scratch send_payment = %v allocs/op, want <= 2 (the two balances)", allocs)
 	}
 }
 

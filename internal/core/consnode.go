@@ -77,6 +77,8 @@ type ConsNode struct {
 	overflow   map[uint64][]*ResultEntry
 	persistOut []*PersistEntry
 	persistArm bool
+	// signing is scratch for a partition's signed bytes (appendOrgResult).
+	signing []byte
 
 	// shepherding state (§4.5/§4.6).
 	suspects    map[crypto.Identity]map[int]bool
@@ -600,8 +602,8 @@ func (n *ConsNode) partitionAuthentic(e *ResultEntry, r *OrgResult) bool {
 			return false
 		}
 	}
-	return n.c.Scheme.Verify(crypto.Identity(r.Org),
-		orgResultBytes(e.Seq, e.TxID, r.Org, r.Digest, r.Aborted, r.Inconsistent), r.Sig)
+	n.signing = appendOrgResult(n.signing[:0], e.Seq, e.TxID, r.Org, r.Digest, r.Aborted, r.Inconsistent)
+	return n.c.Scheme.Verify(crypto.Identity(r.Org), n.signing, r.Sig)
 }
 
 // vectorApproved checks the vector covers exactly the related organizations.

@@ -180,13 +180,12 @@ type OrgResult struct {
 	wdOK bool
 }
 
-// orgResultBytes is what the delegate signs; the digest covers the writes
-// and the aborted flag, so signing digest+flags covers everything.
-func orgResultBytes(seq uint64, id types.TxID, org string, digest crypto.Digest, aborted, inconsistent bool) []byte {
-	buf := make([]byte, 0, 8+len(id)+len(org)+len(digest)+1)
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(seq>>(8*(7-i))))
-	}
+// appendOrgResult appends what the delegate signs to buf; the digest covers
+// the writes and the aborted flag, so signing digest+flags covers everything.
+// Nodes append into a buffer they own and reuse, since the bytes reach the
+// scheme through an interface and would not stay on the stack.
+func appendOrgResult(buf []byte, seq uint64, id types.TxID, org string, digest crypto.Digest, aborted, inconsistent bool) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, seq)
 	buf = append(buf, id[:]...)
 	buf = append(buf, org...)
 	buf = append(buf, digest[:]...)
@@ -289,9 +288,10 @@ func (e *ResultEntry) Union() []ledger.Write {
 
 // VectorDigest canonically hashes the vector for persist matching.
 func (e *ResultEntry) VectorDigest() crypto.Digest {
-	parts := make([][]byte, 0, len(e.Vector)*3+1)
-	parts = append(parts, e.TxID[:])
-	for _, r := range e.Vector {
+	var buf [512]byte
+	b := crypto.AppendPart(buf[:0], e.TxID[:])
+	for i := range e.Vector {
+		r := &e.Vector[i]
 		flags := byte(0)
 		if r.Aborted {
 			flags |= 1
@@ -299,9 +299,9 @@ func (e *ResultEntry) VectorDigest() crypto.Digest {
 		if r.Inconsistent {
 			flags |= 2
 		}
-		parts = append(parts, []byte(r.Org), r.Digest[:], []byte{flags})
+		b = crypto.AppendPart(crypto.AppendPart(crypto.AppendPart(b, r.Org), r.Digest[:]), []byte{flags})
 	}
-	return crypto.HashAll(parts...)
+	return crypto.Hash(b)
 }
 
 // derive computes the memo: the vector's digest, the union of the

@@ -3,7 +3,9 @@ package core
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -16,13 +18,30 @@ import (
 )
 
 // vectorBuild accumulates per-org results for one transaction at its
-// corresponding organization's delegate (§4.4).
+// corresponding organization's delegate (§4.4): one result per organization
+// in arrival order, a later one replacing it.
 type vectorBuild struct {
 	seq    uint64
 	txID   types.TxID
-	needed map[string]bool
-	got    map[string]OrgResult
+	got    []OrgResult
+	inline [2]OrgResult // got's backing for a two-org transaction
 	sent   bool
+}
+
+// put records res, replacing an earlier result from the same organization.
+func (vb *vectorBuild) put(res OrgResult) {
+	if i := vb.index(res.Org); i >= 0 {
+		vb.got[i] = res
+	} else if vb.got == nil {
+		vb.got = append(vb.inline[:0], res)
+	} else {
+		vb.got = append(vb.got, res)
+	}
+}
+
+// index is the position of org's result in got, or -1.
+func (vb *vectorBuild) index(org string) int {
+	return slices.IndexFunc(vb.got, func(r OrgResult) bool { return r.Org == org })
 }
 
 // persistStatus tracks PERSIST quorum formation for one sequence number, by
@@ -110,10 +129,13 @@ type NormalNode struct {
 	specInit bool
 	gapArmed bool
 	nondet   *rand.Rand
-	// execScratch backs the delegate's redundant re-execution, whose result
-	// is digested and discarded within makeOrgResult — the one execution
-	// site where a transient, buffer-reusing run is provably safe.
-	execScratch contract.ExecScratch
+	// exec[0] backs the speculative execution, exec[1] the delegate's
+	// redundant one, which must not clobber the first result (applied after
+	// it). A result leaves the node only as makeOrgResult's copied partition;
+	// part2, the redundant run's, is only digested; signing is scratch too.
+	exec    [2]contract.ExecScratch
+	part2   []ledger.Write
+	signing []byte
 
 	// delegate state (first normal node of the org).
 	vectors   map[types.TxID]*vectorBuild
@@ -322,8 +344,8 @@ func (n *NormalNode) routeInvalid(seq uint64, tx *types.Transaction) {
 	rw := &ledger.RWSet{Aborted: true}
 	dig := rw.Digest()
 	n.ctx.Elapse(n.c.Cfg.Costs.MACCompute)
-	sig, err := n.c.Scheme.Sign(crypto.Identity(n.orgName),
-		orgResultBytes(seq, tx.ID(), n.orgName, dig, true, false))
+	n.signing = appendOrgResult(n.signing[:0], seq, tx.ID(), n.orgName, dig, true, false)
+	sig, err := n.c.Scheme.Sign(crypto.Identity(n.orgName), n.signing)
 	if err != nil {
 		return
 	}
@@ -390,7 +412,7 @@ func (n *NormalNode) executeSpec(seq uint64, tx *types.Transaction, r *txRec) {
 // again for a result that already persisted.
 func (n *NormalNode) execute(seq uint64, tx *types.Transaction, r *txRec, vote bool) {
 	n.ctx.Elapse(n.c.Cfg.Costs.ExecTxn)
-	rw := n.c.Registry.Execute(n.overlay, tx, n.nondet)
+	rw := n.c.Registry.ExecuteTransient(n.overlay, tx, n.nondet, &n.exec[0])
 	ns := n.pool.note(seq)
 	ns.spec, ns.orgRes = r, nil
 	// The redundant non-determinism check must run against the same
@@ -413,17 +435,15 @@ func (n *NormalNode) execute(seq uint64, tx *types.Transaction, r *txRec, vote b
 // folded into ExecTxn (DESIGN.md). Must be called before overlayApply(rw).
 func (n *NormalNode) makeOrgResult(seq uint64, tx *types.Transaction, rw *ledger.RWSet) OrgResult {
 	owner := n.c.keyOwner
-	part := contract.PartitionWrites(rw, owner, tx, n.orgName)
-	// The re-execution's RW set is digested below and never escapes, so the
-	// transient (buffer-reusing) execution path applies.
-	rw2 := n.c.Registry.ExecuteTransient(n.overlay, tx, n.nondet, &n.execScratch)
-	part2 := contract.PartitionWrites(rw2, owner, tx, n.orgName)
+	part := contract.PartitionWrites(nil, rw, owner, tx, n.orgName)
+	rw2 := n.c.Registry.ExecuteTransient(n.overlay, tx, n.nondet, &n.exec[1])
+	n.part2 = contract.PartitionWrites(n.part2[:0], rw2, owner, tx, n.orgName)
 	d1 := (&ledger.RWSet{Writes: part, Aborted: rw.Aborted}).Digest()
-	d2 := (&ledger.RWSet{Writes: part2, Aborted: rw2.Aborted}).Digest()
+	d2 := (&ledger.RWSet{Writes: n.part2, Aborted: rw2.Aborted}).Digest()
 	inconsistent := d1 != d2
 	n.ctx.Elapse(n.c.Cfg.Costs.MACCompute)
-	sig, err := n.c.Scheme.Sign(crypto.Identity(n.orgName),
-		orgResultBytes(seq, tx.ID(), n.orgName, d1, rw.Aborted, inconsistent))
+	n.signing = appendOrgResult(n.signing[:0], seq, tx.ID(), n.orgName, d1, rw.Aborted, inconsistent)
+	sig, err := n.c.Scheme.Sign(crypto.Identity(n.orgName), n.signing)
 	if err != nil {
 		panic(err)
 	}
@@ -485,46 +505,34 @@ func (n *NormalNode) feedVector(seq uint64, tx *types.Transaction, res OrgResult
 		}
 	}
 	if vb == nil {
-		vb = &vectorBuild{seq: seq, txID: tx.ID(), got: make(map[string]OrgResult, len(tx.Orgs))}
+		vb = &vectorBuild{seq: seq, txID: tx.ID()}
 		n.vectors[tx.ID()] = vb
 	}
-	if vb.needed == nil {
-		vb.needed = make(map[string]bool, len(tx.Orgs))
-		for _, o := range tx.Orgs {
-			vb.needed[o] = true
-		}
-	}
-	if vb.needed[res.Org] {
-		vb.got[res.Org] = res
+	if tx.RelatedTo(res.Org) {
+		vb.put(res)
 	}
 	n.tryFinishVector(tx, vb)
 }
 
 // tryFinishVector emits the approved vector once every related org's result
-// is present.
+// is present, its partitions in organization-name order.
 func (n *NormalNode) tryFinishVector(tx *types.Transaction, vb *vectorBuild) {
-	if vb.sent || vb.needed == nil {
+	if vb.sent {
 		return
 	}
-	have := 0
-	for o := range vb.needed {
-		if _, ok := vb.got[o]; ok {
-			have++
+	for _, o := range tx.Orgs {
+		if vb.index(o) < 0 {
+			return
 		}
 	}
-	if have < len(vb.needed) {
-		return
-	}
 	vb.sent = true
-	orgs := make([]string, 0, len(vb.got))
-	for o := range vb.needed {
-		orgs = append(orgs, o)
+	entry := ResultEntry{Seq: vb.seq, TxID: vb.txID, Vector: make([]OrgResult, 0, len(tx.Orgs))}
+	for _, r := range vb.got {
+		if tx.RelatedTo(r.Org) {
+			entry.Vector = append(entry.Vector, r)
+		}
 	}
-	sort.Strings(orgs)
-	entry := ResultEntry{Seq: vb.seq, TxID: vb.txID}
-	for _, o := range orgs {
-		entry.Vector = append(entry.Vector, vb.got[o])
-	}
+	slices.SortFunc(entry.Vector, func(a, b OrgResult) int { return strings.Compare(a.Org, b.Org) })
 	entry.warm(n.base, n.pool.hashes)
 	n.resultOut = append(n.resultOut, entry)
 	n.armFlush()
@@ -540,8 +548,8 @@ func (n *NormalNode) onOrgResults(m *OrgResultMsg) {
 		// payload, so a forged partition is dropped before it can be
 		// stashed into a vector whose payload is not here yet.
 		n.ctx.Elapse(n.c.Cfg.Costs.MACVerify)
-		if !n.c.Scheme.Verify(crypto.Identity(e.Result.Org),
-			orgResultBytes(e.Seq, e.TxID, e.Result.Org, e.Result.Digest, e.Result.Aborted, e.Result.Inconsistent), e.Result.Sig) {
+		n.signing = appendOrgResult(n.signing[:0], e.Seq, e.TxID, e.Result.Org, e.Result.Digest, e.Result.Aborted, e.Result.Inconsistent)
+		if !n.c.Scheme.Verify(crypto.Identity(e.Result.Org), n.signing, e.Result.Sig) {
 			continue
 		}
 		tx, ok := n.pool.byID(e.TxID)
@@ -551,10 +559,10 @@ func (n *NormalNode) onOrgResults(m *OrgResultMsg) {
 			// a provisional build keyed by TxID.
 			vb := n.vectors[e.TxID]
 			if vb == nil {
-				vb = &vectorBuild{seq: e.Seq, txID: e.TxID, got: make(map[string]OrgResult)}
+				vb = &vectorBuild{seq: e.Seq, txID: e.TxID}
 				n.vectors[e.TxID] = vb
 			}
-			vb.got[e.Result.Org] = e.Result
+			vb.put(e.Result)
 			continue
 		}
 		n.feedVector(e.Seq, tx, e.Result)

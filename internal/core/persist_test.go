@@ -11,6 +11,12 @@ import (
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
+// orgResultBytes is what a delegate signs for one partition, in a fresh
+// slice.
+func orgResultBytes(seq uint64, id types.TxID, org string, digest crypto.Digest, aborted, inconsistent bool) []byte {
+	return appendOrgResult(nil, seq, id, org, digest, aborted, inconsistent)
+}
+
 // mkVector builds a properly signed single-org result vector for tx at seq
 // with the given write value — the §4.4 scenario where a malicious
 // organization produces alternative approved vectors for its own

@@ -26,9 +26,22 @@ type Digest [32]byte
 // Hash returns the SHA-256 digest of data.
 func Hash(data []byte) Digest { return sha256.Sum256(data) }
 
-// HashAll hashes the concatenation of the given byte slices, length-prefixing
-// each part so that boundaries are unambiguous.
+// HashAll hashes the concatenation of the given byte slices, each framed by
+// AppendPart so that boundaries are unambiguous. Up to 256 framed bytes are
+// hashed from a stack buffer, more stream through a hasher.
 func HashAll(parts ...[]byte) Digest {
+	n := 0
+	for _, p := range parts {
+		n += 8 + len(p)
+	}
+	if n <= 256 {
+		var buf [256]byte
+		b := buf[:0]
+		for _, p := range parts {
+			b = AppendPart(b, p)
+		}
+		return Hash(b)
+	}
 	h := sha256.New()
 	var lenBuf [8]byte
 	for _, p := range parts {
@@ -37,8 +50,15 @@ func HashAll(parts ...[]byte) Digest {
 		h.Write(p)
 	}
 	var d Digest
-	copy(d[:], h.Sum(nil))
+	h.Sum(d[:0])
 	return d
+}
+
+// AppendPart appends p's length as 8 big-endian bytes, then p: HashAll's
+// framing, so Hash of appended parts equals HashAll of them and a caller can
+// frame its fields into a stack buffer instead of building a slice of parts.
+func AppendPart[P []byte | string](buf []byte, p P) []byte {
+	return append(binary.BigEndian.AppendUint64(buf, uint64(len(p))), p...)
 }
 
 // String renders the first 8 bytes of the digest in hex.

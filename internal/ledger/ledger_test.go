@@ -126,6 +126,19 @@ func TestRWSetDigestAndEqual(t *testing.T) {
 	}
 }
 
+// TestRWSetDigestAllocs pins a two-write result's digest at zero
+// allocations: the parts are framed into a stack buffer, not a slice of
+// converted parts.
+func TestRWSetDigestAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation pins hold for the plain build only")
+	}
+	rw := &RWSet{Writes: []Write{{Key: "sb:chk:acct-1", Val: []byte("900")}, {Key: "sb:chk:acct-2", Val: []byte("1100")}}}
+	if allocs := testing.AllocsPerRun(200, func() { rw.Digest() }); allocs != 0 {
+		t.Fatalf("Digest of two writes = %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestOverlayReadThrough(t *testing.T) {
 	base := NewState()
 	base.Put("a", []byte("base"), Version{Block: 1})

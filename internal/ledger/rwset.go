@@ -37,21 +37,22 @@ type RWSet struct {
 // executions of a deterministic transaction produce equal digests; a
 // non-deterministic transaction may not (§4.4).
 func (rw *RWSet) Digest() crypto.Digest {
-	parts := make([][]byte, 0, len(rw.Writes)*3+1)
+	var buf [256]byte
+	b := buf[:0]
 	if rw.Aborted {
-		parts = append(parts, []byte("aborted"))
+		b = crypto.AppendPart(b, "aborted")
 	} else {
-		parts = append(parts, []byte("ok"))
+		b = crypto.AppendPart(b, "ok")
 	}
 	for _, w := range rw.Writes {
-		parts = append(parts, []byte(w.Key))
+		b = crypto.AppendPart(b, w.Key)
 		if w.Delete {
-			parts = append(parts, []byte{1}, nil)
+			b = crypto.AppendPart(crypto.AppendPart(b, "\x01"), "")
 		} else {
-			parts = append(parts, []byte{0}, w.Val)
+			b = crypto.AppendPart(crypto.AppendPart(b, "\x00"), w.Val)
 		}
 	}
-	return crypto.HashAll(parts...)
+	return crypto.Hash(b)
 }
 
 // Equal reports whether two results have identical write sets.
