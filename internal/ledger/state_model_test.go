@@ -104,6 +104,7 @@ func checkStateModel(t *testing.T, what string, states []*modelState, universe [
 		if got := m.st.Len(); got != len(m.ref.vals) {
 			t.Fatalf("%s: %s.Len() = %d; reference %d", what, m.name, got, len(m.ref.vals))
 		}
+		reads := make([]Read, 0, len(universe))
 		for _, k := range universe {
 			val, ver, ok := m.st.Get(k)
 			want, wantOK := m.ref.vals[k]
@@ -111,10 +112,9 @@ func checkStateModel(t *testing.T, what string, states []*modelState, universe [
 				t.Fatalf("%s: %s.Get(%q) = %q, %v, %t; reference %q, %v, %t",
 					what, m.name, k, val, ver, ok, want, m.ref.vers[k], wantOK)
 			}
-			if got := ValidateMVCC(m.st, &RWSet{Reads: []Read{{Key: k, Ver: m.ref.vers[k], Existed: wantOK}}}); !got {
-				t.Fatalf("%s: %s fails MVCC validation of its own read of %q", what, m.name, k)
-			}
+			reads = append(reads, Read{Key: k, Ver: m.ref.vers[k], Existed: wantOK})
 		}
+		checkValidate(t, what, m, reads)
 		if got, want := m.st.Digest(), m.ref.digest(); got != want {
 			t.Fatalf("%s: %s.Digest() differs from the reference's", what, m.name)
 		}
@@ -136,6 +136,47 @@ func checkStateModel(t *testing.T, what string, states []*modelState, universe [
 			}
 		}
 	}
+}
+
+// checkValidate holds ValidateResolved, by id and by name, to the reference:
+// each read of what the reference holds passes, alone and all together, and
+// the same read with the key's existence flipped, or a live key's block or
+// transaction number changed, fails.
+func checkValidate(t *testing.T, what string, m *modelState, reads []Read) {
+	t.Helper()
+	ids := m.st.ids.Resolve(len(reads), func(i int) string { return reads[i].Key })
+	validate := func(rs []Read, i int) (byID, byName bool) {
+		return m.st.ValidateResolved(rs, KeyIDs{table: ids.table, ids: ids.ids[i : i+len(rs)]}),
+			ValidateMVCC(m.st, &RWSet{Reads: rs})
+	}
+	if byID, byName := validate(reads, 0); !byID || !byName {
+		t.Fatalf("%s: %s fails MVCC validation of its own reads (by id %t, by name %t)", what, m.name, byID, byName)
+	}
+	for i, rd := range reads {
+		if byID, byName := validate([]Read{rd}, i); !byID || !byName {
+			t.Fatalf("%s: %s fails MVCC validation of its own read %+v (by id %t, by name %t)", what, m.name, rd, byID, byName)
+		}
+		stale := []Read{{Key: rd.Key, Ver: rd.Ver, Existed: !rd.Existed}}
+		if rd.Existed {
+			stale = append(stale,
+				Read{Key: rd.Key, Ver: Version{Block: rd.Ver.Block ^ 1, Tx: rd.Ver.Tx}, Existed: true},
+				Read{Key: rd.Key, Ver: Version{Block: rd.Ver.Block, Tx: rd.Ver.Tx ^ 1}, Existed: true})
+		}
+		for _, s := range stale {
+			if byID, byName := validate([]Read{s}, i); byID || byName {
+				t.Fatalf("%s: %s passes the stale read %+v of %+v (by id %t, by name %t)", what, m.name, s, rd, byID, byName)
+			}
+		}
+	}
+}
+
+// modelVersion draws a version from the edges of the range a key's version
+// takes, block 0, 1 and 2^32-1 and transaction 0, 499 and 2^30-1, or an
+// ordinary one.
+func modelVersion(rng *rand.Rand, op int) Version {
+	blocks := []uint64{0, 1, 1<<32 - 1, uint64(op)}
+	txs := []int{0, 499, 1<<30 - 1, rng.Intn(8)}
+	return Version{Block: blocks[rng.Intn(len(blocks))], Tx: txs[rng.Intn(len(txs))]}
 }
 
 func TestStateModel(t *testing.T) {
@@ -160,8 +201,11 @@ func TestStateModel(t *testing.T) {
 		universe := append(aAll, bAll...)
 
 		val := func() []byte {
-			if rng.Intn(6) == 0 {
+			switch rng.Intn(8) {
+			case 0:
 				return []byte("v1") // a base value, so a write can equal what it shadows
+			case 1:
+				return nil // a value all the same: it must not read as absent
 			}
 			return []byte(fmt.Sprintf("w%d", rng.Intn(4)))
 		}
@@ -172,9 +216,9 @@ func TestStateModel(t *testing.T) {
 			if m.name == "b" {
 				all = bAll
 			}
-			ver := Version{Block: uint64(op), Tx: rng.Intn(8)}
+			ver := modelVersion(rng, op)
 			var what string
-			switch k := rng.Intn(20); {
+			switch k := rng.Intn(21); {
 			case k < 7:
 				key, v := m.keys[rng.Intn(len(m.keys))], val()
 				m.st.Put(key, v, ver)
@@ -206,6 +250,30 @@ func TestStateModel(t *testing.T) {
 				}
 				m.st.Apply(ws, ver)
 				what = fmt.Sprintf("%s.Apply(%d writes)", m.name, len(ws))
+			case k < 19: // stage writes in an overlay, read through it, commit it
+				ov, staged := NewOverlay(m.st), m.ref.clone()
+				for i := 1 + rng.Intn(6); i > 0; i-- {
+					if rng.Intn(3) == 0 {
+						key := all[rng.Intn(len(all))]
+						ov.Delete(key)
+						staged.del(key)
+					} else {
+						key, v, ver := m.keys[rng.Intn(len(m.keys))], val(), modelVersion(rng, op)
+						ov.Put(key, v, ver)
+						staged.put(key, v, ver)
+					}
+				}
+				for _, k := range all {
+					got, ver, ok := ov.Get(k)
+					want, wantOK := staged.vals[k]
+					if ok != wantOK || !bytes.Equal(got, want) || ver != staged.vers[k] {
+						t.Fatalf("seed %d op %d: %s overlay Get(%q) = %q, %v, %t; reference %q, %v, %t",
+							seed, op, m.name, k, got, ver, ok, want, staged.vers[k], wantOK)
+					}
+				}
+				ov.Commit()
+				m.ref = staged
+				what = fmt.Sprintf("%s overlay commit", m.name)
 			default: // e becomes a deep copy of a state that writes a's keys
 				src := states[[]int{0, 2, 3, 4}[rng.Intn(4)]]
 				e := states[4]
@@ -237,5 +305,43 @@ func TestStateModelCloneIsDeep(t *testing.T) {
 	}
 	if _, _, ok := c.Get("k2"); ok || c.Len() != 4 {
 		t.Fatalf("clone sees the source's later resurrection of k2 (Len %d)", c.Len())
+	}
+}
+
+// A value written at the prepopulation version, even an empty one, is a
+// value: it reads, validates, counts, compares, clones and commits through an
+// overlay as present, where a key never written reads as absent.
+func TestStateModelValueAtZeroVersion(t *testing.T) {
+	st := NewState()
+	st.SetBase(funcBase(4))
+	st.Put("x", nil, Version{})
+	st.Delete("k1") // a tombstone over a base key
+	ov := NewOverlay(st)
+	ov.Put("y", nil, Version{})
+	ov.Delete("k2")
+	ov.Commit()
+	for _, s := range []*State{st, st.Clone()} {
+		for _, key := range []string{"x", "y"} {
+			if val, ver, ok := s.Get(key); !ok || val != nil || ver != (Version{}) {
+				t.Fatalf("Get(%q) = %q, %v, %t; want nil, Version{}, true", key, val, ver, ok)
+			}
+			if ValidateMVCC(s, &RWSet{Reads: []Read{{Key: key}}}) || !ValidateMVCC(s, &RWSet{Reads: []Read{{Key: key, Existed: true}}}) {
+				t.Fatalf("%q validates as absent", key)
+			}
+		}
+		for _, key := range []string{"k1", "k2", "never"} {
+			if _, _, ok := s.Get(key); ok || !ValidateMVCC(s, &RWSet{Reads: []Read{{Key: key}}}) {
+				t.Fatalf("%q reads or validates as present", key)
+			}
+		}
+		if s.Len() != 4 {
+			t.Fatalf("Len %d; want 4 (k0, k3, x, y)", s.Len())
+		}
+	}
+	without := NewState()
+	without.SetBase(funcBase(4))
+	without.Apply([]Write{{Key: "k1", Delete: true}, {Key: "k2", Delete: true}, {Key: "x"}}, Version{})
+	if st.Equal(without) || without.Equal(st) || st.Digest() == without.Digest() {
+		t.Fatal("a state without the empty value at y equals one with it")
 	}
 }
