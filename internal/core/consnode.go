@@ -342,7 +342,7 @@ func (n *ConsNode) Proposed(seq uint64, v consensus.Value) {
 	}
 	for i, s := range seqs {
 		if cs := n.pool.consAt(s, true); !cs.hashed {
-			cs.hash, cs.hashed = hashes[i], true
+			cs.hash, cs.hashed = n.pool.hashes.Intern(hashes[i]), true
 		}
 	}
 	n.evaluateBuffered(seqs)
@@ -432,7 +432,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 	for i, s := range blk.seqs {
 		h := blk.hashes[i]
 		cs := n.pool.consAt(s, true)
-		cs.hash, cs.view, cs.hashed, cs.agreed = h, blk.cert.View, true, true
+		cs.hash, cs.view, cs.hashed, cs.agreed = n.pool.hashes.Intern(h), blk.cert.View, true, true
 		r, local := n.pool.agree(s, h)
 		delete(n.watch, h)
 		if currentView {
@@ -532,7 +532,7 @@ func (n *ConsNode) onResults(m *ResultMsg) {
 			cs.waiting = e
 		case !cs.agreed:
 			n.overflow[e.Seq] = append(n.overflow[e.Seq], e)
-		case cs.hash == e.TxID:
+		case e.hashIs(n.pool.hashes, cs.hash):
 			n.evaluateResult(e)
 		case cs.view == n.Rep.View():
 			// Speculation on a conflicting transaction in the current
@@ -549,7 +549,7 @@ func (n *ConsNode) onResults(m *ResultMsg) {
 // for its sequence number.
 func (n *ConsNode) evaluateResult(e *ResultEntry) {
 	cs := n.pool.consAt(e.Seq, false)
-	if cs == nil || !cs.hashed || cs.hash != e.TxID {
+	if cs == nil || !cs.hashed || !e.hashIs(n.pool.hashes, cs.hash) {
 		return
 	}
 	if cs.persisted != nil {

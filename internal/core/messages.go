@@ -327,6 +327,17 @@ func (e *ResultEntry) warm(st *ledger.State, hashes *dense.Table[types.TxID]) {
 	e.memo.persist.ord.Resolve(hashes, e.memo.ord[:], func(int) types.TxID { return e.TxID })
 }
 
+// hashIs reports whether TxID's ordinal in hashes is ord: the ordinal warm
+// resolved, when that was in hashes, else the hash looked up by name.
+func (e *ResultEntry) hashIs(hashes *dense.Table[types.TxID], ord uint32) bool {
+	var memo dense.Ordinals[types.TxID] // none: Lookup goes by name
+	if e.memo != nil {
+		memo = e.memo.persist.ord
+	}
+	got, ok := memo.Lookup(hashes, 0, e.TxID)
+	return ok && got == ord
+}
+
 // Size implements simnet.Message. Cached on the sender's first send.
 func (m *ResultMsg) Size() int {
 	if m.size == 0 {

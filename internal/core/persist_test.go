@@ -545,7 +545,7 @@ func TestConsNodeSlotsOutliveDroppedPayload(t *testing.T) {
 	if len(replies) != 1 || len(replies[0].Entries) != 1 || replies[0].Entries[0] != storedEcho(cn, s+1) || storedEcho(cn, s+1) == nil {
 		t.Fatal("the stored echo went with the dropped payload's page")
 	}
-	if cs := cn.pool.consAt(s, false); cs == nil || !cs.agreed || cs.hash != agreed.ID() {
+	if cs := cn.pool.consAt(s, false); cs == nil || !cs.agreed || cs.hash != c.Hashes.Intern(agreed.ID()) {
 		t.Fatal("the agreed hash went with the dropped payload's page")
 	}
 }

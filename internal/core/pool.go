@@ -58,15 +58,16 @@ type nodeSlot struct {
 
 // consSlot is what a consensus node keeps besides, never recycled: the hash
 // proposed at the sequence number until one is agreed, then the agreed hash
-// and the view it was agreed in; the echo of the one result vector it accepted
-// (localStore(), §4.4, Lemma 5.2); and the first vector that waits for a hash
-// (later ones wait in the node's overflow map).
+// and the view it was agreed in, the hash as its ordinal in the cluster's
+// table (hashed says there is one); the echo of the one result vector it
+// accepted (localStore(), §4.4, Lemma 5.2); and the first vector that waits
+// for a hash (later ones wait in the node's overflow map).
 type consSlot struct {
-	hash           types.TxID
 	view           uint64
-	hashed, agreed bool
 	persisted      *PersistEntry
 	waiting        *ResultEntry
+	hash           uint32
+	hashed, agreed bool
 }
 
 // page holds pageSize consecutive sequence numbers; held and noted have a bit

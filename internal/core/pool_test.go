@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -112,5 +113,13 @@ func TestPoolDropUnindexes(t *testing.T) {
 	// Unlike a commit, a drop does not bar the hash.
 	if p.add(8, poolTx(7)) != poolAdded {
 		t.Fatal("dropped txn could not take a fresh slot")
+	}
+}
+
+// A consensus node keeps a slot per sequence number for its life. It went from
+// 64 to 32 bytes when the hash was kept as its ordinal in the cluster's table.
+func TestConsSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(consSlot{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(consSlot{}) = %d, want 32", got)
 	}
 }

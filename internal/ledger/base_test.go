@@ -72,18 +72,25 @@ func snapBase() *Base {
 	})
 }
 
+// funcBase defines k0..k<n-1> as v0..v<n-1>. Names and values are built
+// here, once, so a lookup allocates nothing a test measuring a state's bytes
+// would count.
 func funcBase(n int) *Base {
+	keys, vals := make([]string, n), make([][]byte, n)
+	for i := range keys {
+		keys[i], vals[i] = "k"+strconv.Itoa(i), []byte("v"+strconv.Itoa(i))
+	}
 	return NewFuncBase(n,
-		func(i int) string { return "k" + strconv.Itoa(i) },
+		func(i int) string { return keys[i] },
 		func(key string) ([]byte, bool) {
 			if !strings.HasPrefix(key, "k") {
 				return nil, false
 			}
 			i, err := strconv.Atoi(key[1:])
-			if err != nil || i < 0 || i >= n || key != "k"+strconv.Itoa(i) {
+			if err != nil || i < 0 || i >= n || key != keys[i] {
 				return nil, false
 			}
-			return []byte("v" + strconv.Itoa(i)), true
+			return vals[i], true
 		})
 }
 

@@ -26,7 +26,7 @@ func (o *Overlay) Get(key string) (val []byte, ver Version, ok bool) {
 		return nil, Version{}, false
 	}
 	if e, ok := o.data[key]; ok {
-		return e.val, e.ver, true
+		return e.val, e.ver(), true
 	}
 	return o.base.Get(key)
 }
@@ -34,7 +34,7 @@ func (o *Overlay) Get(key string) (val []byte, ver Version, ok bool) {
 // Put stages a speculative write.
 func (o *Overlay) Put(key string, val []byte, ver Version) {
 	delete(o.dels, key)
-	o.data[key] = entry{val: val, ver: ver}
+	o.data[key] = entry{val: val, v: packed(ver, value)}
 }
 
 // Delete stages a speculative deletion.
@@ -60,7 +60,7 @@ func (o *Overlay) Discard() {
 // overlay.
 func (o *Overlay) Commit() {
 	for k, e := range o.data {
-		o.base.Put(k, e.val, e.ver)
+		o.base.Put(k, e.val, e.ver())
 	}
 	for k := range o.dels {
 		o.base.Delete(k)

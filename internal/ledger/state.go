@@ -7,6 +7,7 @@ package ledger
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -20,19 +21,33 @@ type Version struct {
 	Tx    int
 }
 
-// entry is what a state's delta holds for one key id. The zero entry says the
+// entry is what a state's delta holds for one key id: the value, and its
+// version and kind packed into one word (packed). The zero entry says the
 // state never wrote the key: it reads through to the base.
 type entry struct {
-	val  []byte
-	ver  Version
-	kind uint8
+	val []byte
+	v   uint64
 }
 
 const (
-	absent    uint8 = iota // never written here
-	value                  // written: val at ver
-	tombstone              // deleted here, whatever the base says
+	absent    uint64 = iota // never written here
+	value                   // written: val at ver
+	tombstone               // deleted here, whatever the base says
 )
+
+// packed returns ver and kind as an entry's word: Block in the high 32 bits,
+// Tx in the next 30, kind in the low 2. Blocks commit in order from height 0
+// and no block holds 2^30 transactions, so no run leaves the range.
+func packed(ver Version, kind uint64) uint64 {
+	if ver.Block >= 1<<32 || ver.Tx < 0 || ver.Tx >= 1<<30 {
+		panic(fmt.Sprintf("ledger: version %+v outside the packed range (Block < 2^32, 0 <= Tx < 2^30)", ver))
+	}
+	return ver.Block<<32 | uint64(ver.Tx)<<2 | kind
+}
+
+func (e *entry) kind() uint64 { return e.v & 3 }
+
+func (e *entry) ver() Version { return Version{Block: e.v >> 32, Tx: int(e.v >> 2 & (1<<30 - 1))} }
 
 // State is the committed world state: a versioned key-value store.
 // It is single-writer by construction (one simulated node owns it).
@@ -47,7 +62,7 @@ const (
 //
 // The delta is an array, not a map: keys gives every key some state sharing
 // it ever wrote an id (one table per deployment: NewStateOn) and delta holds
-// this state's value, version and kind under that id.
+// this state's value and packed version and kind under that id.
 type State struct {
 	keys  *dense.Table[string]
 	delta dense.Pages[entry]
@@ -96,7 +111,7 @@ func (s *State) written(key string) *entry {
 
 // writtenAt is written for a caller that holds the key's id.
 func (s *State) writtenAt(id uint32) *entry {
-	if e := s.delta.Get(id); e != nil && e.kind != absent {
+	if e := s.delta.Get(id); e != nil && e.kind() != absent {
 		return e
 	}
 	return nil
@@ -106,7 +121,7 @@ func (s *State) writtenAt(id uint32) *entry {
 // Base-layer values read at Version{}, the prepopulation version.
 func (s *State) Get(key string) (val []byte, ver Version, ok bool) {
 	if e := s.written(key); e != nil {
-		return e.val, e.ver, e.kind == value
+		return e.val, e.ver(), e.kind() == value
 	}
 	if v, ok := s.base.Get(key); ok {
 		return v, Version{}, true
@@ -122,11 +137,12 @@ func (s *State) Put(key string, val []byte, ver Version) {
 // put is Put for a caller that holds key's id. The base is asked about a key
 // once, when the state first touches it.
 func (s *State) put(id uint32, key string, val []byte, ver Version) {
+	v := packed(ver, value)
 	e := s.delta.At(id)
-	if e.kind == tombstone || (e.kind == absent && !s.base.Has(key)) {
+	if k := e.kind(); k == tombstone || (k == absent && !s.base.Has(key)) {
 		s.size++ // else: overwriting, or shadowing a live base key
 	}
-	*e = entry{val: val, ver: ver, kind: value}
+	*e = entry{val: val, v: v}
 }
 
 // Delete removes key, leaving a tombstone.
@@ -136,15 +152,15 @@ func (s *State) Delete(key string) { s.del(s.keys.Intern(key), key) }
 // only about a key the state has not touched.
 func (s *State) del(id uint32, key string) {
 	e := s.delta.Get(id)
-	if e == nil || e.kind == absent {
+	if e == nil || e.kind() == absent {
 		if !s.base.Has(key) {
 			return
 		}
 		e = s.delta.At(id)
-	} else if e.kind == tombstone {
+	} else if e.kind() == tombstone {
 		return
 	}
-	*e = entry{kind: tombstone}
+	*e = entry{v: tombstone}
 	s.size--
 }
 
@@ -232,7 +248,7 @@ func (s *State) ValidateResolved(reads []Read, r KeyIDs) bool {
 		}
 		ver, ok := Version{}, false
 		if e != nil {
-			ver, ok = e.ver, e.kind == value
+			ver, ok = e.ver(), e.kind() == value
 		} else {
 			ok = s.base.Has(rd.Key)
 		}
@@ -252,7 +268,7 @@ func (s *State) forEachLive(fn func(key string, val []byte)) {
 			continue
 		}
 		for j := range pg {
-			if e := &pg[j]; e.kind == value {
+			if e := &pg[j]; e.kind() == value {
 				fn(names[i*dense.PageSize+j], e.val)
 			}
 		}
@@ -330,7 +346,7 @@ func (s *State) deltaEqual(o *State) bool {
 		}
 		for j := 0; a != b && j < len(a); j++ {
 			x, y := &a[j], &b[j]
-			if x.kind == y.kind && bytes.Equal(x.val, y.val) {
+			if x.kind() == y.kind() && bytes.Equal(x.val, y.val) {
 				continue
 			}
 			if names == nil {
@@ -349,10 +365,10 @@ func (s *State) deltaEqual(o *State) bool {
 
 // read returns what key reads as, given its delta entry.
 func (s *State) read(e *entry, key string) ([]byte, bool) {
-	if e.kind == absent {
+	if e.kind() == absent {
 		return s.base.Get(key)
 	}
-	return e.val, e.kind == value
+	return e.val, e.kind() == value
 }
 
 // Clone deep-copies the state (delta values are copied; the immutable base

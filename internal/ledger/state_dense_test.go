@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -114,12 +115,40 @@ func TestStateApplyFanoutBytes(t *testing.T) {
 	if limit := entries + entries/4; fanout > limit {
 		t.Fatalf("%d states applying %d resolved writes allocated %d bytes, limit %d (1.25 x the entries)", states, n, fanout, limit)
 	}
+	t.Logf("%d states applying %d resolved writes allocated %d bytes, %.2f x the entries", states, n, fanout, float64(fanout)/float64(entries))
 	if limit := uint64(n * 200); table > limit {
 		t.Fatalf("naming %d keys once allocated %d bytes, limit %d", n, table, limit)
 	}
 	for i, st := range sts {
 		if st.Len() != n+2*n/3 || !st.Equal(sts[0]) {
 			t.Fatalf("state %d: Len %d, equal to state 0: %t", i, st.Len(), st.Equal(sts[0]))
+		}
+	}
+}
+
+// An entry is paid for per (replica, key) the replica wrote: a value and one
+// word. It went from 48 to 32 bytes when the version and kind were packed.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want 32", got)
+	}
+}
+
+// A version the packed word cannot hold panics, naming the bound, before the
+// state changes.
+func TestEntryVersionBound(t *testing.T) {
+	for _, ver := range []Version{{Block: 1 << 32}, {Tx: 1 << 30}, {Tx: -1}} {
+		st := NewState()
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "(Block < 2^32, 0 <= Tx < 2^30)") {
+					t.Fatalf("Put at %+v: recovered %v; want a panic naming the bound", ver, r)
+				}
+			}()
+			st.Put("k", []byte("v"), ver)
+		}()
+		if _, _, ok := st.Get("k"); ok || st.Len() != 0 {
+			t.Fatalf("Put at %+v changed the state before panicking", ver)
 		}
 	}
 }
