@@ -61,3 +61,37 @@ func TestHLFOrderersHoldPayloads(t *testing.T) {
 		t.Fatalf("FastFabric follower orderer holds %d payloads, want 0 (trusted single orderer)", got)
 	}
 }
+
+// TestLeaderOrdererRestartProposesQueued crashes the leading orderer while
+// envelopes wait in its batch queue, keeps it down past the batch timeout,
+// and checks that after restart it proposes them with no further submission:
+// Fabric clients never retransmit, so the restarted leader is their only way
+// into a block.
+func TestLeaderOrdererRestartProposesQueued(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(FastFabric), defaultWorkload())
+	leader := c.Orderers[c.LeaderIndex()]
+	txs := gen.Batch(10) // fewer than a block: only the batch timer proposes them
+	c.SubmitAt(0, txs...)
+	crash := time.Duration(0)
+	for ; len(leader.pendingEnvs) < len(txs); crash += 50 * time.Microsecond {
+		if crash > c.Cfg.BlockTimeout {
+			t.Fatalf("leader queued %d of %d envelopes by %v", len(leader.pendingEnvs), len(txs), crash)
+		}
+		c.Run(crash)
+	}
+	leader.Ep.SetDown(true)
+	restart := crash + 3*c.Cfg.BlockTimeout
+	c.Run(restart)
+	if got := c.Collector.NumCommitted(); got != 0 || len(leader.pendingEnvs) != len(txs) {
+		t.Fatalf("while the leader was down: %d committed, %d envelopes queued; want 0 and %d",
+			got, len(leader.pendingEnvs), len(txs))
+	}
+	leader.Ep.Restart()
+	c.Run(restart + 2*c.Cfg.BlockTimeout)
+	if got := c.Collector.NumCommitted(); got != len(txs) {
+		t.Fatalf("committed %d of %d envelopes queued at the restarted leader", got, len(txs))
+	}
+	if err := c.CheckSafety(); err != nil {
+		t.Fatal(err)
+	}
+}
