@@ -143,7 +143,13 @@ loc:
 # kind packed into one word, with the bound it checks (+16 in ledger); a
 # consensus slot's hash as its ordinal, compared through the vector's memo
 # (+12 in core).
-LOC_CEILING := 18545
+# Lowered to the measured count (18545 -> 18535): simnet.Timer, one crash-safe
+# timer armed at most once (+48 in simnet, +5 for simhost.Host.Timer),
+# replaces twelve guard flags with their closures and OnRestart resets, and
+# one CommitNotice with Notify and SampleVerify in substrate (+34) replaces
+# core's and fabric's copies: -62 in core, -35 in fabric (Peer.OnRestart and
+# the orderer's unreachable batch cap gone too).
+LOC_CEILING := 18535
 DOC_CEILING := 1609
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \

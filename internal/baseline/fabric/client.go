@@ -7,6 +7,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -38,7 +39,7 @@ func (cl *Client) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.
 	switch m := msg.(type) {
 	case *EndorseResp:
 		cl.onEndorse(ctx, m)
-	case *CommitNote:
+	case *substrate.CommitNotice:
 		for _, e := range m.Entries {
 			if _, ok := cl.pending[e.TxID]; !ok {
 				continue

@@ -181,17 +181,3 @@ type FabricBlockFetch struct {
 
 // Size implements simnet.Message.
 func (m *FabricBlockFetch) Size() int { return 32 }
-
-// CommitNote notifies a client of transaction outcomes.
-type CommitNote struct {
-	Entries []CommitEntry
-}
-
-// CommitEntry is one transaction's outcome.
-type CommitEntry struct {
-	TxID    types.TxID
-	Aborted bool
-}
-
-// Size implements simnet.Message.
-func (m *CommitNote) Size() int { return 16 + len(m.Entries)*33 }

@@ -7,6 +7,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -28,7 +29,7 @@ type Orderer struct {
 
 	pendingEnvs []*Envelope
 	byHash      map[types.TxID]*Envelope
-	batchArmed  bool
+	batchTimer  simnet.Timer
 	// keys resolves the keys of proposed envelopes in the deployment's table.
 	keys *ledger.Resolver
 
@@ -42,12 +43,14 @@ type Orderer struct {
 }
 
 func newOrderer(c *Cluster) *Orderer {
-	return &Orderer{
+	o := &Orderer{
 		c:         c,
 		byHash:    make(map[types.TxID]*Envelope),
 		keys:      ledger.NewResolver(c.Keys),
 		delivered: make(map[uint64]*FabricBlock),
 	}
+	o.batchTimer = o.Timer(o.proposePartial)
+	return o
 }
 
 // OnStart implements simnet.Starter.
@@ -55,13 +58,10 @@ func (o *Orderer) OnStart(ctx *simnet.Context) {
 	o.Bind(ctx, func() { o.Rep.Start() })
 }
 
-// OnRestart implements simnet.Restarter: the batch timer died with the
-// crash, so its guard flag must reset (the next submission re-arms it).
+// OnRestart implements simnet.Restarter: envelopes queued before the crash
+// re-arm the batch timer.
 func (o *Orderer) OnRestart(ctx *simnet.Context) {
-	o.Bind(ctx, func() {
-		o.batchArmed = false
-		o.maybeBatch()
-	})
+	o.Bind(ctx, o.maybeBatch)
 }
 
 // OnMessage implements simnet.Handler.
@@ -115,21 +115,20 @@ func (o *Orderer) maybeBatch() {
 		o.pendingEnvs = o.pendingEnvs[o.c.Cfg.BlockSize:]
 		o.proposeBatch(batch)
 	}
-	if len(o.pendingEnvs) > 0 && !o.batchArmed {
-		o.batchArmed = true
-		o.After(o.c.Cfg.BlockTimeout, func() {
-			o.batchArmed = false
-			if o.Rep.IsLeader() && len(o.pendingEnvs) > 0 {
-				batch := o.pendingEnvs
-				if len(batch) > o.c.Cfg.BlockSize {
-					batch = batch[:o.c.Cfg.BlockSize]
-				}
-				o.pendingEnvs = o.pendingEnvs[len(batch):]
-				o.proposeBatch(batch)
-			}
-			o.maybeBatch()
-		})
+	if len(o.pendingEnvs) > 0 {
+		o.batchTimer.Arm(o.Ctx, o.c.Cfg.BlockTimeout)
 	}
+}
+
+// proposePartial proposes the envelopes a block timeout left queued: fewer
+// than a block, since maybeBatch proposes every full one.
+func (o *Orderer) proposePartial() {
+	if o.Rep.IsLeader() && len(o.pendingEnvs) > 0 {
+		batch := o.pendingEnvs
+		o.pendingEnvs = batch[len(batch):]
+		o.proposeBatch(batch)
+	}
+	o.maybeBatch()
 }
 
 // resolveKeys memoises the ids of env's read and write keys for the peers.
@@ -196,7 +195,7 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 		}
 		// HLF consensus nodes verify payloads (sampled) — a garbage
 		// proposal triggers a view change (Table 4 S2).
-		if o.c.Cfg.Variant == HLF && checked < 8 {
+		if o.c.Cfg.Variant == HLF && checked < substrate.SampleVerify {
 			checked++
 			o.Ctx.Elapse(o.c.Cfg.Costs.SigVerify)
 			if !env.Tx.VerifySig(o.c.Scheme) {

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -35,7 +35,9 @@ type Peer struct {
 	// committed marks, by ordinal in the deployment's hash table, the
 	// transactions some block already carried.
 	committed dense.Pages[bool]
-	fetching  bool
+	// fetchTimer spaces block fetches from fetchSrc and re-checks the gap.
+	fetchTimer simnet.Timer
+	fetchSrc   simnet.NodeID
 }
 
 // Endpoint returns the peer's simnet endpoint.
@@ -51,7 +53,7 @@ func (p *Peer) Blocks() *ledger.BlockStore { return p.blocks }
 func (p *Peer) CommitHeight() uint64 { return p.commitHeight }
 
 func newPeer(c *Cluster, org, idxInOrg int, seed int64) *Peer {
-	return &Peer{
+	p := &Peer{
 		c:        c,
 		org:      org,
 		orgName:  types.OrgName(org),
@@ -61,13 +63,8 @@ func newPeer(c *Cluster, org, idxInOrg int, seed int64) *Peer {
 		nondet:   rand.New(rand.NewSource(seed)),
 		blockBuf: make(map[uint64]*FabricBlock),
 	}
-}
-
-// OnRestart implements simnet.Restarter: the fetch-cooldown timer died with
-// the crash, so its guard flag must reset; the next delivered block re-opens
-// the catch-up window.
-func (p *Peer) OnRestart(ctx *simnet.Context) {
-	p.fetching = false
+	p.fetchTimer = simnet.NewTimer(func(c *simnet.Context) { p.maybeFetch(c, p.fetchSrc) })
+	return p
 }
 
 // OnMessage implements simnet.Handler.
@@ -135,7 +132,7 @@ func (p *Peer) onBlock(ctx *simnet.Context, from simnet.NodeID, m *FabricBlock) 
 	for {
 		blk, ok := p.blockBuf[p.commitHeight]
 		if !ok {
-			p.maybeFetch(ctx, from, p.topBuffered())
+			p.maybeFetch(ctx, from)
 			return
 		}
 		p.validateAndCommit(ctx, blk)
@@ -144,34 +141,26 @@ func (p *Peer) onBlock(ctx *simnet.Context, from simnet.NodeID, m *FabricBlock) 
 	}
 }
 
-// topBuffered returns one past the highest buffered block number — the
-// exclusive upper bound of the gap a fetch needs to cover (the buffered
-// blocks themselves need no re-send).
-func (p *Peer) topBuffered() uint64 {
-	top := p.commitHeight
-	for n := range p.blockBuf {
-		if n > top {
-			top = n
-		}
-	}
-	return top
-}
-
 // maybeFetch requests the missing block range [commitHeight, top) from the
 // orderer src when delivery left a gap (the peer was down or partitioned
-// while blocks went out). A cooldown guard bounds request rate; when it
-// expires the gap is re-checked so a capped response chain keeps advancing
-// even if no fresh block arrives to re-trigger detection.
-func (p *Peer) maybeFetch(ctx *simnet.Context, src simnet.NodeID, top uint64) {
-	if p.fetching || top <= p.commitHeight {
+// while blocks went out); top, the highest buffered block, needs no re-send.
+// A cooldown timer bounds request rate; when it expires the gap is
+// re-checked so a capped response chain keeps advancing even if no fresh
+// block arrives to re-trigger detection.
+func (p *Peer) maybeFetch(ctx *simnet.Context, src simnet.NodeID) {
+	if p.fetchTimer.Armed() {
 		return
 	}
-	p.fetching = true
+	top := p.commitHeight
+	for n := range p.blockBuf {
+		top = max(top, n)
+	}
+	if top <= p.commitHeight {
+		return
+	}
+	p.fetchSrc = src
 	ctx.Send(src, &FabricBlockFetch{From: p.commitHeight, To: top})
-	ctx.After(2*p.c.Cfg.BlockTimeout, func(c2 *simnet.Context) {
-		p.fetching = false
-		p.maybeFetch(c2, src, p.topBuffered())
-	})
+	p.fetchTimer.Arm(ctx, 2*p.c.Cfg.BlockTimeout)
 }
 
 // validateAndCommit is the validate phase: VSCC endorsement checks and the
@@ -181,7 +170,7 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	costs := p.c.Cfg.Costs
 	start := ctx.Now()
 	ctx.Elapse(costs.BlockOverhead)
-	notices := make(map[crypto.Identity][]CommitEntry)
+	notices := make(map[crypto.Identity][]substrate.CommitEntry)
 	for i, env := range blk.Envs {
 		done := p.committed.At(blk.ords.Intern(p.c.Hashes, i, env.Tx.ID()))
 		if *done {
@@ -205,7 +194,7 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 		// The first related org's lead peer notifies the client.
 		if p.idxInOrg == 0 && env.Tx.CorrespondingOrg() == p.orgName {
 			id := env.Tx.ID()
-			notices[env.Tx.Client] = append(notices[env.Tx.Client], CommitEntry{TxID: id, Aborted: aborted})
+			notices[env.Tx.Client] = append(notices[env.Tx.Client], substrate.CommitEntry{TxID: id, Aborted: aborted})
 			if tr := p.c.Cfg.Tracer; tr != nil {
 				// Block arrival at the committing peer, then the durable
 				// commit after VSCC+MVCC, on the same stage authority.
@@ -218,15 +207,5 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	if err := p.blocks.AppendHashed(blk.block(p.blocks.LastDigest())); err != nil {
 		p.c.Violation("peer block append: " + err.Error())
 	}
-
-	clients := make([]crypto.Identity, 0, len(notices))
-	for cl := range notices {
-		clients = append(clients, cl)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	for _, cl := range clients {
-		if ep, ok := p.c.ClientEndpoint(cl); ok {
-			ctx.Send(ep, &CommitNote{Entries: notices[cl]})
-		}
-	}
+	p.c.Notify(ctx, notices)
 }

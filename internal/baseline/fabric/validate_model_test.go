@@ -10,6 +10,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -71,7 +72,7 @@ type modelRun struct {
 	nonce   uint64
 	past    []*Envelope // first envelopes of earlier blocks, for repeats
 	// notes collects, per peer, the commit notices of the block in flight.
-	notes map[simnet.NodeID][]CommitEntry
+	notes map[simnet.NodeID][]substrate.CommitEntry
 	// copies hands every peer its own copy of each block and envelope.
 	copies bool
 }
@@ -87,7 +88,7 @@ func newModelRun(t *testing.T, v Variant, seed int64, copies bool) *modelRun {
 	c := NewCluster(cfg)
 	r := &modelRun{
 		t: t, rng: rand.New(rand.NewSource(seed)), c: c, copies: copies,
-		notes: make(map[simnet.NodeID][]CommitEntry),
+		notes: make(map[simnet.NodeID][]substrate.CommitEntry),
 		ref: &modelRef{
 			vals: make(map[string][]byte), vers: make(map[string]ledger.Version),
 			done: make(map[types.TxID]bool), aborted: make(map[types.TxID]bool),
@@ -127,7 +128,7 @@ func newModelRun(t *testing.T, v Variant, seed int64, copies bool) *modelRun {
 		p.State().SetBase(base)
 	}
 	c.Net.DropFilter = func(from, to simnet.NodeID, msg simnet.Message) bool {
-		if note, ok := msg.(*CommitNote); ok {
+		if note, ok := msg.(*substrate.CommitNotice); ok {
 			r.notes[from] = append(r.notes[from], note.Entries...)
 		}
 		return true

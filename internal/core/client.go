@@ -5,6 +5,7 @@ import (
 
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -18,12 +19,12 @@ type ClientNode struct {
 	ep *simnet.Endpoint
 
 	pending    map[types.TxID]*types.Transaction
-	retryArmed bool
+	retryTimer simnet.Timer
 
 	// hook, when non-nil, observes every commit-notice entry addressed to
 	// this client after pending bookkeeping — the sharded harness's 2PC
 	// coordinator rides on a dedicated client per shard (DESIGN.md §14).
-	hook func(ctx *simnet.Context, e CommitEntry)
+	hook func(ctx *simnet.Context, e substrate.CommitEntry)
 	// quiet suppresses collector accounting and trace stages: coordinator
 	// sub-transactions are pipeline internals, not workload transactions,
 	// and must not distort throughput/latency metrics. The pending map and
@@ -37,7 +38,7 @@ func (cl *ClientNode) Pending() int { return len(cl.pending) }
 // OnMessage implements simnet.Handler.
 func (cl *ClientNode) OnMessage(ctx *simnet.Context, from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case *CommitNotice:
+	case *substrate.CommitNotice:
 		for _, e := range m.Entries {
 			if _, ok := cl.pending[e.TxID]; !ok {
 				continue
@@ -67,31 +68,24 @@ func (cl *ClientNode) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 	}
 	leader := cl.c.LeaderIndex()
 	ctx.Send(cl.c.Sequencers[leader].ep.ID(), &SubmitBatch{Txns: txns})
-	cl.armRetry(ctx)
+	cl.retryTimer.Arm(ctx, clientTimeout)
 }
 
-// armRetry schedules the §4.5 client retransmission check.
-func (cl *ClientNode) armRetry(ctx *simnet.Context) {
-	if cl.retryArmed {
+// retransmit is the §4.5 client retransmission check: everything still
+// pending goes to all consensus nodes.
+func (cl *ClientNode) retransmit(ctx *simnet.Context) {
+	if len(cl.pending) == 0 {
 		return
 	}
-	cl.retryArmed = true
-	ctx.After(clientTimeout, func(c2 *simnet.Context) {
-		cl.retryArmed = false
-		if len(cl.pending) == 0 {
-			return
-		}
-		// Retransmit everything still pending to all consensus nodes.
-		var txns []*types.Transaction
-		for _, tx := range cl.pending {
-			txns = append(txns, tx)
-		}
-		sortTxns(txns)
-		for _, cn := range cl.c.ConsNodes {
-			c2.Send(cn.Ep.ID(), &SubmitBatch{Txns: txns})
-		}
-		cl.armRetry(c2)
-	})
+	var txns []*types.Transaction
+	for _, tx := range cl.pending {
+		txns = append(txns, tx)
+	}
+	sortTxns(txns)
+	for _, cn := range cl.c.ConsNodes {
+		ctx.Send(cn.Ep.ID(), &SubmitBatch{Txns: txns})
+	}
+	cl.retryTimer.Arm(ctx, clientTimeout)
 }
 
 // sortTxns orders transactions by (client, nonce) for determinism (map

@@ -95,6 +95,7 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 		c.ConsNodes = append(c.ConsNodes, cn)
 
 		seqNode := &SequencerNode{c: c, idx: i}
+		seqNode.flushTimer = simnet.NewTimer(seqNode.flush)
 		// The sequencer shares the consensus node's server: same datacenter,
 		// no placement slot of its own.
 		seqNode.ep = c.Net.Register(label+"seq"+strconv.Itoa(i), cn.Ep.DC(), seqNode)
@@ -146,6 +147,7 @@ func (c *Cluster) RegisterClients(ids []crypto.Identity) {
 
 func (c *Cluster) newClient(id crypto.Identity) *ClientNode {
 	cl := &ClientNode{c: c, id: id, pending: make(map[types.TxID]*types.Transaction)}
+	cl.retryTimer = simnet.NewTimer(cl.retransmit)
 	cl.ep = c.AddClient(id, cl)
 	return cl
 }
@@ -154,7 +156,7 @@ func (c *Cluster) newClient(id crypto.Identity) *ClientNode {
 // address: its submissions and notifications bypass the metrics collector
 // and tracer, and hook observes every commit-notice entry it receives. The
 // sharded harness attaches its 2PC coordinators this way (DESIGN.md §14).
-func (c *Cluster) RegisterCoordinator(id crypto.Identity, hook func(*simnet.Context, CommitEntry)) simnet.NodeID {
+func (c *Cluster) RegisterCoordinator(id crypto.Identity, hook func(*simnet.Context, substrate.CommitEntry)) simnet.NodeID {
 	cl := c.newClient(id)
 	cl.hook = hook
 	cl.quiet = true

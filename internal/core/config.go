@@ -60,10 +60,6 @@ const (
 	// reexecThreshold is the per-view re-execution (mismatch) rate that
 	// triggers a shepherd view change (the paper's 1 %, §4.5).
 	reexecThreshold = 0.01
-	// sampleVerify is how many transactions per assembled block a consensus
-	// node signature-samples to catch a garbage-proposing leader (Table 4
-	// S2); fabric.Orderer.Deliver samples the same number.
-	sampleVerify = 8
 	// clientTimeout is how long clients wait before retransmitting to all
 	// consensus nodes, and how long a consensus node then waits for the
 	// relayed transactions before it requests a view change (§4.5 liveness

@@ -12,6 +12,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simhost"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -50,10 +51,13 @@ type ConsNode struct {
 	auth map[uint64]types.TxID
 	// watermark: sequence numbers <= watermark have been proposed (or
 	// abandoned to an older leadership term).
-	watermark   uint64
-	maxSeen     uint64
-	timerArmed  bool
-	statusArmed bool
+	watermark uint64
+	maxSeen   uint64
+	// proposeTimer proposes a partial block if the watermark still sits at
+	// proposeMark; statusTimer is the chain-status ticker.
+	proposeTimer simnet.Timer
+	proposeMark  uint64
+	statusTimer  simnet.Timer
 	// Last sequencer-activation parameters, re-asserted by the status
 	// ticker: the handoff message itself can be lost to a drop fault.
 	seqActView  uint64
@@ -61,10 +65,10 @@ type ConsNode struct {
 
 	// delivered consensus decisions by block number; chainHeight is the
 	// next block number to process.
-	delivered     map[uint64]*deliveredBlock
-	chainHeight   uint64
-	blockFetching bool
-	blocks        *ledger.BlockStore
+	delivered   map[uint64]*deliveredBlock
+	chainHeight uint64
+	blockFetch  simnet.Timer // cooldown between block fetches
+	blocks      *ledger.BlockStore
 	// proposals holds, per undelivered consensus sequence, the ordering
 	// Proposed decoded, so that Deliver of those very bytes reuses it.
 	proposals map[uint64]proposal
@@ -74,9 +78,9 @@ type ConsNode struct {
 	// vectors that wait behind it in arrival order: result vectors matching
 	// a proposal persist immediately (Algo 1 line 17), which is why the
 	// persist round is masked by the consensus phase (§4.4).
-	overflow   map[uint64][]*ResultEntry
-	persistOut []*PersistEntry
-	persistArm bool
+	overflow     map[uint64][]*ResultEntry
+	persistOut   []*PersistEntry
+	persistTimer simnet.Timer
 	// signing is scratch for a partition's signed bytes (appendOrgResult).
 	signing []byte
 
@@ -98,7 +102,7 @@ type ConsNode struct {
 func (n *ConsNode) Denylist() map[crypto.Identity]bool { return n.denylist }
 
 func newConsNode(c *Cluster, org int) *ConsNode {
-	return &ConsNode{
+	n := &ConsNode{
 		c:           c,
 		org:         org,
 		pool:        newTxPoolOn(c.Hashes),
@@ -112,6 +116,10 @@ func newConsNode(c *Cluster, org int) *ConsNode {
 		denylist:    make(map[crypto.Identity]bool),
 		watch:       make(map[types.TxID]bool),
 	}
+	n.proposeTimer = n.Timer(n.proposePartial)
+	n.statusTimer = n.Timer(n.advertiseStatus)
+	n.persistTimer = n.Timer(n.flushPersist)
+	return n
 }
 
 // OnStart implements simnet.Starter: the view-0 leader activates its
@@ -128,43 +136,33 @@ func (n *ConsNode) OnStart(ctx *simnet.Context) {
 }
 
 // statusTick periodically advertises the processed chain height (leader
-// only) so normal nodes that lost a BlockMsg can fetch it back. The armed
-// guard keeps exactly one ticker alive even when a crash/restart cycle
-// re-arms it before the crashed ticker's timer would have fired.
+// only) so normal nodes that lost a BlockMsg can fetch it back.
 func (n *ConsNode) statusTick() {
-	if n.statusArmed {
-		return
-	}
-	n.statusArmed = true
-	n.After(2*n.c.Cfg.BlockTimeout, func() {
-		n.statusArmed = false
-		if n.Rep.IsLeader() && n.chainHeight > 0 {
-			n.Ctx.Multicast(n.c.groupBlocks, &ChainStatus{Height: n.chainHeight})
-		}
-		// Re-assert the co-located sequencer's desired state: the
-		// activation handoff is just a message, and losing it (e.g. to a
-		// storm targeting the freshly elected leader) would otherwise
-		// leave the term without a working sequencer until the next view
-		// change. The sequencer treats repeats idempotently.
-		n.Ctx.Send(n.c.Sequencers[n.Idx].ep.ID(), &seqActivate{
-			Active: n.Rep.IsLeader(), View: n.seqActView, StartSeq: n.seqActStart,
-		})
-		n.statusTick()
-	})
+	n.statusTimer.Arm(n.Ctx, 2*n.c.Cfg.BlockTimeout)
 }
 
-// OnRestart implements simnet.Restarter: every timer died with the crash,
-// so the guard flags must reset (or proposals and persist flushes would
-// never re-arm) and the free-running chain-status ticker restarts. The BFT
+func (n *ConsNode) advertiseStatus() {
+	if n.Rep.IsLeader() && n.chainHeight > 0 {
+		n.Ctx.Multicast(n.c.groupBlocks, &ChainStatus{Height: n.chainHeight})
+	}
+	// Re-assert the co-located sequencer's desired state: the activation
+	// handoff is just a message, and losing it (e.g. to a storm targeting
+	// the freshly elected leader) would otherwise leave the term without a
+	// working sequencer until the next view change. The sequencer treats
+	// repeats idempotently.
+	n.Ctx.Send(n.c.Sequencers[n.Idx].ep.ID(), &seqActivate{
+		Active: n.Rep.IsLeader(), View: n.seqActView, StartSeq: n.seqActStart,
+	})
+	n.statusTick()
+}
+
+// OnRestart implements simnet.Restarter: the chain-status ticker restarts,
+// and pending persist echoes and proposals are flushed or re-armed. The BFT
 // replica itself stays passive until peers' messages drive it — a restarted
 // replica whose progress timer was lost cannot initiate view changes, which
 // is within the f-faulty budget the protocol already tolerates.
 func (n *ConsNode) OnRestart(ctx *simnet.Context) {
 	n.Bind(ctx, func() {
-		n.timerArmed = false
-		n.persistArm = false
-		n.statusArmed = false
-		n.blockFetching = false
 		n.statusTick()
 		if len(n.persistOut) > 0 {
 			n.flushPersist()
@@ -277,25 +275,26 @@ func (n *ConsNode) maybePropose() {
 		avail = avail[n.c.Cfg.BlockSize:]
 		n.proposeSeqs(batch)
 	}
-	if len(avail) > 0 && !n.timerArmed {
-		n.timerArmed = true
-		mark := n.watermark
-		n.After(n.c.Cfg.BlockTimeout, func() {
-			n.timerArmed = false
-			if !n.Rep.IsLeader() {
-				return
-			}
-			if n.watermark == mark {
-				if rest := n.pooledAbove(); len(rest) > 0 {
-					if len(rest) > n.c.Cfg.BlockSize {
-						rest = rest[:n.c.Cfg.BlockSize]
-					}
-					n.proposeSeqs(rest)
-				}
-			}
-			n.maybePropose()
-		})
+	if len(avail) > 0 && n.proposeTimer.Arm(n.Ctx, n.c.Cfg.BlockTimeout) {
+		n.proposeMark = n.watermark
 	}
+}
+
+// proposePartial proposes what waits above a watermark that has not moved
+// for a block timeout.
+func (n *ConsNode) proposePartial() {
+	if !n.Rep.IsLeader() {
+		return
+	}
+	if n.watermark == n.proposeMark {
+		if rest := n.pooledAbove(); len(rest) > 0 {
+			if len(rest) > n.c.Cfg.BlockSize {
+				rest = rest[:n.c.Cfg.BlockSize]
+			}
+			n.proposeSeqs(rest)
+		}
+	}
+	n.maybePropose()
 }
 
 func (n *ConsNode) proposeSeqs(seqs []uint64) {
@@ -457,7 +456,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		}
 		// Sample-verify payloads to catch a garbage-proposing leader
 		// (Table 4 S2).
-		if sampled < sampleVerify {
+		if sampled < substrate.SampleVerify {
 			if tx := n.pool.payload(r); tx != nil {
 				sampled++
 				n.Ctx.Elapse(cfg.Costs.SigVerify)
@@ -581,13 +580,7 @@ func (n *ConsNode) evaluateResult(e *ResultEntry) {
 	}
 	cs.persisted = &m.persist
 	n.persistOut = append(n.persistOut, cs.persisted)
-	if !n.persistArm {
-		n.persistArm = true
-		n.After(resultFlushInterval, func() {
-			n.persistArm = false
-			n.flushPersist()
-		})
-	}
+	n.persistTimer.Arm(n.Ctx, resultFlushInterval)
 }
 
 // partitionAuthentic checks one partition of e's vector: the writes hash to
@@ -674,12 +667,11 @@ func (n *ConsNode) onBlockMsg(m *BlockMsg) {
 // partition) would otherwise buffer every later delivery forever, because
 // peers never retransmit decided instances.
 func (n *ConsNode) onPeerChainStatus(from simnet.NodeID, m *ChainStatus) {
-	if n.blockFetching || !missesBlock(n.chainHeight, m.Height, n.delivered) {
+	if n.blockFetch.Armed() || !missesBlock(n.chainHeight, m.Height, n.delivered) {
 		return
 	}
-	n.blockFetching = true
 	n.Ctx.Send(from, &BlockFetchReq{From: n.chainHeight, To: m.Height})
-	n.After(2*n.c.Cfg.BlockTimeout, func() { n.blockFetching = false })
+	n.blockFetch.Arm(n.Ctx, 2*n.c.Cfg.BlockTimeout)
 }
 
 // missesBlock reports whether a node at height, with later blocks buffered,

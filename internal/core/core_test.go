@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
+	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/workload"
 )
 
@@ -146,6 +147,45 @@ func TestPacketLossRecovery(t *testing.T) {
 	c.Run(4 * time.Second)
 	if got := c.Collector.NumCommitted(); got < 195 {
 		t.Fatalf("committed %d of 200 under 2%% loss", got)
+	}
+	if err := c.CheckSafety(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPayloadFetchSurvivesCrash: a normal node that receives no SeqBatch
+// fetches every block's payloads. It crashes right after its first FetchReq
+// departs, so the FetchResp and the retry timer both land while it is down;
+// after Restart it must fetch again and commit that block and the rest.
+func TestPayloadFetchSurvivesCrash(t *testing.T) {
+	c, gen := buildCluster(t, smallConfig(), defaultWorkload())
+	victim := c.Orgs[3][0]
+	const down = 20 * time.Millisecond
+	var crashedAt time.Duration
+	var height uint64
+	c.Net.DropFilter = func(from, to simnet.NodeID, msg simnet.Message) bool {
+		if _, ok := msg.(*FetchReq); ok && from == victim.ep.ID() && crashedAt == 0 {
+			crashedAt, height = c.Sim.Now(), victim.CommitHeight()
+			c.Sim.At(crashedAt, func() { victim.ep.SetDown(true) })
+			c.Sim.At(crashedAt+down, victim.ep.Restart)
+		}
+		_, batch := msg.(*SeqBatch)
+		return batch && to == victim.ep.ID()
+	}
+	const n = 300
+	for i, tx := range gen.Batch(n) {
+		c.SubmitAt(time.Duration(i)*100*time.Microsecond, tx)
+	}
+	c.Run(2 * time.Second)
+	if crashedAt == 0 {
+		t.Fatal("the victim never fetched a payload")
+	}
+	want := c.Orgs[0][0].CommitHeight()
+	if got := victim.CommitHeight(); got <= height || got != want {
+		t.Fatalf("victim crashed at %v at height %d and ended at %d; the others at %d", crashedAt, height, got, want)
+	}
+	if got := c.Collector.NumCommitted(); got != n {
+		t.Fatalf("committed %d of %d", got, n)
 	}
 	if err := c.CheckSafety(); err != nil {
 		t.Fatal(err)

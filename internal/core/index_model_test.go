@@ -370,9 +370,11 @@ func newIndexRun(t *testing.T, seed int64) *indexRun {
 	// Nothing the cluster sends is delivered: the run is the driven nodes'
 	// handlers and timers only, and what they send is the transcript.
 	c.Net.DropFilter = func(from, _ simnet.NodeID, msg simnet.Message) bool {
+		kind := fmt.Sprintf("%T", msg) // the type's name without its package
+		kind = kind[strings.LastIndexByte(kind, '.')+1:]
 		for i, nn := range r.nodes {
 			if from == nn.ep.ID() {
-				r.sent = append(r.sent, fmt.Sprintf("n%d:%s/%d", i, strings.TrimPrefix(fmt.Sprintf("%T", msg), "*core."), msg.Size()))
+				r.sent = append(r.sent, fmt.Sprintf("n%d:%s/%d", i, kind, msg.Size()))
 			}
 		}
 		return true

@@ -498,20 +498,6 @@ func (m *FetchResp) Size() int {
 	return n
 }
 
-// CommitNotice tells a client its transactions committed (or aborted).
-type CommitNotice struct {
-	Entries []CommitEntry
-}
-
-// CommitEntry is one transaction's outcome.
-type CommitEntry struct {
-	TxID    types.TxID
-	Aborted bool
-}
-
-// Size implements simnet.Message.
-func (m *CommitNotice) Size() int { return 16 + len(m.Entries)*33 }
-
 // PersistFetchReq asks consensus nodes to re-send their stored PERSIST
 // entries for stalled sequence numbers (loss recovery for the persist
 // protocol).

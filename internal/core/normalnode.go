@@ -13,6 +13,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
+	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/trace"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -105,7 +106,8 @@ type pendingBlock struct {
 	hashes   []types.TxID
 	recs     []*txRec
 	executed bool
-	fetching bool
+	// refetch spaces the payload fetches of the block's missing transactions.
+	refetch simnet.Timer
 }
 
 // NormalNode is one BIDL normal node: it verifies and speculatively executes
@@ -127,7 +129,9 @@ type NormalNode struct {
 	overlay  *ledger.Overlay
 	specNext uint64
 	specInit bool
-	gapArmed bool
+	// gapTimer jumps speculation across a gap that still sits at gapMark.
+	gapTimer simnet.Timer
+	gapMark  uint64
 	nondet   *rand.Rand
 	// exec[0] backs the speculative execution, exec[1] the delegate's
 	// redundant one, which must not clobber the first result (applied after
@@ -138,16 +142,19 @@ type NormalNode struct {
 	signing []byte
 
 	// delegate state (first normal node of the org).
-	vectors   map[types.TxID]*vectorBuild
-	orgOut    map[int][]OrgResultEntry // target org → batched results
-	resultOut []ResultEntry
-	flushArm  bool
+	vectors    map[types.TxID]*vectorBuild
+	orgOut     map[int][]OrgResultEntry // target org → batched results
+	resultOut  []ResultEntry
+	flushTimer simnet.Timer
 
-	blockBuf        map[uint64]*pendingBlock
-	commitHeight    uint64
-	blocks          *ledger.BlockStore
-	blockFetching   bool
-	persistRetryArm bool
+	blockBuf     map[uint64]*pendingBlock
+	commitHeight uint64
+	blocks       *ledger.BlockStore
+	// blockFetch is the cooldown between block fetches, persistRetry the
+	// commit pipeline's watchdog, onRefetch every pendingBlock's callback.
+	blockFetch   simnet.Timer
+	persistRetry simnet.Timer
+	onRefetch    func(*simnet.Context)
 
 	deny      map[crypto.Identity]bool
 	denyVotes map[crypto.Identity]map[int]bool
@@ -178,7 +185,7 @@ func (n *NormalNode) speaksFor(tx *types.Transaction) bool {
 
 func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 	base := ledger.NewStateOn(c.Keys)
-	return &NormalNode{
+	n := &NormalNode{
 		c:         c,
 		org:       org,
 		orgName:   types.OrgName(org),
@@ -194,6 +201,16 @@ func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 		deny:      make(map[crypto.Identity]bool),
 		denyVotes: make(map[crypto.Identity]map[int]bool),
 	}
+	n.gapTimer = simnet.NewTimer(n.bound(n.jumpGap))
+	n.flushTimer = simnet.NewTimer(n.bound(n.flushResults))
+	n.persistRetry = simnet.NewTimer(n.bound(n.retryPersist))
+	n.onRefetch = n.bound(n.processBlocks)
+	return n
+}
+
+// bound returns fn as a timer callback bound to the timer's activation.
+func (n *NormalNode) bound(fn func()) func(*simnet.Context) {
+	return func(c *simnet.Context) { n.bind(c, fn) }
 }
 
 func (n *NormalNode) bind(ctx *simnet.Context, fn func()) {
@@ -203,18 +220,13 @@ func (n *NormalNode) bind(ctx *simnet.Context, fn func()) {
 	fn()
 }
 
-// OnRestart implements simnet.Restarter: every armed timer (gap jump,
-// result flush, block-fetch cooldown, persist retry) died with the crash,
-// so the guard flags must reset or recovery would never re-arm. Committed
-// state — the base ledger and block store — survives like a disk image;
-// missed blocks are caught up through the leader's periodic ChainStatus
-// advertisements and the persist-retry watchdog.
+// OnRestart implements simnet.Restarter: it re-arms the commit pipeline's
+// watchdog and the gap jump. Committed state — the base ledger and block
+// store — survives like a disk image; missed blocks are caught up through
+// the leader's periodic ChainStatus advertisements and the persist-retry
+// watchdog.
 func (n *NormalNode) OnRestart(ctx *simnet.Context) {
 	n.bind(ctx, func() {
-		n.gapArmed = false
-		n.flushArm = false
-		n.blockFetching = false
-		n.persistRetryArm = false
 		if _, pending := n.blockBuf[n.commitHeight]; pending {
 			n.armPersistRetry()
 		}
@@ -372,25 +384,21 @@ func (n *NormalNode) structOK(tx *types.Transaction) bool {
 // armGapTimer jumps speculation across a persistent gap (lost packet, a
 // crafted-transaction hole, or a leadership-change renumbering).
 func (n *NormalNode) armGapTimer() {
-	if n.gapArmed {
+	if n.gapTimer.Arm(n.ctx, 4*seqFlushInterval) {
+		n.gapMark = n.specNext
+	}
+}
+
+func (n *NormalNode) jumpGap() {
+	if n.specNext != n.gapMark {
+		n.trySpeculate()
 		return
 	}
-	n.gapArmed = true
-	at := n.specNext
-	n.ctx.After(4*seqFlushInterval, func(c2 *simnet.Context) {
-		n.bind(c2, func() {
-			n.gapArmed = false
-			if n.specNext != at {
-				n.trySpeculate()
-				return
-			}
-			// Jump to the next available sequence.
-			if next, found := n.pool.lowestFrom(n.specNext + 1); found && next > n.specNext {
-				n.specNext = next
-				n.trySpeculate()
-			}
-		})
-	})
+	// Jump to the next available sequence.
+	if next, found := n.pool.lowestFrom(n.specNext + 1); found && next > n.specNext {
+		n.specNext = next
+		n.trySpeculate()
+	}
 }
 
 // executeSpec speculatively executes one related transaction and feeds the
@@ -459,7 +467,7 @@ func (n *NormalNode) routeOrgResult(seq uint64, tx *types.Transaction, res OrgRe
 		n.feedVector(seq, tx, res)
 	} else {
 		n.orgOut[ocOrg] = append(n.orgOut[ocOrg], OrgResultEntry{Seq: seq, TxID: tx.ID(), Result: res})
-		n.armFlush()
+		n.flushTimer.Arm(n.ctx, resultFlushInterval)
 	}
 }
 
@@ -535,7 +543,7 @@ func (n *NormalNode) tryFinishVector(tx *types.Transaction, vb *vectorBuild) {
 	slices.SortFunc(entry.Vector, func(a, b OrgResult) int { return strings.Compare(a.Org, b.Org) })
 	entry.warm(n.base, n.pool.hashes)
 	n.resultOut = append(n.resultOut, entry)
-	n.armFlush()
+	n.flushTimer.Arm(n.ctx, resultFlushInterval)
 }
 
 // onOrgResults receives other organizations' signed results (delegate only).
@@ -567,19 +575,6 @@ func (n *NormalNode) onOrgResults(m *OrgResultMsg) {
 		}
 		n.feedVector(e.Seq, tx, e.Result)
 	}
-}
-
-func (n *NormalNode) armFlush() {
-	if n.flushArm {
-		return
-	}
-	n.flushArm = true
-	n.ctx.After(resultFlushInterval, func(c2 *simnet.Context) {
-		n.bind(c2, func() {
-			n.flushArm = false
-			n.flushResults()
-		})
-	})
 }
 
 // flushResults sends batched org results to peer delegates and approved
@@ -677,7 +672,7 @@ func (n *NormalNode) onBlock(m *BlockMsg) {
 		}
 		r.agreedSeq, recs[i] = seqs[i], r
 	}
-	n.blockBuf[m.Number] = &pendingBlock{msg: m, seqs: seqs, hashes: hashes, recs: recs}
+	n.blockBuf[m.Number] = &pendingBlock{msg: m, seqs: seqs, hashes: hashes, recs: recs, refetch: simnet.NewTimer(n.onRefetch)}
 	n.processBlocks()
 }
 
@@ -708,15 +703,12 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		}
 	}
 	if len(missing) > 0 {
-		if !pb.fetching {
-			pb.fetching = true
+		if !pb.refetch.Armed() {
 			target := n.c.ConsNodes[n.c.policy.Leader(pb.msg.Cert.View)]
 			n.ctx.Send(target.Ep.ID(), &FetchReq{Hashes: missing})
 			// Retry against other consensus nodes if the proposer is
 			// unresponsive.
-			n.ctx.After(4*seqFlushInterval+2*n.c.Cfg.Topology.IntraLatency, func(c2 *simnet.Context) {
-				n.bind(c2, func() { pb.fetching = false; n.processBlocks() })
-			})
+			pb.refetch.Arm(n.ctx, 4*seqFlushInterval+2*n.c.Cfg.Topology.IntraLatency)
 		}
 		return false
 	}
@@ -745,7 +737,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	// Step 5: apply and commit.
 	n.ctx.Elapse(n.c.Cfg.Costs.BlockOverhead +
 		time.Duration(len(pb.hashes))*n.c.Cfg.Costs.CommitTxn)
-	notices := make(map[crypto.Identity][]CommitEntry)
+	notices := make(map[crypto.Identity][]substrate.CommitEntry)
 	for i, r := range pb.recs {
 		if r.committed {
 			continue
@@ -766,24 +758,14 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		n.pool.commit(r)
 		n.pool.clearNote(seq)
 		if tx != nil && n.speaksFor(tx) {
-			notices[tx.Client] = append(notices[tx.Client], CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
+			notices[tx.Client] = append(notices[tx.Client], substrate.CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
 		}
 	}
 	blk, digest := pb.msg.block(n.blocks.LastDigest())
 	if err := n.blocks.AppendHashed(blk, digest); err != nil {
 		n.c.Violation("block append: " + err.Error())
 	}
-
-	clients := make([]crypto.Identity, 0, len(notices))
-	for cl := range notices {
-		clients = append(clients, cl)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
-	for _, cl := range clients {
-		if ep, ok := n.c.ClientEndpoint(cl); ok {
-			n.ctx.Send(ep, &CommitNotice{Entries: notices[cl]})
-		}
-	}
+	n.c.Notify(n.ctx, notices)
 
 	// Resume speculation past the block (null blocks carry no sequences).
 	if len(pb.seqs) > 0 {
@@ -846,14 +828,11 @@ func (n *NormalNode) executeBlock(pb *pendingBlock) {
 
 // onChainStatus fetches blocks this node missed (BlockMsg loss recovery).
 func (n *NormalNode) onChainStatus(from simnet.NodeID, m *ChainStatus) {
-	if n.blockFetching || !missesBlock(n.commitHeight, m.Height, n.blockBuf) {
+	if n.blockFetch.Armed() || !missesBlock(n.commitHeight, m.Height, n.blockBuf) {
 		return
 	}
-	n.blockFetching = true
 	n.ctx.Send(from, &BlockFetchReq{From: n.commitHeight, To: m.Height})
-	n.ctx.After(2*n.c.Cfg.BlockTimeout, func(c2 *simnet.Context) {
-		n.bind(c2, func() { n.blockFetching = false })
-	})
+	n.blockFetch.Arm(n.ctx, 2*n.c.Cfg.BlockTimeout)
 }
 
 func (n *NormalNode) onFetchResp(m *FetchResp) {
@@ -867,60 +846,55 @@ func (n *NormalNode) onFetchResp(m *FetchResp) {
 // partitions, and (as corresponding-org delegate) re-sends completed
 // vectors — recovering persist rounds stalled by packet loss.
 func (n *NormalNode) armPersistRetry() {
-	if n.persistRetryArm {
-		return
+	n.persistRetry.Arm(n.ctx, 2*n.c.Cfg.BlockTimeout)
+}
+
+func (n *NormalNode) retryPersist() {
+	pb, ok := n.blockBuf[n.commitHeight]
+	if !ok {
+		return // pipeline empty; the next stall re-arms
 	}
-	n.persistRetryArm = true
-	n.ctx.After(2*n.c.Cfg.BlockTimeout, func(c2 *simnet.Context) {
-		n.bind(c2, func() {
-			n.persistRetryArm = false
-			pb, ok := n.blockBuf[n.commitHeight]
-			if !ok {
-				return // pipeline empty; the next stall re-arms
+	var stalled []uint64
+	for i, r := range pb.recs {
+		if r.committed || r.invalid {
+			continue
+		}
+		seq := pb.seqs[i]
+		if !n.pool.persisted(seq) {
+			// Lazy fallback: a quiet persist round may mean the
+			// transaction is invalid and its related orgs already
+			// moved on. Any node can verify the client signature
+			// itself (normally skipped for unrelated transactions
+			// to save CPU, §4.1); an invalid result unblocks the
+			// commit without a persist round.
+			tx := n.pool.payload(r)
+			if tx != nil && !n.verifyTx(tx, r) {
+				continue
 			}
-			var stalled []uint64
-			for i, r := range pb.recs {
-				if r.committed || r.invalid {
-					continue
+			stalled = append(stalled, seq)
+			if tx != nil && tx.RelatedTo(n.orgName) && n.isDelegate() {
+				if ns := n.pool.noted(seq); ns != nil && ns.orgRes != nil {
+					n.routeOrgResult(seq, tx, *ns.orgRes)
 				}
-				seq := pb.seqs[i]
-				if !n.pool.persisted(seq) {
-					// Lazy fallback: a quiet persist round may mean the
-					// transaction is invalid and its related orgs already
-					// moved on. Any node can verify the client signature
-					// itself (normally skipped for unrelated transactions
-					// to save CPU, §4.1); an invalid result unblocks the
-					// commit without a persist round.
-					tx := n.pool.payload(r)
-					if tx != nil && !n.verifyTx(tx, r) {
-						continue
-					}
-					stalled = append(stalled, seq)
-					if tx != nil && tx.RelatedTo(n.orgName) && n.isDelegate() {
-						if ns := n.pool.noted(seq); ns != nil && ns.orgRes != nil {
-							n.routeOrgResult(seq, tx, *ns.orgRes)
-						}
-						if vb, ok := n.vectors[pb.hashes[i]]; ok && vb.sent {
-							vb.sent = false
-							n.tryFinishVector(tx, vb)
-						}
-					}
+				if vb, ok := n.vectors[pb.hashes[i]]; ok && vb.sent {
+					vb.sent = false
+					n.tryFinishVector(tx, vb)
 				}
 			}
-			if len(stalled) > 0 {
-				atomic.AddUint64(&n.c.Collector.RetransmitReqs, 1)
-				n.flushResults()
-				for _, cn := range n.c.ConsNodes {
-					c2.Send(cn.Ep.ID(), &PersistFetchReq{Seqs: stalled})
-				}
-			} else {
-				n.processBlocks()
-			}
-			if _, pending := n.blockBuf[n.commitHeight]; pending {
-				n.armPersistRetry()
-			}
-		})
-	})
+		}
+	}
+	if len(stalled) > 0 {
+		atomic.AddUint64(&n.c.Collector.RetransmitReqs, 1)
+		n.flushResults()
+		for _, cn := range n.c.ConsNodes {
+			n.ctx.Send(cn.Ep.ID(), &PersistFetchReq{Seqs: stalled})
+		}
+	} else {
+		n.processBlocks()
+	}
+	if _, pending := n.blockBuf[n.commitHeight]; pending {
+		n.armPersistRetry()
+	}
 }
 
 // onDenyUpdate applies consensus nodes' denylist updates once f+1 distinct

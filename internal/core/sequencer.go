@@ -39,7 +39,7 @@ type SequencerNode struct {
 	seen    map[types.TxID]bool // dedup within this leadership term
 
 	pending    []types.SequencedTx
-	flushArmed bool
+	flushTimer simnet.Timer
 
 	// Garbage, when set, makes this sequencer emit invalid transactions
 	// (random payloads with unverifiable signatures) instead of the real
@@ -52,11 +52,9 @@ type SequencerNode struct {
 func (s *SequencerNode) Endpoint() *simnet.Endpoint { return s.ep }
 
 // OnRestart implements simnet.Restarter: the crash lost the in-memory
-// pending batch and any armed flush timer, so the guard flag must reset or
-// the sequencer would never flush again. The next ingest re-arms it.
+// pending batch. The next ingest re-arms the flush timer.
 func (s *SequencerNode) OnRestart(ctx *simnet.Context) {
 	s.pending = nil
-	s.flushArmed = false
 }
 
 // OnMessage implements simnet.Handler.
@@ -120,12 +118,8 @@ func (s *SequencerNode) ingest(ctx *simnet.Context, txns []*types.Transaction) {
 			s.flush(ctx)
 		}
 	}
-	if len(s.pending) > 0 && !s.flushArmed {
-		s.flushArmed = true
-		ctx.After(seqFlushInterval, func(c2 *simnet.Context) {
-			s.flushArmed = false
-			s.flush(c2)
-		})
+	if len(s.pending) > 0 {
+		s.flushTimer.Arm(ctx, seqFlushInterval)
 	}
 }
 

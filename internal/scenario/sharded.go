@@ -252,7 +252,7 @@ func (h *ShardedHarness) subTx(shard int, org, fn string, args ...string) *types
 // for every commit notice it receives. It runs inside hub-partition event
 // execution, so its mutations of harness state are totally ordered and
 // identical across serial and PDES runs.
-func (h *ShardedHarness) onCoordNotice(ctx *simnet.Context, e core.CommitEntry) {
+func (h *ShardedHarness) onCoordNotice(ctx *simnet.Context, e substrate.CommitEntry) {
 	ref, ok := h.subs[e.TxID]
 	if !ok {
 		return

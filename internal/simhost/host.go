@@ -125,6 +125,11 @@ func (h *Host) After(d time.Duration, fn func()) {
 	h.Ctx.After(d, func(c2 *simnet.Context) { h.Bind(c2, fn) })
 }
 
+// Timer returns a timer whose callback runs fn bound to the timer's activation.
+func (h *Host) Timer(fn func()) simnet.Timer {
+	return simnet.NewTimer(func(c *simnet.Context) { h.Bind(c, fn) })
+}
+
 // Elapse implements consensus.Host.
 func (h *Host) Elapse(d time.Duration) { h.Ctx.Elapse(d) }
 

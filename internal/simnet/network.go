@@ -49,6 +49,39 @@ type timer func(*Context)
 // Size implements Message.
 func (timer) Size() int { return 0 }
 
+// Timer is a one-shot timer bound once to its callback and armed at most once
+// at a time. A crash disarms it (SetDown starts a new life of the endpoint); a
+// delivery armed before the crash that fires after Restart still runs. Arm
+// schedules exactly where Context.After does and allocates nothing: the timer
+// is the delivery, so it must not be copied once armed. The zero Timer is a
+// cooldown, which firing only disarms.
+type Timer struct {
+	fn    func(*Context)
+	ep    *Endpoint
+	life  uint64
+	armed bool
+}
+
+// NewTimer returns a disarmed timer that runs fn on the core it is armed on.
+func NewTimer(fn func(*Context)) Timer { return Timer{fn: fn} }
+
+// Armed reports whether the timer waits to fire in its endpoint's current life.
+func (t *Timer) Armed() bool { return t.armed && t.life == t.ep.life }
+
+// Arm schedules the timer d from now on ctx's endpoint unless it is armed
+// already, and reports whether it did.
+func (t *Timer) Arm(ctx *Context, d time.Duration) bool {
+	if t.Armed() {
+		return false
+	}
+	t.ep, t.life, t.armed = ctx.node, ctx.node.life, true
+	ctx.net.sim.schedDelivery(ctx.node.part, ctx.Now()+d, ctx.node, ctx.node.id, t, 0)
+	return true
+}
+
+// Size implements Message.
+func (*Timer) Size() int { return 0 }
+
 // Endpoint models a node with a single dedicated CPU core and one NIC.
 // Deliveries queue FIFO and the handler processes them serially; the virtual
 // CPU time a handler charges (Context.Elapse) delays subsequent deliveries,
@@ -68,6 +101,7 @@ type Endpoint struct {
 	qHead      int
 	processing bool
 	down       bool
+	life       uint64 // crashes so far: a Timer armed in an earlier life is disarmed
 
 	// actCtx is the reusable activation context handed to the handler. No
 	// handler retains its context past the activation (the bind/defer
@@ -97,9 +131,15 @@ func (e *Endpoint) Partition() int { return e.part }
 // SetDown marks the endpoint crashed (true) or alive (false). A crashed
 // endpoint drops all deliveries — including messages already sitting in its
 // inbox, which the tracer records as dropped when the (dead) core pops them —
-// and loses its own timers. Prefer Restart over SetDown(false) to bring a
-// node back: it gives the handler a chance to re-arm its periodic timers.
-func (e *Endpoint) SetDown(down bool) { e.down = down }
+// and loses its own timers: every Timer is disarmed. Prefer Restart over
+// SetDown(false) to bring a node back: it gives the handler a chance to
+// re-arm its periodic timers.
+func (e *Endpoint) SetDown(down bool) {
+	if down {
+		e.life++
+	}
+	e.down = down
+}
 
 // Restarter is implemented by handlers that need a callback when their
 // crashed endpoint comes back up (Endpoint.Restart): free-running timers
@@ -313,7 +353,8 @@ func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Durat
 // deliver lands a message at its destination at virtual time 'at': the shared
 // tail of the unicast and multicast paths.
 func (n *Network) deliver(dst *Endpoint, from NodeID, msg Message, at time.Duration, size int) {
-	if _, ok := msg.(timer); ok {
+	switch msg.(type) {
+	case timer, *Timer:
 		if !dst.down {
 			dst.enqueue(delivery{from: from, msg: msg})
 		}
@@ -430,21 +471,28 @@ func (e *Endpoint) processNext() {
 	now := e.net.sim.partNow(e.part)
 	ctx := &e.actCtx
 	*ctx = Context{net: e.net, node: e, start: now}
-	t, isTimer := d.msg.(timer)
 	if e.down {
 		// The core died with deliveries still queued: they are lost, not
 		// replayed on restart, and messages are recorded as dropped exactly
 		// like arrivals at a down endpoint (deliver). Timers vanish
 		// silently — a crashed process has no pending timers to lose.
-		if !isTimer {
+		switch d.msg.(type) {
+		case timer, *Timer:
+		default:
 			e.net.tracer.Dropped(int(e.id), now)
 		}
 		e.net.sim.schedTimer(e.part, now, e.procFn)
 		return
 	}
-	if isTimer {
-		t(ctx)
-	} else {
+	switch m := d.msg.(type) {
+	case timer:
+		m(ctx)
+	case *Timer:
+		m.armed = false
+		if m.fn != nil {
+			m.fn(ctx)
+		}
+	default:
 		e.handler.OnMessage(ctx, d.from, d.msg)
 	}
 	if e.net.tracer != nil {

@@ -19,6 +19,7 @@ package substrate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -327,6 +328,39 @@ func (d *Deployment) ClientEndpoint(id crypto.Identity) (simnet.NodeID, bool) {
 		return 0, false
 	}
 	return cl.ep.ID(), true
+}
+
+// CommitNotice tells a client the outcomes of its transactions in one block.
+type CommitNotice struct {
+	Entries []CommitEntry
+}
+
+// CommitEntry is one transaction's outcome.
+type CommitEntry struct {
+	TxID    types.TxID
+	Aborted bool
+}
+
+// Size implements simnet.Message.
+func (m *CommitNotice) Size() int { return 16 + len(m.Entries)*33 }
+
+// SampleVerify is how many payloads per agreed block a BIDL consensus node or
+// an HLF orderer signature-checks to catch a garbage-proposing leader (Table 4 S2).
+const SampleVerify = 8
+
+// Notify sends each client its entries of one block as a CommitNotice, in
+// identity order; a client without an endpoint here is skipped.
+func (d *Deployment) Notify(ctx *simnet.Context, notices map[crypto.Identity][]CommitEntry) {
+	clients := make([]crypto.Identity, 0, len(notices))
+	for cl := range notices {
+		clients = append(clients, cl)
+	}
+	slices.Sort(clients)
+	for _, cl := range clients {
+		if ep, ok := d.ClientEndpoint(cl); ok {
+			ctx.Send(ep, &CommitNotice{Entries: notices[cl]})
+		}
+	}
 }
 
 // SubmitAt schedules transactions for submission by their own clients at
