@@ -867,6 +867,68 @@ func TestIndexPersistForCommittedHashUnderOtherSeq(t *testing.T) {
 	}
 }
 
+// Three blocks of 500 commit, over 24 pages of ordinals; a later block orders
+// 60 of their hashes again, drawn across every page in a scrambled order,
+// under new sequence numbers. Each stays committed, the block commits with all
+// of them skipped, and the node sends nothing for it: no client notice, no
+// fetch, no vote. The node goes on committing fresh blocks afterwards.
+func TestIndexCommittedHashesOrderedAgain(t *testing.T) {
+	f := newCommitBench(t, DefaultConfig(), false)
+	for i := 0; i < 3; i++ {
+		f.next(t)()
+	}
+	c, nn := f.c, f.nn
+	var done []types.TxID
+	for number := uint64(0); number < 3; number++ {
+		done = append(done, nn.blocks.Get(number).Hashes...)
+	}
+	var seqs []uint64
+	var hashes []types.TxID
+	for k, i := range rand.New(rand.NewSource(3)).Perm(len(done))[:60] {
+		seqs, hashes = append(seqs, 1<<20+uint64(k)), append(hashes, done[i])
+	}
+	block := &BlockMsg{Number: 3, Ordering: types.EncodeOrdering(seqs, hashes)}
+	block.Cert = &types.Certificate{Number: block.Number, Digest: block.OrderingDig()}
+	for cn := 0; cn < c.Cfg.quorum(); cn++ {
+		sig, err := c.Scheme.Sign(cnIdentity(cn), types.CertSigningBytes(0, block.Number, block.Cert.Digest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		block.Cert.Sigs = append(block.Cert.Sigs, types.NodeSig{Node: cn, Sig: sig})
+	}
+	block.warmCaches()
+	sent := 0
+	c.Net.DropFilter = func(from, _ simnet.NodeID, _ simnet.Message) bool {
+		if from == nn.ep.ID() {
+			sent++
+		}
+		return true
+	}
+	nn.bind(f.ctx, func() { nn.onBlock(block) })
+	if nn.commitHeight != 4 {
+		t.Fatalf("the block ordering committed hashes again left the node at height %d, want 4", nn.commitHeight)
+	}
+	if sent != 0 {
+		t.Fatalf("the node sent %d messages for a block of committed hashes", sent)
+	}
+	for k, h := range hashes {
+		if !nn.pool.isCommitted(h) {
+			t.Fatalf("hash %d no longer committed after a later block ordered it", k)
+		}
+		if _, ok := nn.pool.at(seqs[k]); ok {
+			t.Fatalf("hash %d's new sequence number holds a payload", k)
+		}
+	}
+	if got := nn.blocks.Get(3); len(got.Hashes) != len(hashes) {
+		t.Fatalf("block 3 holds %d hashes, ordered %d", len(got.Hashes), len(hashes))
+	}
+	f.number++
+	f.next(t)()
+	if nn.commitHeight != 5 {
+		t.Fatalf("a fresh block after the replays left the node at height %d, want 5", nn.commitHeight)
+	}
+}
+
 // The first echo a node sees for a sequence number diverges from the honest
 // one, so every honest vote takes the spill path; the honest content still
 // persists at its quorum and the diverging one never does.

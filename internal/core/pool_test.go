@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"unsafe"
 
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/types"
 )
 
@@ -113,6 +115,87 @@ func TestPoolDropUnindexes(t *testing.T) {
 	// Unlike a commit, a drop does not bar the hash.
 	if p.add(8, poolTx(7)) != poolAdded {
 		t.Fatal("dropped txn could not take a fresh slot")
+	}
+}
+
+// Five pages of ordinals commit in an order scrambled across pages: pages 0-2
+// wholly, page 3 all but one ordinal another node interned and this one never
+// heard of, page 4 all but one transaction still pooled. Every committed hash
+// stays barred whichever path replays it, at a free or an occupied sequence
+// number, and the two left out read afterwards as they did before.
+func TestPoolCommittedPagesBarReplays(t *testing.T) {
+	const pages, base = 5, 1000
+	hashes := dense.NewTable[types.TxID]()
+	txs := make([]*types.Transaction, pages*dense.PageSize)
+	for i := range txs {
+		txs[i] = poolTx(uint64(i))
+		if ord := hashes.Intern(txs[i].ID()); ord != uint32(i) {
+			t.Fatalf("transaction %d interned as ordinal %d", i, ord)
+		}
+	}
+	stranger, pooled := 3*dense.PageSize+17, 4*dense.PageSize+40
+	p := newTxPoolOn(hashes)
+	for i, tx := range txs {
+		if i != stranger && p.add(base+uint64(i), tx) != poolAdded {
+			t.Fatalf("transaction %d not pooled", i)
+		}
+	}
+	for _, i := range rand.New(rand.NewSource(7)).Perm(len(txs)) {
+		if i != stranger && i != pooled {
+			p.markCommitted(txs[i].ID())
+		}
+	}
+	occupant := poolTx(1 << 20)
+	if p.add(5, occupant) != poolAdded {
+		t.Fatal("occupant not pooled")
+	}
+	for i, tx := range txs {
+		if i == stranger || i == pooled {
+			continue
+		}
+		id, seq := tx.ID(), base+uint64(i)
+		if !p.isCommitted(id) {
+			t.Fatalf("transaction %d not committed", i)
+		}
+		if p.add(seq, tx) != poolDupHash || p.add(7, tx) != poolDupHash || p.add(5, tx) != poolDupHash ||
+			p.addOrd(9, tx, uint32(i)) != poolDupHash || p.addOrd(5, tx, uint32(i)) != poolDupHash {
+			t.Fatalf("committed transaction %d re-added without a replay rejection", i)
+		}
+		p.replace(seq, tx)
+		p.replace(5, tx)
+		p.replace(11, tx)
+		if _, ok := p.byID(id); ok {
+			t.Fatalf("committed transaction %d pooled again by a replay", i)
+		}
+		if !p.isCommitted(id) {
+			t.Fatalf("transaction %d no longer committed after its replays", i)
+		}
+	}
+	for _, s := range []uint64{7, 9, 11} {
+		if _, ok := p.at(s); ok {
+			t.Fatalf("a replayed committed hash holds sequence number %d", s)
+		}
+	}
+	if got, _ := p.at(5); got != occupant {
+		t.Fatal("a replayed committed hash displaced the occupant")
+	}
+	for i := range txs {
+		if _, ok := p.at(base + uint64(i)); ok != (i == pooled) {
+			t.Fatalf("sequence number of transaction %d: occupied %t", i, ok)
+		}
+	}
+	if seq, ok := p.seqOf(txs[pooled].ID()); !ok || seq != base+uint64(pooled) || p.isCommitted(txs[pooled].ID()) {
+		t.Fatalf("the uncommitted neighbour reads at %d, %t, committed %t", seq, ok, p.isCommitted(txs[pooled].ID()))
+	}
+	id := txs[stranger].ID()
+	if _, ok := p.byID(id); ok || p.isCommitted(id) {
+		t.Fatal("a hash this node never heard of reads as pooled or committed")
+	}
+	if _, ok := p.seqOf(id); ok {
+		t.Fatal("a hash this node never heard of reads as sequenced")
+	}
+	if p.add(base+uint64(stranger), txs[stranger]) != poolAdded {
+		t.Fatal("a hash this node never heard of was rejected")
 	}
 }
 
