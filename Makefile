@@ -149,7 +149,14 @@ loc:
 # one CommitNotice with Notify and SampleVerify in substrate (+34) replaces
 # core's and fabric's copies: -62 in core, -35 in fabric (Peer.OnRestart and
 # the orderer's unreachable batch cap gone too).
-LOC_CEILING := 18535
+# Lowered to the measured count (18535 -> 18419): the chaos invariant engine
+# (RunStats, Evaluate, the report and the recovery arithmetic), which only the
+# chaos tests run, moved into them (-142 in internal/chaos). Retiring wholly
+# committed record pages (the shared page, the per-page count, copy-on-write,
+# records read by value) and the leader's ordinal memo on BlockMsg, which the
+# commit counts by, cost +26 in core net of the pool's by-hash add, replace,
+# markCommitted, newTxPool and seqOf, moved to the tests that alone call them.
+LOC_CEILING := 18419
 DOC_CEILING := 1609
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -167,7 +174,7 @@ FUZZ_TARGETS := internal/types:FuzzTransaction internal/types:FuzzOrdering \
 	internal/scenario:FuzzParse internal/trace/anatomy:FuzzTraceJSONL \
 	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta \
 	internal/core:FuzzPersistVote internal/consensus:FuzzVotes internal/core:FuzzResultMemo \
-	internal/bench:FuzzBreakdownRows internal/ledger:FuzzRWSetDigest
+	internal/bench:FuzzBreakdownRows internal/ledger:FuzzRWSetDigest internal/core:FuzzTxPool
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t"; \
@@ -300,28 +307,31 @@ workload-smoke: $(BIDL)
 		-scenario examples/scenario-zipf-million.json -heap-check 4928000
 
 # Live-heap gate for the node index and world state (DESIGN.md §7.1): the
-# benchmark's `steady` spec ends with 44.8 MiB live, every node's records and
-# entries being arrays over cluster-wide ids; the limit is that + 15 %. With a
+# benchmark's `steady` spec ends with 35.9 MiB live, every node's records and
+# entries being arrays over cluster-wide ids and a normal node's wholly
+# committed record pages one shared page; the limit is that + 15 %. With a
 # map by hash and a map by key in each of the 54 nodes it ended with 128.5 MiB,
-# with 48-byte state entries 52.3. The `fabric` spec ends with 36.1 MiB, its 50
+# with 48-byte state entries 52.3, with a 24-byte record per committed hash 44.8. The `fabric` spec ends with 36.1 MiB, its 50
 # peers marking committed transactions in arrays over the deployment's hash
 # ordinals; with a map by hash in each it ended with 101.3 MiB, with 48-byte
 # entries 42.1. Same + 15 %. The `wide` spec (97 consensus nodes) ends with
-# 31.9 MiB, each consensus node keeping one 32-byte slot per sequence number
+# 30.0 MiB, each consensus node keeping one 32-byte slot per sequence number
 # in the pool's pages, the hash as its ordinal, one shared echo object per
 # result and its votes by member index into exact-size certificates; the
-# limit is that + 8 % (the benchmark's bound on live_heap_mb). With 64-byte
-# slots and 48-byte entries it ended with 37.7 MiB; with vote maps and
-# doubling certificate slices 43.3; with five maps by sequence number and a
-# copy of every echo per sender, 61.6. The `sharded` spec (4 shards, the
-# largest live heap) ends with 55.8 MiB, 62.0 with 48-byte entries and 64-byte
-# slots; same + 8 %. Limits were last derived from these readings and only go
-# down (before: 68, 49.4 and 42.8 MiB from readings of 59.1, 43.0 and 39.6).
+# limit is that + 8 % (the benchmark's bound on live_heap_mb). With a record
+# per committed hash in its normal nodes it ended with 31.9 MiB; with 64-byte
+# slots and 48-byte entries 37.7; with vote maps and doubling certificate
+# slices 43.3; with five maps by sequence number and a copy of every echo per
+# sender, 61.6. The `sharded` spec (4 shards, the largest live heap) ends
+# with 50.7 MiB, 55.8 with a record per committed hash, 62.0 with 48-byte
+# entries and 64-byte slots; same + 8 %. Limits were last derived from these
+# readings and only go down (before: 51.5, 34.5 and 60.3 MiB from readings of
+# 44.8, 31.9 and 55.8; before that 68, 49.4 and 42.8 from 59.1, 43.0 and 39.6).
 heap-smoke: $(BIDL)
-	$(BIDL) run -scenario benchmark/workloads/steady.json -heap-check 54022635
+	$(BIDL) run -scenario benchmark/workloads/steady.json -heap-check 43290460
 	$(BIDL) run -scenario benchmark/workloads/fabric.json -heap-check 43531632
-	$(BIDL) run -scenario benchmark/workloads/wide.json -heap-check 36125540
-	$(BIDL) run -scenario benchmark/workloads/sharded.json -heap-check 63191384
+	$(BIDL) run -scenario benchmark/workloads/wide.json -heap-check 33973862
+	$(BIDL) run -scenario benchmark/workloads/sharded.json -heap-check 57415827
 
 # Per-node prepopulation microbenchmark (O(1) via the shared copy-on-write
 # base). Per-transaction generation is the benchmark ladder's workload.* rungs.

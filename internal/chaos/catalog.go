@@ -92,3 +92,24 @@ func Catalog() []Entry {
 		},
 	}
 }
+
+// Invariants is one catalog entry's machine-checkable postconditions.
+// Zero-valued checks are skipped, so an entry states only what its fault
+// schedule is supposed to preserve.
+type Invariants struct {
+	// RequireConsistent asserts the end-of-run safety audit passed:
+	// every correct node's ledger and state agree (ledger.CheckConsistency
+	// via the harness's CheckSafety).
+	RequireConsistent bool
+	// MinCommitted is the progress floor: the run must commit at least
+	// this many transactions despite the faults.
+	MinCommitted uint64
+	// MinViewChanges asserts the faults actually provoked the protocol
+	// (a drop storm that never forced a view change tested nothing).
+	MinViewChanges uint64
+	// RecoveryFloor and RecoverBy are the liveness gate: some trace
+	// bucket starting at or after the last fault window's end must carry
+	// at least RecoveryFloor commit notices, no later than RecoverBy.
+	RecoveryFloor int
+	RecoverBy     time.Duration
+}

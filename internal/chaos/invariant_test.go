@@ -1,5 +1,9 @@
 package chaos
 
+// The invariant engine that judges a catalog run: only the chaos tests run
+// catalog entries against their Invariants (TestChaosCatalog), so it lives
+// with them.
+
 import (
 	"fmt"
 	"strings"
@@ -36,27 +40,6 @@ func ScheduleEnd(faults []Fault) time.Duration {
 		}
 	}
 	return end
-}
-
-// Invariants is one catalog entry's machine-checkable postconditions.
-// Zero-valued checks are skipped, so an entry states only what its fault
-// schedule is supposed to preserve.
-type Invariants struct {
-	// RequireConsistent asserts the end-of-run safety audit passed:
-	// every correct node's ledger and state agree (ledger.CheckConsistency
-	// via the harness's CheckSafety).
-	RequireConsistent bool
-	// MinCommitted is the progress floor: the run must commit at least
-	// this many transactions despite the faults.
-	MinCommitted uint64
-	// MinViewChanges asserts the faults actually provoked the protocol
-	// (a drop storm that never forced a view change tested nothing).
-	MinViewChanges uint64
-	// RecoveryFloor and RecoverBy are the liveness gate: some trace
-	// bucket starting at or after the last fault window's end must carry
-	// at least RecoveryFloor commit notices, no later than RecoverBy.
-	RecoveryFloor int
-	RecoverBy     time.Duration
 }
 
 // RecoveryAfter returns the start of the first bucket beginning at or

@@ -92,6 +92,7 @@ func (f *commitBench) next(tb testing.TB) func() {
 		block.Cert.Sigs = append(block.Cert.Sigs, types.NodeSig{Node: cn, Sig: sig})
 	}
 	block.warmCaches()
+	block.resolve(c.Hashes) // as the disseminating leader does
 	return func() {
 		nn.bind(f.ctx, func() {
 			nn.onSeqBatch(batch)

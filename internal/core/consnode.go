@@ -227,7 +227,7 @@ func (n *ConsNode) onSeqBatchFrom(from simnet.NodeID, m *SeqBatch) {
 		}
 		res := n.pool.addOrd(st.Seq, st.Tx, ord)
 		if res == poolDupSeq {
-			if r := n.pool.recs.Get(ord); r != nil && r.agreed {
+			if n.pool.get(ord).agreed {
 				// Agreed transactions evict crafted squatters.
 				n.pool.replaceOrd(st.Seq, st.Tx, ord)
 				res = poolAdded
@@ -432,7 +432,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		h := blk.hashes[i]
 		cs := n.pool.consAt(s, true)
 		cs.hash, cs.view, cs.hashed, cs.agreed = n.pool.hashes.Intern(h), blk.cert.View, true, true
-		r, local := n.pool.agree(s, h)
+		r, local := n.pool.agree(s, cs.hash)
 		delete(n.watch, h)
 		if currentView {
 			n.viewTotal++
@@ -486,6 +486,7 @@ func (n *ConsNode) processBlock(number uint64, blk *deliveredBlock) {
 		}
 		bm := &BlockMsg{Number: number, Ordering: types.EncodeOrdering(blk.seqs, blk.hashes), Cert: blk.cert}
 		bm.warmCaches()
+		bm.resolve(n.pool.hashes)
 		n.c.multicast(n.Ctx, n.c.groupBlocks, bm)
 	}
 
@@ -636,9 +637,8 @@ func (n *ConsNode) flushPersist() {
 func (n *ConsNode) onFetch(from simnet.NodeID, m *FetchReq) {
 	var out []types.SequencedTx
 	for _, h := range m.Hashes {
-		if seq, ok := n.pool.seqOf(h); ok {
-			tx, _ := n.pool.at(seq)
-			out = append(out, types.SequencedTx{Seq: seq, Tx: tx})
+		if r := n.pool.known(h); r.pooled {
+			out = append(out, types.SequencedTx{Seq: r.seq, Tx: n.pool.payload(&r)})
 		}
 	}
 	atomic.AddUint64(&n.c.Collector.RetransmitReqs, 1)
@@ -734,7 +734,7 @@ func (n *ConsNode) onClientRelay(m *SubmitBatch) {
 	var fresh []*types.Transaction
 	for _, tx := range m.Txns {
 		id := tx.ID()
-		if r := n.pool.known(id); (r != nil && (r.agreed || r.committed)) || n.denylist[tx.Client] {
+		if r := n.pool.known(id); r.agreed || r.committed || n.denylist[tx.Client] {
 			continue
 		}
 		fresh = append(fresh, tx)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -233,6 +234,124 @@ func FuzzResultMemo(f *testing.F) {
 			}
 			if first := c.Orgs[1][0].base; !nn.base.Equal(first) || nn.base.Digest() != first.Digest() {
 				t.Fatalf("applying way %d's echo reaches another state than way 0's", i)
+			}
+		}
+	})
+}
+
+// FuzzTxPool drives one pool through drawn operations on 256 hashes, four
+// record pages, that another node of the cluster interned first, against
+// refPool plus what it leaves out: the agreed hashes, the sequence numbers
+// holding a speculative result and the hashes the node heard of. Each
+// operation is three bytes: the kind, the hash's ordinal, and a sequence
+// number (the byte times 3, so twelve slot pages). After each, every hash
+// reads as the reference says (the zero record if never heard of), every
+// sequence number holds the reference's payload with its live record, and
+// the shared retired page still reads committed and nothing else.
+func FuzzTxPool(f *testing.F) {
+	var page0 []byte // commit 63 of page 0's hashes; the 64th stays unheard of
+	for i := 0; i < 63; i++ {
+		page0 = append(page0, 3, byte(i), byte(i))
+	}
+	f.Add(page0)
+	f.Add(append([]byte{0, 63, 9, 6, 0, 9}, page0...))          // the 64th pooled, speculated on, then the 63 commit
+	f.Add(append(append([]byte{}, page0...), 3, 63, 0, 2, 5, 7, // the page retires; agree revives it
+		0, 5, 7, 1, 5, 8, 0, 70, 7, 2, 5, 7, 1, 70, 7, 7, 0, 0))
+	rng := rand.New(rand.NewSource(1))
+	drawn := func(page, ops int) []byte { // ordinals mostly on one page
+		b := make([]byte, 3*ops)
+		rng.Read(b)
+		for i := 1; i < len(b); i += 3 {
+			if b[i]%4 != 0 {
+				b[i] = byte(page*dense.PageSize) + b[i]%dense.PageSize
+			}
+		}
+		return b
+	}
+	for page := 0; page < 4; page++ { // drawn operations around the commit of a whole page
+		b := drawn(page, 500)
+		for _, i := range rng.Perm(dense.PageSize) {
+			b = append(b, 3, byte(page*dense.PageSize+i), byte(rng.Intn(256)))
+		}
+		f.Add(append(b, drawn(page, 500)...))
+	}
+	txs := make([]*types.Transaction, 4*dense.PageSize)
+	for i := range txs {
+		txs[i] = poolTx(uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		hashes := dense.NewTable[types.TxID]()
+		for _, tx := range txs {
+			hashes.Intern(tx.ID())
+		}
+		p, ref := newTxPoolOn(hashes), newRefPool()
+		agreed, heard, specs := make(map[types.TxID]bool), make(map[types.TxID]bool), make(map[uint64]bool)
+		for op := 0; len(b) >= 3; op, b = op+1, b[3:] {
+			ord, seq := uint32(b[1]), uint64(b[2])*3
+			tx := txs[ord]
+			id := tx.ID()
+			what := fmt.Sprintf("op %d (kind %d, ordinal %d, seq %d)", op, b[0]%8, ord, seq)
+			switch b[0] % 8 {
+			case 0:
+				got, want := p.addOrd(seq, tx, ord), ref.add(seq, tx)
+				if got != want {
+					t.Fatalf("%s: add = %d; reference %d", what, got, want)
+				}
+				heard[id] = heard[id] || got == poolAdded
+			case 1:
+				p.replaceOrd(seq, tx, ord)
+				ref.replace(seq, tx)
+				heard[id] = true
+			case 2:
+				occ, held := ref.bySeq[seq]
+				r, squatter := p.agree(seq, ord)
+				if !r.agreed || r.committed != ref.committed[id] || (squatter != nil) != (held && occ != tx) ||
+					(squatter != nil && squatter.tx != occ) {
+					t.Fatalf("%s: agree reports committed %t, squatter %t; reference holds %s", what, r.committed, squatter != nil, txName(occ))
+				}
+				agreed[id], heard[id] = true, true
+			case 3, 4:
+				p.commit(p.rec(ord), ord)
+				ref.markCommitted(id)
+				heard[id] = true
+			case 5:
+				p.drop(seq)
+				ref.drop(seq)
+			case 6: // the node speculates on the payload at seq
+				if s := p.slotAt(seq); s != nil {
+					p.note(seq).spec = s.rec
+					specs[seq] = true
+				}
+			default:
+				if got := p.dropSpecs(); got != len(specs) {
+					t.Fatalf("%s: dropSpecs dropped %d; reference %d", what, got, len(specs))
+				}
+				clear(specs)
+			}
+			for i, tx := range txs {
+				id := tx.ID()
+				r := p.known(id)
+				seq, pooled := ref.byHash[id]
+				switch {
+				case !heard[id]:
+					if r != (txRec{}) {
+						t.Fatalf("%s: ordinal %d, never heard of, reads %+v", what, i, r)
+					}
+				case r.committed != ref.committed[id] || r.pooled != pooled || (pooled && r.seq != seq):
+					t.Fatalf("%s: ordinal %d reads committed %t, pooled %t at %d; reference %t, %t at %d",
+						what, i, r.committed, r.pooled, r.seq, ref.committed[id], pooled, seq)
+				case !r.committed && r.agreed != agreed[id]:
+					t.Fatalf("%s: ordinal %d reads agreed %t; reference %t", what, i, r.agreed, agreed[id])
+				}
+			}
+			for seq := uint64(0); seq < 256*3; seq += 3 {
+				s, want := p.slotAt(seq), ref.bySeq[seq]
+				if (s == nil) != (want == nil) || (s != nil && (s.tx != want || *s.rec != p.known(want.ID()) || s.rec.seq != seq)) {
+					t.Fatalf("%s: sequence number %d holds a payload %t; reference %s", what, seq, s != nil, txName(want))
+				}
+			}
+			if !retiredPristine() {
+				t.Fatalf("%s: a write reached the shared retired page", what)
 			}
 		}
 	})

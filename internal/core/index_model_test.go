@@ -450,8 +450,9 @@ func newIndexRun(t *testing.T, seed int64) *indexRun {
 			}
 			b.msg.Cert.Sigs = append(b.msg.Cert.Sigs, types.NodeSig{Node: cn, Sig: sig})
 		}
-		if number%2 == 0 {
-			b.msg.warmCaches() // the leader's dissemination; odd blocks arrive as a block-fetch reply does
+		if number%2 == 0 { // the leader's dissemination; odd blocks arrive as a block-fetch reply does
+			b.msg.warmCaches()
+			b.msg.resolve(c.Hashes)
 		}
 		r.blocks = append(r.blocks, b)
 	}

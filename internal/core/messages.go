@@ -81,6 +81,15 @@ type BlockMsg struct {
 	decErr  error
 	decoded bool
 	tip     types.TipBlock // the ledger block this commits (block)
+	// ords are the hashes' ordinals, resolved once by the disseminating
+	// leader (resolve); a block-fetch reply carries none.
+	ords dense.Ordinals[types.TxID]
+}
+
+// resolve fills the ordinal memo before the block is shared.
+func (m *BlockMsg) resolve(hashes *dense.Table[types.TxID]) {
+	_, h, _ := m.ordering()
+	m.ords.Resolve(hashes, make([]uint32, len(h)), func(i int) types.TxID { return h[i] })
 }
 
 // Size implements simnet.Message. Cached: the leader multicasts one shared

@@ -98,8 +98,8 @@ func (ps *persistStatus) vote(e *PersistEntry, node int) int {
 }
 
 // pendingBlock is an agreed block a normal node is working through: msg's
-// decoded ordering, shared with every other receiver, and this node's records
-// of the hashes, resolved once on arrival.
+// decoded ordering and ordinals, shared with every other receiver, and this
+// node's records of the hashes, resolved once on arrival.
 type pendingBlock struct {
 	msg      *BlockMsg
 	seqs     []uint64
@@ -271,7 +271,7 @@ func (n *NormalNode) onSeqBatch(m *SeqBatch) {
 		ord := m.ords.Intern(n.pool.hashes, i, st.Tx.ID())
 		res := n.pool.addOrd(st.Seq, st.Tx, ord)
 		if res == poolDupSeq {
-			if r := n.pool.recs.Get(ord); r != nil && r.agreed && r.agreedSeq == st.Seq {
+			if r := n.pool.get(ord); r.agreed && r.agreedSeq == st.Seq {
 				// Consensus agreed on this transaction: it evicts the
 				// crafted squatter occupying its slot.
 				n.pool.replaceOrd(st.Seq, st.Tx, ord)
@@ -506,7 +506,7 @@ func (n *NormalNode) specReset() {
 func (n *NormalNode) feedVector(seq uint64, tx *types.Transaction, res OrgResult) {
 	vb := n.vectors[tx.ID()]
 	if vb != nil && vb.seq != seq {
-		if r := n.pool.known(tx.ID()); r != nil && r.agreed && r.agreedSeq == seq {
+		if r := n.pool.known(tx.ID()); r.agreed && r.agreedSeq == seq {
 			vb = nil // stale build for a superseded sequence
 		} else {
 			return // keep the existing build; commit re-routes if needed
@@ -625,7 +625,7 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 	for _, e := range m.Entries {
 		// A receiver never interns: a hash its table lacks was never committed.
 		if ord, ok := e.ord.Lookup(n.pool.hashes, 0, e.TxID); ok {
-			if r := n.pool.recs.Get(ord); r != nil && r.committed {
+			if n.pool.get(ord).committed {
 				continue
 			}
 		}
@@ -666,7 +666,7 @@ func (n *NormalNode) onBlock(m *BlockMsg) {
 	// (§4.1 vs Def 4.1).
 	recs := make([]*txRec, len(hashes))
 	for i, h := range hashes {
-		r, squatter := n.pool.agree(seqs[i], h)
+		r, squatter := n.pool.agree(seqs[i], m.ords.Intern(n.pool.hashes, i, h))
 		if squatter != nil {
 			atomic.AddUint64(&n.c.Collector.Conflicts, 1)
 		}
@@ -755,7 +755,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 				}
 			}
 		}
-		n.pool.commit(r)
+		n.pool.commit(r, pb.msg.ords.Intern(n.pool.hashes, i, pb.hashes[i]))
 		n.pool.clearNote(seq)
 		if tx != nil && n.speaksFor(tx) {
 			notices[tx.Client] = append(notices[tx.Client], substrate.CommitEntry{TxID: pb.hashes[i], Aborted: aborted})

@@ -14,9 +14,11 @@ import (
 type txPool struct {
 	// hashes gives every hash the cluster has seen an ordinal; recs is this
 	// node's record per ordinal. The zero record is a hash the node never
-	// heard of, whoever else interned it.
+	// heard of, whoever else interned it. done counts a page's committed
+	// records: once all are, the page is retired (commit).
 	hashes *dense.Table[types.TxID]
 	recs   dense.Pages[txRec]
+	done   []uint8
 	// Sequence numbers run consecutively within a term and jump at a view
 	// change, but are unauthenticated (§4.1): slots live in pages keyed by
 	// seq>>pageBits, so memory follows the numbers in use whatever they are.
@@ -25,8 +27,9 @@ type txPool struct {
 	spare []*page
 }
 
-// txRec is what a node remembers about one transaction hash. Records are
-// never freed: a committed hash is barred for good.
+// txRec is what a node remembers about one transaction hash. A committed
+// hash is barred for good, and that is all its record keeps once every record
+// on its page is committed: the page gives way to retiredRecs.
 type txRec struct {
 	seq       uint64 // where the payload is pooled, while pooled
 	agreedSeq uint64 // where consensus ordered the hash, once agreed (normal nodes)
@@ -38,6 +41,18 @@ type txRec struct {
 }
 
 const pageBits, pageSize, pageMask = 6, 1 << 6, 1<<6 - 1
+
+// retiredRecs stands in for every record page whose records all committed,
+// in every pool: it is only read, so it is shared. The page it replaces is
+// never reused: a pointer still held into it (a pending block's, a node slot's
+// spec) keeps it alive and aliases no other hash.
+var retiredRecs = func() *[dense.PageSize]txRec {
+	pg := new([dense.PageSize]txRec)
+	for i := range pg {
+		pg[i].committed = true
+	}
+	return pg
+}()
 
 // slot is what every node keeps per sequence number: the payload and its
 // record.
@@ -80,10 +95,6 @@ type page struct {
 	cons             *[pageSize]consSlot // consensus nodes only, likewise
 }
 
-// newTxPool returns a pool over a hash table of its own; a cluster's nodes
-// share the cluster's (newTxPoolOn).
-func newTxPool() *txPool { return newTxPoolOn(dense.NewTable[types.TxID]()) }
-
 func newTxPoolOn(hashes *dense.Table[types.TxID]) *txPool {
 	return &txPool{hashes: hashes, pages: make(map[uint64]*page)}
 }
@@ -119,15 +130,31 @@ func (p *txPool) release(pg *page) {
 	}
 }
 
-// rec returns id's record for the caller to mark.
-func (p *txPool) rec(id types.TxID) *txRec { return p.recs.At(p.hashes.Intern(id)) }
-
-// known returns id's record to read; nil is as good as the zero record.
-func (p *txPool) known(id types.TxID) *txRec {
-	if ord, ok := p.hashes.Lookup(id); ok {
-		return p.recs.Get(ord)
+// rec returns ord's record for the caller to mark, giving a retired page back
+// a private copy first: the one way to write a record.
+func (p *txPool) rec(ord uint32) *txRec {
+	if i := ord / dense.PageSize; int(i) < len(p.recs) && p.recs[i] == retiredRecs {
+		pg := *retiredRecs
+		p.recs[i] = &pg
 	}
-	return nil
+	return p.recs.At(ord)
+}
+
+// get returns a copy of ord's record, the zero record if the node never heard
+// of it.
+func (p *txPool) get(ord uint32) txRec {
+	if r := p.recs.Get(ord); r != nil {
+		return *r
+	}
+	return txRec{}
+}
+
+// known returns a copy of id's record.
+func (p *txPool) known(id types.TxID) txRec {
+	if ord, ok := p.hashes.Lookup(id); ok {
+		return p.get(ord)
+	}
+	return txRec{}
 }
 
 // slotAt returns the slot holding a payload at seq, or nil. The pointer is
@@ -167,24 +194,19 @@ const (
 	poolDupHash
 )
 
-// add attempts to insert tx at seq.
-func (p *txPool) add(seq uint64, tx *types.Transaction) addResult {
-	return p.addOrd(seq, tx, p.hashes.Intern(tx.ID()))
-}
-
-// addOrd is add for a caller that holds the ordinal of tx's hash.
+// addOrd attempts to insert tx, whose hash has ordinal ord, at seq.
 func (p *txPool) addOrd(seq uint64, tx *types.Transaction, ord uint32) addResult {
-	if s := p.slotAt(seq); s != nil {
-		if r := p.recs.Get(ord); r == s.rec || (r != nil && r.committed) {
+	r := p.get(ord)
+	if p.slotAt(seq) != nil {
+		if r.committed || (r.pooled && r.seq == seq) {
 			return poolDupHash
 		}
 		return poolDupSeq
 	}
-	r := p.recs.At(ord)
 	if r.committed || r.pooled {
 		return poolDupHash
 	}
-	p.put(seq, tx, r)
+	p.put(seq, tx, p.rec(ord))
 	return poolAdded
 }
 
@@ -198,7 +220,7 @@ func (p *txPool) at(seq uint64) (*types.Transaction, bool) {
 
 // payload returns r's transaction while it is pooled, else nil.
 func (p *txPool) payload(r *txRec) *types.Transaction {
-	if r == nil || !r.pooled {
+	if !r.pooled {
 		return nil
 	}
 	return p.slotAt(r.seq).tx
@@ -206,57 +228,52 @@ func (p *txPool) payload(r *txRec) *types.Transaction {
 
 // byID returns the transaction with the given hash, if pooled.
 func (p *txPool) byID(id types.TxID) (*types.Transaction, bool) {
-	tx := p.payload(p.known(id))
+	r := p.known(id)
+	tx := p.payload(&r)
 	return tx, tx != nil
 }
 
-// seqOf returns the pooled sequence number of a hash.
-func (p *txPool) seqOf(id types.TxID) (uint64, bool) {
-	if r := p.known(id); r != nil && r.pooled {
-		return r.seq, true
+// commit removes r, ord's record, from the pool and bars its hash from
+// re-entry. The commit that completes a page retires it.
+func (p *txPool) commit(r *txRec, ord uint32) {
+	if r.committed {
+		return
 	}
-	return 0, false
-}
-
-// markCommitted removes a transaction and bars its hash from re-entry.
-func (p *txPool) markCommitted(id types.TxID) { p.commit(p.rec(id)) }
-
-func (p *txPool) commit(r *txRec) {
 	r.committed = true
 	if r.pooled {
 		p.unpool(r)
 	}
+	i := ord / dense.PageSize
+	p.done = append(p.done, make([]uint8, len(p.recs)-len(p.done))...)
+	if p.done[i]++; p.done[i] == dense.PageSize {
+		p.recs[i] = retiredRecs
+	}
 }
 
-// replace forcibly installs tx at seq, evicting any different occupant —
-// the authoritative path for batches arriving from the leader's own
-// co-located sequencer, which a racing broadcaster must never displace.
-func (p *txPool) replace(seq uint64, tx *types.Transaction) {
-	p.replaceOrd(seq, tx, p.hashes.Intern(tx.ID()))
-}
-
-// replaceOrd is replace for a caller that holds the ordinal of tx's hash.
+// replaceOrd forcibly installs tx, whose hash has ordinal ord, at seq,
+// evicting any different occupant — the authoritative path for batches
+// arriving from the leader's own co-located sequencer, which a racing
+// broadcaster must never displace.
 func (p *txPool) replaceOrd(seq uint64, tx *types.Transaction, ord uint32) {
-	r, s := p.recs.At(ord), p.slotAt(seq)
-	if r.committed || (s != nil && s.rec == r) {
+	if r := p.get(ord); r.committed || (r.pooled && r.seq == seq) {
 		return
 	}
-	if s != nil {
+	if s := p.slotAt(seq); s != nil {
 		p.unpool(s.rec)
 	}
+	r := p.rec(ord)
 	if r.pooled {
 		p.unpool(r)
 	}
 	p.put(seq, tx, r)
 }
 
-// agree marks h as ordered by consensus at seq and returns its record (found
-// through the slot when the payload is there) and seq's squatter, if any.
-func (p *txPool) agree(seq uint64, h types.TxID) (r *txRec, squatter *slot) {
-	if s := p.slotAt(seq); s != nil && s.tx.ID() == h {
-		r = s.rec
-	} else {
-		r, squatter = p.rec(h), s
+// agree marks ord's hash as ordered by consensus at seq and returns its
+// record and seq's squatter, if any.
+func (p *txPool) agree(seq uint64, ord uint32) (r *txRec, squatter *slot) {
+	r = p.rec(ord)
+	if s := p.slotAt(seq); s != nil && s.rec != r {
+		squatter = s
 	}
 	r.agreed = true
 	return r, squatter

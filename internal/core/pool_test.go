@@ -13,10 +13,33 @@ func poolTx(n uint64) *types.Transaction {
 	return &types.Transaction{Client: "c", Nonce: n, Contract: "x", Fn: "f"}
 }
 
-// isCommitted reports whether the hash already committed.
-func (p *txPool) isCommitted(id types.TxID) bool {
+// newTxPool returns a pool over a hash table of its own; a cluster's nodes
+// share the cluster's (newTxPoolOn).
+func newTxPool() *txPool { return newTxPoolOn(dense.NewTable[types.TxID]()) }
+
+// seqOf returns the pooled sequence number of a hash.
+func (p *txPool) seqOf(id types.TxID) (uint64, bool) {
 	r := p.known(id)
-	return r != nil && r.committed
+	return r.seq, r.pooled
+}
+
+// isCommitted reports whether the hash already committed.
+func (p *txPool) isCommitted(id types.TxID) bool { return p.known(id).committed }
+
+// add attempts to insert tx at seq.
+func (p *txPool) add(seq uint64, tx *types.Transaction) addResult {
+	return p.addOrd(seq, tx, p.hashes.Intern(tx.ID()))
+}
+
+// replace forcibly installs tx at seq, evicting any different occupant.
+func (p *txPool) replace(seq uint64, tx *types.Transaction) {
+	p.replaceOrd(seq, tx, p.hashes.Intern(tx.ID()))
+}
+
+// markCommitted removes a transaction and bars its hash from re-entry.
+func (p *txPool) markCommitted(id types.TxID) {
+	ord := p.hashes.Intern(id)
+	p.commit(p.rec(ord), ord)
 }
 
 func TestPoolFirstReceivedWins(t *testing.T) {
@@ -196,6 +219,72 @@ func TestPoolCommittedPagesBarReplays(t *testing.T) {
 	}
 	if p.add(base+uint64(stranger), txs[stranger]) != poolAdded {
 		t.Fatal("a hash this node never heard of was rejected")
+	}
+}
+
+// privateRecPages counts p's record pages other than retiredRecs.
+func privateRecPages(p *txPool) (n int) {
+	for _, pg := range p.recs {
+		if pg != nil && pg != retiredRecs {
+			n++
+		}
+	}
+	return n
+}
+
+// retiredPristine reports whether every record of the shared retired page
+// still reads committed and nothing else.
+func retiredPristine() bool {
+	for _, r := range retiredRecs {
+		if r != (txRec{committed: true}) {
+			return false
+		}
+	}
+	return true
+}
+
+// Ten pages of ordinals committed in a scrambled order leave at most one
+// private record page: the others gave way to the shared retired page. A page
+// holding an ordinal the node never heard of keeps its own, and marking a
+// retired record gives its page a private copy again, the shared one intact.
+func TestCommittedPagesRetire(t *testing.T) {
+	const pages = 10
+	p := newTxPool()
+	txs := make([]*types.Transaction, (pages+1)*dense.PageSize)
+	for i := range txs {
+		txs[i] = poolTx(uint64(i))
+		p.hashes.Intern(txs[i].ID())
+	}
+	for _, i := range rand.New(rand.NewSource(5)).Perm(pages * dense.PageSize) {
+		if p.add(uint64(i), txs[i]) != poolAdded {
+			t.Fatalf("transaction %d not pooled", i)
+		}
+		p.markCommitted(txs[i].ID())
+	}
+	if n := privateRecPages(p); n > 1 {
+		t.Fatalf("%d pages of committed ordinals left %d private record pages, want at most 1", pages, n)
+	}
+	for i := pages * dense.PageSize; i < len(txs)-1; i++ {
+		p.markCommitted(txs[i].ID())
+	}
+	if n := privateRecPages(p); n != 1 {
+		t.Fatalf("a page with an ordinal the node never heard of retired (%d private record pages)", n)
+	}
+	if p.known(txs[len(txs)-1].ID()) != (txRec{}) {
+		t.Fatal("an ordinal the node never heard of reads as a non-zero record")
+	}
+	r, squatter := p.agree(1<<20, 3)
+	if !r.committed || !r.agreed || squatter != nil || privateRecPages(p) != 2 {
+		t.Fatalf("agreeing on a retired record: committed %t, agreed %t, squatter %t, %d private pages",
+			r.committed, r.agreed, squatter != nil, privateRecPages(p))
+	}
+	if !retiredPristine() {
+		t.Fatal("a write reached the shared retired page")
+	}
+	for i := 0; i < pages*dense.PageSize; i++ {
+		if !p.isCommitted(txs[i].ID()) || p.add(uint64(i)+1<<30, txs[i]) != poolDupHash {
+			t.Fatalf("transaction %d is no longer barred", i)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func (a AttackSpec) attackFault() chaos.Fault {
 
 // FaultSchedule returns the run's full fault schedule: the faults array plus
 // the legacy attack spec lowered onto it (as a shard-0 entry). Invariant
-// harnesses use it to locate fault-window ends (chaos.ScheduleEnd).
+// harnesses use it to locate fault-window ends (the chaos tests' ScheduleEnd).
 func (s Scenario) FaultSchedule() []chaos.Fault {
 	out := append([]chaos.Fault(nil), s.Faults...)
 	if a := s.Attack.attackFault(); a.Kind != "" {

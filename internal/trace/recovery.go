@@ -7,7 +7,7 @@ import "time"
 // into fixed-width bins of virtual time. The resulting series is the
 // liveness evidence for fault-injection invariants: a fault shows up as a
 // dip, recovery as the first post-fault bucket back above a floor (see
-// chaos.RecoveryAfter). A nil tracer or non-positive width returns nil.
+// the chaos tests' RecoveryAfter). Nil for a nil tracer or a width <= 0.
 func (t *Tracer) CommitSeries(width time.Duration) []int {
 	if t == nil || width <= 0 {
 		return nil
