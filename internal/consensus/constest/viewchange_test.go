@@ -107,6 +107,20 @@ var schedules = []schedule{
 			c.Run(2 * time.Second)
 		},
 	},
+	{
+		// Fault-free, no view change: every replica answers, so sbft's and
+		// zyzzyva's collectors take the 3f+1 fast path. Proposals 400 µs
+		// apart overlap in flight, so every phase message's size and send
+		// order reach the delivery times and the byte total.
+		name: "fault-free",
+		opts: constest.Options{ViewTimeout: 20 * time.Millisecond},
+		run: func(c *constest.Cluster) {
+			for i := 0; i < 20; i++ {
+				c.ProposeAt(0, time.Millisecond+time.Duration(i)*400*time.Microsecond, constest.Val(fmt.Sprintf("ff%d", i)))
+			}
+			c.Run(time.Second)
+		},
+	},
 }
 
 func lossy(rate float64) *simnet.Topology {
