@@ -156,7 +156,12 @@ loc:
 # records read by value) and the leader's ordinal memo on BlockMsg, which the
 # commit counts by, cost +26 in core net of the pool's by-hash add, replace,
 # markCommitted, newTxPool and seqOf, moved to the tests that alone call them.
-LOC_CEILING := 18419
+# Lowered to the measured count (18419 -> 18359): one consensus.PhaseMsg, the
+# leader's proposal bookkeeping, the follower's Accept and DecideCert (which
+# now really checks the certificate) in consensus.Core replace the four BFT
+# protocols' copies (-60 in internal/consensus, pbft holding commits that come
+# before the proposal and raft's one ballot and tally included).
+LOC_CEILING := 18359
 DOC_CEILING := 1609
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -174,7 +179,8 @@ FUZZ_TARGETS := internal/types:FuzzTransaction internal/types:FuzzOrdering \
 	internal/scenario:FuzzParse internal/trace/anatomy:FuzzTraceJSONL \
 	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta \
 	internal/core:FuzzPersistVote internal/consensus:FuzzVotes internal/core:FuzzResultMemo \
-	internal/bench:FuzzBreakdownRows internal/ledger:FuzzRWSetDigest internal/core:FuzzTxPool
+	internal/bench:FuzzBreakdownRows internal/ledger:FuzzRWSetDigest internal/core:FuzzTxPool \
+	internal/consensus:FuzzPhaseStep
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t"; \

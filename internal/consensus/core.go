@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"time"
 
@@ -75,6 +76,31 @@ func (m *ViewMsg) Size() int {
 		n += 8 + 32 + len(e.Data) + m.wire.Entry
 	}
 	return n
+}
+
+// PhaseMsg is the normal-case wire message of every BFT protocol: one step of
+// agreement on Seq in View, sent by Node. Kind and the fields it fills are the
+// protocol's: Data carries a proposal, Sig a vote or share (or hotstuff's
+// quorum certificate), Certs a certificate's signatures.
+type PhaseMsg struct {
+	Kind   int
+	View   uint64
+	Seq    uint64
+	Node   int
+	Digest crypto.Digest
+	Data   []byte
+	Sig    crypto.Signature
+	Certs  []types.NodeSig
+
+	wire int // Wire.Msg of the sending protocol
+	// verified memoises the check of Sig (keyed by signer) or of Certs: a
+	// broadcast is one object every receiver reads, final once sent.
+	verified crypto.Verdict
+}
+
+// Size implements Msg; a certificate signature is charged at 4+64 bytes.
+func (m *PhaseMsg) Size() int {
+	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Certs)*(4+64) + m.wire
 }
 
 func (m *ViewMsg) signingBytes() []byte {
@@ -160,9 +186,10 @@ func (v *Votes) Cert(view, seq uint64, d crypto.Digest, limit int) *types.Certif
 type Protocol[I Instance] struct {
 	// NewInstance allocates the state of a sequence first heard of.
 	NewInstance func() I
-	// ProposeAt runs the normal case for v at seq in the current view; the
-	// core calls it on the leader only.
-	ProposeAt func(seq uint64, v Value)
+	// ProposeAt runs the normal case for the proposal the core just filled
+	// into in at seq in the current view; the core calls it on the leader
+	// only.
+	ProposeAt func(seq uint64, in I)
 	// Rank says whether an instance goes into this replica's view-change
 	// message (0: it does not) and with what weight.
 	Rank func(in I) int
@@ -263,8 +290,97 @@ func (c *Core[I]) Propose(v Value) {
 		c.pending = append(c.pending, v)
 		return
 	}
-	c.p.ProposeAt(c.nextSeq, v)
+	c.proposeAt(c.nextSeq, v)
 	c.nextSeq++
+}
+
+// proposeAt fills the slot of seq with the leader's own proposal, announces
+// it to the host and runs the protocol's normal case for it.
+func (c *Core[I]) proposeAt(seq uint64, v Value) {
+	in := c.Inst(seq)
+	s := in.Base()
+	s.Digest, s.Data, s.Have = v.Digest, v.Data, true
+	c.Host.Proposed(seq, v)
+	c.p.ProposeAt(seq, in)
+	c.ArmTimer()
+}
+
+// Accept fills the slot of a follower with the leader's proposal m and tells
+// the host, if m is for the current view and from its leader; a second digest
+// for a sequence is equivocation, answered with a view change. When m is not
+// taken, ok is false and in the instance m named, if it got that far.
+func (c *Core[I]) Accept(from int, m *PhaseMsg) (in I, ok bool) {
+	if m.View != c.view || !c.inView || from != c.Leader() {
+		return in, false
+	}
+	in = c.Inst(m.Seq)
+	s := in.Base()
+	if s.Decided {
+		return in, false
+	}
+	if s.Have && s.Digest != m.Digest {
+		c.RequestViewChange()
+		return in, false
+	}
+	s.Digest, s.Data, s.Have = m.Digest, m.Data, true
+	c.Host.Proposed(m.Seq, Value{Digest: m.Digest, Data: m.Data})
+	return in, true
+}
+
+// SendPhase stamps m with this replica's view, index and wire overhead and
+// sends it to consensus node to.
+func (c *Core[I]) SendPhase(to int, m *PhaseMsg) { c.Host.Send(to, c.stamp(m)) }
+
+// BroadcastPhase stamps m as SendPhase does and sends it to every other
+// consensus node.
+func (c *Core[I]) BroadcastPhase(m *PhaseMsg) { c.Host.BroadcastCN(c.stamp(m)) }
+
+func (c *Core[I]) stamp(m *PhaseMsg) *PhaseMsg {
+	m.View, m.Node, m.wire = c.view, c.Cfg.Self, c.p.Wire.Msg
+	return m
+}
+
+// SignCert signs the certificate bytes of (seq, d) in the current view: the
+// vote 2f+1 of which make a types.Certificate.
+func (c *Core[I]) SignCert(seq uint64, d crypto.Digest) crypto.Signature {
+	return c.Host.Sign(types.CertSigningBytes(c.view, seq, d))
+}
+
+// SignedBy reports whether m.Sig is from's signature over m's certificate
+// bytes.
+func (c *Core[I]) SignedBy(from int, m *PhaseMsg) bool {
+	return m.verified.Check(uint32(from), func() bool {
+		return c.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig)
+	})
+}
+
+// DecideCert decides m.Seq on the certificate m carries: valid signatures of
+// a quorum of distinct members over m's view, sequence and digest, which must
+// be the digest proposed here, if any. The caller checks the sender and
+// charges the verification.
+func (c *Core[I]) DecideCert(m *PhaseMsg) {
+	in := c.Inst(m.Seq)
+	s := in.Base()
+	if s.Decided || (s.Have && s.Digest != m.Digest) || !c.certValid(m) {
+		return
+	}
+	if !s.Have {
+		s.Digest, s.Data, s.Have = m.Digest, m.Data, true
+	}
+	c.Decide(m.Seq, in, "decided", &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.Certs})
+}
+
+func (c *Core[I]) certValid(m *PhaseMsg) bool {
+	return m.verified.Check(math.MaxUint32, func() bool { // a key no signer has
+		signing := types.CertSigningBytes(m.View, m.Seq, m.Digest)
+		valid := NewVotes(c.Cfg.N)
+		for _, s := range m.Certs {
+			if s.Node >= 0 && s.Node < c.Cfg.N && !valid.Has(s.Node) && c.Host.VerifyNode(s.Node, signing, s.Sig) {
+				valid.Add(s.Node, nil)
+			}
+		}
+		return valid.Len() >= c.Cfg.Quorum()
+	})
 }
 
 // Decide marks in decided, delivers its value under cert, and keeps the
@@ -403,7 +519,7 @@ func (c *Core[I]) Install(view uint64, set map[int]*ViewMsg) {
 		}
 		delete(c.Instances, seq)
 		e := reprop[seq]
-		c.p.ProposeAt(seq, Value{Digest: e.Digest, Data: e.Data})
+		c.proposeAt(seq, Value{Digest: e.Digest, Data: e.Data})
 		if seq >= c.nextSeq {
 			c.nextSeq = seq + 1
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/consensus/pbft"
 	"github.com/bidl-framework/bidl/internal/consensus/sbft"
 	"github.com/bidl-framework/bidl/internal/consensus/zyzzyva"
+	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // TestViewMsgSize pins the wire sizes the network model charges: the common
@@ -32,6 +33,31 @@ func TestViewMsgSize(t *testing.T) {
 		{"hotstuff", consensus.Wire{Entry: 1}, common + 2},
 	} {
 		if got := m.WithWire(tc.wire).Size(); got != tc.want {
+			t.Errorf("%s: Size() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPhaseMsgSize pins the normal-case wire sizes the network model charges:
+// the common layout, a certificate signature at 4+64 bytes, plus pbft's 32 B
+// MAC per message. Hotstuff carries its 32 B QC in Sig, beside the decide's
+// certificate votes.
+func TestPhaseMsgSize(t *testing.T) {
+	const common = 1 + 8 + 8 + 4 + 32
+	for _, tc := range []struct {
+		name string
+		m    *consensus.PhaseMsg
+		wire consensus.Wire
+		want int
+	}{
+		{"pbft pre-prepare", &consensus.PhaseMsg{Data: make([]byte, 100)}, consensus.Wire{Msg: 32}, common + 100 + 32},
+		{"pbft commit", &consensus.PhaseMsg{Sig: make([]byte, 32)}, consensus.Wire{Msg: 32}, common + 32 + 32},
+		{"hotstuff vote", &consensus.PhaseMsg{Sig: make([]byte, 32)}, consensus.Wire{Entry: 1}, common + 32},
+		{"hotstuff decide", &consensus.PhaseMsg{Sig: make([]byte, 32), Certs: make([]types.NodeSig, 3)}, consensus.Wire{Entry: 1}, common + 32 + 3*68},
+		{"sbft commit proof", &consensus.PhaseMsg{Data: make([]byte, 50), Certs: make([]types.NodeSig, 4)}, consensus.Wire{}, common + 50 + 4*68},
+		{"zyzzyva spec response", &consensus.PhaseMsg{Sig: make([]byte, 32)}, consensus.Wire{}, common + 32},
+	} {
+		if got := tc.m.WithWire(tc.wire).Size(); got != tc.want {
 			t.Errorf("%s: Size() = %d, want %d", tc.name, got, tc.want)
 		}
 	}

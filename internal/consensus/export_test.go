@@ -14,3 +14,9 @@ func (m ViewMsg) WithWire(w Wire) *ViewMsg {
 	m.wire = w
 	return &m
 }
+
+// WithWire gives m the overhead w of a protocol that sends it.
+func (m *PhaseMsg) WithWire(w Wire) *PhaseMsg {
+	m.wire = w.Msg
+	return m
+}

@@ -26,28 +26,6 @@ const (
 	kindDecide            // leader → all: commitQC
 )
 
-// Msg is the wire type of the four normal-case rounds; the pacemaker's
-// messages travel as consensus.ViewMsg.
-type Msg struct {
-	Kind   int
-	View   uint64
-	Seq    uint64
-	Node   int
-	Digest crypto.Digest
-	Data   []byte
-	Sig    crypto.Signature
-	// QC carries the aggregate certificate on leader broadcasts.
-	QC crypto.Signature
-	// CertSigs carries the individual commit votes inside DECIDE so
-	// downstream consumers get a standard 2f+1 certificate.
-	CertSigs []types.NodeSig
-}
-
-// Size implements consensus.Msg.
-func (m *Msg) Size() int {
-	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.QC) + len(m.CertSigs)*(4+64)
-}
-
 type instance struct {
 	consensus.Slot
 	locked bool
@@ -100,17 +78,14 @@ func voteBytes(phase int, view, seq uint64, d crypto.Digest) []byte {
 	return append(buf, d[:]...)
 }
 
-func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.Inst(seq)
-	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
-	r.Host.Proposed(seq, v)
-	r.Host.BroadcastCN(&Msg{Kind: kindPrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
+func (r *Replica) proposeAt(seq uint64, in *instance) {
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindPrepare, Seq: seq, Digest: in.Digest, Data: in.Data})
 	// Leader votes for itself in the prepare phase.
 	r.ownVote(0, seq, in)
-	r.ArmTimer()
 }
 
-// Step implements consensus.Replica.
+// Step implements consensus.Replica. A QC travels in a message's Sig: no
+// message carries both a vote and a QC.
 func (r *Replica) Step(from int, m consensus.Msg) {
 	switch msg := m.(type) {
 	case *consensus.ViewMsg:
@@ -119,43 +94,31 @@ func (r *Replica) Step(from int, m consensus.Msg) {
 		} else {
 			r.onNewView(from, msg)
 		}
-	case *Msg:
+	case *consensus.PhaseMsg:
 		switch msg.Kind {
 		case kindPrepare:
-			r.onProposal(from, msg)
+			if in, ok := r.Accept(from, msg); ok {
+				r.vote(kindVotePrep, 0, msg.Seq, in)
+				r.ArmTimer()
+			}
 		case kindVotePrep, kindVotePre, kindVoteCommit:
 			r.onVote(from, msg)
 		case kindPreCommit, kindCommit:
 			r.onQC(from, msg)
 		case kindDecide:
-			r.onDecide(from, msg)
+			// The leader of the decide's view sent it.
+			if r.InView() && from == r.Cfg.Policy.Leader(msg.View) {
+				r.Host.Elapse(r.Cfg.SigVerify)
+				r.DecideCert(msg)
+			}
 		}
 	}
-}
-
-func (r *Replica) onProposal(from int, m *Msg) {
-	if m.View != r.View() || !r.InView() || from != r.Leader() {
-		return
-	}
-	in := r.Inst(m.Seq)
-	if in.Decided {
-		return
-	}
-	if in.Have && in.Digest != m.Digest {
-		// Equivocation: force a pacemaker round.
-		r.RequestViewChange()
-		return
-	}
-	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
-	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
-	r.vote(kindVotePrep, 0, m.Seq, in)
-	r.ArmTimer()
 }
 
 func (r *Replica) vote(kind, phaseIdx int, seq uint64, in *instance) {
 	r.Host.Elapse(r.Cfg.SigSign)
 	sig := r.Host.Sign(signBytes(phaseIdx, r.View(), seq, in.Digest))
-	r.Host.Send(r.Leader(), &Msg{Kind: kind, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Sig: sig})
+	r.SendPhase(r.Leader(), &consensus.PhaseMsg{Kind: kind, Seq: seq, Digest: in.Digest, Sig: sig})
 }
 
 // ownVote tallies the leader's own vote for a phase it just opened.
@@ -185,7 +148,7 @@ func phaseOfVote(kind int) int {
 	}
 }
 
-func (r *Replica) onVote(from int, m *Msg) {
+func (r *Replica) onVote(from int, m *consensus.PhaseMsg) {
 	if m.View != r.View() || !r.InView() || !r.IsLeader() {
 		return
 	}
@@ -213,23 +176,23 @@ func (r *Replica) onVote(from int, m *Msg) {
 	switch p {
 	case 0:
 		r.Host.ConsensusPhase("prepare-qc", r.View(), m.Seq)
-		r.Host.BroadcastCN(&Msg{Kind: kindPreCommit, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc})
+		r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindPreCommit, Seq: m.Seq, Digest: m.Digest, Sig: qc})
 		r.ownVote(1, m.Seq, in)
 	case 1:
 		r.Host.ConsensusPhase("precommit-qc", r.View(), m.Seq)
-		r.Host.BroadcastCN(&Msg{Kind: kindCommit, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc})
+		r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindCommit, Seq: m.Seq, Digest: m.Digest, Sig: qc})
 		in.locked = true
 		r.ownVote(2, m.Seq, in)
 	case 2:
 		// Commit votes sign types.CertSigningBytes, so 2f+1 of them are a
 		// standard certificate that verifies like every other protocol's.
 		cert := in.votes[2].Cert(r.View(), m.Seq, in.Digest, r.Cfg.Quorum())
-		r.Host.BroadcastCN(&Msg{Kind: kindDecide, View: r.View(), Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, QC: qc, CertSigs: cert.Sigs})
+		r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindDecide, Seq: m.Seq, Digest: m.Digest, Sig: qc, Certs: cert.Sigs})
 		r.Decide(m.Seq, in, "decided", cert)
 	}
 }
 
-func (r *Replica) onQC(from int, m *Msg) {
+func (r *Replica) onQC(from int, m *consensus.PhaseMsg) {
 	if m.View != r.View() || !r.InView() || from != r.Leader() {
 		return
 	}
@@ -249,24 +212,6 @@ func (r *Replica) onQC(from int, m *Msg) {
 		in.locked = true
 		r.vote(kindVoteCommit, 2, m.Seq, in)
 	}
-}
-
-func (r *Replica) onDecide(from int, m *Msg) {
-	if !r.InView() || from != r.Cfg.Policy.Leader(m.View) {
-		return
-	}
-	r.Host.Elapse(r.Cfg.SigVerify)
-	in := r.Inst(m.Seq)
-	if in.Decided {
-		return
-	}
-	if !in.Have {
-		in.Digest, in.Have = m.Digest, true
-	}
-	if in.Digest != m.Digest {
-		return
-	}
-	r.Decide(m.Seq, in, "decided", &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.CertSigs})
 }
 
 // --- pacemaker ----------------------------------------------------------

@@ -69,7 +69,7 @@ func TestEquivocationForcesPacemaker(t *testing.T) {
 			v = b
 		}
 		c.SendAs(time.Millisecond, 0, follower,
-			&Msg{Kind: kindPrepare, View: 0, Seq: 0, Node: 0, Digest: v.Digest, Data: v.Data})
+			&consensus.PhaseMsg{Kind: kindPrepare, View: 0, Seq: 0, Node: 0, Digest: v.Digest, Data: v.Data})
 	}
 	c.Run(2 * time.Second)
 	for i := 1; i < 4; i++ {

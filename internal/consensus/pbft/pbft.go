@@ -10,7 +10,6 @@ package pbft
 import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // Message kinds.
@@ -20,37 +19,22 @@ const (
 	kindCommit
 )
 
-// Msg is the wire type of the three normal-case phases; view changes travel
-// as consensus.ViewMsg.
-type Msg struct {
-	Kind   int
-	View   uint64
-	Seq    uint64
-	Node   int
-	Digest crypto.Digest
-	// Data carries the proposal payload on pre-prepares.
-	Data []byte
-	// Sig authenticates commit messages.
-	Sig crypto.Signature
-
-	// sigOK memoises the commit signature check per signer: a commit is one
-	// object broadcast to every replica, and its fields are final once sent.
-	sigOK crypto.Verdict
-}
-
 const macSize = 32
-
-// Size implements consensus.Msg.
-func (m *Msg) Size() int {
-	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + macSize
-}
 
 type instance struct {
 	consensus.Slot
 	prepares consensus.Votes // unsigned: MAC-authenticated
 	commits  consensus.Votes
+	// early holds the signed commits that came before the proposal, with
+	// their senders: the proposal's digest decides which of them count.
+	early    []earlyCommit
 	sentPrep bool
 	sentComm bool
+}
+
+type earlyCommit struct {
+	from int
+	m    *consensus.PhaseMsg
 }
 
 // Ranks of view-change entries. A prepared entry (2f+1 prepares, or decided)
@@ -89,24 +73,21 @@ func New(cfg consensus.Config, host consensus.Host) *Replica {
 	return r
 }
 
-// proposeAt broadcasts the pre-prepare for v at seq.
-func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.Inst(seq)
-	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
-	r.Host.Proposed(seq, v)
+// proposeAt broadcasts the pre-prepare for the proposal at seq.
+func (r *Replica) proposeAt(seq uint64, in *instance) {
 	r.Host.ConsensusPhase("pre-prepare", r.View(), seq)
 	r.Host.Elapse(r.Cfg.MACCompute) // authenticate the pre-prepare
-	r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindPrePrepare, Seq: seq, Digest: in.Digest, Data: in.Data})
+	r.countEarly(in)
 	// The leader's own prepare is implicit in the pre-prepare.
 	in.prepares.Add(r.Cfg.Self, nil)
 	in.sentPrep = true
 	r.maybePrepared(seq, in)
-	r.ArmTimer()
 }
 
 // Step implements consensus.Replica.
 func (r *Replica) Step(from int, m consensus.Msg) {
-	msg, ok := m.(*Msg)
+	msg, ok := m.(*consensus.PhaseMsg)
 	if !ok {
 		r.StepView(from, m)
 		return
@@ -125,37 +106,28 @@ func (r *Replica) Step(from int, m consensus.Msg) {
 // the current view.
 func (r *Replica) sendCommit(seq uint64, d crypto.Digest) crypto.Signature {
 	r.Host.Elapse(r.Cfg.SigSign)
-	sig := r.Host.Sign(types.CertSigningBytes(r.View(), seq, d))
-	r.Host.BroadcastCN(&Msg{Kind: kindCommit, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: d, Sig: sig})
+	sig := r.SignCert(seq, d)
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindCommit, Seq: seq, Digest: d, Sig: sig})
 	return sig
 }
 
 func (r *Replica) sendPrepare(seq uint64, d crypto.Digest) {
 	r.Host.Elapse(r.Cfg.MACCompute)
-	r.Host.BroadcastCN(&Msg{Kind: kindPrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: d})
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindPrepare, Seq: seq, Digest: d})
 }
 
-func (r *Replica) onPrePrepare(from int, m *Msg) {
+func (r *Replica) onPrePrepare(from int, m *consensus.PhaseMsg) {
 	r.Host.Elapse(r.Cfg.MACVerify)
-	if m.View != r.View() || !r.InView() || from != r.Leader() {
-		return
-	}
-	in := r.Inst(m.Seq)
-	if in.Decided {
-		if in.Digest == m.Digest {
+	in, ok := r.Accept(from, m)
+	if !ok {
+		if in != nil && in.Decided && in.Digest == m.Digest {
 			// Help peers that lost this decision across a view change:
 			// re-sign a commit in the current view.
 			r.sendCommit(m.Seq, m.Digest)
 		}
 		return
 	}
-	if in.Have && in.Digest != m.Digest {
-		// Equivocating leader: trigger a view change.
-		r.RequestViewChange()
-		return
-	}
-	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
-	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
+	r.countEarly(in)
 	// The leader's pre-prepare doubles as its prepare.
 	in.prepares.Add(from, nil)
 	if !in.sentPrep {
@@ -174,7 +146,7 @@ func (r *Replica) onPrePrepare(from int, m *Msg) {
 	r.ArmTimer()
 }
 
-func (r *Replica) onPrepare(from int, m *Msg) {
+func (r *Replica) onPrepare(from int, m *consensus.PhaseMsg) {
 	r.Host.Elapse(r.Cfg.MACVerify)
 	if m.View != r.View() || !r.InView() {
 		return
@@ -199,22 +171,29 @@ func (r *Replica) maybePrepared(seq uint64, in *instance) {
 	r.maybeDecide(seq, in)
 }
 
-func (r *Replica) onCommit(from int, m *Msg) {
+func (r *Replica) onCommit(from int, m *consensus.PhaseMsg) {
 	r.Host.Elapse(r.Cfg.SigVerify)
-	if m.View != r.View() || !r.InView() {
-		return
-	}
-	if !m.sigOK.Check(uint32(from), func() bool {
-		return r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig)
-	}) {
+	if m.View != r.View() || !r.InView() || !r.SignedBy(from, m) {
 		return
 	}
 	in := r.Inst(m.Seq)
-	if in.Have && in.Digest != m.Digest {
-		return
+	switch {
+	case !in.Have:
+		in.early = append(in.early, earlyCommit{from, m})
+	case in.Digest == m.Digest:
+		in.commits.Add(from, m.Sig)
+		r.maybeDecide(m.Seq, in)
 	}
-	in.commits.Add(from, m.Sig)
-	r.maybeDecide(m.Seq, in)
+}
+
+// countEarly tallies the early commits for the digest just proposed.
+func (r *Replica) countEarly(in *instance) {
+	for _, e := range in.early {
+		if e.m.Digest == in.Digest {
+			in.commits.Add(e.from, e.m.Sig)
+		}
+	}
+	in.early = nil
 }
 
 func (r *Replica) maybeDecide(seq uint64, in *instance) {
@@ -285,7 +264,7 @@ func (r *Replica) retransmitStalled() {
 			continue
 		}
 		r.Host.Elapse(r.Cfg.MACCompute)
-		r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data})
+		r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindPrePrepare, Seq: seq, Digest: in.Digest, Data: in.Data})
 		if sent++; sent >= maxResend {
 			break
 		}

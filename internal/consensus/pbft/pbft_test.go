@@ -37,7 +37,7 @@ func TestEquivocatingLeaderTriggersViewChange(t *testing.T) {
 			v = b
 		}
 		c.SendAs(time.Millisecond, 0, i,
-			&Msg{Kind: kindPrePrepare, View: 0, Seq: 0, Node: 0, Digest: v.Digest, Data: v.Data})
+			&consensus.PhaseMsg{Kind: kindPrePrepare, View: 0, Seq: 0, Node: 0, Digest: v.Digest, Data: v.Data})
 	}
 	c.Run(2 * time.Second)
 	for i := 1; i < 4; i++ {
@@ -56,9 +56,9 @@ func TestDirectEquivocationDetection(t *testing.T) {
 	a, b := constest.Val("A"), constest.Val("B")
 	for _, follower := range []int{1, 2} {
 		c.SendAs(time.Millisecond, 0, follower,
-			&Msg{Kind: kindPrePrepare, View: 0, Seq: 0, Node: 0, Digest: a.Digest, Data: a.Data})
+			&consensus.PhaseMsg{Kind: kindPrePrepare, View: 0, Seq: 0, Node: 0, Digest: a.Digest, Data: a.Data})
 		c.SendAs(2*time.Millisecond, 0, follower,
-			&Msg{Kind: kindPrePrepare, View: 0, Seq: 0, Node: 0, Digest: b.Digest, Data: b.Data})
+			&consensus.PhaseMsg{Kind: kindPrePrepare, View: 0, Seq: 0, Node: 0, Digest: b.Digest, Data: b.Data})
 	}
 	c.Run(500 * time.Millisecond)
 	for i := 1; i < 4; i++ {
@@ -112,13 +112,6 @@ func TestPreparedInstanceSurvivesViewChange(t *testing.T) {
 	}
 }
 
-func TestMessageSizes(t *testing.T) {
-	m := &Msg{Kind: kindPrePrepare, Data: make([]byte, 100), Sig: make([]byte, 32)}
-	if m.Size() <= 100 {
-		t.Fatal("size must include headers")
-	}
-}
-
 // countingScheme counts the real verifications a run performs.
 type countingScheme struct {
 	crypto.Scheme
@@ -145,13 +138,19 @@ func TestCommitVerdictSharedButExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	authentic := &Msg{Kind: kindCommit, View: 0, Seq: 0, Node: 0, Digest: d, Sig: sig}
-	junk := &Msg{Kind: kindCommit, View: 0, Seq: 0, Node: 0, Digest: d, Sig: crypto.Signature("junk")}
-	step := func(to, from int, m *Msg) {
+	authentic := &consensus.PhaseMsg{Kind: kindCommit, View: 0, Seq: 0, Node: 0, Digest: d, Sig: sig}
+	junk := &consensus.PhaseMsg{Kind: kindCommit, View: 0, Seq: 0, Node: 0, Digest: d, Sig: crypto.Signature("junk")}
+	step := func(to, from int, m *consensus.PhaseMsg) {
 		c.Nodes[to].WithCtx(func() { c.Nodes[to].Replica().Step(from, m) })
 	}
 	counted := func(at, from int) bool {
 		return c.Nodes[at].Replica().(*Replica).Inst(0).commits.Has(from)
+	}
+	// Commits count once the replica holds the proposal they are for.
+	for to := 1; to < 4; to++ {
+		for seq := uint64(0); seq < 2; seq++ {
+			step(to, 0, &consensus.PhaseMsg{Kind: kindPrePrepare, View: 0, Seq: seq, Node: 0, Digest: d})
+		}
 	}
 
 	step(1, 0, authentic)
@@ -174,7 +173,7 @@ func TestCommitVerdictSharedButExact(t *testing.T) {
 	}
 
 	counter.verifies = 0
-	shared := &Msg{Kind: kindCommit, View: 0, Seq: 1, Node: 0, Digest: d}
+	shared := &consensus.PhaseMsg{Kind: kindCommit, View: 0, Seq: 1, Node: 0, Digest: d}
 	shared.Sig, _ = counter.Sign(c.Identity(0), types.CertSigningBytes(0, 1, d))
 	for to := 1; to < 4; to++ {
 		step(to, 0, shared)

@@ -57,6 +57,9 @@ const (
 	leader
 )
 
+// noBallot is votedFor in a term this node has not voted in.
+const noBallot = -1
+
 // Replica is one Raft node.
 type Replica struct {
 	cfg  consensus.Config
@@ -64,8 +67,8 @@ type Replica struct {
 
 	role     role
 	term     uint64
-	votedFor map[uint64]int // term -> candidate
-	votes    map[uint64]map[int]bool
+	votedFor int             // this node's ballot in term, noBallot before it votes
+	votes    consensus.Votes // the votes this node collected in term as a candidate
 	leaderID int
 
 	log       map[uint64]*entry
@@ -83,8 +86,8 @@ func New(cfg consensus.Config, host consensus.Host) *Replica {
 	r := &Replica{
 		cfg:      cfg,
 		host:     host,
-		votedFor: make(map[uint64]int),
-		votes:    make(map[uint64]map[int]bool),
+		votedFor: noBallot,
+		votes:    consensus.NewVotes(cfg.N),
 		log:      make(map[uint64]*entry),
 		leaderID: cfg.Policy.Leader(0),
 	}
@@ -136,7 +139,7 @@ func (r *Replica) Step(from int, m consensus.Msg) {
 	}
 	r.host.Elapse(r.cfg.MACVerify)
 	if msg.Term > r.term {
-		r.term = msg.Term
+		r.enterTerm(msg.Term)
 		if r.role != follower {
 			r.role = follower
 		}
@@ -267,11 +270,17 @@ func (r *Replica) RequestViewChange() {
 	r.startElection()
 }
 
+// enterTerm moves to term t, in which this node has neither voted nor
+// collected a vote.
+func (r *Replica) enterTerm(t uint64) {
+	r.term, r.votedFor, r.votes = t, noBallot, consensus.NewVotes(r.cfg.N)
+}
+
 func (r *Replica) startElection() {
-	r.term++
+	r.enterTerm(r.term + 1)
 	r.role = candidate
-	r.votedFor[r.term] = r.cfg.Self
-	r.votes[r.term] = map[int]bool{r.cfg.Self: true}
+	r.votedFor = r.cfg.Self
+	r.votes.Add(r.cfg.Self, nil)
 	r.host.BroadcastCN(&Msg{Kind: kindVoteReq, Term: r.term, Node: r.cfg.Self, LastSeq: r.highestStored()})
 	// Randomized retry on split votes.
 	term := r.term
@@ -294,10 +303,10 @@ func (r *Replica) onVoteReq(from int, m *Msg) {
 	if m.LastSeq < r.highestStored() {
 		return
 	}
-	if voted, ok := r.votedFor[m.Term]; ok && voted != from {
+	if r.votedFor != noBallot && r.votedFor != from {
 		return
 	}
-	r.votedFor[m.Term] = from
+	r.votedFor = from
 	r.role = follower
 	r.host.Send(from, &Msg{Kind: kindVote, Term: m.Term, Node: r.cfg.Self})
 }
@@ -316,13 +325,8 @@ func (r *Replica) onVote(from int, m *Msg) {
 	if r.role != candidate || m.Term != r.term {
 		return
 	}
-	set := r.votes[m.Term]
-	if set == nil {
-		set = make(map[int]bool)
-		r.votes[m.Term] = set
-	}
-	set[from] = true
-	if len(set) < r.majority() {
+	r.votes.Add(from, nil)
+	if r.votes.Len() < r.majority() {
 		return
 	}
 	// Won: become leader, adopt the log, re-replicate uncommitted tail.

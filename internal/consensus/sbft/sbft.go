@@ -12,7 +12,6 @@ package sbft
 import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // Message kinds.
@@ -21,24 +20,6 @@ const (
 	kindShare              // replica → collectors
 	kindCommitProof        // collector → all
 )
-
-// Msg is the wire type of the normal case; view changes travel as
-// consensus.ViewMsg.
-type Msg struct {
-	Kind   int
-	View   uint64
-	Seq    uint64
-	Node   int
-	Digest crypto.Digest
-	Data   []byte
-	Sig    crypto.Signature
-	Certs  []types.NodeSig
-}
-
-// Size implements consensus.Msg.
-func (m *Msg) Size() int {
-	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Certs)*(4+64)
-}
 
 type instance struct {
 	consensus.Slot
@@ -88,73 +69,57 @@ func (r *Replica) isCollector(idx int) bool {
 	return false
 }
 
-func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.Inst(seq)
-	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
-	r.Host.Proposed(seq, v)
+func (r *Replica) proposeAt(seq uint64, in *instance) {
 	r.Host.Elapse(r.Cfg.MACCompute)
-	r.Host.BroadcastCN(&Msg{Kind: kindPrePrepare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindPrePrepare, Seq: seq, Digest: in.Digest, Data: in.Data})
 	r.sendShare(seq, in)
-	r.ArmTimer()
 }
 
 // sendShare signs a threshold share and routes it to every collector.
 func (r *Replica) sendShare(seq uint64, in *instance) {
 	r.Host.Elapse(r.Cfg.ThresholdSign)
-	sig := r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest))
+	sig := r.SignCert(seq, in.Digest)
 	for i := 0; i < r.collectors; i++ {
 		collector := (r.Leader() + i) % r.Cfg.N
 		if collector == r.Cfg.Self {
 			r.acceptShare(r.Cfg.Self, seq, in, sig)
 		} else {
-			r.Host.Send(collector, &Msg{Kind: kindShare, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Sig: sig})
+			r.SendPhase(collector, &consensus.PhaseMsg{Kind: kindShare, Seq: seq, Digest: in.Digest, Sig: sig})
 		}
 	}
 }
 
 // Step implements consensus.Replica.
 func (r *Replica) Step(from int, m consensus.Msg) {
-	msg, ok := m.(*Msg)
+	msg, ok := m.(*consensus.PhaseMsg)
 	if !ok {
 		r.StepView(from, m)
 		return
 	}
 	switch msg.Kind {
 	case kindPrePrepare:
-		r.onPrePrepare(from, msg)
+		r.Host.Elapse(r.Cfg.MACVerify)
+		if in, ok := r.Accept(from, msg); ok {
+			r.sendShare(msg.Seq, in)
+			r.ArmTimer()
+		}
 	case kindShare:
 		r.onShare(from, msg)
 	case kindCommitProof:
-		r.onCommitProof(from, msg)
+		// A single aggregate verification regardless of cluster size:
+		// SBFT's headline property.
+		r.Host.Elapse(r.Cfg.SigVerify)
+		r.DecideCert(msg)
 	}
 }
 
-func (r *Replica) onPrePrepare(from int, m *Msg) {
-	r.Host.Elapse(r.Cfg.MACVerify)
-	if m.View != r.View() || !r.InView() || from != r.Leader() {
-		return
-	}
-	in := r.Inst(m.Seq)
-	if in.Decided {
-		return
-	}
-	if in.Have && in.Digest != m.Digest {
-		r.RequestViewChange()
-		return
-	}
-	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
-	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
-	r.sendShare(m.Seq, in)
-	r.ArmTimer()
-}
-
-func (r *Replica) onShare(from int, m *Msg) {
+func (r *Replica) onShare(from int, m *consensus.PhaseMsg) {
 	if m.View != r.View() || !r.InView() || !r.isCollector(r.Cfg.Self) {
 		return
 	}
 	// Share verification is cheap relative to combination; charge a MAC.
 	r.Host.Elapse(r.Cfg.MACVerify)
-	if !r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
+	if !r.SignedBy(from, m) {
 		return
 	}
 	in := r.Inst(m.Seq)
@@ -188,23 +153,6 @@ func (r *Replica) emitProof(seq uint64, in *instance, limit int) {
 	r.Host.ConsensusPhase("proof", r.View(), seq)
 	r.Host.Elapse(r.Cfg.ThresholdCombine)
 	cert := in.shares.Cert(r.View(), seq, in.Digest, limit)
-	r.Host.BroadcastCN(&Msg{Kind: kindCommitProof, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindCommitProof, Seq: seq, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
 	r.Decide(seq, in, "decided", cert)
-}
-
-func (r *Replica) onCommitProof(from int, m *Msg) {
-	// A single aggregate verification regardless of cluster size: SBFT's
-	// headline property.
-	r.Host.Elapse(r.Cfg.SigVerify)
-	in := r.Inst(m.Seq)
-	if in.Decided {
-		return
-	}
-	if !in.Have {
-		in.Digest, in.Data, in.Have = m.Digest, m.Data, true
-	}
-	if in.Digest != m.Digest {
-		return
-	}
-	r.Decide(m.Seq, in, "decided", &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.Certs})
 }

@@ -13,7 +13,6 @@ package zyzzyva
 import (
 	"github.com/bidl-framework/bidl/internal/consensus"
 	"github.com/bidl-framework/bidl/internal/crypto"
-	"github.com/bidl-framework/bidl/internal/types"
 )
 
 // Message kinds.
@@ -25,24 +24,6 @@ const (
 	kindLocalCommit        // replica → collector
 	kindFullCommit         // collector → all
 )
-
-// Msg is the wire type of the normal case; view changes travel as
-// consensus.ViewMsg.
-type Msg struct {
-	Kind   int
-	View   uint64
-	Seq    uint64
-	Node   int
-	Digest crypto.Digest
-	Data   []byte
-	Sig    crypto.Signature
-	Certs  []types.NodeSig
-}
-
-// Size implements consensus.Msg.
-func (m *Msg) Size() int {
-	return 1 + 8 + 8 + 4 + 32 + len(m.Data) + len(m.Sig) + len(m.Certs)*(4+64)
-}
 
 type instance struct {
 	consensus.Slot
@@ -76,41 +57,46 @@ func New(cfg consensus.Config, host consensus.Host) *Replica {
 // the non-leader node following the leader.
 func (r *Replica) Collector() int { return (r.Leader() + 1) % r.Cfg.N }
 
-func (r *Replica) proposeAt(seq uint64, v consensus.Value) {
-	in := r.Inst(seq)
-	in.Digest, in.Data, in.Have = v.Digest, v.Data, true
-	r.Host.Proposed(seq, v)
+func (r *Replica) proposeAt(seq uint64, in *instance) {
 	r.Host.Elapse(r.Cfg.MACCompute)
-	r.Host.BroadcastCN(&Msg{Kind: kindOrderReq, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: v.Digest, Data: v.Data})
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindOrderReq, Seq: seq, Digest: in.Digest, Data: in.Data})
 	// The leader's own speculative response.
 	r.sendSpec(seq, in)
-	r.ArmTimer()
 }
 
 func (r *Replica) sendSpec(seq uint64, in *instance) {
 	r.Host.Elapse(r.Cfg.SigSign)
-	sig := r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest))
+	sig := r.SignCert(seq, in.Digest)
 	if r.Collector() == r.Cfg.Self {
 		r.acceptSpec(r.Cfg.Self, seq, in, sig)
 		return
 	}
-	r.Host.Send(r.Collector(), &Msg{Kind: kindSpecResp, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Sig: sig})
+	r.SendPhase(r.Collector(), &consensus.PhaseMsg{Kind: kindSpecResp, Seq: seq, Digest: in.Digest, Sig: sig})
 }
 
 // Step implements consensus.Replica.
 func (r *Replica) Step(from int, m consensus.Msg) {
-	msg, ok := m.(*Msg)
+	msg, ok := m.(*consensus.PhaseMsg)
 	if !ok {
 		r.StepView(from, m)
 		return
 	}
 	switch msg.Kind {
 	case kindOrderReq:
-		r.onOrderReq(from, msg)
+		r.Host.Elapse(r.Cfg.MACVerify)
+		if in, ok := r.Accept(from, msg); ok {
+			r.sendSpec(msg.Seq, in)
+			r.ArmTimer()
+		}
 	case kindSpecResp:
 		r.onSpecResp(from, msg)
 	case kindCommitFast, kindFullCommit:
-		r.onCommit(from, msg)
+		// The collector of the commit's view sent it; checking its
+		// certificate is charged as one aggregate verification.
+		if from == (r.Cfg.Policy.Leader(msg.View)+1)%r.Cfg.N {
+			r.Host.Elapse(r.Cfg.SigVerify)
+			r.DecideCert(msg)
+		}
 	case kindCommitCert:
 		r.onCommitCert(from, msg)
 	case kindLocalCommit:
@@ -118,31 +104,12 @@ func (r *Replica) Step(from int, m consensus.Msg) {
 	}
 }
 
-func (r *Replica) onOrderReq(from int, m *Msg) {
-	r.Host.Elapse(r.Cfg.MACVerify)
-	if m.View != r.View() || !r.InView() || from != r.Leader() {
-		return
-	}
-	in := r.Inst(m.Seq)
-	if in.Decided {
-		return
-	}
-	if in.Have && in.Digest != m.Digest {
-		r.RequestViewChange()
-		return
-	}
-	in.Digest, in.Data, in.Have = m.Digest, m.Data, true
-	r.Host.Proposed(m.Seq, consensus.Value{Digest: m.Digest, Data: m.Data})
-	r.sendSpec(m.Seq, in)
-	r.ArmTimer()
-}
-
-func (r *Replica) onSpecResp(from int, m *Msg) {
+func (r *Replica) onSpecResp(from int, m *consensus.PhaseMsg) {
 	if m.View != r.View() || !r.InView() || r.Collector() != r.Cfg.Self {
 		return
 	}
 	r.Host.Elapse(r.Cfg.SigVerify)
-	if !r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
+	if !r.SignedBy(from, m) {
 		return
 	}
 	in := r.Inst(m.Seq)
@@ -176,10 +143,10 @@ func (r *Replica) acceptSpec(from int, seq uint64, in *instance, sig crypto.Sign
 			in.sentCC = true
 			r.Host.ConsensusPhase("commit-cert", r.View(), seq)
 			cert := in.specs.Cert(r.View(), seq, in.Digest, r.Cfg.Quorum())
-			r.Host.BroadcastCN(&Msg{Kind: kindCommitCert, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Certs: cert.Sigs})
+			r.BroadcastPhase(&consensus.PhaseMsg{Kind: kindCommitCert, Seq: seq, Digest: in.Digest, Certs: cert.Sigs})
 			// The collector's own local commit.
 			r.Host.Elapse(r.Cfg.SigSign)
-			in.acks.Add(r.Cfg.Self, r.Host.Sign(types.CertSigningBytes(r.View(), seq, in.Digest)))
+			in.acks.Add(r.Cfg.Self, r.SignCert(seq, in.Digest))
 			r.maybeFullCommit(seq, in)
 		})
 	}
@@ -189,30 +156,11 @@ func (r *Replica) acceptSpec(from int, seq uint64, in *instance, sig crypto.Sign
 // decides locally.
 func (r *Replica) commit(kind int, seq uint64, in *instance, votes *consensus.Votes, limit int) {
 	cert := votes.Cert(r.View(), seq, in.Digest, limit)
-	r.Host.BroadcastCN(&Msg{Kind: kind, View: r.View(), Seq: seq, Node: r.Cfg.Self, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
+	r.BroadcastPhase(&consensus.PhaseMsg{Kind: kind, Seq: seq, Digest: in.Digest, Data: in.Data, Certs: cert.Sigs})
 	r.Decide(seq, in, "decided", cert)
 }
 
-func (r *Replica) onCommit(from int, m *Msg) {
-	if from != (r.Cfg.Policy.Leader(m.View)+1)%r.Cfg.N {
-		return
-	}
-	// Verify the assembled certificate (modeled as one aggregate check).
-	r.Host.Elapse(r.Cfg.SigVerify)
-	in := r.Inst(m.Seq)
-	if in.Decided {
-		return
-	}
-	if !in.Have {
-		in.Digest, in.Data, in.Have = m.Digest, m.Data, true
-	}
-	if in.Digest != m.Digest {
-		return
-	}
-	r.Decide(m.Seq, in, "decided", &types.Certificate{View: m.View, Number: m.Seq, Digest: m.Digest, Sigs: m.Certs})
-}
-
-func (r *Replica) onCommitCert(from int, m *Msg) {
+func (r *Replica) onCommitCert(from int, m *consensus.PhaseMsg) {
 	if m.View != r.View() || !r.InView() || from != r.Collector() {
 		return
 	}
@@ -229,20 +177,20 @@ func (r *Replica) onCommitCert(from int, m *Msg) {
 	}
 	// Acknowledge the commit certificate.
 	r.Host.Elapse(r.Cfg.SigSign)
-	sig := r.Host.Sign(types.CertSigningBytes(m.View, m.Seq, m.Digest))
-	r.Host.Send(r.Collector(), &Msg{Kind: kindLocalCommit, View: m.View, Seq: m.Seq, Node: r.Cfg.Self, Digest: m.Digest, Sig: sig})
+	r.SendPhase(r.Collector(), &consensus.PhaseMsg{Kind: kindLocalCommit, Seq: m.Seq, Digest: m.Digest, Sig: r.SignCert(m.Seq, m.Digest)})
 }
 
-func (r *Replica) onLocalCommit(from int, m *Msg) {
+func (r *Replica) onLocalCommit(from int, m *consensus.PhaseMsg) {
 	if m.View != r.View() || !r.InView() || r.Collector() != r.Cfg.Self {
 		return
 	}
 	r.Host.Elapse(r.Cfg.SigVerify)
-	if !r.Host.VerifyNode(from, types.CertSigningBytes(m.View, m.Seq, m.Digest), m.Sig) {
+	if !r.SignedBy(from, m) {
 		return
 	}
+	// A local commit answers the commit certificate this collector sent.
 	in := r.Inst(m.Seq)
-	if in.Digest != m.Digest {
+	if !in.Have || in.Digest != m.Digest {
 		return
 	}
 	in.acks.Add(from, m.Sig)
