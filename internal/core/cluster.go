@@ -40,6 +40,9 @@ type Cluster struct {
 	// sharing one network (sharded deployments) cannot hear each other's
 	// traffic. For a standalone cluster these equal the package constants.
 	groupTxns, groupBlocks, groupPersist string
+
+	// probe is the PersistProbe set when the cluster was built (tests only).
+	probe *PersistProbe
 }
 
 // NewCluster builds a standalone BIDL deployment on an engine of its own.
@@ -83,6 +86,7 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 		groupTxns:    label + groupTxns,
 		groupBlocks:  label + groupBlocks,
 		groupPersist: label + groupPersist,
+		probe:        probe,
 	}
 
 	// Consensus nodes + their co-located sequencers.

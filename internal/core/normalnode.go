@@ -636,6 +636,9 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 		if ps.vote(e, m.Node) >= n.c.Cfg.quorum() {
 			ps.result = e
 			progressed = true
+			if p := n.c.probe; p != nil && p.Adopted != nil {
+				p.Adopted(n.ep.ID(), e.Seq, n.ctx.Now(), m.Node)
+			}
 			if n.isDelegate() {
 				if vb, ok := n.vectors[e.TxID]; ok && vb.sent {
 					delete(n.vectors, e.TxID)
