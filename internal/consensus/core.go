@@ -111,7 +111,7 @@ func (m *ViewMsg) signingBytes() []byte {
 		buf = append(buf, 0)
 	}
 	buf = binary.BigEndian.AppendUint64(buf, m.View)
-	buf = append(buf, byte(m.Node))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Node))
 	buf = append(buf, m.Meta...)
 	for _, e := range m.Entries {
 		buf = append(buf, byte(e.Rank))

@@ -68,3 +68,15 @@ func FuzzVotes(f *testing.F) {
 		}
 	})
 }
+
+// TestViewSigningBytesCoverWholeNodeIndex: a committee of 256 or more signs
+// its members' indices whole, so node i and node i+256 never sign the same
+// view-change message.
+func TestViewSigningBytesCoverWholeNodeIndex(t *testing.T) {
+	a := ViewMsg{View: 3, Node: 1, Meta: []byte("m")}
+	b := a
+	b.Node = 257
+	if string(a.signingBytes()) == string(b.signingBytes()) {
+		t.Fatal("nodes 1 and 257 sign identical view-change bytes")
+	}
+}

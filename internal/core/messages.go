@@ -457,13 +457,12 @@ func (e *PersistEntry) warmContentKey() {
 	e.ck, e.ckOK = e.contentKey(), true
 }
 
-// persistSigningBytes covers the batch content: the node, then each entry's
-// sequence number and content key, which digests every other field (the
-// write set with Aborted included). 40 bytes an entry, in one exact-size
-// allocation.
+// persistSigningBytes covers the batch content: the node's index in 4 bytes,
+// then each entry's sequence number and content key, which digests every
+// other field (the write set with Aborted included). 40 bytes an entry, in
+// one exact-size allocation.
 func persistSigningBytes(node int, entries []*PersistEntry) []byte {
-	buf := make([]byte, 1, 1+40*len(entries))
-	buf[0] = byte(node)
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+40*len(entries)), uint32(node))
 	for _, e := range entries {
 		ck := e.contentKey()
 		buf = append(binary.BigEndian.AppendUint64(buf, e.Seq), ck[:]...)
@@ -543,8 +542,9 @@ type DenyUpdate struct {
 	Sig     crypto.Signature
 }
 
+// denySigningBytes covers the node's index in 4 bytes and each client.
 func denySigningBytes(node int, clients []crypto.Identity) []byte {
-	buf := []byte{byte(node)}
+	buf := binary.BigEndian.AppendUint32(nil, uint32(node))
 	for _, c := range clients {
 		buf = append(buf, c...)
 		buf = append(buf, 0)

@@ -336,7 +336,7 @@ func TestPersistFanoutVerifiesOnce(t *testing.T) {
 	if len(msg.signing) != cap(msg.signing) {
 		t.Fatalf("signing bytes: len %d, cap %d; the buffer must be sized exactly", len(msg.signing), cap(msg.signing))
 	}
-	if want := 1 + 40*len(msg.Entries); len(msg.signing) != want {
+	if want := 4 + 40*len(msg.Entries); len(msg.signing) != want {
 		t.Fatalf("signing bytes: %d for %d entries, want %d (node, then sequence number and content key per entry)",
 			len(msg.signing), len(msg.Entries), want)
 	}
@@ -760,5 +760,19 @@ func TestForgedOrgResultNeverEntersVector(t *testing.T) {
 		if r.Org == tx.Orgs[1] && r.Digest != genuine[0].Result.Digest {
 			t.Fatalf("the vector carries a partition of %s other than the genuine one", r.Org)
 		}
+	}
+}
+
+// TestSigningBytesCoverWholeNodeIndex: a committee of 256 or more signs its
+// members' indices whole, so node i and node i+256 never sign the same PERSIST
+// batch or denylist update.
+func TestSigningBytesCoverWholeNodeIndex(t *testing.T) {
+	entries := echoes(PersistEntry{Seq: 7, TxID: types.TxID{1}})
+	if slices.Equal(persistSigningBytes(1, entries), persistSigningBytes(257, entries)) {
+		t.Fatal("nodes 1 and 257 sign identical PERSIST bytes")
+	}
+	clients := []crypto.Identity{"client-0"}
+	if slices.Equal(denySigningBytes(1, clients), denySigningBytes(257, clients)) {
+		t.Fatal("nodes 1 and 257 sign identical denylist bytes")
 	}
 }
