@@ -74,17 +74,20 @@ func FuzzDecodeMeta(f *testing.F) {
 	})
 }
 
-// FuzzPersistVote drives one PERSIST tally with votes from node indices in
-// [0, 200), across the 128-bit mask into the spill map, for four kinds of
-// echo: the first object, a field-equal copy with its content key warmed or
-// not, and entries that differ. After every vote the count persistStatus.vote
-// returns, through its object-identity fast path or not, must equal that of a
-// plain map from content key to voters. Each draw is three bytes: the node
-// index (two, big-endian, mod 200) and the echo kind.
+// FuzzPersistVote drives one PERSIST tally of a 300-node committee with votes
+// from node indices in [0, 300), across the inline 128-bit mask into the
+// committee-sized one, for four kinds of echo: the first object, a
+// field-equal copy with its content key warmed or not, and entries that
+// differ. After every vote the count persistStatus.vote returns, through its
+// object-identity fast path or not, and whether the vote was new, must equal
+// those of a plain map from content key to voters. Each draw is three bytes:
+// the node index (two, big-endian, mod 300) and the echo kind.
 func FuzzPersistVote(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 130, 0, 0, 199, 3})
 	f.Add([]byte{0, 5, 3, 0, 5, 0, 0, 6, 0, 0, 150, 1, 0, 150, 0, 0, 140, 7})
 	f.Add([]byte{0, 127, 2, 0, 128, 1, 0, 128, 0, 0, 64, 3, 0, 64, 7})
+	f.Add([]byte{0, 129, 0, 0, 255, 1, 1, 0, 2, 1, 1, 0, 1, 1, 3, 0, 1, 0, 1, 43, 0, 1, 43, 0})
+	f.Add([]byte{1, 1, 3, 1, 0, 0, 0, 200, 7, 1, 0, 1, 1, 1, 2, 0, 1, 0, 0, 200, 3})
 	f.Fuzz(func(t *testing.T, draws []byte) {
 		entry := func(result byte, warm bool) *PersistEntry {
 			e := &PersistEntry{Seq: 1, TxID: types.TxID{1}, VecDigest: crypto.Digest{2}, Consistent: true,
@@ -98,7 +101,7 @@ func FuzzPersistVote(f *testing.F) {
 		var ps persistStatus
 		ref := make(map[crypto.Digest]map[int]bool)
 		for ; len(draws) >= 3; draws = draws[3:] {
-			node := int(binary.BigEndian.Uint16(draws)) % 200
+			node := int(binary.BigEndian.Uint16(draws)) % 300
 			var e *PersistEntry
 			switch kind := draws[2] % 4; kind {
 			case 0:
@@ -112,9 +115,11 @@ func FuzzPersistVote(f *testing.F) {
 			if ref[key] == nil {
 				ref[key] = make(map[int]bool)
 			}
+			fresh := !ref[key][node]
 			ref[key][node] = true
-			if got, want := ps.vote(e, node), len(ref[key]); got != want {
-				t.Fatalf("node %d voting for result %d: tally %d, reference %d", node, e.ResultDigest[0], got, want)
+			if got, isNew := ps.vote(e, node, 300); got != len(ref[key]) || isNew != fresh {
+				t.Fatalf("node %d voting for result %d: tally %d (new %v), reference %d (new %v)",
+					node, e.ResultDigest[0], got, isNew, len(ref[key]), fresh)
 			}
 		}
 	})

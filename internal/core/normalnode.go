@@ -48,24 +48,27 @@ func (vb *vectorBuild) index(org string) int {
 // persistStatus tracks PERSIST quorum formation for one sequence number, by
 // value in its slot; the zero value is the empty tally. Honest runs see one
 // echo per sequence, one shared object, so votes for the first-seen echo's
-// content key are a bitmask, one bit per consensus node, and a vote carrying
+// content key are a bitmap, one bit per consensus node, and a vote carrying
 // that very object is counted without digesting anything; only a diverging
 // key (byzantine sender) spills.
 type persistStatus struct {
 	first  *PersistEntry // the first echo voted for; key0 is its content key
 	key0   crypto.Digest
 	votes0 [2]uint64 // votes for key0 from consensus nodes 0..127
-	spill  map[crypto.Digest]map[int]bool
+	// hi holds key0's votes from nodes 128 on, sized from the committee on
+	// first use; spill the votes for every other content.
+	hi    []uint64
+	spill map[crypto.Digest]map[int]bool
 	// result is the echo that reached 2f+1 matching votes, nil until one
 	// does: the canonical result the node adopts (§4.4 retrievability).
 	result *PersistEntry
 }
 
-// vote records node's vote for e's content and returns how many distinct
-// nodes have voted for that content so far. Votes for the first-seen content
-// never allocate; other keys (and node indices outside the bitmask) land in
-// the spill map.
-func (ps *persistStatus) vote(e *PersistEntry, node int) int {
+// vote records node's vote for e's content in a committee of the given size
+// and returns how many distinct nodes have voted for that content so far,
+// and whether node's vote is new. Votes for the first-seen content allocate
+// nothing in a committee of 128 or fewer; other keys land in the spill map.
+func (ps *persistStatus) vote(e *PersistEntry, node, committee int) (n int, fresh bool) {
 	if ps.first == nil {
 		ps.first, ps.key0 = e, e.contentKey()
 	}
@@ -74,9 +77,7 @@ func (ps *persistStatus) vote(e *PersistEntry, node int) int {
 		key = e.contentKey()
 		same = key == ps.key0
 	}
-	if same && uint(node) < 64*uint(len(ps.votes0)) {
-		ps.votes0[node/64] |= 1 << (node % 64)
-	} else {
+	if !same {
 		if ps.spill == nil {
 			ps.spill = make(map[crypto.Digest]map[int]bool)
 		}
@@ -85,16 +86,25 @@ func (ps *persistStatus) vote(e *PersistEntry, node int) int {
 			set = make(map[int]bool)
 			ps.spill[key] = set
 		}
+		fresh = !set[node]
 		set[node] = true
+		return len(set), fresh
 	}
-	n := 0
-	if ps.spill != nil {
-		n = len(ps.spill[key])
+	words, w := ps.votes0[:], node/64
+	if w >= len(words) {
+		if ps.hi == nil {
+			ps.hi = make([]uint64, (committee+63)/64-len(ps.votes0))
+		}
+		words, w = ps.hi, w-len(ps.votes0)
 	}
-	if same {
-		n += bits.OnesCount64(ps.votes0[0]) + bits.OnesCount64(ps.votes0[1])
+	bit := uint64(1) << (node % 64)
+	fresh = words[w]&bit == 0
+	words[w] |= bit
+	n = bits.OnesCount64(ps.votes0[0]) + bits.OnesCount64(ps.votes0[1])
+	for _, v := range ps.hi {
+		n += bits.OnesCount64(v)
 	}
-	return n
+	return n, fresh
 }
 
 // pendingBlock is an agreed block a normal node is working through: msg's
@@ -633,7 +643,7 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 		if ps.result != nil {
 			continue
 		}
-		if ps.vote(e, m.Node) >= n.c.Cfg.quorum() {
+		if k, _ := ps.vote(e, m.Node, n.c.Cfg.NumConsensus); k >= n.c.Cfg.quorum() {
 			ps.result = e
 			progressed = true
 			if p := n.c.probe; p != nil && p.Adopted != nil {

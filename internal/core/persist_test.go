@@ -211,23 +211,24 @@ func TestPersistRejectsForgedCN(t *testing.T) {
 }
 
 // TestPersistVoteBitmask: at every cluster size — including consensus-node
-// indices past the first 64-bit word — vote counts equal a plain
-// set-per-key tally, duplicates count once, a copy of the first echo counts
-// with it by content, a diverging key is tallied apart, and the honest
-// single-echo path allocates nothing.
+// indices past the first 64-bit word and past the inline 128 bits — vote
+// counts equal a plain set-per-key tally, duplicates count once, a copy of
+// the first echo counts with it by content, only a diverging key spills, and
+// the honest single-echo path allocates nothing once its bitmap is sized.
 func TestPersistVoteBitmask(t *testing.T) {
 	echo := func(val string) *PersistEntry {
 		return &PersistEntry{Seq: 1, Consistent: true, Writes: []ledger.Write{{Key: "k", Val: []byte(val)}}}
 	}
 	shared, copied, other := echo("honest"), echo("honest"), echo("diverging")
-	for _, n := range []int{4, 64, 65, 97} {
+	for _, n := range []int{4, 64, 65, 97, 200, 257} {
 		ps := new(persistStatus)
 		ref := map[crypto.Digest]map[int]bool{shared.contentKey(): {}, other.contentKey(): {}}
 		vote := func(e *PersistEntry, node int) {
 			t.Helper()
 			k := e.contentKey()
 			ref[k][node] = true
-			if got, want := ps.vote(e, node), len(ref[k]); got != want {
+			if got, _ := ps.vote(e, node, n); got != len(ref[k]) {
+				want := len(ref[k])
 				t.Fatalf("n=%d: vote(%v, %d) = %d, want %d", n, k, node, got, want)
 			}
 		}
@@ -246,7 +247,7 @@ func TestPersistVoteBitmask(t *testing.T) {
 		honest := new(persistStatus)
 		allocs := testing.AllocsPerRun(10, func() {
 			for node := 0; node < n; node++ {
-				honest.vote(shared, node)
+				honest.vote(shared, node, n)
 			}
 		})
 		if allocs != 0 {
@@ -297,6 +298,9 @@ func TestPersistVoteAllocs(t *testing.T) {
 	}
 }
 
+// countOf is vote's count.
+func countOf(n int, _ bool) int { return n }
+
 // countingScheme counts the real verifications a run performs.
 type countingScheme struct {
 	crypto.Scheme
@@ -346,7 +350,7 @@ func TestPersistFanoutVerifiesOnce(t *testing.T) {
 	for _, org := range c.Orgs {
 		for _, nn := range org {
 			nnWithCtx(c, nn, func() { nn.onPersist(from, msg) })
-			if ps := persistAt(nn, 9001); ps == nil || ps.vote(msg.Entries[0], 0) != 1 {
+			if ps := persistAt(nn, 9001); ps == nil || countOf(ps.vote(msg.Entries[0], 0, len(c.ConsNodes))) != 1 {
 				t.Fatalf("org %d did not count the authentic vote", nn.org)
 			}
 		}
