@@ -41,8 +41,10 @@ type Cluster struct {
 	// traffic. For a standalone cluster these equal the package constants.
 	groupTxns, groupBlocks, groupPersist string
 
-	// probe is the PersistProbe set when the cluster was built (tests only).
-	probe *PersistProbe
+	// stream is the normal nodes' shared PERSIST tally; probe the
+	// PersistProbe set when the cluster was built (tests only).
+	stream *persistStream
+	probe  *PersistProbe
 }
 
 // NewCluster builds a standalone BIDL deployment on an engine of its own.
@@ -108,6 +110,10 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 
 		c.Net.Join(c.groupTxns, cn.Ep.ID())
 		c.Net.Join(c.groupBlocks, cn.Ep.ID())
+	}
+
+	if probe == nil || !probe.Private {
+		c.stream = newPersistStream(cfg.quorum(), cfg.NumConsensus, c.Hashes, probe)
 	}
 
 	// Organizations of normal nodes.

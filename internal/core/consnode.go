@@ -627,7 +627,7 @@ func (n *ConsNode) flushPersist() {
 	entries := n.persistOut
 	n.persistOut = make([]*PersistEntry, 0, cap(entries))
 	n.Ctx.Elapse(n.c.Cfg.Costs.MACCompute)
-	msg := &PersistMsg{Node: n.Idx, Entries: entries}
+	msg := &PersistMsg{Node: n.Idx, Entries: entries, stream: true}
 	msg.sign(n.Sign)
 	n.c.multicast(n.Ctx, n.c.groupPersist, msg)
 }

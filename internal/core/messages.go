@@ -385,6 +385,9 @@ type PersistMsg struct {
 	// and one real verification per message, however many nodes receive it.
 	signing []byte
 	sigOK   crypto.Verdict
+	// stream marks a multicast: only those make up the normal nodes' shared
+	// PERSIST stream.
+	stream bool
 }
 
 // sign serialises the batch once, signs it with the sending consensus node's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -54,14 +55,19 @@ func (vb *vectorBuild) index(org string) int {
 type persistStatus struct {
 	first  *PersistEntry // the first echo voted for; key0 is its content key
 	key0   crypto.Digest
-	votes0 [2]uint64 // votes for key0 from consensus nodes 0..127
-	// hi holds key0's votes from nodes 128 on, sized from the committee on
-	// first use; spill the votes for every other content.
-	hi    []uint64
-	spill map[crypto.Digest]map[int]bool
+	votes0 [2]uint64     // votes for key0 from consensus nodes 0..127
+	more   *persistVotes // the rest, nil until a vote needs it
 	// result is the echo that reached 2f+1 matching votes, nil until one
 	// does: the canonical result the node adopts (§4.4 retrievability).
 	result *PersistEntry
+}
+
+// persistVotes is what an honest committee of 128 or fewer never needs: hi
+// holds key0's votes from nodes 128 on, sized from the committee, spill the
+// votes for every other content.
+type persistVotes struct {
+	hi    []uint64
+	spill map[crypto.Digest]map[int]bool
 }
 
 // vote records node's vote for e's content in a committee of the given size
@@ -78,33 +84,111 @@ func (ps *persistStatus) vote(e *PersistEntry, node, committee int) (n int, fres
 		same = key == ps.key0
 	}
 	if !same {
-		if ps.spill == nil {
-			ps.spill = make(map[crypto.Digest]map[int]bool)
+		if ps.more == nil {
+			ps.more = new(persistVotes)
 		}
-		set := ps.spill[key]
+		if ps.more.spill == nil {
+			ps.more.spill = make(map[crypto.Digest]map[int]bool)
+		}
+		set := ps.more.spill[key]
 		if set == nil {
 			set = make(map[int]bool)
-			ps.spill[key] = set
+			ps.more.spill[key] = set
 		}
 		fresh = !set[node]
 		set[node] = true
 		return len(set), fresh
 	}
-	words, w := ps.votes0[:], node/64
-	if w >= len(words) {
-		if ps.hi == nil {
-			ps.hi = make([]uint64, (committee+63)/64-len(ps.votes0))
+	if node >= 64*len(ps.votes0) && (ps.more == nil || ps.more.hi == nil) {
+		if ps.more == nil {
+			ps.more = new(persistVotes)
 		}
-		words, w = ps.hi, w-len(ps.votes0)
+		ps.more.hi = make([]uint64, (committee+63)/64-len(ps.votes0))
 	}
+	words, w := ps.words(node)
 	bit := uint64(1) << (node % 64)
 	fresh = words[w]&bit == 0
 	words[w] |= bit
 	n = bits.OnesCount64(ps.votes0[0]) + bits.OnesCount64(ps.votes0[1])
-	for _, v := range ps.hi {
-		n += bits.OnesCount64(v)
+	if ps.more != nil {
+		for _, v := range ps.more.hi {
+			n += bits.OnesCount64(v)
+		}
 	}
 	return n, fresh
+}
+
+// words returns the bitmap holding node's vote for key0 and the word's index.
+func (ps *persistStatus) words(node int) ([]uint64, int) {
+	if w := node / 64; w < len(ps.votes0) {
+		return ps.votes0[:], w
+	}
+	return ps.more.hi, node/64 - len(ps.votes0)
+}
+
+// sameKey reports whether e's content is key0's.
+func (ps *persistStatus) sameKey(e *PersistEntry) bool {
+	return e == ps.first || e.contentKey() == ps.key0
+}
+
+// spill returns the votes for contents other than key0.
+func (ps *persistStatus) spill() map[crypto.Digest]map[int]bool {
+	if ps.more == nil {
+		return nil
+	}
+	return ps.more.spill
+}
+
+// has reports whether node voted for e's content.
+func (ps *persistStatus) has(e *PersistEntry, node int) bool {
+	if !ps.sameKey(e) {
+		return ps.spill()[e.contentKey()][node]
+	}
+	if node >= 64*len(ps.votes0) && (ps.more == nil || ps.more.hi == nil) {
+		return false
+	}
+	words, w := ps.words(node)
+	return words[w]&(1<<(node%64)) != 0
+}
+
+// unvote takes node's vote for e's content back out of the tally.
+func (ps *persistStatus) unvote(e *PersistEntry, node int) {
+	if !ps.has(e, node) {
+		return
+	}
+	if ps.sameKey(e) {
+		words, w := ps.words(node)
+		words[w] &^= 1 << (node % 64)
+		return
+	}
+	key, spill := e.contentKey(), ps.spill()
+	delete(spill[key], node)
+	if len(spill[key]) == 0 {
+		delete(spill, key)
+	}
+	if len(spill) == 0 && ps.more != nil {
+		ps.more.spill = nil
+	}
+}
+
+// only reports whether every vote in the tally is for an echo of hash.
+func (ps *persistStatus) only(hash types.TxID) bool {
+	return ps.spill() == nil && (ps.first == nil || ps.first.TxID == hash)
+}
+
+// clone returns a copy of the tally that shares nothing it can change.
+func (ps *persistStatus) clone() persistStatus {
+	c := *ps
+	if ps.more != nil {
+		c.more = &persistVotes{hi: slices.Clone(ps.more.hi)}
+		if ps.more.spill != nil {
+			c.more.spill = make(map[crypto.Digest]map[int]bool, len(ps.more.spill))
+			for k, set := range ps.more.spill {
+				c.more.spill[k] = maps.Clone(set)
+			}
+		}
+	}
+	return c
 }
 
 // pendingBlock is an agreed block a normal node is working through: msg's
@@ -168,6 +252,12 @@ type NormalNode struct {
 
 	deny      map[crypto.Identity]bool
 	denyVotes map[crypto.Identity]map[int]bool
+
+	// cursor is the node's place in the cluster's PERSIST stream, nil once it
+	// left (or with no stream); cleared marks the block positions whose
+	// tallies the commit in progress cleared.
+	cursor  *streamCursor
+	cleared []uint64
 }
 
 // Endpoint returns the node's simnet endpoint.
@@ -215,6 +305,9 @@ func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 	n.flushTimer = simnet.NewTimer(n.bound(n.flushResults))
 	n.persistRetry = simnet.NewTimer(n.bound(n.retryPersist))
 	n.onRefetch = n.bound(n.processBlocks)
+	if c.stream != nil {
+		n.cursor = c.stream.join()
+	}
 	return n
 }
 
@@ -615,7 +708,8 @@ func (n *NormalNode) flushResults() {
 }
 
 // onPersist counts PERSIST echoes; 2f+1 matching vectors mark the result
-// persisted (Algo 2 lines 15-18).
+// persisted (Algo 2 lines 15-18). A node on the cluster's PERSIST stream
+// adopts what the stream's tally recorded for the message instead.
 func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 	atomic.AddUint64(&n.c.Collector.PersistMsgs, 1)
 	cn, ok := n.c.Cons.Index(from)
@@ -632,35 +726,84 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 		return
 	}
 	progressed := false
-	for _, e := range m.Entries {
-		// A receiver never interns: a hash its table lacks was never committed.
-		if ord, ok := e.ord.Lookup(n.pool.hashes, 0, e.TxID); ok {
-			if n.pool.get(ord).committed {
-				continue
+	if n.cursor != nil {
+		var following bool
+		if progressed, following = n.c.stream.step(n, m); following {
+			if progressed {
+				n.processBlocks()
 			}
+			return
 		}
-		ps := &n.pool.note(e.Seq).persist
-		if ps.result != nil {
+		n.cursor = nil
+	}
+	if p := n.c.probe; p != nil {
+		p.visits.Add(uint64(len(m.Entries)))
+	}
+	for _, e := range m.Entries {
+		ps := n.tally(e)
+		if ps == nil {
 			continue
 		}
 		if k, _ := ps.vote(e, m.Node, n.c.Cfg.NumConsensus); k >= n.c.Cfg.quorum() {
-			ps.result = e
+			n.adopt(ps, e, m.Node)
 			progressed = true
-			if p := n.c.probe; p != nil && p.Adopted != nil {
-				p.Adopted(n.ep.ID(), e.Seq, n.ctx.Now(), m.Node)
-			}
-			if n.isDelegate() {
-				if vb, ok := n.vectors[e.TxID]; ok && vb.sent {
-					delete(n.vectors, e.TxID)
-					if tr := n.c.Tracer; tr != nil {
-						tr.TxStage(e.TxID, trace.StagePersisted, int(n.ep.ID()), n.ctx.Now())
-					}
-				}
-			}
 		}
 	}
 	if progressed {
 		n.processBlocks()
+	}
+}
+
+// tally returns the tally e's vote goes into, nil when e's hash committed or
+// its sequence number's result is already adopted.
+func (n *NormalNode) tally(e *PersistEntry) *persistStatus {
+	if n.committedHash(e) {
+		return nil
+	}
+	ps := &n.pool.note(e.Seq).persist
+	if ps.result != nil {
+		return nil
+	}
+	return ps
+}
+
+// committedHash reports whether e's hash committed at the node. A receiver
+// never interns: a hash its table lacks was never committed.
+func (n *NormalNode) committedHash(e *PersistEntry) bool {
+	ord, ok := e.ord.Lookup(n.pool.hashes, 0, e.TxID)
+	return ok && n.pool.get(ord).committed
+}
+
+// adopt makes e, whose quorum from's message completed, the result ps holds.
+func (n *NormalNode) adopt(ps *persistStatus, e *PersistEntry, from int) {
+	ps.result = e
+	if p := n.c.probe; p != nil && p.Adopted != nil {
+		p.Adopted(n.ep.ID(), e.Seq, n.ctx.Now(), from)
+	}
+	if n.isDelegate() {
+		if vb, ok := n.vectors[e.TxID]; ok && vb.sent {
+			delete(n.vectors, e.TxID)
+			if tr := n.c.Tracer; tr != nil {
+				tr.TxStage(e.TxID, trace.StagePersisted, int(n.ep.ID()), n.ctx.Now())
+			}
+		}
+	}
+}
+
+// install makes state, the stream's tallies where the node left it, the
+// node's own, but for sequence numbers skip names, tallies holding only votes
+// the node never counts (for a committed hash) and numbers it has a result for.
+func (n *NormalNode) install(state []seqTally, skip map[uint64]bool) {
+	for i := range state {
+		st := &state[i]
+		if st.ps.first == nil || skip[st.seq] ||
+			(st.ps.spill() == nil && n.committedHash(st.ps.first)) {
+			continue
+		}
+		if ns := n.pool.noted(st.seq); ns != nil && ns.persist.result != nil {
+			continue
+		}
+		n.pool.note(st.seq).persist = st.ps.clone()
 	}
 }
 
@@ -770,10 +913,20 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		}
 		n.pool.commit(r, pb.msg.ords.Intern(n.pool.hashes, i, pb.hashes[i]))
 		n.pool.clearNote(seq)
+		if n.cursor != nil {
+			for i/64 >= len(n.cleared) {
+				n.cleared = append(n.cleared, 0)
+			}
+			n.cleared[i/64] |= 1 << (i % 64)
+		}
 		if tx != nil && n.speaksFor(tx) {
 			notices[tx.Client] = append(notices[tx.Client], substrate.CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
 		}
 	}
+	if n.cursor != nil && !n.c.stream.committed(n, pb, n.cleared) {
+		n.cursor = nil
+	}
+	clear(n.cleared)
 	blk, digest := pb.msg.block(n.blocks.LastDigest())
 	if err := n.blocks.AppendHashed(blk, digest); err != nil {
 		n.c.Violation("block append: " + err.Error())

@@ -67,7 +67,7 @@ func nnWithCtx(c *Cluster, nn *NormalNode, fn func()) {
 
 // persistAt returns nn's PERSIST tally for seq, or nil if it holds none.
 func persistAt(nn *NormalNode, seq uint64) *persistStatus {
-	if ns := nn.pool.noted(seq); ns != nil && ns.persist.first != nil {
+	if ns := nn.pool.noted(seq); ns != nil && (ns.persist.first != nil || ns.persist.result != nil) {
 		return &ns.persist
 	}
 	return nil
@@ -240,8 +240,8 @@ func TestPersistVoteBitmask(t *testing.T) {
 				vote(other, node)
 			}
 		}
-		if len(ps.spill) != 1 || ps.spill[other.contentKey()] == nil {
-			t.Fatalf("n=%d: spill map holds %d keys, want only the diverging one", n, len(ps.spill))
+		if spill := ps.spill(); len(spill) != 1 || spill[other.contentKey()] == nil {
+			t.Fatalf("n=%d: spill map holds %d keys, want only the diverging one", n, len(spill))
 		}
 
 		honest := new(persistStatus)

@@ -347,7 +347,7 @@ func (p *txPool) dropSpecs() (dropped int) {
 			if ns := &pg.node[i]; ns.spec != nil {
 				ns.spec, ns.orgRes = nil, nil
 				dropped++
-				if ns.persist.first == nil {
+				if ns.persist.first == nil && ns.persist.result == nil {
 					pg.noted &^= 1 << i
 				}
 			}

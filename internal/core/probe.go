@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/simnet"
@@ -14,7 +15,16 @@ type PersistProbe struct {
 	// persisted result: the node, the sequence number, the virtual time and
 	// the consensus node whose PERSIST message completed the quorum.
 	Adopted func(node simnet.NodeID, seq uint64, at time.Duration, from int)
+	// Private keeps every normal node on its own tally: the cluster shares
+	// no PERSIST stream.
+	Private bool
+
+	visits atomic.Uint64
 }
+
+// Visits is the PERSIST entry visits so far: iterations of a vote loop,
+// the stream's or a node's own, plus echoes a following node adopted.
+func (p *PersistProbe) Visits() uint64 { return p.visits.Load() }
 
 var probe *PersistProbe
 
