@@ -261,7 +261,9 @@ SPECS := cmd/bidl/testdata
 # reference — and the full reports must be byte-identical; then the same pair
 # for FastFabric (the benchmark's `fabric` spec: 50 peers in three partitions
 # reading the memos on shared blocks and envelopes, DESIGN.md §7.1); then a
-# lossy pair, which must match because loss keeps one partition. The
+# lossy pair, which must match because loss keeps one partition; then
+# `steady`, whose normal nodes all stay on the shared PERSIST stream, so its
+# tally is filled and read from concurrent partitions. The
 # exhaustive per-experiment determinism gate is
 # TestPDESDeterminismAllExperiments (internal/bench), which `make race` runs
 # for the whole registry.
@@ -278,6 +280,10 @@ pdes-smoke: $(BIDL) $(BIDL_RACE)
 	$(BIDL) run -scenario $(SPECS)/run-loss.json > /tmp/bidl-pdes-loss-ser.txt
 	@cmp /tmp/bidl-pdes-loss-par.txt /tmp/bidl-pdes-loss-ser.txt \
 		&& echo "pdes-smoke: lossy output identical at -sim-workers 4 and 0"
+	$(BIDL_RACE) run -scenario benchmark/workloads/steady.json -sim-workers 4 > /tmp/bidl-pdes-steady-par.txt
+	$(BIDL) run -scenario benchmark/workloads/steady.json > /tmp/bidl-pdes-steady-ser.txt
+	@cmp /tmp/bidl-pdes-steady-par.txt /tmp/bidl-pdes-steady-ser.txt \
+		&& echo "pdes-smoke: steady parallel output byte-identical to serial"
 
 # End-to-end trace smoke: a short traced run must produce a valid,
 # Perfetto-loadable Chrome trace (parses, has spans and counter tracks) AND
