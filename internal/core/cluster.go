@@ -113,7 +113,7 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 	}
 
 	if probe == nil || !probe.Private {
-		c.stream = newPersistStream(cfg.quorum(), cfg.NumConsensus, c.Hashes, probe)
+		c.stream = newPersistStream(cfg.quorum(), cfg.NumConsensus, cfg.NumOrgs*cfg.PerOrg, c.Hashes, probe)
 	}
 
 	// Organizations of normal nodes.

@@ -83,10 +83,10 @@ func (ps *persistStatus) vote(e *PersistEntry, node, committee int) (n int, fres
 		key = e.contentKey()
 		same = key == ps.key0
 	}
+	if (!same || node >= 64*len(ps.votes0)) && ps.more == nil {
+		ps.more = new(persistVotes)
+	}
 	if !same {
-		if ps.more == nil {
-			ps.more = new(persistVotes)
-		}
 		if ps.more.spill == nil {
 			ps.more.spill = make(map[crypto.Digest]map[int]bool)
 		}
@@ -99,10 +99,7 @@ func (ps *persistStatus) vote(e *PersistEntry, node, committee int) (n int, fres
 		set[node] = true
 		return len(set), fresh
 	}
-	if node >= 64*len(ps.votes0) && (ps.more == nil || ps.more.hi == nil) {
-		if ps.more == nil {
-			ps.more = new(persistVotes)
-		}
+	if node >= 64*len(ps.votes0) && ps.more.hi == nil {
 		ps.more.hi = make([]uint64, (committee+63)/64-len(ps.votes0))
 	}
 	words, w := ps.words(node)
@@ -139,23 +136,8 @@ func (ps *persistStatus) spill() map[crypto.Digest]map[int]bool {
 	return ps.more.spill
 }
 
-// has reports whether node voted for e's content.
-func (ps *persistStatus) has(e *PersistEntry, node int) bool {
-	if !ps.sameKey(e) {
-		return ps.spill()[e.contentKey()][node]
-	}
-	if node >= 64*len(ps.votes0) && (ps.more == nil || ps.more.hi == nil) {
-		return false
-	}
-	words, w := ps.words(node)
-	return words[w]&(1<<(node%64)) != 0
-}
-
 // unvote takes node's vote for e's content back out of the tally.
 func (ps *persistStatus) unvote(e *PersistEntry, node int) {
-	if !ps.has(e, node) {
-		return
-	}
 	if ps.sameKey(e) {
 		words, w := ps.words(node)
 		words[w] &^= 1 << (node % 64)
@@ -180,12 +162,9 @@ func (ps *persistStatus) only(hash types.TxID) bool {
 func (ps *persistStatus) clone() persistStatus {
 	c := *ps
 	if ps.more != nil {
-		c.more = &persistVotes{hi: slices.Clone(ps.more.hi)}
-		if ps.more.spill != nil {
-			c.more.spill = make(map[crypto.Digest]map[int]bool, len(ps.more.spill))
-			for k, set := range ps.more.spill {
-				c.more.spill[k] = maps.Clone(set)
-			}
+		c.more = &persistVotes{hi: slices.Clone(ps.more.hi), spill: maps.Clone(ps.more.spill)}
+		for k, set := range c.more.spill {
+			c.more.spill[k] = maps.Clone(set)
 		}
 	}
 	return c
@@ -253,11 +232,13 @@ type NormalNode struct {
 	deny      map[crypto.Identity]bool
 	denyVotes map[crypto.Identity]map[int]bool
 
-	// cursor is the node's place in the cluster's PERSIST stream, nil once it
-	// left (or with no stream); cleared marks the block positions whose
-	// tallies the commit in progress cleared.
-	cursor  *streamCursor
-	cleared []uint64
+	// cur is the node's place in the cluster's PERSIST stream while onStream
+	// (never again once it left); cleared marks the block positions whose
+	// tallies the commit in progress cleared, in clearedBuf up to 512.
+	onStream   bool
+	cur        streamCursor
+	cleared    []uint64
+	clearedBuf [8]uint64
 }
 
 // Endpoint returns the node's simnet endpoint.
@@ -305,8 +286,10 @@ func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 	n.flushTimer = simnet.NewTimer(n.bound(n.flushResults))
 	n.persistRetry = simnet.NewTimer(n.bound(n.retryPersist))
 	n.onRefetch = n.bound(n.processBlocks)
+	n.cleared = n.clearedBuf[:0]
 	if c.stream != nil {
-		n.cursor = c.stream.join()
+		c.stream.join(&n.cur)
+		n.onStream = true
 	}
 	return n
 }
@@ -725,28 +708,22 @@ func (n *NormalNode) onPersist(from simnet.NodeID, m *PersistMsg) {
 		atomic.AddUint64(&n.c.Collector.PersistBadSigs, 1)
 		return
 	}
-	progressed := false
-	if n.cursor != nil {
-		var following bool
-		if progressed, following = n.c.stream.step(n, m); following {
-			if progressed {
-				n.processBlocks()
+	progressed, following := false, false
+	if n.onStream {
+		progressed, following = n.c.stream.step(n, m)
+		n.onStream = following
+	}
+	if !following {
+		if p := n.c.probe; p != nil {
+			p.visits.Add(uint64(len(m.Entries)))
+		}
+		for _, e := range m.Entries {
+			if ps := n.tally(e); ps != nil {
+				if k, _ := ps.vote(e, m.Node, n.c.Cfg.NumConsensus); k >= n.c.Cfg.quorum() {
+					n.adopt(ps, e, m.Node)
+					progressed = true
+				}
 			}
-			return
-		}
-		n.cursor = nil
-	}
-	if p := n.c.probe; p != nil {
-		p.visits.Add(uint64(len(m.Entries)))
-	}
-	for _, e := range m.Entries {
-		ps := n.tally(e)
-		if ps == nil {
-			continue
-		}
-		if k, _ := ps.vote(e, m.Node, n.c.Cfg.NumConsensus); k >= n.c.Cfg.quorum() {
-			n.adopt(ps, e, m.Node)
-			progressed = true
 		}
 	}
 	if progressed {
@@ -913,7 +890,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 		}
 		n.pool.commit(r, pb.msg.ords.Intern(n.pool.hashes, i, pb.hashes[i]))
 		n.pool.clearNote(seq)
-		if n.cursor != nil {
+		if n.onStream {
 			for i/64 >= len(n.cleared) {
 				n.cleared = append(n.cleared, 0)
 			}
@@ -923,8 +900,8 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 			notices[tx.Client] = append(notices[tx.Client], substrate.CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
 		}
 	}
-	if n.cursor != nil && !n.c.stream.committed(n, pb, n.cleared) {
-		n.cursor = nil
+	if n.onStream {
+		n.onStream = n.c.stream.committed(n, pb, n.cleared)
 	}
 	clear(n.cleared)
 	blk, digest := pb.msg.block(n.blocks.LastDigest())

@@ -19,7 +19,7 @@ func privateTallies(c *Cluster) {
 	c.stream = nil
 	for _, org := range c.Orgs {
 		for _, nn := range org {
-			nn.cursor = nil
+			nn.onStream = false
 		}
 	}
 }
@@ -28,7 +28,7 @@ func privateTallies(c *Cluster) {
 func streamFollowers(c *Cluster) (n int) {
 	for _, org := range c.Orgs {
 		for _, nn := range org {
-			if nn.cursor != nil {
+			if nn.onStream {
 				n++
 			}
 		}

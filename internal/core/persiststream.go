@@ -93,18 +93,16 @@ type seqTally struct {
 	ps  persistStatus
 }
 
-func newPersistStream(quorum, committee int, hashes *dense.Table[types.TxID], probe *PersistProbe) *persistStream {
+func newPersistStream(quorum, committee, nodes int, hashes *dense.Table[types.TxID], probe *PersistProbe) *persistStream {
 	return &persistStream{quorum: quorum, committee: committee, hashes: hashes, probe: probe,
-		tallies: make(map[uint64]*tallyPage)}
+		tallies: make(map[uint64]*tallyPage), followers: make([]*streamCursor, 0, nodes)}
 }
 
-// join adds a follower at the stream's start.
-func (s *persistStream) join() *streamCursor {
-	cur := &streamCursor{}
+// join adds cur as a follower at the stream's start.
+func (s *persistStream) join(cur *streamCursor) {
 	s.followers = append(s.followers, cur)
 	s.atPos++
 	s.atHeight++
-	return cur
 }
 
 // step processes m as node n's next multicast: n adopts the echoes that
@@ -114,27 +112,16 @@ func (s *persistStream) join() *streamCursor {
 func (s *persistStream) step(n *NormalNode, m *PersistMsg) (progressed, following bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := n.cursor
+	cur := &n.cur
 	if cur.evicted {
 		n.install(cur.state, nil)
 		return false, false
 	}
 	head := s.base + uint64(s.steps.len())
 	switch {
-	case !m.stream:
-		// A reply off the stream: the node stays on only if each entry is one
-		// its own tally would skip or already holds.
-		if s.probe != nil {
-			s.probe.visits.Add(uint64(len(m.Entries)))
-		}
-		if !s.repeats(n, cur.pos, m) {
-			s.leave(n, cur, nil)
-			return false, false
-		}
-		return false, true
-	case cur.pos == head:
+	case cur.pos == head && m.stream:
 		s.append(m)
-	case s.steps.at(int(cur.pos-s.base)).msg != m:
+	case !m.stream || s.steps.at(int(cur.pos-s.base)).msg != m:
 		s.leave(n, cur, nil)
 		return false, false
 	}
@@ -158,47 +145,6 @@ func (s *persistStream) step(n *NormalNode, m *PersistMsg) (progressed, followin
 		s.evictSlowest()
 	}
 	return progressed, true
-}
-
-// repeats reports whether every entry of m is one node n, at stream
-// position pos, would not count: its hash committed, its sequence number has
-// a result, or m's sender voted for its content before pos.
-func (s *persistStream) repeats(n *NormalNode, pos uint64, m *PersistMsg) bool {
-	for _, e := range m.Entries {
-		if ns := n.pool.noted(e.Seq); (ns != nil && ns.persist.result != nil) || n.committedHash(e) {
-			continue
-		}
-		if !s.votedBefore(pos, e, m.Node) {
-			return false
-		}
-	}
-	return true
-}
-
-// votedBefore reports whether node's vote for e's content was in the stream's
-// tally before step pos: it is there now and no step since added it.
-func (s *persistStream) votedBefore(pos uint64, e *PersistEntry, node int) bool {
-	pg, j := s.page(e.Seq, false)
-	if pg == nil || pg.live&(1<<j) == 0 || pg.born[j] >= pos || !pg.ps[j].has(e, node) {
-		return false
-	}
-	staleAt := s.staleBase
-	if i := int(pos - s.base); i > 0 {
-		staleAt = s.steps.at(i - 1).staleEnd
-	}
-	for i := int(pos - s.base); i < s.steps.len(); i++ {
-		st := s.steps.at(i)
-		for k, x := range st.msg.Entries {
-			if staleAt < st.staleEnd && int(*s.stale.at(int(staleAt - s.staleBase))) == k {
-				staleAt++
-				continue
-			}
-			if st.msg.Node == node && x.Seq == e.Seq && (x == e || x.contentKey() == e.contentKey()) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // append votes m's entries into the stream's tallies as the next step.
@@ -277,7 +223,7 @@ func (s *persistStream) rescanPos() {
 func (s *persistStream) committed(n *NormalNode, pb *pendingBlock, cleared []uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := n.cursor
+	cur := &n.cur
 	if cur.evicted {
 		n.install(cur.state, clearedSeqs(pb, cleared))
 		return false
