@@ -49,7 +49,7 @@ func (vb *vectorBuild) index(org string) int {
 // persistStatus tracks PERSIST quorum formation for one sequence number, by
 // value in its slot; the zero value is the empty tally. Honest runs see one
 // echo per sequence, one shared object, so votes for the first-seen echo's
-// content key are a bitmap, one bit per consensus node, and a vote carrying
+// content key are a bitmask, one bit per consensus node, and a vote carrying
 // that very object is counted without digesting anything; only a diverging
 // key (byzantine sender) spills.
 type persistStatus struct {

@@ -103,12 +103,15 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 	evict := adoptionRuns()[2]
 	evict.name = "crash/evict"
 	evict.cfg = func(c *Config) { c.BlockTimeout = DefaultConfig().BlockTimeout }
+	crash := evict.arm
+	evict.arm = func(c *Cluster) func() error {
+		if c.stream != nil {
+			c.stream.maxLag = 4
+		}
+		return crash(c)
+	}
 	runs = append(runs, evict)
 	for _, r := range runs {
-		if r.name == "crash/evict" {
-			defer func(lag uint64) { maxStreamLag = lag }(maxStreamLag)
-			maxStreamLag = 4
-		}
 		var followers int
 		shared, sharedOut := runAdoptions(t, r, nil)
 		followers = streamFollowers(shared)

@@ -24,6 +24,7 @@ import (
 type persistStream struct {
 	mu                sync.Mutex
 	quorum, committee int
+	maxLag            uint64 // maxStreamLag, smaller in tests
 	probe             *PersistProbe
 
 	// steps[i] is step base+i; crossed and stale hold every kept step's
@@ -51,9 +52,8 @@ type persistStream struct {
 }
 
 // maxStreamLag is how many steps the slowest follower may trail the stream
-// before it is made to leave (a node down for long receives nothing); a
-// variable only for the tests.
-var maxStreamLag uint64 = 1 << 15
+// before it is made to leave (a node down for long receives nothing).
+const maxStreamLag = 1 << 15
 
 // streamStep is one processed multicast and where its records end.
 type streamStep struct {
@@ -94,7 +94,7 @@ type seqTally struct {
 }
 
 func newPersistStream(quorum, committee, nodes int, hashes *dense.Table[types.TxID], probe *PersistProbe) *persistStream {
-	return &persistStream{quorum: quorum, committee: committee, hashes: hashes, probe: probe,
+	return &persistStream{quorum: quorum, committee: committee, maxLag: maxStreamLag, hashes: hashes, probe: probe,
 		tallies: make(map[uint64]*tallyPage), followers: make([]*streamCursor, 0, nodes)}
 }
 
@@ -141,7 +141,7 @@ func (s *persistStream) step(n *NormalNode, m *PersistMsg) (progressed, followin
 		s.probe.visits.Add(s.steps.at(i).crossEnd - from)
 	}
 	s.advance(cur)
-	if head := s.base + uint64(s.steps.len()); head-s.minPos > maxStreamLag {
+	if head := s.base + uint64(s.steps.len()); head-s.minPos > s.maxLag {
 		s.evictSlowest()
 	}
 	return progressed, true

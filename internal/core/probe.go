@@ -13,7 +13,9 @@ import (
 type PersistProbe struct {
 	// Adopted, when non-nil, is called whenever a normal node adopts a
 	// persisted result: the node, the sequence number, the virtual time and
-	// the consensus node whose PERSIST message completed the quorum.
+	// the consensus node whose PERSIST message completed the quorum. It may
+	// run with the cluster's PERSIST stream locked and must not call into the
+	// cluster.
 	Adopted func(node simnet.NodeID, seq uint64, at time.Duration, from int)
 	// Private keeps every normal node on its own tally: the cluster shares
 	// no PERSIST stream.
