@@ -767,21 +767,25 @@ func (n *NormalNode) adopt(ps *persistStatus, e *PersistEntry, from int) {
 	}
 }
 
-// install makes state, the stream's tallies where the node left it, the
-// node's own, but for sequence numbers skip names, tallies holding only votes
-// the node never counts (for a committed hash) and numbers it has a result for.
+// install makes the tallies of state, the stream's where the node left it,
+// that the node keeps its own.
 func (n *NormalNode) install(state []seqTally, skip map[uint64]bool) {
 	for i := range state {
-		st := &state[i]
-		if st.ps.first == nil || skip[st.seq] ||
-			(st.ps.spill() == nil && n.committedHash(st.ps.first)) {
-			continue
+		if st := &state[i]; n.keeps(st.seq, &st.ps, skip) {
+			n.pool.note(st.seq).persist = st.ps.clone()
 		}
-		if ns := n.pool.noted(st.seq); ns != nil && ns.persist.result != nil {
-			continue
-		}
-		n.pool.note(st.seq).persist = st.ps.clone()
 	}
+}
+
+// keeps reports whether the node takes ps as seq's tally when it leaves the
+// stream: not for sequence numbers in skip or with a result, nor a tally
+// holding only votes it never counts (for a hash it committed).
+func (n *NormalNode) keeps(seq uint64, ps *persistStatus, skip map[uint64]bool) bool {
+	if ps.first == nil || skip[seq] || (ps.spill() == nil && n.committedHash(ps.first)) {
+		return false
+	}
+	ns := n.pool.noted(seq)
+	return ns == nil || ns.persist.result == nil
 }
 
 // --- Phase 5: commit --------------------------------------------------------

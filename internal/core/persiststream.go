@@ -306,14 +306,14 @@ func (s *persistStream) rescanHeight() {
 // leave takes cur out of the stream and rebuilds n's private tallies as the
 // stream stood at cur's position, but for the sequence numbers in skip.
 func (s *persistStream) leave(n *NormalNode, cur *streamCursor, skip map[uint64]bool) {
-	n.install(s.stateAt(cur.pos), skip)
+	n.install(s.stateAt(cur.pos, func(seq uint64, ps *persistStatus) bool { return n.keeps(seq, ps, skip) }), skip)
 	s.remove(cur)
 }
 
 // evictSlowest makes the followers at the slowest position leave: each takes
 // the tallies as they stood there when it next reaches the stream.
 func (s *persistStream) evictSlowest() {
-	state := s.stateAt(s.minPos)
+	state := s.stateAt(s.minPos, nil)
 	for _, f := range s.followers {
 		if f.pos == s.minPos {
 			f.evicted, f.state = true, state
@@ -338,19 +338,19 @@ func (s *persistStream) remove(cur *streamCursor) {
 	s.rescanHeight()
 }
 
-// stateAt returns every tally as it stood before step pos: the kept ones less
-// the votes steps pos on added. A tally born at or after pos was empty then;
-// one born earlier has taken every vote its number got since pos (a dropped
-// tally's votes all precede its successor's birth).
-func (s *persistStream) stateAt(pos uint64) []seqTally {
+// stateAt returns the tallies keep (nil: all) takes now as they stood before
+// step pos: less the votes steps pos on added. A tally born at or after pos
+// was empty then; one born earlier has taken every vote its number got since
+// pos (a dropped tally's votes all precede its successor's birth).
+func (s *persistStream) stateAt(pos uint64, keep func(uint64, *persistStatus) bool) []seqTally {
 	var out []seqTally
 	at := make(map[uint64]int)
 	for _, pg := range s.tallies {
 		for m := pg.live; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
-			if pg.born[j] < pos {
-				at[pg.key<<pageBits|uint64(j)] = len(out)
-				out = append(out, seqTally{seq: pg.key<<pageBits | uint64(j), ps: pg.ps[j].clone()})
+			if seq := pg.key<<pageBits | uint64(j); pg.born[j] < pos && (keep == nil || keep(seq, &pg.ps[j])) {
+				at[seq] = len(out)
+				out = append(out, seqTally{seq: seq, ps: pg.ps[j].clone()})
 			}
 		}
 	}
