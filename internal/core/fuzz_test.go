@@ -80,7 +80,8 @@ func FuzzDecodeMeta(f *testing.F) {
 // field-equal copy with its content key warmed or not, and entries that
 // differ. After every vote the count persistStatus.vote returns, through its
 // object-identity fast path or not, and whether the vote was new, must equal
-// those of a plain map from content key to voters. Each draw is three bytes:
+// those of a plain map from content key to voters; a clone's unvote takes
+// each vote back out without touching the original. Each draw is three bytes:
 // the node index (two, big-endian, mod 300) and the echo kind.
 func FuzzPersistVote(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 130, 0, 0, 199, 3})
@@ -100,6 +101,7 @@ func FuzzPersistVote(f *testing.F) {
 		first := entry(0, false)
 		var ps persistStatus
 		ref := make(map[crypto.Digest]map[int]bool)
+		byKey := make(map[crypto.Digest]*PersistEntry)
 		for ; len(draws) >= 3; draws = draws[3:] {
 			node := int(binary.BigEndian.Uint16(draws)) % 300
 			var e *PersistEntry
@@ -120,6 +122,26 @@ func FuzzPersistVote(f *testing.F) {
 			if got, isNew := ps.vote(e, node, 300); got != len(ref[key]) || isNew != fresh {
 				t.Fatalf("node %d voting for result %d: tally %d (new %v), reference %d (new %v)",
 					node, e.ResultDigest[0], got, isNew, len(ref[key]), fresh)
+			}
+			byKey[key] = e
+		}
+		// A clone takes every vote back out, by any echo of the content, and
+		// is empty after; the original keeps its counts.
+		c := ps.clone()
+		for key, voters := range ref {
+			for node := range voters {
+				c.unvote(entry(byKey[key].ResultDigest[0], false), node)
+			}
+		}
+		for key, voters := range ref {
+			for node := range voters {
+				if got, isNew := c.vote(byKey[key], node, 300); got != 1 || !isNew {
+					t.Fatalf("after unvoting everything, node %d's vote for result %d counts %d (new %v)", node, byKey[key].ResultDigest[0], got, isNew)
+				}
+				c.unvote(byKey[key], node)
+				if got, isNew := ps.vote(byKey[key], node, 300); got != len(voters) || isNew {
+					t.Fatalf("the clone's unvotes reached the original: node %d, result %d: %d of %d (new %v)", node, byKey[key].ResultDigest[0], got, len(voters), isNew)
+				}
 			}
 		}
 	})

@@ -90,16 +90,16 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 	runs := append(adoptionRuns(), byzantine("foreign", 3), byzantine("collusion", 1, 2, 3),
 		adoptionRun{name: "no-multicast", cfg: func(c *Config) { c.DisableMulticast = true }, arm: none})
 	// With adoptionRuns' 5 ms block timeout the persist watchdog refetches
-	// rounds that are merely slow, and every reply that adds a vote takes its
-	// node off the stream; the default timeout keeps fault-free nodes on it.
+	// rounds that are merely slow, and every reply takes its node off the
+	// stream; the default timeout keeps fault-free nodes on it.
 	for _, r := range runs[:len(runs):len(runs)] {
 		cfg := r.cfg
 		r.name += "/10ms"
 		r.cfg = func(c *Config) { cfg(c); c.BlockTimeout = DefaultConfig().BlockTimeout }
 		runs = append(runs, r)
 	}
-	// A lag bound this small makes the slowest followers leave all the time:
-	// the crash's victim, and any node that falls behind.
+	// A lag bound this small makes the stream evict the slowest followers: the
+	// crash's victim, and any node that falls behind.
 	evict := adoptionRuns()[2]
 	evict.name = "crash/evict"
 	evict.cfg = func(c *Config) { c.BlockTimeout = DefaultConfig().BlockTimeout }
@@ -112,9 +112,8 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 	}
 	runs = append(runs, evict)
 	for _, r := range runs {
-		var followers int
 		shared, sharedOut := runAdoptions(t, r, nil)
-		followers = streamFollowers(shared)
+		followers := streamFollowers(shared)
 		private, privateOut := runAdoptions(t, r, privateTallies)
 		if !bytes.Equal(sharedOut, privateOut) {
 			got, want := strings.Split(string(sharedOut), "\n"), strings.Split(string(privateOut), "\n")
@@ -131,6 +130,9 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 		t.Logf("%s: %d adoptions, %d of %d nodes still on the stream", r.name, bytes.Count(sharedOut, []byte("\n")), followers, len(shared.Orgs)*len(shared.Orgs[0]))
 		if r.name == "fault-free/10ms" && followers != len(shared.Orgs)*len(shared.Orgs[0]) {
 			t.Fatalf("%s: only %d normal nodes still follow the stream", r.name, followers)
+		}
+		if r.name == "crash/evict" && !shared.Orgs[1][1].cur.evicted {
+			t.Fatalf("%s: the crash's victim was never evicted", r.name)
 		}
 	}
 }
