@@ -17,10 +17,10 @@ import (
 // result filters. It leaves for good at the first message off the stream (a
 // PersistFetchReq reply, a copy lost or dropped by a crash, another arrival
 // order) or when a sequence number it commits has votes for another content
-// or hash, and goes on from a private tally rebuilt as the stream stood at its
-// position. Steps are kept from the slowest follower on, each with the entries
-// whose vote was not new, so the rebuild is exact; the lock makes the stream
-// safe for followers in concurrent PDES partitions.
+// or hash, or trails too far, and goes on from a private tally rebuilt as the
+// stream stood at its position. Steps are kept from the slowest follower on,
+// each with the entries that added no vote, so the rebuild is exact; the lock
+// makes the stream safe for followers in concurrent PDES partitions.
 type persistStream struct {
 	mu                sync.Mutex
 	quorum, committee int
@@ -28,8 +28,8 @@ type persistStream struct {
 	probe             *PersistProbe
 
 	// steps[i] is step base+i; crossed and stale hold every kept step's
-	// crossing echoes and repeated-vote entry indices, crossed[0] being the
-	// crossBase-th recorded.
+	// crossing echoes and indices of entries that added no vote (a repeat, a
+	// settled hash's echo), from the crossBase-th and staleBase-th recorded.
 	steps                ring[streamStep]
 	base                 uint64
 	crossed              ring[*PersistEntry]
