@@ -166,7 +166,7 @@ loc:
 # exact rebuild for a node that leaves, bounded memory), the committee-sized
 # first-content bitmap and the tally's rebuild helpers (+147 in
 # normalnode.go), the test-only PersistProbe (+40), the stream's wiring and a
-# 4-byte node index in signed bytes (+13); `wide` -27 % host time.
+# 4-byte node index in signed bytes (+13); `wide` -24 % host time.
 LOC_CEILING := 18976
 DOC_CEILING := 1609
 loc-check:
