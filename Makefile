@@ -161,13 +161,14 @@ loc:
 # now really checks the certificate) in consensus.Core replace the four BFT
 # protocols' copies (-60 in internal/consensus, pbft holding commits that come
 # before the proposal and raft's one ballot and tally included).
-# Raised by the measured net (18359 -> 18976): one PERSIST tally per cluster
-# over its multicast stream (+417, core/persiststream.go: the prefix rule, the
-# exact rebuild for a node that leaves, bounded memory), the committee-sized
-# first-content bitmap and the tally's rebuild helpers (+147 in
-# normalnode.go), the test-only PersistProbe (+40), the stream's wiring and a
-# 4-byte node index in signed bytes (+13); `wide` -24 % host time.
-LOC_CEILING := 18976
+# Raised by the measured net (18359 -> 18982): one PERSIST tally per cluster
+# over its multicast stream (+422, core/persiststream.go: the prefix rule, the
+# exact rebuild for a node that leaves, bounded memory, nothing kept once no
+# node follows), the committee-sized first-content bitmap and the tally's
+# rebuild helpers (+148 in normalnode.go), the test-only PersistProbe (+40),
+# the stream's wiring and a 4-byte node index in signed bytes (+13); `wide`
+# -24 % host time.
+LOC_CEILING := 18982
 DOC_CEILING := 1609
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \

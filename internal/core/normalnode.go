@@ -768,11 +768,12 @@ func (n *NormalNode) adopt(ps *persistStatus, e *PersistEntry, from int) {
 }
 
 // install makes the tallies of state, the stream's where the node left it,
-// that the node keeps its own.
+// that the node keeps its own. state is the node's alone: its tallies move
+// in uncloned.
 func (n *NormalNode) install(state []seqTally, skip map[uint64]bool) {
 	for i := range state {
 		if st := &state[i]; n.keeps(st.seq, &st.ps, skip) {
-			n.pool.note(st.seq).persist = st.ps.clone()
+			n.pool.note(st.seq).persist = st.ps
 		}
 	}
 }

@@ -134,6 +134,16 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 		if r.name == "crash/evict" && !shared.Orgs[1][1].cur.evicted {
 			t.Fatalf("%s: the crash's victim was never evicted", r.name)
 		}
+		if st := shared.stream; followers == 0 && (st.tallies != nil || st.spare != nil || cap(st.steps.buf) != 0) {
+			t.Fatalf("%s: the stream keeps its tallies or buffers with no follower left", r.name)
+		}
+		for _, org := range shared.Orgs {
+			for _, nn := range org {
+				if nn.cur.state != nil {
+					t.Fatalf("%s: n%d still holds the tallies it was evicted with", r.name, nn.ep.ID())
+				}
+			}
+		}
 	}
 }
 

@@ -115,6 +115,7 @@ func (s *persistStream) step(n *NormalNode, m *PersistMsg) (progressed, followin
 	cur := &n.cur
 	if cur.evicted {
 		n.install(cur.state, nil)
+		cur.state = nil
 		return false, false
 	}
 	head := s.base + uint64(s.steps.len())
@@ -187,10 +188,17 @@ func (s *persistStream) advance(cur *streamCursor) {
 }
 
 // rescanPos finds the slowest follower's position and drops the steps before
-// it; with no follower left the stream keeps nothing.
+// it. With no follower left the stream keeps nothing, not even its buffers:
+// nodes join only when the cluster is built, so none reads it again.
 func (s *persistStream) rescanPos() {
 	head := s.base + uint64(s.steps.len())
 	s.minPos, s.atPos = head, 0
+	if len(s.followers) == 0 {
+		s.steps, s.crossed, s.stale, s.done = ring[streamStep]{}, ring[*PersistEntry]{}, ring[int32]{}, ring[doneSeq]{}
+		s.tallies, s.spare, s.settled = nil, nil, nil
+		s.base = head
+		return
+	}
 	for _, f := range s.followers {
 		if f.pos < s.minPos {
 			s.minPos, s.atPos = f.pos, 0
@@ -209,10 +217,6 @@ func (s *persistStream) rescanPos() {
 	s.crossBase, s.staleBase = last.crossEnd, last.staleEnd
 	s.steps.drop(k)
 	s.base = s.minPos
-	if len(s.followers) == 0 {
-		clear(s.tallies)
-		s.done.drop(s.done.len())
-	}
 }
 
 // committed records that node n committed pb, clearing the tallies of the
@@ -226,6 +230,7 @@ func (s *persistStream) committed(n *NormalNode, pb *pendingBlock, cleared []uin
 	cur := &n.cur
 	if cur.evicted {
 		n.install(cur.state, clearedSeqs(pb, cleared))
+		cur.state = nil
 		return false
 	}
 	for w, word := range cleared {
@@ -311,12 +316,12 @@ func (s *persistStream) leave(n *NormalNode, cur *streamCursor, skip map[uint64]
 }
 
 // evictSlowest makes the followers at the slowest position leave: each takes
-// the tallies as they stood there when it next reaches the stream.
+// its own copy of the tallies as they stood there when it next reaches the
+// stream.
 func (s *persistStream) evictSlowest() {
-	state := s.stateAt(s.minPos, nil)
 	for _, f := range s.followers {
 		if f.pos == s.minPos {
-			f.evicted, f.state = true, state
+			f.evicted, f.state = true, s.stateAt(s.minPos, nil)
 		}
 	}
 	for i := len(s.followers) - 1; i >= 0; i-- {
