@@ -21,9 +21,8 @@ import (
 //
 // -dump-scenarios prints every sweep point of the selected experiments (all
 // of them without -run) as scenario JSON that `bidl run -scenario` replays,
-// and runs nothing. Sweep points are independent seeded simulations, so
-// -j and -sim-workers (PDES inside each simulation, DESIGN.md §10)
-// change only wall-clock time: tables are byte-identical to a serial run.
+// and runs nothing. Sweep points are independent seeded simulations, so -j
+// changes only wall-clock time: tables are byte-identical to a serial run.
 // -cpuprofile/-memprofile capture the harness itself (`make profile`).
 func benchCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCLI("bench", stdout, stderr)
@@ -56,7 +55,7 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := bidl.BenchOptions{Scale: *scale, Seed: *sim.seed, Workers: *sim.jobs, SimWorkers: *sim.simWorkers}
+	opts := bidl.BenchOptions{Scale: *scale, Seed: *sim.seed, Workers: *sim.jobs}
 	if !*quiet {
 		opts.Log = stderr
 	}

@@ -42,7 +42,6 @@ var cliMatrix = []cliRow{
 	{name: "run-attack-broadcaster", steps: []string{spec("run-attack-broadcaster") + " -timeline"}},
 	{name: "run-attack-smart", steps: []string{spec("run-attack-smart")}},
 	{name: "run-dcs2", steps: []string{spec("run-dcs2")}},
-	{name: "run-dcs2-pdes", steps: []string{spec("run-dcs2") + " -sim-workers 4"}},
 	{name: "run-dcs4", steps: []string{spec("run-dcs4")}},
 	{name: "run-seeds", steps: []string{spec("run-default") + " -runs 3 -j 2"}},
 	{name: "run-sharded", steps: []string{spec("run-sharded")}},
@@ -58,7 +57,7 @@ var cliMatrix = []cliRow{
 		files: []string{"a.csv", "r.csv", "a.txt", "r.txt"}},
 	{name: "scenario-chaos-churn", steps: []string{"run -scenario " + examples + "chaos-churn.json"}},
 	{name: "scenario-chaos-crash", steps: []string{"run -scenario " + examples + "chaos-crash.json"}},
-	{name: "scenario-chaos-crash-overlay", steps: []string{"run -scenario " + examples + "chaos-crash.json -seed 3 -sim-workers 4 -timeline -anatomy -"}},
+	{name: "scenario-chaos-crash-overlay", steps: []string{"run -scenario " + examples + "chaos-crash.json -seed 3 -timeline -anatomy -"}},
 	{name: "scenario-chaos-dc-outage", steps: []string{"run -scenario " + examples + "chaos-dc-outage.json"}},
 	{name: "scenario-chaos-fabric-crash", steps: []string{"run -scenario " + examples + "chaos-fabric-crash.json"}},
 	{name: "scenario-chaos-partition", steps: []string{"run -scenario " + examples + "chaos-partition.json"}},
@@ -69,7 +68,7 @@ var cliMatrix = []cliRow{
 	{name: "scenario-zipf-contended", steps: []string{"run -scenario " + examples + "zipf-contended.json -runs 2"}},
 	{name: "scenario-zipf-million", steps: []string{"run -scenario " + examples + "zipf-million.json"}},
 	{name: "bench-ablation", steps: []string{"bench -run ablation -scale 0.05"}},
-	{name: "bench-fig5-csv", steps: []string{"bench -run fig5 -scale 0.05 -seed 7 -q -j 2 -sim-workers 4 -csv $TMP/fig5.csv"}, files: []string{"fig5.csv"}},
+	{name: "bench-fig5-csv", steps: []string{"bench -run fig5 -scale 0.05 -seed 7 -q -j 2 -csv $TMP/fig5.csv"}, files: []string{"fig5.csv"}},
 	{name: "bench-dump-scenarios", steps: []string{"bench -dump-scenarios -run fig5 -scale 0.1"}},
 	{name: "report", steps: []string{"report -trace-jsonl " + jsonl}},
 	{name: "report-windows", steps: []string{"report -trace-jsonl " + jsonl + " -scenario " + examples + "chaos-crash.json"}},

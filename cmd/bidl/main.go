@@ -76,20 +76,18 @@ func (c cli) fail(code int, err error) int {
 // simFlags are the flags `run` and `bench` share: both turn scenarios into
 // simulations, and none of these changes what is simulated.
 type simFlags struct {
-	seed       *int64
-	jobs       *int
-	simWorkers *int
-	cpuProf    *string
-	memProf    *string
+	seed    *int64
+	jobs    *int
+	cpuProf *string
+	memProf *string
 }
 
 func (c cli) simFlags(defaultJobs int, jobsUsage string) simFlags {
 	return simFlags{
-		seed:       c.Int64("seed", 1, "simulation seed (run: the first of -runs consecutive seeds)"),
-		jobs:       c.Int("j", defaultJobs, jobsUsage),
-		simWorkers: c.Int("sim-workers", 0, "PDES workers inside each simulation (0/1 = serial engine; output is identical)"),
-		cpuProf:    c.String("cpuprofile", "", "write a CPU profile of the run to this file (run: single run only)"),
-		memProf:    c.String("memprofile", "", "write an allocation profile taken at exit to this file (run: single run only)"),
+		seed:    c.Int64("seed", 1, "simulation seed (run: the first of -runs consecutive seeds)"),
+		jobs:    c.Int("j", defaultJobs, jobsUsage),
+		cpuProf: c.String("cpuprofile", "", "write a CPU profile of the run to this file (run: single run only)"),
+		memProf: c.String("memprofile", "", "write an allocation profile taken at exit to this file (run: single run only)"),
 	}
 }
 

@@ -67,12 +67,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if !seedSet {
 		*sim.seed = spec.EffectiveSeed()
 	}
-	if spec.SimWorkers == 0 {
-		spec.SimWorkers = *sim.simWorkers
-		if err := spec.Validate(); err != nil {
-			return c.fail(2, err)
-		}
-	}
 	name := spec.Name
 	if name == "" {
 		name = *scenPath

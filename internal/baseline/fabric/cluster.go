@@ -37,13 +37,13 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.NumConsensus == 0 {
 		cfg.NumConsensus = 3*cfg.F + 1
 	}
-	eng := substrate.NewEngine("fabric", cfg.Config, cfg.NumOrgs)
+	eng := substrate.NewEngine("fabric", cfg.Config)
 	reg := contract.NewRegistry()
 	reg.Deploy(contract.SmallBank{})
 	reg.Deploy(contract.Settlement{})
 
 	c := &Cluster{
-		Deployment: substrate.NewDeployment(eng, "", 0, cfg.Config, ordererIdentity),
+		Deployment: substrate.NewDeployment(eng, "", cfg.Config, ordererIdentity),
 		Cfg:        cfg,
 		Registry:   reg,
 		policy:     consensus.RoundRobin{N: cfg.NumConsensus},

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -234,54 +233,5 @@ func TestBlockOrdinalsOrNoneSameOutcome(t *testing.T) {
 	deliver(c, peers[1], again)
 	if peers[0].CommitHeight() != 2 || !peers[0].State().Equal(peers[1].State()) {
 		t.Fatal("repeated transactions were not skipped alike")
-	}
-}
-
-// What the PDES engine does to the memos, without the engine: one goroutine
-// per partition hands the same block objects to that partition's peers, all
-// at once. Racing peers fill the verdicts and the ledger blocks; every peer
-// must end the same. Run under -race.
-func TestSharedBlocksFromConcurrentPartitions(t *testing.T) {
-	cfg := smallConfig(FastFabric)
-	cfg.SimWorkers = 4
-	c, peers, batch := quietCluster(t, cfg)
-	var blocks []*FabricBlock
-	for n := uint64(0); n < 6; n++ {
-		blk := testBlock(t, c, n, batch(40))
-		blk.Envs[3].Endorsements[0].Sig = append(crypto.Signature(nil), blk.Envs[0].Endorsements[0].Sig...)
-		if n > 0 {
-			blk.Envs[5] = blocks[n-1].Envs[5] // a transaction the block before carried
-			blk.resolve(c.Hashes)
-		}
-		blocks = append(blocks, blk)
-	}
-	byPart := make(map[int][]*Peer)
-	for _, p := range peers {
-		part := simnet.ShardPartition(p.org, c.Sim.NumPartitions())
-		byPart[part] = append(byPart[part], p)
-	}
-	if len(byPart) < 3 {
-		t.Fatalf("peers spread over %d partitions, want 3", len(byPart))
-	}
-	var wg sync.WaitGroup
-	for _, group := range byPart {
-		wg.Add(1)
-		go func(group []*Peer) {
-			defer wg.Done()
-			for _, blk := range blocks {
-				for _, p := range group {
-					deliver(c, p, blk)
-				}
-			}
-		}(group)
-	}
-	wg.Wait()
-	for _, p := range peers[1:] {
-		if !peers[0].State().Equal(p.State()) || !peers[0].Blocks().Equal(p.Blocks()) || p.CommitHeight() != 6 {
-			t.Fatalf("peer %s ended differently from peer %s", p.orgName, peers[0].orgName)
-		}
-	}
-	if got, want := c.Collector.RejectedTxns, uint64(len(blocks)*len(peers)); got != want {
-		t.Fatalf("RejectedTxns = %d, want %d: one bad signature per block and peer", got, want)
 	}
 }

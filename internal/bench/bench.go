@@ -97,18 +97,6 @@ type Options struct {
 	// run launched under these options (set by Measure).
 	events *atomic.Uint64
 
-	// SimWorkers requests conservative parallel discrete-event execution
-	// inside every sweep point that does not set its own sim_workers:
-	// the single-run counterpart to Workers' across-run parallelism.
-	// Results are byte-identical to serial runs at the same seed; a point
-	// with loss or jitter runs on one partition for that reason
-	// (substrate.Config.SimWorkers).
-	SimWorkers int
-	// ForceSerialSim pins the serial simulation engine even when
-	// SimWorkers (or a spec) requests parallelism — the byte-identity
-	// reference used by the PDES determinism tests.
-	ForceSerialSim bool
-
 	// TraceSink, when non-nil, turns on per-run tracing: every framework
 	// run gets a private Tracer, handed to the sink after the run
 	// finishes. Sweep points may run concurrently (Workers), so the sink

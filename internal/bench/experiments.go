@@ -415,9 +415,7 @@ func init() {
 		Columns: []string{"bandwidth_gbps", "bidl", "bidl_opt_disabled", "bidl_interdc_mb", "opt_disabled_interdc_mb"},
 		Notes:   []string{"paper: BIDL degrades slowly as bandwidth shrinks; without multicast+consensus-on-hash the gap widens at tight bandwidth"},
 		// The *_interdc_mb columns are the bytes that crossed datacenters
-		// over the whole run, read from each point's tracer. Capped inter-DC
-		// pipes already pin the serial engine, so tracing costs host time
-		// but no parallelism.
+		// over the whole run, read from each point's tracer.
 		Traced: true,
 		Sweep: func(o Options) (groups []Group) {
 			window := o.scaled(1200 * time.Millisecond)

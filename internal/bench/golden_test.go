@@ -11,7 +11,11 @@ import (
 
 var goldenUpdate = flag.Bool("golden-update", false, "regenerate golden files")
 
-func goldenOptions() Options { return Options{Scale: 0.05, Seed: 7, Workers: 1} }
+// goldenOptions runs two sweep points at a time. Tables are byte-identical at
+// any Workers, so under -race the goldens also audit what concurrent runs
+// share (dense tables, crypto caches, the contract registry) over the whole
+// registry.
+func goldenOptions() Options { return Options{Scale: 0.05, Seed: 7, Workers: 2} }
 
 // goldenIDs pin every registry experiment except chaos, which has its own
 // catalog goldens (internal/chaos/testdata): rendered table, CSV and the

@@ -28,12 +28,6 @@ func runScenario(o Options, sp scenario.Scenario, traced bool) (Result, error) {
 	if traced || o.TraceSink != nil {
 		rc.Tracer = trace.New(trace.Options{SpanCapacity: spanCapacity})
 	}
-	// Harness-level PDES selection: an explicit sim_workers in the spec
-	// wins; otherwise the option applies to every point of the sweep.
-	if o.SimWorkers > 1 && sp.SimWorkers == 0 {
-		sp.SimWorkers = o.SimWorkers
-	}
-	rc.ForceSerialSim = o.ForceSerialSim
 	res, err := scenario.RunWith(sp, rc)
 	if err != nil {
 		return res, err

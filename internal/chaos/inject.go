@@ -24,10 +24,9 @@ type Env interface {
 
 // injector compiles a validated fault schedule onto a simulation: fault
 // events become Sim.At timers, and partition/storm faults install one
-// composed DropFilter. Faulted runs always execute on the serial engine
-// (the scenario layer pins SimWorkers to zero, and a non-nil DropFilter
-// zeroes the PDES lookahead bound anyway), so the injector's mutable state
-// needs no locking and the storm's rng draws stay deterministic.
+// composed DropFilter. It runs inside the simulation's one event loop, so
+// its mutable state needs no locking and the storm's rng draws stay
+// deterministic.
 type injector struct {
 	*substrate.Deployment
 	env Env

@@ -101,8 +101,8 @@ type RandomEpoch struct {
 	Seed crypto.Digest
 
 	// perms memoises each epoch's schedule, so Leader is a lookup. One policy
-	// instance serves every replica of a cluster, and normal nodes in other
-	// PDES partitions consult it too, hence the lock.
+	// instance serves every replica and normal node of a cluster; the lock
+	// makes it safe for concurrent callers.
 	mu    sync.Mutex
 	perms map[uint64][]int
 }

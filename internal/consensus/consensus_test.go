@@ -89,8 +89,8 @@ func TestRandomEpochMemoMatchesSchedule(t *testing.T) {
 	}
 }
 
-// TestRandomEpochConcurrent: one policy instance serves nodes in concurrent
-// PDES partitions; run under -race.
+// TestRandomEpochConcurrent: one policy instance serves concurrent callers;
+// run under -race.
 func TestRandomEpochConcurrent(t *testing.T) {
 	p := &RandomEpoch{N: 31, Seed: crypto.Hash([]byte("x"))}
 	want := (&RandomEpoch{N: 31, Seed: p.Seed}).Leader(40)

@@ -51,21 +51,19 @@ type Cluster struct {
 // Client identities must be registered afterwards via RegisterClients before
 // transactions from them verify.
 func NewCluster(cfg Config) *Cluster {
-	return NewClusterOn(NewEngine(cfg, cfg.NumOrgs), "", 0, cfg)
+	return NewClusterOn(NewEngine(cfg), "", cfg)
 }
 
-// NewEngine builds the engine for BIDL deployments of cfg that together hold
-// orgs organizations.
-func NewEngine(cfg Config, orgs int) *substrate.Engine {
-	return substrate.NewEngine("bidl", cfg.Config, orgs)
+// NewEngine builds the engine for BIDL deployments of cfg.
+func NewEngine(cfg Config) *substrate.Engine {
+	return substrate.NewEngine("bidl", cfg.Config)
 }
 
 // NewClusterOn builds a BIDL deployment on an engine the caller owns — the
 // sharded harness hosts several on one (DESIGN.md §14). label namespaces the
-// cluster's endpoint names and multicast groups, orgOffset shifts its
-// organizations within the engine's partition space; cfg's engine-level
-// fields (SimWorkers, Topology, Tracer) were consumed by NewEngine.
-func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config) *Cluster {
+// cluster's endpoint names and multicast groups; cfg's engine-level fields
+// (Topology, Tracer) were consumed by NewEngine.
+func NewClusterOn(eng *substrate.Engine, label string, cfg Config) *Cluster {
 	if cfg.NumConsensus == 0 {
 		cfg.NumConsensus = 3*cfg.F + 1
 	}
@@ -79,7 +77,7 @@ func NewClusterOn(eng *substrate.Engine, label string, orgOffset int, cfg Config
 
 	seed := crypto.Hash([]byte(fmt.Sprintf("leader-rotation-%d", cfg.Seed)))
 	c := &Cluster{
-		Deployment: substrate.NewDeployment(eng, label, orgOffset, cfg.Config, cnIdentity),
+		Deployment: substrate.NewDeployment(eng, label, cfg.Config, cnIdentity),
 		Cfg:        cfg,
 		Registry:   reg,
 		// BIDL's unpredictable epoch rotation (§4.6).

@@ -37,7 +37,6 @@ func TestConfigValidate(t *testing.T) {
 		// package's prefix; these two of its checks had no row in either
 		// framework's table.
 		{"negative-consensus", func(c *Config) { c.NumConsensus = -1 }, "core: NumConsensus must be >= 1"},
-		{"negative-sim-workers", func(c *Config) { c.SimWorkers = -1 }, "core: SimWorkers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,6 +57,7 @@ func TestEndToEndCommit(t *testing.T) {
 	if err := c.CheckSafety(); err != nil {
 		t.Fatal(err)
 	}
+	checkReplay(t, c, gen, txns)
 }
 
 func TestSpeculationSucceedsFaultFree(t *testing.T) {
@@ -141,7 +142,8 @@ func TestPacketLossRecovery(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Topology.LossRate = 0.02
 	c, gen := buildCluster(t, cfg, defaultWorkload())
-	for i, tx := range gen.Batch(200) {
+	txns := gen.Batch(200)
+	for i, tx := range txns {
 		c.SubmitAt(time.Duration(i)*50*time.Microsecond, tx)
 	}
 	c.Run(4 * time.Second)
@@ -150,6 +152,15 @@ func TestPacketLossRecovery(t *testing.T) {
 	}
 	if err := c.CheckSafety(); err != nil {
 		t.Fatal(err)
+	}
+	// Known deviation, pinned so that its fix has to turn this into a
+	// checkReplay call. Seq 602 (block 2) debits acct-387 by 60, seq 674
+	// (block 3) by 97; the result that persists for 674 was executed on
+	// acct-387 without 602's debit, so every normal node commits 999903 where
+	// the sequential replay leaves 999843: a lost update under loss.
+	// CheckSafety cannot see it, since all nodes agree.
+	if err := replayMismatch(c, gen, txns); err == nil {
+		t.Fatal("the lossy run now matches the sequential replay: replace this block with checkReplay")
 	}
 }
 
@@ -173,7 +184,8 @@ func TestPayloadFetchSurvivesCrash(t *testing.T) {
 		return batch && to == victim.ep.ID()
 	}
 	const n = 300
-	for i, tx := range gen.Batch(n) {
+	txns := gen.Batch(n)
+	for i, tx := range txns {
 		c.SubmitAt(time.Duration(i)*100*time.Microsecond, tx)
 	}
 	c.Run(2 * time.Second)
@@ -190,6 +202,7 @@ func TestPayloadFetchSurvivesCrash(t *testing.T) {
 	if err := c.CheckSafety(); err != nil {
 		t.Fatal(err)
 	}
+	checkReplay(t, c, gen, txns)
 }
 
 func TestDeterministicRuns(t *testing.T) {

@@ -111,9 +111,8 @@ func (m *BlockMsg) Size() int {
 // once instead of once per node. (The virtual CPU cost each node charges for
 // the check is unchanged — this only removes redundant host work.)
 //
-// Like every lazy cache on a multicast message, it must be warmed by the
-// sender (warmCaches) before dissemination: receivers in different PDES
-// partitions read the shared object concurrently.
+// Like every lazy cache on a multicast message, it is warmed by the sender
+// (warmCaches) before dissemination, so receivers only read it.
 func (m *BlockMsg) OrderingDig() crypto.Digest {
 	if !m.hasODig {
 		m.oDig = types.OrderingDigest(m.Ordering)
@@ -133,7 +132,7 @@ func (m *BlockMsg) ordering() ([]uint64, []types.TxID, error) {
 }
 
 // warmCaches fills the lazy size/digest/ordering caches before the block is
-// shared across partitions.
+// shared.
 func (m *BlockMsg) warmCaches() {
 	m.Size()
 	m.OrderingDig()
@@ -424,8 +423,7 @@ type PersistEntry struct {
 
 	// ck caches contentKey. It is filled by the sender (warmContentKey)
 	// before the entry is shared, never lazily by receivers: a multicast
-	// batch is read by every org delegate, possibly from different PDES
-	// partitions concurrently.
+	// batch is read by every org delegate.
 	ck   crypto.Digest
 	ckOK bool
 	// kids is Writes' keys as ids in the assembling delegate's key table, and

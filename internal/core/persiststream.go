@@ -20,7 +20,7 @@ import (
 // or hash, or trails too far, and goes on from a private tally rebuilt as the
 // stream stood at its position. Steps are kept from the slowest follower on,
 // each with the entries that added no vote, so the rebuild is exact; the lock
-// makes the stream safe for followers in concurrent PDES partitions.
+// makes the stream safe for concurrent followers.
 type persistStream struct {
 	mu                sync.Mutex
 	quorum, committee int

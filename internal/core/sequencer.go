@@ -160,8 +160,8 @@ func (s *SequencerNode) garbageTxn(size int) *types.Transaction {
 		Padding:  uint32(pad),
 		Sig:      junk,
 	}
-	// Pre-fill the lazy caches before the transaction leaves this node's
-	// partition (see Transaction.Warm).
+	// Pre-fill the lazy caches before the transaction leaves this node
+	// (see Transaction.Warm).
 	t.Warm()
 	return t
 }

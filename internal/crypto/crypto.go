@@ -91,8 +91,7 @@ type Scheme interface {
 // costs three allocations and two key-block hashes, and on the hot path the
 // same few identities sign/verify once per message. Each pooled state keeps a
 // tag-sized scratch next to it, so Verify computes and compares in place and
-// allocates nothing. Pools are safe for the PDES engine's concurrent
-// partitions.
+// allocates nothing. Pools are safe for concurrent use.
 type HMACScheme struct {
 	mu     sync.RWMutex
 	master [32]byte
@@ -183,8 +182,8 @@ func (s *HMACScheme) Known(id Identity) bool {
 // the check is a pure function of the key and of message fields nobody
 // mutates once the message is shared; code that does change the signed
 // fields or the signature must call Reset. The state is one atomic word:
-// receivers in concurrent PDES partitions may race to fill it, and since they
-// compute the same value either write is correct. The zero value is unknown.
+// concurrent receivers may race to fill it, and since they compute the same
+// value either write is correct. The zero value is unknown.
 type Verdict struct{ state atomic.Uint64 }
 
 const (

@@ -238,8 +238,8 @@ func TestVerdictMemoisesPerKey(t *testing.T) {
 	}
 }
 
-// TestVerdictConcurrent fills one verdict from many goroutines, as receivers
-// in concurrent PDES partitions do; run under -race.
+// TestVerdictConcurrent fills one verdict from many goroutines, as concurrent
+// receivers would; run under -race.
 func TestVerdictConcurrent(t *testing.T) {
 	var v Verdict
 	var runs atomic.Int32

@@ -8,7 +8,7 @@ import (
 
 // Eight goroutines intern overlapping names at once: a name has one id
 // whoever asked, ids are dense, and an id leads back to its name. Run under
-// -race: the table is what PDES partitions share.
+// -race: the table is safe for concurrent interning.
 func TestTableConcurrentIntern(t *testing.T) {
 	const workers, names = 8, 2000
 	tab := NewTable[string]()

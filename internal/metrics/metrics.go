@@ -22,12 +22,9 @@ type txRecord struct {
 }
 
 // Collector is a run's always-on, exact metrics store. The transaction
-// records and latency cache are touched only from client endpoints, which
-// all execute in the simulation's hub partition (one goroutine), so they
-// need no locking. The plain uint64 counters are incremented from node
-// handlers that may execute in concurrent partitions under the parallel
-// engine: those sites use atomic.AddUint64. Counter adds are commutative, so
-// a parallel run reports the same values as a serial one.
+// records, the latency cache and the counters are touched only from the
+// simulation's one event loop, which needs no locking; the counter sites use
+// atomic.AddUint64, whose adds commute.
 type Collector struct {
 	txs                map[types.TxID]txRecord
 	committed, aborted int

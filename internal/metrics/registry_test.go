@@ -93,8 +93,8 @@ func TestEffectiveThroughputNonZeroFrom(t *testing.T) {
 	}
 }
 
-// PDES partitions bump counters concurrently: the adds are commutative, so
-// four goroutines must leave exactly the serial totals.
+// Counter adds are atomic and commutative, so four goroutines bumping them
+// concurrently must leave exactly the serial totals.
 func TestRegistryCounters(t *testing.T) {
 	const workers, per = 4, 1000
 	write := func(c *Collector, w int) {

@@ -10,24 +10,23 @@ import (
 	"github.com/bidl-framework/bidl/internal/trace/anatomy"
 )
 
-func anatomySpec(framework string, workers int) Scenario {
+func anatomySpec(framework string) Scenario {
 	return Scenario{
-		Name:       "anatomy-test",
-		Framework:  framework,
-		Nodes:      NodesSpec{Orgs: 4},
-		Workload:   WorkloadSpec{Clients: 8, Accounts: 400},
-		Load:       LoadSpec{Rate: 2000, Window: Duration(100 * time.Millisecond)},
-		SimWorkers: workers,
-		Anatomy:    true,
+		Name:      "anatomy-test",
+		Framework: framework,
+		Nodes:     NodesSpec{Orgs: 4},
+		Workload:  WorkloadSpec{Clients: 8, Accounts: 400},
+		Load:      LoadSpec{Rate: 2000, Window: Duration(100 * time.Millisecond)},
+		Anatomy:   true,
 	}
 }
 
 // runAnatomy runs the spec with an explicit tracer and returns the rendered
 // anatomy, its CSV, the JSONL export, and the report itself.
-func runAnatomy(t *testing.T, sp Scenario, forceSerial bool) (string, string, []byte, *anatomy.Report) {
+func runAnatomy(t *testing.T, sp Scenario) (string, string, []byte, *anatomy.Report) {
 	t.Helper()
 	tr := trace.New(trace.Options{})
-	res, err := RunWith(sp, RunConfig{Tracer: tr, ForceSerialSim: forceSerial})
+	res, err := RunWith(sp, RunConfig{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func runAnatomy(t *testing.T, sp Scenario, forceSerial bool) (string, string, []
 // stage waits sum exactly to its measured submit→notified latency.
 func TestAnatomyInvariantOverRealRuns(t *testing.T) {
 	for _, fw := range []string{FrameworkBIDL, FrameworkHLF} {
-		_, _, _, rep := runAnatomy(t, anatomySpec(fw, 0), false)
+		_, _, _, rep := runAnatomy(t, anatomySpec(fw))
 		if rep.Complete == 0 {
 			t.Fatalf("%s: no complete transactions traced", fw)
 		}
@@ -74,29 +73,13 @@ func TestAnatomyInvariantOverRealRuns(t *testing.T) {
 	}
 }
 
-// TestAnatomySerialVsPDESIdentical pins the same-seed anatomy output
-// byte-identical between a -sim-workers run and the serial reference.
-func TestAnatomySerialVsPDESIdentical(t *testing.T) {
-	renderP, csvP, jsonlP, _ := runAnatomy(t, anatomySpec(FrameworkBIDL, 4), false)
-	renderS, csvS, jsonlS, _ := runAnatomy(t, anatomySpec(FrameworkBIDL, 4), true)
-	if renderP != renderS {
-		t.Errorf("anatomy render differs between PDES and serial:\n--- pdes ---\n%s--- serial ---\n%s", renderP, renderS)
-	}
-	if csvP != csvS {
-		t.Error("anatomy CSV differs between PDES and serial")
-	}
-	if !bytes.Equal(jsonlP, jsonlS) {
-		t.Error("JSONL export differs between PDES and serial")
-	}
-}
-
 // TestAnatomyOfflineMatchesInProcess pins the offline path byte-identical:
 // computing the breakdown from the JSONL export must reproduce the
 // in-process report exactly — this is what freezes the JSONL schema.
 func TestAnatomyOfflineMatchesInProcess(t *testing.T) {
 	for _, fw := range []string{FrameworkBIDL, FrameworkFastFabric} {
-		sp := anatomySpec(fw, 0)
-		render, csv, jsonl, _ := runAnatomy(t, sp, false)
+		sp := anatomySpec(fw)
+		render, csv, jsonl, _ := runAnatomy(t, sp)
 		data, err := trace.ValidateJSONL(bytes.NewReader(jsonl))
 		if err != nil {
 			t.Fatalf("%s: exported JSONL fails validation: %v", fw, err)
@@ -125,12 +108,12 @@ func TestAnatomyOfflineMatchesInProcess(t *testing.T) {
 // Churn rotates over every organization, so its window names the cycle count,
 // not an organization.
 func TestAnatomyFaultWindowsAnnotated(t *testing.T) {
-	sp := anatomySpec(FrameworkBIDL, 0)
+	sp := anatomySpec(FrameworkBIDL)
 	sp.Faults = []FaultSpec{
 		{Kind: "crash", Org: 1, Node: 0, At: Duration(20 * time.Millisecond), Duration: Duration(30 * time.Millisecond)},
 		{Kind: "churn", At: Duration(60 * time.Millisecond), Count: 4, Period: Duration(10 * time.Millisecond)},
 	}
-	_, _, _, rep := runAnatomy(t, sp, false)
+	_, _, _, rep := runAnatomy(t, sp)
 	var labels []string
 	for _, w := range rep.Windows {
 		labels = append(labels, w.Label)
@@ -144,7 +127,7 @@ func TestAnatomyFaultWindowsAnnotated(t *testing.T) {
 // TestAnatomyPrivateTracer checks spec.Anatomy alone (no caller tracer)
 // produces a report.
 func TestAnatomyPrivateTracer(t *testing.T) {
-	res, err := Run(anatomySpec(FrameworkBIDL, 0))
+	res, err := Run(anatomySpec(FrameworkBIDL))
 	if err != nil {
 		t.Fatal(err)
 	}

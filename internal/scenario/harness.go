@@ -27,9 +27,7 @@ type Harness interface {
 	// at virtual time at.
 	SubmitAt(at time.Duration, txns ...*types.Transaction)
 	// At schedules fn at virtual time t. Closed-loop load controllers use
-	// it to observe mid-run cluster state and reschedule themselves; on the
-	// simulated clusters it is only legal under the serial engine once the
-	// run has started.
+	// it to observe mid-run cluster state and reschedule themselves.
 	At(t time.Duration, fn func())
 	// InFlight reports the cluster-wide count of submitted transactions
 	// whose clients have not yet observed a commit.
@@ -76,9 +74,7 @@ const (
 // auto back-off under heavy payload): at each poll it owes cum(now) −
 // submitted transactions by the demand curve, but injects at most the room
 // left under MaxInFlight. A full window doubles the poll interval up to
-// closedLoopMaxBackoff; available room resets it. The controller reads
-// InFlight mid-run, so closed-loop scenarios pin the serial simulation engine
-// (Scenario.effectiveSimWorkers).
+// closedLoopMaxBackoff; available room resets it.
 func scheduleClosedLoop(h Harness, gen *workload.Generator, load LoadSpec, cum func(time.Duration) float64) func() int {
 	cl := *load.ClosedLoop
 	window := load.Window.D()

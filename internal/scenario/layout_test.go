@@ -16,19 +16,17 @@ import (
 var layoutUpdate = flag.Bool("golden-update", false, "regenerate testdata/layout-*.golden")
 
 // TestEndpointLayoutPinned pins where every endpoint of a deployment lands:
-// endpoint id (registration order), name, datacenter and PDES partition, for
-// a 2-datacenter / 4-worker layout of BIDL, of HLF and of a 2-shard BIDL
-// deployment. Endpoint ids order same-instant events and partitions decide
-// what may run concurrently, so a registration that moves is a different
+// endpoint id (registration order), name and datacenter, for a 2-datacenter
+// layout of BIDL, of HLF and of a 2-shard BIDL deployment. Endpoint ids order
+// same-instant events, so a registration that moves is a different
 // simulation even when every table still looks plausible. The goldens were
 // recorded before the clusters' wiring moved into the shared substrate.
 func TestEndpointLayoutPinned(t *testing.T) {
 	base := Scenario{
-		Nodes:      NodesSpec{Orgs: 5, PerOrg: 2, Datacenters: 2},
-		Workload:   WorkloadSpec{Clients: 3, Accounts: 100},
-		Load:       LoadSpec{Rate: 1000, Window: Duration(1e6), Drain: Duration(1e6)},
-		SimWorkers: 4,
-		Seed:       7,
+		Nodes:    NodesSpec{Orgs: 5, PerOrg: 2, Datacenters: 2},
+		Workload: WorkloadSpec{Clients: 3, Accounts: 100},
+		Load:     LoadSpec{Rate: 1000, Window: Duration(1e6), Drain: Duration(1e6)},
+		Seed:     7,
 	}
 	cases := map[string]func(s *Scenario){
 		"bidl":    func(s *Scenario) { s.Framework = FrameworkBIDL },
@@ -53,7 +51,7 @@ func TestEndpointLayoutPinned(t *testing.T) {
 				}
 				for id := simnet.NodeID(0); net.Endpoint(id) != nil; id++ {
 					ep := net.Endpoint(id)
-					fmt.Fprintf(&buf, "%d %s dc=%d part=%d\n", id, ep.Name(), ep.DC(), ep.Partition())
+					fmt.Fprintf(&buf, "%d %s dc=%d\n", id, ep.Name(), ep.DC())
 				}
 			}})
 			if err != nil {

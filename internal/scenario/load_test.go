@@ -159,11 +159,6 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 			},
 		},
 		Workload: WorkloadSpec{Clients: 16, Accounts: 400, ZipfS: 1.5, Settlement: 0.2},
-		// Closed loop must pin the serial engine even when workers are set.
-		SimWorkers: 4,
-	}
-	if got := s.effectiveSimWorkers(); got != 0 {
-		t.Fatalf("closed-loop spec compiled to %d sim workers, want 0", got)
 	}
 	res, err := Run(s)
 	if err != nil {

@@ -13,17 +13,16 @@ import (
 	"github.com/bidl-framework/bidl/internal/cost"
 )
 
-// everyFieldSpec sets every protocol/seed/sim_workers/nodes/topology/tuning/
+// everyFieldSpec sets every protocol/seed/nodes/topology/tuning/
 // costs field to a distinct non-default value, so a lowering that drops one
 // line shows up as a default in the golden.
 func everyFieldSpec(protocol string) Scenario {
 	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	return Scenario{
-		Protocol:   protocol,
-		Seed:       23,
-		SimWorkers: 3,
-		Nodes:      NodesSpec{Orgs: 11, PerOrg: 3, Consensus: 13, Faults: 2, Datacenters: 5},
-		Topology:   TopologySpec{InterDCGbps: 1.5, Jitter: Duration(us(19)), LossRate: 0.03},
+		Protocol: protocol,
+		Seed:     23,
+		Nodes:    NodesSpec{Orgs: 11, PerOrg: 3, Consensus: 13, Faults: 2, Datacenters: 5},
+		Topology: TopologySpec{InterDCGbps: 1.5, Jitter: Duration(us(19)), LossRate: 0.03},
 		Tuning: TuningSpec{
 			BlockSize: 123, BlockTimeout: Duration(us(3100)), ViewTimeout: Duration(us(91000)),
 			DisableDenylist: true, DisableMulticast: true, ConsensusOnPayload: true, DisableSpeculation: true,
@@ -45,8 +44,8 @@ func renderBIDL(b *bytes.Buffer, c core.Config) {
 		c.BlockSize, c.BlockTimeout, c.ViewTimeout)
 	fmt.Fprintf(b, "disable_denylist=%t\ndisable_multicast=%t\nconsensus_on_payload=%t\ndisable_speculation=%t\n",
 		c.DisableDenylist, c.DisableMulticast, c.ConsensusOnPayload, c.DisableSpeculation)
-	fmt.Fprintf(b, "costs=%+v\ntopology=%+v\ndcs=%d\nseed=%d\nsim_workers=%d\ntraced=%t\n",
-		c.Costs, c.Topology, c.NumDCs, c.Seed, c.SimWorkers, c.Tracer != nil)
+	fmt.Fprintf(b, "costs=%+v\ntopology=%+v\ndcs=%d\nseed=%d\ntraced=%t\n",
+		c.Costs, c.Topology, c.NumDCs, c.Seed, c.Tracer != nil)
 }
 
 func renderFabric(b *bytes.Buffer, c fabric.Config) {
@@ -54,8 +53,8 @@ func renderFabric(b *bytes.Buffer, c fabric.Config) {
 		c.Variant, c.NumOrgs, c.PerOrg, c.NumConsensus, c.F, c.Protocol)
 	fmt.Fprintf(b, "block_size=%d\nblock_timeout=%s\nview_timeout=%s\n",
 		c.BlockSize, c.BlockTimeout, c.ViewTimeout)
-	fmt.Fprintf(b, "costs=%+v\ntopology=%+v\ndcs=%d\nseed=%d\nsim_workers=%d\ntraced=%t\n",
-		c.Costs, c.Topology, c.NumDCs, c.Seed, c.SimWorkers, c.Tracer != nil)
+	fmt.Fprintf(b, "costs=%+v\ntopology=%+v\ndcs=%d\nseed=%d\ntraced=%t\n",
+		c.Costs, c.Topology, c.NumDCs, c.Seed, c.Tracer != nil)
 }
 
 // TestLoweringPinned pins what each spec field compiles to, for every

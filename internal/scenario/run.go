@@ -50,11 +50,6 @@ type RunConfig struct {
 	// simulation finishes (before the safety audit) — for tests and
 	// embedders that need framework-specific state such as ledger digests.
 	Observe func(Harness)
-	// ForceSerialSim pins the serial simulation engine even when the spec
-	// requests sim_workers — the byte-identity reference for the PDES
-	// determinism tests. The cluster is still partitioned identically, so
-	// the two engines execute the exact same event sequence.
-	ForceSerialSim bool
 }
 
 // Run executes the scenario and returns its result. The only error source
@@ -228,7 +223,7 @@ func (t TopologySpec) topology() simnet.Topology {
 }
 
 // lower compiles the spec groups every framework shares — protocol, seed,
-// sim_workers, nodes, topology, costs and the block/view part of tuning —
+// nodes, topology, costs and the block/view part of tuning —
 // onto the framework's default deployment, overriding only fields the spec
 // sets, so an empty spec reproduces the default deployment exactly.
 func (s Scenario) lower(cfg substrate.Config) substrate.Config {
@@ -276,7 +271,6 @@ func (s Scenario) lower(cfg substrate.Config) substrate.Config {
 			}
 		}
 	}
-	cfg.SimWorkers = s.effectiveSimWorkers()
 	return cfg
 }
 
@@ -293,20 +287,6 @@ func (s Scenario) bidlConfig() core.Config {
 	cfg.ConsensusOnPayload = tu.ConsensusOnPayload
 	cfg.DisableSpeculation = tu.DisableSpeculation
 	return cfg
-}
-
-// effectiveSimWorkers resolves the PDES concurrency for the compiled
-// config. Faulted scenarios (including the legacy attack spec) are pinned
-// to the serial engine: the injector mutates cluster state mid-run from
-// outside the partition discipline, and its drop rules must see globally
-// ordered sends. Closed-loop scenarios pin serial for the same reason —
-// the load controller reads cluster-wide in-flight state and schedules
-// global events mid-run.
-func (s Scenario) effectiveSimWorkers() int {
-	if s.Attack.Kind != "" || len(s.Faults) > 0 || s.Load.ClosedLoop != nil {
-		return 0
-	}
-	return s.SimWorkers
 }
 
 // fabricVariant maps the framework name onto the baseline variant.
@@ -372,8 +352,8 @@ func (s Scenario) Validate() error {
 	if n := s.Nodes; n.Orgs < 0 || n.PerOrg < 0 || n.Consensus < 0 || n.Faults < 0 || n.Datacenters < 0 {
 		return fmt.Errorf("scenario: node counts must be >= 0 (%+v)", n)
 	}
-	if s.SimWorkers < 0 || s.SimWorkers > simnet.MaxPartitions {
-		return fmt.Errorf("scenario: sim_workers must be in [0,%d] (got %d)", simnet.MaxPartitions, s.SimWorkers)
+	if s.SimWorkers != 0 {
+		return fmt.Errorf("scenario: SimWorkers must be 0, every run is serial (got %d)", s.SimWorkers)
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("scenario: shards must be >= 0 (got %d)", s.Shards)

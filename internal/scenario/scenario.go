@@ -51,12 +51,10 @@ type Scenario struct {
 	Protocol string `json:"protocol,omitempty"`
 	// Seed drives all simulation and workload randomness (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// SimWorkers requests conservative parallel discrete-event execution
-	// with this many worker goroutines (zero or one means the serial
-	// engine). A parallel run is byte-identical to a serial run at the same
-	// seed, so this is purely a wall-clock knob. Scenarios with an attack
-	// armed always run serially: adversaries mutate cluster state mid-run.
-	SimWorkers int `json:"sim_workers,omitempty"`
+	// SimWorkers is no spec key: every run is serial, and Validate rejects
+	// a value other than zero. The field stays until benchmark/workload.go,
+	// which reads it, drops the read.
+	SimWorkers int `json:"-"`
 	// Shards splits the deployment into this many independently sequenced
 	// BIDL channels over one shared simulation (scenario.ShardedHarness,
 	// DESIGN.md §14). Each shard is a full copy of the Nodes spec; the
@@ -211,9 +209,7 @@ type LoadSpec struct {
 	// a controller tracks the cluster-wide outstanding-transaction count
 	// and withholds load (polling with exponential back-off from 1 ms to
 	// 16 ms) while the window is full. The offered rate still follows Rate and Shape — they become the
-	// demand curve rather than the injection schedule. Closed-loop runs pin
-	// the serial simulation engine (the controller reacts to mid-run
-	// cluster state, which the partition discipline cannot order).
+	// demand curve rather than the injection schedule.
 	ClosedLoop *ClosedLoopSpec `json:"closed_loop,omitempty"`
 }
 

@@ -20,6 +20,7 @@ import (
 // re-parses losslessly.
 func TestScenarioJSONRoundTrip(t *testing.T) {
 	f := func(s Scenario) bool {
+		s.SimWorkers = 0 // json:"-": no spec carries it
 		data, err := json.Marshal(s)
 		if err != nil {
 			t.Logf("marshal: %v", err)
@@ -84,6 +85,7 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 func TestParseRejectsRemovedKeys(t *testing.T) {
 	const load = `"load": {"rate": 10, "window": "1s"`
 	for _, tc := range []struct{ key, spec string }{
+		{"sim_workers", `{` + load + `}, "sim_workers": 4}`},
 		{"topology.intra_latency", `{` + load + `}, "topology": {"intra_latency": "1ms"}}`},
 		{"topology.inter_latency", `{` + load + `}, "topology": {"inter_latency": "1ms"}}`},
 		{"topology.nic_gbps", `{` + load + `}, "topology": {"nic_gbps": 10}}`},
@@ -151,6 +153,7 @@ func TestValidate(t *testing.T) {
 		{"setting-b", func(s *Scenario) { s.Nodes = NodesSpec{Orgs: 7, Consensus: 7, Faults: 2} }, ""},
 		{"unknown-framework", func(s *Scenario) { s.Framework = "ethereum" }, "unknown framework"},
 		{"negative-nodes", func(s *Scenario) { s.Nodes.Orgs = -1 }, "node counts"},
+		{"sim-workers", func(s *Scenario) { s.SimWorkers = 4 }, "every run is serial"},
 		{"zero-window", func(s *Scenario) { s.Load.Window = 0 }, "load.window"},
 		{"negative-rate", func(s *Scenario) { s.Load.Rate = -1 }, "load.rate"},
 		{"negative-warmup", func(s *Scenario) { s.Load.Warmup = -1 }, "load.warmup"},

@@ -28,12 +28,10 @@ import (
 // endpoints): phase 1 submits prepare sub-transactions through each touched
 // shard's own sequencer+consensus path, and once both outcomes are known the
 // decision (commit everywhere or abort everywhere) is dispatched the same
-// way. All coordinator state lives on PDES partition 0 — coordinator clients
-// are hub-partition endpoints, so a parallel run replays the exact serial
-// coordination order and sharded runs stay serial-vs-PDES byte-identical.
+// way.
 type ShardedHarness struct {
 	// Engine is the one simulation every shard is deployed on; it supplies
-	// At, Run, ForceSerial, Metrics, IdentityScheme and VirtualEvents.
+	// At, Run, Metrics, IdentityScheme and VirtualEvents.
 	*substrate.Engine
 	shards   []*core.Cluster
 	keyOwner contract.KeyOwnerFunc
@@ -75,19 +73,15 @@ type xsubref struct {
 
 // NewShardedHarness builds shards clusters on one shared simulation. cfg is
 // the per-shard cluster template: every shard gets this many organizations,
-// consensus nodes, etc.; Seed, SimWorkers, Costs, Topology and Tracer are
+// consensus nodes, etc.; Seed, Costs, Topology and Tracer are
 // taken from it, and per-shard node randomness is decorrelated by shard
 // index.
 func NewShardedHarness(shards int, cfg core.Config) *ShardedHarness {
 	if shards < 1 {
 		shards = 1
 	}
-	// One partition space across all shards: shard i's organizations sit at
-	// offset i*NumOrgs, so PDES parallelism scales with the total org count,
-	// not the per-shard count. All consensus nodes, sequencers, clients, and
-	// coordinators share hub partition 0.
 	h := &ShardedHarness{
-		Engine:   core.NewEngine(cfg, shards*cfg.NumOrgs),
+		Engine:   core.NewEngine(cfg),
 		keyOwner: contract.SmallBankKeyOwner(cfg.NumOrgs),
 		subs:     make(map[types.TxID]*xsubref),
 	}
@@ -97,7 +91,7 @@ func NewShardedHarness(shards int, cfg core.Config) *ShardedHarness {
 		// shared scheme keeps client keys identical across shards.
 		sc.Seed = cfg.Seed + int64(i)*1_000_000_007
 		h.shards = append(h.shards,
-			core.NewClusterOn(h.Engine, "s"+strconv.Itoa(i)+"/", i*cfg.NumOrgs, sc))
+			core.NewClusterOn(h.Engine, "s"+strconv.Itoa(i)+"/", sc))
 		h.xid = append(h.xid, crypto.Identity("xcoord-s"+strconv.Itoa(i)))
 		h.xnonce = append(h.xnonce, 0)
 	}
@@ -249,9 +243,8 @@ func (h *ShardedHarness) subTx(shard int, org, fn string, args ...string) *types
 }
 
 // onCoordNotice is the coordinator hook, invoked by a shard's xcoord client
-// for every commit notice it receives. It runs inside hub-partition event
-// execution, so its mutations of harness state are totally ordered and
-// identical across serial and PDES runs.
+// for every commit notice it receives. It runs inside the event loop, so its
+// mutations of harness state are totally ordered.
 func (h *ShardedHarness) onCoordNotice(ctx *simnet.Context, e substrate.CommitEntry) {
 	ref, ok := h.subs[e.TxID]
 	if !ok {

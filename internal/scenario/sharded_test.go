@@ -18,14 +18,13 @@ import (
 
 // shardedFixture builds a 2-shard harness with a small per-shard cluster and
 // a registered workload client set.
-func shardedFixture(t testing.TB, shards, simWorkers int) (*ShardedHarness, *workload.Generator) {
+func shardedFixture(t testing.TB, shards int) (*ShardedHarness, *workload.Generator) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.NumOrgs = 4
 	cfg.BlockSize = 50
 	cfg.BlockTimeout = 5 * time.Millisecond
 	cfg.Seed = 7
-	cfg.SimWorkers = simWorkers
 	h := NewShardedHarness(shards, cfg)
 
 	w := workload.DefaultConfig(cfg.NumOrgs)
@@ -89,7 +88,7 @@ func accountPair(n int, cross bool, skip int) (int, int) {
 // Single-shard and cross-shard payments both commit end-to-end, the 2PC
 // stats add up, and safety (including the atomicity audit) passes.
 func TestShardedEndToEnd(t *testing.T) {
-	h, gen := shardedFixture(t, 2, 0)
+	h, gen := shardedFixture(t, 2)
 	c0 := gen.Client(0)
 
 	sSrc, sDst := accountPair(2, false, 0)
@@ -123,7 +122,7 @@ func TestShardedEndToEnd(t *testing.T) {
 // wins its lock, the second aborts on every touched shard (atomicity), and
 // the aborted transfer's funds are fully refunded.
 func TestShardedLockConflictAborts(t *testing.T) {
-	h, gen := shardedFixture(t, 2, 0)
+	h, gen := shardedFixture(t, 2)
 	c0 := gen.Client(0)
 
 	xSrc, xDst := accountPair(2, true, 0)
@@ -246,57 +245,11 @@ func TestShardsOneMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// The spec-level PDES path: sim_workers on a sharded spec must replay the
-// serial run byte-identically (events and per-shard ledger digests).
-func TestShardedSpecSerialVsPDES(t *testing.T) {
-	run := func(forceSerial bool) (Result, string) {
-		spec := shardedSpec()
-		spec.Shards = 4
-		spec.SimWorkers = 4
-		var digests string
-		res, err := RunWith(spec, RunConfig{
-			ForceSerialSim: forceSerial,
-			Observe: func(h Harness) {
-				sh := h.(*ShardedHarness)
-				digests = fmt.Sprint(sh.LedgerDigests())
-				// World states and telemetry too: nothing may follow the key
-				// and hash ids, which follow the partition that interned first.
-				var sb strings.Builder
-				for i := 0; i < sh.NumShards(); i++ {
-					for _, org := range sh.Shard(i).Orgs {
-						fmt.Fprintf(&sb, " %x", org[0].State().Digest())
-					}
-				}
-				sb.WriteByte('\n')
-				if err := sh.Metrics().WriteSummary(&sb); err != nil {
-					t.Fatal(err)
-				}
-				digests += sb.String()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, digests
-	}
-	rSer, dSer := run(true)
-	rPar, dPar := run(false)
-	if dSer != dPar {
-		t.Fatalf("ledger digests diverged:\nserial: %s\npdes:   %s", dSer, dPar)
-	}
-	if rSer.Events != rPar.Events {
-		t.Fatalf("event counts diverged: serial %d, pdes %d", rSer.Events, rPar.Events)
-	}
-	if rSer.Throughput != rPar.Throughput || rSer.P99 != rPar.P99 {
-		t.Fatalf("metrics diverged:\n%+v\n%+v", rSer, rPar)
-	}
-}
-
 // A sharded run is deterministic: same seed → identical per-shard ledger
-// digests, metrics, and event counts, serial and under PDES.
-func TestShardedSerialPDESDeterminism(t *testing.T) {
-	fingerprint := func(workers int) string {
-		h, gen := shardedFixture(t, 2, workers)
+// digests, metrics, and event counts.
+func TestShardedSameSeedDeterminism(t *testing.T) {
+	fingerprint := func() string {
+		h, gen := shardedFixture(t, 2)
 		c0 := gen.Client(0)
 		var txs []*types.Transaction
 		nonce := uint64(1)
@@ -314,11 +267,8 @@ func TestShardedSerialPDESDeterminism(t *testing.T) {
 		return fmt.Sprintf("digests=%v committed=%d aborted=%d events=%d",
 			h.LedgerDigests(), h.Metrics().NumCommitted(), h.Metrics().NumAborted(), h.VirtualEvents())
 	}
-	serial := fingerprint(0)
-	if again := fingerprint(0); again != serial {
-		t.Fatalf("serial rerun diverged:\n%s\n%s", serial, again)
-	}
-	if pdes := fingerprint(4); pdes != serial {
-		t.Fatalf("PDES diverged from serial:\n%s\n%s", serial, pdes)
+	first := fingerprint()
+	if again := fingerprint(); again != first {
+		t.Fatalf("rerun diverged:\n%s\n%s", first, again)
 	}
 }

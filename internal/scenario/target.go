@@ -42,7 +42,6 @@ func (s Scenario) compile(rc RunConfig) built {
 		cfg := s.fabricConfig()
 		cfg.Tracer = rc.Tracer
 		fc := fabric.NewCluster(cfg)
-		fc.ForceSerial(rc.ForceSerialSim)
 		return built{fc, cfg.NumOrgs, []target{{fc.Deployment, fc}}}
 	case s.Shards > 1:
 		// s.Shards copies of the compiled BIDL config on one shared
@@ -50,7 +49,6 @@ func (s Scenario) compile(rc RunConfig) built {
 		cfg := s.bidlConfig()
 		cfg.Tracer = rc.Tracer
 		h := NewShardedHarness(s.Shards, cfg)
-		h.ForceSerial(rc.ForceSerialSim)
 		b := built{harness: h, orgs: cfg.NumOrgs}
 		for _, bc := range h.shards {
 			b.targets = append(b.targets, target{bc.Deployment, bc})
@@ -60,7 +58,6 @@ func (s Scenario) compile(rc RunConfig) built {
 		cfg := s.bidlConfig()
 		cfg.Tracer = rc.Tracer
 		bc := core.NewCluster(cfg)
-		bc.ForceSerial(rc.ForceSerialSim)
 		return built{bc, cfg.NumOrgs, []target{{bc.Deployment, bc}}}
 	}
 }

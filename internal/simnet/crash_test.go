@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -9,27 +8,23 @@ import (
 )
 
 // crashRxr counts deliveries, charging CPU per message so an inbox backlog
-// builds, and crashes its own endpoint after a fixed number of receipts —
-// from inside its handler, i.e. on its own partition, the only place a
-// parallel run may mutate endpoint state.
+// builds, and crashes its own endpoint from inside its handler after a fixed
+// number of receipts.
 type crashRxr struct {
 	ep      *Endpoint
 	seen    int
-	last    time.Duration // virtual time of the latest receipt
-	crashAt int           // crash after this many receipts (0 = never)
+	crashAt int // crash after this many receipts (0 = never)
 }
 
 func (r *crashRxr) OnMessage(ctx *Context, from NodeID, msg Message) {
 	r.seen++
-	r.last = ctx.Now()
 	ctx.Elapse(50 * time.Microsecond)
 	if r.crashAt > 0 && r.seen == r.crashAt {
 		r.ep.SetDown(true)
 	}
 }
 
-// warden restarts a crashed peer endpoint in its own partition at a fixed
-// virtual time (standing in for the chaos injector's restart path).
+// warden restarts a crashed peer endpoint at a fixed virtual time (standing in for the chaos injector's restart path).
 type warden struct {
 	target *Endpoint
 	at     time.Duration
@@ -60,32 +55,29 @@ func (b *burster) OnStart(ctx *Context) {
 	})
 }
 
-// runMidFlightCrash builds the regression topology: a sender partition
-// bursts 100 messages at a receiver in another partition; the receiver
+// runMidFlightCrash builds the regression topology: a sender in one
+// datacenter bursts 100 messages at a receiver in another; the receiver
 // crashes itself mid-backlog, a warden restarts it later, and a second
-// burst lands after the restart. tr, when non-nil, is attached (pinning the
-// serial engine). Returns the receipts and a fingerprint of what the
-// handlers and the engine observed.
-func runMidFlightCrash(workers int, tr *trace.Tracer) (rx *crashRxr, fingerprint string) {
+// burst lands after the restart. tr is attached to the network and
+// returns the receipts.
+func runMidFlightCrash(tr *trace.Tracer) *crashRxr {
 	const first, later = 100, 50
 	s := NewSim(11)
-	s.SetPartitions(2)
-	s.SetWorkers(workers)
 	topo := Topology{
 		IntraLatency: 100 * time.Microsecond,
 		InterLatency: 2 * time.Millisecond,
 	}
 	n := NewNetwork(s, topo)
 	n.SetTracer(tr)
-	rx = &crashRxr{crashAt: 40}
-	b := n.RegisterPart("rx", 1, 1, rx)
+	rx := &crashRxr{crashAt: 40}
+	b := n.Register("rx", 1, rx)
 	rx.ep = b
-	n.RegisterPart("warden", 1, 1, &warden{target: b, at: 8 * time.Millisecond})
-	n.RegisterPart("tx", 0, 0, &burster{
+	n.Register("warden", 1, &warden{target: b, at: 8 * time.Millisecond})
+	n.Register("tx", 0, &burster{
 		target: b.ID(), first: first, later: later, laterAt: 10 * time.Millisecond,
 	})
 	s.Run()
-	return rx, fmt.Sprintf("seen=%d last=%s events=%d now=%s", rx.seen, rx.last, s.Events(), s.Now())
+	return rx
 }
 
 // TestCrashMidFlightDropsEnqueued is the regression test for crash
@@ -95,7 +87,7 @@ func runMidFlightCrash(workers int, tr *trace.Tracer) (rx *crashRxr, fingerprint
 // either seen or dropped.
 func TestCrashMidFlightDropsEnqueued(t *testing.T) {
 	tr := trace.New(trace.Options{})
-	rx, _ := runMidFlightCrash(0, tr)
+	rx := runMidFlightCrash(tr)
 	seen, dropped := rx.seen, tracedSum(tr, rx.ep.ID(), drops)
 	if seen <= 40 || seen >= 150 {
 		t.Fatalf("seen = %d; want crash mid-backlog then recovery (40 < seen < 150)", seen)
@@ -110,19 +102,6 @@ func TestCrashMidFlightDropsEnqueued(t *testing.T) {
 	// first burst's tail is lost.
 	if seen != 40+50 {
 		t.Fatalf("seen = %d, want 90 (40 pre-crash + 50 post-restart)", seen)
-	}
-}
-
-// TestCrashMidFlightParallelIdentical reruns the mid-flight crash with the
-// conservative-PDES engine: crash, drop accounting, and restart must be
-// byte-identical to the serial run (and race-clean under -race), because
-// all endpoint mutation happens on the owning partition.
-func TestCrashMidFlightParallelIdentical(t *testing.T) {
-	_, serial := runMidFlightCrash(0, nil)
-	for _, w := range []int{2, 4} {
-		if _, par := runMidFlightCrash(w, nil); par != serial {
-			t.Errorf("workers=%d diverged:\nserial:   %s\nparallel: %s", w, serial, par)
-		}
 	}
 }
 

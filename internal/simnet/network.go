@@ -75,7 +75,7 @@ func (t *Timer) Arm(ctx *Context, d time.Duration) bool {
 		return false
 	}
 	t.ep, t.life, t.armed = ctx.node, ctx.node.life, true
-	ctx.net.sim.schedDelivery(ctx.node.part, ctx.Now()+d, ctx.node, ctx.node.id, t, 0)
+	ctx.net.sim.schedDelivery(ctx.Now()+d, ctx.node, ctx.node.id, t, 0)
 	return true
 }
 
@@ -90,7 +90,6 @@ type Endpoint struct {
 	id      NodeID
 	name    string
 	dc      int
-	part    int
 	net     *Network
 	handler Handler
 
@@ -124,9 +123,6 @@ func (e *Endpoint) Name() string { return e.name }
 
 // DC returns the datacenter index the endpoint lives in.
 func (e *Endpoint) DC() int { return e.dc }
-
-// Partition returns the simulation partition the endpoint executes in.
-func (e *Endpoint) Partition() int { return e.part }
 
 // SetDown marks the endpoint crashed (true) or alive (false). A crashed
 // endpoint drops all deliveries — including messages already sitting in its
@@ -169,16 +165,13 @@ type Network struct {
 	groups    map[string][]NodeID
 
 	// pipeFree tracks when the shared inter-DC pipe for an ordered DC pair
-	// becomes free; keyed by fromDC*4096+toDC. A non-zero InterDCBandwidth
-	// forces the serial engine (the pipe is global state), so the map is
-	// never touched concurrently.
+	// becomes free; keyed by fromDC*4096+toDC.
 	pipeFree map[int]time.Duration
 
 	// mcReady maps a multicast's destination datacenters to when the payload
 	// is ready to leave for them. It is scratch reused across multicastSend
-	// calls, so a fan-out allocates no per-call map, and only touched under
-	// features that force the serial engine (tracing, inter-DC pipes), where
-	// a single activation owns it end to end.
+	// calls, so a fan-out allocates no per-call map; only tracing and
+	// inter-DC pipes use it.
 	mcReady map[int]time.Duration
 
 	// LatencyOverride, when non-nil, replaces the topology latency for a
@@ -193,39 +186,19 @@ type Network struct {
 	// tracer, when non-nil, receives node/link telemetry from the hot
 	// paths: it is the one record of traffic, drops, queueing and busy time.
 	// Every hot-path hook is guarded by a nil check so disabled tracing adds
-	// zero allocations; an attached tracer also zeroes the PDES lookahead,
-	// pinning the run to the serial engine (trace streams are strictly
-	// time-ordered).
+	// zero allocations.
 	tracer *trace.Tracer
 }
 
 // NewNetwork creates a network over the given simulator and topology.
-// Partitioning must already be configured on the simulator (SetPartitions):
-// RegisterPart checks placements against it, and the network installs the
-// conservative-PDES lookahead bound here.
 func NewNetwork(sim *Sim, topo Topology) *Network {
-	n := &Network{
+	return &Network{
 		sim:      sim,
 		topo:     topo,
 		groups:   make(map[string][]NodeID),
 		pipeFree: make(map[int]time.Duration),
 		mcReady:  make(map[int]time.Duration),
 	}
-	sim.SetLookahead(n.lookaheadBound)
-	return n
-}
-
-// lookaheadBound is the minimum delay separating a send from its delivery
-// across any endpoint pair — the conservative-PDES window size. Features
-// that either bypass the propagation-delay floor (latency overrides), keep
-// global mutable state (inter-DC pipes), possibly keep adversarial state
-// (drop filters), or require a single time-ordered stream (tracing) return
-// zero, which pins the simulation to the serial engine.
-func (n *Network) lookaheadBound() time.Duration {
-	if n.tracer != nil || n.LatencyOverride != nil || n.DropFilter != nil || n.topo.InterDCBandwidth > 0 {
-		return 0
-	}
-	return n.topo.MinLatency()
 }
 
 // SetTracer attaches (or, with nil, detaches) a telemetry tracer. Endpoints
@@ -240,30 +213,17 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 	}
 }
 
-// Register adds an endpoint in datacenter dc (partition 0) with the given
-// handler and returns it. If the handler implements Starter, OnStart fires
-// at time zero.
+// Register adds an endpoint in datacenter dc with the given handler and
+// returns it. If the handler implements Starter, OnStart fires at time zero.
 func (n *Network) Register(name string, dc int, h Handler) *Endpoint {
-	return n.RegisterPart(name, dc, 0, h)
-}
-
-// RegisterPart adds an endpoint in datacenter dc, executing in simulation
-// partition part. Cluster builders assign the hub partition (0) to nodes
-// that share mid-run state (consensus, sequencers, clients) and spread the
-// independent bulk (normal nodes, peers) over the remaining partitions.
-func (n *Network) RegisterPart(name string, dc, part int, h Handler) *Endpoint {
-	if part < 0 || part >= n.sim.NumPartitions() {
-		panic(fmt.Sprintf("simnet: RegisterPart(%q, part=%d) outside the simulator's %d partitions (call Sim.SetPartitions before NewNetwork)",
-			name, part, n.sim.NumPartitions()))
-	}
-	e := &Endpoint{id: NodeID(len(n.endpoints)), name: name, dc: dc, part: part, net: n, handler: h}
+	e := &Endpoint{id: NodeID(len(n.endpoints)), name: name, dc: dc, net: n, handler: h}
 	e.procFn = e.processNext
 	n.endpoints = append(n.endpoints, e)
 	if n.tracer != nil {
 		n.tracer.RegisterNode(int(e.id), name, dc)
 	}
 	if s, ok := h.(Starter); ok {
-		n.sim.schedDelivery(part, 0, e, e.id, timer(s.OnStart), 0)
+		n.sim.schedDelivery(0, e, e.id, timer(s.OnStart), 0)
 	}
 	return e
 }
@@ -290,11 +250,11 @@ func (n *Network) Join(group string, id NodeID) {
 func (n *Network) Group(group string) []NodeID { return n.groups[group] }
 
 // dropped reports whether the message from 'from' to dst is lost to a
-// DropFilter or to random loss (independent per receiver, drawn from the
-// sending partition's stream), recording a loss with the tracer at time at.
+// DropFilter or to random loss (independent per receiver), recording a loss
+// with the tracer at time at.
 func (n *Network) dropped(from, dst *Endpoint, msg Message, at time.Duration) bool {
 	if (n.DropFilter != nil && n.DropFilter(from.id, dst.id, msg)) ||
-		(n.topo.LossRate > 0 && n.sim.partRng(from.part).Float64() < n.topo.LossRate) {
+		(n.topo.LossRate > 0 && n.sim.rng.Float64() < n.topo.LossRate) {
 		n.tracer.Dropped(int(dst.id), at)
 		return true
 	}
@@ -315,8 +275,7 @@ func (n *Network) egress(from *Endpoint, size int, depart time.Duration) time.Du
 
 // pipe serializes size bytes through the shared fromDC→toDC pipe, entering no
 // earlier than ready, and returns when they leave it. Only a capped
-// InterDCBandwidth uses pipes, and it forces the serial engine, so pipeFree is
-// never touched concurrently.
+// InterDCBandwidth uses pipes.
 func (n *Network) pipe(fromDC, toDC, size int, ready time.Duration) time.Duration {
 	key := fromDC*4096 + toDC
 	done := max(ready, n.pipeFree[key]) +
@@ -347,7 +306,7 @@ func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Durat
 	// Deliveries are inlined events (no closure): the steady-state unicast
 	// path allocates nothing, pinned by TestUntracedDeliveryAllocs. The
 	// latency (one jitter draw) is computed once, as on the multicast path.
-	n.sim.schedDelivery(from.part, ready+n.pathLatency(from, dst), dst, from.id, msg, size)
+	n.sim.schedDelivery(ready+n.pathLatency(from, dst), dst, from.id, msg, size)
 }
 
 // deliver lands a message at its destination at virtual time 'at': the shared
@@ -415,7 +374,7 @@ func (n *Network) multicastSend(from *Endpoint, targets []NodeID, msg Message, d
 			at = d
 		}
 		// One inlined delivery event per receiver and nothing else.
-		n.sim.schedDelivery(from.part, at+n.pathLatency(from, dst), dst, from.id, msg, size)
+		n.sim.schedDelivery(at+n.pathLatency(from, dst), dst, from.id, msg, size)
 	}
 }
 
@@ -431,7 +390,7 @@ func (n *Network) pathLatency(from, to *Endpoint) time.Duration {
 		base = n.topo.latency(from.dc, to.dc)
 	}
 	if n.topo.Jitter > 0 {
-		base += time.Duration(n.sim.partRng(from.part).Int63n(int64(n.topo.Jitter)))
+		base += time.Duration(n.sim.rng.Int63n(int64(n.topo.Jitter)))
 	}
 	return base
 }
@@ -448,7 +407,7 @@ func (e *Endpoint) enqueue(d delivery) {
 	}
 	e.queue = append(e.queue, d)
 	if e.net.tracer != nil {
-		e.net.tracer.Queue(int(e.id), e.net.sim.partNow(e.part), len(e.queue)-e.qHead)
+		e.net.tracer.Queue(int(e.id), e.net.sim.now, len(e.queue)-e.qHead)
 	}
 	if !e.processing {
 		e.processNext()
@@ -468,7 +427,7 @@ func (e *Endpoint) processNext() {
 	d := e.queue[e.qHead]
 	e.queue[e.qHead] = delivery{} // release the message reference
 	e.qHead++
-	now := e.net.sim.partNow(e.part)
+	now := e.net.sim.now
 	ctx := &e.actCtx
 	*ctx = Context{net: e.net, node: e, start: now}
 	if e.down {
@@ -481,7 +440,7 @@ func (e *Endpoint) processNext() {
 		default:
 			e.net.tracer.Dropped(int(e.id), now)
 		}
-		e.net.sim.schedTimer(e.part, now, e.procFn)
+		e.net.sim.sched(event{at: now, fn: e.procFn})
 		return
 	}
 	switch m := d.msg.(type) {
@@ -498,7 +457,7 @@ func (e *Endpoint) processNext() {
 	if e.net.tracer != nil {
 		e.net.tracer.Busy(int(e.id), ctx.start, ctx.elapsed)
 	}
-	e.net.sim.schedTimer(e.part, now+ctx.elapsed, e.procFn)
+	e.net.sim.sched(event{at: now + ctx.elapsed, fn: e.procFn})
 }
 
 // NewInjectedContext returns a context for injecting activity into an
@@ -506,7 +465,7 @@ func (e *Endpoint) processNext() {
 // generators). The activation starts at the current virtual time and does
 // not queue behind the endpoint's core.
 func NewInjectedContext(net *Network, ep *Endpoint) *Context {
-	return &Context{net: net, node: ep, start: net.sim.partNow(ep.part)}
+	return &Context{net: net, node: ep, start: net.sim.now}
 }
 
 // Context is passed to handlers; it tracks virtual CPU time consumed by the
@@ -522,9 +481,8 @@ type Context struct {
 // start plus CPU time charged so far.
 func (c *Context) Now() time.Duration { return c.start + c.elapsed }
 
-// Rand exposes the deterministic randomness of the endpoint's partition
-// (partition 0's stream is the historical Sim.Rand stream).
-func (c *Context) Rand() *rand.Rand { return c.net.sim.partRng(c.node.part) }
+// Rand exposes the simulation's deterministic randomness (Sim.Rand).
+func (c *Context) Rand() *rand.Rand { return c.net.sim.rng }
 
 // Elapse charges d of virtual CPU time to this activation: later sends from
 // this activation depart after it, and the endpoint's next delivery is
@@ -563,5 +521,5 @@ func (c *Context) MulticastUnicast(group string, msg Message) {
 // queues like any other delivery, so a busy core delays it; it is scheduled
 // as an inlined delivery event (timer) and allocates nothing of its own.
 func (c *Context) After(d time.Duration, fn func(*Context)) {
-	c.net.sim.schedDelivery(c.node.part, c.Now()+d, c.node, c.node.id, timer(fn), 0)
+	c.net.sim.schedDelivery(c.Now()+d, c.node, c.node.id, timer(fn), 0)
 }

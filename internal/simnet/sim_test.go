@@ -159,8 +159,7 @@ func TestNegativeAfterInsideEventPanics(t *testing.T) {
 func TestRunUntilAdvancesClockOnEmptyQueue(t *testing.T) {
 	// Resume semantics: RunUntil must advance the clock to t even when no
 	// events exist, so a driver can idle the simulation forward and later
-	// schedules land relative to t. This is the barrier primitive the PDES
-	// coordinator leans on between windows.
+	// schedules land relative to t.
 	s := NewSim(1)
 	s.RunUntil(5 * time.Millisecond)
 	if s.Now() != 5*time.Millisecond {

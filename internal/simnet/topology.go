@@ -64,16 +64,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// MinLatency returns the smallest one-way propagation delay across any
-// endpoint pair — the conservative-PDES lookahead bound when no feature
-// bypasses the propagation floor.
-func (t Topology) MinLatency() time.Duration {
-	if t.InterLatency < t.IntraLatency {
-		return t.InterLatency
-	}
-	return t.IntraLatency
-}
-
 // latency returns the one-way propagation delay between two datacenters.
 func (t Topology) latency(fromDC, toDC int) time.Duration {
 	if fromDC == toDC {

@@ -2,11 +2,11 @@
 // deployed on, so that all of them share identical network, crypto costs and
 // workload plumbing (the paper's normalisation, §6). It has two halves:
 //
-//   - Engine: the event engine with its PDES partition layout, the network
-//     with its tracer, the membership scheme and the metrics collector. One
-//     Engine can carry several deployments (a sharded run).
+//   - Engine: the event engine, the network with its tracer, the membership
+//     scheme and the metrics collector. One Engine can carry several
+//     deployments (a sharded run).
 //   - Deployment: one cluster's place on an Engine — endpoint registration
-//     that owns datacenter and partition placement, the consensus group and
+//     that owns datacenter placement, the consensus group and
 //     per-organization endpoint rosters, the client registry with load
 //     submission, and the safety-violation log. A framework's Cluster embeds
 //     it and adds its own node types.
@@ -20,7 +20,6 @@ package substrate
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -41,8 +40,8 @@ import (
 )
 
 // Config is what every framework's deployment is parameterized by: cluster
-// shape, ordering-service batching and timeouts, cost model, network, seed
-// and engine. Which protocols a framework accepts and how many consensus
+// shape, ordering-service batching and timeouts, cost model, network and
+// seed. Which protocols a framework accepts and how many consensus
 // nodes tolerate F faults are the framework's own rules.
 type Config struct {
 	// NumOrgs organizations with PerOrg nodes each (BIDL normal nodes,
@@ -71,16 +70,6 @@ type Config struct {
 	NumDCs   int
 	// Seed drives all simulation randomness.
 	Seed int64
-
-	// SimWorkers requests conservative parallel discrete-event execution
-	// (PDES) with this many worker goroutines. Values below 2 keep the
-	// serial engine. The event queue is partitioned by node group —
-	// consensus nodes, what shares their servers, and clients in the hub
-	// partition, organizations spread over the rest — and a run is
-	// byte-identical at every SimWorkers. A topology with loss or jitter
-	// keeps one partition: both draw from the sending partition's random
-	// stream, so the partition count would pick the draws.
-	SimWorkers int
 
 	// Tracer, when non-nil, records per-transaction lifecycle spans and
 	// node/link telemetry for the whole cluster (see internal/trace). Nil
@@ -133,8 +122,6 @@ func (c Config) Validate(prefix string) error {
 		err = fmt.Errorf("ViewTimeout must be >= 0 (got %s)", c.ViewTimeout)
 	case c.NumDCs < 0:
 		err = fmt.Errorf("NumDCs must be >= 0 (got %d)", c.NumDCs)
-	case c.SimWorkers < 0:
-		err = fmt.Errorf("SimWorkers must be >= 0 (got %d)", c.SimWorkers)
 	default:
 		err = c.Topology.Validate()
 	}
@@ -154,22 +141,10 @@ type Engine struct {
 	Tracer *trace.Tracer
 }
 
-// NewEngine builds the engine cfg asks for (Seed, SimWorkers, Topology,
-// Tracer). The event queue is split by the hub-and-shards rule (DESIGN.md
-// §10): consensus nodes, whatever shares their servers, and clients run in
-// hub partition 0 because they read each other's state mid-run; the orgs
-// organizations the engine will carry — cfg.NumOrgs per deployment placed on
-// it — spread over the remaining partitions, as many as the workers allow
-// (one partition under loss or jitter, see Config.SimWorkers). domain keys
-// the membership scheme, so frameworks never share signing secrets.
-func NewEngine(domain string, cfg Config, orgs int) *Engine {
+// NewEngine builds the engine cfg asks for (Seed, Topology, Tracer). domain
+// keys the membership scheme, so frameworks never share signing secrets.
+func NewEngine(domain string, cfg Config) *Engine {
 	sim := simnet.NewSim(cfg.Seed)
-	parts := simnet.PartitionCount(cfg.SimWorkers, orgs)
-	if cfg.Topology.LossRate > 0 || cfg.Topology.Jitter > 0 {
-		parts = 1
-	}
-	sim.SetPartitions(parts)
-	sim.SetWorkers(cfg.SimWorkers)
 	net := simnet.NewNetwork(sim, cfg.Topology)
 	net.SetTracer(cfg.Tracer)
 	return &Engine{
@@ -182,17 +157,11 @@ func NewEngine(domain string, cfg Config, orgs int) *Engine {
 }
 
 // At schedules fn at virtual time t — the hook closed-loop load controllers
-// use to observe mid-run state and reschedule themselves. Only legal on the
-// serial engine once the run has started (Sim.At rejects scheduling during
-// parallel windows).
+// use to observe mid-run state and reschedule themselves.
 func (e *Engine) At(t time.Duration, fn func()) { e.Sim.At(t, fn) }
 
 // Run advances the simulation to absolute virtual time t.
 func (e *Engine) Run(t time.Duration) { e.Sim.RunUntil(t) }
-
-// ForceSerial pins the serial engine even when workers were requested — the
-// byte-identity reference for PDES determinism tests.
-func (e *Engine) ForceSerial(on bool) { e.Sim.ForceSerial(on) }
 
 // Metrics returns the run's metrics collector.
 func (e *Engine) Metrics() *metrics.Collector { return e.Collector }
@@ -253,28 +222,25 @@ type Deployment struct {
 	Keys   *dense.Table[string]
 	Hashes *dense.Table[types.TxID]
 
-	numDCs, orgOffset, placed int
-	clients                   map[crypto.Identity]clientEntry
+	numDCs, placed int
+	clients        map[crypto.Identity]clientEntry
 
 	violationsMu sync.Mutex
 	violations   []string
 }
 
 // NewDeployment places the cluster cfg describes on e. Nodes spread
-// round-robin over cfg.NumDCs datacenters; orgOffset shifts the cluster's
-// organizations within the engine's partition space, so co-hosted clusters
-// spread over all PDES partitions instead of piling onto the same ones.
-// identity names the consensus members in the scheme.
-func NewDeployment(e *Engine, label string, orgOffset int, cfg Config, identity func(int) crypto.Identity) *Deployment {
+// round-robin over cfg.NumDCs datacenters; identity names the consensus
+// members in the scheme.
+func NewDeployment(e *Engine, label string, cfg Config, identity func(int) crypto.Identity) *Deployment {
 	return &Deployment{
-		Engine:    e,
-		Label:     label,
-		Cons:      simhost.Group{Sim: e.Sim, Scheme: e.Scheme, Tracer: e.Tracer, Identity: identity},
-		Keys:      dense.NewTable[string](),
-		Hashes:    dense.NewTable[types.TxID](),
-		numDCs:    cfg.NumDCs,
-		orgOffset: orgOffset,
-		clients:   make(map[crypto.Identity]clientEntry),
+		Engine:  e,
+		Label:   label,
+		Cons:    simhost.Group{Sim: e.Sim, Scheme: e.Scheme, Tracer: e.Tracer, Identity: identity},
+		Keys:    dense.NewTable[string](),
+		Hashes:  dense.NewTable[types.TxID](),
+		numDCs:  cfg.NumDCs,
+		clients: make(map[crypto.Identity]clientEntry),
 	}
 }
 
@@ -288,17 +254,16 @@ func (d *Deployment) nextDC() int {
 	return dc
 }
 
-// AddConsensus registers node as the next consensus member (hub partition,
-// next datacenter) and binds its host transport h to the group.
+// AddConsensus registers node as the next consensus member (next
+// datacenter) and binds its host transport h to the group.
 func (d *Deployment) AddConsensus(h *simhost.Host, name string, node simnet.Handler) {
 	d.Cons.Join(h, d.Net.Register(d.Label+name, d.nextDC(), node))
 }
 
-// AddOrgNode registers the next node of organization org: next datacenter,
-// the organization's partition.
+// AddOrgNode registers the next node of organization org in the next
+// datacenter.
 func (d *Deployment) AddOrgNode(org int, name string, node simnet.Handler) *simnet.Endpoint {
-	part := simnet.ShardPartition(d.orgOffset+org, d.Sim.NumPartitions())
-	ep := d.Net.RegisterPart(d.Label+name, d.nextDC(), part, node)
+	ep := d.Net.Register(d.Label+name, d.nextDC(), node)
 	for len(d.OrgEps) <= org {
 		d.OrgEps = append(d.OrgEps, nil)
 	}
@@ -312,7 +277,7 @@ func (d *Deployment) HasClient(id crypto.Identity) bool {
 	return ok
 }
 
-// AddClient registers id's client endpoint (hub partition, datacenter 0).
+// AddClient registers id's client endpoint (datacenter 0).
 // The identity must already exist in the scheme: the workload generator
 // registers its clients.
 func (d *Deployment) AddClient(id crypto.Identity, node Client) *simnet.Endpoint {
@@ -369,8 +334,8 @@ func (d *Deployment) SubmitAt(at time.Duration, txns ...*types.Transaction) {
 	byClient := make(map[crypto.Identity][]*types.Transaction)
 	var order []crypto.Identity
 	for _, tx := range txns {
-		// Fill the lazy ID/signing/size caches before the transaction can
-		// cross a partition boundary (see Transaction.Warm).
+		// Fill the lazy ID/signing/size caches before the transaction is
+		// shared (see Transaction.Warm).
 		tx.Warm()
 		if _, ok := byClient[tx.Client]; !ok {
 			order = append(order, tx.Client)
@@ -396,28 +361,19 @@ func (d *Deployment) InFlight() int {
 	return n
 }
 
-// Violation records a safety breach detected during simulation. Node
-// handlers in concurrent partitions may report simultaneously, hence the
-// lock.
+// Violation records a safety breach detected during simulation.
 func (d *Deployment) Violation(msg string) {
 	d.violationsMu.Lock()
 	d.violations = append(d.violations, msg)
 	d.violationsMu.Unlock()
 }
 
-// Violations returns the recorded breaches for the end-of-run audit.
-// Partitioned runs sort for a deterministic report: the multiset of
-// violations is engine-independent but the arrival order is not.
-// Single-partition runs keep the historical event order.
+// Violations returns the recorded breaches for the end-of-run audit, in the
+// order the run detected them.
 func (d *Deployment) Violations() []string {
 	d.violationsMu.Lock()
 	defer d.violationsMu.Unlock()
-	if d.Sim.NumPartitions() <= 1 {
-		return d.violations
-	}
-	sorted := append([]string(nil), d.violations...)
-	sort.Strings(sorted)
-	return sorted
+	return d.violations
 }
 
 // Protocol names accepted by NewReplica.

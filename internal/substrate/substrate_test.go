@@ -15,10 +15,10 @@ import (
 
 func member(i int) crypto.Identity { return crypto.Identity(fmt.Sprintf("cn%d", i)) }
 
-func newDeployment(workers, orgs, numDCs, orgOffset int) *Deployment {
+func newDeployment(numDCs int) *Deployment {
 	cfg := DefaultConfig()
-	cfg.SimWorkers, cfg.NumDCs = workers, numDCs
-	return NewDeployment(NewEngine("test", cfg, orgs), "x/", orgOffset, cfg, member)
+	cfg.NumDCs = numDCs
+	return NewDeployment(NewEngine("test", cfg), "x/", cfg, member)
 }
 
 // fakeClient records the batches the registry hands it, into a log shared by
@@ -41,7 +41,7 @@ func (c *fakeClient) Submit(ctx *simnet.Context, txns []*types.Transaction) {
 }
 
 func TestSubmitAtGroupsByClientInFirstSeenOrder(t *testing.T) {
-	d := newDeployment(0, 2, 1, 0)
+	d := newDeployment(1)
 	var log []string
 	for _, id := range []crypto.Identity{"alice", "bob"} {
 		if d.HasClient(id) {
@@ -55,8 +55,8 @@ func TestSubmitAtGroupsByClientInFirstSeenOrder(t *testing.T) {
 	txns := []*types.Transaction{tx("bob", 1), tx("ghost", 2), tx("alice", 3), tx("bob", 4)}
 	wantID := tx("bob", 1).ID()
 	d.SubmitAt(5*time.Millisecond, txns...)
-	// Warmed at scheduling time, before the transaction can cross a partition
-	// boundary: the cached ID no longer follows the fields.
+	// Warmed at scheduling time, before the transaction is shared: the cached
+	// ID no longer follows the fields.
 	txns[0].Nonce = 99
 	if txns[0].ID() != wantID {
 		t.Fatal("SubmitAt did not warm the transaction's lazy caches")
@@ -80,36 +80,22 @@ func TestSubmitAtGroupsByClientInFirstSeenOrder(t *testing.T) {
 	}
 }
 
-func TestViolationsSortedOnlyWhenPartitioned(t *testing.T) {
-	serial := newDeployment(0, 3, 1, 0)
-	parted := newDeployment(4, 3, 1, 0)
-	if serial.Sim.NumPartitions() != 1 || parted.Sim.NumPartitions() != 4 {
-		t.Fatalf("partitions = %d and %d, want 1 and 4", serial.Sim.NumPartitions(), parted.Sim.NumPartitions())
+func TestViolationsKeepArrivalOrder(t *testing.T) {
+	d := newDeployment(1)
+	for _, v := range []string{"b", "c", "a"} {
+		d.Violation(v)
 	}
-	for _, d := range []*Deployment{serial, parted} {
-		for _, v := range []string{"b", "c", "a"} {
-			d.Violation(v)
-		}
-	}
-	if got := fmt.Sprint(serial.Violations()); got != "[b c a]" {
-		t.Errorf("single-partition report = %s, want arrival order [b c a]", got)
-	}
-	if got := fmt.Sprint(parted.Violations()); got != "[a b c]" {
-		t.Errorf("partitioned report = %s, want sorted [a b c]", got)
-	}
-	parted.Violation("0")
-	if got := fmt.Sprint(parted.Violations()); got != "[0 a b c]" {
-		t.Errorf("second partitioned report = %s, want [0 a b c]", got)
+	if got := fmt.Sprint(d.Violations()); got != "[b c a]" {
+		t.Errorf("report = %s, want arrival order [b c a]", got)
 	}
 }
 
-// TestPlacement checks the two placement rules in isolation (the end-to-end
+// TestPlacement checks the placement rule in isolation (the end-to-end
 // tables are pinned by scenario's TestEndpointLayoutPinned): datacenters are
 // dealt round-robin over consensus and organization nodes in registration
-// order, consensus nodes and clients sit in the hub partition, and
-// organization o sits in partition 1 + (offset+o) mod (partitions-1).
+// order, and clients sit in datacenter 0.
 func TestPlacement(t *testing.T) {
-	d := newDeployment(3, 8, 2, 3) // 3 partitions: hub + 2
+	d := newDeployment(2)
 	h := simnet.HandlerFunc(func(*simnet.Context, simnet.NodeID, simnet.Message) {})
 	var hosts [3]simhost.Host
 	for i := range hosts {
@@ -124,10 +110,10 @@ func TestPlacement(t *testing.T) {
 	var got string
 	for id := simnet.NodeID(0); d.Net.Endpoint(id) != nil; id++ {
 		ep := d.Net.Endpoint(id)
-		got += fmt.Sprintf("%s/dc%d/p%d ", ep.Name(), ep.DC(), ep.Partition())
+		got += fmt.Sprintf("%s/dc%d ", ep.Name(), ep.DC())
 	}
-	want := "x/cn0/dc0/p0 x/cn1/dc1/p0 x/cn2/dc0/p0 " +
-		"x/o0-n0/dc1/p2 x/o0-n1/dc0/p2 x/o1-n0/dc1/p1 x/o1-n1/dc0/p1 x/client-c/dc0/p0 "
+	want := "x/cn0/dc0 x/cn1/dc1 x/cn2/dc0 " +
+		"x/o0-n0/dc1 x/o0-n1/dc0 x/o1-n0/dc1 x/o1-n1/dc0 x/client-c/dc0 "
 	if got != want {
 		t.Fatalf("layout\n got %s\nwant %s", got, want)
 	}
@@ -149,7 +135,7 @@ func TestSubmittedNotifiedWriteBothStores(t *testing.T) {
 	for _, tr := range []*trace.Tracer{nil, trace.New(trace.Options{})} {
 		cfg := DefaultConfig()
 		cfg.Tracer = tr
-		e := NewEngine("test", cfg, 2)
+		e := NewEngine("test", cfg)
 		e.Submitted(id, 7, time.Millisecond)
 		e.Notified(id, 7, 5*time.Millisecond, true)
 		col := e.Metrics()

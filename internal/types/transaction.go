@@ -176,10 +176,8 @@ func (t *Transaction) Sign(scheme crypto.Scheme) error {
 
 // Warm forces the lazy caches (signing bytes, ID, wire size) to be computed
 // now. Transactions are immutable once signed, but the caches are filled on
-// first use; under the parallel simulation engine a transaction handed to
-// another partition must have them pre-computed so that two partitions never
-// race on the first fill. Cluster injection points call this before a
-// transaction crosses a partition boundary.
+// first use; cluster injection points call this before a transaction is
+// shared, so that no receiver ever fills them.
 func (t *Transaction) Warm() {
 	t.SigningBytes()
 	t.ID()

@@ -250,8 +250,8 @@ func parseSuffixIndex(key, prefix string, n int) (int, bool) {
 // when settlement flows are enabled, each organization's fee schedule).
 // It is built once and shared by reference across every node state, so a
 // cluster's prepopulated world state costs O(1) memory regardless of
-// Accounts. Both closures are pure — the base is read concurrently by every
-// partition under PDES.
+// Accounts. Both closures are pure — every node state reads the base, in
+// any order.
 func (g *Generator) Base() *ledger.Base {
 	if g.base != nil {
 		return g.base

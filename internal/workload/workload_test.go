@@ -243,7 +243,7 @@ func TestZipfDistribution(t *testing.T) {
 
 // TestZipfSettlementStreamsDeterministic: same-seed generators with every
 // new knob enabled produce byte-identical transaction streams — the
-// property serial/PDES equivalence of experiment output rests on.
+// property same-seed determinism of experiment output rests on.
 func TestZipfSettlementStreamsDeterministic(t *testing.T) {
 	cfg := DefaultConfig(6)
 	cfg.ZipfS = 1.2
