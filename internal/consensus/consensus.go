@@ -12,7 +12,6 @@ package consensus
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -101,16 +100,14 @@ type RandomEpoch struct {
 	Seed crypto.Digest
 
 	// perms memoises each epoch's schedule, so Leader is a lookup. One policy
-	// instance serves every replica and normal node of a cluster; the lock
-	// makes it safe for concurrent callers.
-	mu    sync.Mutex
+	// instance serves every replica and normal node of a cluster, all in the
+	// run's one event loop.
 	perms map[uint64][]int
 }
 
 // Leader implements LeaderPolicy.
 func (r *RandomEpoch) Leader(view uint64) int {
 	epoch := view / uint64(r.N)
-	r.mu.Lock()
 	perm, ok := r.perms[epoch]
 	if !ok {
 		if r.perms == nil {
@@ -119,7 +116,6 @@ func (r *RandomEpoch) Leader(view uint64) int {
 		perm = r.permutation(epoch)
 		r.perms[epoch] = perm
 	}
-	r.mu.Unlock()
 	return perm[view%uint64(r.N)]
 }
 

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"sync"
 	"testing"
 
 	"github.com/bidl-framework/bidl/internal/crypto"
@@ -87,27 +86,6 @@ func TestRandomEpochMemoMatchesSchedule(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRandomEpochConcurrent: one policy instance serves concurrent callers;
-// run under -race.
-func TestRandomEpochConcurrent(t *testing.T) {
-	p := &RandomEpoch{N: 31, Seed: crypto.Hash([]byte("x"))}
-	want := (&RandomEpoch{N: 31, Seed: p.Seed}).Leader(40)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := uint64(0); v < 31*4; v++ {
-				p.Leader(v)
-			}
-			if got := p.Leader(40); got != want {
-				t.Errorf("leader(40) = %d, want %d", got, want)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestQuorums(t *testing.T) {

@@ -41,9 +41,11 @@ type Cluster struct {
 	// traffic. For a standalone cluster these equal the package constants.
 	groupTxns, groupBlocks, groupPersist string
 
-	// stream is the normal nodes' shared PERSIST tally; probe the
-	// PersistProbe set when the cluster was built (tests only).
+	// stream is the normal nodes' shared PERSIST tally, world their
+	// committed state; probe the PersistProbe set when the cluster was built
+	// (tests only).
 	stream *persistStream
+	world  *world
 	probe  *PersistProbe
 }
 
@@ -110,8 +112,10 @@ func NewClusterOn(eng *substrate.Engine, label string, cfg Config) *Cluster {
 		c.Net.Join(c.groupBlocks, cn.Ep.ID())
 	}
 
+	c.world = &world{}
 	if probe == nil || !probe.Private {
 		c.stream = newPersistStream(cfg.quorum(), cfg.NumConsensus, cfg.NumOrgs*cfg.PerOrg, c.Hashes, probe)
+		c.world.st = ledger.NewShared(c.Keys)
 	}
 
 	// Organizations of normal nodes.

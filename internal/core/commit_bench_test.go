@@ -54,6 +54,13 @@ func newCommitBench(tb testing.TB, cfg Config, verified bool) *commitBench {
 
 // next builds the next block's messages and returns their delivery.
 func (f *commitBench) next(tb testing.TB) func() {
+	deliver := f.block(tb, func(i int) string { return fmt.Sprintf("k%d", i) })
+	return func() { deliver(f.nn, f.ctx) }
+}
+
+// block builds the next block's messages, the i-th transaction writing
+// key(i), and returns their delivery to a node in a context of its own.
+func (f *commitBench) block(tb testing.TB, key func(i int) string) func(*NormalNode, *simnet.Context) {
 	c, nn, size, number := f.c, f.nn, f.c.Cfg.BlockSize, f.number
 	f.number++
 	batch := &SeqBatch{}
@@ -63,7 +70,7 @@ func (f *commitBench) next(tb testing.TB) func() {
 		seqs[i], hashes[i] = uint64(number*size+i+1), tx.ID()
 		batch.Txns = append(batch.Txns, types.SequencedTx{Seq: seqs[i], Tx: tx})
 		pes[i] = PersistEntry{Seq: seqs[i], TxID: hashes[i], Consistent: true,
-			Writes: []ledger.Write{{Key: fmt.Sprintf("k%d", i), Val: []byte("v")}}}
+			Writes: []ledger.Write{{Key: key(i), Val: []byte("v")}}}
 		pes[i].warmContentKey()
 		// as the assembling delegate does (ResultEntry.warm)
 		pes[i].kids = nn.base.Resolve(pes[i].Writes)
@@ -93,8 +100,8 @@ func (f *commitBench) next(tb testing.TB) func() {
 	}
 	block.warmCaches()
 	block.resolve(c.Hashes) // as the disseminating leader does
-	return func() {
-		nn.bind(f.ctx, func() {
+	return func(nn *NormalNode, ctx *simnet.Context) {
+		nn.bind(ctx, func() {
 			nn.onSeqBatch(batch)
 			for _, msg := range persists {
 				nn.onPersist(c.ConsNodes[msg.Node].Ep.ID(), msg)

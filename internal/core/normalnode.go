@@ -266,6 +266,9 @@ func (n *NormalNode) speaksFor(tx *types.Transaction) bool {
 
 func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 	base := ledger.NewStateOn(c.Keys)
+	if c.world.st != nil {
+		base = c.world.st.View()
+	}
 	n := &NormalNode{
 		c:         c,
 		org:       org,
@@ -860,8 +863,8 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 
 	// Step 4: wait until every valid transaction's result persisted.
 	// Every node applies every committed write set (full world-state
-	// replication, as in HLF), so commit gates on all entries, not only
-	// related ones.
+	// replication, as in HLF; the host holds equal states once, world.go), so
+	// commit gates on all entries, not only related ones.
 	for i, r := range pb.recs {
 		if r.committed || r.invalid {
 			continue
@@ -876,23 +879,22 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	n.ctx.Elapse(n.c.Cfg.Costs.BlockOverhead +
 		time.Duration(len(pb.hashes))*n.c.Cfg.Costs.CommitTxn)
 	notices := make(map[crypto.Identity][]substrate.CommitEntry)
+	outs := n.c.world.scratch[:0]
 	for i, r := range pb.recs {
 		if r.committed {
+			outs = append(outs, nil)
 			continue
 		}
 		seq := pb.seqs[i]
 		tx := n.pool.payload(r)
-		aborted := r.invalid
-		if !aborted {
-			if res := n.pool.noted(seq).persist.result; res.Consistent && !res.Aborted {
-				n.base.ApplyResolved(res.Writes, res.kids, ledger.Version{Block: pb.msg.Number, Tx: i})
-			} else {
-				aborted = true
-				if !res.Consistent {
-					atomic.AddUint64(&n.c.Collector.NondetAborts, 1)
-				}
+		var res *PersistEntry
+		if !r.invalid {
+			if res = n.pool.noted(seq).persist.result; !res.Consistent {
+				atomic.AddUint64(&n.c.Collector.NondetAborts, 1)
 			}
 		}
+		outs = append(outs, outcome(res))
+		aborted := outs[i] == nil
 		n.pool.commit(r, pb.msg.ords.Intern(n.pool.hashes, i, pb.hashes[i]))
 		n.pool.clearNote(seq)
 		if n.onStream {
@@ -905,6 +907,9 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 			notices[tx.Client] = append(notices[tx.Client], substrate.CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
 		}
 	}
+	n.c.world.commit(n.base, pb.msg.Number, outs)
+	clear(outs)
+	n.c.world.scratch = outs[:0]
 	if n.onStream {
 		n.onStream = n.c.stream.committed(n, pb, n.cleared)
 	}

@@ -26,8 +26,27 @@ func checkReplay(t *testing.T, c *Cluster, gen *workload.Generator, submitted []
 }
 
 // replayMismatch is checkReplay's verdict: nil when every normal node holds
-// the replay.
+// the replay, else the first that does not.
 func replayMismatch(c *Cluster, gen *workload.Generator, submitted []*types.Transaction) error {
+	offenders, err := replayOffenders(c, gen, submitted)
+	if err == nil && len(offenders) > 0 {
+		err = offenders[0]
+	}
+	return err
+}
+
+// replayOffender is a normal node that does not hold the replay.
+type replayOffender struct {
+	node   *NormalNode
+	reason string
+}
+
+func (o replayOffender) Error() string { return o.reason }
+
+// replayOffenders replays consensus node 0's chain and returns every normal
+// node that is not at its height or differs from the replay; the error is
+// for a chain that cannot be replayed.
+func replayOffenders(c *Cluster, gen *workload.Generator, submitted []*types.Transaction) ([]replayOffender, error) {
 	byID := make(map[types.TxID]*types.Transaction, len(submitted))
 	for _, tx := range submitted {
 		byID[tx.ID()] = tx
@@ -48,7 +67,7 @@ func replayMismatch(c *Cluster, gen *workload.Generator, submitted []*types.Tran
 			replayed[h] = true
 			tx := byID[h]
 			if tx == nil {
-				return fmt.Errorf("block %d agrees on %x, which no client submitted", num, h[:4])
+				return nil, fmt.Errorf("block %d agrees on %x, which no client submitted", num, h[:4])
 			}
 			rw := c.Registry.Execute(want, tx, r1)
 			if rw.Aborted || rw.Digest() != c.Registry.Execute(want, tx, r2).Digest() {
@@ -58,17 +77,17 @@ func replayMismatch(c *Cluster, gen *workload.Generator, submitted []*types.Tran
 			want.Apply(rw.Writes, ledger.Version{Block: num, Tx: i})
 		}
 	}
+	var offenders []replayOffender
 	for o, org := range c.Orgs {
 		for j, nn := range org {
 			if nn.CommitHeight() != chain.Height() {
-				return fmt.Errorf("normal node %s/%d at height %d, consensus node 0 at %d",
-					types.OrgName(o), j, nn.CommitHeight(), chain.Height())
-			}
-			if !nn.State().Equal(want) {
-				return fmt.Errorf("normal node %s/%d differs from the sequential replay of %d transactions (%d aborted)",
-					types.OrgName(o), j, len(replayed), aborts)
+				offenders = append(offenders, replayOffender{nn, fmt.Sprintf("normal node %s/%d at height %d, consensus node 0 at %d",
+					types.OrgName(o), j, nn.CommitHeight(), chain.Height())})
+			} else if !nn.State().Equal(want) {
+				offenders = append(offenders, replayOffender{nn, fmt.Sprintf("normal node %s/%d differs from the sequential replay of %d transactions (%d aborted)",
+					types.OrgName(o), j, len(replayed), aborts)})
 			}
 		}
 	}
-	return nil
+	return offenders, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/types"
@@ -19,10 +18,9 @@ import (
 // order) or when a sequence number it commits has votes for another content
 // or hash, or trails too far, and goes on from a private tally rebuilt as the
 // stream stood at its position. Steps are kept from the slowest follower on,
-// each with the entries that added no vote, so the rebuild is exact; the lock
-// makes the stream safe for concurrent followers.
+// each with the entries that added no vote, so the rebuild is exact. Its
+// followers all run in the cluster's one event loop: nothing is locked.
 type persistStream struct {
-	mu                sync.Mutex
 	quorum, committee int
 	maxLag            uint64 // maxStreamLag, smaller in tests
 	probe             *PersistProbe
@@ -78,8 +76,7 @@ type doneSeq struct {
 	ord        uint32
 }
 
-// streamCursor is one normal node's place in the stream, guarded by the
-// stream's lock: the next step it expects, its commit height, and, once the
+// streamCursor is one normal node's place in the stream: the next step it expects, its commit height, and, once the
 // stream made it leave (evicted), the tallies to go on from.
 type streamCursor struct {
 	pos, height uint64
@@ -110,8 +107,6 @@ func (s *persistStream) join(cur *streamCursor) {
 // whether any did. following is false when n left the stream: its private
 // tallies then stand where the stream stood at n's position.
 func (s *persistStream) step(n *NormalNode, m *PersistMsg) (progressed, following bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cur := &n.cur
 	if cur.evicted {
 		n.install(cur.state, nil)
@@ -225,8 +220,6 @@ func (s *persistStream) rescanPos() {
 // private tally of a committed sequence number restarts empty, the stream's
 // does not. It reports whether n still follows.
 func (s *persistStream) committed(n *NormalNode, pb *pendingBlock, cleared []uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cur := &n.cur
 	if cur.evicted {
 		n.install(cur.state, clearedSeqs(pb, cleared))

@@ -14,11 +14,11 @@ type PersistProbe struct {
 	// Adopted, when non-nil, is called whenever a normal node adopts a
 	// persisted result: the node, the sequence number, the virtual time and
 	// the consensus node whose PERSIST message completed the quorum. It may
-	// run with the cluster's PERSIST stream locked and must not call into the
+	// run inside the cluster's PERSIST stream and must not call into the
 	// cluster.
 	Adopted func(node simnet.NodeID, seq uint64, at time.Duration, from int)
-	// Private keeps every normal node on its own tally: the cluster shares
-	// no PERSIST stream.
+	// Private keeps every normal node on its own tally and its own world
+	// state: the cluster shares no PERSIST stream and no committed state.
 	Private bool
 
 	visits atomic.Uint64

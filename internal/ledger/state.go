@@ -52,6 +52,11 @@ func (e *entry) ver() Version { return Version{Block: e.v >> 32, Tx: int(e.v >> 
 // State is the committed world state: a versioned key-value store.
 // It is single-writer by construction (one simulated node owns it).
 //
+// A State is either a state of its own or a view of a Shared state at the
+// view's height: it then reads what a state of its own that committed the
+// same blocks reads, and goes on alone (Leave) once written to outside the
+// blocks it writes for the views (Begin).
+//
 // A State is optionally layered copy-on-write over a shared immutable Base
 // (SetBase): reads that miss the private delta fall through to the base,
 // writes land in the delta, and deletes leave tombstones. The
@@ -73,6 +78,12 @@ type State struct {
 	size int
 	// ids resolves write sets in keys (Resolve).
 	ids Resolver
+	// sh is the shared state a view reads at height h, the blocks it
+	// committed; nil for a state of its own. undo is set on a shared state's
+	// head alone: its writes save what they overwrite for the views below.
+	sh   *Shared
+	h    uint64
+	undo *Shared
 }
 
 // NewState returns an empty world state with a key table of its own.
@@ -91,6 +102,10 @@ func NewStateOn(keys *dense.Table[string]) *State {
 // contract); attaching to a non-empty state panics rather than silently
 // changing which layer owns existing keys.
 func (s *State) SetBase(b *Base) {
+	if s.sh != nil && s.sh.attach(s, b) {
+		return
+	}
+	s.Leave()
 	if len(s.delta) != 0 || s.size != 0 || s.base != nil {
 		panic("ledger: SetBase on a non-empty state")
 	}
@@ -111,17 +126,40 @@ func (s *State) written(key string) *entry {
 
 // writtenAt is written for a caller that holds the key's id.
 func (s *State) writtenAt(id uint32) *entry {
+	if s.sh != nil {
+		return s.sh.written(id, s.h)
+	}
 	if e := s.delta.Get(id); e != nil && e.kind() != absent {
 		return e
 	}
 	return nil
 }
 
+// pages is the delta s reads: its own, or its shared state's head.
+func (s *State) pages() dense.Pages[entry] {
+	if s.sh != nil {
+		return s.sh.head.delta
+	}
+	return s.delta
+}
+
+// at returns what s reads at id, given id's entry in pages: a view rolls an
+// entry written above its height back to what it held there.
+func (s *State) at(id uint32, e *entry) *entry {
+	if s.sh != nil {
+		return s.sh.rollback(id, e, s.h)
+	}
+	return e
+}
+
 // Get returns the value and version for key, with ok=false if absent.
 // Base-layer values read at Version{}, the prepopulation version.
 func (s *State) Get(key string) (val []byte, ver Version, ok bool) {
 	if e := s.written(key); e != nil {
-		return e.val, e.ver(), e.kind() == value
+		if e.kind() == tombstone {
+			return nil, Version{}, false
+		}
+		return e.val, e.ver(), true
 	}
 	if v, ok := s.base.Get(key); ok {
 		return v, Version{}, true
@@ -131,7 +169,24 @@ func (s *State) Get(key string) (val []byte, ver Version, ok bool) {
 
 // Put writes key=val at version ver.
 func (s *State) Put(key string, val []byte, ver Version) {
-	s.put(s.keys.Intern(key), key, val, ver)
+	t := s.target(ver)
+	t.put(t.keys.Intern(key), key, val, ver)
+}
+
+// target is the state s's writes at ver land in: its shared state's head
+// while s writes its next block, else s, which a view leaves first: a view
+// written to directly goes on alone.
+func (s *State) target(ver Version) *State {
+	if sh := s.sh; sh != nil {
+		if sh.open && s.h == sh.h {
+			if ver.Block != sh.h {
+				panic(fmt.Sprintf("ledger: a write at block %d into shared block %d", ver.Block, sh.h))
+			}
+			return sh.head
+		}
+		s.Leave()
+	}
+	return s
 }
 
 // put is Put for a caller that holds key's id. The base is asked about a key
@@ -142,15 +197,23 @@ func (s *State) put(id uint32, key string, val []byte, ver Version) {
 	if k := e.kind(); k == tombstone || (k == absent && !s.base.Has(key)) {
 		s.size++ // else: overwriting, or shadowing a live base key
 	}
+	if s.undo != nil {
+		s.undo.save(id, e)
+	}
 	*e = entry{val: val, v: v}
 }
 
-// Delete removes key, leaving a tombstone.
-func (s *State) Delete(key string) { s.del(s.keys.Intern(key), key) }
+// Delete removes key, leaving a tombstone (dated to the view's next block in
+// a view writing it, so a view below still reads what the key held).
+func (s *State) Delete(key string) {
+	ver := Version{Block: s.h}
+	t := s.target(ver)
+	t.del(t.keys.Intern(key), key, ver)
+}
 
-// del is Delete for a caller that holds key's id. Like put it asks the base
-// only about a key the state has not touched.
-func (s *State) del(id uint32, key string) {
+// del is Delete for a caller that holds key's id, the tombstone dated ver.
+// Like put it asks the base only about a key the state has not touched.
+func (s *State) del(id uint32, key string, ver Version) {
 	e := s.delta.Get(id)
 	if e == nil || e.kind() == absent {
 		if !s.base.Has(key) {
@@ -160,23 +223,23 @@ func (s *State) del(id uint32, key string) {
 	} else if e.kind() == tombstone {
 		return
 	}
-	*e = entry{v: tombstone}
+	if s.undo != nil {
+		s.undo.save(id, e)
+	}
+	*e = entry{v: packed(ver, tombstone)}
 	s.size--
 }
 
 // Len returns the number of live keys.
-func (s *State) Len() int { return s.size }
+func (s *State) Len() int {
+	if s.sh != nil && s.base == s.sh.head.base {
+		return s.sh.sizeAt(s.h)
+	}
+	return s.size
+}
 
 // Apply installs a write set at the given version.
-func (s *State) Apply(writes []Write, ver Version) {
-	for _, w := range writes {
-		if w.Delete {
-			s.Delete(w.Key)
-		} else {
-			s.Put(w.Key, w.Val, ver)
-		}
-	}
-}
+func (s *State) Apply(writes []Write, ver Version) { s.ApplyResolved(writes, KeyIDs{}, ver) }
 
 // KeyIDs is a write set's keys resolved once for every state that shares a
 // key table: ids[i] is writes[i].Key's id in table. A pure function of the
@@ -221,15 +284,19 @@ func (s *State) Resolve(writes []Write) KeyIDs {
 // array index per write, no lock and no hash. Ids resolved in another table
 // (another deployment's, or none at all) are ignored and the keys go by name.
 func (s *State) ApplyResolved(writes []Write, r KeyIDs, ver Version) {
-	if r.table != s.keys || len(r.ids) != len(writes) {
-		s.Apply(writes, ver)
-		return
-	}
+	t := s.target(ver)
+	byID := r.table == t.keys && len(r.ids) == len(writes)
 	for i, w := range writes {
-		if w.Delete {
-			s.del(r.ids[i], w.Key)
+		var id uint32
+		if byID {
+			id = r.ids[i]
 		} else {
-			s.put(r.ids[i], w.Key, w.Val, ver)
+			id = t.keys.Intern(w.Key)
+		}
+		if w.Delete {
+			t.del(id, w.Key, ver)
+		} else {
+			t.put(id, w.Key, w.Val, ver)
 		}
 	}
 }
@@ -263,12 +330,12 @@ func (s *State) ValidateResolved(reads []Read, r KeyIDs) bool {
 // base keys neither shadowed nor tombstoned. Order is unspecified.
 func (s *State) forEachLive(fn func(key string, val []byte)) {
 	names := s.keys.Names()
-	for i, pg := range s.delta {
+	for i, pg := range s.pages() {
 		if pg == nil {
 			continue
 		}
 		for j := range pg {
-			if e := &pg[j]; e.kind() == value {
+			if e := s.at(uint32(i*dense.PageSize+j), &pg[j]); e.kind() == value {
 				fn(names[i*dense.PageSize+j], e.val)
 			}
 		}
@@ -289,7 +356,7 @@ func (s *State) Digest() crypto.Digest {
 		key string
 		val []byte
 	}
-	live := make([]pair, 0, s.size)
+	live := make([]pair, 0, s.Len())
 	s.forEachLive(func(k string, v []byte) { live = append(live, pair{k, v}) })
 	sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
 	parts := make([][]byte, 0, len(live)*2)
@@ -306,7 +373,10 @@ func (s *State) Digest() crypto.Digest {
 // cluster-wide prepopulation layer) the comparison touches only the deltas,
 // so a consistency audit stays O(written keys) at any account scale.
 func (s *State) Equal(o *State) bool {
-	if s.size != o.size {
+	if s.sh != nil && s.sh == o.sh && s.h == o.h && s.base == o.base {
+		return true // one state read at one height
+	}
+	if s.Len() != o.Len() {
 		return false
 	}
 	if s.base == o.base && s.keys == o.keys {
@@ -336,16 +406,21 @@ var unwritten [dense.PageSize]entry
 // written what the other reads from the base) the key's two readings decide.
 func (s *State) deltaEqual(o *State) bool {
 	var names []string
-	for i := 0; i < len(s.delta) || i < len(o.delta); i++ {
+	sp, op := s.pages(), o.pages()
+	for i := 0; i < len(sp) || i < len(op); i++ {
 		a, b := &unwritten, &unwritten
-		if i < len(s.delta) && s.delta[i] != nil {
-			a = s.delta[i]
+		if i < len(sp) && sp[i] != nil {
+			a = sp[i]
 		}
-		if i < len(o.delta) && o.delta[i] != nil {
-			b = o.delta[i]
+		if i < len(op) && op[i] != nil {
+			b = op[i]
 		}
-		for j := 0; a != b && j < len(a); j++ {
-			x, y := &a[j], &b[j]
+		if a == &unwritten && b == &unwritten {
+			continue
+		}
+		for j := range a {
+			id := uint32(i*dense.PageSize + j)
+			x, y := s.at(id, &a[j]), o.at(id, &b[j])
 			if x.kind() == y.kind() && bytes.Equal(x.val, y.val) {
 				continue
 			}
@@ -372,8 +447,12 @@ func (s *State) read(e *entry, key string) ([]byte, bool) {
 }
 
 // Clone deep-copies the state (delta values are copied; the immutable base
-// layer and the key table are shared by reference).
+// layer and the key table are shared by reference). A view's clone is a state
+// of its own at the view's height.
 func (s *State) Clone() *State {
+	if s.sh != nil {
+		s = s.sh.materialize(s)
+	}
 	c := NewStateOn(s.keys)
 	c.base, c.size, c.delta = s.base, s.size, make(dense.Pages[entry], len(s.delta))
 	for i, pg := range s.delta {

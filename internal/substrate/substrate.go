@@ -20,7 +20,6 @@ package substrate
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/consensus"
@@ -225,8 +224,7 @@ type Deployment struct {
 	numDCs, placed int
 	clients        map[crypto.Identity]clientEntry
 
-	violationsMu sync.Mutex
-	violations   []string
+	violations []string
 }
 
 // NewDeployment places the cluster cfg describes on e. Nodes spread
@@ -362,19 +360,11 @@ func (d *Deployment) InFlight() int {
 }
 
 // Violation records a safety breach detected during simulation.
-func (d *Deployment) Violation(msg string) {
-	d.violationsMu.Lock()
-	d.violations = append(d.violations, msg)
-	d.violationsMu.Unlock()
-}
+func (d *Deployment) Violation(msg string) { d.violations = append(d.violations, msg) }
 
 // Violations returns the recorded breaches for the end-of-run audit, in the
 // order the run detected them.
-func (d *Deployment) Violations() []string {
-	d.violationsMu.Lock()
-	defer d.violationsMu.Unlock()
-	return d.violations
-}
+func (d *Deployment) Violations() []string { return d.violations }
 
 // Protocol names accepted by NewReplica.
 const (
