@@ -56,6 +56,7 @@ func TestEndToEndAllVariants(t *testing.T) {
 			if err := c.CheckSafety(); err != nil {
 				t.Fatal(err)
 			}
+			checkReplay(t, c, gen)
 		})
 	}
 }
@@ -84,6 +85,7 @@ func TestContentionCausesMVCCAborts(t *testing.T) {
 	if err := c.CheckSafety(); err != nil {
 		t.Fatal(err)
 	}
+	checkReplay(t, c, gen)
 }
 
 func TestNoContentionNoAborts(t *testing.T) {
@@ -187,6 +189,7 @@ func TestMaliciousOrdererHLFRecovers(t *testing.T) {
 	if committedExtra < 45 {
 		t.Fatalf("only %d of 50 post-recovery transactions committed", committedExtra)
 	}
+	checkReplay(t, c, gen)
 }
 
 func TestDeterministicRuns(t *testing.T) {
