@@ -30,6 +30,11 @@ type Cluster struct {
 	Peers    [][]*Peer
 
 	policy consensus.LeaderPolicy
+	// world is the committed world state every peer's is a view of, verdicts
+	// what the view that wrote each block made of its envelopes (DESIGN.md
+	// §7.1).
+	world    *ledger.Shared
+	verdicts *ledger.Outcomes[chainPos, verdict]
 }
 
 // NewCluster builds a baseline deployment.
@@ -48,6 +53,8 @@ func NewCluster(cfg Config) *Cluster {
 		Registry:   reg,
 		policy:     consensus.RoundRobin{N: cfg.NumConsensus},
 	}
+	c.world = ledger.NewShared(c.Keys)
+	c.verdicts = ledger.NewOutcomes[chainPos, verdict](c.world)
 
 	consCfg := simhost.Config(cfg.Costs, cfg.NumConsensus, cfg.F, c.policy, cfg.ViewTimeout)
 	for i := 0; i < cfg.NumConsensus; i++ {

@@ -58,7 +58,7 @@ func newPeer(c *Cluster, org, idxInOrg int, seed int64) *Peer {
 		org:      org,
 		orgName:  types.OrgName(org),
 		idxInOrg: idxInOrg,
-		state:    ledger.NewStateOn(c.Keys),
+		state:    c.world.View(),
 		blocks:   ledger.NewBlockStore(),
 		nondet:   rand.New(rand.NewSource(seed)),
 		blockBuf: make(map[uint64]*FabricBlock),
@@ -163,13 +163,70 @@ func (p *Peer) maybeFetch(ctx *simnet.Context, src simnet.NodeID) {
 	p.fetchTimer.Arm(ctx, 2*p.c.Cfg.BlockTimeout)
 }
 
+// verdict is what validation made of one envelope of a block.
+type verdict uint8
+
+const (
+	skipped    verdict = iota // carried by an earlier envelope, or aborted by its endorsers
+	rejected                  // VSCC failed
+	conflicted                // MVCC failed
+	valid                     // its writes applied
+)
+
+// chainPos is what a block's verdicts depend on besides the state below it:
+// the block object, whose envelopes memoise their VSCC verdicts, and the
+// chain tip before it, which fixes the transactions earlier blocks carried.
+type chainPos struct {
+	blk *FabricBlock
+	tip crypto.Digest
+}
+
+// verdicts readies p's state for blk, the peer's next block: the verdicts
+// another peer's view wrote blk at this position with (adopt), or, when p's
+// view writes blk into the shared state, a slice to record p's own in.
+// A view that meets the block any other way leaves the shared state first
+// (world.go's rule for BIDL's normal nodes, DESIGN.md §7.1).
+func (p *Peer) verdicts(blk *FabricBlock) (vs []verdict, adopt bool) {
+	st, pos := p.state, chainPos{blk, p.blocks.LastDigest()}
+	if st.Sharing() && !st.Leads() {
+		if vs, ok := p.c.verdicts.Lookup(st, pos); ok {
+			return vs, true
+		}
+		st.Leave()
+	}
+	if st.Leads() {
+		if st.Begin(); st.Sharing() {
+			return p.c.verdicts.Record(pos, len(blk.Envs)), false
+		}
+	}
+	return nil, false
+}
+
+// validate is one envelope's VSCC endorsement check and sequential MVCC
+// check against p's state, and the commit of its writes when both pass.
+func (p *Peer) validate(env *Envelope, ver ledger.Version) verdict {
+	switch {
+	case env.Aborted:
+		return skipped
+	case !env.endorsed(p.c.Scheme):
+		return rejected
+	case !p.state.ValidateResolved(env.Reads, env.rkeys):
+		return conflicted
+	}
+	p.state.ApplyResolved(env.Writes, env.wkeys, ver)
+	return valid
+}
+
 // validateAndCommit is the validate phase: VSCC endorsement checks and the
 // sequential MVCC check, then commit of valid write sets. Contending
-// transactions endorsed against the same snapshot abort here (§6.3).
+// transactions endorsed against the same snapshot abort here (§6.3). A peer
+// whose view follows another that validated the block at the same position
+// adopts its verdicts and charges, counts and notifies as if it ran them.
 func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	costs := p.c.Cfg.Costs
 	start := ctx.Now()
 	ctx.Elapse(costs.BlockOverhead)
+	vs, adopt := p.verdicts(blk)
 	notices := make(map[crypto.Identity][]substrate.CommitEntry)
 	for i, env := range blk.Envs {
 		done := p.committed.At(blk.ords.Intern(p.c.Hashes, i, env.Tx.ID()))
@@ -178,19 +235,21 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 		}
 		*done = true
 		ctx.Elapse(p.c.Cfg.validatePerTxn())
-		aborted := env.Aborted
-		if !aborted && !env.endorsed(p.c.Scheme) {
-			aborted = true
+		var v verdict
+		if adopt {
+			v = vs[i]
+		} else if v = p.validate(env, ledger.Version{Block: blk.Number, Tx: i}); vs != nil {
+			vs[i] = v
+		}
+		switch v {
+		case rejected:
 			atomic.AddUint64(&p.c.Collector.RejectedTxns, 1)
-		}
-		if !aborted && !p.state.ValidateResolved(env.Reads, env.rkeys) {
-			aborted = true
+		case conflicted:
 			atomic.AddUint64(&p.c.Collector.MVCCAborts, 1)
-		}
-		if !aborted {
+		case valid:
 			ctx.Elapse(costs.CommitTxn)
-			p.state.ApplyResolved(env.Writes, env.wkeys, ledger.Version{Block: blk.Number, Tx: i})
 		}
+		aborted := v != valid
 		// The first related org's lead peer notifies the client.
 		if p.idxInOrg == 0 && env.Tx.CorrespondingOrg() == p.orgName {
 			id := env.Tx.ID()
@@ -207,5 +266,6 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	if err := p.blocks.AppendHashed(blk.block(p.blocks.LastDigest())); err != nil {
 		p.c.Violation("peer block append: " + err.Error())
 	}
+	p.state.Advance()
 	p.c.Notify(ctx, notices)
 }

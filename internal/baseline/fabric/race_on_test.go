@@ -1,0 +1,6 @@
+//go:build race
+
+package fabric
+
+// raceBuild reports whether the race detector is compiled in.
+const raceBuild = true

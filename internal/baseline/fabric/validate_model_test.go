@@ -429,6 +429,11 @@ func TestValidateModel(t *testing.T) {
 				if err := r.c.CheckSafety(); err != nil {
 					t.Fatal(err)
 				}
+				for i, p := range r.peers[:2] { // on the deployment's key table
+					if !copies && !p.State().Sharing() {
+						t.Fatalf("peer %d handed the blocks every peer holds left the shared world state", i)
+					}
+				}
 			})
 		}
 	}

@@ -115,7 +115,7 @@ func NewClusterOn(eng *substrate.Engine, label string, cfg Config) *Cluster {
 	c.world = &world{}
 	if probe == nil || !probe.Private {
 		c.stream = newPersistStream(cfg.quorum(), cfg.NumConsensus, cfg.NumOrgs*cfg.PerOrg, c.Hashes, probe)
-		c.world.st = ledger.NewShared(c.Keys)
+		c.world = newWorld(c.Keys)
 	}
 
 	// Organizations of normal nodes.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 )
 
@@ -13,13 +14,15 @@ import (
 // that trails the head by too many blocks (ledger.Shared).
 type world struct {
 	st *ledger.Shared // nil: every node keeps a state of its own
-	// outs[i] is block from+i's outcomes, kept from the slowest sharing
-	// node's height on; spare holds dropped ones for reuse, scratch the
-	// committing node's (one event loop: one commit at a time).
-	from    uint64
-	outs    ring[[]*PersistEntry]
-	spare   [][]*PersistEntry
+	// outs are the written blocks' outcomes; scratch is the committing
+	// node's (one event loop: one commit at a time).
+	outs    *ledger.Outcomes[struct{}, *PersistEntry]
 	scratch []*PersistEntry
+}
+
+func newWorld(keys *dense.Table[string]) *world {
+	st := ledger.NewShared(keys)
+	return &world{st: st, outs: ledger.NewOutcomes[struct{}, *PersistEntry](st)}
 }
 
 // A transaction's outcome is the persisted result it commits, nil when it
@@ -38,16 +41,15 @@ func outcome(res *PersistEntry) *PersistEntry {
 // to a state of its own.
 func (w *world) commit(st *ledger.State, num uint64, outs []*PersistEntry) {
 	if st.Sharing() && !st.Leads() {
-		if w.matches(num, outs) {
+		if rec, ok := w.outs.Lookup(st, struct{}{}); ok && matches(rec, outs) {
 			st.Advance()
 			return
 		}
 		st.Leave() // the node's outcomes differ: it builds its own state
-		w.trim()
 	}
 	if st.Leads() {
 		if st.Begin(); st.Sharing() {
-			w.record(outs)
+			copy(w.outs.Record(struct{}{}, len(outs)), outs)
 		}
 	}
 	for i, out := range outs {
@@ -58,32 +60,9 @@ func (w *world) commit(st *ledger.State, num uint64, outs []*PersistEntry) {
 	st.Advance()
 }
 
-// record keeps outs as the next block's outcomes.
-func (w *world) record(outs []*PersistEntry) {
-	w.trim()
-	var rec []*PersistEntry
-	if k := len(w.spare); k > 0 {
-		rec, w.spare = w.spare[k-1], w.spare[:k-1]
-	}
-	w.outs.push(append(rec, outs...))
-}
-
-// trim drops the outcomes of blocks below the slowest sharing node.
-func (w *world) trim() {
-	for ; w.outs.len() > 0 && w.from < w.st.Low(); w.from++ {
-		if rec := *w.outs.at(0); len(w.spare) < 4 {
-			clear(rec)
-			w.spare = append(w.spare, rec[:0])
-		}
-		w.outs.drop(1)
-	}
-}
-
-// matches reports whether outs are the outcomes block num was written with:
-// transaction by transaction, nothing, or the same persisted result or one of
-// equal content.
-func (w *world) matches(num uint64, outs []*PersistEntry) bool {
-	rec := *w.outs.at(int(num - w.from))
+// matches reports whether outs are the outcomes rec recorded: transaction by
+// transaction, nothing, or the same persisted result or one of equal content.
+func matches(rec, outs []*PersistEntry) bool {
 	if len(rec) != len(outs) {
 		return false
 	}

@@ -14,18 +14,19 @@ import (
 // slowest view, blocks keeps what the block overwrote, so a view below the
 // head rolls an entry back to what it held at the view's height (a tombstone
 // keeps its version, which dates the deletion). The first view to reach a
-// block writes it (Begin, its writes, Advance); a view that committed the same
-// block only advances; one that commits anything else leaves (Leave), as does
-// one that trails the head by more than maxViewLag blocks: it goes on as a
-// state of its own at its height. Views join before the first block.
+// block writes it (Begin, its writes, Advance) and, until Advance, reads the
+// head, its own writes included; a view that committed the same block only
+// advances; one that commits anything else leaves (Leave), as does one that
+// trails the head by more than maxViewLag blocks: it goes on as a state of its
+// own at its height. Views join before the first block.
 //
 // Like State it is for one event loop: nothing in it is locked.
 type Shared struct {
 	head *State
-	// h is the number of blocks written; open is set while a view writes
-	// block h.
-	h    uint64
-	open bool
+	// h is the number of blocks written; writer is the view writing block h,
+	// nil while none is.
+	h      uint64
+	writer *State
 	// blocks[i] is block low+i's undo record (the open block's last); low is
 	// the slowest view's height, atLow how many views are there.
 	blocks []undoBlock
@@ -65,7 +66,7 @@ func NewShared(keys *dense.Table[string]) *Shared {
 
 // View returns a new view at height 0. It panics once a block was written.
 func (sh *Shared) View() *State {
-	if sh.h != 0 || sh.open {
+	if sh.h != 0 || sh.writer != nil {
 		panic("ledger: a view joins a shared state after its first block")
 	}
 	v := NewStateOn(sh.head.keys)
@@ -75,6 +76,15 @@ func (sh *Shared) View() *State {
 	return v
 }
 
+// top is the height s reads at: its own, or the head's while it writes the
+// head's open block.
+func (s *State) top() uint64 {
+	if s.sh.writer == s {
+		return s.h + 1
+	}
+	return s.h
+}
+
 // Low is the slowest view's height: blocks below it are in no view's past
 // (with no view left, none is).
 func (sh *Shared) Low() uint64 { return sh.low }
@@ -82,7 +92,7 @@ func (sh *Shared) Low() uint64 { return sh.low }
 // attach gives view v the base b, if it can share it: before the first block,
 // when the head has no base or that one.
 func (sh *Shared) attach(v *State, b *Base) bool {
-	if sh.h != 0 || sh.open || v.base != nil || (sh.head.base != nil && sh.head.base != b) {
+	if sh.h != 0 || sh.writer != nil || v.base != nil || (sh.head.base != nil && sh.head.base != b) {
 		return false
 	}
 	if sh.head.base == nil {
@@ -100,12 +110,13 @@ func (s *State) Sharing() bool { return s.sh != nil }
 func (s *State) Leads() bool { return s.sh != nil && s.h == s.sh.h }
 
 // Begin opens s's next block: until Advance, s's writes, which must be at that
-// block's versions, land in the shared state, and s still reads the state
-// below the block. s must lead. A view whose base is not the head's (one that
-// missed SetBase) leaves first, s too: its writes are then its own.
+// block's versions, land in the shared state, and s reads the head, its writes
+// to the block included; every other view still reads below it. s must lead.
+// A view whose base is not the head's (one that missed SetBase) leaves first,
+// s too: its writes are then its own.
 func (s *State) Begin() {
 	sh := s.sh
-	if !s.Leads() || sh.open {
+	if !s.Leads() || sh.writer != nil {
 		panic("ledger: Begin on a view that does not lead")
 	}
 	base := sh.head.base
@@ -122,7 +133,7 @@ func (s *State) Begin() {
 		recs, sh.spare = sh.spare[k-1], sh.spare[:k-1]
 	}
 	sh.blocks = append(sh.blocks, undoBlock{size: sh.head.size, recs: recs})
-	sh.open = true
+	sh.writer = s
 }
 
 // Advance moves view s one block up: past the block it wrote since Begin, or
@@ -132,11 +143,11 @@ func (s *State) Advance() {
 	if sh == nil {
 		return
 	}
-	wrote := sh.open && s.h == sh.h
+	wrote := sh.writer == s
 	if wrote {
 		b := &sh.blocks[len(sh.blocks)-1]
 		slices.SortFunc(b.recs, func(x, y undoRec) int { return cmp.Compare(x.id, y.id) })
-		sh.open = false
+		sh.writer = nil
 		sh.h++
 	} else if s.h >= sh.h {
 		panic("ledger: Advance past the head")
@@ -164,7 +175,7 @@ func (s *State) Leave() {
 	if sh == nil {
 		return
 	}
-	if sh.open && s.h == sh.h {
+	if sh.writer == s {
 		panic("ledger: a view leaves the block it writes")
 	}
 	own := sh.materialize(s)
@@ -210,9 +221,10 @@ func (sh *Shared) rollback(id uint32, e *entry, h uint64) *entry {
 	return e
 }
 
-// sizeAt is the live key count at height h.
+// sizeAt is the live key count at height h (h-1's writer reads at h, the
+// head).
 func (sh *Shared) sizeAt(h uint64) int {
-	if h == sh.h && !sh.open {
+	if h > sh.h || (h == sh.h && sh.writer == nil) {
 		return sh.head.size
 	}
 	return sh.blocks[h-sh.low].size
@@ -232,7 +244,7 @@ func (sh *Shared) materialize(v *State) *State {
 			own.delta[i] = &cp
 		}
 	}
-	for i := len(sh.blocks) - 1; i >= int(v.h-sh.low); i-- {
+	for i := len(sh.blocks) - 1; i >= int(v.top()-sh.low); i-- {
 		for _, r := range sh.blocks[i].recs {
 			*own.delta.At(r.id) = r.prev
 		}
@@ -266,4 +278,73 @@ func (sh *Shared) rescan() {
 	n := copy(sh.blocks, sh.blocks[k:])
 	clear(sh.blocks[n:])
 	sh.blocks, sh.low = sh.blocks[:n], low
+}
+
+// Outcomes keeps what the writer of each block of a shared state made of it,
+// from the slowest view's height on: one outcome per transaction, under a key
+// naming what else they depend on. A view that reaches a block another view
+// wrote looks the block up and, when the outcomes are its own, only advances
+// (DESIGN.md §7.1); otherwise it leaves.
+type Outcomes[K comparable, T any] struct {
+	sh    *Shared
+	from  uint64 // the block recs[0] records
+	recs  []outcomeRec[K, T]
+	spare [][]T // dropped records' outcomes, for reuse
+}
+
+type outcomeRec[K comparable, T any] struct {
+	key  K
+	outs []T
+}
+
+// NewOutcomes returns an empty record of sh's blocks.
+func NewOutcomes[K comparable, T any](sh *Shared) *Outcomes[K, T] {
+	return &Outcomes[K, T]{sh: sh}
+}
+
+// Record returns n zero outcomes, kept under key, for the writer to fill in
+// for the block it opened (Begin).
+func (o *Outcomes[K, T]) Record(key K, n int) []T {
+	if o.sh.writer == nil {
+		panic("ledger: outcomes recorded with no block open")
+	}
+	o.trim()
+	if len(o.recs) == 0 {
+		o.from = o.sh.h
+	} else if o.from+uint64(len(o.recs)) != o.sh.h {
+		panic("ledger: a block written without its outcomes")
+	}
+	var outs []T
+	if k := len(o.spare); k > 0 {
+		outs, o.spare = o.spare[k-1], o.spare[:k-1]
+	}
+	outs = slices.Grow(outs[:0], n)[:n]
+	clear(outs)
+	o.recs = append(o.recs, outcomeRec[K, T]{key: key, outs: outs})
+	return outs
+}
+
+// Lookup returns the outcomes the next block of view v was written with, and
+// whether it was written under key.
+func (o *Outcomes[K, T]) Lookup(v *State, key K) ([]T, bool) {
+	o.trim()
+	if v.sh != o.sh || v.h < o.from || v.h-o.from >= uint64(len(o.recs)) {
+		return nil, false
+	}
+	r := &o.recs[v.h-o.from]
+	return r.outs, r.key == key
+}
+
+// trim drops the records of blocks below the slowest view.
+func (o *Outcomes[K, T]) trim() {
+	if low := o.sh.Low(); low > o.from {
+		k := int(min(uint64(len(o.recs)), low-o.from))
+		for _, r := range o.recs[:k] {
+			if clear(r.outs); len(o.spare) < maxSpare {
+				o.spare = append(o.spare, r.outs)
+			}
+		}
+		clear(o.recs[:k])
+		o.recs, o.from = o.recs[k:], o.from+uint64(k)
+	}
 }

@@ -17,12 +17,16 @@ import (
 // that applied the first h blocks; after every step each view must read like
 // its reference (Get by name, ValidateResolved by id, Len, Equal, Digest), and
 // the shared state must hold undo records for exactly the blocks above its
-// slowest view.
+// slowest view. The view writing a block is checked after each of its
+// transactions too: it reads its own writes to the open block, every other
+// view still reads below it.
 
 const sharedModelLag = 5
 
 // sharedModel is one run: the views, each one's height and, once it stopped
-// sharing, its own reference; snaps[h] is the reference at height h.
+// sharing, its own reference; snaps[h] is the reference at height h. While
+// view writing writes a block, partial is its reference: the block's
+// transactions so far applied.
 type sharedModel struct {
 	t      *testing.T
 	sh     *Shared
@@ -34,6 +38,9 @@ type sharedModel struct {
 	rng    *rand.Rand // the blocks' content
 	left   bool       // view 1 left
 	frozen bool       // view 0 stopped following
+
+	writing int
+	partial *State
 }
 
 // next returns the next drawn byte.
@@ -94,7 +101,13 @@ func (m *sharedModel) step(i int) string {
 	if v.Leads() {
 		txs := m.block(h)
 		v.Begin()
-		applyBlock(v, h, txs)
+		m.writing, m.partial = i, m.snaps[h].Clone()
+		for j, ws := range txs {
+			v.Apply(ws, Version{Block: h, Tx: j})
+			m.partial.Apply(ws, Version{Block: h, Tx: j})
+			m.check(fmt.Sprintf("view %d writing block %d, transaction %d", i, h, j))
+		}
+		m.partial = nil
 		what = fmt.Sprintf("view %d writes block %d", i, h)
 	}
 	v.Advance()
@@ -114,6 +127,9 @@ func (m *sharedModel) block(h uint64) [][]Write {
 }
 
 func (m *sharedModel) ref(i int) *State {
+	if m.partial != nil && i == m.writing {
+		return m.partial
+	}
 	if m.own[i] != nil {
 		return m.own[i]
 	}
@@ -167,6 +183,12 @@ func (m *sharedModel) check(what string) {
 			}
 		}
 	}
+	if m.partial != nil {
+		if m.sh.writer != m.views[m.writing] {
+			t.Fatalf("%s: the shared state names another writer", what)
+		}
+		return
+	}
 	// Undo records for exactly the blocks above the slowest sharing view.
 	sharing, low := 0, ^uint64(0)
 	for i, v := range m.views {
@@ -184,9 +206,9 @@ func (m *sharedModel) check(what string) {
 		}
 		return
 	}
-	if m.sh.open || m.sh.low != low || uint64(len(m.sh.blocks)) != m.sh.h-low {
+	if m.sh.writer != nil || m.sh.low != low || uint64(len(m.sh.blocks)) != m.sh.h-low {
 		t.Fatalf("%s: undo records for blocks %d..%d (open %t); the slowest sharing view is at %d, the head at %d",
-			what, m.sh.low, m.sh.low+uint64(len(m.sh.blocks)), m.sh.open, low, m.sh.h)
+			what, m.sh.low, m.sh.low+uint64(len(m.sh.blocks)), m.sh.writer != nil, low, m.sh.h)
 	}
 	for k, b := range m.sh.blocks {
 		if want := m.snaps[low+uint64(k)].Len(); b.size != want {

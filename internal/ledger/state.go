@@ -127,7 +127,7 @@ func (s *State) written(key string) *entry {
 // writtenAt is written for a caller that holds the key's id.
 func (s *State) writtenAt(id uint32) *entry {
 	if s.sh != nil {
-		return s.sh.written(id, s.h)
+		return s.sh.written(id, s.top())
 	}
 	if e := s.delta.Get(id); e != nil && e.kind() != absent {
 		return e
@@ -147,7 +147,7 @@ func (s *State) pages() dense.Pages[entry] {
 // entry written above its height back to what it held there.
 func (s *State) at(id uint32, e *entry) *entry {
 	if s.sh != nil {
-		return s.sh.rollback(id, e, s.h)
+		return s.sh.rollback(id, e, s.top())
 	}
 	return e
 }
@@ -178,7 +178,7 @@ func (s *State) Put(key string, val []byte, ver Version) {
 // written to directly goes on alone.
 func (s *State) target(ver Version) *State {
 	if sh := s.sh; sh != nil {
-		if sh.open && s.h == sh.h {
+		if sh.writer == s {
 			if ver.Block != sh.h {
 				panic(fmt.Sprintf("ledger: a write at block %d into shared block %d", ver.Block, sh.h))
 			}
@@ -233,7 +233,7 @@ func (s *State) del(id uint32, key string, ver Version) {
 // Len returns the number of live keys.
 func (s *State) Len() int {
 	if s.sh != nil && s.base == s.sh.head.base {
-		return s.sh.sizeAt(s.h)
+		return s.sh.sizeAt(s.top())
 	}
 	return s.size
 }
@@ -373,7 +373,7 @@ func (s *State) Digest() crypto.Digest {
 // cluster-wide prepopulation layer) the comparison touches only the deltas,
 // so a consistency audit stays O(written keys) at any account scale.
 func (s *State) Equal(o *State) bool {
-	if s.sh != nil && s.sh == o.sh && s.h == o.h && s.base == o.base {
+	if s.sh != nil && s.sh == o.sh && s.top() == o.top() && s.base == o.base {
 		return true // one state read at one height
 	}
 	if s.Len() != o.Len() {
