@@ -181,27 +181,6 @@ type chainPos struct {
 	tip crypto.Digest
 }
 
-// verdicts readies p's state for blk, the peer's next block: the verdicts
-// another peer's view wrote blk at this position with (adopt), or, when p's
-// view writes blk into the shared state, a slice to record p's own in.
-// A view that meets the block any other way leaves the shared state first
-// (world.go's rule for BIDL's normal nodes, DESIGN.md §7.1).
-func (p *Peer) verdicts(blk *FabricBlock) (vs []verdict, adopt bool) {
-	st, pos := p.state, chainPos{blk, p.blocks.LastDigest()}
-	if st.Sharing() && !st.Leads() {
-		if vs, ok := p.c.verdicts.Lookup(st, pos); ok {
-			return vs, true
-		}
-		st.Leave()
-	}
-	if st.Leads() {
-		if st.Begin(); st.Sharing() {
-			return p.c.verdicts.Record(pos, len(blk.Envs)), false
-		}
-	}
-	return nil, false
-}
-
 // validate is one envelope's VSCC endorsement check and sequential MVCC
 // check against p's state, and the commit of its writes when both pass.
 func (p *Peer) validate(env *Envelope, ver ledger.Version) verdict {
@@ -226,7 +205,9 @@ func (p *Peer) validateAndCommit(ctx *simnet.Context, blk *FabricBlock) {
 	costs := p.c.Cfg.Costs
 	start := ctx.Now()
 	ctx.Elapse(costs.BlockOverhead)
-	vs, adopt := p.verdicts(blk)
+	// The verdicts another peer's view wrote blk at this position with
+	// (adopt), or, when p's view writes blk, a slice to record p's own in.
+	vs, adopt := ledger.Follow[chainPos, verdict](p.state, chainPos{blk, p.blocks.LastDigest()}, len(blk.Envs), nil)
 	notices := make(map[crypto.Identity][]substrate.CommitEntry)
 	for i, env := range blk.Envs {
 		done := p.committed.At(blk.ords.Intern(p.c.Hashes, i, env.Tx.ID()))

@@ -42,10 +42,12 @@ type Cluster struct {
 	groupTxns, groupBlocks, groupPersist string
 
 	// stream is the normal nodes' shared PERSIST tally, world their
-	// committed state; probe the PersistProbe set when the cluster was built
-	// (tests only).
+	// committed state, outs the committing node's outcomes (one event loop:
+	// one commit at a time); probe the PersistProbe set when the cluster was
+	// built (tests only).
 	stream *persistStream
-	world  *world
+	world  *ledger.Shared
+	outs   []*PersistEntry
 	probe  *PersistProbe
 }
 
@@ -112,11 +114,8 @@ func NewClusterOn(eng *substrate.Engine, label string, cfg Config) *Cluster {
 		c.Net.Join(c.groupBlocks, cn.Ep.ID())
 	}
 
-	c.world = &world{}
-	if probe == nil || !probe.Private {
-		c.stream = newPersistStream(cfg.quorum(), cfg.NumConsensus, cfg.NumOrgs*cfg.PerOrg, c.Hashes, probe)
-		c.world = newWorld(c.Keys)
-	}
+	c.stream = newPersistStream(cfg.quorum(), cfg.NumConsensus, c.Hashes, probe)
+	c.world = ledger.NewShared(c.Keys)
 
 	// Organizations of normal nodes.
 	for o := 0; o < cfg.NumOrgs; o++ {

@@ -265,10 +265,7 @@ func (n *NormalNode) speaksFor(tx *types.Transaction) bool {
 }
 
 func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
-	base := ledger.NewStateOn(c.Keys)
-	if c.world.st != nil {
-		base = c.world.st.View()
-	}
+	base := c.world.View()
 	n := &NormalNode{
 		c:         c,
 		org:       org,
@@ -290,10 +287,7 @@ func newNormalNode(c *Cluster, org, idxInOrg int, seed int64) *NormalNode {
 	n.persistRetry = simnet.NewTimer(n.bound(n.retryPersist))
 	n.onRefetch = n.bound(n.processBlocks)
 	n.cleared = n.clearedBuf[:0]
-	if c.stream != nil {
-		c.stream.join(&n.cur)
-		n.onStream = true
-	}
+	n.onStream = c.stream.steps.Join(&n.cur.pos, n) && c.stream.done.Join(&n.cur.height, n)
 	return n
 }
 
@@ -863,7 +857,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 
 	// Step 4: wait until every valid transaction's result persisted.
 	// Every node applies every committed write set (full world-state
-	// replication, as in HLF; the host holds equal states once, world.go), so
+	// replication, as in HLF; the host holds equal states once, commitWorld), so
 	// commit gates on all entries, not only related ones.
 	for i, r := range pb.recs {
 		if r.committed || r.invalid {
@@ -879,7 +873,7 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 	n.ctx.Elapse(n.c.Cfg.Costs.BlockOverhead +
 		time.Duration(len(pb.hashes))*n.c.Cfg.Costs.CommitTxn)
 	notices := make(map[crypto.Identity][]substrate.CommitEntry)
-	outs := n.c.world.scratch[:0]
+	outs := n.c.outs[:0]
 	for i, r := range pb.recs {
 		if r.committed {
 			outs = append(outs, nil)
@@ -907,9 +901,9 @@ func (n *NormalNode) tryCommitBlock(pb *pendingBlock) bool {
 			notices[tx.Client] = append(notices[tx.Client], substrate.CommitEntry{TxID: pb.hashes[i], Aborted: aborted})
 		}
 	}
-	n.c.world.commit(n.base, pb.msg.Number, outs)
+	commitWorld(n.base, pb.msg.Number, outs)
 	clear(outs)
-	n.c.world.scratch = outs[:0]
+	n.c.outs = outs[:0]
 	if n.onStream {
 		n.onStream = n.c.stream.committed(n, pb, n.cleared)
 	}

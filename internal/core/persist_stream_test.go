@@ -7,22 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/types"
 	"github.com/bidl-framework/bidl/internal/workload"
 )
-
-// privateTallies takes c's normal nodes off the shared PERSIST stream: each
-// counts every echo itself, as with PersistProbe.Private.
-func privateTallies(c *Cluster) {
-	c.stream = nil
-	for _, org := range c.Orgs {
-		for _, nn := range org {
-			nn.onStream = false
-		}
-	}
-}
 
 // streamFollowers counts c's normal nodes still on the PERSIST stream.
 func streamFollowers(c *Cluster) (n int) {
@@ -105,16 +95,16 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 	evict.cfg = func(c *Config) { c.BlockTimeout = DefaultConfig().BlockTimeout }
 	crash := evict.arm
 	evict.arm = func(c *Cluster) func() error {
-		if c.stream != nil {
-			c.stream.maxLag = 4
-		}
+		c.stream.steps.MaxLag = 4
 		return crash(c)
 	}
 	runs = append(runs, evict)
 	for _, r := range runs {
 		shared, sharedOut := runAdoptions(t, r, nil)
 		followers := streamFollowers(shared)
-		private, privateOut := runAdoptions(t, r, privateTallies)
+		restore := dense.SetPrivate(true)
+		private, privateOut := runAdoptions(t, r, nil)
+		restore()
 		if !bytes.Equal(sharedOut, privateOut) {
 			got, want := strings.Split(string(sharedOut), "\n"), strings.Split(string(privateOut), "\n")
 			for i := range got {
@@ -134,7 +124,7 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 		if r.name == "crash/evict" && !shared.Orgs[1][1].cur.evicted {
 			t.Fatalf("%s: the crash's victim was never evicted", r.name)
 		}
-		if st := shared.stream; followers == 0 && (st.tallies != nil || st.spare != nil || cap(st.steps.buf) != 0) {
+		if st := shared.stream; followers == 0 && (st.tallies != nil || st.spare != nil || st.steps.Head() != st.steps.Low() || st.done.Head() != st.done.Low()) {
 			t.Fatalf("%s: the stream keeps its tallies or buffers with no follower left", r.name)
 		}
 		for _, org := range shared.Orgs {
@@ -159,8 +149,9 @@ func TestPersistTallyWorkPerTxn(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.NumOrgs, cfg.NumConsensus, cfg.F = 13, 13, 4
 		cfg.BlockSize = 50
-		p := &PersistProbe{Private: private}
+		p := &PersistProbe{}
 		defer SetPersistProbe(p)()
+		defer dense.SetPrivate(private)()
 		w := workload.DefaultConfig(cfg.NumOrgs)
 		w.NumClients, w.Accounts = 26, 1300
 		c, gen := buildCluster(t, cfg, w)

@@ -17,9 +17,6 @@ type PersistProbe struct {
 	// run inside the cluster's PERSIST stream and must not call into the
 	// cluster.
 	Adopted func(node simnet.NodeID, seq uint64, at time.Duration, from int)
-	// Private keeps every normal node on its own tally and its own world
-	// state: the cluster shares no PERSIST stream and no committed state.
-	Private bool
 
 	visits atomic.Uint64
 }

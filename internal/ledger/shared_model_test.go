@@ -201,18 +201,18 @@ func (m *sharedModel) check(what string) {
 		}
 	}
 	if sharing == 0 {
-		if m.sh.head != nil || m.sh.blocks != nil {
-			t.Fatalf("%s: no view shares, yet the shared state keeps its head or %d undo records", what, len(m.sh.blocks))
+		if m.sh.head != nil || m.sh.log.Head() != m.sh.log.Low() {
+			t.Fatalf("%s: no view shares, yet the shared state keeps its head or %d undo records", what, m.sh.log.Head()-m.sh.log.Low())
 		}
 		return
 	}
-	if m.sh.writer != nil || m.sh.low != low || uint64(len(m.sh.blocks)) != m.sh.h-low {
+	if m.sh.writer != nil || m.sh.log.Low() != low || m.sh.log.Head()-m.sh.log.Low() != m.sh.h-low {
 		t.Fatalf("%s: undo records for blocks %d..%d (open %t); the slowest sharing view is at %d, the head at %d",
-			what, m.sh.low, m.sh.low+uint64(len(m.sh.blocks)), m.sh.writer != nil, low, m.sh.h)
+			what, m.sh.log.Low(), m.sh.log.Head(), m.sh.writer != nil, low, m.sh.h)
 	}
-	for k, b := range m.sh.blocks {
-		if want := m.snaps[low+uint64(k)].Len(); b.size != want {
-			t.Fatalf("%s: block %d's undo record says %d live keys before it, the reference %d", what, low+uint64(k), b.size, want)
+	for k := low; k < m.sh.h; k++ {
+		if b, want := m.sh.log.At(k), m.snaps[k].Len(); b.size != want {
+			t.Fatalf("%s: block %d's undo record says %d live keys before it, the reference %d", what, k, b.size, want)
 		}
 	}
 }
@@ -224,7 +224,7 @@ func runSharedModel(t *testing.T, seed int64, data []byte) (left, evicted bool) 
 	keys := dense.NewTable[string]()
 	base := funcBase(10)
 	m := &sharedModel{t: t, sh: NewShared(keys), rng: rand.New(rand.NewSource(seed))}
-	m.sh.maxLag = sharedModelLag
+	m.sh.log.MaxLag = sharedModelLag
 	for i := range m.views {
 		m.views[i] = m.sh.View()
 		m.views[i].SetBase(base)

@@ -78,11 +78,12 @@ type State struct {
 	size int
 	// ids resolves write sets in keys (Resolve).
 	ids Resolver
-	// sh is the shared state a view reads at height h, the blocks it
-	// committed; nil for a state of its own. undo is set on a shared state's
-	// head alone: its writes save what they overwrite for the views below.
+	// sh is the shared state a view reads at its height, the blocks it
+	// committed, its position in sh's log; nil for a state of its own. undo is
+	// set on a shared state's head alone: its writes save what they overwrite
+	// for the views below.
 	sh   *Shared
-	h    uint64
+	cur  dense.Cursor
 	undo *Shared
 }
 
@@ -126,11 +127,10 @@ func (s *State) written(key string) *entry {
 
 // writtenAt is written for a caller that holds the key's id.
 func (s *State) writtenAt(id uint32) *entry {
-	if s.sh != nil {
-		return s.sh.written(id, s.top())
-	}
-	if e := s.delta.Get(id); e != nil && e.kind() != absent {
-		return e
+	if e := s.pages().Get(id); e != nil {
+		if e = s.at(id, e); e.kind() != absent {
+			return e
+		}
 	}
 	return nil
 }
@@ -206,7 +206,7 @@ func (s *State) put(id uint32, key string, val []byte, ver Version) {
 // Delete removes key, leaving a tombstone (dated to the view's next block in
 // a view writing it, so a view below still reads what the key held).
 func (s *State) Delete(key string) {
-	ver := Version{Block: s.h}
+	ver := Version{Block: s.cur.Pos()}
 	t := s.target(ver)
 	t.del(t.keys.Intern(key), key, ver)
 }
@@ -451,7 +451,9 @@ func (s *State) read(e *entry, key string) ([]byte, bool) {
 // of its own at the view's height.
 func (s *State) Clone() *State {
 	if s.sh != nil {
-		s = s.sh.materialize(s)
+		v := *s
+		v.detach()
+		s = &v
 	}
 	c := NewStateOn(s.keys)
 	c.base, c.size, c.delta = s.base, s.size, make(dense.Pages[entry], len(s.delta))

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/core"
+	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/simnet"
 )
 
@@ -18,7 +19,8 @@ import (
 func TestShardedPersistStream(t *testing.T) {
 	run := func(private bool) (adoptions, state string) {
 		var out bytes.Buffer
-		defer core.SetPersistProbe(&core.PersistProbe{Private: private,
+		defer dense.SetPrivate(private)()
+		defer core.SetPersistProbe(&core.PersistProbe{
 			Adopted: func(node simnet.NodeID, seq uint64, at time.Duration, from int) {
 				fmt.Fprintf(&out, "n%d seq=%d t=%d cn%d\n", node, seq, at, from)
 			}})()
