@@ -14,7 +14,7 @@ BIDL := $(BINDIR)/bidl
 .PHONY: all build test race vet fmt-check ci trace-smoke \
 	profile bench-hotpath hotpath-smoke scenario-smoke \
 	chaos-smoke anatomy-smoke workload-smoke heap-smoke bench-workload \
-	shard-smoke examples-smoke benchmark benchmark-test loc loc-check fuzz-smoke FORCE
+	shard-smoke examples-smoke benchmark benchmark-test loc loc-check fuzz-smoke pins FORCE
 
 all: build
 
@@ -35,7 +35,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet loc-check build race fuzz-smoke trace-smoke hotpath-smoke scenario-smoke chaos-smoke \
+ci: fmt-check vet loc-check build race pins fuzz-smoke trace-smoke hotpath-smoke scenario-smoke chaos-smoke \
 	anatomy-smoke workload-smoke heap-smoke shard-smoke examples-smoke benchmark-test
 
 $(BIDL): FORCE
@@ -190,6 +190,32 @@ loc-check:
 		echo "loc-check: $$docs lines in README.md + DESIGN.md + EXPERIMENTS.md, ceiling is $(DOC_CEILING) (DOC_CEILING in the Makefile)"; exit 1; \
 	fi; echo "loc-check: $$docs doc lines <= $(DOC_CEILING)"
 
+# Every pin that reads an allocation or heap figure (testing.Benchmark,
+# runtime.ReadMemStats, testing.AllocsPerRun; grep the tests for them when
+# adding one) runs once on its own: a pin that passes only after another test
+# warmed a pool or filled a table fails here, as does a name that matches no
+# test.
+PINS := internal/core:TestNormalNodeCommitBytes internal/core:TestNormalNodeCommitBytesSettingB \
+	internal/core:TestCommitBytesWithTrailingView internal/core:TestNormalNodeRecordBytesPerCommittedTxn \
+	internal/core:TestWorldStateBytesPerNodePerCommittedWrite internal/core:TestIndexHugeSequenceNumberIsConstantMemory \
+	internal/core:TestIndexNeverSeenHashCostsOnePage internal/core:TestPersistVoteBitmask internal/core:TestPersistVoteAllocs \
+	internal/core:TestPersistFanoutVerifiesOnce internal/core:TestDeliverDecodesItsOwnValue \
+	internal/core:TestSequencerMulticastFanoutAllocs internal/core:TestExecutePathAllocs \
+	internal/core:TestSmallBankTransientAllocs internal/core:TestConsNodeWaitingAllocs \
+	internal/baseline/fabric:TestPeerCommitBytes internal/baseline/fabric:TestWorldStateBytesPerPeerPerCommittedWrite \
+	internal/ledger:TestStateApplyFanoutBytes internal/ledger:TestStateDigestBytes internal/ledger:TestRWSetDigestAllocs \
+	internal/dense:TestLogStepAllocatesNothing internal/crypto:TestHMACVerifyAllocs internal/crypto:TestHashAllAllocs \
+	internal/simnet:TestUntracedDeliveryAllocs internal/simnet:TestTimerAllocs internal/simnet:TestTimerArmAllocs \
+	internal/types:TestOrgNameRoundTrip internal/types:TestDecodeOrderingSizesOnce \
+	internal/bench:TestPipelineHotPathAllocs internal/bench:TestPrepopulateMemoryFlat
+pins:
+	@for p in $(PINS); do \
+		t=$${p##*:}; out=$$($(GO) test -count=1 -v ./$${p%%:*} -run "^$$t\$$" 2>&1) \
+			|| { echo "$$out"; echo "pins: $$p failed alone"; exit 1; }; \
+		echo "$$out" | grep -Eq -- "--- (PASS|SKIP): $$t " || { echo "$$out"; echo "pins: $$p did not run"; exit 1; }; \
+		echo "pins: $$p"; \
+	done
+
 # Each fuzz target for a bounded time (their checked-in seeds already run as
 # ordinary tests in `make test`). The short minimisation budget matters: with
 # the default 60 s the 4 KB JSONL seed stalls a 10 s run at 0 execs/s. A
@@ -234,7 +260,7 @@ hotpath-smoke:
 bench-hotpath:
 	$(GO) test ./internal/bench/ -run XXX -bench BenchmarkPipelineHotPath -benchtime 2s
 	$(GO) test ./internal/core/ -run XXX -bench BenchmarkNormalNodeCommit -benchtime 2s
-	$(GO) test ./internal/baseline/fabric/ -run XXX -bench BenchmarkPeerValidateAndCommit -benchtime 200x
+	$(GO) test ./internal/baseline/fabric/ -run XXX -bench BenchmarkPeerValidateAndCommit -benchtime 2s
 	$(GO) test ./internal/simnet/ -run XXX -bench 'BenchmarkEndpointDelivery|BenchmarkSimEventLoop|BenchmarkSimBroadcast'
 
 # Capture CPU + allocation profiles (the profile-guided optimization loop): of

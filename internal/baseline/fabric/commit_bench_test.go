@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simnet"
 )
 
@@ -14,22 +15,35 @@ import (
 // adopts that peer's verdicts, and the ledger block is there to read. Only
 // commit, the peer's handling of the block, runs inside timed. The other 48
 // peers leave the shared state before the first block (they never commit,
-// and would hold its undo records), and the cluster is rebuilt, outside
-// timed, every rebuildEvery blocks so that n blocks of fresh keys do not pile
-// up.
+// and would hold its undo records). The first poolSize blocks are built and
+// endorsed once and then cycled: every poolSize blocks, outside timed, both
+// peers start again at height 0 on a fresh world state, so that n blocks of
+// fresh keys do not pile up.
 func peerCommitBlocks(tb testing.TB, n int, timed func(commit func())) {
-	const rebuildEvery = 256
-	for done := 0; done < n; done += rebuildEvery {
-		c, peers, batch := quietCluster(tb, DefaultConfig(FastFabric))
-		first, p := peers[1], peers[0]
-		for _, q := range peers[2:] {
-			q.State().Leave()
+	const poolSize = 256
+	c, peers, batch := quietCluster(tb, DefaultConfig(FastFabric))
+	first, p := peers[1], peers[0]
+	for _, q := range peers[2:] {
+		q.State().Leave()
+	}
+	ctx := simnet.NewInjectedContext(c.Net, p.ep)
+	from := c.Orderers[0].Ep.ID()
+	var pool []*FabricBlock
+	for done := 0; done < n; done += poolSize {
+		if done > 0 {
+			base := p.state.Base()
+			c.world = ledger.NewShared(c.Keys)
+			for _, q := range []*Peer{first, p} {
+				q.state, q.blocks, q.committed, q.commitHeight = c.world.View(), ledger.NewBlockStore(), nil, 0
+				q.state.SetBase(base)
+			}
 		}
-		ctx := simnet.NewInjectedContext(c.Net, p.ep)
-		from := c.Orderers[0].Ep.ID()
-		blocks := min(n-done, rebuildEvery)
+		blocks := min(n-done, poolSize)
 		for number := 0; number < blocks; number++ {
-			blk := testBlock(tb, c, uint64(number), batch(c.Cfg.BlockSize))
+			if number == len(pool) {
+				pool = append(pool, testBlock(tb, c, uint64(number), batch(c.Cfg.BlockSize)))
+			}
+			blk := pool[number]
 			deliver(c, first, blk)
 			timed(func() { p.OnMessage(ctx, from, blk) })
 		}

@@ -45,11 +45,46 @@ type commitBench struct {
 	number   int
 }
 
+// newCommitBench returns the fixture with every other normal node off the
+// cluster's shared world state and PERSIST stream: they never commit here, and
+// a view or follower that never moves pins every block's undo records and
+// every step (TestCommitBytesWithTrailingView times that).
 func newCommitBench(tb testing.TB, cfg Config, verified bool) *commitBench {
+	f := newCommitCluster(tb, cfg, verified)
+	for _, nn := range f.bystanders() {
+		leaveShared(f.c, nn)
+	}
+	return f
+}
+
+// newCommitCluster is newCommitBench with every normal node still sharing.
+func newCommitCluster(tb testing.TB, cfg Config, verified bool) *commitBench {
 	c, gen := buildCluster(tb, cfg, defaultWorkload())
 	c.Net.DropFilter = func(simnet.NodeID, simnet.NodeID, simnet.Message) bool { return true }
 	nn := c.Orgs[0][0]
 	return &commitBench{c: c, gen: gen, nn: nn, ctx: simnet.NewInjectedContext(c.Net, nn.ep), verified: verified}
+}
+
+// bystanders returns the cluster's normal nodes but f.nn.
+func (f *commitBench) bystanders() []*NormalNode {
+	var out []*NormalNode
+	for _, org := range f.c.Orgs {
+		for _, nn := range org {
+			if nn != f.nn {
+				out = append(out, nn)
+			}
+		}
+	}
+	return out
+}
+
+// leaveShared takes nn off c's shared world state and PERSIST stream.
+func leaveShared(c *Cluster, nn *NormalNode) {
+	nn.base.Leave()
+	if nn.onStream {
+		c.stream.leave(nn, nil)
+		nn.onStream = false
+	}
 }
 
 // next builds the next block's messages and returns their delivery.

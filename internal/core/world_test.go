@@ -97,7 +97,7 @@ func TestWorldStateBytesPerNodePerCommittedWrite(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's allocations blur a retained-heap pin: it holds for the plain build only")
 	}
-	f := newCommitBench(t, DefaultConfig(), false)
+	f := newCommitCluster(t, DefaultConfig(), false)
 	var nodes []*NormalNode
 	var ctxs []*simnet.Context
 	for _, org := range f.c.Orgs {

@@ -3,10 +3,12 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/bidl-framework/bidl/internal/baseline/fabric"
 	"github.com/bidl-framework/bidl/internal/core"
 	"github.com/bidl-framework/bidl/internal/dense"
 	"github.com/bidl-framework/bidl/internal/simnet"
@@ -49,5 +51,57 @@ func TestShardedPersistStream(t *testing.T) {
 	}
 	if sharedS != privateS {
 		t.Fatalf("on the streams\n%s\non private tallies\n%s", sharedS, privateS)
+	}
+}
+
+// TestFabricSharedMatchesPrivate runs the benchmark's fabric spec and the
+// chaos catalog's Fabric crash with the peers of a cluster sharing one world
+// state and again with every peer on a state of its own (dense.SetPrivate):
+// every peer's height, ledger tip and state, the collector's counts and the
+// event count must be the same.
+func TestFabricSharedMatchesPrivate(t *testing.T) {
+	for _, file := range []string{"../../benchmark/workloads/fabric.json", "../../examples/scenario-chaos-fabric-crash.json"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(private bool) (out string, sharing, peers int) {
+			defer dense.SetPrivate(private)()
+			var sb strings.Builder
+			res, err := RunWith(spec, RunConfig{Observe: func(h Harness) {
+				for _, org := range h.(*fabric.Cluster).Peers {
+					for _, p := range org {
+						fmt.Fprintf(&sb, "%s height=%d tip=%x state=%x\n", p.Endpoint().Name(), p.CommitHeight(), p.Blocks().LastDigest(), p.State().Digest())
+						if peers++; p.State().Sharing() {
+							sharing++
+						}
+					}
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SafetyErr != nil {
+				t.Fatalf("%s: %v", file, res.SafetyErr)
+			}
+			fmt.Fprintf(&sb, "%s\nevents=%d\n", res.Summary, res.Events)
+			if err := res.Collector.WriteSummary(&sb); err != nil {
+				t.Fatal(err)
+			}
+			return sb.String(), sharing, peers
+		}
+		shared, sharing, peers := run(false)
+		private, privateSharing, _ := run(true)
+		if shared != private {
+			t.Fatalf("%s: sharing one world state\n%s\neach peer on its own\n%s", file, shared, private)
+		}
+		if sharing == 0 || privateSharing != 0 {
+			t.Fatalf("%s: %d of %d peers share at the end, %d with every peer private", file, sharing, peers, privateSharing)
+		}
+		t.Logf("%s: identical; %d of %d peers still share at the end", file, sharing, peers)
 	}
 }
