@@ -180,7 +180,16 @@ loc:
 # (ledger/shared.go +81, core/world.go -21); the peer's split into adopting the
 # first peer's verdicts or validating itself (peer.go +60, cluster.go +7);
 # `fabric` -42 % live heap and -45 % host time.
-LOC_CEILING := 18960
+# Lowered to the measured count (18960 -> 18839): the three "computed once,
+# followed by the replicas" mechanisms run on one follower log, dense.Log
+# (+141: steps from the slowest follower on in a circular buffer whose slots
+# are recycled, trim, lag eviction, leaving, the test-only private switch);
+# the PERSIST stream keeps only its step types and leave rule (-118 in
+# persiststream.go), ledger.Shared its undo blocks with each block's outcomes
+# in the same step (-82 in shared.go and state.go), and the follow-or-lead
+# step is written once, ledger.Follow, for core and fabric (-62 in world.go,
+# peer.go and the wiring).
+LOC_CEILING := 18839
 DOC_CEILING := 1506
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
