@@ -76,9 +76,9 @@ func adoptionRuns() []adoptionRun {
 }
 
 // runAdoptions runs r on a 4-consensus-node, 4-org cluster with two normal
-// nodes per organization, set up further by setup, and returns the cluster
-// and its transcript: one line per adoption, in simulation order.
-func runAdoptions(t *testing.T, r adoptionRun, setup func(*Cluster)) (*Cluster, []byte) {
+// nodes per organization and returns the cluster and its transcript: one
+// line per adoption, in simulation order.
+func runAdoptions(t *testing.T, r adoptionRun) (*Cluster, []byte) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NumOrgs, cfg.PerOrg = 4, 2
@@ -92,9 +92,6 @@ func runAdoptions(t *testing.T, r adoptionRun, setup func(*Cluster)) (*Cluster, 
 	w := workload.DefaultConfig(cfg.NumOrgs)
 	w.NumClients, w.Accounts = 16, 400
 	c, gen := buildCluster(t, cfg, w)
-	if setup != nil {
-		setup(c)
-	}
 	check := r.arm(c)
 	const n = 80
 	for i, tx := range gen.Batch(n) {
@@ -121,7 +118,7 @@ func runAdoptions(t *testing.T, r adoptionRun, setup func(*Cluster)) (*Cluster, 
 func TestPersistAdoptionsPinned(t *testing.T) {
 	var out bytes.Buffer
 	for _, r := range adoptionRuns() {
-		_, transcript := runAdoptions(t, r, nil)
+		_, transcript := runAdoptions(t, r)
 		fmt.Fprintf(&out, "== %s\n%s", r.name, transcript)
 	}
 	path := filepath.Join("testdata", "persist-adoptions.golden")

@@ -100,10 +100,10 @@ func TestPersistStreamMatchesPrivateTallies(t *testing.T) {
 	}
 	runs = append(runs, evict)
 	for _, r := range runs {
-		shared, sharedOut := runAdoptions(t, r, nil)
+		shared, sharedOut := runAdoptions(t, r)
 		followers := streamFollowers(shared)
 		restore := dense.SetPrivate(true)
-		private, privateOut := runAdoptions(t, r, nil)
+		private, privateOut := runAdoptions(t, r)
 		restore()
 		if !bytes.Equal(sharedOut, privateOut) {
 			got, want := strings.Split(string(sharedOut), "\n"), strings.Split(string(privateOut), "\n")
