@@ -189,7 +189,13 @@ loc:
 # in the same step (-82 in shared.go and state.go), and the follow-or-lead
 # step is written once, ledger.Follow, for core and fabric (-62 in world.go,
 # peer.go and the wiring).
-LOC_CEILING := 18839
+# Raised by the measured net (18839 -> 19062) for a 23 % cut in `wide`'s host
+# time: simnet's queue of 16-byte keys over a slab of payloads, one entry per
+# multicast or Context.SendEach, and a reserved key instead of an entry for an
+# idle core's wake-up (+140 in sim.go, +64 in network.go); SendEach in place of
+# five unicast loops (-6 in core, fabric and simhost); dense.Log halving its
+# ring when a follower leaves (+25).
+LOC_CEILING := 19062
 DOC_CEILING := 1506
 loc-check:
 	@total=$$($(LOC_TOTAL)); if [ "$$total" -gt $(LOC_CEILING) ]; then \
@@ -215,6 +221,7 @@ PINS := internal/core:TestNormalNodeCommitBytes internal/core:TestNormalNodeComm
 	internal/ledger:TestStateApplyFanoutBytes internal/ledger:TestStateDigestBytes internal/ledger:TestRWSetDigestAllocs \
 	internal/dense:TestLogStepAllocatesNothing internal/crypto:TestHMACVerifyAllocs internal/crypto:TestHashAllAllocs \
 	internal/simnet:TestUntracedDeliveryAllocs internal/simnet:TestTimerAllocs internal/simnet:TestTimerArmAllocs \
+	internal/simnet:TestFanoutAllocs \
 	internal/types:TestOrgNameRoundTrip internal/types:TestDecodeOrderingSizesOnce \
 	internal/bench:TestPipelineHotPathAllocs internal/bench:TestPrepopulateMemoryFlat
 pins:
@@ -234,7 +241,7 @@ FUZZ_TARGETS := internal/types:FuzzTransaction internal/types:FuzzOrdering \
 	internal/core:FuzzDecodeOrderingPrefix internal/core:FuzzDecodeMeta \
 	internal/core:FuzzPersistVote internal/consensus:FuzzVotes internal/core:FuzzResultMemo \
 	internal/bench:FuzzBreakdownRows internal/ledger:FuzzRWSetDigest internal/core:FuzzTxPool \
-	internal/consensus:FuzzPhaseStep internal/ledger:FuzzSharedState
+	internal/consensus:FuzzPhaseStep internal/ledger:FuzzSharedState internal/simnet:FuzzEventOrder
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$t"; \

@@ -9,6 +9,7 @@ import (
 	"github.com/bidl-framework/bidl/internal/crypto"
 	"github.com/bidl-framework/bidl/internal/ledger"
 	"github.com/bidl-framework/bidl/internal/simhost"
+	"github.com/bidl-framework/bidl/internal/simnet"
 	"github.com/bidl-framework/bidl/internal/substrate"
 	"github.com/bidl-framework/bidl/internal/types"
 )
@@ -28,6 +29,7 @@ type Cluster struct {
 
 	Orderers []*Orderer
 	Peers    [][]*Peer
+	peerIDs  []simnet.NodeID // every peer's endpoint, in Peers order
 
 	policy consensus.LeaderPolicy
 	// world is the committed world state every peer's is a view of (DESIGN.md
@@ -68,6 +70,7 @@ func NewCluster(cfg Config) *Cluster {
 		for j := 0; j < cfg.PerOrg; j++ {
 			p := newPeer(c, o, j, cfg.Seed*7_000_003+int64(o*64+j))
 			p.ep = c.AddOrgNode(o, fmt.Sprintf("%s-peer%d", types.OrgName(o), j), p)
+			c.peerIDs = append(c.peerIDs, p.ep.ID())
 			peers = append(peers, p)
 		}
 		c.Peers = append(c.Peers, peers)

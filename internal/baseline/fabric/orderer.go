@@ -223,11 +223,7 @@ func (o *Orderer) Deliver(seq uint64, v consensus.Value, cert *types.Certificate
 				}
 			}
 			b.resolve(o.c.Hashes)
-			for _, org := range o.c.Peers {
-				for _, p := range org {
-					o.Ctx.Send(p.ep.ID(), b)
-				}
-			}
+			o.Ctx.SendEach(o.c.peerIDs, b)
 		}
 		// Retained past o.chainHeight: disseminated blocks stay in the
 		// map so lagging peers can re-fetch them (FabricBlockFetch).

@@ -82,9 +82,7 @@ func (cl *ClientNode) retransmit(ctx *simnet.Context) {
 		txns = append(txns, tx)
 	}
 	sortTxns(txns)
-	for _, cn := range cl.c.ConsNodes {
-		ctx.Send(cn.Ep.ID(), &SubmitBatch{Txns: txns})
-	}
+	ctx.SendEach(cl.c.Cons.IDs(), &SubmitBatch{Txns: txns})
 	cl.retryTimer.Arm(ctx, clientTimeout)
 }
 

@@ -681,9 +681,7 @@ func (n *NormalNode) flushResults() {
 		msg := &ResultMsg{Entries: n.resultOut}
 		n.resultOut = nil
 		n.ctx.Elapse(n.c.Cfg.Costs.SigSign)
-		for _, cn := range n.c.ConsNodes {
-			n.ctx.Send(cn.Ep.ID(), msg)
-		}
+		n.ctx.SendEach(n.c.Cons.IDs(), msg)
 	}
 }
 

@@ -37,6 +37,9 @@ func NewLog[S, F any](maxLag uint64, recycle func(*S), evict func(F)) *Log[S, F]
 	return &Log[S, F]{MaxLag: maxLag, recycle: recycle, evict: evict}
 }
 
+// minSlots is the fewest slots a ring shrinks to.
+const minSlots = 16
+
 var private bool
 
 // SetPrivate makes Join refuse every follower while p, until restore is
@@ -107,6 +110,7 @@ func (l *Log[S, F]) Advance(c *Cursor) {
 			}
 		}
 		l.rescan()
+		l.shrink()
 	}
 }
 
@@ -115,6 +119,7 @@ func (l *Log[S, F]) Leave(c *Cursor) {
 	if i := slices.Index(l.curs, c); i >= 0 {
 		l.curs, l.owner = slices.Delete(l.curs, i, i+1), slices.Delete(l.owner, i, i+1)
 		l.rescan()
+		l.shrink()
 	}
 }
 
@@ -137,5 +142,25 @@ func (l *Log[S, F]) rescan() {
 	for ; l.base < l.low; l.base++ {
 		l.recycle(l.At(l.base))
 		l.first, l.n = (l.first+1)&(len(l.buf)-1), l.n-1
+	}
+}
+
+// shrink halves the ring while it is at most a quarter full, down to
+// minSlots, keeping its steps and the slots recycled last, buffers included.
+// It runs when followers leave: one that trailed does not pin the slots it
+// made the ring grow to for the rest of the run, and a ring whose followers
+// all stay never reallocates.
+func (l *Log[S, F]) shrink() {
+	size := len(l.buf)
+	for size > minSlots && 4*l.n <= size {
+		size /= 2
+	}
+	if size < len(l.buf) {
+		buf := make([]S, size)
+		from := (l.first + l.n - size + len(l.buf)) & (len(l.buf) - 1)
+		if k := copy(buf, l.buf[from:]); k < size {
+			copy(buf[k:], l.buf)
+		}
+		l.buf, l.first = buf, (size-l.n)&(size-1)
 	}
 }

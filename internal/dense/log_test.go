@@ -131,3 +131,49 @@ func TestLogStepAllocatesNothing(t *testing.T) {
 		t.Fatalf("a step allocates %.1f times", n)
 	}
 }
+
+// A ring that grew for a follower trailing by 64 steps halves back once that
+// follower leaves or is evicted, down to 16 slots, keeping the slots that
+// follow its steps with their buffers; while its followers stay it keeps its
+// size.
+func TestLogShrinksWhenATrailerLeaves(t *testing.T) {
+	for _, evict := range []bool{false, true} {
+		l, recycled, evicted := newTestLog(64)
+		lead, trail := &logFollower{name: "lead"}, &logFollower{name: "trail"}
+		l.Join(&lead.cur, lead)
+		l.Join(&trail.cur, trail)
+		for i := 0; i < 64; i++ {
+			s := l.Append()
+			s.n, s.buf = i, append(s.buf, i)
+			l.Advance(&lead.cur)
+		}
+		if len(l.buf) != 64 {
+			t.Fatalf("64 steps held in %d slots", len(l.buf))
+		}
+		l.Advance(&trail.cur) // one step recycled: the ring still holds 63
+		if len(l.buf) != 64 {
+			t.Fatalf("with its followers staying the ring went from 64 to %d slots", len(l.buf))
+		}
+		if evict {
+			s := l.Append() // the 65th step leaves the trailer 65 behind
+			s.n = 64
+			l.Append().n = 65
+			l.Advance(&lead.cur)
+			l.Advance(&lead.cur)
+			// Step 65, moved when the ring shrank at the eviction, is
+			// recycled from its new slot.
+			if !slices.Equal(*evicted, []string{"trail"}) || (*recycled)[len(*recycled)-1] != 65 {
+				t.Fatalf("evicted %v, recycled last %d", *evicted, (*recycled)[len(*recycled)-1])
+			}
+		} else {
+			l.Leave(&trail.cur)
+		}
+		if len(l.buf) != 16 || l.Low() != l.Head() {
+			t.Fatalf("evict %t: after the trailer went %d slots hold steps %d..%d", evict, len(l.buf), l.Low(), l.Head())
+		}
+		s := l.Append()
+		if s.n != -1 || cap(s.buf) == 0 {
+			t.Fatalf("evict %t: the first Append after shrinking returns %+v, not a recycled slot", evict, *s)
+		}
+	}
+}

@@ -31,6 +31,7 @@ type Group struct {
 	Identity func(i int) crypto.Identity
 
 	Members []*simnet.Endpoint
+	ids     []simnet.NodeID
 	index   map[simnet.NodeID]int
 }
 
@@ -43,6 +44,7 @@ func (g *Group) Join(h *Host, ep *simnet.Endpoint) {
 	h.g, h.Idx, h.Ep = g, len(g.Members), ep
 	g.index[ep.ID()] = h.Idx
 	g.Members = append(g.Members, ep)
+	g.ids = append(g.ids, ep.ID())
 	g.Scheme.Register(g.Identity(h.Idx))
 }
 
@@ -51,6 +53,9 @@ func (g *Group) Index(id simnet.NodeID) (int, bool) {
 	i, ok := g.index[id]
 	return i, ok
 }
+
+// IDs returns the members' endpoint ids in member order.
+func (g *Group) IDs() []simnet.NodeID { return g.ids }
 
 // Config lowers a cost model and a group's shape onto the parameters every
 // protocol shares; the caller sets Self per replica.
@@ -112,13 +117,7 @@ func (h *Host) Send(to int, m consensus.Msg) {
 }
 
 // BroadcastCN implements consensus.Host.
-func (h *Host) BroadcastCN(m consensus.Msg) {
-	for i, peer := range h.g.Members {
-		if i != h.Idx {
-			h.Ctx.Send(peer.ID(), m)
-		}
-	}
-}
+func (h *Host) BroadcastCN(m consensus.Msg) { h.Ctx.SendEach(h.g.ids, m) }
 
 // After implements consensus.Host: fn runs bound to the timer's activation.
 func (h *Host) After(d time.Duration, fn func()) {

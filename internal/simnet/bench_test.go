@@ -6,10 +6,10 @@ import (
 )
 
 // BenchmarkSimEventLoop measures the raw cost of the event queue: a resident
-// set of self-rescheduling events churns through the heap, so every op is one
-// push + one pop at a realistic queue depth. allocs/op is the headline number:
-// the seed container/heap implementation paid one *event allocation (plus
-// interface boxing) per scheduled event; the value-based 4-ary heap pays none.
+// set of 256 self-rescheduling closures churns through the heap, so every op
+// schedules one closure into a slab slot and runs it from the heap's root, at a
+// realistic queue depth. allocs/op is the headline number: none once the slab
+// and the heap of 16-byte keys are warm.
 func BenchmarkSimEventLoop(b *testing.B) {
 	s := NewSim(1)
 	const resident = 256 // steady-state queue depth
@@ -36,9 +36,11 @@ func BenchmarkSimEventLoop(b *testing.B) {
 }
 
 // BenchmarkSimBroadcast measures a multicast fan-out through the full network
-// stack (NIC serialization, group lookup, per-receiver delivery scheduling,
+// stack (NIC serialization, group lookup, per-receiver loss and latency,
 // endpoint inbox processing) — the hot path of BIDL's sequencer broadcast.
-// Each op is one multicast to 50 receivers, i.e. ~100 scheduled events.
+// Each op is one multicast to 50 receivers: one queue entry that delivers all
+// 50 from the heap's root, and 50 wake-ups that only reserve their keys, so
+// Events grows by 100 and the queue by one.
 func BenchmarkSimBroadcast(b *testing.B) {
 	const receivers = 50
 	s := NewSim(1)

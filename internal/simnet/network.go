@@ -102,6 +102,15 @@ type Endpoint struct {
 	down       bool
 	life       uint64 // crashes so far: a Timer armed in an earlier life is disarmed
 
+	// wakeAt and wakeSeq (non-zero) are the key a core with an empty inbox
+	// reserved for its next wake-up instead of queueing it: the first
+	// delivery either queues the wake-up under that key or, once the loop
+	// has passed it, finds the core idle. listed marks the core as on the
+	// Sim's list of reservations to settle.
+	wakeAt  time.Duration
+	wakeSeq uint64
+	listed  bool
+
 	// actCtx is the reusable activation context handed to the handler. No
 	// handler retains its context past the activation (the bind/defer
 	// pattern throughout core restores the previous one), so a single
@@ -284,29 +293,38 @@ func (n *Network) pipe(fromDC, toDC, size int, ready time.Duration) time.Duratio
 	return done
 }
 
-// send schedules one unicast copy of msg from 'from' to 'to', departing at
-// depart; the sender pays NIC egress serialization for it.
-func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Duration) {
-	dst := n.Endpoint(to)
+// route sends one unicast copy of msg from 'from' to 'to', departing at
+// depart: the sender pays NIC egress serialization for it. It returns the
+// receiver and the arrival time, or ok false if the copy is lost.
+func (n *Network) route(from *Endpoint, to NodeID, msg Message, size int, depart time.Duration) (dst *Endpoint, at time.Duration, ok bool) {
+	dst = n.Endpoint(to)
 	if dst == nil {
 		panic(fmt.Sprintf("simnet: send to unknown endpoint %d", to))
 	}
-	size := msg.Size()
 	ready := n.egress(from, size, depart)
 	if n.tracer != nil {
 		n.tracer.Sent(int(from.id), depart, size)
 		n.tracer.Wire(from.dc, dst.dc, ready, size)
 	}
 	if n.dropped(from, dst, msg, ready) {
-		return
+		return nil, 0, false
 	}
 	if from.dc != dst.dc && n.topo.InterDCBandwidth > 0 {
 		ready = n.pipe(from.dc, dst.dc, size, ready)
 	}
-	// Deliveries are inlined events (no closure): the steady-state unicast
-	// path allocates nothing, pinned by TestUntracedDeliveryAllocs. The
-	// latency (one jitter draw) is computed once, as on the multicast path.
-	n.sim.schedDelivery(ready+n.pathLatency(from, dst), dst, from.id, msg, size)
+	// The latency (one jitter draw) is computed once, as on the multicast
+	// path.
+	return dst, ready + n.pathLatency(from, dst), true
+}
+
+// send schedules one unicast copy of msg as a delivery event (no closure):
+// the steady-state unicast path allocates nothing, pinned by
+// TestUntracedDeliveryAllocs.
+func (n *Network) send(from *Endpoint, to NodeID, msg Message, depart time.Duration) {
+	size := msg.Size()
+	if dst, at, ok := n.route(from, to, msg, size, depart); ok {
+		n.sim.schedDelivery(at, dst, from.id, msg, size)
+	}
 }
 
 // deliver lands a message at its destination at virtual time 'at': the shared
@@ -364,6 +382,8 @@ func (n *Network) multicastSend(from *Endpoint, targets []NodeID, msg Message, d
 		}
 	}
 
+	// One queue entry for every receiver.
+	slot := n.sim.fanout(from.id, msg, size, len(targets))
 	for _, t := range targets {
 		dst := n.Endpoint(t)
 		if t == from.id || dst == nil || n.dropped(from, dst, msg, txDone) {
@@ -373,9 +393,9 @@ func (n *Network) multicastSend(from *Endpoint, targets []NodeID, msg Message, d
 		if d, ok := ready[dst.dc]; ok {
 			at = d
 		}
-		// One inlined delivery event per receiver and nothing else.
-		n.sim.schedDelivery(at+n.pathLatency(from, dst), dst, from.id, msg, size)
+		n.sim.arrive(slot, at+n.pathLatency(from, dst), dst)
 	}
+	n.sim.post(slot)
 }
 
 func (n *Network) pathLatency(from, to *Endpoint) time.Duration {
@@ -397,6 +417,9 @@ func (n *Network) pathLatency(from, to *Endpoint) time.Duration {
 
 // enqueue adds a delivery to the endpoint's inbox and kicks the processor.
 func (e *Endpoint) enqueue(d delivery) {
+	if e.wakeSeq != 0 {
+		e.wake()
+	}
 	if e.qHead > 0 && len(e.queue) == cap(e.queue) {
 		// The consumed prefix would force a reallocation: compact the live
 		// suffix down in place instead and reuse the backing array.
@@ -417,12 +440,6 @@ func (e *Endpoint) enqueue(d delivery) {
 // processNext runs the handler on the head-of-queue delivery. The virtual CPU
 // time charged by the handler defers processing of the next delivery.
 func (e *Endpoint) processNext() {
-	if e.qHead == len(e.queue) {
-		e.queue = e.queue[:0]
-		e.qHead = 0
-		e.processing = false
-		return
-	}
 	e.processing = true
 	d := e.queue[e.qHead]
 	e.queue[e.qHead] = delivery{} // release the message reference
@@ -440,7 +457,7 @@ func (e *Endpoint) processNext() {
 		default:
 			e.net.tracer.Dropped(int(e.id), now)
 		}
-		e.net.sim.sched(event{at: now, fn: e.procFn})
+		e.rest(now)
 		return
 	}
 	switch m := d.msg.(type) {
@@ -457,7 +474,41 @@ func (e *Endpoint) processNext() {
 	if e.net.tracer != nil {
 		e.net.tracer.Busy(int(e.id), ctx.start, ctx.elapsed)
 	}
-	e.net.sim.sched(event{at: now + ctx.elapsed, fn: e.procFn})
+	e.rest(now + ctx.elapsed)
+}
+
+// rest schedules the core's next wake-up at 'at'. With deliveries waiting it
+// queues it; with an empty inbox it only reserves its key (wakeAt, wakeSeq),
+// which the next delivery or the end of a run settles.
+func (e *Endpoint) rest(at time.Duration) {
+	s := e.net.sim
+	s.seq++
+	if e.qHead < len(e.queue) {
+		s.schedFn(at, s.seq, e.procFn)
+		return
+	}
+	e.queue, e.qHead = e.queue[:0], 0
+	e.wakeAt, e.wakeSeq = at, s.seq
+	if !e.listed {
+		e.listed = true
+		s.idle = append(s.idle, e)
+	}
+}
+
+// wake settles the core's reserved wake-up as a delivery arrives: if it
+// precedes the running event it has already found the inbox empty and the
+// core idle; otherwise it is queued under its key, behind which the delivery
+// waits.
+func (e *Endpoint) wake() {
+	s := e.net.sim
+	at, seq := e.wakeAt, e.wakeSeq
+	e.wakeSeq = 0
+	if s.passed(at, seq) {
+		s.nEvents++
+		e.processing = false
+		return
+	}
+	s.schedFn(at, seq, e.procFn)
 }
 
 // NewInjectedContext returns a context for injecting activity into an
@@ -509,12 +560,25 @@ func (c *Context) Multicast(group string, msg Message) {
 // len(group) independent unicasts, each paying serialization and pipe
 // bandwidth (the "BIDL-opt-disabled" configuration of Fig 9).
 func (c *Context) MulticastUnicast(group string, msg Message) {
-	for _, t := range c.net.groups[group] {
-		if t == c.node.id {
+	c.SendEach(c.net.groups[group], msg)
+}
+
+// SendEach sends msg to every target but the sender, in order, as independent
+// unicasts: each copy pays egress serialization, loss and pipe bandwidth
+// exactly as a Send would, but all of them take one queue entry.
+func (c *Context) SendEach(targets []NodeID, msg Message) {
+	n, from, depart := c.net, c.node, c.Now()
+	size := msg.Size()
+	slot := n.sim.fanout(from.id, msg, size, len(targets))
+	for _, t := range targets {
+		if t == from.id {
 			continue
 		}
-		c.net.send(c.node, t, msg, c.Now())
+		if dst, at, ok := n.route(from, t, msg, size, depart); ok {
+			n.sim.arrive(slot, at, dst)
+		}
 	}
+	n.sim.post(slot)
 }
 
 // After schedules fn to run on this endpoint's core d from now. The callback

@@ -7,41 +7,71 @@
 // All of BIDL and its baseline frameworks run on top of this substrate, which
 // replaces the paper's 20-server, 40 Gbps testbed. Virtual time makes every
 // experiment deterministic: the same seed yields the same commit sequence.
+//
+// Every event — a closure, a message or timer delivery, a core's wake-up —
+// has a key (at, seq), seq being a counter stamped when it is scheduled, and
+// events run in key order. The queue's cost follows the simulated work, not
+// the fan-out: a multicast or a Context.SendEach is one queue entry holding
+// each receiver's key, and a core that goes idle only reserves its wake-up's
+// key. Events counts the logical events all the same (DESIGN.md §10).
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
-// event is a scheduled closure or an inlined message delivery. Events are
-// ordered by (at, seq), seq being the push counter: events scheduled for the
-// same instant run in scheduling order. Events are stored by value inside the
-// heap's backing array: scheduling one never heap-allocates an event node and
-// never boxes through an interface.
-//
-// When fn is nil the event is a message delivery or a timer (Context.After)
-// and the dst/from/msg/size fields carry the payload directly — the
-// per-message closure that used to dominate the hot path's allocation
-// profile is gone entirely.
-type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+// slotBits is how many low bits of a key's id name its payload's slab slot;
+// the sequence number takes the rest.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1<<(64-slotBits) - 1
+)
 
-	dst  *Endpoint
-	from NodeID
-	size int64
-	msg  Message
+// key is a queue entry's place: (at, seq<<slotBits | slot). Keys are
+// pointer-free, 16 bytes, and unique, since seq is. Ordering by id orders by
+// seq: the slot bits below it never decide.
+type key struct {
+	at time.Duration
+	id uint64
 }
 
-// before orders events by (at, seq).
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (k key) before(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.id < o.id
+}
+
+// arrival is one receiver's delivery of a fan-out: its own key's (at, seq).
+type arrival struct {
+	at  time.Duration
+	seq uint64
+	dst *Endpoint
+}
+
+func (a arrival) compare(b arrival) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// payload is what a queue entry carries, in a reused slab slot: a closure
+// (fn), a delivery of msg to dst, or a fan-out of msg to each of fan in key
+// order, fan[next] being the receiver the entry's key currently names.
+type payload struct {
+	fn   func()
+	msg  Message
+	from NodeID
+	size int
+	dst  *Endpoint
+	fan  []arrival
+	next int
 }
 
 // Sim is a discrete-event simulator with a virtual clock.
@@ -50,16 +80,19 @@ func (e *event) before(o *event) bool {
 // loop on a single goroutine. Distinct Sims share nothing, so independent
 // simulations may run on separate goroutines concurrently.
 //
-// The event queue is an inline 4-ary min-heap of event values. The 4-ary
-// layout halves the sift-down depth versus a binary heap and keeps four
-// sibling keys near one cache line; storing values (not pointers) means the
-// backing array doubles as a free list of event slots — a pop vacates a slot
-// that the next push reuses, so the steady-state event loop allocates
-// nothing. Vacated slots are zeroed so the GC can reclaim closures.
+// The queue is an inline 4-ary min-heap of keys over a slab of payloads whose
+// vacated slots (and fan-out buffers) the next entries reuse, so the
+// steady-state event loop allocates nothing and the garbage collector never
+// scans the heap.
 type Sim struct {
-	heap    []event // 4-ary min-heap ordered by event.before
+	heap    []key
+	slab    []payload
+	free    []uint32    // vacated slab slots
+	fans    [][]arrival // vacated fan-out buffers
+	idle    []*Endpoint // cores that reserved a wake-up since the last settle
 	now     time.Duration
-	seq     uint64 // push counter
+	cur     uint64 // seq of the running (or last run) event
+	seq     uint64 // last seq stamped
 	rng     *rand.Rand
 	nEvents uint64
 	stopped bool
@@ -76,16 +109,20 @@ func (s *Sim) Now() time.Duration { return s.now }
 // Rand returns the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Events reports how many events have been executed so far.
+// Events reports how many events have run: each receiver of a fan-out and
+// each wake-up of a core, a reserved one once a delivery to its core or the
+// end of Run or RunUntil finds the loop passed it.
 func (s *Sim) Events() uint64 { return s.nEvents }
 
-// Pending reports how many events are waiting in the queue.
+// Pending reports how many entries are queued, the running one included. A
+// fan-out is one entry; an idle core's reserved wake-up is none.
 func (s *Sim) Pending() int { return len(s.heap) }
 
 // At schedules fn at absolute virtual time t.
 // Scheduling in the past panics: it would silently reorder causality.
 func (s *Sim) At(t time.Duration, fn func()) {
-	s.sched(event{at: t, fn: fn})
+	s.seq++
+	s.schedFn(t, s.seq, fn)
 }
 
 // After schedules fn d after the current virtual time. A negative delay
@@ -99,84 +136,137 @@ func (s *Sim) After(d time.Duration, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// sched pushes e, stamping its key from the push counter. The caller fills
-// every field of e except seq.
-func (s *Sim) sched(e event) {
-	if e.at < s.now {
-		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", e.at, s.now))
+// passed reports whether the key (at, seq) precedes the running event's.
+func (s *Sim) passed(at time.Duration, seq uint64) bool {
+	return at < s.now || at == s.now && seq < s.cur
+}
+
+// alloc returns a vacant slab slot.
+func (s *Sim) alloc() uint32 {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		return slot
 	}
-	s.seq++
-	e.seq = s.seq
-	s.heap = heapPush(s.heap, e)
+	if len(s.slab) > slotMask {
+		panic("simnet: more than 2^24 queued entries")
+	}
+	s.slab = append(s.slab, payload{})
+	return uint32(len(s.slab) - 1)
 }
 
-// schedDelivery schedules an inlined delivery event for a message or a timer
-// — no closure, no allocation beyond (amortized) heap growth.
+// schedFn queues fn under the key (at, seq).
+func (s *Sim) schedFn(at time.Duration, seq uint64, fn func()) {
+	slot := s.alloc()
+	s.slab[slot].fn = fn
+	s.push(at, seq, slot)
+}
+
+// push queues slot's payload under (at, seq).
+func (s *Sim) push(at time.Duration, seq uint64, slot uint32) {
+	if at < s.now {
+		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", at, s.now))
+	}
+	if seq > maxSeq {
+		panic("simnet: sequence numbers exhausted")
+	}
+	s.heap = heapPush(s.heap, key{at: at, id: seq<<slotBits | uint64(slot)})
+}
+
+// schedDelivery schedules a delivery of a message or a timer to dst — no
+// closure, no allocation beyond (amortized) slab and heap growth.
 func (s *Sim) schedDelivery(at time.Duration, dst *Endpoint, from NodeID, msg Message, size int) {
-	s.sched(event{at: at, dst: dst, from: from, msg: msg, size: int64(size)})
+	s.seq++
+	slot := s.alloc()
+	p := &s.slab[slot]
+	p.msg, p.from, p.size, p.dst = msg, from, size, dst
+	s.push(at, s.seq, slot)
 }
 
-// exec runs one event: either its closure or the inlined delivery.
-func exec(e *event) {
-	if e.fn != nil {
-		e.fn()
+// fanout opens an entry that delivers msg from 'from' to the up to n
+// receivers arrive adds; post queues it.
+func (s *Sim) fanout(from NodeID, msg Message, size, n int) uint32 {
+	slot := s.alloc()
+	p := &s.slab[slot]
+	p.msg, p.from, p.size = msg, from, size
+	if k := len(s.fans); k > 0 {
+		p.fan, s.fans = s.fans[k-1], s.fans[:k-1]
+	} else {
+		p.fan = make([]arrival, 0, n)
+	}
+	return slot
+}
+
+// arrive adds a receiver to slot's fan-out at time at, stamping its seq as
+// scheduling it alone would.
+func (s *Sim) arrive(slot uint32, at time.Duration, dst *Endpoint) {
+	s.seq++
+	p := &s.slab[slot]
+	p.fan = append(p.fan, arrival{at: at, seq: s.seq, dst: dst})
+}
+
+// post queues slot's fan-out under its earliest receiver's key, which no
+// other receiver's precedes.
+func (s *Sim) post(slot uint32) {
+	fan := s.slab[slot].fan
+	if len(fan) == 0 {
+		s.release(slot)
 		return
 	}
-	e.dst.net.deliver(e.dst, e.from, e.msg, e.at, int(e.size))
+	if !slices.IsSortedFunc(fan, arrival.compare) {
+		slices.SortFunc(fan, arrival.compare)
+	}
+	s.push(fan[0].at, fan[0].seq, slot)
 }
 
-// heapPush inserts e into the 4-ary min-heap h, sifting parents down along
+// release vacates slot, keeping its fan-out buffer for the next fan-out.
+func (s *Sim) release(slot uint32) {
+	if fan := s.slab[slot].fan; fan != nil {
+		clear(fan)
+		s.fans = append(s.fans, fan[:0])
+	}
+	s.slab[slot] = payload{}
+	s.free = append(s.free, slot)
+}
+
+// heapPush inserts k into the 4-ary min-heap h, sifting parents down along
 // the insertion path instead of swapping, so each level costs one copy.
-func heapPush(h []event, e event) []event {
-	h = append(h, event{})
+func heapPush(h []key, k key) []key {
+	h = append(h, key{})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.before(&h[p]) {
+		if !k.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = e
+	h[i] = k
 	return h
 }
 
-// heapPop removes and returns the earliest event. The vacated tail slot is
-// zeroed (releasing the closure and message) but the backing array is kept,
-// so the slot is reused by the next push.
-func heapPop(h []event) (event, []event) {
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if h[j].before(&h[m]) {
-					m = j
-				}
-			}
-			if !h[m].before(&last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
+// siftDown places k at index i of h and moves it down to its place.
+func siftDown(h []key, i int, k key) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		h[i] = last
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(k) {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
-	return top, h
+	h[i] = k
 }
 
 // Stop halts the event loop after the currently running event returns.
@@ -195,14 +285,64 @@ func (s *Sim) RunUntil(t time.Duration) {
 }
 
 // run executes every queued event, or with bounded only those with
-// timestamps <= limit.
+// timestamps <= limit. The running entry stays at the heap's root: whatever it
+// schedules comes after it. A fan-out then moves on to its next receiver's key
+// and sinks only as far as that key does, so its receivers run inline for as
+// long as they precede every other entry.
 func (s *Sim) run(limit time.Duration, bounded bool) {
 	s.stopped = false
 	for len(s.heap) > 0 && !s.stopped && !(bounded && s.heap[0].at > limit) {
-		var e event
-		e, s.heap = heapPop(s.heap)
-		s.now = e.at
+		top := s.heap[0]
+		slot := uint32(top.id & slotMask)
+		s.now, s.cur = top.at, top.id>>slotBits
 		s.nEvents++
-		exec(&e)
+		p := &s.slab[slot]
+		switch {
+		case p.fn != nil:
+			p.fn()
+		case p.fan == nil:
+			p.dst.net.deliver(p.dst, p.from, p.msg, top.at, p.size)
+		default:
+			a := p.fan[p.next]
+			p.next++
+			a.dst.net.deliver(a.dst, p.from, p.msg, a.at, p.size)
+			if p = &s.slab[slot]; p.next < len(p.fan) {
+				a = p.fan[p.next]
+				siftDown(s.heap, 0, key{at: a.at, id: a.seq<<slotBits | uint64(slot)})
+				continue
+			}
+		}
+		n := len(s.heap) - 1
+		last := s.heap[n]
+		s.heap = s.heap[:n]
+		if n > 0 {
+			siftDown(s.heap, 0, last)
+		}
+		s.release(slot)
 	}
+	s.settle(limit, bounded)
+}
+
+// settle counts the reserved wake-ups this run passed — all of them once the
+// queue is empty, those up to limit at a bounded end, those before the
+// running event at Stop — and leaves their cores idle, as each wake-up would
+// have found its inbox empty.
+func (s *Sim) settle(limit time.Duration, bounded bool) {
+	keep := s.idle[:0]
+	for _, e := range s.idle {
+		at, seq := e.wakeAt, e.wakeSeq
+		switch {
+		case seq == 0:
+			e.listed = false
+			continue
+		case s.stopped && !s.passed(at, seq), !s.stopped && bounded && at > limit:
+			keep = append(keep, e)
+			continue
+		}
+		e.wakeSeq, e.listed, e.processing = 0, false, false
+		s.nEvents++
+		s.now = max(s.now, at)
+	}
+	clear(s.idle[len(keep):])
+	s.idle = keep
 }

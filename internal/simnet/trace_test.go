@@ -53,6 +53,48 @@ func TestTimerAllocs(t *testing.T) {
 	}
 }
 
+// TestFanoutAllocs pins a warm fan-out at zero allocations: a multicast to 50
+// receivers and a SendEach to 96 each take one queue entry, whose slab slot
+// and receiver buffer the next fan-out reuses.
+func TestFanoutAllocs(t *testing.T) {
+	s := NewSim(1)
+	n := NewNetwork(s, DefaultTopology())
+	got := 0
+	sink := HandlerFunc(func(*Context, NodeID, Message) { got++ })
+	src := n.Register("src", 0, sink)
+	var each []NodeID
+	for i := 0; i < 96; i++ {
+		id := n.Register("rx", 0, sink).ID()
+		each = append(each, id)
+		if i < 50 {
+			n.Join("g", id)
+		}
+	}
+	var msg Message = testMsg{size: 256}
+	for _, sendEach := range []bool{false, true} {
+		got = 0
+		allocs := testing.AllocsPerRun(100, func() {
+			ctx := NewInjectedContext(n, src)
+			if sendEach {
+				ctx.SendEach(each, msg)
+			} else {
+				ctx.Multicast("g", msg)
+			}
+			s.Run()
+		})
+		name, want := "multicast to 50", 50
+		if sendEach {
+			name, want = "SendEach to 96", 96
+		}
+		if got != 101*want {
+			t.Fatalf("%s: %d deliveries, want %d", name, got, 101*want)
+		}
+		if allocs > 0 {
+			t.Fatalf("%s = %v allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
 // TestTracerHooksRecord drives traffic through a traced network and checks
 // that every telemetry channel saw it: bytes out at the sender, bytes in at
 // the receiver, queue depth, CPU busy time, and bytes on the wire.
