@@ -14,10 +14,11 @@ import (
 // seq) heap entry per delivery, timer, closure and wake-up. The schedule draws
 // 1–3 datacenters, NIC and pipe bandwidth, jitter, loss and a DropFilter;
 // handlers that charge CPU time and send unicasts, multicasts and SendEach
-// fan-outs, set After timers and arm a Timer, crash their own core or Stop
-// the loop; crashes and restarts from outside; and bounded RunUntil slices
-// before Run. The two delivery logs must be identical, and Now and Events must
-// agree after every slice.
+// fan-outs, set After timers and arm a Timer, crash their own core, restart a
+// peer or Stop the loop; crashes and restarts from events; and bounded
+// RunUntil slices before Run, each followed by a restart and a step from
+// outside the loop. The two delivery logs must be identical, and Now and
+// Events must agree after every slice.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x02\x05\x01\x01\x01\x40\x00\x03\x03\x00\x01\x02\x03\x04\x05\x06\x07"))
@@ -83,7 +84,7 @@ type orderPlan struct {
 	script      []orderStep
 	injects     []orderAt // node starts a step with id at t
 	faults      []orderAt // id 0 crashes node at t, 1 restarts it
-	slices      []time.Duration
+	slices      []orderAt // RunUntil(at), then restart node and start a step with id
 }
 
 type orderAt struct {
@@ -143,7 +144,7 @@ func drawOrderPlan(data []byte) *orderPlan {
 	var at time.Duration
 	for k := next() % 5; k > 0; k-- {
 		at += us(1 + 8*next())
-		p.slices = append(p.slices, at)
+		p.slices = append(p.slices, orderAt{at: at, node: next() % p.n, id: next()})
 	}
 	return p
 }
@@ -206,9 +207,11 @@ func (p *orderPlan) run(build func(*orderRun) orderEngine) *orderRun {
 		})
 	}
 	mark := func() { r.marks = append(r.marks, [2]uint64{uint64(e.now()), e.events()}) }
-	for _, t := range p.slices {
-		e.runUntil(t)
+	for _, sl := range p.slices {
+		e.runUntil(sl.at)
 		mark()
+		e.restart(sl.node)
+		r.handle(e.inject(sl.node), sl.node, fromInject, sl.id)
 	}
 	for i := 0; i < 32; i++ { // a Stop ends a Run early
 		e.run()
