@@ -57,8 +57,6 @@ type (
 	Tracer = trace.Tracer
 	// TraceOptions tunes a Tracer's bucket width and ring capacities.
 	TraceOptions = trace.Options
-	// TraceSummaryOptions tunes Tracer.WriteSummary.
-	TraceSummaryOptions = trace.SummaryOptions
 	// Scenario is the declarative, JSON-round-trippable experiment spec:
 	// one value describes a complete simulated deployment and run
 	// (framework, protocol, topology, workload, attack, load, seed).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"github.com/bidl-framework/bidl"
 )
@@ -27,14 +26,12 @@ import (
 func benchCmd(args []string, stdout, stderr io.Writer) int {
 	c := newCLI("bench", stdout, stderr)
 	var (
-		runID     = c.String("run", "", "experiment ID to run (or \"all\")")
-		dump      = c.Bool("dump-scenarios", false, "print the selected experiments' sweep points as scenario JSON and exit")
-		scale     = c.Float64("scale", 1.0, "load/duration scale in (0,1]")
-		sim       = c.simFlags(1, "concurrent sweep points (1 = serial, -1 = one per CPU)")
-		csv       = c.String("csv", "", "also write results as CSV to this file")
-		quiet     = c.Bool("q", false, "suppress progress logging")
-		telemetry = c.Bool("telemetry", false, "trace every run and print per-run telemetry summaries to stderr")
-		anatomy   = c.Bool("anatomy", false, "trace every run and print per-run latency-anatomy breakdowns to stderr")
+		runID = c.String("run", "", "experiment ID to run (or \"all\")")
+		dump  = c.Bool("dump-scenarios", false, "print the selected experiments' sweep points as scenario JSON and exit")
+		scale = c.Float64("scale", 1.0, "load/duration scale in (0,1]")
+		sim   = c.simFlags(1, "concurrent sweep points (1 = serial, -1 = one per CPU)")
+		csv   = c.String("csv", "", "also write results as CSV to this file")
+		quiet = c.Bool("q", false, "suppress progress logging")
 	)
 	if code, ok := c.parse(args); !ok {
 		return code
@@ -59,24 +56,6 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		opts.Log = stderr
 	}
-	if *telemetry || *anatomy {
-		// Sweep points may finish concurrently (-j); serialize the reports.
-		var mu sync.Mutex
-		opts.TraceSink = func(tr *bidl.Tracer) {
-			mu.Lock()
-			defer mu.Unlock()
-			if *telemetry {
-				tr.WriteSummary(stderr, bidl.TraceSummaryOptions{TopNodes: 5, TopTxs: 3})
-			}
-			if *anatomy {
-				rep := bidl.ComputeAnatomy(tr.TxEvents(), tr.PhaseEvents(), bidl.AnatomyOptions{})
-				if err := rep.Render(stderr); err != nil {
-					c.fail(1, err)
-				}
-			}
-		}
-	}
-
 	byID := make(map[string]bidl.Experiment)
 	var ids []string
 	for _, e := range bidl.Experiments() {

@@ -48,13 +48,13 @@ var cliMatrix = []cliRow{
 	{name: "run-list-faults", steps: []string{"run -list-faults"}},
 	{name: "run-traced",
 		steps: []string{
-			spec("run-traced") + " -telemetry -anatomy - -anatomy-csv $TMP/a.csv -trace $TMP/t.json -trace-jsonl $TMP/t.jsonl",
+			spec("run-traced") + " -telemetry -anatomy - -trace $TMP/t.json -trace-jsonl $TMP/t.jsonl",
 			"trace-check $TMP/t.json",
 			"trace-check -jsonl $TMP/t.jsonl",
 			"report -trace-jsonl $TMP/t.jsonl -out $TMP/r.txt -csv $TMP/r.csv",
 			spec("run-traced") + " -anatomy $TMP/a.txt",
 		},
-		files: []string{"a.csv", "r.csv", "a.txt", "r.txt"}},
+		files: []string{"r.csv", "a.txt", "r.txt"}},
 	{name: "scenario-chaos-churn", steps: []string{"run -scenario " + examples + "chaos-churn.json"}},
 	{name: "scenario-chaos-crash", steps: []string{"run -scenario " + examples + "chaos-crash.json"}},
 	{name: "scenario-chaos-crash-overlay", steps: []string{"run -scenario " + examples + "chaos-crash.json -seed 3 -timeline -anatomy -"}},

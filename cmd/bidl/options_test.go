@@ -52,9 +52,9 @@ func TestOptionCount(t *testing.T) {
 		surface   string
 		got, want int
 	}{
-		{"scenario spec fields", specLeaves(reflect.TypeOf(bidl.Scenario{})), 61},
-		{"bidl run flags", flagCount(t, "run"), 14},
-		{"bidl bench flags", flagCount(t, "bench"), 11},
+		{"scenario spec fields", specLeaves(reflect.TypeOf(bidl.Scenario{})), 60},
+		{"bidl run flags", flagCount(t, "run"), 13},
+		{"bidl bench flags", flagCount(t, "bench"), 9},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %d, pinned at %d", c.surface, c.got, c.want)

@@ -36,7 +36,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		traceJSONL = c.String("trace-jsonl", "", "write raw trace events as JSON lines (single run only)")
 		telemetry  = c.Bool("telemetry", false, "print per-node/per-link telemetry and slowest-transaction spans (single run only)")
 		anatomyOut = c.String("anatomy", "", "write the critical-path latency anatomy report to this file (\"-\" = stdout; single run only)")
-		anatomyCSV = c.String("anatomy-csv", "", "also write the latency anatomy as CSV to this file (single run only)")
 		heapCheck  = c.Int64("heap-check", 0, "GC at the end of every run, its deployment still reachable, and fail if the live heap exceeds this many bytes (0 = off)")
 		listFaults = c.Bool("list-faults", false, "list the fault kinds a scenario's faults array accepts and exit")
 	)
@@ -50,9 +49,9 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	tracing := *traceOut != "" || *traceJSONL != "" || *telemetry || *anatomyOut != "" || *anatomyCSV != ""
+	tracing := *traceOut != "" || *traceJSONL != "" || *telemetry || *anatomyOut != ""
 	if (tracing || *timeline || *sim.cpuProf != "" || *sim.memProf != "") && *runs != 1 {
-		return c.fail(2, errors.New("-timeline/-trace/-trace-jsonl/-telemetry/-anatomy/-anatomy-csv/-cpuprofile/-memprofile require -runs 1"))
+		return c.fail(2, errors.New("-timeline/-trace/-trace-jsonl/-telemetry/-anatomy/-cpuprofile/-memprofile require -runs 1"))
 	}
 	if *scenPath == "" {
 		return c.fail(2, errors.New("-scenario FILE is required: the spec describes the deployment (`bidl bench -dump-scenarios` prints the registry's)"))
@@ -170,12 +169,13 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		if *telemetry {
 			fmt.Fprintln(stdout)
-			tr.WriteSummary(stdout, bidl.TraceSummaryOptions{})
+			tr.WriteSummary(stdout)
 			fmt.Fprintln(stdout)
 			check(outcomes[0].res.Collector.WriteSummary(stdout))
 		}
-		if *anatomyOut != "" || *anatomyCSV != "" {
-			// Offline, `bidl report -scenario` recovers the same fault windows.
+		if *anatomyOut != "" {
+			// Offline, `bidl report -scenario` recovers the same fault windows
+			// and `bidl report -csv` the same report as CSV.
 			rep := bidl.ComputeAnatomy(tr.TxEvents(), tr.PhaseEvents(),
 				bidl.AnatomyOptions{Windows: spec.AnatomyWindows()})
 			if *anatomyOut == "-" {
@@ -184,7 +184,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			} else {
 				export("wrote latency anatomy to %s", *anatomyOut, rep.Render)
 			}
-			export("wrote latency anatomy CSV to %s", *anatomyCSV, rep.CSV)
 		}
 		export("wrote Chrome trace to %s (open in Perfetto / chrome://tracing)", *traceOut, tr.WriteChromeTrace)
 		export("wrote trace events to %s", *traceJSONL, tr.WriteJSONL)

@@ -31,18 +31,14 @@ func init() {
 			"stage columns are p50 critical-path waits (frontier decomposition); they need not sum to p50 e2e",
 			"overlap = fraction of execution time hidden inside [sequenced, agreed] — the speculative-execution claim",
 		},
+		Traced: true,
 		Sweep: func(o Options) []Group {
 			window := o.scaled(1200 * time.Millisecond)
 			config := func(label, framework, protocol string, rate float64) Group {
 				sp := spec(framework, "anatomy "+label, o, mix(0, 0), rate, window)
 				sp.Protocol = protocol
-				sp.Anatomy = true
 				return single(sp, func(t *Table, r Result) {
 					rep := r.Anatomy
-					if rep == nil {
-						t.AddRow(label, "0", "-", "-", "-", "-", "-", "-", "-", "-", "-")
-						return
-					}
 					t.AddRow(label,
 						fmt.Sprintf("%d", rep.Complete),
 						ms(rep.E2E.P50), ms(rep.E2E.P99),

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/bidl-framework/bidl/internal/scenario"
-	"github.com/bidl-framework/bidl/internal/trace"
 )
 
 // Table is a rendered experiment result.
@@ -96,12 +95,6 @@ type Options struct {
 	// events, when non-nil, accumulates virtual events executed by every
 	// run launched under these options (set by Measure).
 	events *atomic.Uint64
-
-	// TraceSink, when non-nil, turns on per-run tracing: every framework
-	// run gets a private Tracer, handed to the sink after the run
-	// finishes. Sweep points may run concurrently (Workers), so the sink
-	// must be safe for concurrent calls.
-	TraceSink func(*trace.Tracer)
 }
 
 // logMu serializes progress lines from concurrent sweep workers.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -117,5 +118,25 @@ func TestTracedPointRejectsDroppedEvents(t *testing.T) {
 	tab, err := e.Run(goldenOptions())
 	if err == nil || !strings.Contains(err.Error(), "overwrote") || tab != nil {
 		t.Fatalf("Run = %v, %v; want no table and the overwritten lifecycle events named", tab, err)
+	}
+}
+
+// Every traced point at full scale fits its lifecycle-event ring: a
+// transaction records each stage at most once, so a point offering
+// ⌈rate × window⌉ transactions records at most that many times NumStages
+// events. The drop guard above catches an overflow only when a full-scale run
+// is made, which no other test does; this budget check runs nothing.
+func TestTracedPointsFitTheRing(t *testing.T) {
+	for _, e := range All() {
+		if !e.Traced {
+			continue
+		}
+		for _, sp := range e.Scenarios(Options{Scale: 1, Seed: 1}) {
+			txs := int(math.Ceil(sp.Load.Rate * sp.Load.Window.D().Seconds()))
+			if events := txs * int(trace.NumStages); events > spanCapacity {
+				t.Errorf("%s %q: %d transactions may record %d lifecycle events, the ring holds %d",
+					e.ID, sp.Name, txs, events, spanCapacity)
+			}
+		}
 	}
 }

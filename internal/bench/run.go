@@ -8,41 +8,45 @@ import (
 	"github.com/bidl-framework/bidl/internal/trace/anatomy"
 )
 
-// Result summarizes one framework run (the scenario driver's result type;
-// re-exported so tables and callers keep their historical name).
-type Result = scenario.Result
+// Result is one sweep point's run: scenario.RunWith's result plus, for a
+// point of a Traced experiment, what its tracer recorded.
+type Result struct {
+	scenario.Result
+	// Anatomy is the latency anatomy of the point's trace.
+	Anatomy *anatomy.Report
+	// InterDCBytes is the bytes that crossed between datacenters
+	// (Tracer.InterDCBytes).
+	InterDCBytes uint64
+}
 
-// spanCapacity bounds a traced point's lifecycle-event ring (0: the
-// tracer's default); tests shrink it to make a point overflow.
-var spanCapacity int
+// spanCapacity bounds a traced point's lifecycle-event ring; tests shrink it
+// to make a point overflow. The ring grows lazily, so the bound costs only
+// what a point records; TestTracedPointsFitTheRing checks that every traced
+// point at full scale fits.
+var spanCapacity = 1 << 20
 
-// runScenario executes one sweep point through the shared scenario driver,
-// wiring the harness-level accounting (virtual-event counter, trace sink)
-// around it. A traced point, or any point under a trace sink, runs with one
-// tracer, so its Result counts inter-DC bytes; a traced point's Result also
-// carries the latency anatomy of that trace, and the point fails if the
-// tracer overwrote lifecycle events, rather than let a row average a
-// truncated set.
+// runScenario executes one sweep point through scenario.RunWith and credits
+// its virtual events. A traced point runs with a tracer of its own,
+// read here alone: the point fails if the tracer overwrote lifecycle events,
+// rather than let a row average a truncated set.
 func runScenario(o Options, sp scenario.Scenario, traced bool) (Result, error) {
 	var rc scenario.RunConfig
-	if traced || o.TraceSink != nil {
+	if traced {
 		rc.Tracer = trace.New(trace.Options{SpanCapacity: spanCapacity})
 	}
-	res, err := scenario.RunWith(sp, rc)
+	sr, err := scenario.RunWith(sp, rc)
+	res := Result{Result: sr}
 	if err != nil {
 		return res, err
 	}
 	o.addEvents(res.Events)
-	if o.TraceSink != nil {
-		o.TraceSink(rc.Tracer)
-	}
 	if traced {
-		if n := rc.Tracer.DroppedTxEvents(); n > 0 {
+		tr := rc.Tracer
+		if n := tr.DroppedTxEvents(); n > 0 {
 			return res, fmt.Errorf("the trace ring overwrote %d lifecycle events", n)
 		}
-		if res.Anatomy == nil {
-			res.Anatomy = anatomy.Compute(rc.Tracer.TxEvents(), rc.Tracer.PhaseEvents(), anatomy.Options{})
-		}
+		res.Anatomy = anatomy.Compute(tr.TxEvents(), tr.PhaseEvents(), anatomy.Options{Windows: sp.AnatomyWindows()})
+		res.InterDCBytes = tr.InterDCBytes()
 	}
 	return res, nil
 }

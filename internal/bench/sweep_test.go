@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/bidl-framework/bidl/internal/metrics"
+	"github.com/bidl-framework/bidl/internal/scenario"
+	"github.com/bidl-framework/bidl/internal/trace/anatomy"
 )
 
 // TestSweepGroupsConsumeTheirRuns pins the contract between a sweep and the
@@ -18,7 +20,10 @@ func TestSweepGroupsConsumeTheirRuns(t *testing.T) {
 			specs := e.Scenarios(o)
 			res := make([]Result, len(specs))
 			for i := range res {
-				res[i] = Result{Events: uint64(i), Collector: metrics.NewCollector()}
+				res[i] = Result{Result: scenario.Result{Events: uint64(i), Collector: metrics.NewCollector()}}
+				if e.Traced {
+					res[i].Anatomy = &anatomy.Report{}
+				}
 			}
 			next := 0
 			for gi := range groups {

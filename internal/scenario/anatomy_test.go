@@ -17,12 +17,12 @@ func anatomySpec(framework string) Scenario {
 		Nodes:     NodesSpec{Orgs: 4},
 		Workload:  WorkloadSpec{Clients: 8, Accounts: 400},
 		Load:      LoadSpec{Rate: 2000, Window: Duration(100 * time.Millisecond)},
-		Anatomy:   true,
 	}
 }
 
 // runAnatomy runs the spec with an explicit tracer and returns the rendered
-// anatomy, its CSV, the JSONL export, and the report itself.
+// anatomy computed from that tracer (fault windows from the spec), its CSV,
+// the JSONL export, and the report itself.
 func runAnatomy(t *testing.T, sp Scenario) (string, string, []byte, *anatomy.Report) {
 	t.Helper()
 	tr := trace.New(trace.Options{})
@@ -33,20 +33,18 @@ func runAnatomy(t *testing.T, sp Scenario) (string, string, []byte, *anatomy.Rep
 	if res.SafetyErr != nil {
 		t.Fatalf("safety: %v", res.SafetyErr)
 	}
-	if res.Anatomy == nil {
-		t.Fatal("spec requested anatomy but Result.Anatomy is nil")
-	}
+	rep := anatomy.Compute(tr.TxEvents(), tr.PhaseEvents(), anatomy.Options{Windows: sp.AnatomyWindows()})
 	var rbuf, cbuf, jbuf bytes.Buffer
-	if err := res.Anatomy.Render(&rbuf); err != nil {
+	if err := rep.Render(&rbuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Anatomy.CSV(&cbuf); err != nil {
+	if err := rep.CSV(&cbuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.WriteJSONL(&jbuf); err != nil {
 		t.Fatal(err)
 	}
-	return rbuf.String(), cbuf.String(), jbuf.Bytes(), res.Anatomy
+	return rbuf.String(), cbuf.String(), jbuf.Bytes(), rep
 }
 
 // TestAnatomyInvariantOverRealRuns asserts the central decomposition
@@ -121,17 +119,5 @@ func TestAnatomyFaultWindowsAnnotated(t *testing.T) {
 	want := []string{"crash org1/node0", "churn x4", "outside windows"}
 	if !reflect.DeepEqual(labels, want) {
 		t.Fatalf("window labels = %q, want %q", labels, want)
-	}
-}
-
-// TestAnatomyPrivateTracer checks spec.Anatomy alone (no caller tracer)
-// produces a report.
-func TestAnatomyPrivateTracer(t *testing.T) {
-	res, err := Run(anatomySpec(FrameworkBIDL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Anatomy == nil || res.Anatomy.Complete == 0 {
-		t.Fatalf("anatomy = %+v, want populated report", res.Anatomy)
 	}
 }

@@ -31,20 +31,14 @@ type Result struct {
 	Collector *metrics.Collector
 	// SafetyErr is the end-of-run consistency audit result (nil = safe).
 	SafetyErr error
-	// Anatomy is the latency-anatomy breakdown, present when the spec sets
-	// Anatomy (or the caller supplied a tracer and set Anatomy): stage
-	// waits, phase transitions, overlap ratio, and fault-window annotation.
-	Anatomy *anatomy.Report
-	// InterDCBytes is the bytes that crossed between datacenters
-	// (Tracer.InterDCBytes), counted when the run had a tracer.
-	InterDCBytes uint64
 }
 
 // RunConfig carries runtime-only knobs that are deliberately not part of
 // the declarative spec.
 type RunConfig struct {
 	// Tracer, when non-nil, records per-transaction lifecycle spans and
-	// telemetry for the run.
+	// telemetry for the run. The run only writes to it: whoever attached it
+	// reads it afterwards.
 	Tracer *trace.Tracer
 	// Observe, when non-nil, is called with the harness after the
 	// simulation finishes (before the safety audit) — for tests and
@@ -67,14 +61,6 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 	s = s.WithDefaults()
 	if err := s.Validate(); err != nil {
 		return Result{}, err
-	}
-
-	// The anatomy breakdown needs lifecycle events: create a private tracer
-	// when the spec requests anatomy and the caller brought none.
-	tracer := rc.Tracer
-	if s.Anatomy && tracer == nil {
-		tracer = trace.New(trace.Options{})
-		rc.Tracer = tracer
 	}
 
 	window := s.Load.Window.D()
@@ -110,19 +96,13 @@ func RunWith(s Scenario, rc RunConfig) (Result, error) {
 	}
 
 	col := h.Metrics()
-	res := Result{
-		Submitted:    submitted(),
-		Summary:      col.Summarize(warmup, window),
-		Events:       h.VirtualEvents(),
-		Collector:    col,
-		SafetyErr:    h.CheckSafety(),
-		InterDCBytes: tracer.InterDCBytes(),
-	}
-	if s.Anatomy && tracer != nil {
-		res.Anatomy = anatomy.Compute(tracer.TxEvents(), tracer.PhaseEvents(),
-			anatomy.Options{Windows: s.AnatomyWindows()})
-	}
-	return res, nil
+	return Result{
+		Submitted: submitted(),
+		Summary:   col.Summarize(warmup, window),
+		Events:    h.VirtualEvents(),
+		Collector: col,
+		SafetyErr: h.CheckSafety(),
+	}, nil
 }
 
 // AnatomyWindows compiles the fault schedule into anatomy fault windows,

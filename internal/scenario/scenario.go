@@ -90,11 +90,6 @@ type Scenario struct {
 	// chaos.Kinds or `bidl run -list-faults` for the taxonomy). Runs
 	// with faults always use the serial simulation engine.
 	Faults []FaultSpec `json:"faults"`
-	// Anatomy requests a latency-anatomy breakdown (internal/trace/anatomy)
-	// in the run's Result. When the caller supplies no tracer of its own, a
-	// private one is created for the run; fault windows from the schedule
-	// are annotated in the report automatically.
-	Anatomy bool `json:"anatomy,omitempty"`
 }
 
 // NodesSpec sizes the simulated cluster. Zero fields mean setting A:

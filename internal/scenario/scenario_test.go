@@ -105,6 +105,7 @@ func TestParseRejectsRemovedKeys(t *testing.T) {
 		{"faults.interval", `{` + load + `}, "faults": [{"kind": "broadcaster", "interval": "2ms"}]}`},
 		{"faults.detect_lag", `{` + load + `}, "faults": [{"kind": "broadcaster", "detect_lag": "2ms"}]}`},
 		{"faults.malicious_clients", `{` + load + `}, "faults": [{"kind": "broadcaster", "malicious_clients": [1]}]}`},
+		{"anatomy", `{` + load + `}, "anatomy": true}`},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			name := tc.key[strings.LastIndex(tc.key, ".")+1:]

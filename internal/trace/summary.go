@@ -10,27 +10,19 @@ import (
 	"time"
 )
 
-// SummaryOptions tune WriteSummary.
-type SummaryOptions struct {
-	// TopNodes bounds the busiest-node table (default 10).
-	TopNodes int
-	// TopTxs bounds the slowest-transaction table (default 5).
-	TopTxs int
-}
+// The summary's table sizes: the busiest nodes and the slowest transactions.
+const (
+	summaryTopNodes = 10
+	summaryTopTxs   = 5
+)
 
 // WriteSummary renders the telemetry as a human-readable report: per-node
 // busy%/queue/traffic for the busiest nodes, per-link utilization, and the
-// top-K slowest traced transactions with their stage breakdown.
-func (t *Tracer) WriteSummary(w io.Writer, o SummaryOptions) {
+// slowest traced transactions with their stage breakdown.
+func (t *Tracer) WriteSummary(w io.Writer) {
 	if t == nil {
 		fmt.Fprintln(w, "telemetry: tracing disabled")
 		return
-	}
-	if o.TopNodes <= 0 {
-		o.TopNodes = 10
-	}
-	if o.TopTxs <= 0 {
-		o.TopTxs = 5
 	}
 	horizon := t.horizon
 	if horizon <= 0 {
@@ -74,10 +66,7 @@ func (t *Tracer) WriteSummary(w io.Writer, o SummaryOptions) {
 		horizon.Round(time.Millisecond), len(rows), t.width)
 	fmt.Fprintf(w, "  %-18s %7s %7s %10s %10s %8s %7s\n",
 		"node", "busy%", "maxQ", "in", "out", "msgs", "drops")
-	shown := rows
-	if len(shown) > o.TopNodes {
-		shown = shown[:o.TopNodes]
-	}
+	shown := rows[:min(summaryTopNodes, len(rows))]
 	for _, r := range shown {
 		fmt.Fprintf(w, "  %-18s %6.1f%% %7d %10s %10s %8d %7d\n",
 			r.name, 100*float64(r.busy)/float64(horizon), r.maxQueue,
@@ -116,11 +105,7 @@ func (t *Tracer) WriteSummary(w io.Writer, o SummaryOptions) {
 	})
 	if len(spans) > 0 {
 		fmt.Fprintf(w, "slowest traced transactions (of %d):\n", len(spans))
-		n := o.TopTxs
-		if n > len(spans) {
-			n = len(spans)
-		}
-		for _, s := range spans[:n] {
+		for _, s := range spans[:min(summaryTopTxs, len(spans))] {
 			var parts []string
 			for i := 1; i < len(s.events); i++ {
 				parts = append(parts, fmt.Sprintf("%s %v", s.events[i].Stage,

@@ -45,7 +45,7 @@ func TestNilTracerIsDisabled(t *testing.T) {
 		t.Fatalf("nil WriteJSONL: %v", err)
 	}
 	buf.Reset()
-	tr.WriteSummary(&buf, SummaryOptions{})
+	tr.WriteSummary(&buf)
 	if !strings.Contains(buf.String(), "disabled") {
 		t.Fatalf("nil summary = %q, want disabled notice", buf.String())
 	}
@@ -273,7 +273,7 @@ func TestWriteSummary(t *testing.T) {
 	tr := New(Options{})
 	record(tr)
 	var buf bytes.Buffer
-	tr.WriteSummary(&buf, SummaryOptions{})
+	tr.WriteSummary(&buf)
 	out := buf.String()
 	for _, want := range []string{"telemetry over", "cn0", "slowest traced transactions"} {
 		if !strings.Contains(out, want) {
